@@ -193,8 +193,9 @@ func TestResultCacheIncrementalUpgrade(t *testing.T) {
 	if m.IncrementalUpgrades() != int64(len(appends)) {
 		t.Errorf("incremental upgrades drained = %d, want %d", m.IncrementalUpgrades(), len(appends))
 	}
-	if s := cached.ResultCacheStats(); s.Upgrades != int64(len(appends)) {
-		t.Errorf("session upgrade counter = %d, want %d", s.Upgrades, len(appends))
+	if s := cached.ResultCacheStats(); s.Upgrades != int64(len(appends)) || s.Invalidations != 0 {
+		t.Errorf("session counters: upgrades = %d, invalidations = %d, want %d and 0",
+			s.Upgrades, s.Invalidations, len(appends))
 	}
 
 	cold := wideSession(t)

@@ -187,9 +187,7 @@ func runCache(cfg Config, w io.Writer) error {
 	// post-append run to miss and recompute. This section runs correlated
 	// data — the regime incremental maintenance targets: the skyline is tiny
 	// relative to the base table, so an upgrade touches |skyline| + |batch|
-	// rows while a recompute rescans everything. (On anti-correlated data,
-	// where nearly every row is in the skyline, re-seeding the incremental
-	// window costs as much as the recompute it replaces.)
+	// rows while a recompute rescans everything.
 	nInc := cfg.scaled(8000)
 	nApp := cfg.scaled(2000)
 	const batches = 8

@@ -257,8 +257,8 @@ func (m *Metrics) CacheEvictions() int64 {
 }
 
 // AddIncrementalUpgrade records one cache entry upgraded in place after a
-// table append — new points absorbed by stream.Incremental against the
-// cached skyline instead of invalidating the entry.
+// table append — new points dominance-tested against the cached skyline
+// instead of invalidating the entry.
 func (m *Metrics) AddIncrementalUpgrade() {
 	if m != nil {
 		m.incrementalUpgrades.Add(1)

@@ -277,7 +277,7 @@ func (c *canonicalizer) dims(dims []physical.BoundDim) string {
 // of the skyline; chunk partitioning plus the order-preserving AllTuples
 // gather make that the table-order subsequence, invariant to executor
 // count, fusion, and dimension permutation — which is what lets appends
-// be absorbed by stream.Incremental seeded from the cached rows. Any
+// be absorbed by a BNL window seeded from the cached rows (Cache.upgrade). Any
 // other shape returns nil (cacheable, but append ⇒ invalidate).
 func maintainShape(root physical.Operator) *maintenance {
 	g, ok := root.(*physical.GlobalSkylineExec)

@@ -26,12 +26,19 @@
 // (cheap degradation), then is evicted whole.
 //
 // Appends to a cached table either upgrade matching entries in place —
-// the new points need dominance tests only against the cached skyline,
-// via stream.Incremental — or invalidate them when the entry's plan
-// shape is not maintainable or a new point carries a NULL skyline
-// dimension. A hit serves exactly the rows a cold recompute would, bit
-// for bit; stale entries can never be served because the key embeds the
-// table versions read at execution time.
+// the new points need dominance tests only against the cached skyline —
+// or invalidate them when the entry's plan shape is not maintainable or
+// a new point carries a NULL skyline dimension. The cached skyline is a
+// BNL window already (§5.6: mutually non-dominating), so it is trusted,
+// not re-tested: Δ appended rows against s cached ones cost O(Δ·s)
+// dominance tests. They run on the columnar kernel (skyline.BNLSeeded
+// over the cached sidecar plus the decoded delta) while the entry still
+// carries its sidecar and the new rows decode, and on the boxed
+// stream.Incremental, seeded with the cached rows, otherwise — the entry
+// and the data select the path, no option does. A hit serves exactly the
+// rows a cold recompute would, bit for bit; stale entries can never be
+// served because the key embeds the table versions read at execution
+// time.
 package resultcache
 
 import (
@@ -64,10 +71,11 @@ type Cache struct {
 	// Session-cumulative counters: per-query deltas also flow into the
 	// running query's cluster.Metrics, but upgrades happen outside any
 	// query and benches want totals, so the cache keeps its own.
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	upgrades  atomic.Int64
+	hits          atomic.Int64
+	misses        atomic.Int64
+	evictions     atomic.Int64
+	upgrades      atomic.Int64
+	invalidations atomic.Int64
 }
 
 // New creates a cache with the given byte budget (<= 0 selects
@@ -82,9 +90,14 @@ func New(budget int64) *Cache {
 // Stats is a point-in-time snapshot of the cache's cumulative counters
 // and current occupancy.
 type Stats struct {
-	Hits, Misses, Evictions, Upgrades int64
-	Entries                           int
-	UsedBytes                         int64
+	Hits, Misses, Evictions int64
+	// Upgrades and Invalidations count what appends did to dependent
+	// entries (TableChanged): maintained in place, or dropped because the
+	// plan shape or the new rows ruled maintenance out. Invalidation is
+	// correctness, eviction is memory pressure; they are counted apart.
+	Upgrades, Invalidations int64
+	Entries                 int
+	UsedBytes               int64
 }
 
 // Stats returns the session-cumulative counters and current occupancy.
@@ -94,7 +107,8 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
 		Evictions: c.evictions.Load(), Upgrades: c.upgrades.Load(),
-		Entries: c.lru.Len(), UsedBytes: c.used,
+		Invalidations: c.invalidations.Load(),
+		Entries:       c.lru.Len(), UsedBytes: c.used,
 	}
 }
 
@@ -234,10 +248,12 @@ func (c *Cache) shed(ctx *cluster.Context) {
 // TableChanged tells the cache rows were appended to t (after the
 // version bump). Entries depending on t are incrementally upgraded in
 // place when maintainable — each new point is dominance-tested only
-// against the cached skyline via stream.Incremental — and invalidated
-// otherwise, including when a new point carries a NULL skyline dimension
-// (incremental maintenance requires complete data) or fails a filter
-// evaluation. It returns the number of entries upgraded and invalidated.
+// against the cached skyline, O(Δ·s) tests for Δ new rows and s cached
+// ones (see upgrade) — and invalidated otherwise, including when a new
+// point carries a NULL skyline dimension (incremental maintenance
+// requires complete data) or fails a filter evaluation. It returns the
+// number of entries upgraded and invalidated; both are also accumulated
+// in Stats.
 //
 // Deletions need no call: DropTable bumps the version, so stale keys can
 // simply never match again (the bytes age out via LRU).
@@ -251,18 +267,16 @@ func (c *Cache) TableChanged(t *catalog.Table, newRows []types.Row) (upgraded, i
 		if !dependsOn(e, t) {
 			continue
 		}
-		if e.maint == nil || e.maint.table != t {
-			c.remove(el, e) // key embeds a dead version: pure dead weight
-			invalidated++
-			continue
-		}
-		if c.upgrade(el, e, newRows) {
+		// A non-maintainable entry's key embeds a dead version: pure dead
+		// weight, dropped like one whose upgrade was refused.
+		if e.maint != nil && e.maint.table == t && c.upgrade(el, e, newRows) {
 			upgraded++
 		} else {
 			c.remove(el, e)
 			invalidated++
 		}
 	}
+	c.invalidations.Add(int64(invalidated))
 	return upgraded, invalidated
 }
 
@@ -287,75 +301,49 @@ func (c *Cache) remove(el *list.Element, e *entry) {
 // table's new version. Reports false when the entry must be invalidated
 // instead (NULL dimension, evaluation error, or a key collision).
 //
+// Cost: the cached skyline is a trusted BNL window, installed without
+// one test among its s rows; the Δ new rows that pass the filters are
+// each tested against it — O(Δ·s) dominance tests per append. Which
+// engine runs them is read off the entry and the data, never a setting:
+// absorbKernel while the entry carries its sidecar and the kernel can
+// decode the new rows, absorbBoxed otherwise.
+//
 // Bit-identity argument: a maintainable plan (complete unbounded-window
 // BNL, locals chunk-partitioned, AllTuples gather preserving partition
-// order) emits the table-order subsequence of the skyline. The cached
-// rows are that subsequence for the pre-append table; seeding the
-// incremental window with them (mutually non-dominating, so every seed
-// is admitted with no evictions, preserving order) and then adding the
-// surviving new rows in append order yields old survivors in table
-// order followed by new survivors in append order — exactly the
-// table-order subsequence a cold recompute over the grown table emits.
+// order) emits the table-order subsequence of the skyline, which is what
+// one BNL pass over the table in order leaves in its window. The cached
+// rows are that window for the pre-append table, so seeding the window
+// with them — in cached order, no tests, no evictions — and absorbing the
+// surviving new rows in append order replays the tail of that one pass:
+// a dominated arrival (or, under DISTINCT, one Equal to a window row)
+// leaves the window untouched; an admitted arrival evicts the rows it
+// dominates without reordering the rest and joins at the end. The result
+// is old survivors in table order followed by new survivors in append
+// order — exactly the table-order subsequence a cold recompute over the
+// grown table emits. DIFF dimensions change nothing in the argument:
+// rows differing in one are incomparable, in both engines.
 func (c *Cache) upgrade(el *list.Element, e *entry, newRows []types.Row) bool {
 	m := e.maint
-	inc := stream.NewIncremental(m.dirs, m.distinct)
-	for _, row := range e.rows {
-		dims, ok := evalDims(m.dims, row)
-		if !ok {
-			return false
-		}
-		if _, err := inc.Add(dims, row); err != nil {
-			return false
-		}
-	}
-	for _, row := range newRows {
-		keep := true
-		for _, f := range m.filters {
-			ok, err := expr.EvalPredicate(f, row)
-			if err != nil {
-				return false
-			}
-			if !ok {
-				keep = false
-				break
-			}
-		}
-		if !keep {
-			continue
-		}
-		dims, ok := evalDims(m.dims, row)
-		if !ok {
-			return false
-		}
-		if _, err := inc.Add(dims, row); err != nil {
-			// NULL skyline dimension (or width mismatch): route to
-			// invalidation, per the complete-data restriction.
-			return false
-		}
-	}
-	pts := inc.Skyline()
-	rows := make([]types.Row, len(pts))
-	points := make([]skyline.Point, len(pts))
-	for i, p := range pts {
-		rows[i] = p.Row
-		points[i] = p
-	}
 	newKey := entryKey(e.structural, e.deps)
 	if _, exists := c.byKey[newKey]; exists && newKey != e.key {
 		return false // a fresh recompute beat us to the new version
 	}
-	var rowBytes int64
-	for _, r := range rows {
-		rowBytes += r.MemSize()
+	delta, ok := m.delta(newRows)
+	if !ok {
+		return false
 	}
-	rowBytes += int64(len(newKey))
-	var batch *skyline.Batch
-	var batchBytes int64
-	if e.batch != nil { // rebuild the sidecar only if the entry still had one
-		if b, ok := skyline.DecodeBatch(points, m.dirs, false, nil); ok {
-			b.Tag = m.tag
-			batch, batchBytes = b, b.MemSize()
+	rows, batch, rowBytes := e.rows, e.batch, e.rowBytes
+	if len(delta) > 0 {
+		if rows, batch, rowBytes, ok = m.absorbKernel(e, delta); !ok {
+			if rows, batch, rowBytes, ok = m.absorbBoxed(e, delta); !ok {
+				return false
+			}
 		}
+	}
+	rowBytes += int64(len(newKey) - len(e.key))
+	var batchBytes int64
+	if batch != nil {
+		batchBytes = batch.MemSize()
 	}
 	c.used += (rowBytes + batchBytes) - (e.rowBytes + e.batchBytes)
 	delete(c.byKey, e.key)
@@ -366,6 +354,129 @@ func (c *Cache) upgrade(el *list.Element, e *entry, newRows []types.Row) bool {
 	c.upgrades.Add(1)
 	c.shed(nil)
 	return true
+}
+
+// delta returns the appended rows the plan's filters let through, as
+// points carrying their evaluated skyline dimensions. ok=false routes the
+// entry to invalidation: a filter or dimension failed to evaluate, or a
+// dimension is NULL (incremental maintenance requires complete data).
+func (m *maintenance) delta(newRows []types.Row) ([]skyline.Point, bool) {
+	delta := make([]skyline.Point, 0, len(newRows))
+next:
+	for _, row := range newRows {
+		for _, f := range m.filters {
+			pass, err := expr.EvalPredicate(f, row)
+			if err != nil {
+				return nil, false
+			}
+			if !pass {
+				continue next
+			}
+		}
+		dims, ok := evalDims(m.dims, row)
+		if !ok {
+			return nil, false
+		}
+		for _, v := range dims {
+			if v.IsNull() {
+				return nil, false
+			}
+		}
+		delta = append(delta, skyline.Point{Dims: dims, Row: row})
+	}
+	return delta, true
+}
+
+// absorbKernel is the columnar upgrade: decode only the delta, append it
+// to the cached sidecar, and run the seeded window pass — the cached
+// prefix is the window, the delta the input. ok=false (nothing touched)
+// when the entry has no sidecar, the sidecar no longer lines up with the
+// rows or holds NULLs, or the kernel refuses the delta or the merge; the
+// caller then takes absorbBoxed. Rows, sidecar and byte count are built
+// fresh, never in place: concurrent readers hold the old ones.
+func (m *maintenance) absorbKernel(e *entry, delta []skyline.Point) ([]types.Row, *skyline.Batch, int64, bool) {
+	s := len(e.rows)
+	if e.batch == nil || e.batch.Len() != s || e.batch.HasNulls() {
+		return nil, nil, 0, false
+	}
+	d, ok := skyline.DecodeBatch(delta, m.dirs, false, nil)
+	if !ok {
+		return nil, nil, 0, false
+	}
+	d.Tag = m.tag
+	merged, ok := skyline.MergeBatches([]*skyline.Batch{e.batch, d})
+	if !ok {
+		return nil, nil, 0, false
+	}
+	// idx is ascending: cached survivors keep their order, new survivors
+	// follow in append order. Every cached index it skips was evicted.
+	idx := merged.BNLSeeded(s, m.distinct)
+	rows := make([]types.Row, len(idx))
+	rowBytes := e.rowBytes
+	old := 0 // next cached row not yet accounted for
+	for i, j := range idx {
+		if j >= s {
+			rows[i] = delta[j-s].Row
+			rowBytes += rows[i].MemSize()
+			continue
+		}
+		for ; old < j; old++ {
+			rowBytes -= e.rows[old].MemSize()
+		}
+		old = j + 1
+		rows[i] = e.rows[j]
+	}
+	for ; old < s; old++ {
+		rowBytes -= e.rows[old].MemSize()
+	}
+	return rows, merged.Select(idx), rowBytes, true
+}
+
+// absorbBoxed is the boxed upgrade for entries the kernel cannot serve:
+// the cached rows seed a stream.Incremental as its trusted window (their
+// dimensions are evaluated, not compared) and the delta is added through
+// the boxed skyline.Compare. An entry that still carried a sidecar gets
+// one back when the survivors decode — the refusal may have concerned a
+// row that did not survive.
+func (m *maintenance) absorbBoxed(e *entry, delta []skyline.Point) ([]types.Row, *skyline.Batch, int64, bool) {
+	seed := make([]skyline.Point, len(e.rows))
+	for i, row := range e.rows {
+		dims, ok := evalDims(m.dims, row)
+		if !ok {
+			return nil, nil, 0, false
+		}
+		seed[i] = skyline.Point{Dims: dims, Row: row}
+	}
+	inc := stream.NewIncremental(m.dirs, m.distinct)
+	if err := inc.Seed(seed); err != nil {
+		return nil, nil, 0, false // a cached row with a NULL dimension
+	}
+	rowBytes := e.rowBytes
+	for _, p := range delta {
+		ev, err := inc.Add(p.Dims, p.Row)
+		if err != nil {
+			return nil, nil, 0, false
+		}
+		if ev.Admitted {
+			rowBytes += p.Row.MemSize()
+		}
+		for _, gone := range ev.Evicted {
+			rowBytes -= gone.Row.MemSize()
+		}
+	}
+	pts := inc.Skyline()
+	rows := make([]types.Row, len(pts))
+	for i, p := range pts {
+		rows[i] = p.Row
+	}
+	var batch *skyline.Batch
+	if e.batch != nil {
+		if b, ok := skyline.DecodeBatch(pts, m.dirs, false, nil); ok {
+			b.Tag = m.tag
+			batch = b
+		}
+	}
+	return rows, batch, rowBytes, true
 }
 
 // evalDims evaluates the skyline dimension vector of a row; ok=false on

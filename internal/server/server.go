@@ -161,12 +161,13 @@ type ServerStats struct {
 
 // CacheStats mirrors the session's result-cache counters.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Upgrades  int64 `json:"incremental_upgrades"`
-	Entries   int   `json:"entries"`
-	UsedBytes int64 `json:"used_bytes"`
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Evictions     int64 `json:"evictions"`
+	Upgrades      int64 `json:"incremental_upgrades"`
+	Invalidations int64 `json:"invalidations"`
+	Entries       int   `json:"entries"`
+	UsedBytes     int64 `json:"used_bytes"`
 }
 
 // PoolStats describes the shared execution substrate.
@@ -300,7 +301,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Admission: s.sess.AdmissionStats(),
 		Governor:  s.sess.GovernorStats(),
 		Cache: CacheStats{Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
-			Upgrades: cs.Upgrades, Entries: cs.Entries, UsedBytes: cs.UsedBytes},
+			Upgrades: cs.Upgrades, Invalidations: cs.Invalidations,
+			Entries: cs.Entries, UsedBytes: cs.UsedBytes},
 		Pool:    PoolStats{Workers: s.sess.PoolSize(), Executors: s.sess.Executors()},
 		Catalog: CatalogStats{Tables: s.sess.Tables()},
 	})

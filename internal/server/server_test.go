@@ -234,6 +234,41 @@ func TestTablesAppendDrop(t *testing.T) {
 	}
 }
 
+// TestStatsCountAppendOutcomes: /stats tells what an append did to the
+// result cache — a maintainable entry (SELECT *) is upgraded in place, an
+// entry with a projection above its skyline is invalidated — so neither
+// has to be inferred from entry counts.
+func TestStatsCountAppendOutcomes(t *testing.T) {
+	sess := skysql.NewSession(skysql.WithExecutors(2), skysql.WithResultCache(0))
+	defer sess.Close()
+	ts := httptest.NewServer(server.New(sess))
+	defer ts.Close()
+	c := ts.Client()
+
+	if status, raw := post(t, c, ts.URL+"/tables", hotels); status != http.StatusOK {
+		t.Fatalf("create: %d %s", status, raw)
+	}
+	for _, sql := range []string{
+		"SELECT * FROM hotels SKYLINE OF price MIN, distance MIN",
+		"SELECT id FROM hotels SKYLINE OF price MIN, distance MIN",
+	} {
+		if status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: sql}); status != http.StatusOK {
+			t.Fatalf("%s: %d %s", sql, status, raw)
+		}
+	}
+	if st := getStats(t, c, ts.URL).Cache; st.Entries != 2 || st.Upgrades != 0 || st.Invalidations != 0 {
+		t.Fatalf("before the append: %+v", st)
+	}
+	if status, raw := post(t, c, ts.URL+"/append", server.AppendRequest{
+		Name: "hotels", Rows: [][]interface{}{{5, 40.0, 6.0}},
+	}); status != http.StatusOK {
+		t.Fatalf("append: %d %s", status, raw)
+	}
+	if st := getStats(t, c, ts.URL).Cache; st.Entries != 1 || st.Upgrades != 1 || st.Invalidations != 1 || st.Evictions != 0 {
+		t.Errorf("after the append: %+v, want 1 entry, 1 upgrade, 1 invalidation, 0 evictions", st)
+	}
+}
+
 // TestQueryDeadline504 pins the per-request timeout path end to end: a
 // skyline over a table far too large for a 1ms budget must come back 504
 // with the stable "deadline" code — even when the final execution rounds

@@ -24,15 +24,32 @@ func (b *Batch) allIndices() []int {
 // transitive dominance relation: complete data, or one null-bitmap
 // partition of incomplete data.
 func (b *Batch) BNL(distinct bool) []int {
-	return b.bnlOver(b.allIndices(), distinct)
+	return b.bnlOver(nil, b.allIndices(), distinct)
 }
 
-// bnlOver runs the BNL window pass over the given processing order.
-func (b *Batch) bnlOver(order []int, distinct bool) []int {
-	if !b.anyNull && b.keyStride == 0 {
-		return b.bnlDense(order, distinct)
+// BNLSeeded is BNL with a trusted starting window: points [0, seed) are
+// installed as the window without one test among themselves, and points
+// [seed, n) are absorbed in index order. The caller vouches that the seed
+// is something a BNL pass could hold — mutually non-dominating, pairwise
+// non-Equal under distinct — typically the skyline BNL emitted for some
+// earlier input X. By the window invariant (§5.6: the window is the exact
+// skyline of what the pass has seen) the result is then, survivor for
+// survivor and in order, what BNL emits over X followed by [seed, n): a
+// dominated arrival leaves the window untouched, an admitted one evicts
+// without reordering the rest and joins at the end.
+func (b *Batch) BNLSeeded(seed int, distinct bool) []int {
+	return b.bnlOver(rangeIndices(0, seed), rangeIndices(seed, len(b.pts)), distinct)
+}
+
+// bnlOver runs the BNL window pass over the given processing order,
+// starting from window (nil: empty), which it owns and compacts in place.
+func (b *Batch) bnlOver(window, order []int, distinct bool) []int {
+	if window == nil {
+		window = make([]int, 0, 16)
 	}
-	window := make([]int, 0, 16)
+	if !b.anyNull && b.keyStride == 0 {
+		return b.bnlDense(window, order, distinct)
+	}
 	for _, t := range order {
 		dominated := false
 		keep := window[:0]
@@ -76,13 +93,12 @@ func (b *Batch) bnlOver(order []int, distinct bool) []int {
 // window scan and the dominance classification is inlined, so every test
 // is a branchy linear scan of two contiguous float64 slices with no calls
 // and no per-test counter writes.
-func (b *Batch) bnlDense(order []int, distinct bool) []int {
+func (b *Batch) bnlDense(window, order []int, distinct bool) []int {
 	s := b.numStride
 	num := b.num
 	if s == 2 {
-		return b.bnlDense2(order, distinct)
+		return b.bnlDense2(window, order, distinct)
 	}
-	window := make([]int, 0, 16)
 	var tests, comps int64
 	for _, t := range order {
 		tv := num[t*s : t*s+s]
@@ -151,9 +167,8 @@ func (b *Batch) bnlDense(order []int, distinct bool) []int {
 // price/rating skyline — where the window is small and per-test loop
 // machinery would outweigh the two float comparisons: both coordinates of
 // the incoming point live in registers across the whole window scan.
-func (b *Batch) bnlDense2(order []int, distinct bool) []int {
+func (b *Batch) bnlDense2(window, order []int, distinct bool) []int {
 	num := b.num
-	window := make([]int, 0, 16)
 	var tests int64
 	for _, t := range order {
 		t0, t1 := num[2*t], num[2*t+1]
@@ -328,13 +343,13 @@ func (b *Batch) DivideAndConquer(distinct bool) []int {
 func (b *Batch) dnc(order []int, distinct bool) []int {
 	const cutoff = 64
 	if len(order) <= cutoff {
-		return b.bnlOver(order, distinct)
+		return b.bnlOver(nil, order, distinct)
 	}
 	mid := len(order) / 2
 	left := b.dnc(order[:mid], distinct)
 	right := b.dnc(order[mid:], distinct)
 	merged := append(append(make([]int, 0, len(left)+len(right)), left...), right...)
-	return b.bnlOver(merged, distinct)
+	return b.bnlOver(nil, merged, distinct)
 }
 
 // GlobalIncomplete is the pairwise flag-based algorithm of §5.7/Appendix A

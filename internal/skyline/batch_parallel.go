@@ -159,7 +159,7 @@ func (b *Batch) BNLParallel(distinct bool, chunk int, run ParallelRunner) ([]int
 	}
 	local := make([][]int, len(bounds))
 	err := b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		local[k] = v.bnlOver(rangeIndices(bounds[k][0], bounds[k][1]), distinct)
+		local[k] = v.bnlOver(nil, rangeIndices(bounds[k][0], bounds[k][1]), distinct)
 	})
 	if err != nil {
 		return nil, err

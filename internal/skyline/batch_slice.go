@@ -38,6 +38,9 @@ func (b *Batch) NullBits(i int) uint64 {
 	return b.nulls[i]
 }
 
+// HasNulls reports whether any point has a NULL dimension.
+func (b *Batch) HasNulls() bool { return b.anyNull }
+
 // Slice returns the [lo, hi) contiguous sub-batch as a view sharing the
 // decoded storage — no copying, no re-decoding. Point j of the slice is
 // point lo+j of b.
@@ -138,10 +141,11 @@ func (b *Batch) Select(idx []int) *Batch {
 // decoding the concatenated points fresh. ok=false when the batches are not
 // mergeable: different dimension signatures (Tag), directions, or dominance
 // definitions. DIFF equality ids are re-mapped into a shared id space via
-// the reverse intern tables; numeric vectors and null masks concatenate
-// untouched. Column bindings and computed columns are batch-local and do
-// not survive the merge (merged batches feed the global skyline, which
-// reads only the decoded dimension storage).
+// the reverse intern tables (only the ids some point references); numeric
+// vectors and null masks concatenate untouched. Column bindings and
+// computed columns are batch-local and do not survive the merge (merged
+// batches feed the global skyline, which reads only the decoded dimension
+// storage).
 func MergeBatches(batches []*Batch) (*Batch, bool) {
 	if len(batches) == 0 {
 		return nil, false
@@ -190,34 +194,36 @@ func MergeBatches(batches []*Batch) (*Batch, bool) {
 		}
 	}
 	if ks > 0 {
+		// Ids are re-assigned per column in first-reference order, the order
+		// a fresh decode of the concatenated points interns them in, and only
+		// for keys a point still references: intern entries orphaned by
+		// Select (points an exchange bucketed elsewhere, cached skyline rows
+		// an append evicted) are dropped here instead of accumulating from
+		// merge to merge.
 		out.keys = make([]uint32, 0, ks*n)
 		out.diffIntern = make([][]string, ks)
-		remaps := make([][][]uint32, len(batches)) // [batch][column][old id] -> new id
-		for k := 0; k < ks; k++ {
-			global := make(map[string]uint32)
-			for bi, b := range batches {
-				if remaps[bi] == nil {
-					remaps[bi] = make([][]uint32, ks)
-				}
-				rev := b.diffIntern[k]
-				remap := make([]uint32, len(rev)+1) // old id 0 (NULL) stays 0
-				for old, key := range rev {
-					id, seen := global[key]
-					if !seen {
-						id = uint32(len(out.diffIntern[k])) + 1
-						global[key] = id
-						out.diffIntern[k] = append(out.diffIntern[k], key)
-					}
-					remap[old+1] = id
-				}
-				remaps[bi][k] = remap
-			}
+		global := make([]map[string]uint32, ks)
+		for k := range global {
+			global[k] = make(map[string]uint32)
 		}
-		for bi, b := range batches {
-			for i := 0; i < len(b.pts); i++ {
-				for k := 0; k < ks; k++ {
-					out.keys = append(out.keys, remaps[bi][k][b.keys[i*ks+k]])
+		for _, b := range batches {
+			remap := make([][]uint32, ks) // [column][old id] -> new id; 0 = unmapped, and NULL (old id 0) stays 0
+			for k := range remap {
+				remap[k] = make([]uint32, len(b.diffIntern[k])+1)
+			}
+			for pos, old := range b.keys { // row-major: column = pos % ks
+				k := pos % ks
+				id := remap[k][old]
+				if id == 0 && old != 0 {
+					key := b.diffIntern[k][old-1]
+					if id = global[k][key]; id == 0 { // ids start at 1: 0 is "not interned yet"
+						out.diffIntern[k] = append(out.diffIntern[k], key)
+						id = uint32(len(out.diffIntern[k]))
+						global[k][key] = id
+					}
+					remap[k][old] = id
 				}
+				out.keys = append(out.keys, id)
 			}
 		}
 	}

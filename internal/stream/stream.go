@@ -59,49 +59,84 @@ func (inc *Incremental) Skyline() []skyline.Point {
 	return out
 }
 
-// Add absorbs one tuple. dims must match the dimension count; row is the
-// payload carried through to Skyline().
-func (inc *Incremental) Add(dims types.Row, row types.Row) (Event, error) {
+// Seed installs points as the maintained skyline without a single
+// dominance test: the caller vouches that they are mutually
+// non-dominating (and pairwise non-Equal under DISTINCT) — typically a
+// skyline BNL already emitted, which is exactly what the window would
+// hold after absorbing that BNL's input. Only the properties Add checks
+// per tuple are checked here (dimension count, no NULLs). The maintainer
+// must not have absorbed anything yet; points is copied.
+func (inc *Incremental) Seed(points []skyline.Point) error {
+	if inc.seen != 0 {
+		return fmt.Errorf("stream: Seed on a maintainer that already absorbed %d tuples", inc.seen)
+	}
+	for _, p := range points {
+		if err := inc.check(p.Dims); err != nil {
+			return err
+		}
+	}
+	inc.window = append([]skyline.Point(nil), points...)
+	inc.seen = len(points)
+	return nil
+}
+
+// check validates one dimension vector: matching width, complete data.
+func (inc *Incremental) check(dims types.Row) error {
 	if len(dims) != len(inc.dirs) {
-		return Event{}, fmt.Errorf("stream: tuple has %d dimensions, maintainer has %d", len(dims), len(inc.dirs))
+		return fmt.Errorf("stream: tuple has %d dimensions, maintainer has %d", len(dims), len(inc.dirs))
 	}
 	for _, v := range dims {
 		if v.IsNull() {
-			return Event{}, fmt.Errorf("stream: NULL skyline dimension; incremental maintenance requires complete data")
+			return fmt.Errorf("stream: NULL skyline dimension; incremental maintenance requires complete data")
 		}
 	}
-	inc.seen++
+	return nil
+}
+
+// Add absorbs one tuple. dims must match the dimension count; row is the
+// payload carried through to Skyline(). A failed Add (dims refused, or a
+// dominance test erroring on incomparable value kinds) leaves the
+// maintainer exactly as it was: the window is only rewritten once the
+// whole scan has succeeded.
+func (inc *Incremental) Add(dims types.Row, row types.Row) (Event, error) {
+	if err := inc.check(dims); err != nil {
+		return Event{}, err
+	}
 	t := skyline.Point{Dims: dims, Row: row}
-	var evicted []skyline.Point
 	// Accumulate counters locally for the whole window scan and merge once,
 	// matching the batch engine's per-invocation Stats flushing.
 	var local skyline.Counters
 	defer inc.stats.Merge(&local)
-	keep := inc.window[:0]
+	var evictedAt []int // window indices t dominates, ascending
 	for wi, w := range inc.window {
 		rel, err := skyline.Compare(w.Dims, t.Dims, inc.dirs, &local)
 		if err != nil {
 			return Event{}, err
 		}
-		switch rel {
-		case skyline.LeftDominates:
-			// t rejected; the rest of the window is untouched.
-			keep = append(keep, inc.window[wi:]...)
-			inc.window = keep
+		switch {
+		case rel == skyline.LeftDominates, rel == skyline.Equal && inc.distinct:
+			// t rejected. By transitivity it dominated nothing before w, so
+			// the window stays as it is.
+			inc.seen++
 			return Event{}, nil
-		case skyline.Equal:
-			if inc.distinct {
-				keep = append(keep, inc.window[wi:]...)
-				inc.window = keep
-				return Event{}, nil
-			}
-			keep = append(keep, w)
-		case skyline.RightDominates:
-			evicted = append(evicted, w)
-		default:
-			keep = append(keep, w)
+		case rel == skyline.RightDominates:
+			evictedAt = append(evictedAt, wi)
 		}
 	}
-	inc.window = append(keep, t)
+	inc.seen++
+	var evicted []skyline.Point
+	if len(evictedAt) > 0 {
+		evicted = make([]skyline.Point, 0, len(evictedAt))
+		keep := inc.window[:evictedAt[0]]
+		for wi := evictedAt[0]; wi < len(inc.window); wi++ {
+			if len(evicted) < len(evictedAt) && evictedAt[len(evicted)] == wi {
+				evicted = append(evicted, inc.window[wi])
+			} else {
+				keep = append(keep, inc.window[wi])
+			}
+		}
+		inc.window = keep
+	}
+	inc.window = append(inc.window, t)
 	return Event{Admitted: true, Evicted: evicted}, nil
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -247,5 +248,120 @@ func TestSkylineReturnsCopy(t *testing.T) {
 	snap[0] = skyline.Point{}
 	if inc.Skyline()[0].Dims == nil {
 		t.Error("Skyline must return a copy")
+	}
+}
+
+func dimStrings(pts []skyline.Point) []string {
+	out := make([]string, len(pts))
+	for i, p := range pts {
+		out[i] = p.Dims.String()
+	}
+	return out
+}
+
+// TestFailedAddLeavesWindowIntact is the regression test for Add
+// compacting the window in place before it knew the scan would finish: a
+// dominance test that errors (a string meeting a number in a MIN
+// dimension) after an eviction AND a kept entry left the window with a
+// shifted, duplicated entry. The three seeds are admitted without error
+// because Compare stops at the first two dimensions; the fourth tuple
+// evicts a, keeps b, and only then reaches c's string.
+func TestFailedAddLeavesWindowIntact(t *testing.T) {
+	dirs := []skyline.Dir{skyline.Min, skyline.Min, skyline.Min}
+	inc := NewIncremental(dirs, false)
+	a, b := row(5, 5, 5), row(1, 9, 9)
+	c := types.Row{types.Int(6), types.Int(4), types.Str("x")}
+	for _, r := range []types.Row{a, b, c} {
+		if ev, err := inc.Add(r, r); err != nil || !ev.Admitted {
+			t.Fatalf("seed %v: %+v %v", r, ev, err)
+		}
+	}
+	before := dimStrings(inc.Skyline())
+	tests := inc.Stats().DominanceTests()
+
+	if _, err := inc.Add(row(4, 4, 4), row(4, 4, 4)); err == nil {
+		t.Fatal("a number meeting a string in a MIN dimension must error")
+	}
+	if inc.Stats().DominanceTests() != tests+3 {
+		t.Fatalf("the failing Add must have scanned a (evicted), b (kept) and c (error): %d tests, had %d",
+			inc.Stats().DominanceTests(), tests)
+	}
+	if got := dimStrings(inc.Skyline()); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatalf("a failed Add must leave the window as it was:\n got  %v\n want %v", got, before)
+	}
+	if inc.Size() != 3 || inc.Seen() != 3 {
+		t.Errorf("a failed Add must not count: size=%d seen=%d", inc.Size(), inc.Seen())
+	}
+	// Still usable: a tuple that resolves against every entry in the first
+	// two dimensions is absorbed normally.
+	if ev, err := inc.Add(row(0, 20, 0), row(0, 20, 0)); err != nil || !ev.Admitted || len(ev.Evicted) != 0 {
+		t.Errorf("window must stay usable after a failed Add: %+v %v", ev, err)
+	}
+}
+
+// TestSeedInstallsTrustedWindow pins Seed's contract: the points become
+// the window with zero dominance tests, and continuing with Add yields
+// exactly — order included — what absorbing everything through Add does.
+func TestSeedInstallsTrustedWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	dirs := []skyline.Dir{skyline.Min, skyline.Max, skyline.Diff}
+	for trial := 0; trial < 40; trial++ {
+		distinct := trial%2 == 0
+		set := make([]types.Row, 20+rng.Intn(100))
+		for i := range set {
+			set[i] = row(int64(rng.Intn(10)), int64(rng.Intn(10)), int64(rng.Intn(2)))
+		}
+		cut := rng.Intn(len(set))
+		all, head := NewIncremental(dirs, distinct), NewIncremental(dirs, distinct)
+		for i, r := range set {
+			if _, err := all.Add(r, r); err != nil {
+				t.Fatal(err)
+			}
+			if i < cut {
+				head.Add(r, r)
+			}
+		}
+		seeded := NewIncremental(dirs, distinct)
+		if err := seeded.Seed(head.Skyline()); err != nil {
+			t.Fatal(err)
+		}
+		if seeded.Stats().DominanceTests() != 0 || seeded.Size() != head.Size() {
+			t.Fatalf("Seed must install %d points without tests: size=%d tests=%d",
+				head.Size(), seeded.Size(), seeded.Stats().DominanceTests())
+		}
+		for _, r := range set[cut:] {
+			if _, err := seeded.Add(r, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := dimStrings(seeded.Skyline()), dimStrings(all.Skyline()); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d distinct=%v cut=%d: seeded %v != full %v", trial, distinct, cut, got, want)
+		}
+	}
+}
+
+func TestSeedRefusals(t *testing.T) {
+	dirs := []skyline.Dir{skyline.Min, skyline.Min}
+	pt := func(r types.Row) []skyline.Point { return []skyline.Point{{Dims: r, Row: r}} }
+	if err := NewIncremental(dirs, false).Seed(pt(types.Row{types.Int(1), types.Null})); err == nil {
+		t.Error("a NULL dimension must be refused")
+	}
+	if err := NewIncremental(dirs, false).Seed(pt(row(1))); err == nil {
+		t.Error("a width mismatch must be refused")
+	}
+	inc := NewIncremental(dirs, false)
+	inc.Add(row(1, 1), row(1, 1))
+	if err := inc.Seed(pt(row(0, 5))); err == nil {
+		t.Error("Seed after Add must be refused: the window is no longer the caller's to vouch for")
+	}
+	// Seed copies: compacting the window must not reach the caller's slice.
+	src := []skyline.Point{{Dims: row(5, 5)}, {Dims: row(1, 9)}}
+	inc = NewIncremental(dirs, false)
+	if err := inc.Seed(src); err != nil {
+		t.Fatal(err)
+	}
+	inc.Add(row(4, 4), nil) // evicts (5,5), shifts (1,9)
+	if src[0].Dims.String() != row(5, 5).String() {
+		t.Error("Seed must copy its input")
 	}
 }

@@ -55,8 +55,8 @@ type Session struct {
 
 	// appendMu serializes AppendRows' append + cache-maintenance pair, so
 	// concurrent appends offer their batches to the result cache in the
-	// same order the table received them — the order contract
-	// stream.Incremental's bit-identity rests on.
+	// same order the table received them — the order contract the
+	// incremental upgrade's bit-identity rests on.
 	appendMu sync.Mutex
 
 	poolMu sync.Mutex
@@ -309,8 +309,9 @@ func WithoutSegmentPruning() Option {
 // hit re-enters the data plane decode-free), are held under an LRU byte
 // budget that sheds sidecars before whole entries, and are invalidated
 // by any table-version bump — except in-memory appends to plans the
-// cache can maintain incrementally, which upgrade entries in place via
-// stream.Incremental (see Session.AppendRows). Hit/miss/eviction/upgrade
+// cache can maintain incrementally, which upgrade entries in place by
+// testing the new rows against the cached skyline (see
+// Session.AppendRows). Hit/miss/eviction/upgrade
 // counts surface in Explain, the skysql shell's \s, and skybench.
 // The cache is off by default: WithoutResultCache spells that out.
 func WithResultCache(bytes int64) Option {
@@ -476,9 +477,11 @@ func (s *Session) LoadCSV(name, path string, kinds []Kind) error {
 // matching) and, when the result cache is enabled, offering the change
 // to the cache: entries over maintainable plan shapes absorb the new
 // rows incrementally — dominance tests only against the cached skyline,
-// via stream.Incremental — while all other dependent entries are
-// invalidated. Segment-backed tables refuse appends (they are immutable
-// at this layer).
+// O(len(rows)·s) of them for an entry of s rows, on the columnar kernel
+// when the entry has its sidecar and the rows decode, boxed otherwise —
+// while all other dependent entries are invalidated. ResultCacheStats
+// reports both counts (Upgrades, Invalidations). Segment-backed tables
+// refuse appends (they are immutable at this layer).
 // Safe for concurrent use: the append + cache-maintenance pair is
 // serialized per session, so two concurrent appends cannot offer their
 // batches to the cache in an order different from the one the table's

@@ -242,9 +242,14 @@
 // skyline over gathered, filtered scans): instead of invalidating, the
 // cache upgrades the entry in place, dominance-testing only the appended
 // rows against the cached skyline — the incremental-maintenance win that
-// makes append-heavy sessions keep their hits. NULL dimensions or any
-// other plan shape fall back to invalidation, and failed or canceled
-// queries never populate. Entries are byte-accounted in an LRU that
+// makes append-heavy sessions keep their hits. The cached skyline is a
+// BNL window already, so it is trusted rather than re-tested: Δ appended
+// rows against s cached ones cost O(Δ·s) tests, on the columnar kernel
+// while the entry carries its sidecar and the new values decode, on the
+// boxed comparator otherwise (chosen from the entry and the data, not by
+// an option). NULL dimensions or any other plan shape fall back to
+// invalidation (ResultCacheStats counts both outcomes), and failed or
+// canceled queries never populate. Entries are byte-accounted in an LRU that
 // sheds sidecars before whole entries. CacheHits, CacheMisses,
 // CacheEvictions, and IncrementalUpgrades are Metrics counters (EXPLAIN,
 // the shell's \s, skybench -json; Session.ResultCacheStats snapshots the
