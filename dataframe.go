@@ -2,6 +2,7 @@ package skysql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"skysql/internal/expr"
 	"skysql/internal/plan"
 	"skysql/internal/sql"
+	"skysql/internal/types"
 )
 
 // DataFrame is a lazily evaluated query. It is produced either from a SQL
@@ -302,6 +304,44 @@ func (df *DataFrame) Collect() ([]Row, error) {
 // cluster.ErrCanceled. WithQueryTimeout adds a session-wide deadline on
 // top.
 func (df *DataFrame) CollectContext(ctx context.Context) ([]Row, error) {
+	res, err := df.collect(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return res.Gather(), nil
+}
+
+// CollectJSON is CollectContext for a caller that wants the rows as text:
+// it appends them to dst as a JSON array of arrays — one array per row,
+// NULL as null, BIGINT and DOUBLE as numbers, byte for byte what
+// encoding/json writes for the same values — and returns the extended
+// slice and the row count. When the session's result cache answers the
+// query, the text comes from the cache entry too: the first call that
+// encodes an entry's rows leaves the bytes on it (inside the cache's byte
+// budget, shed before anything else under pressure, dropped when an
+// append changes the entry), and later hits copy them without touching a
+// row. JSON has no NaN or ±Inf: a result holding one fails with an error
+// naming the row and column, dst is returned as it came, and nothing is
+// cached.
+func (df *DataFrame) CollectJSON(ctx context.Context, dst []byte) ([]byte, int, error) {
+	res, err := df.collect(ctx)
+	if err != nil {
+		return dst, 0, err
+	}
+	out, err := res.AppendRowsJSON(dst)
+	if err != nil {
+		var cell *types.NonFiniteError
+		if errors.As(err, &cell) {
+			err = fmt.Errorf("skysql: result column %q: %w", res.Schema.Fields[cell.Col].Name, err)
+		}
+		return dst, 0, err
+	}
+	return out, res.NumRows(), nil
+}
+
+// collect compiles and executes the query, recording the run's metrics
+// and duration on the DataFrame. The result is not gathered yet.
+func (df *DataFrame) collect(ctx context.Context) (*core.Result, error) {
 	if err := df.compile(); err != nil {
 		return nil, err
 	}
@@ -311,7 +351,7 @@ func (df *DataFrame) CollectContext(ctx context.Context) ([]Row, error) {
 	}
 	df.metrics = res.Metrics
 	df.duration = res.Duration
-	return res.Rows, nil
+	return res, nil
 }
 
 // Count executes the query and returns the row count.

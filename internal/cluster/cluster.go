@@ -36,6 +36,21 @@ import (
 type Dataset struct {
 	Parts   [][]types.Row
 	Batches []*skyline.Batch
+
+	// Encoding, when non-nil, is where the dataset's producer keeps the
+	// encoded form of exactly the rows Gather returns from one run to the
+	// next. Only a plan's root sets it (the result cache).
+	Encoding ResultEncoding
+}
+
+// ResultEncoding holds a query result's rows as text across runs of the
+// same plan over the same data. The holder never interprets the bytes.
+type ResultEncoding interface {
+	// Bytes returns the text an earlier run left, or nil. The slice is
+	// shared between readers and must not be modified.
+	Bytes() []byte
+	// Attach leaves a copy of b for later runs; the holder may decline.
+	Attach(b []byte)
 }
 
 // NewDataset creates a dataset from partitions.
@@ -90,6 +105,17 @@ func (d *Dataset) Gather() []types.Row {
 		out = append(out, p...)
 	}
 	return out
+}
+
+// Rows returns all rows in Gather's order for a caller that only reads
+// them: a dataset of one partition hands out that partition itself, which
+// other readers may share, and only several partitions are copied
+// together.
+func (d *Dataset) Rows() []types.Row {
+	if len(d.Parts) == 1 {
+		return d.Parts[0]
+	}
+	return d.Gather()
 }
 
 // MemSize estimates the materialized size of the dataset in bytes,

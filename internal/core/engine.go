@@ -90,10 +90,14 @@ func (e *Engine) CompilePlan(unresolved plan.Node, opts physical.Options) (*Comp
 
 // Result is the outcome of one query execution.
 type Result struct {
-	Schema   *types.Schema
+	Schema *types.Schema
+	// Rows is the caller's own copy of the result rows (Gather); nil from
+	// ExecuteCtx, which leaves them where the plan's root put them.
 	Rows     []types.Row
 	Metrics  *cluster.Metrics
 	Duration time.Duration
+
+	data *cluster.Dataset
 }
 
 // Run executes a compiled query with the given executor count.
@@ -104,8 +108,20 @@ func (e *Engine) Run(c *Compiled, executors int) (*Result, error) {
 // RunCtx executes a compiled query on a caller-provided context, which
 // allows cooperative cancellation (Context.Cancel) and metric inspection.
 func (e *Engine) RunCtx(c *Compiled, ctx *cluster.Context) (*Result, error) {
+	res, err := e.ExecuteCtx(c, ctx)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = res.Gather()
+	return res, nil
+}
+
+// ExecuteCtx is RunCtx without the gather, for a caller that may render
+// the result (NumRows, AppendRowsJSON) instead of handing its rows out: a
+// cache hit then costs no copy of the cached rows.
+func (e *Engine) ExecuteCtx(c *Compiled, ctx *cluster.Context) (*Result, error) {
 	start := time.Now()
-	rows, err := physical.Execute(c.Physical, ctx)
+	ds, err := c.Physical.Execute(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -113,12 +129,34 @@ func (e *Engine) RunCtx(c *Compiled, ctx *cluster.Context) (*Result, error) {
 	if dur < 0 {
 		dur = 0
 	}
-	return &Result{
-		Schema:   c.Schema(),
-		Rows:     rows,
-		Metrics:  ctx.Metrics,
-		Duration: dur,
-	}, nil
+	return &Result{Schema: c.Schema(), Metrics: ctx.Metrics, Duration: dur, data: ds}, nil
+}
+
+// NumRows is the result's row count.
+func (r *Result) NumRows() int { return r.data.NumRows() }
+
+// Gather returns the result's rows as a slice of the caller's own.
+func (r *Result) Gather() []types.Row { return r.data.Gather() }
+
+// AppendRowsJSON appends the result's rows to dst as a JSON array of
+// arrays (types.AppendRowsJSON). A result the cache served takes the text
+// from its entry when an earlier call left it there, without touching a
+// row; otherwise the rows are encoded and the text is left on the entry
+// for the next hit. A non-finite DOUBLE fails the call, and leaves
+// nothing behind.
+func (r *Result) AppendRowsJSON(dst []byte) ([]byte, error) {
+	enc := r.data.Encoding
+	if enc != nil {
+		if b := enc.Bytes(); b != nil {
+			return append(dst, b...), nil
+		}
+	}
+	start := len(dst)
+	dst, err := types.AppendRowsJSON(dst, r.data.Rows())
+	if err == nil && enc != nil {
+		enc.Attach(dst[start:])
+	}
+	return dst, err
 }
 
 // Query compiles and runs a SQL string in one call.

@@ -37,6 +37,10 @@ func (u *UnresolvedRelation) String() string {
 type Scan struct {
 	Table   *catalog.Table
 	Binding string
+	// Version is the table's version when the scan was bound, read before
+	// anything else of the table was: a plan built from this scan describes
+	// the table no later than that.
+	Version int64
 	schema  *types.Schema
 }
 
@@ -45,7 +49,7 @@ func NewScan(t *catalog.Table, binding string) *Scan {
 	if binding == "" {
 		binding = t.Name
 	}
-	return &Scan{Table: t, Binding: binding, schema: t.Schema.WithQualifier(binding)}
+	return &Scan{Table: t, Binding: binding, Version: t.Version(), schema: t.Schema.WithQualifier(binding)}
 }
 
 func (s *Scan) Schema() *types.Schema    { return s.schema }

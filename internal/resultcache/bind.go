@@ -3,6 +3,7 @@ package resultcache
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"skysql/internal/catalog"
@@ -48,9 +49,14 @@ func (c *Cache) Bind(root physical.Operator, opts physical.Options) physical.Ope
 // stale entry unservable by construction.
 func entryKey(structural string, deps []*catalog.Table) string {
 	var sb strings.Builder
+	sb.Grow(len(structural) + 24*len(deps))
 	sb.WriteString(structural)
+	var num [20]byte // the longest int64 in decimal
 	for i, t := range deps {
-		fmt.Fprintf(&sb, "|v%d=%d", i, t.Version())
+		sb.WriteString("|v")
+		sb.Write(strconv.AppendInt(num[:0], int64(i), 10))
+		sb.WriteByte('=')
+		sb.Write(strconv.AppendInt(num[:0], t.Version(), 10))
 	}
 	return sb.String()
 }
@@ -78,24 +84,27 @@ func (e *CacheExec) Children() []physical.Operator { return []physical.Operator{
 // String implements physical.Operator.
 func (e *CacheExec) String() string { return "ResultCacheExec" }
 
-// Execute implements physical.Operator.
+// Execute implements physical.Operator. The returned dataset carries the
+// Encoding of the entry it was served from or stored under, through which
+// a caller that renders the rows can leave the text for the next hit.
 func (e *CacheExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 	if err := ctx.CheckCanceled(); err != nil {
 		return nil, err
 	}
 	key := entryKey(e.structural, e.deps)
-	if rows, batch, ok, upgrades := e.cache.lookup(key); ok {
+	if h, ok := e.cache.lookup(key); ok {
 		ctx.Metrics.AddCacheHit()
-		for ; upgrades > 0; upgrades-- {
+		for ; h.upgrades > 0; h.upgrades-- {
 			ctx.Metrics.AddIncrementalUpgrade()
 		}
-		out := &cluster.Dataset{Parts: [][]types.Row{rows}}
-		if batch != nil {
-			out.Batches = []*skyline.Batch{batch}
+		out := &cluster.Dataset{Parts: [][]types.Row{h.rows},
+			Encoding: &Encoding{cache: e.cache, key: key, bytes: h.encoded}}
+		if h.batch != nil {
+			out.Batches = []*skyline.Batch{h.batch}
 		}
 		ctx.Metrics.Alloc(out.MemSize())
 		ctx.Metrics.AddCostDecision(cluster.CostDecision{
-			Site: "result-cache", Choice: "hit", Rows: len(rows), Selectivity: -1,
+			Site: "result-cache", Choice: "hit", Rows: len(h.rows), Selectivity: -1,
 			Detail: "stages skipped, served from cache",
 		})
 		return out, nil
@@ -114,7 +123,12 @@ func (e *CacheExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 	if b, ok := out.MergedSidecar(); ok {
 		batch = b
 	}
-	e.cache.store(ctx, key, e.structural, rows, batch, e.deps, e.maint)
+	// Only a stored result is known to be the one key names: a run whose
+	// tables moved under it holds newer rows than its key, and their text
+	// must not land on an entry another run stored under that key.
+	if e.cache.store(ctx, key, e.structural, rows, batch, e.deps, e.maint) {
+		out.Encoding = &Encoding{cache: e.cache, key: key}
+	}
 	return out, nil
 }
 

@@ -19,11 +19,14 @@
 // deliberately excluded, so ablated sessions share entries.
 //
 // An entry stores the result rows plus their columnar skyline.Batch
-// sidecar, so a hit re-enters the data plane decode-free. Entries are
-// byte-accounted against the memory governor at store time and held
-// under an LRU byte budget whose pressure response mirrors the
-// degradation ladder: the oldest entry first sheds its sidecar
-// (cheap degradation), then is evicted whole.
+// sidecar, so a hit re-enters the data plane decode-free, and — once a
+// caller that wanted the result as text has rendered it — that encoded
+// form, so the next such hit copies bytes instead of encoding rows
+// (Encoding). Entries are byte-accounted against the memory governor at
+// store time and held under an LRU byte budget whose pressure response
+// mirrors the degradation ladder: the oldest entry first sheds what can be
+// rebuilt from its rows, cheapest first — the encoded form, then the
+// sidecar — and only then is evicted whole.
 //
 // Appends to a cached table either upgrade matching entries in place —
 // the new points need dominance tests only against the cached skyline —
@@ -131,6 +134,7 @@ type entry struct {
 	structural string
 	rows       []types.Row
 	batch      *skyline.Batch // nil once the sidecar was shed
+	encoded    []byte         // the rows as some caller rendered them; nil until attached, and again once shed or upgraded
 	rowBytes   int64
 	batchBytes int64
 	deps       []*catalog.Table
@@ -142,31 +146,82 @@ type entry struct {
 	pendingUpgrades int64
 }
 
-// lookup returns the cached rows and sidecar under key, marking the entry
-// most-recently used. The third result reports the hit; the fourth is the
-// number of incremental upgrades drained by this hit.
-func (c *Cache) lookup(key string) ([]types.Row, *skyline.Batch, bool, int64) {
+// size is the entry's charge against the cache's byte budget.
+func (e *entry) size() int64 { return e.rowBytes + e.batchBytes + int64(len(e.encoded)) }
+
+// hit is what a lookup found: the cached rows, their sidecar and encoded
+// form when the entry carries them, and the number of incremental
+// upgrades this hit drained.
+type hit struct {
+	rows     []types.Row
+	batch    *skyline.Batch
+	encoded  []byte
+	upgrades int64
+}
+
+// lookup returns the entry under key, marking it most-recently used.
+func (c *Cache) lookup(key string) (hit, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		c.misses.Add(1)
-		return nil, nil, false, 0
+		return hit{}, false
 	}
 	c.lru.MoveToFront(el)
 	e := el.Value.(*entry)
-	upgrades := e.pendingUpgrades
+	h := hit{rows: e.rows, batch: e.batch, encoded: e.encoded, upgrades: e.pendingUpgrades}
 	e.pendingUpgrades = 0
 	c.hits.Add(1)
-	return e.rows, e.batch, true, upgrades
+	return h, true
+}
+
+// Encoding is the place of one query result's encoded form — its rows as
+// text, in whatever format the session's callers ask for; the cache never
+// reads it — on the cache entry that served or stored the result. It
+// implements cluster.ResultEncoding.
+//
+// The form lives and dies with the entry's rows: the first caller to
+// render them attaches it, later hits find it, memory pressure sheds it
+// before anything else, and an append that upgrades or invalidates the
+// entry drops it. It is addressed by the entry's key, which embeds the
+// versions of every table read, so bytes rendered from one result can
+// only ever be attached to an entry holding that same result.
+type Encoding struct {
+	cache *Cache
+	key   string
+	bytes []byte
+}
+
+// Bytes returns the encoded form the lookup found on the entry, or nil.
+// The slice is shared with every other reader: it must not be modified.
+func (e *Encoding) Bytes() []byte { return e.bytes }
+
+// Attach leaves a copy of b on the entry as its encoded form, charged to
+// the cache's byte budget. It does nothing when the entry is gone, was
+// re-keyed by an append, or already carries one.
+func (e *Encoding) Attach(b []byte) {
+	c := e.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[e.key]
+	if !ok {
+		return
+	}
+	if en := el.Value.(*entry); en.encoded == nil {
+		en.encoded = append(make([]byte, 0, len(b)), b...)
+		c.used += int64(len(b))
+		c.shed(nil)
+	}
 }
 
 // store inserts (or refreshes) the entry under key. The bytes are charged
 // to the running query's memory governor first: a store that would blow
 // the query budget is skipped — caching is an optimization and must never
 // fail a query. When the governor already degraded to sidecar-shedding,
-// the entry is stored without its sidecar, mirroring the ladder.
-func (c *Cache) store(ctx *cluster.Context, key, structural string, rows []types.Row, batch *skyline.Batch, deps []*catalog.Table, maint *maintenance) {
+// the entry is stored without its sidecar, mirroring the ladder. It
+// reports whether the result now sits in the cache under key.
+func (c *Cache) store(ctx *cluster.Context, key, structural string, rows []types.Row, batch *skyline.Batch, deps []*catalog.Table, maint *maintenance) bool {
 	if ctx != nil && ctx.SidecarsDropped() {
 		batch = nil
 	}
@@ -179,14 +234,19 @@ func (c *Cache) store(ctx *cluster.Context, key, structural string, rows []types
 		batchBytes = batch.MemSize()
 	}
 	if rowBytes > c.budget {
-		return // larger than the whole cache: not storable even bare
+		return false // larger than the whole cache: not storable even bare
 	}
 	if ctx != nil && ctx.Metrics != nil {
 		ctx.Metrics.Alloc(rowBytes + batchBytes)
 		if err := ctx.CheckBudget(); err != nil {
 			ctx.Metrics.Free(rowBytes + batchBytes)
-			return
+			return false
 		}
+	}
+	if batch != nil {
+		// The entry holds rows and decoded columns, both counted; the boxed
+		// vectors the columns were decoded from are neither, so they go.
+		batch = batch.WithoutDims()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -201,13 +261,13 @@ func (c *Cache) store(ctx *cluster.Context, key, structural string, rows []types
 		if ctx != nil && ctx.Metrics != nil {
 			ctx.Metrics.Free(rowBytes + batchBytes)
 		}
-		return
+		return false
 	}
 	if el, ok := c.byKey[key]; ok {
 		// Same key, fresh result (e.g. a concurrent miss): replace in place.
 		e := el.Value.(*entry)
-		c.used -= e.rowBytes + e.batchBytes
-		e.rows, e.batch, e.rowBytes, e.batchBytes = rows, batch, rowBytes, batchBytes
+		c.used -= e.size()
+		e.rows, e.batch, e.encoded, e.rowBytes, e.batchBytes = rows, batch, nil, rowBytes, batchBytes
 		c.used += rowBytes + batchBytes
 		c.lru.MoveToFront(el)
 	} else {
@@ -217,12 +277,15 @@ func (c *Cache) store(ctx *cluster.Context, key, structural string, rows []types
 		c.used += rowBytes + batchBytes
 	}
 	c.shed(ctx)
+	return true
 }
 
-// shed brings the cache back under its byte budget, oldest entry first:
-// an entry still carrying its sidecar sheds that first (the hit stays a
-// hit, it just re-enters the data plane boxed), and only a bare entry is
-// evicted whole. Mirrors the memory governor's spill-before-abort ladder.
+// shed brings the cache back under its byte budget, oldest entry first.
+// The entry sheds what its rows can rebuild before it goes itself: the
+// encoded form (the next hit that wants it encodes again), then the
+// sidecar (the hit stays a hit, it just re-enters the data plane boxed),
+// and only a bare entry is evicted whole. Mirrors the memory governor's
+// spill-before-abort ladder.
 func (c *Cache) shed(ctx *cluster.Context) {
 	for c.used > c.budget {
 		el := c.lru.Back()
@@ -230,6 +293,11 @@ func (c *Cache) shed(ctx *cluster.Context) {
 			return
 		}
 		e := el.Value.(*entry)
+		if e.encoded != nil {
+			c.used -= int64(len(e.encoded))
+			e.encoded = nil
+			continue
+		}
 		if e.batch != nil {
 			c.used -= e.batchBytes
 			e.batch, e.batchBytes = nil, 0
@@ -292,7 +360,7 @@ func dependsOn(e *entry, t *catalog.Table) bool {
 // remove drops an entry without counting an eviction (invalidation is
 // correctness, eviction is memory pressure).
 func (c *Cache) remove(el *list.Element, e *entry) {
-	c.used -= e.rowBytes + e.batchBytes
+	c.used -= e.size()
 	c.lru.Remove(el)
 	delete(c.byKey, e.key)
 }
@@ -345,9 +413,10 @@ func (c *Cache) upgrade(el *list.Element, e *entry, newRows []types.Row) bool {
 	if batch != nil {
 		batchBytes = batch.MemSize()
 	}
-	c.used += (rowBytes + batchBytes) - (e.rowBytes + e.batchBytes)
+	// The encoded form described the old rows; the next hit renders the new.
+	c.used += (rowBytes + batchBytes) - e.size()
 	delete(c.byKey, e.key)
-	e.key, e.rows, e.batch = newKey, rows, batch
+	e.key, e.rows, e.batch, e.encoded = newKey, rows, batch, nil
 	e.rowBytes, e.batchBytes = rowBytes, batchBytes
 	e.pendingUpgrades++
 	c.byKey[newKey] = el

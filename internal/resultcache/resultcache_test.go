@@ -1,6 +1,9 @@
 package resultcache
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"testing"
 
 	"skysql/internal/catalog"
@@ -378,5 +381,183 @@ func TestFailedRunNeverPopulates(t *testing.T) {
 	}
 	if s := c.Stats(); s.Entries != 0 {
 		t.Errorf("a failed run must not populate the cache, stats = %+v", s)
+	}
+}
+
+// TestLRUShedsEncodedThenSidecarThenEntry walks the whole ladder. Two
+// entries, each with sidecar and encoded form, under three budgets, each
+// one byte short of what the previous rung would have needed: the older
+// entry first loses its text, then its sidecar too, then goes whole — and
+// the newer entry is never touched.
+func TestLRUShedsEncodedThenSidecarThenEntry(t *testing.T) {
+	e, tab := newHotelEngine(t)
+	const q1 = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX"
+	const q2 = "SELECT * FROM hotels SKYLINE OF price MIN, id MIN"
+	r1, b1, r2, b2 := probeFootprints(t, e, q1, q2)
+	rows1, _ := runQuery(t, e, New(0), q1, physical.Options{})
+	rows2, _ := runQuery(t, e, New(0), q2, physical.Options{})
+	n1, n2 := int64(len(rowsJSON(t, rows1))), int64(len(rowsJSON(t, rows2)))
+	newer := r2 + b2 + n2
+
+	cases := []struct {
+		name                     string
+		budget                   int64
+		entries                  int
+		olderText, olderSidecar  bool
+		wantUsed, wantEvictions  int64
+		olderStillServesFromRows bool
+	}{
+		{"text goes first", r1 + b1 + n1 + newer - 1, 2, false, true, r1 + b1 + newer, 0, true},
+		{"then the sidecar", r1 + b1 + newer - 1, 2, false, false, r1 + newer, 0, true},
+		{"then the entry", r1 + newer - 1, 1, false, false, newer, 1, false},
+	}
+	for _, tc := range cases {
+		c := New(tc.budget)
+		serveJSON(t, e, c, q1)
+		text2, _ := serveJSON(t, e, c, q2)
+		s := c.Stats()
+		if s.Entries != tc.entries || s.Evictions != tc.wantEvictions || s.UsedBytes != tc.wantUsed {
+			t.Fatalf("%s: stats = %+v, want %d entries, %d evictions, %d bytes", tc.name, s, tc.entries, tc.wantEvictions, tc.wantUsed)
+		}
+		if front := c.lru.Front().Value.(*entry); front.batch == nil || !bytes.Equal(front.encoded, text2) {
+			t.Errorf("%s: the newer entry must keep sidecar and text", tc.name)
+		}
+		if tc.entries == 2 {
+			back := c.lru.Back().Value.(*entry)
+			if (back.encoded != nil) != tc.olderText || (back.batch != nil) != tc.olderSidecar {
+				t.Errorf("%s: older entry text=%v sidecar=%v, want %v and %v", tc.name,
+					back.encoded != nil, back.batch != nil, tc.olderText, tc.olderSidecar)
+			}
+		}
+		// Whatever was shed, the answer is the same text: re-encoded from
+		// the rows of a hit, or recomputed after the eviction.
+		text1, m := serveJSON(t, e, c, q1)
+		if !bytes.Equal(text1, rowsJSON(t, rows1)) || (m.CacheHits() == 1) != tc.olderStillServesFromRows {
+			t.Errorf("%s: q1 after shedding: hits=%d, %d bytes", tc.name, m.CacheHits(), len(text1))
+		}
+	}
+
+	// Invalidation gives back every byte, text included.
+	c := New(0)
+	serveJSON(t, e, c, q1)
+	serveJSON(t, e, c, q2)
+	if s := c.Stats(); s.UsedBytes != r1+b1+n1+newer {
+		t.Fatalf("both entries in full: used = %d, want %d", s.UsedBytes, r1+b1+n1+newer)
+	}
+	nullRow := types.Row{types.Int(7), types.Null, types.Int(9)}
+	if err := tab.Append(nullRow); err != nil {
+		t.Fatal(err)
+	}
+	if up, inv := c.TableChanged(tab, []types.Row{nullRow}); up != 0 || inv != 2 {
+		t.Fatalf("NULL price: upgraded=%d invalidated=%d, want 0 and 2", up, inv)
+	}
+	if s := c.Stats(); s.Entries != 0 || s.UsedBytes != 0 {
+		t.Errorf("after invalidation: stats = %+v, want nothing held", s)
+	}
+}
+
+// TestEncodedFormNeverOutlivesItsRows: text rendered from a result can
+// only land on an entry that still holds that result. A run that took its
+// rows before an append and encodes them after it finds the entry re-keyed
+// and leaves nothing; the next hit serves, and keeps, the new rows' text.
+func TestEncodedFormNeverOutlivesItsRows(t *testing.T) {
+	e, tab := newHotelEngine(t)
+	c := New(0)
+	const q = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX"
+	compiled, err := e.CompileSQL(q, physical.Options{ResultCache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := e.ExecuteCtx(compiled, cluster.NewContext(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := types.Row{types.Int(7), types.Int(1), types.Int(10)} // dominates every hotel
+	if err := tab.Append(best); err != nil {
+		t.Fatal(err)
+	}
+	if up, inv := c.TableChanged(tab, []types.Row{best}); up != 1 || inv != 0 {
+		t.Fatalf("upgraded=%d invalidated=%d, want 1 and 0", up, inv)
+	}
+	stale, err := before.AppendRowsJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if en := c.lru.Front().Value.(*entry); en.encoded != nil {
+		t.Fatalf("text of the pre-append rows (%s) was attached to the upgraded entry", stale)
+	}
+	fresh, m := serveJSON(t, e, c, q)
+	if want := rowsJSON(t, []types.Row{best}); m.CacheHits() != 1 || !bytes.Equal(fresh, want) || bytes.Equal(fresh, stale) {
+		t.Fatalf("hit after the append (hits=%d) served %s, want %s", m.CacheHits(), fresh, want)
+	}
+	if en := c.lru.Front().Value.(*entry); !bytes.Equal(en.encoded, fresh) {
+		t.Error("the hit that encoded the new rows must leave their text on the entry")
+	}
+
+	// A result JSON cannot carry is refused, and leaves nothing behind.
+	nan := types.Row{types.Int(8), types.Int(0), types.Int(11)}
+	nan[0] = types.Float(math.NaN())
+	if err := tab.Append(nan); err != nil {
+		t.Fatal(err)
+	}
+	c.TableChanged(tab, []types.Row{nan})
+	res, err := e.ExecuteCtx(compiled, cluster.NewContext(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cell *types.NonFiniteError
+	if _, err := res.AppendRowsJSON(nil); !errors.As(err, &cell) || cell.Row != 0 || cell.Col != 0 {
+		t.Fatalf("NaN in the result: err = %v, want a NonFiniteError at row 0 column 0", err)
+	}
+	if en := c.lru.Front().Value.(*entry); en.encoded != nil {
+		t.Error("a refused encode must not reach the entry")
+	}
+}
+
+// appendDuringScan stands in for a table that grows between a run's cache
+// lookup and its scan: before the wrapped plan executes it lets a second,
+// undisturbed run of the same plan store its result, then appends.
+type appendDuringScan struct {
+	physical.Operator
+	before func()
+}
+
+func (a *appendDuringScan) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
+	a.before()
+	return a.Operator.Execute(ctx)
+}
+
+// TestOvertakenRunLeavesNoText: a run that missed at version v and whose
+// scan then saw version v+1 holds rows its key does not name. Its store is
+// refused (PR 10's revalidation) — and the text it encodes must not reach
+// the entry a concurrent run stored under that key with the true v rows,
+// or the next hit would answer v's row count over v+1's rows.
+func TestOvertakenRunLeavesNoText(t *testing.T) {
+	e, tab := newHotelEngine(t)
+	c := New(0)
+	const q = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX"
+	overtaken := bindExec(t, e, c, q, physical.Options{})
+	best := types.Row{types.Int(7), types.Int(1), types.Int(10)}
+	var atV []types.Row
+	overtaken.child = &appendDuringScan{Operator: overtaken.child, before: func() {
+		atV, _ = runQuery(t, e, c, q, physical.Options{}) // stores under the key of version v
+		if err := tab.Append(best); err != nil {          // v+1; the cache has not heard yet
+			t.Fatal(err)
+		}
+	}}
+	out, err := overtaken.Execute(cluster.NewContext(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Gather(); len(got) != 1 || len(atV) == 1 {
+		t.Fatalf("the overtaken run must have scanned the grown table: %d rows, %d at v", len(got), len(atV))
+	}
+	if out.Encoding != nil {
+		t.Fatal("a run whose store was refused must not address the entry under its key")
+	}
+	en := c.lru.Front().Value.(*entry)
+	assertIdentical(t, en.rows, atV, "the entry under v's key")
+	if en.encoded != nil {
+		t.Error("text of newer rows landed on the entry")
 	}
 }

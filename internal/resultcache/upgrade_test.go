@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"skysql/internal/catalog"
+	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/datagen"
 	"skysql/internal/physical"
@@ -23,7 +25,9 @@ import (
 // its result produce, and both upgrade engines (absorbKernel,
 // absorbBoxed) are run side by side on the same delta and held to the
 // same answer, so neither is covered only when upgrade happens to pick
-// it.
+// it. The entry's encoded form rides along: dropped by every upgrade,
+// rebuilt by the next hit that asks for text, and what is served — encoded
+// afresh or copied off the entry — is the cold recompute's rows as JSON.
 
 // diffSchema: id, two INT and two DOUBLE measures, and a group column for
 // DIFF dimensions.
@@ -248,10 +252,39 @@ func assertEntry(t *testing.T, label string, c *Cache, want []types.Row, wantSid
 		assertSidecarFresh(t, label, e.maint, e.rows, e.batch)
 		batchBytes = e.batch.MemSize()
 	}
-	if e.batchBytes != batchBytes || c.used != rowBytes+batchBytes {
-		t.Fatalf("%s: batchBytes=%d used=%d, want %d and %d", label, e.batchBytes, c.used, batchBytes, rowBytes+batchBytes)
+	if used := rowBytes + batchBytes + int64(len(e.encoded)); e.batchBytes != batchBytes || c.used != used {
+		t.Fatalf("%s: batchBytes=%d used=%d, want %d and %d", label, e.batchBytes, c.used, batchBytes, used)
 	}
 	return e
+}
+
+// serveJSON answers query the way skysqld does: compiled against the
+// cache, executed without a gather, rendered through the result's
+// encoding. It returns the text and the run's metrics.
+func serveJSON(t *testing.T, e *core.Engine, c *Cache, query string) ([]byte, *cluster.Metrics) {
+	t.Helper()
+	compiled, err := e.CompileSQL(query, physical.Options{ResultCache: c})
+	if err != nil {
+		t.Fatalf("compile %q: %v", query, err)
+	}
+	res, err := e.ExecuteCtx(compiled, cluster.NewContext(3))
+	if err != nil {
+		t.Fatalf("run %q: %v", query, err)
+	}
+	text, err := res.AppendRowsJSON(nil)
+	if err != nil {
+		t.Fatalf("encode %q: %v", query, err)
+	}
+	return text, res.Metrics
+}
+
+func rowsJSON(t *testing.T, rows []types.Row) []byte {
+	t.Helper()
+	text, err := types.AppendRowsJSON(nil, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
 }
 
 func TestResultCacheUpgradeDifferential(t *testing.T) {
@@ -276,6 +309,7 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 					c.used -= e.batchBytes
 					e.batch, e.batchBytes = nil, 0
 				}
+				drained := int64(0)
 				for step := 0; step < 12; step++ {
 					label := fmt.Sprintf("%s seed %d step %d %q", v.name, seed, step, sc.query)
 					rows := sc.batch(step+int(seed), e.rows, v.undecodables)
@@ -321,11 +355,30 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 						t.Fatalf("%s: upgraded=%d invalidated=%d, want 1,0", label, up, inv)
 					}
 					e = assertEntry(t, label, c, want, wantSidecar)
+
+					// The upgrade dropped the old rows' text; the first hit
+					// encodes the new rows and leaves the text, the second
+					// copies it, and both serve the cold recompute's.
+					if e.encoded != nil {
+						t.Fatalf("%s: the upgraded entry kept the text of its old rows", label)
+					}
+					wantText := rowsJSON(t, want)
+					first, m := serveJSON(t, sc.eng, c, sc.query)
+					drained += m.IncrementalUpgrades()
+					if !bytes.Equal(first, wantText) || !bytes.Equal(e.encoded, wantText) {
+						t.Fatalf("%s: first hit served %d bytes and left %d, a fresh encode of the cold recompute is %d",
+							label, len(first), len(e.encoded), len(wantText))
+					}
+					if second, m := serveJSON(t, sc.eng, c, sc.query); !bytes.Equal(second, wantText) || m.CacheHits() != 1 {
+						t.Fatalf("%s: second hit (hits=%d) served %d bytes, want the %d attached", label, m.CacheHits(), len(second), len(wantText))
+					}
+					assertEntry(t, label+" with text", c, want, wantSidecar)
 				}
-				// The maintained entry serves the next query as a hit.
+				// The maintained entry serves the next query as a hit; the
+				// twelve upgrades were drained by the hits that followed them.
 				got, m := runQuery(t, sc.eng, c, sc.query, physical.Options{})
-				if m.CacheHits() != 1 || m.IncrementalUpgrades() != 12 {
-					t.Fatalf("seed %d: hits=%d upgrades drained=%d, want 1 and 12", seed, m.CacheHits(), m.IncrementalUpgrades())
+				if m.CacheHits() != 1 || drained != 12 {
+					t.Fatalf("seed %d: hits=%d upgrades drained=%d, want 1 and 12", seed, m.CacheHits(), drained)
 				}
 				assertIdentical(t, got, sc.coldRows(t), "served after 12 upgrades vs cold recompute")
 			}

@@ -26,7 +26,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,6 +42,17 @@ import (
 // MaxRequestBytes bounds a request body; larger bodies fail with 400
 // before any decoding work.
 const MaxRequestBytes = 64 << 20
+
+// maxPooledBody is the largest /query body buffer kept for reuse; a rare
+// huge answer must not pin its buffer for the life of the process.
+const maxPooledBody = 1 << 20
+
+// queryBodies recycles the buffers /query bodies are assembled in (*[]byte).
+// It belongs to the package, not to a Server: the runtime keeps every pool
+// in use reachable until two collections after its last Put, and a pool
+// inside the Server would keep a closed server — session, catalog and
+// result cache with it — alive that long.
+var queryBodies = sync.Pool{New: func() interface{} { return new([]byte) }}
 
 // Server translates HTTP requests onto one shared skysql.Session.
 type Server struct {
@@ -107,7 +120,9 @@ type QueryMetrics struct {
 	SegmentsSpilled  int64    `json:"segments_spilled"`
 }
 
-// QueryResponse is the body of a successful POST /query.
+// QueryResponse is the body of a successful POST /query, as clients decode
+// it. The server never builds one: handleQuery appends the same fields, in
+// this order, straight into a byte buffer.
 type QueryResponse struct {
 	Columns    []Column        `json:"columns"`
 	Rows       [][]interface{} `json:"rows"`
@@ -204,25 +219,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(1)
-	rows, err := df.CollectContext(ctx)
+	// The whole body is assembled before the status line goes out, so a
+	// result JSON cannot carry still answers with an error status.
+	buf := queryBodies.Get().(*[]byte)
+	body, err := appendQueryBody(ctx, (*buf)[:0], df)
 	if err != nil {
 		status, code := classify(err)
 		s.fail(w, status, code, err.Error())
-		return
+	} else {
+		s.write(w, http.StatusOK, body)
 	}
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		queryBodies.Put(buf)
+	}
+}
+
+// appendQueryBody executes df and appends the /query answer to dst:
+// QueryResponse's fields in their declared order, as encoding/json would
+// write them, and its trailing newline. On an error dst comes back with
+// whatever had been appended, to be reused, not sent.
+func appendQueryBody(ctx context.Context, dst []byte, df *skysql.DataFrame) ([]byte, error) {
 	schema, err := df.Schema()
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "internal", err.Error())
-		return
+		return dst, err
 	}
-	resp := QueryResponse{
-		Columns:    encodeColumns(schema),
-		Rows:       encodeRows(rows),
-		RowCount:   len(rows),
-		DurationMS: float64(df.Duration()) / float64(time.Millisecond),
-		Metrics:    encodeMetrics(df.Metrics()),
+	dst = append(dst, `{"columns":`...)
+	dst = appendJSON(dst, encodeColumns(schema))
+	dst = append(dst, `,"rows":`...)
+	dst, rowCount, err := df.CollectJSON(ctx, dst)
+	if err != nil {
+		return dst, err
 	}
-	s.reply(w, http.StatusOK, resp)
+	dst = append(dst, `,"row_count":`...)
+	dst = strconv.AppendInt(dst, int64(rowCount), 10)
+	dst = append(dst, `,"duration_ms":`...)
+	dst, _ = types.Float(float64(df.Duration()) / float64(time.Millisecond)).AppendJSON(dst) // a duration is finite
+	dst = append(dst, `,"metrics":`...)
+	dst = appendJSON(dst, encodeMetrics(df.Metrics()))
+	return append(dst, "}\n"...), nil
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
@@ -337,11 +372,25 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, into interfa
 	return true
 }
 
+// reply answers with one of this package's own response shapes.
 func (s *Server) reply(w http.ResponseWriter, status int, body interface{}) {
+	s.write(w, status, append(appendJSON(nil, body), '\n'))
+}
+
+// write sends a finished body. Nothing is reported when the client has
+// gone away: there is nobody left to tell.
+func (s *Server) write(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(body)
+	_, _ = w.Write(body)
+}
+
+// appendJSON appends encoding/json's rendering of v, which must be one of
+// the response shapes above: structs and maps of strings, numbers counted
+// by the server and booleans, which always marshal.
+func appendJSON(dst []byte, v interface{}) []byte {
+	data, _ := json.Marshal(v)
+	return append(dst, data...)
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, code, msg string) {
@@ -375,34 +424,6 @@ func encodeColumns(schema *types.Schema) []Column {
 	return out
 }
 
-func encodeRows(rows []types.Row) [][]interface{} {
-	out := make([][]interface{}, len(rows))
-	for i, r := range rows {
-		rec := make([]interface{}, len(r))
-		for j, v := range r {
-			rec[j] = encodeValue(v)
-		}
-		out[i] = rec
-	}
-	return out
-}
-
-func encodeValue(v types.Value) interface{} {
-	switch v.Kind() {
-	case types.KindNull:
-		return nil
-	case types.KindInt:
-		return v.AsInt()
-	case types.KindFloat:
-		return v.AsFloat()
-	case types.KindString:
-		return v.AsString()
-	case types.KindBool:
-		return v.AsBool()
-	}
-	return v.String()
-}
-
 // decodeRows converts JSON rows against a schema: numbers land as the
 // declared kind (a JSON 3 or 3.0 is a valid BIGINT; 3.5 is not), null as
 // SQL NULL.
@@ -426,8 +447,9 @@ func decodeRows(in [][]interface{}, schema *types.Schema) ([]types.Row, error) {
 }
 
 // decodeRowsLoose converts JSON rows without a schema (appends — the
-// table's own validation catches width mismatches): JSON numbers become
-// DOUBLE unless integral, strings STRING, booleans BOOLEAN, null NULL.
+// table's own validation catches width mismatches): every JSON number
+// becomes a DOUBLE, integral or not, strings STRING, booleans BOOLEAN,
+// null NULL.
 func decodeRowsLoose(in [][]interface{}) ([]types.Row, error) {
 	rows := make([]types.Row, len(in))
 	for i, rec := range in {

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -509,5 +512,295 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		if name != "q" && name != "a" && name != "d" {
 			t.Errorf("unexpected catalog entry %q", name)
 		}
+	}
+}
+
+// TestQueryBodyIsWhatEncodingJSONWrites pins the hand-assembled /query
+// body to its declared shape: decoding it into QueryResponse and encoding
+// that back with encoding/json reproduces the body byte for byte — field
+// order, number forms, string escapes, trailing newline — on a miss (rows
+// encoded), a hit (text copied off the cache entry) and without a cache.
+func TestQueryBodyIsWhatEncodingJSONWrites(t *testing.T) {
+	table := server.TableRequest{
+		Name: "things",
+		Columns: []server.Column{
+			{Name: "id", Type: "BIGINT"},
+			{Name: "price", Type: "DOUBLE"},
+			{Name: "dist", Type: "DOUBLE", Nullable: true},
+			{Name: "label", Type: "STRING", Nullable: true},
+			{Name: "open", Type: "BOOLEAN"},
+		},
+		Rows: [][]interface{}{
+			{1, 50.5, 4.0, "plain", true},
+			{2, 1e-7, 5.25, "<a href=\"x\">&</a>", false},
+			{3, 1e21, nil, "naïve ☃\u2028\n", true},
+			{4, -0.000001, 2.0, nil, false},
+		},
+	}
+	for _, opts := range [][]skysql.Option{
+		{skysql.WithExecutors(2)},
+		{skysql.WithExecutors(2), skysql.WithResultCache(0)},
+	} {
+		sess := skysql.NewSession(opts...)
+		ts := httptest.NewServer(server.New(sess))
+		c := ts.Client()
+		if status, raw := post(t, c, ts.URL+"/tables", table); status != http.StatusOK {
+			t.Fatalf("create: %d %s", status, raw)
+		}
+		for _, sql := range []string{
+			"SELECT * FROM things SKYLINE OF price MIN, id MAX",
+			"SELECT label, dist FROM things WHERE id > 100",
+		} {
+			var first []server.QueryResponse
+			for pass := 0; pass < 2; pass++ { // with a cache: a miss, then a hit
+				status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: sql})
+				if status != http.StatusOK {
+					t.Fatalf("%s: %d %s", sql, status, raw)
+				}
+				q := decodeQuery(t, raw)
+				var want bytes.Buffer
+				if err := json.NewEncoder(&want).Encode(q); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(raw, want.Bytes()) {
+					t.Errorf("%s, pass %d:\n body %s\n json %s", sql, pass, raw, want.Bytes())
+				}
+				q.DurationMS, q.Metrics = 0, server.QueryMetrics{}
+				first = append(first, q)
+			}
+			if !reflect.DeepEqual(first[0], first[1]) {
+				t.Errorf("%s: the repeat answered differently:\n %+v\n %+v", sql, first[0], first[1])
+			}
+		}
+		ts.Close()
+		sess.Close()
+	}
+}
+
+// TestQueryNonFiniteIs500: JSON has no NaN or ±Inf. A result holding one
+// used to answer 200 with an empty body (the header went out before the
+// encoder refused); it answers 500 "internal", names the cell, counts as
+// an error, and leaves nothing on the cache entry — the repeat, a hit,
+// fails the same way.
+func TestQueryNonFiniteIs500(t *testing.T) {
+	sess := skysql.NewSession(skysql.WithExecutors(2), skysql.WithResultCache(0))
+	defer sess.Close()
+	schema := skysql.NewSchema(
+		skysql.Field{Name: "id", Type: skysql.KindInt},
+		skysql.Field{Name: "price", Type: skysql.KindFloat},
+		skysql.Field{Name: "dist", Type: skysql.KindFloat},
+	)
+	sess.MustCreateTable("odd", schema, []skysql.Row{
+		{skysql.Int(1), skysql.Float(10), skysql.Float(3)},
+		{skysql.Int(2), skysql.Float(5), skysql.Float(math.Inf(1))},
+		{skysql.Int(3), skysql.Float(20), skysql.Float(1)},
+	})
+	ts := httptest.NewServer(server.New(sess))
+	defer ts.Close()
+	c := ts.Client()
+
+	const sql = "SELECT * FROM odd SKYLINE OF price MIN, id MIN"
+	for pass, wantHits := range []int64{0, 1} {
+		status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: sql})
+		if status != http.StatusInternalServerError {
+			t.Fatalf("pass %d: status %d (%q), want 500", pass, status, raw)
+		}
+		e := decodeErr(t, raw)
+		if e.Code != "internal" || !strings.Contains(e.Error, "row 1") || !strings.Contains(e.Error, `"dist"`) || !strings.Contains(e.Error, "+Inf") {
+			t.Errorf("pass %d: error = %+v, want code internal naming row 1, column \"dist\" and +Inf", pass, e)
+		}
+		st := getStats(t, c, ts.URL)
+		if st.Server.Errors != int64(pass+1) || st.Cache.Hits != wantHits {
+			t.Errorf("pass %d: errors_total=%d cache hits=%d, want %d and %d", pass, st.Server.Errors, st.Cache.Hits, pass+1, wantHits)
+		}
+	}
+	// The finite part of the same table still answers, and caches its text.
+	before := getStats(t, c, ts.URL).Cache.UsedBytes
+	status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: "SELECT * FROM odd WHERE id <> 2 SKYLINE OF price MIN, id MIN"})
+	if status != http.StatusOK || decodeQuery(t, raw).RowCount != 1 {
+		t.Fatalf("finite rows: %d %s", status, raw)
+	}
+	if after := getStats(t, c, ts.URL).Cache.UsedBytes; after <= before {
+		t.Errorf("cache used_bytes %d → %d: the finite answer must have been cached", before, after)
+	}
+}
+
+// TestRepeatedStatementsUnderAppendAndReplace is the race test of the
+// bytes-not-boxes path: several clients repeat the same four statements —
+// so plans come from the statement memo and answers from cache entries'
+// encoded text — while one goroutine appends to the table two of them
+// read and another drops, re-creates and replaces the table the other two
+// read. Every 200 must be one whole, current answer:
+//
+//   - over the appended table, the base rows followed by a prefix of the
+//     appended ones, no shorter than what had been acknowledged when the
+//     request left and no longer than what had been sent when its answer
+//     arrived (a stale text left on an upgraded entry would be shorter, a
+//     torn buffer would not parse or not count);
+//   - over the replaced table, rows of one single generation, no older
+//     than the last one acknowledged when the request left (a memoised
+//     plan over the replaced table object would serve an older one).
+func TestRepeatedStatementsUnderAppendAndReplace(t *testing.T) {
+	// The cache is kept too small for every answer's text at once, so the
+	// shedding ladder runs beside the readers.
+	sess := skysql.NewSession(skysql.WithExecutors(2), skysql.WithResultCache(24<<10))
+	defer sess.Close()
+	ts := httptest.NewServer(server.New(sess))
+	defer ts.Close()
+	c := ts.Client()
+
+	// Every row sits on one anti-diagonal (x up, y down), so every row is
+	// in the skyline of (x MIN, y MIN) and answers list the table in order.
+	const baseRows, appendBatches, batchRows, genRows = 40, 200, 3, 25
+	diagonal := func(from, n int, tag float64) [][]interface{} {
+		rows := make([][]interface{}, n)
+		for i := range rows {
+			k := float64(from + i)
+			rows[i] = []interface{}{k, k, 1e6 - k, tag}
+		}
+		return rows
+	}
+	columns := []server.Column{{Name: "id", Type: "DOUBLE"}, {Name: "x", Type: "DOUBLE"}, {Name: "y", Type: "DOUBLE"}, {Name: "tag", Type: "DOUBLE"}}
+	create := func(name string, rows [][]interface{}) error {
+		status, raw := post(t, c, ts.URL+"/tables", server.TableRequest{Name: name, Columns: columns, Rows: rows})
+		if status != http.StatusOK {
+			return fmt.Errorf("create %s: %d %s", name, status, raw)
+		}
+		return nil
+	}
+	if err := create("grow", diagonal(0, baseRows, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := create("gen", diagonal(0, genRows, 1)); err != nil {
+		t.Fatal(err)
+	}
+	statements := []string{
+		"SELECT * FROM grow SKYLINE OF x MIN, y MIN",
+		"SELECT id, tag FROM grow SKYLINE OF x MIN, y MIN",
+		"SELECT * FROM gen SKYLINE OF x MIN, y MIN",
+		"SELECT * FROM gen WHERE x >= 0",
+	}
+
+	var (
+		sent, acked atomic.Int64 // append batches sent / acknowledged
+		generation  atomic.Int64 // last generation of gen acknowledged
+		writers     sync.WaitGroup
+		readers     sync.WaitGroup
+		done        = make(chan struct{})
+		errs        = make(chan error, 64)
+	)
+	generation.Store(1)
+	report := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for b := 0; b < appendBatches; b++ {
+			sent.Add(1)
+			status, raw := post(t, c, ts.URL+"/append", server.AppendRequest{Name: "grow", Rows: diagonal(baseRows+b*batchRows, batchRows, 0)})
+			if status != http.StatusOK {
+				report(fmt.Errorf("append %d: %d %s", b, status, raw))
+				return
+			}
+			acked.Add(1)
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for g := int64(2); g < 2+appendBatches; g++ {
+			if g%2 == 0 { // drop and re-create; odd generations replace in place
+				if status, raw := post(t, c, ts.URL+"/drop", server.DropRequest{Name: "gen"}); status != http.StatusOK {
+					report(fmt.Errorf("drop gen: %d %s", status, raw))
+					return
+				}
+			}
+			if err := create("gen", diagonal(0, genRows, float64(g))); err != nil {
+				report(err)
+				return
+			}
+			generation.Store(g)
+		}
+	}()
+
+	check := func(k int) error {
+		ackedBefore, genBefore := acked.Load(), generation.Load()
+		status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: statements[k]})
+		sentAfter := sent.Load()
+		if status == http.StatusBadRequest && k >= 2 {
+			return nil // gen was between its drop and its re-creation
+		}
+		if status != http.StatusOK {
+			return fmt.Errorf("%s: status %d (%s)", statements[k], status, raw)
+		}
+		var q server.QueryResponse
+		if err := json.Unmarshal(raw, &q); err != nil {
+			return fmt.Errorf("%s: torn body: %v", statements[k], err)
+		}
+		if q.RowCount != len(q.Rows) {
+			return fmt.Errorf("%s: row_count %d over %d rows", statements[k], q.RowCount, len(q.Rows))
+		}
+		if k < 2 {
+			if lo, hi := baseRows+int(ackedBefore)*batchRows, baseRows+int(sentAfter)*batchRows; q.RowCount < lo || q.RowCount > hi {
+				return fmt.Errorf("%s: %d rows, but %d were acknowledged before the request and %d sent by its answer", statements[k], q.RowCount, lo, hi)
+			}
+			for i, r := range q.Rows {
+				if r[0].(float64) != float64(i) {
+					return fmt.Errorf("%s: row %d has id %v: not the table in order", statements[k], i, r[0])
+				}
+			}
+			return nil
+		}
+		if q.RowCount != genRows {
+			return fmt.Errorf("%s: %d rows, every generation has %d", statements[k], q.RowCount, genRows)
+		}
+		tag := q.Rows[0][3].(float64)
+		for i, r := range q.Rows {
+			if r[3].(float64) != tag || r[0].(float64) != float64(i) {
+				return fmt.Errorf("%s: row %d is %v in an answer of generation %v: torn", statements[k], i, r, tag)
+			}
+		}
+		if tag < float64(genBefore) {
+			return fmt.Errorf("%s: served generation %v after generation %d was acknowledged", statements[k], tag, genBefore)
+		}
+		return nil
+	}
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := check((g + i) % len(statements)); err != nil {
+					report(err)
+					return
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// Quiescent: every statement answers its final state.
+	for k := range statements {
+		if err := check(k); err != nil {
+			t.Errorf("after the writers stopped: %v", err)
+		}
+	}
+	st := getStats(t, c, ts.URL).Cache
+	if st.Hits == 0 || st.Upgrades == 0 || st.UsedBytes > 24<<10 {
+		t.Errorf("cache stats %+v: the run must have hit, upgraded, and stayed inside its 24 KiB", st)
 	}
 }

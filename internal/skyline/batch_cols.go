@@ -143,6 +143,21 @@ func (b *Batch) WithRows(rows []types.Row, ordMap map[int]int) *Batch {
 	return &cp
 }
 
+// WithoutDims returns a copy of the batch fit to outlive the query that
+// decoded it: the decoded columns are shared, the points keep their rows
+// but let go of the boxed dimension vectors they were decoded from — one
+// allocation per point that no batch algorithm reads once the columns
+// exist, and that MemSize does not count.
+func (b *Batch) WithoutDims() *Batch {
+	cp := *b
+	cp.pts = make([]Point, len(b.pts))
+	for i, p := range b.pts {
+		cp.pts[i] = Point{Row: p.Row}
+	}
+	cp.counters = Counters{}
+	return &cp
+}
+
 // MemSize estimates the decoded storage of the batch in bytes (the rows the
 // points wrap are accounted separately by the dataset). Views produced by
 // Slice share backing arrays with their parent; their sizes reflect the

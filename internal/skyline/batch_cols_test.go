@@ -212,3 +212,34 @@ func sortedIdx(idx []int) []int {
 	sort.Ints(out)
 	return out
 }
+
+// TestWithoutDimsKeepsColumnsAndRows: the copy runs every batch algorithm
+// to the same indices and emits the same rows; only the boxed dimension
+// vectors are gone, and MemSize — which never counted them — is unchanged.
+func TestWithoutDimsKeepsColumnsAndRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		pts := numericPoints(rng, 2+rng.Intn(60), false)
+		b, ok := DecodeBatch(pts, []Dir{Min, Max}, false, nil)
+		if !ok {
+			t.Fatal("numeric points must decode")
+		}
+		b.Tag = "clause"
+		bare := b.WithoutDims()
+		if bare.Len() != b.Len() || bare.Tag != b.Tag || bare.MemSize() != b.MemSize() {
+			t.Fatalf("copy: len %d tag %q mem %d, original %d %q %d", bare.Len(), bare.Tag, bare.MemSize(), b.Len(), b.Tag, b.MemSize())
+		}
+		want, got := b.BNL(false), bare.BNL(false)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("BNL over the copy %v, over the original %v", got, want)
+		}
+		for i, p := range bare.Points(got) {
+			if p.Dims != nil || fmt.Sprint(p.Row) != fmt.Sprint(pts[want[i]].Row) {
+				t.Fatalf("point %d of the copy: dims %v row %v, want no dims and row %v", i, p.Dims, p.Row, pts[want[i]].Row)
+			}
+		}
+		if b.Points([]int{0})[0].Dims == nil {
+			t.Fatal("the original must keep its dimension vectors")
+		}
+	}
+}

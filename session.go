@@ -61,6 +61,8 @@ type Session struct {
 
 	poolMu sync.Mutex
 	pool   *cluster.WorkerPool
+
+	plans planMemo // Session.SQL's statement → compiled plan memo
 }
 
 // Option configures a session.
@@ -535,11 +537,17 @@ func (s *Session) options() physical.Options {
 	return opts
 }
 
-// SQL compiles a query string into a lazy DataFrame.
+// SQL compiles a query string into a lazy DataFrame. A statement the
+// session compiled before, over tables that have not changed since, takes
+// its plan from the session's memo instead (planMemo).
 func (s *Session) SQL(query string) (*DataFrame, error) {
-	c, err := s.engine.CompileSQL(query, s.options())
-	if err != nil {
-		return nil, err
+	c := s.plans.get(query, s.engine.Catalog)
+	if c == nil {
+		var err error
+		if c, err = s.engine.CompileSQL(query, s.options()); err != nil {
+			return nil, err
+		}
+		s.plans.put(query, c)
 	}
 	return &DataFrame{sess: s, compiled: c}, nil
 }
@@ -571,18 +579,15 @@ func (s *Session) RewriteSkyline(query string, incomplete bool) (string, error) 
 	return core.RewriteSkylineStatement(query, incomplete)
 }
 
-// run executes a compiled query with the session configuration.
-func (s *Session) run(c *core.Compiled) (*core.Result, error) {
-	return s.runCtx(context.Background(), c)
-}
-
 // runCtx executes a compiled query under a Go context: cancellation and
 // deadlines (the caller's, plus WithQueryTimeout) map onto the cluster
 // context's cooperative cancel, which workers observe between morsels.
 // Under WithMaxConcurrentQueries the query first claims an admission
 // slot (queueing or failing with ErrAdmission); under
 // WithGlobalMemoryBudget its byte metering is attached to the shared
-// governor pool for the duration of the run.
+// governor pool for the duration of the run. The result comes back
+// ungathered (core.Engine.ExecuteCtx): the caller copies its rows out or
+// renders them in place.
 func (s *Session) runCtx(goCtx context.Context, c *core.Compiled) (*core.Result, error) {
 	if s.admission != nil {
 		// The queue wait is bounded by the caller's context only — the
@@ -645,7 +650,7 @@ func (s *Session) runCtx(goCtx context.Context, c *core.Compiled) (*core.Result,
 			}
 		}()
 	}
-	res, err := s.engine.RunCtx(c, ctx)
+	res, err := s.engine.ExecuteCtx(c, ctx)
 	if err == nil {
 		// Cancellation is cooperative: a round whose tasks were already
 		// running when the deadline fired can still drain to completion.

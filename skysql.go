@@ -249,8 +249,15 @@
 // boxed comparator otherwise (chosen from the entry and the data, not by
 // an option). NULL dimensions or any other plan shape fall back to
 // invalidation (ResultCacheStats counts both outcomes), and failed or
-// canceled queries never populate. Entries are byte-accounted in an LRU that
-// sheds sidecars before whole entries. CacheHits, CacheMisses,
+// canceled queries never populate. Entries are byte-accounted in an LRU
+// that sheds what an entry's rows can rebuild — first the encoded text a
+// DataFrame.CollectJSON caller left on it, then the sidecar — before
+// whole entries. CollectJSON is how a caller that wants text takes a
+// result: rows appended as JSON straight into its buffer, and on a cache
+// hit copied from the entry without touching a row. Session.SQL, for its
+// part, keeps the plans of the statements it compiled last and reuses one
+// while the tables it bound are unchanged, so a repeated statement costs
+// a lookup at either end. CacheHits, CacheMisses,
 // CacheEvictions, and IncrementalUpgrades are Metrics counters (EXPLAIN,
 // the shell's \s, skybench -json; Session.ResultCacheStats snapshots the
 // cache itself); `skybench -experiment cache` measures hit-vs-recompute
