@@ -738,8 +738,9 @@ type Context struct {
 	TaskOverhead time.Duration
 
 	// DecodeAtScan lets fused stages decode their columnar batch at the
-	// stage source (one boxed pass over the scanned partition) instead of at
-	// the local skyline, so leading filters and projections run on the
+	// stage source (one boxed pass over the scanned partition, or — over a
+	// segment-backed scan — straight from the pages) instead of at the
+	// local skyline, so leading filters and projections run on the
 	// vectorized expression engine and the whole narrow chain is
 	// decode-once. Results are bit-identical either way; the gate exists
 	// because eager decoding evaluates the skyline dimensions on pre-filter
@@ -965,7 +966,43 @@ type morselResult struct {
 }
 
 func (c *Context) mapPartitions(in *Dataset, fn ColumnarFn, splittable bool) (*Dataset, error) {
-	n := len(in.Parts)
+	sizes := make([]int, len(in.Parts))
+	for p, part := range in.Parts {
+		sizes[p] = len(part)
+	}
+	return c.mapRanges(sizes, splittable, func(dropSidecars bool) RangeFn {
+		return func(p, lo, hi int) ([]types.Row, *skyline.Batch, error) {
+			var mb *skyline.Batch
+			if pb := in.BatchAt(p); pb != nil && !dropSidecars {
+				mb = pb.Slice(lo, hi)
+			}
+			return fn(p, in.Parts[p][lo:hi], mb)
+		}
+	})
+}
+
+// RangeFn is the task body of a round whose input is read inside its
+// tasks rather than handed to them (a segment scan decodes its own pages):
+// it produces the output of rows [lo, hi) of source partition p, with an
+// optional sidecar index-aligned with the output rows.
+type RangeFn = func(p, lo, hi int) ([]types.Row, *skyline.Batch, error)
+
+// MapRanges runs one task round over len(sizes) source partitions of
+// sizes[p] rows each, exactly as MapPartitionsColumnar (or, when
+// splittable, MapPartitionsSplittable) runs over materialized partitions
+// of those sizes — the same tasks, morsel bounds, pool homes, retries,
+// budget checkpoint and output assembly — except that each task reads its
+// own input. fn must satisfy the morsel-safety contract when splittable.
+func (c *Context) MapRanges(sizes []int, fn RangeFn, splittable bool) (*Dataset, error) {
+	return c.mapRanges(sizes, splittable, func(bool) RangeFn { return fn })
+}
+
+// mapRanges is the one task-round builder behind MapPartitions* and
+// MapRanges. bind receives whether the governor had dropped sidecars when
+// the round started (after its budget checkpoint) and returns the task
+// body.
+func (c *Context) mapRanges(sizes []int, splittable bool, bind func(dropSidecars bool) RangeFn) (*Dataset, error) {
+	n := len(sizes)
 	if n == 0 {
 		return &Dataset{}, nil
 	}
@@ -981,7 +1018,7 @@ func (c *Context) mapPartitions(in *Dataset, fn ColumnarFn, splittable bool) (*D
 	// Under memory degradation the columnar sidecars are dropped: tasks see
 	// nil batches (the boxed path, bit-identical by the kernel ablation
 	// contract) and produce none, shrinking the live footprint.
-	dropSidecars := c.SidecarsDropped()
+	fn := bind(c.SidecarsDropped())
 
 	// Build the task list: one task per partition, or — in morsel mode —
 	// one per contiguous row range of a split partition. Tasks are built
@@ -994,27 +1031,17 @@ func (c *Context) mapPartitions(in *Dataset, fn ColumnarFn, splittable bool) (*D
 		results = make([][]morselResult, n)
 	)
 	for p := 0; p < n; p++ {
-		part := in.Parts[p]
-		pb := in.BatchAt(p)
-		if dropSidecars {
-			pb = nil
-		}
-		bounds := [][2]int{{0, len(part)}}
+		bounds := [][2]int{{0, sizes[p]}}
 		if morselMode {
-			if mb := c.morselBounds(len(part)); mb != nil {
+			if mb := c.morselBounds(sizes[p]); mb != nil {
 				bounds = mb
 			}
 		}
 		results[p] = make([]morselResult, len(bounds))
 		for s, bd := range bounds {
 			p, s, lo, hi := p, s, bd[0], bd[1]
-			var mb *skyline.Batch
-			rows := part[lo:hi]
-			if pb != nil {
-				mb = pb.Slice(lo, hi)
-			}
 			tasks = append(tasks, c.taskAttempts(stage, int64(p), int64(s), func() error {
-				res, b, err := fn(p, rows, mb)
+				res, b, err := fn(p, lo, hi)
 				if err != nil {
 					return err
 				}
@@ -1525,8 +1552,9 @@ func (c *Context) gatherExchange(in *Dataset) ([]types.Row, error) {
 // every value round-trips bit-identically, so results are unchanged.
 func (c *Context) spillGather(in *Dataset) ([]types.Row, error) {
 	width, uniform := uniformWidth(in.Parts)
-	if !uniform {
-		// Ragged rows would round-trip padded; keep them in memory.
+	if !uniform || width == 0 {
+		// Ragged rows would round-trip padded, and a segment needs at
+		// least one column; keep them in memory.
 		return in.Gather(), nil
 	}
 	schema := spillSchema(width)

@@ -310,6 +310,9 @@ func gridCell(k []float64, executors int) int {
 	}
 	cell := 0
 	for _, v := range k {
+		if v != v {
+			v = 0 // NaN: an infinite key span normalizes to it; first cell
+		}
 		b := int(v * float64(g))
 		if b >= g {
 			b = g - 1
@@ -323,7 +326,11 @@ func gridCell(k []float64, executors int) int {
 // normalized coordinates and buckets [0, π/2] uniformly.
 func angleBucket(k []float64, executors int) int {
 	if len(k) == 1 {
-		b := int(k[0] * float64(executors))
+		v := k[0]
+		if v != v {
+			v = 0 // NaN: an infinite key span normalizes to it
+		}
+		b := int(v * float64(executors))
 		if b >= executors {
 			b = executors - 1
 		}
@@ -335,6 +342,9 @@ func angleBucket(k []float64, executors int) int {
 		tail += v * v
 	}
 	phi := math.Atan2(math.Sqrt(tail), k[0]) // ∈ [0, π/2] for non-negative coords
+	if phi != phi {
+		phi = 0 // a NaN coordinate: an infinite key span normalizes to it
+	}
 	b := int(phi / (math.Pi / 2) * float64(executors))
 	if b >= executors {
 		b = executors - 1

@@ -10,16 +10,16 @@ import (
 	"skysql/internal/cost"
 	"skysql/internal/expr"
 	"skysql/internal/skyline"
-	"skysql/internal/storage"
 	"skysql/internal/types"
 )
 
 // ScanExec reads a table, splitting it into one partition per executor
 // (Spark's default even distribution, §5.5). Segment-backed tables stream
-// their segments instead: each surviving segment decodes into one
-// partition (a natural morsel home), after the per-segment zone maps are
-// consulted against the pushed-down filter predicates — a segment the
-// predicates provably reject is skipped before any page is decoded.
+// their segments instead (segscan.go): each surviving segment is one
+// partition (a natural morsel home) read inside the tasks of the round
+// that consumes it, after the per-segment zone maps are consulted against
+// the pushed-down filter predicates — a segment the predicates provably
+// reject is skipped before any page is read.
 type ScanExec struct {
 	Table  *catalog.Table
 	schema *types.Schema
@@ -89,67 +89,6 @@ func (s *ScanExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 	return out, nil
 }
 
-// executeSegments streams a segment-backed table: each segment's zone
-// maps are tested against the pushed-down predicates first
-// (cost.ProvablyEmpty over the footer sketch — a pure function of footer
-// and predicate, so prune counts are deterministic, simulate mode
-// included), and only surviving segments decode, one partition per
-// segment. Pruning never changes results: a pruned segment's rows would
-// all have been rejected by the same predicate one operator later.
-func (s *ScanExec) executeSegments(ctx *cluster.Context) (*cluster.Dataset, error) {
-	segs := s.Table.Segments.Segments()
-	parts := make([][]types.Row, 0, len(segs))
-	pruned := 0
-	for _, seg := range segs {
-		if err := ctx.CheckCanceled(); err != nil {
-			return nil, err
-		}
-		if s.pruneSegment(ctx, seg) {
-			pruned++
-			continue
-		}
-		part, err := seg.Decode()
-		if err != nil {
-			return nil, err
-		}
-		if len(part) > 0 {
-			parts = append(parts, part)
-		}
-	}
-	if len(s.Prune) > 0 && !ctx.DisableSegmentPrune {
-		ctx.Metrics.AddSegmentsPruned(int64(pruned))
-		choice := "scan-all"
-		if pruned > 0 {
-			choice = "prune"
-		}
-		ctx.Metrics.AddCostDecision(cluster.CostDecision{
-			Site: "segment-prune", Choice: choice, Rows: s.Table.RowCount(), Selectivity: -1,
-			Detail: fmt.Sprintf("%d/%d segments skipped", pruned, len(segs)),
-		})
-	}
-	out := cluster.NewDataset(parts...)
-	charge(ctx, out)
-	if err := ctx.CheckBudget(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// pruneSegment reports whether any pushed predicate provably keeps no
-// row of the segment, per its footer zone maps.
-func (s *ScanExec) pruneSegment(ctx *cluster.Context, seg *storage.Segment) bool {
-	if ctx.DisableSegmentPrune || len(s.Prune) == 0 {
-		return false
-	}
-	sketch := seg.Sketch()
-	for _, p := range s.Prune {
-		if cost.ProvablyEmpty(p, sketch) {
-			return true
-		}
-	}
-	return false
-}
-
 // OneRowExec produces one empty row (FROM-less SELECT).
 type OneRowExec struct{}
 
@@ -207,12 +146,8 @@ func (f *FilterExec) PartitionTransformColumnar(ctx *cluster.Context) ColumnarPa
 			b = nil // misaligned sidecar: rows stay authoritative
 		}
 		if b != nil && canVec {
-			cols := newBatchColumns(b)
-			ve := expr.NewVectorEvaluator(cols)
-			sel, err := ve.EvalPredicate(f.Cond)
+			sel, release, err := vectorSelect(ctx, f.Cond, newBatchColumns(b))
 			if err == nil {
-				release := chargeScratch(ctx, ve, cols)
-				ctx.Metrics.AddVectorizedBatch()
 				var keep []types.Row
 				for i, ok := range sel {
 					if ok {

@@ -1,0 +1,401 @@
+package physical
+
+// This file is the segment-backed scan. A segment-backed table is never
+// decoded ahead of the stage that reads it: the scan only prunes, and the
+// task round that consumes the table reads its own input — one task per
+// surviving segment, morsel-split exactly as a materialized partition of
+// that size would be (cluster.MapRanges), so decode runs on the pool and
+// is retried, canceled, budget-checked and timed like any other task.
+// Each task reads through its segment's one storage.Reader, which reads
+// every page it is asked for once and verifies it, and takes one of two
+// paths, chosen from the plan and the data — never a switch:
+//
+//   - The page path (pageScan): the fused chain is filters → local
+//     skyline, or filters under a columnar exchange sink. The filters run
+//     on the vectorized engine over dense columns read straight from the
+//     pages — only the columns they reference — the skyline dimensions of
+//     the rows that pass are read into a batch (skyline.FromColumns), the
+//     kernel runs, and only the rows that leave the stage are boxed, by
+//     row number: late materialization. No types.Row exists for a row the
+//     stage discards. With the kernel off no batch is decoded: the boxed
+//     BNL window reads the dimension values of the rows that pass from the
+//     pages one row at a time (skyline.BNLFunc), and still only the rows
+//     that leave the stage are boxed.
+//
+//   - The boxed path: every other chain (projections, limits, DIFF or
+//     computed dimensions, vectorization off, a bounded window with the
+//     kernel off), and any morsel the page path cannot serve exactly —
+//     strings, bools or mixed kinds in a referenced column, integers
+//     beyond ±2⁵³, NaN in a kernel dimension — or, for a plan that
+//     decodes a batch, whose sidecars the memory governor dropped. The
+//     task boxes its morsel's rows from the pages and runs the fused
+//     chain unchanged.
+//
+// Both paths return the rows the chain returns over the boxed segment, in
+// the same order; the page path's sidecar is the batch the chain would
+// have decoded.
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"skysql/internal/cluster"
+	"skysql/internal/cost"
+	"skysql/internal/expr"
+	"skysql/internal/skyline"
+	"skysql/internal/storage"
+	"skysql/internal/types"
+)
+
+// segmentTask produces the output of rows [lo, hi) of surviving segment p,
+// read through r.
+type segmentTask func(r *storage.Reader, p, lo, hi int) ([]types.Row, *skyline.Batch, error)
+
+// executeSegments is a bare segment scan (no fused stage above it reads
+// the pages itself): one task per surviving segment boxes its rows.
+func (s *ScanExec) executeSegments(ctx *cluster.Context) (*cluster.Dataset, error) {
+	out, err := s.scanSegments(ctx, false, func(r *storage.Reader, _, lo, hi int) ([]types.Row, *skyline.Batch, error) {
+		rows, err := r.Box(storage.Sel{Lo: lo, Hi: hi})
+		return rows, nil, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	charge(ctx, out)
+	if err := ctx.CheckBudget(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// scanSegments runs the task round that reads the table: one partition
+// per surviving segment, morsel-split when splittable. The pages a reader
+// holds are charged to the query and released as soon as the last morsel
+// of their segment is done, or when the round ends.
+func (s *ScanExec) scanSegments(ctx *cluster.Context, splittable bool, task segmentTask) (*cluster.Dataset, error) {
+	segs := s.survivors(ctx)
+	chargePages := func(n int64) {
+		if n > 0 {
+			ctx.Metrics.Alloc(n)
+		} else {
+			ctx.Metrics.Free(-n)
+		}
+	}
+	readers := make([]*storage.Reader, len(segs))
+	sizes := make([]int, len(segs))
+	left := make([]atomic.Int64, len(segs))
+	for i, seg := range segs {
+		readers[i] = seg.NewReader(chargePages)
+		sizes[i] = seg.Rows()
+		left[i].Store(int64(sizes[i]))
+	}
+	defer func() {
+		for _, r := range readers {
+			r.Close()
+		}
+	}()
+	return ctx.MapRanges(sizes, func(p, lo, hi int) ([]types.Row, *skyline.Batch, error) {
+		rows, b, err := task(readers[p], p, lo, hi)
+		if err == nil && left[p].Add(int64(lo-hi)) == 0 {
+			readers[p].Close()
+		}
+		return rows, b, err
+	}, splittable)
+}
+
+// survivors returns the non-empty segments the pushed-down predicates
+// cannot rule out by zone map (cost.ProvablyEmpty over the footer sketch
+// — a pure function of footer and predicate, so prune counts are
+// deterministic, simulate mode included). Pruning never changes results:
+// a pruned segment's rows would all have been rejected by the same
+// predicate one operator later.
+func (s *ScanExec) survivors(ctx *cluster.Context) []*storage.Segment {
+	segs := s.Table.Segments.Segments()
+	prune := len(s.Prune) > 0 && !ctx.DisableSegmentPrune
+	out := make([]*storage.Segment, 0, len(segs))
+	pruned := 0
+	for _, seg := range segs {
+		if prune && s.provablyEmpty(seg) {
+			pruned++
+			continue
+		}
+		if seg.Rows() > 0 {
+			out = append(out, seg)
+		}
+	}
+	if prune {
+		ctx.Metrics.AddSegmentsPruned(int64(pruned))
+		choice := "scan-all"
+		if pruned > 0 {
+			choice = "prune"
+		}
+		ctx.Metrics.AddCostDecision(cluster.CostDecision{
+			Site: "segment-prune", Choice: choice, Rows: s.Table.RowCount(), Selectivity: -1,
+			Detail: fmt.Sprintf("%d/%d segments skipped", pruned, len(segs)),
+		})
+	}
+	return out
+}
+
+// provablyEmpty reports whether any pushed predicate keeps no row of the
+// segment, per its footer zone maps.
+func (s *ScanExec) provablyEmpty(seg *storage.Segment) bool {
+	sketch := seg.Sketch()
+	for _, p := range s.Prune {
+		if cost.ProvablyEmpty(p, sketch) {
+			return true
+		}
+	}
+	return false
+}
+
+// executeSegments runs a fused stage whose source is a segment-backed
+// scan: the stage's one task round reads the segments, each morsel on the
+// page path when the plan and its data allow, on the boxed path
+// otherwise.
+func (p *PipelineExec) executeSegments(ctx *cluster.Context, scan *ScanExec) (*cluster.Dataset, error) {
+	// The boxed chain is compiled by the first morsel that needs it, so its
+	// decode-at-scan gate is consulted (and recorded) only when it runs.
+	var tailOnce sync.Once
+	var tail ColumnarPartitionFn
+	pages := planPageScan(p.Ops, p.Sink, scan.Schema(), ctx.DecodeAtScan)
+	var stats *skyline.Stats
+	if ctx.Metrics != nil {
+		stats = &ctx.Metrics.Sky
+	}
+	out, err := scan.scanSegments(ctx, morselSplittable(p.Ops), func(r *storage.Reader, i, lo, hi int) ([]types.Row, *skyline.Batch, error) {
+		// Checked per task: the governor may drop sidecars mid-round, and
+		// then no morsel may decode one.
+		if pages != nil && !(pages.decodes() && ctx.SidecarsDropped()) {
+			if rows, b, ok, err := pages.run(ctx, r, lo, hi, stats); err != nil || ok {
+				return rows, b, err
+			}
+		}
+		rows, err := r.Box(storage.Sel{Lo: lo, Hi: hi})
+		if err != nil {
+			return nil, nil, err
+		}
+		// The boxed morsel is the task's input, live while the chain runs.
+		n := cluster.NewDataset(rows).MemSize()
+		ctx.Metrics.Alloc(n)
+		defer ctx.Metrics.Free(n)
+		tailOnce.Do(func() { tail = p.tailFn(ctx) })
+		return tail(i, rows, nil)
+	})
+	if err != nil {
+		return nil, err
+	}
+	charge(ctx, out)
+	return out, nil
+}
+
+// pageScan is the page-path plan of a fused stage over a segment scan.
+type pageScan struct {
+	// filters are the chain's predicates, in order, bound to the scan.
+	filters []expr.Expr
+	// sky is the chain's local skyline; nil when the decode target is the
+	// columnar exchange sink above the stage.
+	sky *LocalSkylineExec
+	// dimOrds is the scan column of each target dimension.
+	dimOrds    []int
+	dirs       []skyline.Dir
+	incomplete bool
+	tag        string
+}
+
+// planPageScan returns the page-path plan of a fused chain over the given
+// scan schema, or nil when the chain is not filters ending in a local
+// skyline (or, under a columnar sink, filters alone), a filter does not
+// vectorize, or a dimension is not a plain MIN/MAX column. decode
+// (Context.DecodeAtScan) gates the plans that decode a batch at the scan;
+// a local skyline that tests dominance boxed (kernel off) decodes none —
+// it reads its dimensions from the pages row by row into an unbounded
+// BNL window — and needs no gate.
+func planPageScan(ops []NarrowOperator, sink *DecodeSink, schema *types.Schema, decode bool) *pageScan {
+	ps := &pageScan{}
+	var dims []BoundDim
+	for i, op := range ops {
+		switch o := op.(type) {
+		case *FilterExec:
+			if o.DisableVector || !expr.CanVectorize(o.Cond, schema) {
+				return nil
+			}
+			ps.filters = append(ps.filters, o.Cond)
+		case *LocalSkylineExec:
+			if i != len(ops)-1 || (o.DisableKernel && o.WindowCap > 0) {
+				return nil
+			}
+			ps.sky, dims, ps.incomplete, ps.tag = o, o.Dims, o.Incomplete, skyTag(o.Dims, o.Incomplete)
+		default:
+			return nil
+		}
+	}
+	if ps.decodes() && !decode {
+		return nil
+	}
+	if ps.sky == nil {
+		if sink == nil {
+			return nil
+		}
+		dims, ps.tag = sink.Dims, sink.Tag
+	}
+	for _, d := range dims {
+		ref, ok := stripAlias(d.E).(*expr.BoundRef)
+		if !ok || d.Dir == skyline.Diff {
+			return nil
+		}
+		ps.dimOrds = append(ps.dimOrds, ref.Index)
+	}
+	ps.dirs = dirsOf(dims)
+	return ps
+}
+
+// decodes reports whether the plan decodes a batch: every plan but a
+// local skyline that tests dominance boxed.
+func (ps *pageScan) decodes() bool { return ps.sky == nil || !ps.sky.DisableKernel }
+
+// run executes the page path over rows [lo, hi) of one segment. ok=false
+// with a nil error hands the morsel to the boxed path.
+func (ps *pageScan) run(ctx *cluster.Context, r *storage.Reader, lo, hi int, stats *skyline.Stats) (rows []types.Row, b *skyline.Batch, ok bool, err error) {
+	cols := &pageColumns{r: r, sel: storage.Sel{Lo: lo, Hi: hi}}
+	for _, cond := range ps.filters {
+		sel, release, err := vectorSelect(ctx, cond, cols)
+		if cols.err != nil {
+			return nil, nil, false, cols.err
+		}
+		if err == expr.ErrNotVectorized {
+			return nil, nil, false, nil
+		}
+		if err != nil {
+			return nil, nil, false, err
+		}
+		cols.narrow(sel)
+		release()
+	}
+	if ps.sky != nil && ps.sky.DisableKernel {
+		// Boxed dominance: BNL over the dimension values of the rows that
+		// passed, read from the pages one row at a time.
+		at, err := r.Values(ps.dimOrds, cols.sel)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		keep, err := skyline.BNLFunc(cols.sel.Len(), at, ps.dirs, ps.sky.Distinct, ps.sky.compare(), stats)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		rows, err = r.Box(cols.rowsAt(keep))
+		return rows, nil, err == nil, err
+	}
+	dims := make([][]float64, len(ps.dimOrds))
+	nulls := make([][]bool, len(ps.dimOrds))
+	for d, ord := range ps.dimOrds {
+		var ok bool
+		if dims[d], nulls[d], ok = cols.Column(ord); !ok {
+			return nil, nil, false, cols.err
+		}
+	}
+	if b, ok = skyline.FromColumns(dims, nulls, ps.dirs, ps.incomplete, stats); !ok {
+		return nil, nil, false, nil
+	}
+	b.Tag = ps.tag
+	for d, ord := range ps.dimOrds {
+		b.BindColumn(ord, d, ps.dirs[d] == skyline.Max)
+	}
+	ctx.Metrics.Alloc(b.MemSize())
+	defer ctx.Metrics.Free(b.MemSize())
+	var keep []int
+	if ps.sky != nil {
+		if keep, err = ps.sky.kernel(b, stats); err != nil {
+			return nil, nil, false, err
+		}
+	} else {
+		keep = make([]int, b.Len())
+		for i := range keep {
+			keep[i] = i
+		}
+	}
+	if rows, err = r.Box(cols.rowsAt(keep)); err != nil {
+		return nil, nil, false, err
+	}
+	return rows, b.SelectRows(keep, rows), true, nil
+}
+
+// pageColumns serves one morsel's columns to the vectorized engine
+// straight from the segment's pages, narrowed to the rows the filters so
+// far have kept.
+type pageColumns struct {
+	r     *storage.Reader
+	sel   storage.Sel
+	vals  map[int][]float64
+	nulls map[int][]bool
+	bytes int64
+	// err is the first read failure (I/O, checksum) behind a refused
+	// column; the caller reports it instead of falling back.
+	err error
+}
+
+func (c *pageColumns) NumRows() int { return c.sel.Len() }
+
+func (c *pageColumns) gathered() int64 { return c.bytes }
+
+func (c *pageColumns) Column(ord int) ([]float64, []bool, bool) {
+	if v, ok := c.vals[ord]; ok {
+		return v, c.nulls[ord], true
+	}
+	v, n, ok, err := c.r.Numeric(ord, c.sel)
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+	if !ok {
+		return nil, nil, false
+	}
+	if c.vals == nil {
+		c.vals, c.nulls = make(map[int][]float64), make(map[int][]bool)
+	}
+	c.vals[ord], c.nulls[ord] = v, n
+	c.bytes += int64(len(v))*8 + int64(len(n))
+	return v, n, true
+}
+
+// narrow keeps the rows whose selection bit is set: the selection and
+// every column read so far shrink to them, in place.
+func (c *pageColumns) narrow(keep []bool) {
+	idx := make([]int, 0, len(keep))
+	for k, ok := range keep {
+		if ok {
+			idx = append(idx, c.sel.Row(k)-c.sel.Lo)
+		}
+	}
+	c.bytes = 0
+	for ord, v := range c.vals {
+		c.vals[ord] = compact(v, keep)
+		if n := c.nulls[ord]; n != nil {
+			c.nulls[ord] = compact(n, keep)
+		}
+		c.bytes += int64(len(idx))*8 + int64(len(c.nulls[ord]))
+	}
+	c.sel.Idx = idx
+}
+
+// rowsAt is the selection of the given positions among the rows kept so
+// far.
+func (c *pageColumns) rowsAt(pos []int) storage.Sel {
+	idx := make([]int, len(pos))
+	for j, k := range pos {
+		idx[j] = c.sel.Row(k) - c.sel.Lo
+	}
+	return storage.Sel{Lo: c.sel.Lo, Idx: idx}
+}
+
+// compact keeps s[k] where keep[k], in place.
+func compact[T any](s []T, keep []bool) []T {
+	j := 0
+	for k, ok := range keep {
+		if ok {
+			s[j] = s[k]
+			j++
+		}
+	}
+	return s[:j]
+}

@@ -154,10 +154,7 @@ func (l *LocalSkylineExec) PartitionTransform(ctx *cluster.Context) PartitionFn 
 // represent exactly fall back to the boxed CompareFunc path transparently
 // (no sidecar emitted).
 func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) ColumnarPartitionFn {
-	cmp := skyline.Compare
-	if l.Incomplete {
-		cmp = skyline.CompareIncomplete
-	}
+	cmp := l.compare()
 	var stats *skyline.Stats
 	if ctx.Metrics != nil {
 		stats = &ctx.Metrics.Sky
@@ -184,14 +181,7 @@ func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) Colu
 			}
 		}
 		if b != nil {
-			var idx []int
-			var kerr error
-			if l.WindowCap > 0 {
-				idx, kerr = b.BNLBounded(l.Distinct, l.WindowCap)
-			} else {
-				idx = b.BNL(l.Distinct)
-			}
-			b.Flush(stats)
+			idx, kerr := l.kernel(b, stats)
 			if kerr != nil {
 				return nil, nil, kerr
 			}
@@ -215,6 +205,28 @@ func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) Colu
 		}
 		return rowsOf(sky), nil, nil
 	}
+}
+
+// compare is the boxed dominance test of the skyline's definition.
+func (l *LocalSkylineExec) compare() skyline.CompareFunc {
+	if l.Incomplete {
+		return skyline.CompareIncomplete
+	}
+	return skyline.Compare
+}
+
+// kernel runs the local skyline over a decoded batch: the batch indices
+// of the survivors, in input order.
+func (l *LocalSkylineExec) kernel(b *skyline.Batch, stats *skyline.Stats) ([]int, error) {
+	var idx []int
+	var err error
+	if l.WindowCap > 0 {
+		idx, err = b.BNLBounded(l.Distinct, l.WindowCap)
+	} else {
+		idx = b.BNL(l.Distinct)
+	}
+	b.Flush(stats)
+	return idx, err
 }
 
 func (l *LocalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {

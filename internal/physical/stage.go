@@ -192,6 +192,10 @@ func (p *PipelineExec) tailFn(ctx *cluster.Context) ColumnarPartitionFn {
 }
 
 func (p *PipelineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
+	if scan, ok := p.Source.(*ScanExec); ok && scan.Table.Segments != nil {
+		// The stage reads the segments itself (segscan.go).
+		return p.executeSegments(ctx, scan)
+	}
 	tail := p.tailFn(ctx)
 	if src, ok := p.Source.(StageSource); ok {
 		// The breaker below runs the tail inside its own final pass; it

@@ -46,6 +46,8 @@ func newBatchColumns(b *skyline.Batch) *batchColumns {
 
 func (c *batchColumns) NumRows() int { return c.b.Len() }
 
+func (c *batchColumns) gathered() int64 { return c.bytes }
+
 func (c *batchColumns) Column(ord int) ([]float64, []bool, bool) {
 	if v, ok := c.vals[ord]; ok {
 		return v, c.nulls[ord], true
@@ -60,16 +62,36 @@ func (c *batchColumns) Column(ord int) ([]float64, []bool, bool) {
 	return v, n, true
 }
 
+// denseColumns is a column source that knows the bytes of the dense
+// columns it materialized for the vectorized engine.
+type denseColumns interface {
+	expr.ColumnSource
+	gathered() int64
+}
+
 // chargeScratch books one vectorized pass's buffers — the evaluator's
-// scratch columns plus the gathered batch columns — against peak-bytes
-// accounting for the duration of the returned release func.
-func chargeScratch(ctx *cluster.Context, ve *expr.VectorEvaluator, cols *batchColumns) func() {
-	n := ve.Bytes + cols.bytes
+// scratch columns plus the columns the source materialized — against
+// peak-bytes accounting for the duration of the returned release func.
+func chargeScratch(ctx *cluster.Context, ve *expr.VectorEvaluator, cols denseColumns) func() {
+	n := ve.Bytes + cols.gathered()
 	if ctx.Metrics == nil || n == 0 {
 		return func() {}
 	}
 	ctx.Metrics.Alloc(n)
 	return func() { ctx.Metrics.Free(n) }
+}
+
+// vectorSelect evaluates a filter predicate on the vectorized engine over
+// dense columns: the selection bitmap, with the pass's buffers charged
+// until release is called. expr.ErrNotVectorized means the columns cannot
+// serve the predicate exactly and the caller falls back to boxed rows.
+func vectorSelect(ctx *cluster.Context, cond expr.Expr, cols denseColumns) (sel []bool, release func(), err error) {
+	ve := expr.NewVectorEvaluator(cols)
+	if sel, err = ve.EvalPredicate(cond); err != nil {
+		return nil, nil, err
+	}
+	ctx.Metrics.AddVectorizedBatch()
+	return sel, chargeScratch(ctx, ve, cols), nil
 }
 
 // stageDecode is the decode-at-source plan of one fused pipeline.

@@ -145,6 +145,56 @@ func DecodeBatch(points []Point, dirs []Dir, incomplete bool, stats *Stats) (*Ba
 	return b, true
 }
 
+// FromColumns builds the batch DecodeBatch would build for points given
+// column by column instead of as boxed vectors: cols[d][i] is MIN/MAX
+// dimension d of point i, NULL where nulls[d][i] is set (nulls[d] may be
+// nil). It refuses (ok=false) what DecodeBatch refuses on numeric input —
+// NaN, more than 64 dimensions — and DIFF dimensions, whose intern keys
+// need the boxed values. The points carry no rows: SelectRows attaches
+// rows to the points that are kept, so a scan boxes only those.
+func FromColumns(cols [][]float64, nulls [][]bool, dirs []Dir, incomplete bool, stats *Stats) (*Batch, bool) {
+	if len(dirs) == 0 || len(dirs) > 64 || len(cols) != len(dirs) || len(nulls) != len(dirs) {
+		return nil, false
+	}
+	n := len(cols[0])
+	for d, dir := range dirs {
+		if dir == Diff || len(cols[d]) != n || (nulls[d] != nil && len(nulls[d]) != n) {
+			return nil, false
+		}
+	}
+	s := len(dirs)
+	b := &Batch{
+		pts:        make([]Point, n),
+		incomplete: incomplete,
+		dirs:       append([]Dir(nil), dirs...),
+		num:        make([]float64, s*n),
+		numStride:  s,
+		numMask:    make([]uint64, s),
+	}
+	for d, dir := range dirs {
+		bit := uint64(1) << uint(d)
+		b.numMask[d] = bit
+		sign := 1.0
+		if dir == Max {
+			sign = -1
+		}
+		mask := nulls[d]
+		for i, f := range cols[d] {
+			if mask != nil && mask[i] {
+				b.setNull(i, bit)
+				continue // slot stays 0; masked at compare time
+			}
+			if f != f {
+				return nil, false
+			}
+			b.num[i*s+d] = sign * f
+		}
+	}
+	b.anyNull = b.nulls != nil
+	stats.AddBatchDecoded()
+	return b, true
+}
+
 // setNull marks dimension bit of point i as NULL, allocating the bitmask
 // on first use.
 func (b *Batch) setNull(i int, bit uint64) {

@@ -2,6 +2,7 @@ package skyline
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -241,5 +242,77 @@ func TestWithoutDimsKeepsColumnsAndRows(t *testing.T) {
 		if b.Points([]int{0})[0].Dims == nil {
 			t.Fatal("the original must keep its dimension vectors")
 		}
+	}
+}
+
+// TestFromColumnsMatchesDecodeBatch: a batch built from dense columns is
+// the batch DecodeBatch builds from the same values boxed — the same
+// normalized vectors and null masks, so every kernel returns the same
+// indices under both dominance definitions — and SelectRows hands the
+// kept points the rows the caller boxed for them. NaN and DIFF, which
+// DecodeBatch would refuse or need boxed values for, are refused.
+func TestFromColumnsMatchesDecodeBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	dirs := []Dir{Min, Max}
+	for trial := 0; trial < 80; trial++ {
+		pts := numericPoints(rng, 1+rng.Intn(60), trial%2 == 1)
+		cols := [][]float64{make([]float64, len(pts)), make([]float64, len(pts))}
+		nulls := [][]bool{make([]bool, len(pts)), nil}
+		for i, p := range pts {
+			for d, v := range p.Dims {
+				switch {
+				case v.IsNull() && d == 0:
+					nulls[0][i] = true
+				case v.IsNull():
+					if nulls[1] == nil {
+						nulls[1] = make([]bool, len(pts))
+					}
+					nulls[1][i] = true
+				default:
+					cols[d][i], _ = v.OrderKey()
+				}
+			}
+		}
+		for _, incomplete := range []bool{false, true} {
+			want, ok := DecodeBatch(pts, dirs, incomplete, nil)
+			if !ok {
+				t.Fatal("numeric points must decode")
+			}
+			var stats Stats
+			got, ok := FromColumns(cols, nulls, dirs, incomplete, &stats)
+			if !ok || got.Len() != want.Len() || stats.BatchesDecoded() != 1 {
+				t.Fatalf("FromColumns ok=%v len=%d decoded=%d, want %d points, one decode", ok, got.Len(), stats.BatchesDecoded(), want.Len())
+			}
+			for i := 0; i < want.Len(); i++ {
+				if fmt.Sprint(got.NumRow(i)) != fmt.Sprint(want.NumRow(i)) || got.NullBits(i) != want.NullBits(i) {
+					t.Fatalf("point %d: %v/%b, want %v/%b", i, got.NumRow(i), got.NullBits(i), want.NumRow(i), want.NullBits(i))
+				}
+			}
+			var gotIdx, wantIdx []int
+			if incomplete {
+				gotIdx, wantIdx = got.GlobalIncomplete(false), want.GlobalIncomplete(false)
+			} else {
+				gotIdx, wantIdx = got.BNL(false), want.BNL(false)
+			}
+			if fmt.Sprint(gotIdx) != fmt.Sprint(wantIdx) {
+				t.Fatalf("incomplete=%v: kernel kept %v, want %v", incomplete, gotIdx, wantIdx)
+			}
+			rows := make([]types.Row, len(gotIdx))
+			for j, i := range gotIdx {
+				rows[j] = pts[i].Row
+			}
+			kept := got.SelectRows(gotIdx, rows)
+			for j, p := range kept.Points(rangeIndices(0, kept.Len())) {
+				if fmt.Sprint(p.Row) != fmt.Sprint(rows[j]) {
+					t.Fatalf("kept point %d wraps %v, want %v", j, p.Row, rows[j])
+				}
+			}
+		}
+	}
+	if _, ok := FromColumns([][]float64{{1, math.NaN()}}, [][]bool{nil}, []Dir{Min}, false, nil); ok {
+		t.Error("FromColumns accepted NaN in a MIN dimension")
+	}
+	if _, ok := FromColumns([][]float64{{1}}, [][]bool{nil}, []Dir{Diff}, false, nil); ok {
+		t.Error("FromColumns accepted a DIFF dimension")
 	}
 }

@@ -11,6 +11,8 @@ package skyline
 // the rows), so merged batches compare exactly like a fresh decode of the
 // same points.
 
+import "skysql/internal/types"
+
 // NumDims returns the number of MIN/MAX dimensions of the batch.
 func (b *Batch) NumDims() int { return b.numStride }
 
@@ -134,6 +136,20 @@ func (b *Batch) Select(idx []int) *Batch {
 		}
 	}
 	out.bindings = b.bindings // read-only after construction
+	return out
+}
+
+// SelectRows is Select for a batch whose points carry no rows yet
+// (FromColumns): the kept points wrap rows, boxed by the caller for
+// exactly those points — late materialization.
+func (b *Batch) SelectRows(idx []int, rows []types.Row) *Batch {
+	if len(rows) != len(idx) {
+		return nil
+	}
+	out := b.Select(idx)
+	for i := range out.pts {
+		out.pts[i].Row = rows[i]
+	}
 	return out
 }
 

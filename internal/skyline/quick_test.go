@@ -441,6 +441,43 @@ func TestBatchStatsFlush(t *testing.T) {
 	}
 }
 
+// TestQuickBNLFuncMatchesBNL: BNL over dimension values read on demand
+// returns the positions of exactly the points BNL returns, in the same
+// order, after the same dominance tests — complete and incomplete,
+// distinct or not.
+func TestQuickBNLFuncMatchesBNL(t *testing.T) {
+	f := func(ps pointSet, distinct bool) bool {
+		cmp := Compare
+		if ps.withNull {
+			cmp = CompareIncomplete
+		}
+		tagged := make([]Point, len(ps.pts))
+		for i, p := range ps.pts {
+			tagged[i] = Point{Dims: p.Dims, Row: types.Row{types.Int(int64(i))}}
+		}
+		var wantStats, gotStats Stats
+		want, err := BNL(tagged, quickDirs, distinct, cmp, &wantStats)
+		if err != nil {
+			return false
+		}
+		got, err := BNLFunc(len(ps.pts), func(k int, dst types.Row) { copy(dst, ps.pts[k].Dims) },
+			quickDirs, distinct, cmp, &gotStats)
+		if err != nil || len(got) != len(want) {
+			return false
+		}
+		for i, p := range want {
+			if int64(got[i]) != p.Row[0].AsInt() {
+				return false
+			}
+		}
+		return gotStats.DominanceTests() == wantStats.DominanceTests() &&
+			gotStats.Comparisons() == wantStats.Comparisons()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestQuickDistinctIsSubset: the DISTINCT skyline must be a sub-multiset
 // of the plain skyline with one representative per dimension vector.
 func TestQuickDistinctIsSubset(t *testing.T) {

@@ -144,7 +144,7 @@ func TestQuickSegmentRoundTrip(t *testing.T) {
 			t.Logf("footer rows %d != %d", footer.Rows, len(sc.rows))
 			return false
 		}
-		got, err := decodeSegment(data)
+		got, err := (&Segment{data: data}).Decode()
 		if err != nil {
 			t.Logf("decode: %v", err)
 			return false

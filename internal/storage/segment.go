@@ -1,29 +1,53 @@
 package storage
 
-// The segment wire format. One segment file (or in-memory page run) is:
+// The segment wire format, version 2. One segment file (or in-memory page
+// run) is:
 //
-//	magic "SKYSEG1\x00"
+//	magic "SKYSEG2\x00"
 //	uint32 rows | uint32 cols
-//	per column: uint8 encoding | uint64 payload length | payload
-//	footer payload (binary, self-describing)
+//	the column pages, back to back in column order (payload bytes only)
+//	footer payload: uint32 rows | uint32 cols, then per column its zone
+//	    map followed by its page entry: uint8 encoding | uint64 page
+//	    length | uint32 CRC-32C of the page
+//	uint32 CRC-32C of the 16 header bytes followed by the footer payload
 //	uint32 footer length | magic "SEGF"
 //
-// The tail magic + length let a reader load the footer — row count and
-// zone maps — without touching a single column page, which is what makes
-// footer-fed sketches and pre-decode pruning cheap. All integers are
-// little-endian; floats are IEEE-754 bit patterns, so every value (NaN
-// payloads, -0, ±Inf, int64 beyond ±2⁵³) round-trips bit-identically.
+// The tail lets a reader load the footer — row count, zone maps and the
+// page directory — without touching a single column page, which is what
+// makes footer-fed sketches and pre-decode pruning cheap, and what lets a
+// scan read only the pages of the columns a query references. Every byte
+// is covered by a checksum: the header, footer and tail by the footer CRC
+// (a damaged length or magic fails before it), each page by its own CRC,
+// verified when the page is first read. All integers are little-endian;
+// floats are IEEE-754 bit patterns, so every value (NaN payloads, -0,
+// ±Inf, int64 beyond ±2⁵³) round-trips bit-identically.
+//
+// Version 1 (magic "SKYSEG1\x00") had no checksums and interleaved page
+// headers with the pages; it is refused with an error naming the version.
 
 import (
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 
 	"skysql/internal/types"
 )
 
 var (
-	segMagic  = []byte("SKYSEG1\x00")
-	tailMagic = []byte("SEGF")
+	segMagic   = "SKYSEG2\x00"
+	segMagicV1 = "SKYSEG1\x00"
+	tailMagic  = "SEGF"
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
+
+const (
+	headerLen = 16 // magic, rows, cols
+	tailLen   = 12 // footer CRC, footer length, tail magic
+	// minColumnFooter is the smallest footer record of one column: an
+	// empty name, kind, nullable, five 8-byte stats, an empty histogram and
+	// the page entry. It bounds the column count a footer can claim.
+	minColumnFooter = 1 + 2 + 5*8 + 1 + 1 + 8 + 4
 )
 
 // Column encodings. The encoder picks the dense page matching the
@@ -38,12 +62,25 @@ const (
 	encBool         // null bitmap + value bitmap
 )
 
-// encodeSegment serializes one bounded run of rows plus its footer.
-// width is the schema width; short rows pad with NULLs on decode refusal
-// — the writer validates width instead, matching catalog.NewTable.
+// pageRef is one column's entry in the footer's page directory. off is
+// not stored: pages are back to back after the header, so it is implied
+// by the lengths before it.
+type pageRef struct {
+	enc byte
+	off int64
+	len int64
+	crc uint32
+}
+
+// encodeSegment serializes one bounded run of rows plus its footer. The
+// writer validates row width against the schema (catalog.NewTable does),
+// so short rows only arise from spill buffers and pad with NULLs.
 func encodeSegment(rows []types.Row, schema *types.Schema) ([]byte, Footer, error) {
 	width := schema.Len()
-	footer := Footer{Rows: len(rows), Cols: make([]ColumnStats, width)}
+	if width == 0 && len(rows) > 0 {
+		return nil, Footer{}, fmt.Errorf("storage: a segment needs at least one column")
+	}
+	footer := Footer{Rows: len(rows), Cols: make([]ColumnStats, width), pages: make([]pageRef, width)}
 	buf := append([]byte{}, segMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(width))
@@ -52,12 +89,14 @@ func encodeSegment(rows []types.Row, schema *types.Schema) ([]byte, Footer, erro
 		enc := chooseEncoding(rows, col)
 		payload := encodeColumn(rows, col, enc, sc)
 		footer.Cols[col] = sc.finish(rows, col)
-		buf = append(buf, byte(enc))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+		footer.pages[col] = pageRef{enc: byte(enc), off: int64(len(buf)), len: int64(len(payload)),
+			crc: crc32.Checksum(payload, castagnoli)}
 		buf = append(buf, payload...)
 	}
 	ft := encodeFooter(&footer)
+	sum := crc32.Update(crc32.Checksum(buf[:headerLen], castagnoli), castagnoli, ft)
 	buf = append(buf, ft...)
+	buf = binary.LittleEndian.AppendUint32(buf, sum)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ft)))
 	buf = append(buf, tailMagic...)
 	return buf, footer, nil
@@ -196,144 +235,219 @@ func valueAt(r types.Row, col int) types.Value {
 	return r[col]
 }
 
-// decodeSegment reconstructs the rows of a serialized segment. Values
-// come back bit-identical to what was encoded.
-func decodeSegment(data []byte) ([]types.Row, error) {
-	if len(data) < len(segMagic)+8 || string(data[:len(segMagic)]) != string(segMagic) {
-		return nil, errCorrupt("bad magic")
-	}
-	off := len(segMagic)
-	rows := int(binary.LittleEndian.Uint32(data[off:]))
-	cols := int(binary.LittleEndian.Uint32(data[off+4:]))
-	off += 8
-	out := make([]types.Row, rows)
-	backing := make([]types.Value, rows*cols)
-	for i := range out {
-		out[i] = types.Row(backing[i*cols : (i+1)*cols : (i+1)*cols])
-	}
-	for col := 0; col < cols; col++ {
-		if off+9 > len(data) {
-			return nil, errCorrupt("truncated column header")
+// page is one verified column page, parsed just far enough that any row
+// can be read from it by index: the dense encodings are read in place,
+// dictionaries are split into their strings and id array, and a boxed page
+// — variable-width, so not indexable — is decoded once, whole.
+type page struct {
+	enc   byte
+	rows  int
+	p     []byte        // dense encodings: null bitmap, then the values
+	dict  []string      // encDict: id-1 → string
+	boxed []types.Value // encBoxed: every value of the column
+}
+
+// parsePage validates a checksum-verified page against the row count
+// before anything proportional to that count is allocated: dense pages
+// must have exactly the size the count implies, a dictionary may not
+// claim more entries than it has bytes and every id must name one, and a
+// boxed page needs at least one byte per value.
+func parsePage(enc byte, p []byte, rows int) (*page, error) {
+	pg := &page{enc: enc, rows: rows, p: p}
+	nb := (rows + 7) / 8
+	switch enc {
+	case encFloat, encInt:
+		if len(p) != nb+rows*8 {
+			return nil, errCorrupt("numeric page size %d for %d rows", len(p), rows)
 		}
-		enc := int(data[off])
-		plen := int(binary.LittleEndian.Uint64(data[off+1:]))
-		off += 9
-		if off+plen > len(data) {
-			return nil, errCorrupt("truncated column payload")
+	case encBool:
+		if len(p) != 2*nb {
+			return nil, errCorrupt("bool page size %d for %d rows", len(p), rows)
 		}
-		if err := decodeColumn(data[off:off+plen], enc, rows, cols, col, backing); err != nil {
+	case encDict:
+		dictLen, n := binary.Uvarint(p)
+		if n <= 0 || dictLen > uint64(len(p)-n) {
+			return nil, errCorrupt("dict length")
+		}
+		p = p[n:]
+		pg.dict = make([]string, dictLen)
+		for d := range pg.dict {
+			sl, n := binary.Uvarint(p)
+			if n <= 0 || sl > uint64(len(p)-n) {
+				return nil, errCorrupt("dict entry")
+			}
+			pg.dict[d] = string(p[n : n+int(sl)])
+			p = p[n+int(sl):]
+		}
+		if len(p) != rows*4 {
+			return nil, errCorrupt("dict id page size %d for %d rows", len(p), rows)
+		}
+		for i := 0; i < rows; i++ {
+			if id := binary.LittleEndian.Uint32(p[i*4:]); uint64(id) > dictLen {
+				return nil, errCorrupt("dict id %d out of range (%d entries)", id, dictLen)
+			}
+		}
+		pg.p = p
+	case encBoxed:
+		if rows > len(p) {
+			return nil, errCorrupt("boxed page of %d bytes for %d rows", len(p), rows)
+		}
+		vals, err := decodeBoxed(p, rows)
+		if err != nil {
 			return nil, err
 		}
-		off += plen
+		pg.boxed = vals
+	default:
+		return nil, errCorrupt("unknown encoding %d", enc)
+	}
+	return pg, nil
+}
+
+func decodeBoxed(p []byte, rows int) ([]types.Value, error) {
+	out := make([]types.Value, rows)
+	for i := range out {
+		if len(p) < 1 {
+			return nil, errCorrupt("boxed value truncated")
+		}
+		kind := types.Kind(p[0])
+		p = p[1:]
+		switch kind {
+		case types.KindNull:
+		case types.KindInt:
+			if len(p) < 8 {
+				return nil, errCorrupt("boxed int truncated")
+			}
+			out[i] = types.Int(int64(binary.LittleEndian.Uint64(p)))
+			p = p[8:]
+		case types.KindFloat:
+			if len(p) < 8 {
+				return nil, errCorrupt("boxed float truncated")
+			}
+			out[i] = types.Float(math.Float64frombits(binary.LittleEndian.Uint64(p)))
+			p = p[8:]
+		case types.KindString:
+			sl, n := binary.Uvarint(p)
+			if n <= 0 || sl > uint64(len(p)-n) {
+				return nil, errCorrupt("boxed string truncated")
+			}
+			out[i] = types.Str(string(p[n : n+int(sl)]))
+			p = p[n+int(sl):]
+		case types.KindBool:
+			if len(p) < 1 {
+				return nil, errCorrupt("boxed bool truncated")
+			}
+			out[i] = types.Bool(p[0] != 0)
+			p = p[1:]
+		default:
+			return nil, errCorrupt("unknown boxed kind %d", kind)
+		}
+	}
+	if len(p) != 0 {
+		return nil, errCorrupt("boxed page has %d trailing bytes", len(p))
 	}
 	return out, nil
 }
 
-func decodeColumn(p []byte, enc, rows, cols, col int, backing []types.Value) error {
-	set := func(i int, v types.Value) { backing[i*cols+col] = v }
-	nullAt := func(nulls []byte, i int) bool { return nulls[i/8]&(1<<(i%8)) != 0 }
-	nb := (rows + 7) / 8
-	switch enc {
+// isNull reads row i's bit of a dense page's null bitmap.
+func (pg *page) isNull(i int) bool { return pg.p[i>>3]&(1<<(i&7)) != 0 }
+
+// bits reads row i's 8-byte value of a float or int page.
+func (pg *page) bits(i int) uint64 {
+	return binary.LittleEndian.Uint64(pg.p[(pg.rows+7)/8+i*8:])
+}
+
+// box writes the values of the selected rows into column col of a
+// row-major backing array of the given width.
+func (pg *page) box(sel Sel, backing []types.Value, col, width int) {
+	for k, n := 0, sel.Len(); k < n; k++ {
+		backing[k*width+col] = pg.value(sel.Row(k))
+	}
+}
+
+// value reads row i's value.
+func (pg *page) value(i int) types.Value {
+	switch pg.enc {
 	case encFloat:
-		if len(p) != nb+rows*8 {
-			return errCorrupt("float page size")
-		}
-		for i := 0; i < rows; i++ {
-			if nullAt(p, i) {
-				continue
-			}
-			set(i, types.Float(math.Float64frombits(binary.LittleEndian.Uint64(p[nb+i*8:]))))
+		if !pg.isNull(i) {
+			return types.Float(math.Float64frombits(pg.bits(i)))
 		}
 	case encInt:
-		if len(p) != nb+rows*8 {
-			return errCorrupt("int page size")
-		}
-		for i := 0; i < rows; i++ {
-			if nullAt(p, i) {
-				continue
-			}
-			set(i, types.Int(int64(binary.LittleEndian.Uint64(p[nb+i*8:]))))
+		if !pg.isNull(i) {
+			return types.Int(int64(pg.bits(i)))
 		}
 	case encBool:
-		if len(p) != 2*nb {
-			return errCorrupt("bool page size")
-		}
-		for i := 0; i < rows; i++ {
-			if nullAt(p, i) {
-				continue
-			}
-			set(i, types.Bool(p[nb+i/8]&(1<<(i%8)) != 0))
+		if !pg.isNull(i) {
+			return types.Bool(pg.p[(pg.rows+7)/8+i/8]&(1<<(i%8)) != 0)
 		}
 	case encDict:
-		dictLen, n := binary.Uvarint(p)
-		if n <= 0 {
-			return errCorrupt("dict length")
+		if id := binary.LittleEndian.Uint32(pg.p[i*4:]); id != 0 {
+			return types.Str(pg.dict[id-1])
 		}
-		p = p[n:]
-		dict := make([]string, dictLen)
-		for d := range dict {
-			sl, n := binary.Uvarint(p)
-			if n <= 0 || int(sl) > len(p)-n {
-				return errCorrupt("dict entry")
-			}
-			dict[d] = string(p[n : n+int(sl)])
-			p = p[n+int(sl):]
+	default: // encBoxed
+		return pg.boxed[i]
+	}
+	return types.Null
+}
+
+// numeric reads the selected rows as float64 under the vectorized
+// engine's exactness rules: ok=false when the page holds strings or bools
+// at those rows, or an integer beyond ±2⁵³ (where the boxed int-int
+// comparison is finer than float64). NaN is returned as is. nulls is nil
+// when no selected row is NULL.
+func (pg *page) numeric(sel Sel) (vals []float64, nulls []bool, ok bool) {
+	n := sel.Len()
+	vals = make([]float64, n)
+	setNull := func(k int) {
+		if nulls == nil {
+			nulls = make([]bool, n)
 		}
-		if len(p) != rows*4 {
-			return errCorrupt("dict id page size")
-		}
-		for i := 0; i < rows; i++ {
-			id := binary.LittleEndian.Uint32(p[i*4:])
-			if id == 0 {
+		nulls[k] = true
+	}
+	switch pg.enc {
+	case encFloat:
+		for k := 0; k < n; k++ {
+			i := sel.Row(k)
+			if pg.isNull(i) {
+				setNull(k)
 				continue
 			}
-			if int(id) > len(dict) {
-				return errCorrupt("dict id out of range")
+			vals[k] = math.Float64frombits(pg.bits(i))
+		}
+	case encInt:
+		for k := 0; k < n; k++ {
+			i := sel.Row(k)
+			if pg.isNull(i) {
+				setNull(k)
+				continue
 			}
-			set(i, types.Str(dict[id-1]))
+			iv := int64(pg.bits(i))
+			if iv > types.MaxExactFloatInt || iv < -types.MaxExactFloatInt {
+				return nil, nil, false
+			}
+			vals[k] = float64(iv)
 		}
 	case encBoxed:
-		for i := 0; i < rows; i++ {
-			if len(p) < 1 {
-				return errCorrupt("boxed value truncated")
-			}
-			kind := types.Kind(p[0])
-			p = p[1:]
-			switch kind {
+		for k := 0; k < n; k++ {
+			v := pg.boxed[sel.Row(k)]
+			switch v.Kind() {
 			case types.KindNull:
-			case types.KindInt:
-				if len(p) < 8 {
-					return errCorrupt("boxed int truncated")
-				}
-				set(i, types.Int(int64(binary.LittleEndian.Uint64(p))))
-				p = p[8:]
+				setNull(k)
 			case types.KindFloat:
-				if len(p) < 8 {
-					return errCorrupt("boxed float truncated")
+				vals[k] = v.AsFloat()
+			case types.KindInt:
+				iv := v.AsInt()
+				if iv > types.MaxExactFloatInt || iv < -types.MaxExactFloatInt {
+					return nil, nil, false
 				}
-				set(i, types.Float(math.Float64frombits(binary.LittleEndian.Uint64(p))))
-				p = p[8:]
-			case types.KindString:
-				sl, n := binary.Uvarint(p)
-				if n <= 0 || int(sl) > len(p)-n {
-					return errCorrupt("boxed string truncated")
-				}
-				set(i, types.Str(string(p[n:n+int(sl)])))
-				p = p[n+int(sl):]
-			case types.KindBool:
-				if len(p) < 1 {
-					return errCorrupt("boxed bool truncated")
-				}
-				set(i, types.Bool(p[0] != 0))
-				p = p[1:]
+				vals[k] = float64(iv)
 			default:
-				return errCorrupt("unknown boxed kind %d", kind)
+				return nil, nil, false
 			}
 		}
 	default:
-		return errCorrupt("unknown encoding %d", enc)
+		return nil, nil, false
 	}
-	return nil
+	return vals, nulls, true
 }
 
 // encodeFooter serializes the footer with the same binary primitives as
@@ -361,10 +475,16 @@ func encodeFooter(f *Footer) []byte {
 		for _, n := range c.Hist {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 		}
+		pr := &f.pages[i]
+		buf = append(buf, pr.enc)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(pr.len))
+		buf = binary.LittleEndian.AppendUint32(buf, pr.crc)
 	}
 	return buf
 }
 
+// decodeFooter parses a footer payload. Page offsets are left for
+// parseSegmentFooter, which knows where the pages start.
 func decodeFooter(p []byte) (Footer, error) {
 	var f Footer
 	if len(p) < 8 {
@@ -373,11 +493,15 @@ func decodeFooter(p []byte) (Footer, error) {
 	f.Rows = int(binary.LittleEndian.Uint32(p))
 	cols := int(binary.LittleEndian.Uint32(p[4:]))
 	p = p[8:]
+	if cols > len(p)/minColumnFooter {
+		return f, errCorrupt("footer claims %d columns in %d bytes", cols, len(p))
+	}
 	f.Cols = make([]ColumnStats, cols)
+	f.pages = make([]pageRef, cols)
 	for i := range f.Cols {
 		c := &f.Cols[i]
 		nl, n := binary.Uvarint(p)
-		if n <= 0 || int(nl) > len(p)-n {
+		if n <= 0 || nl > uint64(len(p)-n) {
 			return f, errCorrupt("footer column name")
 		}
 		c.Name = string(p[n : n+int(nl)])
@@ -394,30 +518,116 @@ func decodeFooter(p []byte) (Footer, error) {
 		c.Max = math.Float64frombits(binary.LittleEndian.Uint64(p[34:]))
 		hl := int(p[42])
 		p = p[43:]
+		if len(p) < hl*8+13 {
+			return f, errCorrupt("footer histogram or page entry")
+		}
 		if hl > 0 {
-			if len(p) < hl*8 {
-				return f, errCorrupt("footer histogram")
-			}
 			c.Hist = make([]int64, hl)
 			for b := range c.Hist {
 				c.Hist[b] = int64(binary.LittleEndian.Uint64(p[b*8:]))
 			}
 			p = p[hl*8:]
 		}
+		plen := binary.LittleEndian.Uint64(p[1:])
+		if plen > math.MaxInt32 {
+			return f, errCorrupt("page length %d", plen)
+		}
+		f.pages[i] = pageRef{enc: p[0], len: int64(plen), crc: binary.LittleEndian.Uint32(p[9:])}
+		p = p[13:]
+	}
+	if len(p) != 0 {
+		return f, errCorrupt("footer has %d trailing bytes", len(p))
 	}
 	return f, nil
 }
 
-// footerOf extracts and parses the footer from a whole serialized
-// segment, using the tail length + magic.
+// parseSegmentFooter checks a segment's header and footer against each
+// other and against the footer checksum, and lays the page directory
+// over the pageBytes bytes between them. Nothing proportional to a count
+// the bytes claim is allocated before that count is bounded by the bytes
+// that are actually there.
+func parseSegmentFooter(head, foot []byte, sum uint32, pageBytes int64) (Footer, error) {
+	if err := checkMagic(head); err != nil {
+		return Footer{}, err
+	}
+	if crc32.Update(crc32.Checksum(head, castagnoli), castagnoli, foot) != sum {
+		return Footer{}, errCorrupt("footer checksum mismatch")
+	}
+	f, err := decodeFooter(foot)
+	if err != nil {
+		return Footer{}, err
+	}
+	rows := int(binary.LittleEndian.Uint32(head[8:]))
+	cols := int(binary.LittleEndian.Uint32(head[12:]))
+	if rows != f.Rows || cols != len(f.Cols) {
+		return Footer{}, errCorrupt("header says %d rows × %d columns, footer %d × %d", rows, cols, f.Rows, len(f.Cols))
+	}
+	if cols == 0 && rows > 0 {
+		return Footer{}, errCorrupt("%d rows in no columns", rows)
+	}
+	off := int64(headerLen)
+	for i := range f.pages {
+		pr := &f.pages[i]
+		if pr.len > headerLen+pageBytes-off {
+			return Footer{}, errCorrupt("page directory overruns the page region")
+		}
+		pr.off = off
+		off += pr.len
+		if min := minPageLen(pr.enc, rows); pr.len < min {
+			return Footer{}, errCorrupt("column %d page of %d bytes cannot hold %d rows", i, pr.len, rows)
+		}
+	}
+	if off != headerLen+pageBytes {
+		return Footer{}, errCorrupt("page directory covers %d of %d page bytes", off-headerLen, pageBytes)
+	}
+	return f, nil
+}
+
+// minPageLen is the fewest bytes a page of the encoding needs for rows
+// rows. Checking it at open bounds the row count by the file size, so no
+// later allocation sized by rows can outgrow the bytes behind it.
+func minPageLen(enc byte, rows int) int64 {
+	r := int64(rows)
+	switch enc {
+	case encFloat, encInt:
+		return (r+7)/8 + 8*r
+	case encBool:
+		return 2 * ((r + 7) / 8)
+	case encDict:
+		return 1 + 4*r
+	}
+	return r
+}
+
+func checkMagic(head []byte) error {
+	switch string(head[:len(segMagic)]) {
+	case segMagic:
+		return nil
+	case segMagicV1:
+		return fmt.Errorf("storage: segment format v1 is not readable: this version reads v2 (per-page checksums); rewrite the segments (datagen -segments)")
+	}
+	return errCorrupt("bad magic")
+}
+
+// footerOf extracts and verifies the footer of a whole serialized
+// segment, using the tail.
 func footerOf(data []byte) (Footer, error) {
-	if len(data) < 8 || string(data[len(data)-4:]) != string(tailMagic) {
+	if len(data) >= len(segMagic) {
+		if err := checkMagic(data); err != nil {
+			return Footer{}, err
+		}
+	}
+	if len(data) < headerLen+tailLen {
+		return Footer{}, errCorrupt("%d bytes is too short for a segment", len(data))
+	}
+	end := len(data) - tailLen
+	if string(data[len(data)-4:]) != tailMagic {
 		return Footer{}, errCorrupt("bad tail magic")
 	}
-	flen := int(binary.LittleEndian.Uint32(data[len(data)-8:]))
-	end := len(data) - 8
-	if flen > end {
+	flen := int(binary.LittleEndian.Uint32(data[end+4:]))
+	if flen > end-headerLen {
 		return Footer{}, errCorrupt("footer length out of range")
 	}
-	return decodeFooter(data[end-flen : end])
+	sum := binary.LittleEndian.Uint32(data[end:])
+	return parseSegmentFooter(data[:headerLen], data[end-flen:end], sum, int64(end-flen-headerLen))
 }

@@ -9,17 +9,27 @@
 // result-identical to the in-memory scan it replaces.
 //
 // Each segment carries a footer with per-column zone maps — min/max,
-// null/NaN counts, and an equi-width histogram — plus the row count.
-// Footers serve two consumers without touching the pages:
+// null/NaN counts, and an equi-width histogram — the row count, and the
+// page directory: each column page's encoding, length and CRC-32C. The
+// header and footer carry a CRC of their own, so a flipped bit anywhere
+// in a segment is an error, never a different answer (segment.go has the
+// byte layout, format version 2). Footers serve three consumers without
+// touching the pages:
 //
 //   - ScanExec feeds its cost sketch from the merged footer stats instead
 //     of a re-scan pass, and consults per-segment zone maps against the
 //     plan's filter predicates (cost.ProvablyEmpty) to skip whole
-//     segments before any decode.
+//     segments before any page is read.
+//
+//   - A Reader reads only the pages a query asks for, verifies each once,
+//     and serves dense float64 columns (the first stage's filters and
+//     skyline dimensions) and boxed values by row number (the rows that
+//     leave the stage, and the dimensions a boxed dominance test reads)
+//     from the same pages.
 //
 //   - The memory governor's spill tier writes gather buffers out as
-//     temporary segments and re-streams them, so budgeted queries
-//     complete out-of-core instead of degrading.
+//     temporary segments and re-streams them through Segment.Decode, so
+//     budgeted queries complete out-of-core instead of degrading.
 //
 // Segments are immutable once written; a Store is an ordered list of
 // segments plus the schema, standing in for a table's materialized rows.
@@ -74,12 +84,15 @@ func (c *ColumnStats) Numeric() bool {
 	return c.NonNumeric == 0 && c.Min <= c.Max
 }
 
-// Footer is the self-describing tail of a segment: the row count and the
+// Footer is the self-describing tail of a segment: the row count, the
 // per-column zone maps (which double as the schema record, so a segment
-// directory opens without side metadata).
+// directory opens without side metadata) and the page directory a Reader
+// finds and verifies each column page by.
 type Footer struct {
 	Rows int
 	Cols []ColumnStats
+
+	pages []pageRef
 }
 
 // Schema reconstructs the table schema recorded in the footer.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -34,7 +35,9 @@ func (s *Segment) Rows() int { return s.Footer.Rows }
 func (s *Segment) Sketch() *cost.Table { return s.Footer.Sketch() }
 
 // Decode materializes the segment's rows, bit-identical to the rows it
-// was encoded from.
+// was encoded from. It reads the whole segment in one go and verifies all
+// of it — header, footer and every page — against the bytes it read, not
+// against the footer the segment was opened with.
 func (s *Segment) Decode() ([]types.Row, error) {
 	data := s.data
 	if data == nil {
@@ -44,7 +47,13 @@ func (s *Segment) Decode() ([]types.Row, error) {
 		}
 		data = b
 	}
-	return decodeSegment(data)
+	footer, err := footerOf(data)
+	if err != nil {
+		return nil, err
+	}
+	r := (&Segment{Footer: footer, data: data}).NewReader(nil)
+	defer r.Close()
+	return r.Box(Sel{Hi: footer.Rows})
 }
 
 // Remove deletes a file-backed segment (spill segments are transient).
@@ -240,8 +249,9 @@ func OpenDir(dir string) (*Store, error) {
 	return st, nil
 }
 
-// readFooterFile reads only the footer of a segment file: the 8-byte
-// tail gives the footer length, one more seek reads the footer itself.
+// readFooterFile reads and verifies the header and footer of a segment
+// file without touching a page: the tail gives the footer length and
+// checksum, two more reads fetch the header and the footer itself.
 func readFooterFile(path string) (Footer, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -252,25 +262,33 @@ func readFooterFile(path string) (Footer, error) {
 	if err != nil {
 		return Footer{}, err
 	}
-	if size < 8 {
-		return Footer{}, errCorrupt("file too small")
+	if size < headerLen+tailLen {
+		return Footer{}, errCorrupt("%d bytes is too short for a segment", size)
 	}
-	tail := make([]byte, 8)
-	if _, err := f.ReadAt(tail, size-8); err != nil {
+	head := make([]byte, headerLen)
+	if _, err := f.ReadAt(head, 0); err != nil {
 		return Footer{}, err
 	}
-	if string(tail[4:]) != string(tailMagic) {
+	if err := checkMagic(head); err != nil {
+		return Footer{}, err
+	}
+	tail := make([]byte, tailLen)
+	if _, err := f.ReadAt(tail, size-tailLen); err != nil {
+		return Footer{}, err
+	}
+	if string(tail[8:]) != tailMagic {
 		return Footer{}, errCorrupt("bad tail magic")
 	}
-	flen := int64(uint32(tail[0]) | uint32(tail[1])<<8 | uint32(tail[2])<<16 | uint32(tail[3])<<24)
-	if flen > size-8 {
+	end := size - tailLen
+	flen := int64(binary.LittleEndian.Uint32(tail[4:]))
+	if flen > end-headerLen {
 		return Footer{}, errCorrupt("footer length out of range")
 	}
-	buf := make([]byte, flen)
-	if _, err := f.ReadAt(buf, size-8-flen); err != nil {
+	foot := make([]byte, flen)
+	if _, err := f.ReadAt(foot, end-flen); err != nil {
 		return Footer{}, err
 	}
-	return decodeFooter(buf)
+	return parseSegmentFooter(head, foot, binary.LittleEndian.Uint32(tail), end-flen-headerLen)
 }
 
 func sameSchema(a, b *types.Schema) bool {

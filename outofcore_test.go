@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"skysql"
@@ -139,6 +140,163 @@ func TestMillionPointPruningBitIdentical(t *testing.T) {
 	// on d1-sorted data leaves all but the leading segments provably empty.
 	if pruned := df.Metrics().SegmentsPruned(); pruned < 1 {
 		t.Errorf("SegmentsPruned = %d, want at least 1 of 16 segments skipped", pruned)
+	}
+}
+
+// writeScanSegments writes the benchmark's scan_segments table at the
+// given size as segment files under dir: independent d=4 data (id,
+// d1..d4) in seven segments, the layout the benchmark's smoke run keeps.
+// It returns the workload's query, whose id cut prunes three of them.
+func writeScanSegments(tb testing.TB, dir string, rows int) string {
+	tb.Helper()
+	cfg := datagen.Config{Seed: 1, Complete: true}
+	w := storage.NewWriter(datagen.SyntheticSchema(4, cfg), dir, "t", rows/7+1)
+	if err := datagen.SyntheticStream(datagen.Independent, rows, 4, cfg, w.Append); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return fmt.Sprintf("SELECT * FROM t WHERE id >= %d AND d1 < 0.5 SKYLINE OF COMPLETE d1 MIN, d2 MIN, d3 MIN, d4 MIN", rows/2)
+}
+
+// BenchmarkSegmentScan is the micro tier of the on-disk scan: the
+// benchmark's scan_segments query shape over file-backed segments.
+// ns/row is per table row; run with -benchmem for allocs/op.
+func BenchmarkSegmentScan(b *testing.B) {
+	const rows = 200000
+	dir := b.TempDir()
+	query := writeScanSegments(b, dir, rows)
+	sess := skysql.NewSession(skysql.WithExecutors(4))
+	b.Cleanup(sess.Close)
+	if err := sess.OpenSegments("t", dir); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sess.Query(query); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Query(query); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+}
+
+// TestSegmentScanPeakBelowBoxedSurvivors: the scan_segments query must
+// never hold the surviving segments as boxed rows. Its peak accounted
+// bytes stay below what those rows take boxed — the first stage reads
+// pages into its batch and boxes only the rows its local skylines keep.
+func TestSegmentScanPeakBelowBoxedSurvivors(t *testing.T) {
+	const rows = 14000
+	dir := t.TempDir()
+	query := writeScanSegments(t, dir, rows)
+	sess := skysql.NewSession(skysql.WithExecutors(4))
+	t.Cleanup(sess.Close)
+	if err := sess.OpenSegments("t", dir); err != nil {
+		t.Fatal(err)
+	}
+	df, err := sess.SQL(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := df.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := storage.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var boxed int64
+	survivors := 0
+	for _, seg := range store.Segments() {
+		if seg.Footer.Cols[0].Max < rows/2 {
+			continue // the id cut prunes it
+		}
+		survivors++
+		decoded, err := seg.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range decoded {
+			boxed += r.MemSize()
+		}
+	}
+	if pruned := df.Metrics().SegmentsPruned(); pruned != int64(len(store.Segments())-survivors) {
+		t.Fatalf("pruned %d segments, want %d", pruned, len(store.Segments())-survivors)
+	}
+	peak := df.Metrics().PeakBytes()
+	if peak >= boxed {
+		t.Fatalf("peak %d bytes, not below the %d bytes of the %d surviving segments boxed", peak, boxed, survivors)
+	}
+	t.Logf("peak %d bytes; the %d surviving segments take %d boxed", peak, survivors, boxed)
+}
+
+// TestConcurrentSegmentScans runs several goroutines over one segment
+// table, each cycling through query shapes that take the page path, the
+// boxed path and both, on one session with a per-query and a global
+// memory budget. Every answer must equal the in-memory session's, and
+// when the goroutines are done the governor holds no byte.
+func TestConcurrentSegmentScans(t *testing.T) {
+	const rows = 7000
+	dir := t.TempDir()
+	queries := []string{
+		writeScanSegments(t, dir, rows),
+		"SELECT * FROM t SKYLINE OF COMPLETE d1 MIN, d2 MAX",
+		"SELECT id, d3 FROM t WHERE d2 > 0.3 SKYLINE OF COMPLETE d3 MIN, id MAX",
+		"SELECT * FROM t WHERE d1 + d2 < 1 SKYLINE OF COMPLETE d1 MAX, d4 MIN",
+		"SELECT * FROM t WHERE id < 3000 SKYLINE OF COMPLETE d2 MIN, d3 MIN, d4 MIN",
+	}
+	tab := datagen.Synthetic(datagen.Independent, rows, 4, datagen.Config{Seed: 1, Complete: true})
+	mem := skysql.NewSession(skysql.WithExecutors(4))
+	t.Cleanup(mem.Close)
+	if err := mem.CreateTable("t", tab.Schema, tab.Rows); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		got, err := mem.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fmt.Sprint(rowsToStrings(got))
+	}
+
+	sess := skysql.NewSession(skysql.WithExecutors(4),
+		skysql.WithMemoryBudget(64<<20), skysql.WithGlobalMemoryBudget(256<<20))
+	t.Cleanup(sess.Close)
+	if err := sess.OpenSegments("t", dir); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3*len(queries); i++ {
+				qi := (g + i) % len(queries)
+				got, err := sess.Query(queries[qi])
+				if err != nil {
+					errs <- fmt.Errorf("%s: %w", queries[qi], err)
+					return
+				}
+				if fmt.Sprint(rowsToStrings(got)) != want[qi] {
+					errs <- fmt.Errorf("%s: segment answer differs from the in-memory one", queries[qi])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if live := sess.GovernorStats().LiveBytes; live != 0 {
+		t.Errorf("governor holds %d bytes after every query returned", live)
 	}
 }
 
