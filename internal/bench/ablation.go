@@ -17,24 +17,15 @@ import (
 // test counts, the machine-independent cost the paper identifies as the
 // main cost factor (§2).
 func runAblation(cfg Config, w io.Writer) error {
-	// variants pairs each algorithm with its planner options; the two SFS
-	// rows ablate the entropy-score presort against the Z-order
-	// space-filling-curve presort (same skyline, different processing
-	// order — the ROADMAP's SFS presort open item).
-	type variant struct {
-		alg  core.Algorithm
-		opts physical.Options
-	}
-	algs := []variant{
-		{alg: core.Algorithm{Name: "distributed complete", Strategy: physical.SkylineDistributedComplete}},
-		{alg: core.Algorithm{Name: "non-distributed complete", Strategy: physical.SkylineNonDistributedComplete}},
-		{alg: core.Algorithm{Name: "grid complete", Strategy: physical.SkylineGridComplete}},
-		{alg: core.Algorithm{Name: "angle complete", Strategy: physical.SkylineAngleComplete}},
-		{alg: core.Algorithm{Name: "zorder complete", Strategy: physical.SkylineZorderComplete}},
-		{alg: core.Algorithm{Name: "sfs (entropy presort)", Strategy: physical.SkylineSFS}},
-		{alg: core.Algorithm{Name: "sfs (zorder presort)", Strategy: physical.SkylineSFS}, opts: physical.Options{SFSZorderPresort: true}},
-		{alg: core.Algorithm{Name: "divide-and-conquer", Strategy: physical.SkylineDivideAndConquer}},
-		{alg: core.Algorithm{Name: "cost-based", Strategy: physical.SkylineCostBased}},
+	algs := []core.Algorithm{
+		{Name: "distributed complete", Strategy: physical.SkylineDistributedComplete},
+		{Name: "non-distributed complete", Strategy: physical.SkylineNonDistributedComplete},
+		{Name: "grid complete", Strategy: physical.SkylineGridComplete},
+		{Name: "angle complete", Strategy: physical.SkylineAngleComplete},
+		{Name: "zorder complete", Strategy: physical.SkylineZorderComplete},
+		{Name: "sfs", Strategy: physical.SkylineSFS},
+		{Name: "divide-and-conquer", Strategy: physical.SkylineDivideAndConquer},
+		{Name: "cost-based", Strategy: physical.SkylineCostBased},
 	}
 	n := cfg.scaled(20000)
 	const dims = 4
@@ -51,18 +42,16 @@ func runAblation(cfg Config, w io.Writer) error {
 		query := datagen.SkylineQuery("t", qdims, false, true)
 		fmt.Fprintf(w, "ablation | distribution=%s tuples=%d dimensions=%d\n", dist, n, dims)
 		fmt.Fprintf(w, "%-26s%12s%16s%12s\n", "algorithm", "time [s]", "dom. tests", "skyline")
-		for _, v := range algs {
-			opts := v.opts
-			opts.Strategy = v.alg.Strategy
-			res, err := engine.Query(query, executors, opts)
+		for _, alg := range algs {
+			res, err := engine.Query(query, executors, physical.Options{Strategy: alg.Strategy})
 			if err != nil {
-				return fmt.Errorf("ablation %s/%s: %w", dist, v.alg.Name, err)
+				return fmt.Errorf("ablation %s/%s: %w", dist, alg.Name, err)
 			}
 			fmt.Fprintf(w, "%-26s%12.3f%16d%12d\n",
-				v.alg.Name, res.Duration.Seconds(), res.Metrics.Sky.DominanceTests(), len(res.Rows))
+				alg.Name, res.Duration.Seconds(), res.Metrics.Sky.DominanceTests(), len(res.Rows))
 			if cfg.Observer != nil {
 				m := Measurement{Spec: Spec{Dataset: "synthetic_" + dist.String(), Complete: true,
-					Dimensions: dims, Tuples: n, Executors: executors, Algorithm: v.alg}}
+					Dimensions: dims, Tuples: n, Executors: executors, Algorithm: alg}}
 				cfg.fill(&m, res)
 				cfg.Observer(m)
 			}

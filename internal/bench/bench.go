@@ -398,6 +398,27 @@ func (c Config) Run(spec Spec) Measurement {
 	return m
 }
 
+// modelContext returns a context whose rounds run on the harness
+// substrate: a Simulator that runs tasks one at a time and charges each
+// round its greedy makespan on executors workers plus 1 ms per task.
+func modelContext(executors int) *cluster.Context {
+	ctx := cluster.NewContext(executors)
+	ctx.Runner = &cluster.Simulator{Executors: executors, TaskOverhead: time.Millisecond}
+	return ctx
+}
+
+// runModelled runs c on a context from modelContext and reports the
+// result's duration in modelled time: the rounds' makespans in place of the
+// serial time their tasks took.
+func runModelled(engine *core.Engine, c *core.Compiled, ctx *cluster.Context) (*core.Result, error) {
+	res, err := engine.RunCtx(c, ctx)
+	if err != nil {
+		return nil, err
+	}
+	res.Duration = max(res.Duration+ctx.Runner.(*cluster.Simulator).Adjustment(), 0)
+	return res, nil
+}
+
 func (c Config) run(spec Spec) Measurement {
 	m := Measurement{Spec: spec}
 	w, err := c.buildWorkload(spec)
@@ -417,9 +438,7 @@ func (c Config) run(spec Spec) Measurement {
 		m.Err = err
 		return m
 	}
-	ctx := cluster.NewContext(spec.Executors)
-	ctx.Simulate = true
-	ctx.TaskOverhead = time.Millisecond
+	ctx := modelContext(spec.Executors)
 	ctx.TargetRowsPerPartition = spec.AdaptiveTarget
 	ctx.AdaptiveExchange = spec.AdaptiveDefault
 	ctx.DisableCostGate = spec.NoCostGate
@@ -444,7 +463,7 @@ func (c Config) run(spec Spec) Measurement {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := engine.RunCtx(compiled, ctx)
+		res, err := runModelled(engine, compiled, ctx)
 		done <- outcome{res, err}
 	}()
 	select {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"skysql/internal/catalog"
-	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/datagen"
 	"skysql/internal/physical"
@@ -40,12 +39,6 @@ func runCache(cfg Config, w io.Writer) error {
 	const executors = 8
 	alg := core.Algorithm{Name: "distributed complete", Strategy: physical.SkylineDistributedComplete}
 
-	newCtx := func() *cluster.Context {
-		ctx := cluster.NewContext(executors)
-		ctx.Simulate = true
-		ctx.TaskOverhead = time.Millisecond
-		return ctx
-	}
 	renderRows := func(rows []types.Row) string {
 		var b strings.Builder
 		for _, r := range rows {
@@ -78,7 +71,7 @@ func runCache(cfg Config, w io.Writer) error {
 		return fmt.Errorf("cache cold/warm: %w", err)
 	}
 	runOnce := func(variant string) (Measurement, *core.Result, error) {
-		res, err := engine.RunCtx(compiled, newCtx())
+		res, err := runModelled(engine, compiled, modelContext(executors))
 		if err != nil {
 			return Measurement{}, nil, err
 		}
@@ -147,7 +140,7 @@ func runCache(cfg Config, w io.Writer) error {
 		var total time.Duration
 		rows := 0
 		for _, si := range seq {
-			res, err := engMix.RunCtx(plans[si], newCtx())
+			res, err := runModelled(engMix, plans[si], modelContext(executors))
 			if err != nil {
 				return 0, 0, err
 			}
@@ -228,7 +221,7 @@ func runCache(cfg Config, w io.Writer) error {
 					total += time.Since(start)
 				}
 			}
-			res, err := eng.RunCtx(plan, newCtx())
+			res, err := runModelled(eng, plan, modelContext(executors))
 			if err != nil {
 				return Measurement{}, "", err
 			}

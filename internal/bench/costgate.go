@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"skysql/internal/catalog"
-	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/datagen"
 	"skysql/internal/physical"
@@ -77,13 +75,11 @@ func runCostGate(cfg Config, w io.Writer) error {
 				if err != nil {
 					return fmt.Errorf("costgate %s/%s: %w", dist, v.name, err)
 				}
-				ctx := cluster.NewContext(executors)
-				ctx.Simulate = true
-				ctx.TaskOverhead = time.Millisecond
+				ctx := modelContext(executors)
 				ctx.DisableCostGate = v.noCostGate
 				ctx.AdaptiveExchange = v.adaptiveDefault
 				ctx.DecodeAtScan = !v.noVector && !v.noKernel
-				res, err := engine.RunCtx(compiled, ctx)
+				res, err := runModelled(engine, compiled, ctx)
 				if err != nil {
 					return fmt.Errorf("costgate %s/%s: %w", dist, v.name, err)
 				}

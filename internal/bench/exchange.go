@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"skysql/internal/catalog"
-	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/datagen"
 	"skysql/internal/physical"
@@ -75,14 +73,12 @@ func runExchange(cfg Config, w io.Writer) error {
 				if err != nil {
 					return fmt.Errorf("exchange %s/%s: %w", dist, alg.Name, err)
 				}
-				ctx := cluster.NewContext(executors)
-				ctx.Simulate = true
-				ctx.TaskOverhead = time.Millisecond
+				ctx := modelContext(executors)
 				ctx.TargetRowsPerPartition = v.adaptive
 				// Pin the ungated path; the costgate experiment measures the
 				// gate (no filters here, so this is purely declarative).
 				ctx.DisableCostGate = true
-				res, err := engine.RunCtx(compiled, ctx)
+				res, err := runModelled(engine, compiled, ctx)
 				if err != nil {
 					return fmt.Errorf("exchange %s/%s/%s: %w", dist, alg.Name, v.name, err)
 				}

@@ -5,10 +5,8 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
 
 	"skysql/internal/catalog"
-	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/datagen"
 	"skysql/internal/physical"
@@ -95,14 +93,12 @@ func runStorage(cfg Config, w io.Writer) error {
 			if err != nil {
 				return Measurement{}, err
 			}
-			ctx := cluster.NewContext(executors)
-			ctx.Simulate = true
-			ctx.TaskOverhead = time.Millisecond
+			ctx := modelContext(executors)
 			ctx.DecodeAtScan = true
 			ctx.DisableSegmentPrune = v.noPrune
 			ctx.MemoryBudget = budget
 			ctx.SpillDir = spillDir
-			res, err := engine.RunCtx(compiled, ctx)
+			res, err := runModelled(engine, compiled, ctx)
 			if err != nil {
 				return Measurement{}, err
 			}
@@ -169,13 +165,11 @@ func runStorage(cfg Config, w io.Writer) error {
 		if err != nil {
 			return Measurement{}, err
 		}
-		ctx := cluster.NewContext(executors)
-		ctx.Simulate = true
-		ctx.TaskOverhead = time.Millisecond
+		ctx := modelContext(executors)
 		ctx.DecodeAtScan = true
 		ctx.MemoryBudget = budget
 		ctx.SpillDir = spillDir
-		res, err := engine.RunCtx(compiled, ctx)
+		res, err := runModelled(engine, compiled, ctx)
 		if err != nil {
 			return Measurement{}, err
 		}

@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"skysql/internal/catalog"
-	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/datagen"
 	"skysql/internal/physical"
@@ -74,16 +72,14 @@ func runVectorized(cfg Config, w io.Writer) error {
 				if err != nil {
 					return fmt.Errorf("vectorized %s/%s: %w", dist, v.name, err)
 				}
-				ctx := cluster.NewContext(executors)
-				ctx.Simulate = true
-				ctx.TaskOverhead = time.Millisecond
+				ctx := modelContext(executors)
 				// Pin the ungated decode-at-scan path: this experiment ablates
 				// the vectorized engine itself, and its BENCH_PR4 trajectory
 				// must stay comparable across PRs. The costgate experiment
 				// measures the gate.
 				ctx.DisableCostGate = true
 				ctx.DecodeAtScan = !v.noVector && !v.noKernel
-				res, err := engine.RunCtx(compiled, ctx)
+				res, err := runModelled(engine, compiled, ctx)
 				if err != nil {
 					return fmt.Errorf("vectorized %s/%s: %w", dist, v.name, err)
 				}

@@ -9,8 +9,8 @@
 // faults — and therefore the retry counters benchdiff gates on — depends
 // only on the key tuple, never on timing or worker interleaving. The same
 // seed over the same plan injects the same faults whether the run executes
-// serially in simulate mode, on the per-stage goroutine loop, or on the
-// work-stealing pool under the race detector.
+// on the work-stealing pool under the race detector or serially on the
+// harness's makespan model.
 package chaos
 
 import "time"

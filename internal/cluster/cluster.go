@@ -1,10 +1,11 @@
 // Package cluster is the execution substrate standing in for the Spark
-// cluster of the paper's evaluation (§6.1): a pool of executors
-// (goroutines) processing partitioned datasets, exchange (shuffle)
-// primitives with the distributions the skyline operators need
+// cluster of the paper's evaluation (§6.1): a work-stealing pool of
+// executors (goroutines) processing partitioned datasets, exchange
+// (shuffle) primitives with the distributions the skyline operators need
 // (Unspecified, AllTuples, NullBitmap, Hash), and metrics — wall-clock is
 // measured by callers; this package tracks machine-independent counters
-// (rows shuffled, peak materialized bytes) plus the executor-count model.
+// (rows shuffled, peak materialized bytes). The executor-count model
+// (Simulator) is a substitute Runner for the evaluation harness.
 package cluster
 
 import (
@@ -192,7 +193,7 @@ func (m *Metrics) AddSegmentsPruned(n int64) {
 // the zone maps proved the filter predicate empty over them. Prune
 // decisions are pure functions of (footer zone maps, predicate) — never
 // wall clock or worker placement — so the count is deterministic and
-// benchdiff can gate it, simulate mode included.
+// benchdiff can gate it, under any Runner.
 func (m *Metrics) SegmentsPruned() int64 {
 	if m == nil {
 		return 0
@@ -336,18 +337,11 @@ func (m *Metrics) MorselsExecuted() int64 {
 
 // AddSteal records one work-stealing event: a task executed by a worker
 // other than the one it was enqueued on. On the real pool this is observed;
-// in simulate mode it is derived from the greedy makespan model's task
-// placement (a morsel placed off its home partition's worker).
+// a Simulator derives it from the greedy makespan model's task placement (a
+// task placed off its home worker).
 func (m *Metrics) AddSteal() {
 	if m != nil {
 		m.steals.Add(1)
-	}
-}
-
-// AddSteals records n work-stealing events at once.
-func (m *Metrics) AddSteals(n int64) {
-	if m != nil && n != 0 {
-		m.steals.Add(n)
 	}
 }
 
@@ -389,9 +383,9 @@ func (m *Metrics) WorkerBusy() []time.Duration {
 	return out
 }
 
-// AddParallelRound accumulates one parallel round's busy time (the summed
-// task work) and wall time (the round's real or modeled makespan). Their
-// running ratio is the achieved parallelism.
+// AddParallelRound accumulates one round's busy time (the summed task
+// work) and wall time (the round's real or modeled makespan). Their running
+// ratio is the achieved parallelism.
 func (m *Metrics) AddParallelRound(busy, wall time.Duration) {
 	if m == nil {
 		return
@@ -570,9 +564,9 @@ func (m *Metrics) VectorizedBatches() int64 {
 }
 
 // StageTime is the makespan record of one executed stage (one scheduled
-// MapPartitions task round): in simulate mode Elapsed is the modeled
-// makespan under the configured executor count (including per-task
-// overhead), otherwise the real wall time of the round.
+// task round): Elapsed is the round's duration as its Runner reports it —
+// the real wall time on the pool, the modeled makespan (including per-task
+// overhead) on a Simulator.
 type StageTime struct {
 	Tasks   int
 	Elapsed time.Duration
@@ -726,16 +720,11 @@ type Context struct {
 	// Metrics receives counters; may be nil.
 	Metrics *Metrics
 
-	// Simulate switches MapPartitions into discrete-event mode: tasks run
-	// one at a time, each is timed, and the stage contributes its makespan
-	// under Executors workers (plus TaskOverhead per task) to the
-	// simulated clock instead of its serial wall time. This models the
-	// paper's cluster faithfully on machines whose real core count is
-	// smaller than the executor count under test.
-	Simulate bool
-	// TaskOverhead is the modeled per-task launch cost in simulation mode
-	// (Spark pays several milliseconds per task; the harness uses 1ms).
-	TaskOverhead time.Duration
+	// Runner executes the context's task rounds: typically the session's
+	// work-stealing pool, which concurrent queries may share, or a Simulator
+	// in the evaluation harness. nil runs each round on a transient pool of
+	// min(Executors, tasks) workers.
+	Runner Runner
 
 	// DecodeAtScan lets fused stages decode their columnar batch at the
 	// stage source (one boxed pass over the scanned partition, or — over a
@@ -773,13 +762,6 @@ type Context struct {
 	// exactly as before the gate existed. Results are bit-identical either
 	// way; the switch exists for A/B ablation of the gate itself.
 	DisableCostGate bool
-
-	// Pool, when non-nil, runs task rounds on a persistent work-stealing
-	// worker pool instead of spawning goroutines per stage. The pool is
-	// owned by the caller (typically the session) and may be shared by
-	// concurrent queries. Ignored in Simulate mode, where tasks run
-	// serially by definition.
-	Pool *WorkerPool
 
 	// MorselParallel lets splittable task rounds cut large partitions into
 	// morsels — bounded row ranges sharing the partition's columnar sidecar
@@ -845,20 +827,11 @@ type Context struct {
 	// win itself.
 	DisableSegmentPrune bool
 
-	taskRealNanos atomic.Int64 // serial time actually spent inside tasks
-	taskSimNanos  atomic.Int64 // simulated makespan of those stages
-	canceled      atomic.Bool
-	degradeLevel  atomic.Int32 // memory-governor ladder position
+	canceled     atomic.Bool
+	degradeLevel atomic.Int32 // memory-governor ladder position
 
 	cancelMu  sync.Mutex
 	cancelErr error // cause recorded by the first CancelWith
-}
-
-// SimAdjustment returns the delta to add to a real elapsed measurement to
-// obtain the simulated duration: simulated stage makespans minus the serial
-// time the tasks really took. Zero when Simulate is off.
-func (c *Context) SimAdjustment() time.Duration {
-	return time.Duration(c.taskSimNanos.Load() - c.taskRealNanos.Load())
 }
 
 // Cancel requests cooperative termination of the run; long-running
@@ -1026,8 +999,7 @@ func (c *Context) mapRanges(sizes []int, splittable bool, bind func(dropSidecars
 	// partition's morsels cluster on one worker's deque and rebalancing
 	// shows up as steals.
 	var (
-		tasks   []func() error
-		homes   []int
+		tasks   []Task
 		results = make([][]morselResult, n)
 	)
 	for p := 0; p < n; p++ {
@@ -1040,7 +1012,7 @@ func (c *Context) mapRanges(sizes []int, splittable bool, bind func(dropSidecars
 		results[p] = make([]morselResult, len(bounds))
 		for s, bd := range bounds {
 			p, s, lo, hi := p, s, bd[0], bd[1]
-			tasks = append(tasks, c.taskAttempts(stage, int64(p), int64(s), func() error {
+			tasks = append(tasks, Task{Home: p, Run: c.taskAttempts(stage, int64(p), int64(s), func() error {
 				res, b, err := fn(p, lo, hi)
 				if err != nil {
 					return err
@@ -1050,17 +1022,13 @@ func (c *Context) mapRanges(sizes []int, splittable bool, bind func(dropSidecars
 				}
 				results[p][s] = morselResult{rows: res, batch: b}
 				return nil
-			}))
-			homes = append(homes, p)
+			})})
 		}
 	}
 	if morselMode {
 		c.Metrics.AddMorsels(int64(len(tasks)))
 	}
-	if !morselMode {
-		homes = nil // whole-partition round: no modeled steal accounting
-	}
-	if err := c.runTasks(tasks, homes); err != nil {
+	if err := c.runTasks(tasks); err != nil {
 		return nil, err
 	}
 
@@ -1121,13 +1089,10 @@ func (c *Context) morselBounds(rows int) [][2]int {
 	return evenChunkBounds(rows, (rows+target-1)/target)
 }
 
-// RunMorsels executes tasks as one scheduled parallel round under the
-// context's execution mode — the primitive behind the morsel-parallel
-// global skyline, whose work units are index ranges of one merged batch
-// rather than partitions of a dataset. Each task counts as a morsel; in
-// simulate mode the round contributes its greedy makespan over the
-// measured task durations to the simulated clock, exactly like a
-// MapPartitions round.
+// RunMorsels executes tasks as one scheduled round on the context's Runner
+// — the primitive behind the morsel-parallel global skyline, whose work
+// units are index ranges of one merged batch rather than partitions of a
+// dataset. Each task counts as a morsel, homed on its own index.
 func (c *Context) RunMorsels(tasks []func() error) error {
 	if len(tasks) == 0 {
 		return nil
@@ -1138,158 +1103,44 @@ func (c *Context) RunMorsels(tasks []func() error) error {
 	c.Metrics.AddStage()
 	stage := c.Metrics.StagesExecuted()
 	c.Metrics.AddMorsels(int64(len(tasks)))
-	wrapped := make([]func() error, len(tasks))
-	homes := make([]int, len(tasks))
+	wrapped := make([]Task, len(tasks))
 	for i := range tasks {
-		wrapped[i] = c.taskAttempts(stage, int64(i), 0, tasks[i])
-		homes[i] = i
+		wrapped[i] = Task{Home: i, Run: c.taskAttempts(stage, int64(i), 0, tasks[i])}
 	}
-	return c.runTasks(wrapped, homes)
+	return c.runTasks(wrapped)
 }
 
-// runTasks executes one round of tasks under the context's execution mode:
-// serial discrete-event simulation (Simulate), the persistent work-stealing
-// pool (Pool), or the classic per-stage goroutine loop. homes, when
-// non-nil, marks a morsel round and gives each task's home worker for
-// steal accounting; nil rounds skip the modeled steal/busy bookkeeping.
-func (c *Context) runTasks(tasks []func() error, homes []int) error {
-	if len(tasks) == 0 {
-		return nil
+// runTasks executes one round of tasks on the context's Runner (a
+// transient pool when none is set) and records the round's stage time,
+// steals, per-worker busy time and parallelism from what the Runner
+// observes.
+func (c *Context) runTasks(tasks []Task) error {
+	runner := c.Runner
+	if runner == nil {
+		pool := NewWorkerPool(min(c.Executors, len(tasks)))
+		defer pool.Close()
+		runner = pool
 	}
-	if c.Simulate {
-		return c.runTasksSimulated(tasks, homes)
-	}
-	start := time.Now()
-	var err error
-	if c.Pool != nil {
-		poolTasks := make([]Task, len(tasks))
-		for i := range tasks {
-			home := i
-			if homes != nil {
-				home = homes[i]
-			}
-			poolTasks[i] = Task{Home: home, Run: tasks[i]}
+	var busy atomic.Int64
+	elapsed, err := runner.RunBatch(tasks, c.Canceled, func(worker int, stolen bool, d time.Duration) {
+		if stolen {
+			c.Metrics.AddSteal()
 		}
-		var busy atomic.Int64
-		err = c.Pool.RunBatch(poolTasks, c.Canceled, func(worker int, stolen bool, d time.Duration) {
-			if stolen {
-				c.Metrics.AddSteal()
-			}
-			c.Metrics.AddWorkerBusy(worker, d)
-			busy.Add(int64(d))
-		})
-		// The pool only knows the ErrCanceled sentinel; when the context
+		c.Metrics.AddWorkerBusy(worker, d)
+		busy.Add(int64(d))
+	})
+	if err != nil {
+		// The Runner only knows the ErrCanceled sentinel; when the context
 		// recorded a richer cause (a deadline, a budget failure), surface it.
 		if errors.Is(err, ErrCanceled) {
 			if cause := c.CheckCanceled(); cause != nil {
 				err = cause
 			}
 		}
-		if err == nil {
-			wall := time.Since(start)
-			c.Metrics.AddStageTime(len(tasks), wall)
-			c.Metrics.AddParallelRound(time.Duration(busy.Load()), wall)
-		}
 		return err
 	}
-	if err = c.runTasksGoroutines(tasks); err != nil {
-		return err
-	}
-	c.Metrics.AddStageTime(len(tasks), time.Since(start))
-	return nil
-}
-
-// runTasksSimulated runs the round serially, measures each task, and
-// advances the simulated clock by the greedy makespan of scheduling the
-// measured durations onto Executors workers — morsel durations when the
-// round was split, partition durations otherwise, the same Makespan model
-// either way (the simulate path's honesty contract). For morsel rounds the
-// model's task placement also yields the deterministic-shape steal and
-// per-worker busy accounting the real pool observes.
-func (c *Context) runTasksSimulated(tasks []func() error, homes []int) error {
-	durations := make([]time.Duration, len(tasks))
-	var serial, busy time.Duration
-	for i, t := range tasks {
-		if err := c.CheckCanceled(); err != nil {
-			return err
-		}
-		start := time.Now()
-		if err := t(); err != nil {
-			return err
-		}
-		d := time.Since(start)
-		durations[i] = d + c.TaskOverhead
-		serial += d
-		busy += durations[i]
-	}
-	makespan, assign := MakespanAssign(durations, c.Executors)
-	c.taskRealNanos.Add(int64(serial))
-	c.taskSimNanos.Add(int64(makespan))
-	c.Metrics.AddStageTime(len(tasks), makespan)
-	if homes != nil {
-		k := c.Executors
-		if k > len(tasks) {
-			k = len(tasks)
-		}
-		if k < 1 {
-			k = 1
-		}
-		steals := int64(0)
-		for i, w := range assign {
-			if w != homes[i]%k {
-				steals++
-			}
-			c.Metrics.AddWorkerBusy(w, durations[i])
-		}
-		c.Metrics.AddSteals(steals)
-		c.Metrics.AddParallelRound(busy, makespan)
-	}
-	return nil
-}
-
-// runTasksGoroutines is the classic per-stage scheduling loop: Executors
-// goroutines pulling tasks off a shared index. Workers re-check the
-// round's error slot before every pull, so one failed or canceled task
-// stops the round promptly instead of letting the remaining workers drain
-// every task that was still queued.
-func (c *Context) runTasksGoroutines(tasks []func() error) error {
-	n := len(tasks)
-	workers := c.Executors
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		firstErr atomic.Value
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if firstErr.Load() != nil {
-					return
-				}
-				if err := c.CheckCanceled(); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				if err := tasks[i](); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.Load(); err != nil {
-		return err.(error)
-	}
+	c.Metrics.AddStageTime(len(tasks), elapsed)
+	c.Metrics.AddParallelRound(time.Duration(busy.Load()), elapsed)
 	return nil
 }
 
@@ -1361,47 +1212,6 @@ func (c *Context) partitionTarget(rows int) int {
 		})
 	}
 	return chosen
-}
-
-// Makespan computes the completion time of scheduling tasks (in order)
-// greedily onto k workers: each task goes to the earliest-available worker.
-func Makespan(tasks []time.Duration, k int) time.Duration {
-	m, _ := MakespanAssign(tasks, k)
-	return m
-}
-
-// MakespanAssign is Makespan also reporting the worker each task was placed
-// on — the placement the simulate path uses to model steals and per-worker
-// busy time without a real pool.
-func MakespanAssign(tasks []time.Duration, k int) (time.Duration, []int) {
-	if k < 1 {
-		k = 1
-	}
-	if k > len(tasks) {
-		k = len(tasks)
-	}
-	if k == 0 {
-		return 0, nil
-	}
-	avail := make([]time.Duration, k)
-	assign := make([]int, len(tasks))
-	for t, d := range tasks {
-		minI := 0
-		for i := 1; i < k; i++ {
-			if avail[i] < avail[minI] {
-				minI = i
-			}
-		}
-		avail[minI] += d
-		assign[t] = minI
-	}
-	var max time.Duration
-	for _, a := range avail {
-		if a > max {
-			max = a
-		}
-	}
-	return max, assign
 }
 
 // Distribution selects how an exchange repartitions data, mirroring the

@@ -227,15 +227,23 @@ func TestMakespan(t *testing.T) {
 		{[]time.Duration{d(5)}, 0, d(5)}, // k floor of 1
 	}
 	for _, tt := range tests {
-		if got := Makespan(tt.tasks, tt.k); got != tt.want {
-			t.Errorf("Makespan(%v, %d) = %v, want %v", tt.tasks, tt.k, got, tt.want)
+		if got, _ := makespan(tt.tasks, tt.k); got != tt.want {
+			t.Errorf("makespan(%v, %d) = %v, want %v", tt.tasks, tt.k, got, tt.want)
 		}
 	}
 }
 
+// simContext returns a context whose rounds run on a Simulator of the
+// context's executor count.
+func simContext(executors int, overhead time.Duration) (*Context, *Simulator) {
+	ctx := NewContext(executors)
+	sim := &Simulator{Executors: executors, TaskOverhead: overhead}
+	ctx.Runner = sim
+	return ctx, sim
+}
+
 func TestSimulatedMapPartitions(t *testing.T) {
-	ctx := NewContext(4)
-	ctx.Simulate = true
+	ctx, sim := simContext(4, 0)
 	d := NewDataset(rows(1), rows(2), rows(3), rows(4))
 	out, err := ctx.MapPartitions(d, func(i int, part []types.Row) ([]types.Row, error) {
 		time.Sleep(2 * time.Millisecond)
@@ -246,25 +254,23 @@ func TestSimulatedMapPartitions(t *testing.T) {
 	}
 	// 4 tasks of ~2ms on 4 workers → makespan ~2ms; serial real ~8ms;
 	// adjustment must be negative (simulation is faster than serial).
-	if ctx.SimAdjustment() >= 0 {
-		t.Errorf("SimAdjustment = %v, want negative", ctx.SimAdjustment())
+	if sim.Adjustment() >= 0 {
+		t.Errorf("Adjustment = %v, want negative", sim.Adjustment())
 	}
 	// With 1 executor the adjustment must be ~TaskOverhead only.
-	ctx1 := NewContext(1)
-	ctx1.Simulate = true
+	ctx1, sim1 := simContext(1, 0)
 	if _, err := ctx1.MapPartitions(d, func(i int, part []types.Row) ([]types.Row, error) {
 		return part, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if ctx1.SimAdjustment() < 0 {
-		t.Errorf("1-executor SimAdjustment = %v, want >= 0", ctx1.SimAdjustment())
+	if sim1.Adjustment() < 0 {
+		t.Errorf("1-executor Adjustment = %v, want >= 0", sim1.Adjustment())
 	}
 }
 
 func TestSimulatedCancel(t *testing.T) {
-	ctx := NewContext(2)
-	ctx.Simulate = true
+	ctx, _ := simContext(2, 0)
 	ctx.Cancel()
 	_, err := ctx.MapPartitions(NewDataset(rows(1)), func(i int, p []types.Row) ([]types.Row, error) {
 		return p, nil
@@ -327,9 +333,7 @@ func TestStageTimesRecorded(t *testing.T) {
 }
 
 func TestStageTimesSimulatedUseMakespan(t *testing.T) {
-	ctx := NewContext(2)
-	ctx.Simulate = true
-	ctx.TaskOverhead = time.Millisecond
+	ctx, _ := simContext(2, time.Millisecond)
 	ds := NewDataset([]types.Row{{types.Int(1)}}, []types.Row{{types.Int(2)}}, []types.Row{{types.Int(3)}})
 	if _, err := ctx.MapPartitions(ds, func(_ int, p []types.Row) ([]types.Row, error) {
 		return p, nil

@@ -12,7 +12,8 @@ package cluster
 // The pool knows nothing about datasets, morsels, or metrics — it executes
 // opaque func() error tasks and reports per-task observations (worker id,
 // whether the task was stolen, busy time) through a callback. Context wires
-// those observations into Metrics.
+// those observations into Metrics. It is the engine's Runner; the makespan
+// model (Simulator) is the only other one.
 
 import (
 	"sync"
@@ -34,6 +35,16 @@ type Task struct {
 // ran it, whether it was stolen (ran on a worker other than its home), and
 // the busy time it consumed. Called concurrently from pool workers.
 type Observe func(worker int, stolen bool, busy time.Duration)
+
+// Runner executes one round of tasks for a Context. Every task runs once
+// unless the round aborts — on the first task error, or when canceled
+// (polled before each task, may be nil) reports true, which fails the round
+// with ErrCanceled. observe (may be nil) receives each executed task's
+// record. elapsed is the round's duration: wall time on the pool, modelled
+// time on a Simulator.
+type Runner interface {
+	RunBatch(tasks []Task, canceled func() bool, observe Observe) (elapsed time.Duration, err error)
+}
 
 // WorkerPool is a fixed-size pool of worker goroutines with per-worker
 // deques and work stealing. Create with NewWorkerPool, submit rounds with
@@ -126,10 +137,12 @@ func (p *WorkerPool) Close() {
 // terminates promptly) and the first error is returned. canceled, when
 // non-nil, is polled before each task; a true result aborts the round with
 // ErrCanceled. observe, when non-nil, receives each executed task's record.
-func (p *WorkerPool) RunBatch(tasks []Task, canceled func() bool, observe Observe) error {
+// elapsed is the round's wall time.
+func (p *WorkerPool) RunBatch(tasks []Task, canceled func() bool, observe Observe) (time.Duration, error) {
 	if len(tasks) == 0 {
-		return nil
+		return 0, nil
 	}
+	start := time.Now()
 	b := &taskBatch{done: make(chan struct{}), canceled: canceled, observe: observe}
 	b.pending.Store(int64(len(tasks)))
 	n := len(p.workers)
@@ -152,7 +165,7 @@ func (p *WorkerPool) RunBatch(tasks []Task, canceled func() bool, observe Observ
 	b.mu.Lock()
 	err := b.err
 	b.mu.Unlock()
-	return err
+	return time.Since(start), err
 }
 
 // worker is the per-goroutine scheduling loop: drain the own deque from the

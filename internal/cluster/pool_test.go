@@ -23,7 +23,7 @@ func TestWorkerPoolRunsAllTasks(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := p.RunBatch(tasks, nil, nil); err != nil {
+	if _, err := p.RunBatch(tasks, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if done.Load() != n {
@@ -40,7 +40,7 @@ func TestWorkerPoolReusableAcrossRounds(t *testing.T) {
 		for i := range tasks {
 			tasks[i] = Task{Home: i, Run: func() error { done.Add(1); return nil }}
 		}
-		if err := p.RunBatch(tasks, nil, nil); err != nil {
+		if _, err := p.RunBatch(tasks, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if done.Load() != 8 {
@@ -63,7 +63,7 @@ func TestWorkerPoolPropagatesError(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := p.RunBatch(tasks, nil, nil); !errors.Is(err, boom) {
+	if _, err := p.RunBatch(tasks, nil, nil); !errors.Is(err, boom) {
 		t.Errorf("err = %v, want boom", err)
 	}
 }
@@ -85,7 +85,7 @@ func TestWorkerPoolErrorAbortsRemainingTasks(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := p.RunBatch(tasks, nil, nil); !errors.Is(err, boom) {
+	if _, err := p.RunBatch(tasks, nil, nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if n := executed.Load(); n != 1 {
@@ -101,7 +101,7 @@ func TestWorkerPoolCancellation(t *testing.T) {
 		tasks[i] = Task{Home: i, Run: func() error { return nil }}
 	}
 	canceled := func() bool { return true }
-	if err := p.RunBatch(tasks, canceled, nil); !errors.Is(err, ErrCanceled) {
+	if _, err := p.RunBatch(tasks, canceled, nil); !errors.Is(err, ErrCanceled) {
 		t.Errorf("err = %v, want ErrCanceled", err)
 	}
 }
@@ -125,7 +125,7 @@ func TestWorkerPoolObserveReportsSteals(t *testing.T) {
 			steals.Add(1)
 		}
 	}
-	if err := p.RunBatch(tasks, nil, observe); err != nil {
+	if _, err := p.RunBatch(tasks, nil, observe); err != nil {
 		t.Fatal(err)
 	}
 	if busyCalls.Load() != 64 {
@@ -136,10 +136,11 @@ func TestWorkerPoolObserveReportsSteals(t *testing.T) {
 	}
 }
 
-// TestGoroutineRoundStopsAfterError pins the fail-fast behaviour of the
-// legacy per-stage goroutine loop: workers re-check the round's error slot
-// before every pull, so one failed partition stops the round instead of
-// letting the other workers drain all remaining tasks.
+// TestGoroutineRoundStopsAfterError pins the fail-fast behaviour of a
+// context without a Runner, whose rounds run on a transient pool: workers
+// check the round's abort flag before every task, so one failed partition
+// stops the round instead of letting the other workers drain all remaining
+// tasks.
 func TestGoroutineRoundStopsAfterError(t *testing.T) {
 	ctx := NewContext(2)
 	parts := make([][]types.Row, 100)
@@ -150,8 +151,9 @@ func TestGoroutineRoundStopsAfterError(t *testing.T) {
 	boom := errors.New("boom")
 	var executed atomic.Int64
 	_, err := ctx.MapPartitions(d, func(i int, part []types.Row) ([]types.Row, error) {
-		executed.Add(1)
-		if i == 0 {
+		// Whichever partition runs first fails (owners pop their deques
+		// LIFO, so it is not necessarily partition 0).
+		if executed.Add(1) == 1 {
 			return nil, boom
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -160,20 +162,19 @@ func TestGoroutineRoundStopsAfterError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if n := executed.Load(); n >= 100 {
-		t.Errorf("all %d partitions ran despite the early error; round did not fail fast", n)
+	if n := executed.Load(); n > 10 {
+		t.Errorf("%d partitions ran despite the first one failing; round did not fail fast", n)
 	}
 }
 
-// TestSimulatedMorselMakespan pins the simulate-mode honesty contract for
-// morsel rounds: the simulated stage duration is the greedy makespan over
-// the measured per-morsel durations — not the serial sum — so morsel-mode
-// simulated speedups use exactly the same Makespan model as
-// whole-partition rounds, and SimAdjustment goes negative by the
-// parallelism the model credits.
+// TestSimulatedMorselMakespan pins the Simulator's honesty contract for
+// morsel rounds: the modelled stage duration is the greedy makespan over
+// the measured per-morsel durations — not the serial sum — so modelled
+// morsel speedups use exactly the same makespan model as whole-partition
+// rounds, and the Simulator's Adjustment goes negative by the parallelism
+// the model credits.
 func TestSimulatedMorselMakespan(t *testing.T) {
-	ctx := NewContext(4)
-	ctx.Simulate = true
+	ctx, sim := simContext(4, 0)
 	ctx.MorselParallel = true
 	ctx.MorselTargetRows = 512
 	part := make([]types.Row, 4096)
@@ -201,8 +202,8 @@ func TestSimulatedMorselMakespan(t *testing.T) {
 	// 8 morsels of ~1ms on 4 simulated workers: makespan ~2ms, serial ~8ms.
 	// The adjustment (sim - real) must credit at least half the serial time;
 	// a serial-sum regression would make it ~0.
-	if adj := ctx.SimAdjustment(); adj > -2*time.Millisecond {
-		t.Errorf("SimAdjustment = %v, want <= -2ms (makespan model, not serial sum)", adj)
+	if adj := sim.Adjustment(); adj > -2*time.Millisecond {
+		t.Errorf("Adjustment = %v, want <= -2ms (makespan model, not serial sum)", adj)
 	}
 	if ap := ctx.Metrics.AchievedParallelism(); ap < 2 {
 		t.Errorf("achieved parallelism = %.2f, want >= 2 on 4 simulated workers", ap)
@@ -243,7 +244,7 @@ func TestMorselStealingOnSkewedPartitions(t *testing.T) {
 	pool := NewWorkerPool(4)
 	defer pool.Close()
 	ctx := NewContext(4)
-	ctx.Pool = pool
+	ctx.Runner = pool
 	ctx.MorselParallel = true
 	ctx.MorselTargetRows = 256
 	got, err := ctx.MapPartitionsSplittable(&Dataset{Parts: parts}, fn)

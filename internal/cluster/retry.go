@@ -5,21 +5,22 @@ package cluster
 // deterministic fault injection (internal/chaos), and the enforced memory
 // budget with its graceful-degradation ladder.
 //
-// Retry wraps the task closure itself, so every execution path — the
-// serial simulate loop, the per-stage goroutine loop, and the
-// work-stealing pool — gets identical semantics: a task attempt that fails
-// with an error classified transient is re-executed after a backoff, up to
-// Context.MaxTaskRetries times. Tasks are pure functions of their input
-// partition or morsel (the lineage contract narrow transforms already
-// satisfy), so re-execution is safe: a retried attempt overwrites its
-// result slot with the identical value. Errors that exhaust the retry
-// budget — or were never transient — surface wrapped in a TaskError naming
-// the stage, partition, and morsel, so a failed query reports where it
-// failed rather than a bare error.
+// Retry wraps the task closure itself, so every Runner — the work-stealing
+// pool and the harness's Simulator — gets identical semantics: a task
+// attempt that fails with an error classified transient is re-executed
+// after a backoff, up to Context.MaxTaskRetries times. Tasks are pure
+// functions of their input partition or morsel (the lineage contract narrow
+// transforms already satisfy), so re-execution is safe: a retried attempt
+// overwrites its result slot with the identical value. Errors that exhaust
+// the retry budget — or were never transient — surface wrapped in a
+// TaskError naming the stage, partition, and morsel, so a failed query
+// reports where it failed rather than a bare error. A task body that panics
+// fails its task the same way instead of taking the process down.
 
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"skysql/internal/chaos"
@@ -72,6 +73,17 @@ func (e *TaskError) Error() string {
 
 func (e *TaskError) Unwrap() error { return e.Err }
 
+// taskPanic is a panic recovered from a task body: never transient (the
+// same input panics again), so it fails the task on its first attempt.
+type taskPanic struct {
+	value any
+	stack []byte
+}
+
+func (e *taskPanic) Error() string {
+	return fmt.Sprintf("task panicked: %v\n%s", e.value, e.stack)
+}
+
 // maxBackoff caps the exponential retry backoff so a deep retry chain
 // cannot stall a round for seconds.
 const maxBackoff = 50 * time.Millisecond
@@ -81,8 +93,8 @@ const defaultBackoff = 500 * time.Microsecond
 
 // taskAttempts wraps one task closure with the retry loop. stage is the
 // 1-based round number, (part, morsel) the task's coordinates within it.
-// The wrapper is installed on every execution path by runTasks' callers,
-// so pool rounds and goroutine rounds retry identically.
+// runTasks' callers install the wrapper on every task, so every Runner
+// retries identically.
 func (c *Context) taskAttempts(stage, part, morsel int64, run func() error) func() error {
 	return func() error {
 		for attempt := int64(0); ; attempt++ {
@@ -113,8 +125,15 @@ func (c *Context) taskAttempts(stage, part, morsel int64, run func() error) func
 // straggler delay, allocation spike (charged to the metrics for the
 // attempt's duration, so the memory governor sees the pressure), then the
 // injected transient failure — before the real work, so an injected fault
-// leaves no partial results behind.
-func (c *Context) attemptTask(stage, part, morsel, attempt int64, run func() error) error {
+// leaves no partial results behind. It is where every Runner enters a task
+// body, so a panic in one is recovered here and returned as the attempt's
+// error, carrying the panic value and stack.
+func (c *Context) attemptTask(stage, part, morsel, attempt int64, run func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &taskPanic{value: r, stack: debug.Stack()}
+		}
+	}()
 	if c.Injector != nil {
 		d := c.Injector.Decide(stage, part<<20|morsel, attempt)
 		if d.Delay > 0 {

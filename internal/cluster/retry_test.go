@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,8 +132,8 @@ func TestNonTransientFailsImmediately(t *testing.T) {
 
 // TestInjectedFaultsRetriedDeterministically wires a real injector at a
 // high fault rate and checks (a) the round still succeeds, (b) the fault
-// and retry counters are bit-identical across repeated runs — on the
-// goroutine path and on the pool path.
+// and retry counters are bit-identical across repeated runs — on a
+// transient pool and on a shared one.
 func TestInjectedFaultsRetriedDeterministically(t *testing.T) {
 	run := func(pool bool) (int64, int64, error) {
 		ctx := NewContext(4)
@@ -142,7 +143,7 @@ func TestInjectedFaultsRetriedDeterministically(t *testing.T) {
 		if pool {
 			p := NewWorkerPool(4)
 			defer p.Close()
-			ctx.Pool = p
+			ctx.Runner = p
 		}
 		in := evenParts(64, 8)
 		out, err := ctx.MapPartitions(in, func(i int, part []types.Row) ([]types.Row, error) {
@@ -155,7 +156,7 @@ func TestInjectedFaultsRetriedDeterministically(t *testing.T) {
 	}
 	f0, r0, err := run(false)
 	if err != nil {
-		t.Fatalf("goroutine run: %v", err)
+		t.Fatalf("transient-pool run: %v", err)
 	}
 	if f0 == 0 || r0 != f0 {
 		t.Fatalf("expected faults with matching retries, got faults=%d retries=%d", f0, r0)
@@ -255,15 +256,14 @@ func TestCancelWithCause(t *testing.T) {
 }
 
 // TestPoolCancelLatency bounds cancel-to-stop latency on the real
-// worker-pool path (the satellite regression: TestSimulatedCancel only
-// covers the simulated path). Workers re-check cancellation before every
+// worker-pool path (TestSimulatedCancel covers the Simulator). Workers re-check cancellation before every
 // morsel, so a cancel mid-round must stop the round in far less time than
 // draining all remaining slow morsels would take.
 func TestPoolCancelLatency(t *testing.T) {
 	pool := NewWorkerPool(2)
 	defer pool.Close()
 	ctx := NewContext(2)
-	ctx.Pool = pool
+	ctx.Runner = pool
 	ctx.MorselParallel = true
 	ctx.MorselTargetRows = 1
 
@@ -304,5 +304,57 @@ func TestPoolCancelLatency(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("round never stopped after cancel")
+	}
+}
+
+// TestPanicContainedAtTaskBoundary pins panic containment: a task body that
+// panics fails its round with a TaskError carrying the panic value and
+// stack — attempted once, never retried — instead of killing the process;
+// the pool that ran it serves the next round, and the allocation spike the
+// panicking attempt held is released, so the governor's live bytes return
+// to zero.
+func TestPanicContainedAtTaskBoundary(t *testing.T) {
+	pool := NewWorkerPool(2)
+	defer pool.Close()
+	gov := NewGovernor(0)
+	ctx := NewContext(2)
+	ctx.Runner = pool
+	ctx.Global = gov
+	ctx.Metrics.AttachGovernor(gov)
+	defer ctx.Metrics.DetachGovernor()
+	ctx.Injector = chaos.New(chaos.Config{Seed: 1, AllocSpikeRate: 1, AllocSpikeBytes: 1 << 16})
+	ctx.MaxTaskRetries = 3
+	var attempts atomic.Int64
+	in := NewDataset(rows(1), rows(2), rows(3), rows(4))
+	_, err := ctx.MapPartitions(in, func(i int, part []types.Row) ([]types.Row, error) {
+		if i == 2 {
+			attempts.Add(1)
+			panic("boom in partition 2")
+		}
+		return part, nil
+	})
+	var te *TaskError
+	if !errors.As(err, &te) {
+		t.Fatalf("error %v is not a TaskError", err)
+	}
+	if te.Partition != 2 || te.Attempts != 1 || attempts.Load() != 1 {
+		t.Errorf("TaskError = %+v after %d attempts, want partition 2 failed on its only attempt", te, attempts.Load())
+	}
+	var pe *taskPanic
+	if !errors.As(err, &pe) || pe.value != "boom in partition 2" {
+		t.Fatalf("error %v does not carry the panic value", err)
+	}
+	if !strings.Contains(string(pe.stack), "TestPanicContainedAtTaskBoundary") {
+		t.Errorf("panic stack does not name the panicking function:\n%s", pe.stack)
+	}
+	if got := ctx.Metrics.TasksFailed(); got != 1 {
+		t.Errorf("TasksFailed = %d, want 1", got)
+	}
+	out, err := ctx.MapPartitions(in, func(i int, part []types.Row) ([]types.Row, error) { return part, nil })
+	if err != nil || out.NumRows() != 4 {
+		t.Fatalf("round after the panic: rows=%v err=%v", out, err)
+	}
+	if live := gov.LiveBytes(); live != 0 {
+		t.Errorf("governor live bytes = %d after both rounds, want 0", live)
 	}
 }

@@ -125,11 +125,7 @@ func (e *Engine) ExecuteCtx(c *Compiled, ctx *cluster.Context) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	dur := time.Since(start) + ctx.SimAdjustment()
-	if dur < 0 {
-		dur = 0
-	}
-	return &Result{Schema: c.Schema(), Metrics: ctx.Metrics, Duration: dur, data: ds}, nil
+	return &Result{Schema: c.Schema(), Metrics: ctx.Metrics, Duration: time.Since(start), data: ds}, nil
 }
 
 // NumRows is the result's row count.

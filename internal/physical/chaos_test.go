@@ -156,7 +156,7 @@ func TestChaosContractMorselParallel(t *testing.T) {
 			t.Fatalf("%v: fault-free execute: %v", st, err)
 		}
 		ctx := chaosCtx(4, 7, 0.3)
-		ctx.Pool = pool
+		ctx.Runner = pool
 		ctx.MorselParallel = true
 		ctx.MorselTargetRows = 64
 		got, err := Execute(op, ctx)

@@ -14,8 +14,8 @@ import (
 // TestMorselParallelBitIdentityAllStrategies is the morsel-runtime
 // contract: for every SkylineStrategy (complete and incomplete data,
 // distinct both ways, across the fusion/kernel/vectorization ablations)
-// the morsel-parallel execution — work-stealing pool and simulated mode
-// alike — must be row-for-row identical to whole-partition serial
+// the morsel-parallel execution — on the work-stealing pool and on the
+// Simulator alike — must be row-for-row identical to whole-partition
 // execution. Run under -race this also exercises the pool's memory-safety
 // contract: sliced sidecar views and per-chunk batch views share only
 // read-only decoded storage.
@@ -81,7 +81,7 @@ func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
 					}
 
 					poolCtx := cluster.NewContext(4)
-					poolCtx.Pool = pool
+					poolCtx.Runner = pool
 					poolCtx.MorselParallel = true
 					poolCtx.MorselTargetRows = 16
 					pooled, err := Execute(op, poolCtx)
@@ -91,7 +91,7 @@ func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
 					assertSameRows(t, label+"/pool", serial, pooled)
 
 					simCtx := cluster.NewContext(4)
-					simCtx.Simulate = true
+					simCtx.Runner = &cluster.Simulator{Executors: 4}
 					simCtx.MorselParallel = true
 					simCtx.MorselTargetRows = 16
 					simulated, err := Execute(op, simCtx)

@@ -100,10 +100,6 @@ type Options struct {
 	// Result-identical; kept selectable for A/B ablation
 	// (skysql.WithoutVectorizedExprs also clears Context.DecodeAtScan).
 	DisableVectorizedExprs bool
-	// SFSZorderPresort switches the SFS strategy's presort from the entropy
-	// score to the Z-order space-filling curve (same skyline, different
-	// processing order; ablated in skybench).
-	SFSZorderPresort bool
 	// ResultCache, when non-nil, lets the planner wrap the compiled plan in
 	// a result-cache consultation (internal/resultcache): the wrapper checks
 	// the cache before any stage executes and records the hit/miss decision
@@ -392,7 +388,7 @@ func planSkyline(s *plan.SkylineOperator, opts Options) (Operator, error) {
 		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Algorithm: GlobalIncompleteFlags, DisableKernel: noKernel, Child: gather}, nil
 	case SkylineSFS:
 		gather := &ExchangeExec{Dist: cluster.AllTuples, Child: child}
-		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Algorithm: GlobalSFS, ZorderPresort: opts.SFSZorderPresort, DisableKernel: noKernel, Child: gather}, nil
+		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Algorithm: GlobalSFS, DisableKernel: noKernel, Child: gather}, nil
 	case SkylineDivideAndConquer:
 		gather := &ExchangeExec{Dist: cluster.AllTuples, Child: child}
 		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Algorithm: GlobalDivideAndConquer, DisableKernel: noKernel, Child: gather}, nil

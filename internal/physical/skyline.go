@@ -258,10 +258,6 @@ type GlobalSkylineExec struct {
 	// WindowCap bounds the BNL window of the GlobalBNL algorithm; 0 means
 	// unbounded. Other global algorithms ignore it.
 	WindowCap int
-	// ZorderPresort switches the GlobalSFS algorithm from the entropy-score
-	// presort to the Z-order space-filling-curve presort
-	// (Options.SFSZorderPresort); other algorithms ignore it.
-	ZorderPresort bool
 	// DisableKernel forces the boxed CompareFunc path even when the input
 	// decodes into a columnar batch (Options.DisableColumnarKernel).
 	DisableKernel bool
@@ -367,11 +363,7 @@ func (g *GlobalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, err
 	case GlobalIncompleteFlags:
 		sky, err = skyline.GlobalIncomplete(pts, dirs, g.Distinct, stats)
 	case GlobalSFS:
-		if g.ZorderPresort {
-			sky, err = skyline.SFSZorder(pts, dirs, g.Distinct, stats)
-		} else {
-			sky, err = skyline.SFS(pts, dirs, g.Distinct, stats)
-		}
+		sky, err = skyline.SFS(pts, dirs, g.Distinct, stats)
 	case GlobalDivideAndConquer:
 		sky, err = skyline.DivideAndConquer(pts, dirs, g.Distinct, stats)
 	default:
@@ -397,58 +389,32 @@ func (g *GlobalSkylineExec) sidecarBatch(in *cluster.Dataset, totalRows int) *sk
 	return b
 }
 
-// runKernel runs the selected global algorithm on a decoded columnar
+// runKernelCtx runs the selected global algorithm on a decoded columnar
 // batch. ok=false means the algorithm has no kernel twin and the boxed
-// path must run instead.
-func (g *GlobalSkylineExec) runKernel(b *skyline.Batch, stats *skyline.Stats) (idx []int, ok bool, err error) {
+// path must run instead. Every algorithm but the bounded-window BNL, whose
+// window state is inherently sequential, runs its morsel-parallel twin:
+// with a chunk of 0 (morsel parallelism off, or the batch too small to
+// split) a twin is its serial algorithm, and otherwise it emits the serial
+// algorithm's exact index sequence (batch_parallel.go), so the chunk is
+// purely a scheduling decision.
+func (g *GlobalSkylineExec) runKernelCtx(ctx *cluster.Context, b *skyline.Batch, stats *skyline.Stats) (idx []int, ok bool, err error) {
+	chunk := g.parallelChunk(ctx, b.Len())
+	run := ctx.RunMorsels
 	switch g.Algorithm {
 	case GlobalBNL:
 		if g.WindowCap > 0 {
 			idx, err = b.BNLBounded(g.Distinct, g.WindowCap)
 		} else {
-			idx = b.BNL(g.Distinct)
+			idx, err = b.BNLParallel(g.Distinct, chunk, run)
 		}
 	case GlobalIncompleteFlags:
-		idx = b.GlobalIncomplete(g.Distinct)
+		idx, err = b.GlobalIncompleteParallel(g.Distinct, chunk, run)
 	case GlobalSFS:
-		if g.ZorderPresort {
-			idx = b.SFSZorder(g.Distinct)
-		} else {
-			idx = b.SFS(g.Distinct)
-		}
+		idx, err = b.SFSParallel(g.Distinct, chunk, run)
 	case GlobalDivideAndConquer:
-		idx = b.DivideAndConquer(g.Distinct)
+		idx, err = b.DivideAndConquerParallel(g.Distinct, chunk, run)
 	default:
 		return nil, false, nil
-	}
-	b.Flush(stats)
-	return idx, true, err
-}
-
-// runKernelCtx dispatches to the morsel-parallel kernel twins when the
-// context enables morsel parallelism and the batch is large enough for
-// the cost-chosen morsel size; otherwise it runs the serial kernel. The
-// parallel twins emit bit-identical index sequences (batch_parallel.go),
-// so the choice is purely a scheduling decision. The bounded-window BNL
-// and the Z-order SFS presort have no parallel twin: their window/order
-// state is inherently sequential, so they stay on the serial path.
-func (g *GlobalSkylineExec) runKernelCtx(ctx *cluster.Context, b *skyline.Batch, stats *skyline.Stats) (idx []int, ok bool, err error) {
-	chunk := g.parallelChunk(ctx, b.Len())
-	if chunk <= 0 {
-		return g.runKernel(b, stats)
-	}
-	run := ctx.RunMorsels
-	switch {
-	case g.Algorithm == GlobalBNL && g.WindowCap == 0:
-		idx, err = b.BNLParallel(g.Distinct, chunk, run)
-	case g.Algorithm == GlobalSFS && !g.ZorderPresort:
-		idx, err = b.SFSParallel(g.Distinct, chunk, run)
-	case g.Algorithm == GlobalDivideAndConquer:
-		idx, err = b.DivideAndConquerParallel(g.Distinct, chunk, run)
-	case g.Algorithm == GlobalIncompleteFlags:
-		idx, err = b.GlobalIncompleteParallel(g.Distinct, chunk, run)
-	default:
-		return g.runKernel(b, stats)
 	}
 	b.Flush(stats)
 	return idx, true, err

@@ -117,9 +117,9 @@ func TestSegmentScanContractAllStrategies(t *testing.T) {
 }
 
 // TestSegmentPruneCountersDeterministic pins the prune counter as a pure
-// function of (data, predicate, segment size): repeat runs and
-// simulate-mode runs of the same plan must report the same
-// SegmentsPruned, so benchdiff can gate on it.
+// function of (data, predicate, segment size): repeat runs and Simulator
+// runs of the same plan must report the same SegmentsPruned, so benchdiff
+// can gate on it.
 func TestSegmentPruneCountersDeterministic(t *testing.T) {
 	const executors = 4
 	_, segPlan := segmentTwinPlans(t, "det", 200, 25, 60)
@@ -129,7 +129,9 @@ func TestSegmentPruneCountersDeterministic(t *testing.T) {
 	}
 	run := func(simulate bool) (int64, []string) {
 		ctx := cluster.NewContext(executors)
-		ctx.Simulate = simulate
+		if simulate {
+			ctx.Runner = &cluster.Simulator{Executors: executors}
+		}
 		rows, err := Execute(op, ctx)
 		if err != nil {
 			t.Fatalf("simulate=%v: %v", simulate, err)

@@ -187,8 +187,8 @@ func (c *canonicalizer) op(op physical.Operator) bool {
 			return false
 		}
 		c.sawSkyline = true
-		fmt.Fprintf(&c.sb, "|global-sky(%s,distinct=%v,cap=%d,zp=%v)[%s]",
-			n.Algorithm, n.Distinct, n.WindowCap, n.ZorderPresort, c.dims(n.Dims))
+		fmt.Fprintf(&c.sb, "|global-sky(%s,distinct=%v,cap=%d)[%s]",
+			n.Algorithm, n.Distinct, n.WindowCap, c.dims(n.Dims))
 	case *physical.ExtremumFilterExec, *physical.ProjectExec, *physical.SortExec,
 		*physical.DistinctExec, *physical.LimitExec, *physical.LocalLimitExec:
 		ch := op.Children()

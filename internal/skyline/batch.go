@@ -246,12 +246,14 @@ func (b *Batch) decodeNumeric(points []Point, dirs []Dir) bool {
 // decodeDiffColumn interns one DIFF dimension into slot k of the row-major
 // equality-key vectors, reproducing Value.Equal exactly: NULLs share id 0,
 // numeric values equate cross-kind (1 = 1.0), values of different kind
-// classes never equate.
+// classes never equate. A key is a function of its value alone, so batches
+// decoded apart intern equal values under equal keys and MergeBatches can
+// re-map their ids through the keys.
 func (b *Batch) decodeDiffColumn(points []Point, d, k int, bit uint64) bool {
 	// Pre-scan: big integers are exact under the boxed int-int comparison
-	// but collide after float64 conversion; they may only be interned by
-	// their decimal form, which is incompatible with cross-kind numeric
-	// equality, so a column mixing both is refused.
+	// but collide after float64 conversion; they are interned by their
+	// decimal form, which is incompatible with cross-kind numeric equality,
+	// so a column mixing them with floats is refused.
 	hasFloat, hasBigInt := false, false
 	for _, p := range points {
 		switch v := p.Dims[d]; v.Kind() {
@@ -277,10 +279,10 @@ func (b *Batch) decodeDiffColumn(points []Point, d, k int, bit uint64) bool {
 			b.setNull(i, bit)
 			continue // id 0 ≡ NULL
 		case types.KindInt:
-			if hasBigInt {
-				key = "i" + strconv.FormatInt(v.AsInt(), 10)
+			if iv := v.AsInt(); iv > maxExactInt || iv < -maxExactInt {
+				key = "i" + strconv.FormatInt(iv, 10)
 			} else {
-				key = floatKey(float64(v.AsInt()), &buf)
+				key = floatKey(float64(iv), &buf)
 			}
 		case types.KindFloat:
 			key = floatKey(v.AsFloat(), &buf)
@@ -323,6 +325,20 @@ func floatKey(f float64, buf *[9]byte) string {
 		buf[1+i] = byte(bits >> (8 * i))
 	}
 	return string(buf[:])
+}
+
+// mayEqualBigInt reports whether a DIFF intern key is a float at or beyond
+// 2⁵³: the only floats a big integer, keyed by its decimal form, can equal
+// under the boxed cross-kind comparison.
+func mayEqualBigInt(key string) bool {
+	if key[0] != 'f' {
+		return false
+	}
+	var bits uint64
+	for i := 0; i < 8; i++ {
+		bits |= uint64(key[1+i]) << (8 * i)
+	}
+	return math.Abs(math.Float64frombits(bits)) >= float64(maxExactInt)
 }
 
 // Len returns the number of points in the batch.

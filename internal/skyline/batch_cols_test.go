@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"skysql/internal/types"
@@ -161,57 +160,6 @@ func TestWithRowsRebinds(t *testing.T) {
 	if b.WithRows([]types.Row{{types.Int(1)}}, nil) != nil {
 		t.Fatal("misaligned WithRows must refuse")
 	}
-}
-
-// TestSFSZorderMatchesEntropySkyline is the presort ablation contract: the
-// Z-order presort computes the same skyline SET as the entropy presort
-// (emission order may differ), and the columnar and boxed variants of the
-// Z-order presort emit identical rows in identical order.
-func TestSFSZorderMatchesEntropySkyline(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 80; trial++ {
-		withNull := trial%3 == 0
-		pts := randBatchPoints(rng, 1+rng.Intn(60), withNull)
-		for _, distinct := range []bool{false, true} {
-			label := fmt.Sprintf("trial %d distinct=%v", trial, distinct)
-			b, ok := DecodeBatch(pts, sliceDirs, false, nil)
-			if !ok {
-				t.Fatalf("%s: points must decode", label)
-			}
-			zIdx := b.SFSZorder(distinct)
-			boxed, err := SFSZorder(pts, sliceDirs, distinct, nil)
-			if err != nil {
-				t.Fatalf("%s: boxed zorder: %v", label, err)
-			}
-			if len(boxed) != len(zIdx) {
-				t.Fatalf("%s: kernel %d rows, boxed %d", label, len(zIdx), len(boxed))
-			}
-			kernelPts := b.Points(zIdx)
-			for i := range boxed {
-				if fmt.Sprint(boxed[i].Dims) != fmt.Sprint(kernelPts[i].Dims) {
-					t.Fatalf("%s: row %d: kernel %v, boxed %v", label, i, kernelPts[i].Dims, boxed[i].Dims)
-				}
-			}
-			// Same skyline set as the entropy presort.
-			entropy := b.SFS(distinct)
-			if got, want := sortedIdx(zIdx), sortedIdx(entropy); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s: zorder skyline %v != entropy skyline %v", label, got, want)
-			}
-			// And the same set as plain BNL (ground truth).
-			if !distinct {
-				bnl := b.BNL(false)
-				if got, want := sortedIdx(zIdx), sortedIdx(bnl); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("%s: zorder skyline %v != BNL skyline %v", label, got, want)
-				}
-			}
-		}
-	}
-}
-
-func sortedIdx(idx []int) []int {
-	out := append([]int(nil), idx...)
-	sort.Ints(out)
-	return out
 }
 
 // TestWithoutDimsKeepsColumnsAndRows: the copy runs every batch algorithm

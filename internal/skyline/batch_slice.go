@@ -156,12 +156,14 @@ func (b *Batch) SelectRows(idx []int, rows []types.Row) *Batch {
 // MergeBatches concatenates batches (in order) into one batch equivalent to
 // decoding the concatenated points fresh. ok=false when the batches are not
 // mergeable: different dimension signatures (Tag), directions, or dominance
-// definitions. DIFF equality ids are re-mapped into a shared id space via
-// the reverse intern tables (only the ids some point references); numeric
-// vectors and null masks concatenate untouched. Column bindings and
-// computed columns are batch-local and do not survive the merge (merged
-// batches feed the global skyline, which reads only the decoded dimension
-// storage).
+// definitions, or a DIFF column that would hold a big integer and a float
+// it may equal (the cross-batch twin of decode's refusal of a column mixing
+// big integers with floats). DIFF equality ids are re-mapped into a shared
+// id space via the reverse intern tables (only the ids some point
+// references); numeric vectors and null masks concatenate untouched. Column
+// bindings and computed columns are batch-local and do not survive the
+// merge (merged batches feed the global skyline, which reads only the
+// decoded dimension storage).
 func MergeBatches(batches []*Batch) (*Batch, bool) {
 	if len(batches) == 0 {
 		return nil, false
@@ -222,6 +224,7 @@ func MergeBatches(batches []*Batch) (*Batch, bool) {
 		for k := range global {
 			global[k] = make(map[string]uint32)
 		}
+		bigInt, bigFloat := make([]bool, ks), make([]bool, ks)
 		for _, b := range batches {
 			remap := make([][]uint32, ks) // [column][old id] -> new id; 0 = unmapped, and NULL (old id 0) stays 0
 			for k := range remap {
@@ -236,6 +239,11 @@ func MergeBatches(batches []*Batch) (*Batch, bool) {
 						out.diffIntern[k] = append(out.diffIntern[k], key)
 						id = uint32(len(out.diffIntern[k]))
 						global[k][key] = id
+						bigInt[k] = bigInt[k] || key[0] == 'i'
+						bigFloat[k] = bigFloat[k] || mayEqualBigInt(key)
+						if bigInt[k] && bigFloat[k] {
+							return nil, false
+						}
 					}
 					remap[k][old] = id
 				}

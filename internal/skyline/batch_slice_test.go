@@ -192,6 +192,56 @@ func TestMergeBatchesRemapsDiffInternIds(t *testing.T) {
 	}
 }
 
+// TestMergeBatchesDiffKeysAcrossBigIntBatches is the differential for DIFF
+// keys across merged batches: a batch holding an int beyond 2⁵³ must key
+// its small ints exactly as a batch without one does, or a 5 from each
+// lands in two DIFF groups and a dominated row survives the merge. A merge
+// that would put a big int and a float it may equal in one DIFF column is
+// refused, as decode refuses such a column.
+func TestMergeBatchesDiffKeysAcrossBigIntBatches(t *testing.T) {
+	mk := func(rows ...[2]types.Value) []Point {
+		pts := make([]Point, len(rows))
+		for i, r := range rows {
+			dims := types.Row{r[0], r[1]}
+			pts[i] = Point{Dims: dims, Row: dims}
+		}
+		return pts
+	}
+	dirs := []Dir{Diff, Min}
+	big := types.Int(maxExactInt + 1)
+	a := mk([2]types.Value{types.Int(5), types.Int(1)}, [2]types.Value{big, types.Int(0)})
+	b := mk([2]types.Value{types.Int(5), types.Int(0)})
+	ba, ok := DecodeBatch(a, dirs, false, nil)
+	if !ok {
+		t.Fatal("decode a")
+	}
+	bb, ok := DecodeBatch(b, dirs, false, nil)
+	if !ok {
+		t.Fatal("decode b")
+	}
+	merged, ok := MergeBatches([]*Batch{ba, bb})
+	if !ok {
+		t.Fatal("merge refused")
+	}
+	all := append(append([]Point(nil), a...), b...)
+	want, err := BNL(all, dirs, false, Compare, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := merged.Points(merged.BNL(false))
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("merged kernel skyline %v, boxed BNL %v", got, want)
+	}
+
+	bf, ok := DecodeBatch(mk([2]types.Value{types.Float(float64(maxExactInt)), types.Int(0)}), dirs, false, nil)
+	if !ok {
+		t.Fatal("decode float batch")
+	}
+	if _, ok := MergeBatches([]*Batch{ba, bf}); ok {
+		t.Error("merge must refuse a DIFF column holding a big int and a float it may equal")
+	}
+}
+
 // TestMergeBatchesRejectsMismatchedShapes pins the compatibility guard.
 func TestMergeBatchesRejectsMismatchedShapes(t *testing.T) {
 	pts := randBatchPoints(rand.New(rand.NewSource(1)), 5, false)

@@ -58,21 +58,11 @@ func SFS(points []Point, dirs []Dir, distinct bool, stats *Stats) ([]Point, erro
 	sort.SliceStable(order, func(i, j int) bool {
 		return scores[order[i]] < scores[order[j]]
 	})
-	sorted := make([]Point, len(points))
-	for i, j := range order {
-		sorted[i] = points[j]
-	}
-	return sfsFilterBoxed(sorted, dirs, distinct, stats)
-}
-
-// sfsFilterBoxed is the boxed eviction-free SFS filter pass over an already
-// dominance-compatible processing order, shared by the entropy and Z-order
-// presorts.
-func sfsFilterBoxed(sorted []Point, dirs []Dir, distinct bool, stats *Stats) ([]Point, error) {
 	var local Counters
 	defer stats.Merge(&local)
 	window := make([]Point, 0, 16)
-	for _, t := range sorted {
+	for _, j := range order {
+		t := points[j]
 		dominated := false
 		for _, w := range window {
 			rel, err := Compare(w.Dims, t.Dims, dirs, &local)

@@ -1,28 +1,11 @@
 package skyline
 
-// This file implements the space-filling-curve presort option for SFS (the
-// ROADMAP's Hilbert-presort open item, realized with the Z-order curve the
-// engine already uses for range partitioning): instead of ordering the
-// filter pass by the entropy score alone, tuples are ordered by the
-// Z-address of their normalized dimension vectors, with the entropy score
-// as tiebreak. The Z-order curve is a linear extension of the dominance
-// partial order — if a dominates b then every bucketed coordinate of a is
-// <= b's, so morton(a) <= morton(b) — which preserves SFS's invariant that
-// no tuple can be dominated by a later one, while clustering tuples that
-// are close in the dimension space so dominating window tuples are found
-// early. Both the boxed and the columnar variant compute the same floats
-// (NULL slots contribute 0, MAX dimensions are negated, DIFF dimensions are
-// skipped), so kernel-on and kernel-off executions emit identical rows.
-
-import (
-	"math"
-	"sort"
-)
-
 // ZAddress interleaves the top bits of each normalized-[0,1] coordinate
-// into a Morton code (the Z-address of [Lee et al. 2010]). It is shared by
-// the Zorder exchange distribution and the SFS Z-order presort. Coordinates
-// outside [0,1] (including NaN) clamp to the boundary buckets.
+// into a Morton code (the Z-address of [Lee et al. 2010]), the bucketing
+// key of the Zorder exchange distribution. The Z-order curve is a linear
+// extension of the dominance partial order: if a dominates b, every
+// bucketed coordinate of a is <= b's, so ZAddress(a) <= ZAddress(b).
+// Coordinates outside [0,1] (including NaN) clamp to the boundary buckets.
 func ZAddress(k []float64) uint64 {
 	const bitsPerDim = 10
 	var z uint64
@@ -46,100 +29,4 @@ func ZAddress(k []float64) uint64 {
 		}
 	}
 	return z
-}
-
-// zorderPresort orders rows of the (direction-normalized, NULL=0) vectors
-// by (Z-address over per-dimension [0,1] rescaling, entropy score, input
-// order). vec(i) must return point i's normalized vector; it may reuse one
-// backing slice across calls for the scoring pass.
-func zorderPresort(n, width int, vec func(i int) []float64) []int {
-	mins := make([]float64, width)
-	maxs := make([]float64, width)
-	for d := 0; d < width; d++ {
-		mins[d], maxs[d] = math.Inf(1), math.Inf(-1)
-	}
-	for i := 0; i < n; i++ {
-		for d, v := range vec(i) {
-			if v < mins[d] {
-				mins[d] = v
-			}
-			if v > maxs[d] {
-				maxs[d] = v
-			}
-		}
-	}
-	zs := make([]uint64, n)
-	scores := make([]float64, n)
-	norm := make([]float64, width)
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for d, v := range vec(i) {
-			sum += v
-			span := maxs[d] - mins[d]
-			if span == 0 {
-				norm[d] = 0
-				continue
-			}
-			norm[d] = (v - mins[d]) / span
-		}
-		zs[i] = ZAddress(norm)
-		scores[i] = sum
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, b := order[x], order[y]
-		if zs[a] != zs[b] {
-			return zs[a] < zs[b]
-		}
-		return scores[a] < scores[b]
-	})
-	return order
-}
-
-// SFSZorder is Batch.SFS with the Z-order presort: same filter pass, same
-// skyline, different (still dominance-compatible) processing order.
-func (b *Batch) SFSZorder(distinct bool) []int {
-	order := zorderPresort(len(b.pts), b.numStride, b.NumRow)
-	return b.sfsFilter(order, distinct)
-}
-
-// SFSZorder is the boxed SFS with the Z-order presort, the kernel-off twin
-// of Batch.SFSZorder: the normalized vectors are computed once per point
-// exactly as decode would (NULL and non-numeric slots 0, MAX negated, DIFF
-// skipped), so both variants order and emit identically.
-func SFSZorder(points []Point, dirs []Dir, distinct bool, stats *Stats) ([]Point, error) {
-	width := 0
-	for _, dir := range dirs {
-		if dir != Diff {
-			width++
-		}
-	}
-	vecs := make([][]float64, len(points))
-	for i, p := range points {
-		vec := make([]float64, 0, width)
-		for d, dir := range dirs {
-			if dir == Diff {
-				continue
-			}
-			v := p.Dims[d]
-			f := 0.0
-			if !v.IsNull() && v.IsNumeric() {
-				f = v.AsFloat()
-				if dir == Max {
-					f = -f
-				}
-			}
-			vec = append(vec, f)
-		}
-		vecs[i] = vec
-	}
-	order := zorderPresort(len(points), width, func(i int) []float64 { return vecs[i] })
-	sorted := make([]Point, len(order))
-	for i, j := range order {
-		sorted[i] = points[j]
-	}
-	return sfsFilterBoxed(sorted, dirs, distinct, stats)
 }

@@ -9,19 +9,33 @@ import (
 	"time"
 
 	"skysql"
+	"skysql/internal/catalog"
+	"skysql/internal/chaos"
+	"skysql/internal/cluster"
+	"skysql/internal/core"
+	"skysql/internal/physical"
 )
 
 // wideSession builds a session over a table large enough that queries
-// schedule real multi-task rounds (and, unconfigured, run on the session's
-// worker pool).
+// schedule real multi-task rounds on the session's worker pool.
 func wideSession(t testing.TB, opts ...skysql.Option) *skysql.Session {
 	sess := skysql.NewSession(opts...)
 	t.Cleanup(sess.Close)
-	schema := skysql.NewSchema(
+	if err := sess.CreateTable("wide", wideSchema(), wideRows()); err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+func wideSchema() *skysql.Schema {
+	return skysql.NewSchema(
 		skysql.Field{Name: "a", Type: skysql.KindInt},
 		skysql.Field{Name: "b", Type: skysql.KindInt},
 		skysql.Field{Name: "c", Type: skysql.KindInt},
 	)
+}
+
+func wideRows() []skysql.Row {
 	r := rand.New(rand.NewSource(17))
 	rows := make([]skysql.Row, 600)
 	for i := range rows {
@@ -31,10 +45,7 @@ func wideSession(t testing.TB, opts ...skysql.Option) *skysql.Session {
 			skysql.Int(int64(r.Intn(5))),
 		}
 	}
-	if err := sess.CreateTable("wide", schema, rows); err != nil {
-		t.Fatal(err)
-	}
-	return sess
+	return rows
 }
 
 const wideSkyline = "SELECT a, b FROM wide WHERE c < 4 SKYLINE OF a MIN, b MAX"
@@ -90,23 +101,40 @@ func TestFaultInjectionBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionSimulated repeats the contract in discrete-event mode,
-// where rounds run serially — the injector must behave identically.
+// TestFaultInjectionSimulated repeats the contract on the makespan model
+// (cluster.Simulator), where rounds run serially — the injector must behave
+// identically, and the rows must match a fault-free session's.
 func TestFaultInjectionSimulated(t *testing.T) {
-	clean := wideSession(t, skysql.WithSimulatedTime())
-	want, err := clean.Query(wideSkyline)
+	want, err := wideSession(t).Query(wideSkyline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaotic := wideSession(t, skysql.WithSimulatedTime(),
-		skysql.WithFaultInjection(skysql.FaultInjection{Seed: 2, FaultRate: 0.3}),
-		skysql.WithTaskRetries(12))
-	got, err := chaotic.Query(wideSkyline)
+	tab, err := catalog.NewTable("wide", wideSchema(), wideRows())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(rowsToStrings(got)) != fmt.Sprint(rowsToStrings(want)) {
-		t.Fatalf("simulated chaotic rows differ:\n got %v\nwant %v", got, want)
+	cat := catalog.New()
+	cat.Register(tab)
+	eng := core.NewEngine(cat)
+	compiled, err := eng.CompileSQL(wideSkyline, physical.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := cluster.NewContext(4)
+	ctx.Runner = &cluster.Simulator{Executors: 4}
+	ctx.AdaptiveExchange = true
+	ctx.MorselParallel = true
+	ctx.Injector = chaos.New(chaos.Config{Seed: 2, FaultRate: 0.3})
+	ctx.MaxTaskRetries = 12
+	res, err := eng.RunCtx(compiled, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rowsToStrings(res.Rows)) != fmt.Sprint(rowsToStrings(want)) {
+		t.Fatalf("simulated chaotic rows differ:\n got %v\nwant %v", res.Rows, want)
+	}
+	if ctx.Metrics.InjectedFaults() == 0 {
+		t.Error("injector fired no faults at rate 0.3")
 	}
 }
 

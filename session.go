@@ -23,12 +23,10 @@ type Session struct {
 	engine       *core.Engine
 	executors    int
 	strategy     SkylineStrategy
-	simulate     bool
 	windowCap    int
 	noFusion     bool
 	noKernel     bool
 	noVector     bool
-	zorderSFS    bool
 	adaptiveRows int
 	noAdaptive   bool
 	noMorsel     bool
@@ -84,15 +82,6 @@ func WithSkylineStrategy(st SkylineStrategy) Option {
 	return func(s *Session) { s.strategy = st }
 }
 
-// WithSimulatedTime switches query timing into discrete-event mode: tasks
-// of a parallel stage execute one at a time and the reported duration is
-// the makespan the configured executor count would achieve. Use it to
-// study executor scaling on machines with fewer cores than executors (it
-// is how the evaluation harness reproduces the paper's cluster results).
-func WithSimulatedTime() Option {
-	return func(s *Session) { s.simulate = true }
-}
-
 // WithSkylineWindow bounds the Block-Nested-Loop window of the complete
 // skyline algorithms to n tuples; the engine then uses the original BNL's
 // multi-pass overflow handling instead of growing the window without
@@ -134,15 +123,6 @@ func WithoutVectorizedExprs() Option {
 	return func(s *Session) { s.noVector = true }
 }
 
-// WithZorderSFSPresort switches the SortFilterSkyline strategy's presort
-// from the entropy score to the Z-order space-filling curve: the same
-// skyline, computed over a processing order that clusters tuples close in
-// the dimension space, which tends to surface dominating window tuples
-// earlier (the ROADMAP's space-filling-curve presort; ablated in skybench).
-func WithZorderSFSPresort() Option {
-	return func(s *Session) { s.zorderSFS = true }
-}
-
 // WithAdaptiveExchange overrides the cost-chosen rows-per-partition target
 // of adaptive exchanges (AQE-style): the post-exchange partition count is
 // derived from the observed upstream output size — ceil(rows/targetRows),
@@ -176,7 +156,7 @@ func WithoutAdaptiveExchange() Option {
 // to n OS-thread-backed workers. The default (without this option) is
 // min(runtime.NumCPU(), executors): the pool never oversubscribes the
 // machine and never exceeds the configured parallelism budget. The pool
-// is created lazily on the first non-simulated query and freed by Close.
+// is created lazily on the first query and freed by Close.
 func WithWorkerPool(n int) Option {
 	return func(s *Session) {
 		if n > 0 {
@@ -186,8 +166,8 @@ func WithWorkerPool(n int) Option {
 }
 
 // WithoutMorselParallelism disables morsel-granular task splitting: stages
-// then schedule whole partitions as tasks and the global skyline runs its
-// serial kernel, the pre-morsel behaviour. Results are bit-identical
+// then schedule whole partitions as tasks on the pool and the global
+// skyline runs its serial kernel, the pre-morsel behaviour. Results are bit-identical
 // either way (the parallel twins preserve emission order); the switch
 // exists for A/B ablation and debugging, mirroring WithoutStageFusion.
 func WithoutMorselParallelism() Option {
@@ -527,7 +507,6 @@ func (s *Session) options() physical.Options {
 		DisableStageFusion:     s.noFusion,
 		DisableColumnarKernel:  s.noKernel,
 		DisableVectorizedExprs: s.noVector,
-		SFSZorderPresort:       s.zorderSFS,
 	}
 	if s.cache != nil {
 		// Guarded assignment: a typed-nil *Cache in the interface would
@@ -604,7 +583,6 @@ func (s *Session) runCtx(goCtx context.Context, c *core.Compiled) (*core.Result,
 		ctx.Metrics.AttachGovernor(s.governor)
 		defer ctx.Metrics.DetachGovernor()
 	}
-	ctx.Simulate = s.simulate
 	ctx.AdaptiveExchange = !s.noAdaptive
 	ctx.TargetRowsPerPartition = s.adaptiveRows
 	if s.noAdaptive {
@@ -617,16 +595,12 @@ func (s *Session) runCtx(goCtx context.Context, c *core.Compiled) (*core.Result,
 	ctx.MemoryBudget = s.memoryBudget
 	ctx.SpillDir = s.spillDir
 	ctx.DisableSegmentPrune = s.noSegPrune
-	if !s.simulate && !s.noMorsel {
-		// Simulated runs time tasks serially and model the parallelism with
-		// the makespan greedy assignment; only real runs use the pool. A
-		// single-worker pool cannot overlap morsels, so splitting would be
-		// pure scheduling overhead — keep whole-partition tasks there.
-		if pool := s.workerPool(); pool.Size() > 1 {
-			ctx.Pool = pool
-		} else {
-			ctx.MorselParallel = false
-		}
+	pool := s.workerPool()
+	ctx.Runner = pool
+	if pool.Size() == 1 {
+		// A single worker cannot overlap morsels, so splitting would be pure
+		// scheduling overhead: keep whole-partition tasks there.
+		ctx.MorselParallel = false
 	}
 	if s.queryTimeout > 0 {
 		var cancel context.CancelFunc

@@ -135,13 +135,14 @@
 // contract-tested under the race detector across every ablation.
 //
 // The A/B knobs mirror the other levers: WithoutMorselParallelism
-// restores whole-partition tasks and the serial global kernel,
-// WithWorkerPool sizes the pool, and WithSimulatedTime models the
-// parallelism instead of using the pool (morsel durations feed the same
-// greedy makespan model as whole-partition tasks, so simulated speedups
-// stay honest). Metrics report morsels executed, steals, per-worker busy
-// time, and achieved parallelism in EXPLAIN, the shell's \s, and
-// skybench -json; `skybench -experiment parallel` sweeps worker counts
+// restores whole-partition tasks (still on the pool) and the serial global
+// kernel, and WithWorkerPool sizes the pool. Every query runs on its
+// session's pool; the paper-figure harness alone substitutes a makespan
+// model for it (cluster.Simulator: tasks run one at a time and each round
+// is charged its greedy makespan on the executor count, so modelled
+// speedups stay honest). Metrics report morsels executed, steals,
+// per-worker busy time, and achieved parallelism in EXPLAIN, the shell's
+// \s, and skybench -json; `skybench -experiment parallel` sweeps worker counts
 // over correlated, anti-correlated, and skewed workloads
 // (BENCH_PR6.json), with the deterministic morsel counts benchdiff-gated.
 //
@@ -155,8 +156,8 @@
 //     transient (cluster.Transient / IsTransient — infrastructure-style
 //     failures, including injected chaos faults) are re-executed with
 //     exponential backoff and deterministic jitter, up to the
-//     WithTaskRetries budget (default 3), on every execution path —
-//     simulated, goroutine rounds, and the work-stealing pool. Retried
+//     WithTaskRetries budget (default 3), on every task runner — the
+//     work-stealing pool and the harness's makespan model. Retried
 //     runs are bit-identical to fault-free runs (contract-tested at fault
 //     rates up to 0.3 across every strategy × fusion × kernel ×
 //     vectorization ablation, under the race detector).
@@ -169,7 +170,9 @@
 //
 //   - What fails: non-transient errors fail fast; a task exhausting its
 //     retry budget fails the query with a cluster.TaskError naming the
-//     stage, partition, morsel, and attempt count; and a budget excess
+//     stage, partition, morsel, and attempt count — so does a task that
+//     panics, on its first attempt, with the panic value and stack in the
+//     error instead of a crashed process; and a budget excess
 //     with both degradation steps already taken fails with
 //     ErrMemoryBudget. Deadlines (WithQueryTimeout, CollectContext) cancel
 //     cooperatively between morsels, surfacing an error wrapping both

@@ -277,33 +277,6 @@ func TestSetExecutors(t *testing.T) {
 	}
 }
 
-func TestSimulatedTimeOption(t *testing.T) {
-	sess := skysql.NewSession(skysql.WithExecutors(8), skysql.WithSimulatedTime())
-	schema := skysql.NewSchema(
-		skysql.Field{Name: "a", Type: skysql.KindInt},
-		skysql.Field{Name: "b", Type: skysql.KindInt},
-	)
-	rows := make([]skysql.Row, 2000)
-	for i := range rows {
-		rows[i] = skysql.Row{skysql.Int(int64(i % 97)), skysql.Int(int64(i % 83))}
-	}
-	sess.MustCreateTable("t", schema, rows)
-	df, err := sess.SQL("SELECT * FROM t SKYLINE OF a MIN, b MAX")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := df.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) == 0 {
-		t.Fatal("empty skyline")
-	}
-	if df.Duration() < 0 {
-		t.Error("simulated duration must be non-negative")
-	}
-}
-
 func TestSkylineWindowOption(t *testing.T) {
 	unbounded := hotelSession(t)
 	bounded := skysql.NewSession(skysql.WithExecutors(3), skysql.WithSkylineWindow(1))
@@ -569,29 +542,6 @@ func TestWithoutVectorizedExprsOption(t *testing.T) {
 	}
 	if !strings.Contains(out, "vectorized batches:") {
 		t.Errorf("explain after run must report vectorized batches:\n%s", out)
-	}
-}
-
-func TestWithZorderSFSPresortOption(t *testing.T) {
-	// The Z-order presort computes the same skyline as the entropy presort
-	// through the public API.
-	q := "SELECT id, price, user_rating FROM hotels SKYLINE OF price MIN, user_rating MAX"
-	entropy := skysql.NewSession(skysql.WithExecutors(3), skysql.WithSkylineStrategy(skysql.SortFilterSkyline))
-	hotelInto(t, entropy)
-	erows, err := entropy.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zorder := skysql.NewSession(skysql.WithExecutors(3),
-		skysql.WithSkylineStrategy(skysql.SortFilterSkyline), skysql.WithZorderSFSPresort())
-	hotelInto(t, zorder)
-	zrows, err := zorder.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eg, zg := rowsToStrings(erows), rowsToStrings(zrows)
-	if strings.Join(eg, "|") != strings.Join(zg, "|") {
-		t.Fatalf("zorder presort rows %v != entropy presort rows %v", zg, eg)
 	}
 }
 
