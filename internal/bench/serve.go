@@ -265,19 +265,21 @@ func runServe(cfg Config, w io.Writer) error {
 
 // runServeAdmission measures the queue-or-429 path: one execution slot,
 // zero queue depth. A deliberately over-heavy blocker query — a complete
-// anti-correlated skyline far too large to finish inside its own 1s
-// timeout_ms — occupies the slot while six sequential probes arrive; the
-// admission controller must bounce every probe with HTTP 429 and the
-// blocker itself ends in a deterministic 504. The probes run against a
-// separate 64-row table, so each probe round trip is milliseconds: the
-// whole probe train fits inside the 1s slot hold with orders of
-// magnitude to spare, making the gated counters (requests, admitted=1,
-// rejected=6, result_rows=0) machine-independent without calibration.
+// skyline whose DIFF dimension is the unique id, so that no tuple can
+// dominate another and every pair is tested, far too slow to finish
+// inside its own 1s timeout_ms — occupies the slot while six sequential
+// probes arrive; the admission controller must bounce every probe with
+// HTTP 429 and the blocker itself ends in a deterministic 504. The probes
+// run against a separate 64-row table, so each probe round trip is
+// milliseconds: the whole probe train fits inside the 1s slot hold with
+// orders of magnitude to spare, making the gated counters (requests,
+// admitted=1, rejected=6, result_rows=0) machine-independent without
+// calibration.
 func runServeAdmission(cfg Config, w io.Writer, spec func(int, string, int, float64) Spec, emit func(Measurement)) error {
 	const dims = 4
 	const probes = 6
 	const blockerTimeoutMS = 1000
-	blockerSQL := mixShapes[0]
+	blockerSQL := "SELECT * FROM t SKYLINE OF COMPLETE d1 MIN, d2 MIN, d3 MIN, d4 MIN, id DIFF"
 	probeSQL := "SELECT * FROM probe SKYLINE OF COMPLETE d1 MIN, d2 MIN"
 	// The blocker table deliberately ignores cfg.Scale: the section's
 	// determinism needs the blocker's runtime to dwarf its 1s timeout, and

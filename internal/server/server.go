@@ -78,8 +78,43 @@ func New(sess *skysql.Session) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. It is the request boundary: a
+// handler's panic is answered with 500 "internal" (counted in
+// errors_total) when the response has not started, and the server goes on
+// serving. A panic after the response started, and http.ErrAbortHandler
+// always, is re-raised for net/http to abort the connection with.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	tw := &trackedWriter{ResponseWriter: w}
+	defer func() {
+		if v := recover(); v != nil {
+			if v == http.ErrAbortHandler || tw.started {
+				panic(v)
+			}
+			s.fail(tw, http.StatusInternalServerError, "internal", fmt.Sprintf("internal error: %v", v))
+		}
+	}()
+	s.mux.ServeHTTP(tw, r)
+}
+
+// trackedWriter records whether a handler has started its response, which
+// decides what a panic can still be turned into.
+type trackedWriter struct {
+	http.ResponseWriter
+	started bool
+}
+
+func (t *trackedWriter) WriteHeader(status int) {
+	t.started = true
+	t.ResponseWriter.WriteHeader(status)
+}
+
+func (t *trackedWriter) Write(b []byte) (int, error) {
+	t.started = true
+	return t.ResponseWriter.Write(b)
+}
+
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (t *trackedWriter) Unwrap() http.ResponseWriter { return t.ResponseWriter }
 
 // Session returns the wrapped session (tests reach through for stats).
 func (s *Server) Session() *skysql.Session { return s.sess }

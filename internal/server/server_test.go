@@ -300,14 +300,16 @@ func TestQueryDeadline504(t *testing.T) {
 // TestAdmission429 drives the admission controller over HTTP: with one
 // execution slot and no queue, a doomed long-running blocker saturates
 // the server and a concurrent probe is turned away with 429; once the
-// blocker drains, the same probe succeeds.
+// blocker drains, the same probe succeeds. The blocker's DIFF dimension is
+// the unique id, so no tuple dominates another and every pair is tested:
+// seconds of work whatever the data's shape.
 func TestAdmission429(t *testing.T) {
 	sess := skysql.NewSession(
 		skysql.WithExecutors(2),
 		skysql.WithMaxConcurrentQueries(1),
 	)
 	defer sess.Close()
-	tab := datagen.Synthetic(datagen.AntiCorrelated, 30000, 4, datagen.Config{Seed: 1, Complete: true})
+	tab := datagen.Synthetic(datagen.AntiCorrelated, 40000, 4, datagen.Config{Seed: 1, Complete: true})
 	sess.RegisterTable(tab)
 	probe := datagen.Synthetic(datagen.Independent, 32, 2, datagen.Config{Seed: 2})
 	probe.Name = "probe"
@@ -319,8 +321,8 @@ func TestAdmission429(t *testing.T) {
 	blockerDone := make(chan int, 1)
 	go func() {
 		status, _ := post(t, c, ts.URL+"/query", server.QueryRequest{
-			SQL:           "SELECT * FROM t SKYLINE OF COMPLETE d1 MIN, d2 MIN, d3 MIN, d4 MIN",
-			TimeoutMillis: 2000,
+			SQL:           "SELECT * FROM t SKYLINE OF COMPLETE d1 MIN, d2 MIN, d3 MIN, d4 MIN, id DIFF",
+			TimeoutMillis: 1000,
 		})
 		blockerDone <- status
 	}()

@@ -87,7 +87,15 @@ type Batch struct {
 
 	// Batch-local cost counters; Flush merges them into a shared Stats.
 	counters Counters
+
+	// gridPolicy pins the window passes' use of the cell index (grid.go).
+	// Only tests set it; batches are built with gridAuto.
+	gridPolicy gridPolicy
 }
+
+// dense reports whether every point is purely numeric and complete — the
+// batches the specialized window passes and the cell index serve.
+func (b *Batch) dense() bool { return !b.anyNull && b.keyStride == 0 }
 
 // DecodeBatch decodes points into a columnar batch implementing the
 // complete (incomplete=false) or incomplete (incomplete=true) dominance
@@ -393,35 +401,37 @@ func (b *Batch) compareDense(i, j int) Relation {
 		}
 	}
 	s := b.numStride
-	a := b.num[i*s : i*s+s]
-	c := b.num[j*s : j*s+s]
+	rel, comps := denseCompare(b.num[i*s:i*s+s], b.num[j*s:j*s+s])
+	b.counters.Comparisons += int64(comps)
+	return rel
+}
+
+// denseCompare classifies w against t on direction-normalized vectors with
+// no NULLs, returning the relation and the dimensions compared before the
+// outcome was fixed.
+func denseCompare(wv, tv []float64) (Relation, int) {
 	aBetter, bBetter := false, false
-	comps := 0
-	for k, x := range a {
-		y := c[k]
-		comps++
+	for k, x := range wv {
+		y := tv[k]
 		if x < y {
 			if bBetter {
-				b.counters.Comparisons += int64(comps)
-				return Incomparable
+				return Incomparable, k + 1
 			}
 			aBetter = true
 		} else if x > y {
 			if aBetter {
-				b.counters.Comparisons += int64(comps)
-				return Incomparable
+				return Incomparable, k + 1
 			}
 			bBetter = true
 		}
 	}
-	b.counters.Comparisons += int64(comps)
 	switch {
 	case aBetter:
-		return LeftDominates
+		return LeftDominates, len(wv)
 	case bBetter:
-		return RightDominates
+		return RightDominates, len(wv)
 	}
-	return Equal
+	return Equal, len(wv)
 }
 
 // compareCompleteNulls applies the complete-data definition when either

@@ -4,6 +4,14 @@ package skyline
 // through CompareDecoded and returns surviving indices in the exact
 // emission order of its boxed counterpart, so kernel-on and kernel-off
 // executions are row-for-row identical.
+//
+// On dense batches the BNL and SFS window passes count their dominance
+// tests as they go and, once the count says most arrivals scan most of a
+// large window, continue on the cell-grid index (grid.go), which tests an
+// arrival only against the window points whose cells allow dominance. The
+// switch changes which tests run, never the window: the result is the
+// plain pass's, index for index and in order, because the gridded window
+// keeps the plain window's insertion order and only marks evictions.
 
 import (
 	"fmt"
@@ -24,7 +32,7 @@ func (b *Batch) allIndices() []int {
 // transitive dominance relation: complete data, or one null-bitmap
 // partition of incomplete data.
 func (b *Batch) BNL(distinct bool) []int {
-	return b.bnlOver(nil, b.allIndices(), distinct)
+	return b.bnlOver(nil, b.allIndices(), distinct, b.newGridSource())
 }
 
 // BNLSeeded is BNL with a trusted starting window: points [0, seed) are
@@ -38,17 +46,18 @@ func (b *Batch) BNL(distinct bool) []int {
 // dominated arrival leaves the window untouched, an admitted one evicts
 // without reordering the rest and joins at the end.
 func (b *Batch) BNLSeeded(seed int, distinct bool) []int {
-	return b.bnlOver(rangeIndices(0, seed), rangeIndices(seed, len(b.pts)), distinct)
+	return b.bnlOver(rangeIndices(0, seed), rangeIndices(seed, len(b.pts)), distinct, b.newGridSource())
 }
 
 // bnlOver runs the BNL window pass over the given processing order,
 // starting from window (nil: empty), which it owns and compacts in place.
-func (b *Batch) bnlOver(window, order []int, distinct bool) []int {
+// The dense pass may switch to the cell index when gs's rule says it pays.
+func (b *Batch) bnlOver(window, order []int, distinct bool, gs *gridSource) []int {
 	if window == nil {
 		window = make([]int, 0, 16)
 	}
-	if !b.anyNull && b.keyStride == 0 {
-		return b.bnlDense(window, order, distinct)
+	if b.dense() {
+		return b.bnlDense(window, order, distinct, gs)
 	}
 	for _, t := range order {
 		dominated := false
@@ -90,55 +99,46 @@ func (b *Batch) bnlOver(window, order []int, distinct bool) []int {
 
 // bnlDense is the window pass for the hot case — purely numeric
 // dimensions, no NULLs: the incoming point's vector is hoisted out of the
-// window scan and the dominance classification is inlined, so every test
-// is a branchy linear scan of two contiguous float64 slices with no calls
-// and no per-test counter writes.
-func (b *Batch) bnlDense(window, order []int, distinct bool) []int {
+// window scan and the dominance classification (denseCompare) inlines, so
+// every test is a branchy linear scan of two contiguous float64 slices
+// with no calls and no per-test counter writes. Before each arrival it
+// asks gs whether the tests of the current stretch say the cell index
+// pays; if so, it hands its window and the rest of order to windowGrid.
+func (b *Batch) bnlDense(window, order []int, distinct bool, gs *gridSource) []int {
 	s := b.numStride
 	num := b.num
 	if s == 2 {
-		return b.bnlDense2(window, order, distinct)
+		return b.bnlDense2(window, order, distinct, gs)
 	}
-	var tests, comps int64
-	for _, t := range order {
+	var tests, comps, mark int64
+	for i, t := range order {
+		if gs.pays(len(window), len(order)-i, tests-mark) {
+			b.counters.Tests += tests
+			b.counters.Comparisons += comps
+			return b.windowGrid(window, order[i:], distinct, true, gs.grid())
+		}
+		if i%gridCheckEvery == 0 {
+			mark = tests
+		}
 		tv := num[t*s : t*s+s]
 		dominated := false
 		keep := window[:0]
 		for wi, w := range window {
+			rel, c := denseCompare(num[w*s:w*s+s], tv)
 			tests++
-			wv := num[w*s : w*s+s]
-			// Inlined compareDense(w, t) on wv vs tv, with the boxed
-			// path's early exit once both directions have won a dimension.
-			aBetter, bBetter, incomparable := false, false, false
-			for k, x := range wv {
-				y := tv[k]
-				comps++
-				if x < y {
-					if bBetter {
-						incomparable = true
-						break
-					}
-					aBetter = true
-				} else if x > y {
-					if aBetter {
-						incomparable = true
-						break
-					}
-					bBetter = true
-				}
-			}
-			switch {
-			case incomparable || (aBetter && bBetter):
-				keep = append(keep, w)
-			case aBetter: // w dominates t
+			comps += int64(c)
+			switch rel {
+			case LeftDominates:
 				dominated = true
-			case bBetter: // t dominates w: evicted
-			default: // equal
+			case RightDominates: // evicted
+			case Equal:
 				if distinct {
 					dominated = true
 				} else {
 					keep = append(keep, w)
 				}
+			default:
+				keep = append(keep, w)
 			}
 			if dominated {
 				// t cannot dominate the remaining window tuples
@@ -167,10 +167,18 @@ func (b *Batch) bnlDense(window, order []int, distinct bool) []int {
 // price/rating skyline — where the window is small and per-test loop
 // machinery would outweigh the two float comparisons: both coordinates of
 // the incoming point live in registers across the whole window scan.
-func (b *Batch) bnlDense2(window, order []int, distinct bool) []int {
+func (b *Batch) bnlDense2(window, order []int, distinct bool, gs *gridSource) []int {
 	num := b.num
-	var tests int64
-	for _, t := range order {
+	var tests, mark int64
+	for i, t := range order {
+		if gs.pays(len(window), len(order)-i, tests-mark) {
+			b.counters.Tests += tests
+			b.counters.Comparisons += 2 * tests
+			return b.windowGrid(window, order[i:], distinct, true, gs.grid())
+		}
+		if i%gridCheckEvery == 0 {
+			mark = tests
+		}
 		t0, t1 := num[2*t], num[2*t+1]
 		dominated := false
 		keep := window[:0]
@@ -288,7 +296,7 @@ func (b *Batch) BNLBounded(distinct bool, windowCap int) ([]int, error) {
 // which reproduces the boxed entropyScore exactly (NULL slots hold 0, the
 // contribution entropyScore assigns them).
 func (b *Batch) SFS(distinct bool) []int {
-	return b.sfsFilter(b.sfsOrder(), distinct)
+	return b.sfsFilter(b.sfsOrder(), distinct, b.newGridSource())
 }
 
 // sfsOrder computes SFS's processing order: all indices, stably sorted by
@@ -314,10 +322,21 @@ func (b *Batch) sfsOrder() []int {
 }
 
 // sfsFilter is the eviction-free SFS filter pass over an already
-// dominance-compatible processing order (entropy or Z-order presorted).
-func (b *Batch) sfsFilter(order []int, distinct bool) []int {
+// dominance-compatible processing order (entropy presorted). On dense
+// batches it switches to the cell index by bnlDense's rule.
+func (b *Batch) sfsFilter(order []int, distinct bool, gs *gridSource) []int {
 	window := make([]int, 0, 16)
-	for _, t := range order {
+	dense := b.dense()
+	mark := b.counters.Tests
+	for i, t := range order {
+		if dense {
+			if gs.pays(len(window), len(order)-i, b.counters.Tests-mark) {
+				return b.windowGrid(window, order[i:], distinct, false, gs.grid())
+			}
+			if i%gridCheckEvery == 0 {
+				mark = b.counters.Tests
+			}
+		}
 		dominated := false
 		for _, w := range window {
 			rel := b.CompareDecoded(w, t)
@@ -337,19 +356,19 @@ func (b *Batch) sfsFilter(order []int, distinct bool) []int {
 // skylines, and merges them with a BNL pass, mirroring the boxed
 // DivideAndConquer structure (same cutoff, same merge order).
 func (b *Batch) DivideAndConquer(distinct bool) []int {
-	return b.dnc(b.allIndices(), distinct)
+	return b.dnc(b.allIndices(), distinct, b.newGridSource())
 }
 
-func (b *Batch) dnc(order []int, distinct bool) []int {
+func (b *Batch) dnc(order []int, distinct bool, gs *gridSource) []int {
 	const cutoff = 64
 	if len(order) <= cutoff {
-		return b.bnlOver(nil, order, distinct)
+		return b.bnlOver(nil, order, distinct, gs)
 	}
 	mid := len(order) / 2
-	left := b.dnc(order[:mid], distinct)
-	right := b.dnc(order[mid:], distinct)
+	left := b.dnc(order[:mid], distinct, gs)
+	right := b.dnc(order[mid:], distinct, gs)
 	merged := append(append(make([]int, 0, len(left)+len(right)), left...), right...)
-	return b.bnlOver(nil, merged, distinct)
+	return b.bnlOver(nil, merged, distinct, gs)
 }
 
 // GlobalIncomplete is the pairwise flag-based algorithm of §5.7/Appendix A

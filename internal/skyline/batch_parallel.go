@@ -24,9 +24,16 @@ package skyline
 // no transitivity at all: its pairwise flag marking is order-independent,
 // so its twin just splits the pair space.
 //
+// Both phases use the cell-grid index (grid.go) on dense batches, chosen
+// per task from its own measured tests: phase 1 through the serial window
+// passes, phase 2 through one index over every chunk's local survivors,
+// built by the first task that asks and shared by the rest. It skips only
+// pairs that cannot be related, so the emission contract is untouched.
+//
 // Tasks never share mutable state: each runs on a shallow view of the
-// batch with its own cost counters (the decoded storage is read-only), and
-// the counters are absorbed back serially after each phase.
+// batch with its own cost counters (the decoded storage is read-only; the
+// phase-2 index is read-only once built), and the counters are absorbed
+// back serially after each phase.
 
 // ParallelRunner executes one round of independent tasks, returning the
 // first task error (or a cancellation error). The cluster's morsel runtime
@@ -113,38 +120,78 @@ func concatChunks(keep [][]int) []int {
 	return out
 }
 
-// crossFilterInputOrder is phase 2 of the input-order algorithms (BNL,
-// divide & conquer): keep p of chunk k unless some other chunk's local
-// survivor dominates it, or — under DISTINCT — equals it with a smaller
-// global index (the serial pass keeps the first occurrence of an equal
-// class). Within-chunk elimination already happened in phase 1.
-func (v *Batch) crossFilterInputOrder(local [][]int, k int, distinct bool) []int {
+// crossFilterChunks runs phase 2 as one parallel round, a crossFilter task
+// per chunk, and concatenates the kept survivors in chunk order.
+func (b *Batch) crossFilterChunks(gs *gridSource, local [][]int, distinct, sorted bool, run ParallelRunner) ([]int, error) {
+	ci := &crossIndex{gs: gs, local: local}
+	keep := make([][]int, len(local))
+	err := b.runChunks(len(local), run, func(k int, v *Batch) {
+		keep[k] = v.crossFilter(ci, k, distinct, sorted)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return concatChunks(keep), nil
+}
+
+// crossFilter is phase 2: keep p of chunk k unless a local survivor of a
+// chunk that can eliminate it dominates it, or — under DISTINCT — equals
+// it and precedes it in processing order (the serial pass keeps the first
+// occurrence of an equal class). For the input-order algorithms (BNL,
+// divide & conquer) every other chunk counts and precedence is index
+// order; for SFS (sorted) only earlier chunks of the sorted order count,
+// and all of them precede. Within-chunk elimination already happened in
+// phase 1. On dense batches the task moves to the shared cell index once
+// its measured tests say it pays, exactly as a window pass does.
+func (v *Batch) crossFilter(ci *crossIndex, k int, distinct, sorted bool) []int {
+	local := ci.local
+	against := 0
+	for j, l := range local {
+		if j != k && !(sorted && j > k) {
+			against += len(l)
+		}
+	}
+	dense, indexed := v.dense(), false
+	mark := v.counters.Tests
+	var cand []uint64
 	out := make([]int, 0, len(local[k]))
-	for _, p := range local[k] {
-		keep := true
-	scan:
-		for j := range local {
-			if j == k {
-				continue
+	for i, p := range local[k] {
+		if dense && !indexed {
+			if indexed = ci.gs.pays(against, len(local[k])-i, v.counters.Tests-mark); indexed {
+				ci.build()
 			}
-			for _, q := range local[j] {
-				switch v.CompareDecoded(q, p) {
-				case LeftDominates:
-					keep = false
-					break scan
-				case Equal:
-					if distinct && q < p {
-						keep = false
-						break scan
-					}
-				}
+			if i%gridCheckEvery == 0 {
+				mark = v.counters.Tests
 			}
 		}
-		if keep {
+		var gone bool
+		if indexed {
+			gone, cand = v.eliminatedIndexed(ci, cand, p, k, distinct, sorted)
+		} else {
+			gone = v.eliminated(local, p, k, distinct, sorted)
+		}
+		if !gone {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// eliminated is crossFilter's test of p against every survivor of the
+// chunks that count.
+func (v *Batch) eliminated(local [][]int, p, k int, distinct, sorted bool) bool {
+	for j, l := range local {
+		if j == k || (sorted && j > k) {
+			continue
+		}
+		for _, q := range l {
+			rel := v.CompareDecoded(q, p)
+			if rel == LeftDominates || (rel == Equal && distinct && (sorted || q < p)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // BNLParallel is the morsel-parallel twin of BNL: per-chunk window passes,
@@ -157,21 +204,15 @@ func (b *Batch) BNLParallel(distinct bool, chunk int, run ParallelRunner) ([]int
 	if bounds == nil {
 		return b.BNL(distinct), nil
 	}
+	gs := b.newGridSource()
 	local := make([][]int, len(bounds))
 	err := b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		local[k] = v.bnlOver(nil, rangeIndices(bounds[k][0], bounds[k][1]), distinct)
+		local[k] = v.bnlOver(nil, rangeIndices(bounds[k][0], bounds[k][1]), distinct, gs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	keep := make([][]int, len(bounds))
-	err = b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		keep[k] = v.crossFilterInputOrder(local, k, distinct)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concatChunks(keep), nil
+	return b.crossFilterChunks(gs, local, distinct, false, run)
 }
 
 // DivideAndConquerParallel is the morsel-parallel twin of DivideAndConquer:
@@ -184,21 +225,15 @@ func (b *Batch) DivideAndConquerParallel(distinct bool, chunk int, run ParallelR
 	if bounds == nil {
 		return b.DivideAndConquer(distinct), nil
 	}
+	gs := b.newGridSource()
 	local := make([][]int, len(bounds))
 	err := b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		local[k] = v.dnc(rangeIndices(bounds[k][0], bounds[k][1]), distinct)
+		local[k] = v.dnc(rangeIndices(bounds[k][0], bounds[k][1]), distinct, gs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	keep := make([][]int, len(bounds))
-	err = b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		keep[k] = v.crossFilterInputOrder(local, k, distinct)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concatChunks(keep), nil
+	return b.crossFilterChunks(gs, local, distinct, false, run)
 }
 
 // SFSParallel is the morsel-parallel twin of SFS. The entropy scoring and
@@ -215,38 +250,15 @@ func (b *Batch) SFSParallel(distinct bool, chunk int, run ParallelRunner) ([]int
 		return b.SFS(distinct), nil
 	}
 	order := b.sfsOrder()
+	gs := b.newGridSource()
 	local := make([][]int, len(bounds))
 	err := b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		local[k] = v.sfsFilter(order[bounds[k][0]:bounds[k][1]], distinct)
+		local[k] = v.sfsFilter(order[bounds[k][0]:bounds[k][1]], distinct, gs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	keep := make([][]int, len(bounds))
-	err = b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		out := make([]int, 0, len(local[k]))
-		for _, p := range local[k] {
-			kept := true
-		scan:
-			for j := 0; j < k; j++ {
-				for _, q := range local[j] {
-					rel := v.CompareDecoded(q, p)
-					if rel == LeftDominates || (rel == Equal && distinct) {
-						kept = false
-						break scan
-					}
-				}
-			}
-			if kept {
-				out = append(out, p)
-			}
-		}
-		keep[k] = out
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concatChunks(keep), nil
+	return b.crossFilterChunks(gs, local, distinct, true, run)
 }
 
 // GlobalIncompleteParallel is the morsel-parallel twin of GlobalIncomplete.

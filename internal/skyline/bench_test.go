@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"skysql/internal/cost"
+	"skysql/internal/datagen"
 	"skysql/internal/types"
 )
 
@@ -120,6 +122,74 @@ func BenchmarkDominanceBNLColumnar(b *testing.B) {
 			}
 		})
 	}
+}
+
+// kernelSink keeps the benchmarked kernels' results alive.
+var kernelSink []int
+
+// datagenPoints returns the first dims dimensions of the datagen table
+// (n rows, complete) as minimized points.
+func datagenPoints(dist datagen.Distribution, n, dims int, seed int64) []Point {
+	var pts []Point
+	_ = datagen.SyntheticStream(dist, n, dims, datagen.Config{Seed: seed, Complete: true}, func(r types.Row) error {
+		pts = append(pts, Point{Dims: r[1 : 1+dims], Row: r})
+		return nil
+	})
+	return pts
+}
+
+// BenchmarkDominanceGlobalAnti is the kernel_anti query's global step:
+// 4 000 anti-correlated rows (d=4, seed 1) reduced by 8 local morsels, the
+// merged survivors through BNLParallel at the engine's morsel target for 4
+// executors. The hard shape for the window: most arrivals are skyline
+// points, so a plain pass tests each against nearly the whole window.
+func BenchmarkDominanceGlobalAnti(b *testing.B) {
+	pts := datagenPoints(datagen.AntiCorrelated, 4000, 4, 1)
+	dirs := make([]Dir, 4)
+	var locals []*Batch
+	for m := 0; m < 8; m++ {
+		lb, ok := DecodeBatch(pts[m*500:(m+1)*500], dirs, false, nil)
+		if !ok {
+			b.Fatal("decode failed")
+		}
+		locals = append(locals, lb.Select(lb.BNL(false)))
+	}
+	global, ok := MergeBatches(locals)
+	if !ok {
+		b.Fatal("merge failed")
+	}
+	chunk := cost.MorselTarget(global.Len(), 4)
+	var stats Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := global.BNLParallel(false, chunk, goRunner)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kernelSink = idx
+		global.Flush(&stats)
+	}
+	b.ReportMetric(float64(stats.DominanceTests())/float64(b.N), "tests/op")
+}
+
+// BenchmarkDominanceLocalIndependent guards the scan_segments shape: one
+// 25 000-row independent batch (d=4) through Batch.BNL, where arrivals
+// meet an early dominator and the cell index must not cost anything.
+func BenchmarkDominanceLocalIndependent(b *testing.B) {
+	pts := datagenPoints(datagen.Independent, 25000, 4, 1)
+	batch, ok := DecodeBatch(pts, make([]Dir, 4), false, nil)
+	if !ok {
+		b.Fatal("decode failed")
+	}
+	var stats Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernelSink = batch.BNL(false)
+		batch.Flush(&stats)
+	}
+	b.ReportMetric(float64(stats.DominanceTests())/float64(b.N), "tests/op")
 }
 
 // BenchmarkDominanceCompareDecoded is the single-test twin of

@@ -380,6 +380,70 @@ func TestQuickDenseWindowPathsMatchBoxed(t *testing.T) {
 	}
 }
 
+// gridPointSet is a quick.Generator for the cell-index property: dense
+// batches of 1–17 dimensions, anti-correlated (the index engages) or from
+// a small integer domain (duplicates, values on cut points), some large
+// enough for the switch rule to fire in the middle of a pass.
+type gridPointSet struct {
+	pts        []Point
+	dirs       []Dir
+	distinct   bool
+	cut, chunk int
+}
+
+// Generate implements quick.Generator.
+func (gridPointSet) Generate(rng *rand.Rand, size int) reflect.Value {
+	d := []int{1, 2, 3, 4, 5, 16, 17}[rng.Intn(7)]
+	n := rng.Intn(60)
+	if rng.Intn(3) == 0 {
+		n = 200 + rng.Intn(600)
+	}
+	small := rng.Intn(2) == 0
+	dirs := make([]Dir, d)
+	for k := range dirs {
+		if rng.Intn(2) == 0 {
+			dirs[k] = Max
+		}
+	}
+	pts := make([]Point, n)
+	for i := range pts {
+		dims := make(types.Row, d)
+		sum := 0.0
+		vals := make([]float64, d)
+		for k := range vals {
+			vals[k] = rng.ExpFloat64()
+			sum += vals[k]
+		}
+		for k := range dims {
+			v := vals[k] / sum
+			if small {
+				v = float64(rng.Intn(4))
+			}
+			if dirs[k] == Max {
+				v = -v
+			}
+			dims[k] = types.Float(v)
+		}
+		pts[i] = Point{Dims: dims, Row: dims}
+	}
+	return reflect.ValueOf(gridPointSet{pts: pts, dirs: dirs, distinct: rng.Intn(2) == 0,
+		cut: rng.Intn(n + 1), chunk: 1 + rng.Intn(n/2+1)})
+}
+
+// TestQuickGridMatchesPlain: with the cell index pinned on, and under the
+// switch rule, every kernel entry point returns the plain pass's indices
+// in the plain pass's order — the same property FuzzBNLGrid explores from
+// bytes, here over generated shapes and sizes.
+func TestQuickGridMatchesPlain(t *testing.T) {
+	f := func(ps gridPointSet) bool {
+		checkGrid(t, ps.pts, ps.dirs, ps.distinct, ps.cut, ps.chunk)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestDecodeBatchRefusals pins the exactness guards: inputs whose boxed
 // semantics a float64/interned representation cannot reproduce must be
 // refused, not decoded approximately.
