@@ -176,16 +176,7 @@ func rangeSelectivity(b *expr.Binary, t *Table) float64 {
 		if !colOK || !litOK {
 			return defaultSelectivity
 		}
-		switch op {
-		case expr.OpLt:
-			op = expr.OpGt
-		case expr.OpLeq:
-			op = expr.OpGeq
-		case expr.OpGt:
-			op = expr.OpLt
-		case expr.OpGeq:
-			op = expr.OpLeq
-		}
+		op = op.Mirrored()
 	}
 	if !col.Numeric {
 		return defaultSelectivity
@@ -325,16 +316,7 @@ func rangeEmpty(b *expr.Binary, t *Table) bool {
 		if !colOK || !litOK {
 			return false
 		}
-		switch op {
-		case expr.OpLt:
-			op = expr.OpGt
-		case expr.OpLeq:
-			op = expr.OpGeq
-		case expr.OpGt:
-			op = expr.OpLt
-		case expr.OpGeq:
-			op = expr.OpLeq
-		}
+		op = op.Mirrored()
 	}
 	if col.NullFraction >= 1 && t.Rows > 0 {
 		// Every value is NULL: no comparison ever passes.

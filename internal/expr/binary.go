@@ -39,6 +39,22 @@ func (op BinaryOp) String() string { return binaryOpNames[op] }
 // IsComparison reports whether the operator is one of = <> < <= > >=.
 func (op BinaryOp) IsComparison() bool { return op >= OpEq && op <= OpGeq }
 
+// Mirrored returns the comparison that holds with the operands swapped
+// (a < b ⇔ b > a); every other operator is returned unchanged.
+func (op BinaryOp) Mirrored() BinaryOp {
+	switch op {
+	case OpLt:
+		return OpGt
+	case OpLeq:
+		return OpGeq
+	case OpGt:
+		return OpLt
+	case OpGeq:
+		return OpLeq
+	}
+	return op
+}
+
 // Binary applies a binary operator to two sub-expressions with SQL NULL
 // semantics (three-valued logic for AND/OR; NULL-propagating otherwise).
 type Binary struct {

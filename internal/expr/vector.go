@@ -30,7 +30,9 @@ package expr
 // implement Kleene three-valued logic (eager evaluation is observationally
 // identical to the boxed short-circuit because no vectorizable node can
 // produce a runtime error), and NULL propagates through arithmetic,
-// comparisons, and negation.
+// comparisons, and negation. A comparison with a non-NULL, non-NaN literal
+// on either side does not broadcast the literal: the other side is compared
+// against the scalar, one loop per operator, under the same order.
 
 import (
 	"errors"
@@ -420,8 +422,16 @@ func (v *VectorEvaluator) evalIsNull(n *IsNull) ([]bool, []bool, error) {
 
 // evalCompare evaluates a vectorized comparison, replicating the boxed
 // CompareValues semantics: NULL propagates, and NaN follows the boxed total
-// order (NaN = NaN, NaN below every number).
+// order (NaN = NaN, NaN below every number). A side that is a non-NULL,
+// non-NaN literal is not broadcast into a column: the other side is
+// compared against it in place (compareConst).
 func (v *VectorEvaluator) evalCompare(b *Binary) ([]bool, []bool, error) {
+	if c, ok := constOperand(b.R); ok {
+		return v.compareConst(b.Op, b.L, c)
+	}
+	if c, ok := constOperand(b.L); ok {
+		return v.compareConst(b.Op.Mirrored(), b.R, c)
+	}
 	lv, ln, err := v.evalNum(b.L)
 	if err != nil {
 		return nil, nil, err
@@ -450,6 +460,59 @@ func (v *VectorEvaluator) evalCompare(b *Binary) ([]bool, []bool, error) {
 			out[i] = c > 0
 		case OpGeq:
 			out[i] = c >= 0
+		}
+	}
+	return out, nulls, nil
+}
+
+// constOperand returns the value of a comparison operand that is a
+// non-NULL, non-NaN literal (the static probe admits only numeric ones, and
+// integers only within ±2⁵³, where the conversion is exact).
+func constOperand(e Expr) (float64, bool) {
+	lit, ok := e.(*Literal)
+	if !ok || lit.Value.IsNull() {
+		return 0, false
+	}
+	c := lit.Value.AsFloat()
+	return c, c == c
+}
+
+// compareConst evaluates e op c with the operator switch out of the row
+// loop. Against a c that is not NaN, compareFloats(x, c) is the plain float
+// comparison except that a NaN x sorts below c, so only < and <= must admit
+// NaN slots (and <> does, as x != c). The result carries e's null mask;
+// its values under NULL slots are left as computed, since EvalPredicate,
+// the three-valued operators and MaterializeBool read the mask first.
+func (v *VectorEvaluator) compareConst(op BinaryOp, e Expr, c float64) ([]bool, []bool, error) {
+	xs, nulls, err := v.evalNum(e)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := v.newBools()
+	switch op {
+	case OpEq:
+		for i, x := range xs {
+			out[i] = x == c
+		}
+	case OpNeq:
+		for i, x := range xs {
+			out[i] = x != c
+		}
+	case OpLt:
+		for i, x := range xs {
+			out[i] = x < c || x != x
+		}
+	case OpLeq:
+		for i, x := range xs {
+			out[i] = x <= c || x != x
+		}
+	case OpGt:
+		for i, x := range xs {
+			out[i] = x > c
+		}
+	case OpGeq:
+		for i, x := range xs {
+			out[i] = x >= c
 		}
 	}
 	return out, nulls, nil

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -257,6 +258,33 @@ func TestGlobalSkylineAlgorithms(t *testing.T) {
 		}
 		if len(got) != len(want) {
 			t.Errorf("%v: %v != %v", algo, got, want)
+		}
+	}
+}
+
+// TestGlobalSFSPresortRepros: a GlobalSFS skyline keeps only the second of
+// two rows the second dominates, kernel on and off, where the sums of the
+// rows' dimensions tie — at −Inf, and at 1e17 under rounding — so a presort
+// by the sum alone would keep both.
+func TestGlobalSFSPresortRepros(t *testing.T) {
+	schema := types.NewSchema(types.Field{Name: "x", Type: types.KindFloat}, types.Field{Name: "y", Type: types.KindFloat})
+	dims := []BoundDim{
+		{E: expr.NewBoundRef(0, "x", types.KindFloat, false)},
+		{E: expr.NewBoundRef(1, "y", types.KindFloat, false)},
+	}
+	for _, rows := range [][]types.Row{
+		{{types.Float(math.Inf(-1)), types.Float(7)}, {types.Float(math.Inf(-1)), types.Float(1)}},
+		{{types.Float(1e17), types.Float(1)}, {types.Float(1e17), types.Float(0)}},
+	} {
+		tab, err := catalog.NewTable("t", schema, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, noKernel := range []bool{false, true} {
+			g := &GlobalSkylineExec{Dims: dims, Algorithm: GlobalSFS, DisableKernel: noKernel, Child: scanOf(t, tab)}
+			if got := gather(t, g, 2); len(got) != 1 || got[0].String() != rows[1].String() {
+				t.Errorf("kernel off=%v: SFS skyline of %v = %v, want [%v]", noKernel, rows, got, rows[1])
+			}
 		}
 	}
 }

@@ -88,8 +88,9 @@ type Batch struct {
 	// Batch-local cost counters; Flush merges them into a shared Stats.
 	counters Counters
 
-	// gridPolicy pins the window passes' use of the cell index (grid.go).
-	// Only tests set it; batches are built with gridAuto.
+	// gridPolicy pins the window passes' use of the cell index (grid.go)
+	// and of BNL's dominance screen. Only tests set it; batches are built
+	// with gridAuto.
 	gridPolicy gridPolicy
 }
 

@@ -5,17 +5,26 @@ package skyline
 // emission order of its boxed counterpart, so kernel-on and kernel-off
 // executions are row-for-row identical.
 //
-// On dense batches the BNL and SFS window passes count their dominance
-// tests as they go and, once the count says most arrivals scan most of a
-// large window, continue on the cell-grid index (grid.go), which tests an
-// arrival only against the window points whose cells allow dominance. The
-// switch changes which tests run, never the window: the result is the
-// plain pass's, index for index and in order, because the gridded window
-// keeps the plain window's insertion order and only marks evictions.
+// On dense batches a BNL pass first screens its arrivals (screenOrder):
+// the few arrivals with the smallest range-normalized sum strictly dominate
+// most of an independent or correlated input, and every arrival one of them
+// dominates is dropped before the window sees it. The screen stops itself
+// on data where it does not pay (anti-correlated), after one stretch.
+//
+// The BNL and SFS window passes then count their dominance tests as they
+// go and, once the count says most arrivals scan most of a large window,
+// continue on the cell-grid index (grid.go), which tests an arrival only
+// against the window points whose cells allow dominance. Neither changes
+// the result: it is the plain pass's, index for index and in order. The
+// screen drops only points some input point strictly dominates, which a
+// BNL pass never emits and whose absence changes no emitted point's
+// admission; the gridded window keeps the plain window's insertion order
+// and only marks evictions.
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // allIndices returns 0..n-1, the identity processing order.
@@ -50,13 +59,17 @@ func (b *Batch) BNLSeeded(seed int, distinct bool) []int {
 }
 
 // bnlOver runs the BNL window pass over the given processing order,
-// starting from window (nil: empty), which it owns and compacts in place.
-// The dense pass may switch to the cell index when gs's rule says it pays.
+// starting from window (nil: empty); it owns both and compacts them in
+// place. The dense pass screens order first and may switch to the cell
+// index when gs's rule says it pays; gridOff pins the plain pass.
 func (b *Batch) bnlOver(window, order []int, distinct bool, gs *gridSource) []int {
 	if window == nil {
 		window = make([]int, 0, 16)
 	}
 	if b.dense() {
+		if gs.policy != gridOff {
+			order = b.screenOrder(order)
+		}
 		return b.bnlDense(window, order, distinct, gs)
 	}
 	for _, t := range order {
@@ -95,6 +108,105 @@ func (b *Batch) bnlOver(window, order []int, distinct bool, gs *gridSource) []in
 		}
 	}
 	return window
+}
+
+// The dominance screen: a dense BNL pass of at least screenMinArrivals
+// arrivals tests each against the screenPoints arrivals with the smallest
+// range-normalized sum, and stops screening after the first stretch of
+// gridCheckEvery arrivals of which fewer than half were dropped.
+const (
+	screenPoints      = 8
+	screenMinArrivals = 64
+)
+
+// screenOrder drops from a dense pass's arrivals every point that one of a
+// few strong arrivals strictly dominates (LESS's elimination filter), and
+// returns order compacted in place. The strong points are the arrivals
+// with the smallest sum of range-normalized columns; columns whose range
+// is zero or infinite take no part in the sum. A dropped point is never in
+// the pass's result, and the pass over the survivors returns the plain
+// pass's indices in the plain pass's order (see the file comment); Equal
+// never drops, so DISTINCT keeps the first of equals as before. On
+// anti-correlated data the first stretch stops the screen, at a cost of at
+// most gridCheckEvery·screenPoints tests.
+func (b *Batch) screenOrder(order []int) []int {
+	if len(order) < screenMinArrivals {
+		return order
+	}
+	s, num := b.numStride, b.num
+	var lo, hi, scale [64]float64 // a batch has at most 64 dimensions
+	var cols [64]int
+	for k := range s {
+		lo[k], hi[k] = math.Inf(1), math.Inf(-1)
+	}
+	for _, t := range order {
+		for k, x := range num[t*s : t*s+s] {
+			if x < lo[k] {
+				lo[k] = x
+			}
+			if x > hi[k] {
+				hi[k] = x
+			}
+		}
+	}
+	nc := 0
+	for k := range s {
+		if r := hi[k] - lo[k]; r > 0 && !math.IsInf(r, 1) {
+			cols[nc], scale[nc] = k, 1/r
+			nc++
+		}
+	}
+	// The strong points, best first.
+	var strong [screenPoints]int
+	var score [screenPoints]float64
+	m := 0
+	for _, t := range order {
+		v := num[t*s : t*s+s]
+		sum := 0.0
+		for c, k := range cols[:nc] {
+			sum += (v[k] - lo[k]) * scale[c]
+		}
+		if m == screenPoints && sum >= score[m-1] {
+			continue
+		}
+		if m < screenPoints {
+			m++
+		}
+		i := m - 1
+		for ; i > 0 && score[i-1] > sum; i-- {
+			strong[i], score[i] = strong[i-1], score[i-1]
+		}
+		strong[i], score[i] = t, sum
+	}
+	var tests, comps int64
+	kept, dropped := order[:0], 0
+	for i, t := range order {
+		if i > 0 && i%gridCheckEvery == 0 {
+			if 2*dropped < gridCheckEvery {
+				kept = append(kept, order[i:]...)
+				break
+			}
+			dropped = 0
+		}
+		tv := num[t*s : t*s+s]
+		gone := false
+		for _, p := range strong[:m] {
+			rel, c := denseCompare(num[p*s:p*s+s], tv)
+			tests++
+			comps += int64(c)
+			if gone = rel == LeftDominates; gone {
+				break
+			}
+		}
+		if gone {
+			dropped++
+		} else {
+			kept = append(kept, t)
+		}
+	}
+	b.counters.Tests += tests
+	b.counters.Comparisons += comps
+	return kept
 }
 
 // bnlDense is the window pass for the hot case — purely numeric
@@ -291,39 +403,39 @@ func (b *Batch) BNLBounded(distinct bool, windowCap int) ([]int, error) {
 }
 
 // SFS is the Sort-Filter-Skyline pass (§7 extension) over the decoded
-// batch: presort by the monotone entropy score, then filter without
-// evictions. The score is the sum of the direction-normalized columns,
-// which reproduces the boxed entropyScore exactly (NULL slots hold 0, the
-// contribution entropyScore assigns them).
+// batch: presort by the dominance-compatible key (sfsKey), then filter
+// without evictions. The order is the boxed SFS's exactly: the key and its
+// tie-break read the direction-normalized columns, and NULL slots hold 0,
+// the value the boxed key gives a NULL.
 func (b *Batch) SFS(distinct bool) []int {
 	return b.sfsFilter(b.sfsOrder(), distinct, b.newGridSource())
 }
 
 // sfsOrder computes SFS's processing order: all indices, stably sorted by
-// the entropy score (the sum of the direction-normalized columns). The
-// score is strictly monotone under dominance — a dominator is ≤ in every
-// normalized column and < in one — so no point is ever preceded by a point
-// it dominates, and equal points keep their index order.
+// sfsKey, ties broken by the normalized vectors compared lexicographically.
+// A dominator sorts strictly before every point it dominates, and equal
+// points keep their index order.
 func (b *Batch) sfsOrder() []int {
-	scores := make([]float64, len(b.pts))
 	s := b.numStride
-	for i := range scores {
-		sum := 0.0
+	keys := make([]sfsKey, len(b.pts))
+	for i := range keys {
 		for _, v := range b.num[i*s : i*s+s] {
-			sum += v
+			keys[i].add(v)
 		}
-		scores[i] = sum
 	}
 	order := b.allIndices()
-	sort.SliceStable(order, func(x, y int) bool {
-		return scores[order[x]] < scores[order[y]]
+	slices.SortStableFunc(order, func(x, y int) int {
+		if c := keys[x].compare(keys[y]); c != 0 {
+			return c
+		}
+		return slices.Compare(b.num[x*s:x*s+s], b.num[y*s:y*s+s])
 	})
 	return order
 }
 
 // sfsFilter is the eviction-free SFS filter pass over an already
-// dominance-compatible processing order (entropy presorted). On dense
-// batches it switches to the cell index by bnlDense's rule.
+// dominance-compatible processing order (sfsOrder). On dense batches it
+// switches to the cell index by bnlDense's rule.
 func (b *Batch) sfsFilter(order []int, distinct bool, gs *gridSource) []int {
 	window := make([]int, 0, 16)
 	dense := b.dense()

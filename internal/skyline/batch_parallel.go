@@ -26,7 +26,8 @@ package skyline
 //
 // Both phases use the cell-grid index (grid.go) on dense batches, chosen
 // per task from its own measured tests: phase 1 through the serial window
-// passes, phase 2 through one index over every chunk's local survivors,
+// passes (whose BNL passes also screen their arrivals, batch_algos.go),
+// phase 2 through one index over every chunk's local survivors,
 // built by the first task that asks and shared by the rest. It skips only
 // pairs that cannot be related, so the emission contract is untouched.
 //
@@ -236,14 +237,14 @@ func (b *Batch) DivideAndConquerParallel(distinct bool, chunk int, run ParallelR
 	return b.crossFilterChunks(gs, local, distinct, false, run)
 }
 
-// SFSParallel is the morsel-parallel twin of SFS. The entropy scoring and
-// the stable sort stay serial (O(n log n), not the hot spot); the sorted
-// order is chunked, each chunk runs the eviction-free filter locally, and
-// phase 2 filters chunk k's survivors against the survivors of chunks
-// j < k only: the entropy score is strictly monotone under dominance
-// (a dominator's normalized sum is strictly smaller) and equal points
-// share a score with stable index order, so every point that can eliminate
-// p sorts before it. Emits exactly SFS's indices in SFS's (sorted) order.
+// SFSParallel is the morsel-parallel twin of SFS. The presort keys and the
+// stable sort stay serial (O(n log n), not the hot spot); the sorted order
+// is chunked, each chunk runs the eviction-free filter locally, and phase 2
+// filters chunk k's survivors against the survivors of chunks j < k only:
+// the presort puts a dominator strictly before every point it dominates
+// (sfsKey) and equal points in index order, so every point that can
+// eliminate p sorts before it. Emits exactly SFS's indices in SFS's
+// (sorted) order.
 func (b *Batch) SFSParallel(distinct bool, chunk int, run ParallelRunner) ([]int, error) {
 	bounds := parallelChunks(len(b.pts), chunk)
 	if bounds == nil {

@@ -174,8 +174,8 @@ func BenchmarkDominanceGlobalAnti(b *testing.B) {
 }
 
 // BenchmarkDominanceLocalIndependent guards the scan_segments shape: one
-// 25 000-row independent batch (d=4) through Batch.BNL, where arrivals
-// meet an early dominator and the cell index must not cost anything.
+// 25 000-row independent batch (d=4) through Batch.BNL, where the dominance
+// screen drops most arrivals and the cell index serves the hard rest.
 func BenchmarkDominanceLocalIndependent(b *testing.B) {
 	pts := datagenPoints(datagen.Independent, 25000, 4, 1)
 	batch, ok := DecodeBatch(pts, make([]Dir, 4), false, nil)

@@ -1,7 +1,9 @@
 package skyline
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"skysql/internal/types"
 )
@@ -13,50 +15,131 @@ import (
 // ablation benchmarks so that the modular algorithm-selection design of
 // §5.5 can be demonstrated end to end.
 
-// entropyScore computes a monotone scoring function over the MIN/MAX
-// dimensions: smaller score = more likely to dominate. Sorting by the score
-// guarantees no tuple can be dominated by a later tuple, which removes the
-// window-eviction branch from BNL.
-func entropyScore(dims types.Row, dirs []Dir) float64 {
-	var s float64
+// sfsKey is SFS's presort key over the direction-normalized MIN/MAX
+// dimensions (smaller is better): the count of −Inf dimensions, descending;
+// the count of +Inf dimensions, ascending; the sum of the finite ones,
+// ascending. Each component is monotone under dominance. A dominator w of t
+// is ≤ in every dimension, so t's −Inf dimensions are −Inf in w and w's
+// +Inf dimensions are +Inf in t; with both counts equal the two points have
+// the same finite dimensions, and there w's sum is ≤ t's, rounding being
+// monotone. A plain sum of all dimensions is not: it is −Inf, +Inf or NaN
+// as soon as a point holds an infinity. Sums can tie under rounding even
+// between a dominator and its victim, (1e17, 0) and (1e17, 1), so the
+// sorts break key ties by the normalized vectors, lexicographically: the
+// first dimension where a dominator differs from its victim is one where it
+// is better. The resulting order puts every dominator strictly before the
+// points it dominates, which SFS's eviction-free filter and SFSParallel's
+// phase 2 rest on; equal points keep their index order.
+type sfsKey struct {
+	negInf, posInf int
+	sum            float64
+}
+
+// add enters one normalized dimension value.
+func (k *sfsKey) add(f float64) {
+	switch {
+	case math.IsInf(f, -1):
+		k.negInf++
+	case math.IsInf(f, 1):
+		k.posInf++
+	default:
+		k.sum += f
+	}
+}
+
+// compare orders two keys; 0 leaves the order to the tie-break.
+func (k sfsKey) compare(o sfsKey) int {
+	if k.negInf != o.negInf {
+		return cmp.Compare(o.negInf, k.negInf)
+	}
+	if k.posInf != o.posInf {
+		return cmp.Compare(k.posInf, o.posInf)
+	}
+	return cmp.Compare(k.sum, o.sum)
+}
+
+// boxedSFSKey is the sfsKey of a boxed dimension vector. NULLs count as 0,
+// the value a decoded batch holds in their slots; non-numeric values do
+// not count (the tie-break orders them). NaN, which sorts below every
+// number, is the best MIN value and the worst MAX one, so it counts with
+// −Inf or +Inf respectively.
+func boxedSFSKey(dims types.Row, dirs []Dir) sfsKey {
+	var k sfsKey
+	for i, dir := range dirs {
+		v := dims[i]
+		if dir == Diff || !v.IsNumeric() {
+			continue
+		}
+		f := v.AsFloat()
+		switch {
+		case f != f && dir == Min:
+			k.negInf++
+		case f != f:
+			k.posInf++
+		case dir == Max:
+			k.add(-f)
+		default:
+			k.add(f)
+		}
+	}
+	return k
+}
+
+// compareNormalized is the presort's tie-break on boxed vectors: the MIN/MAX
+// dimensions in clause order, compared as the dominance test compares them,
+// with NULL as 0 — on decodable input, exactly the lexicographic order of
+// the batch's normalized vectors. Values that do not compare order by kind.
+func compareNormalized(a, b types.Row, dirs []Dir) int {
 	for i, dir := range dirs {
 		if dir == Diff {
 			continue
 		}
-		v := dims[i]
-		if v.IsNull() || !v.IsNumeric() {
-			continue
+		av, bv := a[i], b[i]
+		if av.IsNull() {
+			av = types.Float(0)
 		}
-		f := v.AsFloat()
+		if bv.IsNull() {
+			bv = types.Float(0)
+		}
+		c, ok := types.CompareValues(av, bv)
+		if !ok {
+			c = cmp.Compare(av.Kind(), bv.Kind())
+		}
 		if dir == Max {
-			f = -f
+			c = -c
 		}
-		s += f
+		if c != 0 {
+			return c
+		}
 	}
-	return s
+	return 0
 }
 
 // SFS computes the skyline of complete data with the Sort-Filter-Skyline
-// algorithm: presort by a monotone score, then a single filtering pass in
-// which incoming tuples are only ever *discarded* (window tuples are never
-// evicted because a later tuple cannot dominate an earlier one).
+// algorithm: presort by a dominance-compatible key (sfsKey), then a single
+// filtering pass in which incoming tuples are only ever *discarded* (window
+// tuples are never evicted because a later tuple cannot dominate an earlier
+// one).
 //
 // SFS requires the data on a single node, which is the drawback the paper
 // cites for sorting-based algorithms in a distributed setting (§2).
 func SFS(points []Point, dirs []Dir, distinct bool, stats *Stats) ([]Point, error) {
-	// Decode-once discipline (mirroring Batch.SFS, which sums the already
-	// decoded vectors): the monotone score column is computed once per
-	// point, not re-evaluated on every sort comparison.
-	scores := make([]float64, len(points))
+	// Decode-once discipline (mirroring Batch.SFS, which keys the already
+	// decoded vectors): the key is computed once per point, not re-evaluated
+	// on every sort comparison.
+	keys := make([]sfsKey, len(points))
 	for i := range points {
-		scores[i] = entropyScore(points[i].Dims, dirs)
+		keys[i] = boxedSFSKey(points[i].Dims, dirs)
 	}
 	order := make([]int, len(points))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return scores[order[i]] < scores[order[j]]
+	slices.SortStableFunc(order, func(x, y int) int {
+		if c := keys[x].compare(keys[y]); c != 0 {
+			return c
+		}
+		return compareNormalized(points[x].Dims, points[y].Dims, dirs)
 	})
 	var local Counters
 	defer stats.Merge(&local)

@@ -46,8 +46,10 @@ const (
 // stretch, while its window and the input still to come both hold at least
 // gridMinWindow and gridMinRemaining points: then most arrivals scan most
 // of a large window, which is what the index removes. On data whose
-// arrivals meet an early dominator (independent, correlated) the count
-// stays low and the index is never built.
+// arrivals meet an early dominator (correlated, small independent passes)
+// the count stays low and the index is never built. A large independent
+// BNL pass is different once its screen (screenOrder) has dropped the easy
+// arrivals: the rest meet their dominators late, and the rule may fire.
 const (
 	gridCheckEvery         = 16
 	gridMinWindow          = 64
@@ -55,9 +57,10 @@ const (
 	gridMinTestsPerArrival = 64
 )
 
-// gridPolicy pins a window pass's use of the index. The engine always runs
-// gridAuto; tests run gridOff as the oracle the gridded path must equal and
-// gridOn to index every pass from its first arrival.
+// gridPolicy pins a window pass's use of the index and of BNL's dominance
+// screen (screenOrder). The engine always runs gridAuto; tests run gridOff,
+// the plain pass with neither, as the oracle the screened and gridded paths
+// must equal, and gridOn to index every pass from its first arrival.
 type gridPolicy int8
 
 const (
@@ -312,9 +315,8 @@ func (b *Batch) windowGrid(window, order []int, distinct, evicts bool, g *cellGr
 		if evicts {
 			// The window is an antichain: t, not dominated, may evict from
 			// the buckets above it; its own was scanned in full already.
-			// (Without evictions, a presort that is not dominance-compatible
-			// — entropy scores tied at ±Inf, or NaN — keeps what the plain
-			// filter keeps.)
+			// (Without evictions the presort guarantees t dominates nothing
+			// in the window.)
 			w.cand = w.sets.above(w.cand, ct)
 			for i, word := range w.cand {
 				for ; word != 0; word &= word - 1 {

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -57,11 +58,13 @@ var gridAlgos = []struct {
 	}},
 }
 
-// checkGrid asserts the cell index's contract on one input: every entry
-// point returns, under gridOn (indexed from the first arrival) and under
-// gridAuto (indexed once the switch rule fires), exactly the indices the
-// plain pass (gridOff) returns, in the same order. BNLSeeded runs on the
-// batch the result cache builds — skyline(points[:cut]) ++ points[cut:].
+// checkGrid asserts the contract of the dominance screen and the cell
+// index on one input: every entry point returns, under gridOn (indexed
+// from the first arrival) and under gridAuto (indexed once the switch rule
+// fires), BNL passes screened in both, exactly the indices the plain pass
+// (gridOff: no screen, no index) returns, in the same order. BNLSeeded
+// runs on the batch the result cache builds — skyline(points[:cut]) ++
+// points[cut:].
 func checkGrid(t *testing.T, pts []Point, dirs []Dir, distinct bool, cut, chunk int) {
 	t.Helper()
 	decode := func(p []Point) *Batch {
@@ -94,6 +97,14 @@ func checkGrid(t *testing.T, pts []Point, dirs []Dir, distinct bool, cut, chunk 
 			}
 		}
 	}
+	// SFS's presort is dominance-compatible: it keeps BNL's set (which BNL
+	// emits in index order).
+	full.gridPolicy = gridOff
+	bnl, sfs := full.BNL(distinct), full.SFS(distinct)
+	slices.Sort(sfs)
+	if fmt.Sprint(sfs) != fmt.Sprint(bnl) {
+		t.Fatalf("d=%d n=%d distinct=%v: SFS kept %v, BNL %v", len(dirs), len(pts), distinct, sfs, bnl)
+	}
 }
 
 // gridDims are the dimension counts the fuzz target walks: the 2-dimension
@@ -121,37 +132,19 @@ func gridValue(v byte) float64 {
 	return f
 }
 
-// gridCase turns fuzz bytes into one scenario. Byte 0: bits 0–1 pick the
-// dimension count, bit 2 DISTINCT, bit 3 a constant first column, bit 4
-// MAX on odd dimensions. Byte 1: 8× that many anti-correlated points are
-// appended after the explicit ones (seeded from the bytes), which carries
-// n across the switch point with a small corpus file. Byte 2 places
-// BNLSeeded's cut and picks 2–5 parallel chunks. Every following group of
-// d bytes is one explicit point.
+// gridCase turns fuzz bytes into one scenario. Byte 0 is read by caseDims.
+// Byte 1: 8× that many anti-correlated points are appended after the
+// explicit ones (seeded from the bytes), which carries n across the switch
+// point with a small corpus file. Byte 2 places BNLSeeded's cut and picks
+// 2–5 parallel chunks. Every following group of d bytes is one explicit
+// point.
 func gridCase(data []byte) (pts []Point, dirs []Dir, distinct bool, cut, chunk int) {
 	for len(data) < 3 {
 		data = append(data, 0)
 	}
-	d := gridDims[data[0]&3]
-	distinct = data[0]&4 != 0
-	constant := data[0]&8 != 0
-	dirs = make([]Dir, d)
-	for k := range dirs {
-		if data[0]&16 != 0 && k%2 == 1 {
-			dirs[k] = Max
-		}
-	}
-	var vecs [][]float64
-	for body := data[3:]; len(body) >= d; body = body[d:] {
-		v := make([]float64, d)
-		for k := range v {
-			v[k] = gridValue(body[k])
-		}
-		vecs = append(vecs, v)
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	dirs, distinct, constant := caseDims(data[0])
+	d := len(dirs)
+	vecs, rng := caseExplicit(data, d)
 	for i := 0; i < 8*int(data[1]); i++ {
 		v := make([]float64, d)
 		sum := 0.0
@@ -164,22 +157,60 @@ func gridCase(data []byte) (pts []Point, dirs []Dir, distinct bool, cut, chunk i
 		}
 		vecs = append(vecs, v)
 	}
+	pts = caseBatch(vecs, dirs, constant)
+	cut = int(data[2]) * len(pts) / 256
+	chunk = len(pts)/(2+int(data[2]%4)) + 1
+	return pts, dirs, distinct, cut, chunk
+}
+
+// caseDims reads a case's byte 0: bits 0–1 pick the dimension count, bit 2
+// DISTINCT, bit 3 a constant first column, bit 4 MAX on odd dimensions.
+func caseDims(b byte) (dirs []Dir, distinct, constant bool) {
+	dirs = make([]Dir, gridDims[b&3])
+	for k := range dirs {
+		if b&16 != 0 && k%2 == 1 {
+			dirs[k] = Max
+		}
+	}
+	return dirs, b&4 != 0, b&8 != 0
+}
+
+// caseExplicit reads a case's explicit points, every group of d bytes
+// after byte 2 (gridValue), and seeds the generator of its other points
+// from all its bytes.
+func caseExplicit(data []byte, d int) ([][]float64, *rand.Rand) {
+	var vecs [][]float64
+	for body := data[3:]; len(body) >= d; body = body[d:] {
+		v := make([]float64, d)
+		for k := range v {
+			v[k] = gridValue(body[k])
+		}
+		vecs = append(vecs, v)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	return vecs, rand.New(rand.NewSource(int64(h.Sum64())))
+}
+
+// caseBatch turns a case's vectors, given as minimized values, into points
+// under dirs (MAX dimensions negated, so the shape is kept) — the first
+// column set to 1 when constant.
+func caseBatch(vecs [][]float64, dirs []Dir, constant bool) []Point {
+	pts := make([]Point, 0, len(vecs))
 	for _, v := range vecs {
 		if constant {
 			v[0] = 1
 		}
-		dims := make(types.Row, d)
+		dims := make(types.Row, len(dirs))
 		for k, f := range v {
 			if dirs[k] == Max {
-				f = -f // keep the anti-correlation under MAX
+				f = -f
 			}
 			dims[k] = types.Float(f)
 		}
 		pts = append(pts, Point{Dims: dims, Row: dims})
 	}
-	cut = int(data[2]) * len(pts) / 256
-	chunk = len(pts)/(2+int(data[2]%4)) + 1
-	return pts, dirs, distinct, cut, chunk
+	return pts
 }
 
 // FuzzBNLGrid: bytes → points; every entry point returns the same indices
@@ -277,27 +308,36 @@ func TestCellCodeMonotone(t *testing.T) {
 	}
 }
 
-// TestGridSwitchRule: anti-correlated input makes the plain pass switch to
-// the index and spend far fewer tests; independent input of the
-// local-skyline shape never switches, so its test count is the plain
-// pass's to the unit.
+// TestGridSwitchRule: anti-correlated input makes the pass switch to the
+// index and spend far fewer tests than the plain pass. Correlated input,
+// whose arrivals meet an early dominator, never builds a grid. On
+// independent input of the local-skyline shape the screen drops the easy
+// arrivals, and the pass over the rest — indexed or not, as the rule finds
+// — spends at most half the plain pass's tests.
 func TestGridSwitchRule(t *testing.T) {
-	tests := func(pts []Point, p gridPolicy) int64 {
+	run := func(pts []Point, p gridPolicy) (tests int64, gridded bool) {
 		b, ok := DecodeBatch(pts, make([]Dir, 4), false, nil)
 		if !ok {
 			t.Fatal("decode failed")
 		}
 		b.gridPolicy = p
-		b.BNL(false)
-		return b.counters.Tests
+		gs := b.newGridSource()
+		b.bnlOver(nil, b.allIndices(), false, gs)
+		return b.counters.Tests, gs.g != nil
 	}
 	rng := rand.New(rand.NewSource(9))
 	anti := genPoints(rng, 2000, 4, -1)
-	if auto, plain := tests(anti, gridAuto), tests(anti, gridOff); auto*4 > plain {
-		t.Errorf("anti-correlated: %d tests with the switch rule, %d plain; want at least 4× fewer", auto, plain)
+	auto, gridded := run(anti, gridAuto)
+	if plain, _ := run(anti, gridOff); !gridded || auto*4 > plain {
+		t.Errorf("anti-correlated: %d tests with the switch rule (grid built: %v), %d plain; want the index and at least 4× fewer",
+			auto, gridded, plain)
+	}
+	if _, gridded := run(genPoints(rng, 5000, 4, 1), gridAuto); gridded {
+		t.Error("correlated: the switch rule built a grid; the index must not engage")
 	}
 	indep := genPoints(rng, 5000, 4, 0)
-	if auto, plain := tests(indep, gridAuto), tests(indep, gridOff); auto != plain {
-		t.Errorf("independent: %d tests with the switch rule, %d plain; the index must not engage", auto, plain)
+	auto, _ = run(indep, gridAuto)
+	if plain, _ := run(indep, gridOff); auto*2 > plain {
+		t.Errorf("independent: %d tests screened, %d plain; want at most half", auto, plain)
 	}
 }

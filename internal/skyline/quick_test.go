@@ -380,9 +380,11 @@ func TestQuickDenseWindowPathsMatchBoxed(t *testing.T) {
 	}
 }
 
-// gridPointSet is a quick.Generator for the cell-index property: dense
-// batches of 1–17 dimensions, anti-correlated (the index engages) or from
-// a small integer domain (duplicates, values on cut points), some large
+// gridPointSet is a quick.Generator for the screen and cell-index
+// property: dense batches of 1–17 dimensions, anti-correlated (the index
+// engages, the screen stops), independent (the screen drops most arrivals)
+// or from a small integer domain (duplicates, values on cut points), of
+// sizes below, around and well above the screen's 64 arrivals — some large
 // enough for the switch rule to fire in the middle of a pass.
 type gridPointSet struct {
 	pts        []Point
@@ -395,10 +397,13 @@ type gridPointSet struct {
 func (gridPointSet) Generate(rng *rand.Rand, size int) reflect.Value {
 	d := []int{1, 2, 3, 4, 5, 16, 17}[rng.Intn(7)]
 	n := rng.Intn(60)
-	if rng.Intn(3) == 0 {
+	switch rng.Intn(3) {
+	case 1:
+		n = 60 + rng.Intn(10)
+	case 2:
 		n = 200 + rng.Intn(600)
 	}
-	small := rng.Intn(2) == 0
+	shape := rng.Intn(3)
 	dirs := make([]Dir, d)
 	for k := range dirs {
 		if rng.Intn(2) == 0 {
@@ -416,8 +421,11 @@ func (gridPointSet) Generate(rng *rand.Rand, size int) reflect.Value {
 		}
 		for k := range dims {
 			v := vals[k] / sum
-			if small {
+			switch shape {
+			case 1:
 				v = float64(rng.Intn(4))
+			case 2:
+				v = rng.Float64()
 			}
 			if dirs[k] == Max {
 				v = -v
@@ -431,9 +439,10 @@ func (gridPointSet) Generate(rng *rand.Rand, size int) reflect.Value {
 }
 
 // TestQuickGridMatchesPlain: with the cell index pinned on, and under the
-// switch rule, every kernel entry point returns the plain pass's indices
-// in the plain pass's order — the same property FuzzBNLGrid explores from
-// bytes, here over generated shapes and sizes.
+// switch rule, both with BNL's dominance screen, every kernel entry point
+// returns the plain pass's indices in the plain pass's order — the
+// property FuzzBNLGrid and FuzzBNLScreen explore from bytes, here over
+// generated shapes and sizes.
 func TestQuickGridMatchesPlain(t *testing.T) {
 	f := func(ps gridPointSet) bool {
 		checkGrid(t, ps.pts, ps.dirs, ps.distinct, ps.cut, ps.chunk)
