@@ -288,3 +288,56 @@ func TestResultCacheExplainSurfacesCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestResultCacheTellsDoubleFromBigintLiterals: the cache's structural
+// fingerprint renders each literal with its type, so `1.0` and `1` are
+// different statements. After the DOUBLE one is cached, the BIGINT one
+// must come back exactly as a cache-less session computes it — a BIGINT
+// column, and with an id beyond 2⁵³ the exact product, not a rounded one.
+func TestResultCacheTellsDoubleFromBigintLiterals(t *testing.T) {
+	schema := skysql.NewSchema(
+		skysql.Field{Name: "id", Type: skysql.KindInt},
+		skysql.Field{Name: "d1", Type: skysql.KindFloat},
+		skysql.Field{Name: "d2", Type: skysql.KindFloat},
+	)
+	rows := []skysql.Row{
+		{skysql.Int(1<<53 + 1), skysql.Float(0.1), skysql.Float(0.9)},
+		{skysql.Int(2), skysql.Float(0.5), skysql.Float(0.5)},
+		{skysql.Int(3), skysql.Float(0.9), skysql.Float(0.1)},
+		{skysql.Int(4), skysql.Float(0.95), skysql.Float(0.95)},
+	}
+	cached := skysql.NewSession(skysql.WithResultCache(1 << 20))
+	t.Cleanup(cached.Close)
+	cold := skysql.NewSession(skysql.WithoutResultCache())
+	t.Cleanup(cold.Close)
+	for _, s := range []*skysql.Session{cached, cold} {
+		if err := s.CreateTable("t", schema, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pair := range [][2]string{
+		{"SELECT id, 1.0 AS c FROM t SKYLINE OF d1 MIN, d2 MIN", "SELECT id, 1 AS c FROM t SKYLINE OF d1 MIN, d2 MIN"},
+		{"SELECT id * 1.0 AS c FROM t SKYLINE OF d1 MIN, d2 MIN", "SELECT id * 1 AS c FROM t SKYLINE OF d1 MIN, d2 MIN"},
+	} {
+		for _, q := range pair {
+			got, err := cached.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := cold.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(got) == 0 {
+				t.Fatalf("%s: %d rows with the cache, %d without", q, len(got), len(want))
+			}
+			for i := range want {
+				for c := range want[i] {
+					if g, w := got[i][c], want[i][c]; g.Kind() != w.Kind() || g.String() != w.String() {
+						t.Fatalf("%s: row %d column %d is %v (%v) with the cache, %v (%v) without", q, i, c, g, g.Kind(), w, w.Kind())
+					}
+				}
+			}
+		}
+	}
+}

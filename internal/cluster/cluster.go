@@ -821,10 +821,12 @@ type Context struct {
 	SpillDir string
 
 	// DisableSegmentPrune turns off zone-map segment pruning at
-	// segment-backed scans: every segment decodes. Results are
-	// bit-identical either way (pruning only skips segments the predicate
-	// provably rejects); the switch exists for A/B ablation of the pruning
-	// win itself.
+	// segment-backed scans: every segment decodes, and every filter
+	// conjunct runs on it, even one its zone maps prove true for every
+	// row. Results are bit-identical either way (pruning only skips
+	// segments the predicate provably rejects and conjuncts it provably
+	// accepts); the switch exists for A/B ablation of the pruning win
+	// itself.
 	DisableSegmentPrune bool
 
 	canceled     atomic.Bool

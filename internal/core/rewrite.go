@@ -33,7 +33,7 @@ func ReferenceRewrite(relation string, selectList []string, dims []RefDim, incom
 	var weak []string   // "at least as good" / DIFF-equality conjuncts
 	var strict []string // "strictly better" disjuncts
 	for _, d := range dims {
-		i, o := "i."+d.Col, "o."+d.Col
+		i, o := "i."+expr.Ident(d.Col), "o."+expr.Ident(d.Col)
 		var weakOp, strictOp string
 		switch d.Dir {
 		case expr.SkyMin:
@@ -84,7 +84,7 @@ func RewriteSkylineStatement(query string, incomplete bool) (string, error) {
 	var relation string
 	switch from := stmt.From.(type) {
 	case *sql.TableName:
-		relation = from.Name
+		relation = expr.Ident(from.Name)
 	case *sql.SubqueryRef:
 		relation = "(" + from.Select.String() + ")"
 	default:
@@ -104,9 +104,9 @@ func RewriteSkylineStatement(query string, incomplete bool) (string, error) {
 		case *expr.Star:
 			// keep "*"
 		case *expr.Column:
-			sel = append(sel, e.Name)
+			sel = append(sel, expr.Ident(e.Name))
 		case *expr.Alias:
-			sel = append(sel, e.Child.String()+" AS "+e.Name)
+			sel = append(sel, e.Child.String()+" AS "+expr.Ident(e.Name))
 		default:
 			sel = append(sel, it.String())
 		}

@@ -166,19 +166,8 @@ func selectivity(e expr.Expr, t *Table) float64 {
 // a constant over the column's [min, max] range, assuming uniformity (the
 // standard System R estimate). Non-resolvable shapes default.
 func rangeSelectivity(b *expr.Binary, t *Table) float64 {
-	col, colOK := sketchCol(b.L, t)
-	lit, litOK := literalValue(b.R)
-	op := b.Op
-	if !colOK || !litOK {
-		// Try the flipped orientation: literal op column.
-		col, colOK = sketchCol(b.R, t)
-		lit, litOK = literalValue(b.L)
-		if !colOK || !litOK {
-			return defaultSelectivity
-		}
-		op = op.Mirrored()
-	}
-	if !col.Numeric {
+	col, op, lit, ok := columnVsLiteral(b, t)
+	if !ok || !col.Numeric {
 		return defaultSelectivity
 	}
 	span := col.Max - col.Min
@@ -304,19 +293,12 @@ func ProvablyEmpty(e expr.Expr, t *Table) bool {
 	return false
 }
 
-// rangeEmpty tests one comparison against the zone map, normalizing to
-// column-op-literal orientation like rangeSelectivity.
+// rangeEmpty tests one comparison against the zone map, in column-op-
+// literal orientation.
 func rangeEmpty(b *expr.Binary, t *Table) bool {
-	col, colOK := sketchCol(b.L, t)
-	lit, litOK := literalValue(b.R)
-	op := b.Op
-	if !colOK || !litOK {
-		col, colOK = sketchCol(b.R, t)
-		lit, litOK = literalValue(b.L)
-		if !colOK || !litOK {
-			return false
-		}
-		op = op.Mirrored()
+	col, op, lit, ok := columnVsLiteral(b, t)
+	if !ok {
+		return false
 	}
 	if col.NullFraction >= 1 && t.Rows > 0 {
 		// Every value is NULL: no comparison ever passes.
@@ -348,6 +330,93 @@ func rangeEmpty(b *expr.Binary, t *Table) bool {
 		return litHi < zoneLo || litLo > zoneHi
 	}
 	return false
+}
+
+// ProvablyFull reports whether the sketch proves the predicate keeps every
+// row — the twin of ProvablyEmpty, used to drop a conjunct a segment's
+// zone maps already decide. It is one-sided the same way (true is a
+// guarantee, false means nothing) and leans on the same facts, with the
+// roles of the bounds swapped: a column with any NULL never passes every
+// comparison; NaN passes < / <= / <> against any numeric literal, so only
+// the max-side rules (> / >= / =) require HasNaN == false; and zone bounds
+// and literal are widened by ulpMargin, so a rounded int64 beyond ±2⁵³
+// cannot flip a decision.
+func ProvablyFull(e expr.Expr, t *Table) bool {
+	if t == nil {
+		return false
+	}
+	switch n := e.(type) {
+	case *expr.Alias:
+		return ProvablyFull(n.Child, t)
+	case *expr.Literal:
+		return n.Value.Kind() == types.KindBool && n.Value.AsBool()
+	case *expr.IsNull:
+		if c, ok := sketchCol(n.Child, t); ok && t.Rows > 0 {
+			if n.Negated {
+				return c.NullFraction <= 0
+			}
+			return c.NullFraction >= 1
+		}
+		return false
+	case *expr.Binary:
+		switch n.Op {
+		case expr.OpAnd:
+			return ProvablyFull(n.L, t) && ProvablyFull(n.R, t)
+		case expr.OpOr:
+			return ProvablyFull(n.L, t) || ProvablyFull(n.R, t)
+		case expr.OpEq, expr.OpNeq, expr.OpLt, expr.OpLeq, expr.OpGt, expr.OpGeq:
+			return rangeFull(n, t)
+		}
+	}
+	return false
+}
+
+// rangeFull tests one comparison against the zone map, in column-op-
+// literal orientation, for every row passing.
+func rangeFull(b *expr.Binary, t *Table) bool {
+	col, op, lit, ok := columnVsLiteral(b, t)
+	if !ok {
+		return false
+	}
+	if !col.Numeric || col.NullFraction > 0 || math.IsNaN(lit) || t.Rows == 0 {
+		return false
+	}
+	zoneLo, zoneHi := widenDown(col.Min), widenUp(col.Max)
+	litLo, litHi := widenDown(lit), widenUp(lit)
+	switch op {
+	case expr.OpLt:
+		// NaN < lit holds in the total order, so NaN rows pass.
+		return zoneHi < litLo
+	case expr.OpLeq:
+		return zoneHi <= litLo
+	case expr.OpGt:
+		return !col.HasNaN && zoneLo > litHi
+	case expr.OpGeq:
+		return !col.HasNaN && zoneLo >= litHi
+	case expr.OpNeq:
+		// NaN <> lit holds; every finite value must miss the literal.
+		return litHi < zoneLo || litLo > zoneHi
+	case expr.OpEq:
+		// Every row equal to the literal: a constant column, exactly
+		// representable, so no rounding hides a different value.
+		return !col.HasNaN && col.Min == col.Max && col.Min == lit &&
+			math.Abs(lit) < float64(types.MaxExactFloatInt)
+	}
+	return false
+}
+
+// columnVsLiteral normalizes a comparison between a sketched column and a
+// numeric literal to column-op-literal orientation: ok=false for any
+// other shape.
+func columnVsLiteral(b *expr.Binary, t *Table) (col Column, op expr.BinaryOp, lit float64, ok bool) {
+	col, colOK := sketchCol(b.L, t)
+	lit, litOK := literalValue(b.R)
+	if colOK && litOK {
+		return col, b.Op, lit, true
+	}
+	col, colOK = sketchCol(b.R, t)
+	lit, litOK = literalValue(b.L)
+	return col, b.Op.Mirrored(), lit, colOK && litOK
 }
 
 // sketchCol resolves an expression to the sketch of the column it

@@ -1,7 +1,9 @@
 package cost
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"skysql/internal/expr"
@@ -149,5 +151,103 @@ func TestProvablyEmptyUlpMargin(t *testing.T) {
 	justBelow := math.Nextafter(min, math.Inf(-1))
 	if ProvablyEmpty(cmp(expr.OpLt, 0, justBelow), z) {
 		t.Error("a literal one ulp below min must stay un-pruned inside the safety margin")
+	}
+}
+
+// TestProvablyFullMatchesRows: whenever ProvablyFull says a comparison
+// keeps every row of a sketch, the boxed evaluation keeps every row. It
+// walks every operator, with the literal on either side, over columns
+// that put a literal on the zone's min or max, hold one NULL or one NaN,
+// reach ±Inf, mix -0 with +0, and hold integers at 2⁵³±1 — and it checks
+// that the rule fires where it should, so the implication is not vacuous.
+func TestProvablyFullMatchesRows(t *testing.T) {
+	big := types.MaxExactFloatInt
+	negZero := math.Copysign(0, -1)
+	columns := map[string][]types.Value{
+		"range":   {types.Float(10), types.Float(15), types.Float(20)},
+		"null":    {types.Float(10), types.Null, types.Float(20)},
+		"nan":     {types.Float(10), types.Float(math.NaN()), types.Float(20)},
+		"inf":     {types.Float(math.Inf(-1)), types.Float(0), types.Float(math.Inf(1))},
+		"zeros":   {types.Float(negZero), types.Float(0)},
+		"negzero": {types.Float(negZero)},
+		"const":   {types.Int(5), types.Int(5)},
+		"big":     {types.Int(big - 1), types.Int(big), types.Int(big + 1)},
+		"bigonly": {types.Int(big + 1), types.Int(big + 3)},
+		"mixed":   {types.Int(1), types.Float(2.5)},
+	}
+	lits := []types.Value{
+		types.Float(10), types.Float(20), types.Float(15), types.Float(5), types.Float(25),
+		types.Float(negZero), types.Float(0), types.Int(0), types.Int(5), types.Float(5),
+		types.Float(math.Inf(1)), types.Float(math.Inf(-1)), types.Float(2.5), types.Int(1),
+		types.Int(big - 1), types.Int(big), types.Int(big + 1), types.Int(big + 2), types.Int(big + 3),
+		types.Float(float64(big)), types.Float(math.NaN()),
+	}
+	ops := []expr.BinaryOp{expr.OpEq, expr.OpNeq, expr.OpLt, expr.OpLeq, expr.OpGt, expr.OpGeq}
+	fired := map[string]bool{}
+	for name, vals := range columns {
+		rows := make([]types.Row, len(vals))
+		for i, v := range vals {
+			rows[i] = types.Row{v}
+		}
+		sketch := Sketch(rows, 1)
+		ref := expr.NewBoundRef(0, "c", vals[0].Kind(), name == "null")
+		for _, op := range ops {
+			for _, lit := range lits {
+				for _, e := range []expr.Expr{
+					expr.NewBinary(op, ref, expr.NewLiteral(lit)),
+					expr.NewBinary(op, expr.NewLiteral(lit), ref),
+				} {
+					if !ProvablyFull(e, sketch) {
+						continue
+					}
+					fired[fmt.Sprintf("%s %s", name, e)] = true
+					for _, row := range rows {
+						if ok, err := expr.EvalPredicate(e, row); err != nil || !ok {
+							t.Fatalf("%s over %s: ProvablyFull, but row %v evaluates %v (%v)", e, name, row, ok, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, want := range []string{
+		"range (c#0 < 25.0)", "range (c#0 >= 5)", "range (5 < c#0)", "range (c#0 <> 25.0)",
+		"nan (c#0 < 25.0)", "nan (c#0 <> 5)", "const (c#0 = 5)", "negzero (c#0 = 0)",
+		"zeros (c#0 < 5)", "bigonly (c#0 > 5)", "big (c#0 >= 5)",
+	} {
+		if !fired[want] {
+			t.Errorf("ProvablyFull did not fire on %s", want)
+		}
+	}
+	for key := range fired {
+		if strings.HasPrefix(key, "null ") {
+			t.Errorf("ProvablyFull fired on a column with a NULL: %s", key)
+		}
+	}
+}
+
+// TestProvablyFullConnectives: AND is full when both sides are, OR when
+// either is; IS NOT NULL is full on a null-free column, IS NULL on an
+// all-NULL one, and a TRUE literal always.
+func TestProvablyFullConnectives(t *testing.T) {
+	z := zoneTable(10, 20, 100)
+	full, live := cmp(expr.OpLt, 0, 25), cmp(expr.OpLt, 0, 15)
+	if !ProvablyFull(expr.NewBinary(expr.OpAnd, full, cmp(expr.OpGt, 0, 5)), z) {
+		t.Error("AND of two full sides must be full")
+	}
+	if ProvablyFull(expr.NewBinary(expr.OpAnd, full, live), z) {
+		t.Error("AND with a live side must not be full")
+	}
+	if !ProvablyFull(expr.NewBinary(expr.OpOr, live, full), z) {
+		t.Error("OR with a full side must be full")
+	}
+	if !ProvablyFull(expr.NewIsNull(fref(0), true), z) || ProvablyFull(expr.NewIsNull(fref(0), false), z) {
+		t.Error("IS NOT NULL must be full on a null-free zone, IS NULL must not")
+	}
+	if !ProvablyFull(expr.NewLiteral(types.Bool(true)), z) || ProvablyFull(expr.NewLiteral(types.Bool(false)), z) {
+		t.Error("TRUE is full, FALSE is not")
+	}
+	if ProvablyFull(full, zoneTable(10, 20, 0)) || ProvablyFull(full, nil) {
+		t.Error("an empty or missing sketch proves nothing")
 	}
 }

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"skysql/internal/types"
 )
@@ -274,7 +275,13 @@ func (n *Negate) Eval(row types.Row) (types.Value, error) {
 	return types.Null, fmt.Errorf("expr: cannot negate %s", v.Kind())
 }
 
-func (n *Negate) String() string             { return "-" + n.Child.String() }
+func (n *Negate) String() string {
+	s := n.Child.String()
+	if strings.HasPrefix(s, "-") {
+		return "- " + s // "--" would start a comment
+	}
+	return "-" + s
+}
 func (n *Negate) Children() []Expr           { return []Expr{n.Child} }
 func (n *Negate) WithChildren(c []Expr) Expr { return &Negate{Child: c[0]} }
 func (n *Negate) Resolved() bool             { return n.Child.Resolved() }

@@ -13,6 +13,7 @@ package expr
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
 	"skysql/internal/types"
 )
@@ -87,6 +88,46 @@ func allResolved(es []Expr) bool {
 	return true
 }
 
+// keywords are the SQL dialect's reserved words (matched case-insensitively
+// on unquoted identifiers). They live here, beside the renderers, so that
+// a name that is one renders quoted.
+var keywords = map[string]bool{
+	"select": true, "distinct": true, "from": true, "where": true,
+	"group": true, "by": true, "having": true, "order": true, "limit": true,
+	"asc": true, "desc": true, "and": true, "or": true, "not": true,
+	"exists": true, "is": true, "null": true, "true": true, "false": true,
+	"join": true, "inner": true, "left": true, "right": true, "full": true,
+	"outer": true, "cross": true, "on": true, "using": true, "as": true,
+	"skyline": true, "of": true, "complete": true,
+	"min": true, "max": true, "diff": true,
+	"between": true, "in": true,
+	"case": true, "when": true, "then": true, "else": true, "end": true,
+}
+
+// IsKeyword reports whether the identifier is a reserved word.
+func IsKeyword(s string) bool { return keywords[strings.ToLower(s)] }
+
+// Ident renders a column, qualifier, alias or table name so that the
+// parser reads it back as the same name: bare when it is a plain
+// lower-case identifier that is not a reserved word, double-quoted
+// otherwise (back-quoted if it holds a double quote).
+func Ident(name string) string {
+	plain := name != "" && !IsKeyword(name) && strings.ToLower(name) == name
+	for i, r := range name {
+		if !(unicode.IsLetter(r) || r == '_' || (i > 0 && unicode.IsDigit(r))) {
+			plain = false
+			break
+		}
+	}
+	switch {
+	case plain:
+		return name
+	case strings.Contains(name, `"`):
+		return "`" + name + "`"
+	}
+	return `"` + name + `"`
+}
+
 // Column is an unresolved column reference produced by the parser.
 type Column struct {
 	Qualifier string
@@ -104,9 +145,9 @@ func (c *Column) Eval(types.Row) (types.Value, error) {
 
 func (c *Column) String() string {
 	if c.Qualifier == "" {
-		return c.Name
+		return Ident(c.Name)
 	}
-	return c.Qualifier + "." + c.Name
+	return Ident(c.Qualifier) + "." + Ident(c.Name)
 }
 
 func (c *Column) Children() []Expr         { return nil }
@@ -157,6 +198,16 @@ func (l *Literal) String() string {
 		// Escape embedded quotes so the rendering re-parses.
 		return "'" + strings.ReplaceAll(l.Value.AsString(), "'", "''") + "'"
 	}
+	if l.Value.Kind() == types.KindFloat {
+		// A DOUBLE renders in a form that lexes as one: 1.0, not 1, which
+		// would read back as BIGINT (and -0.0, not -0, which is 0). NaN and
+		// ±Inf have no literal form and are left as they are.
+		s := l.Value.String()
+		if !strings.ContainsAny(s, ".eEnN") {
+			s += ".0"
+		}
+		return s
+	}
 	return l.Value.String()
 }
 func (l *Literal) Children() []Expr         { return nil }
@@ -185,7 +236,7 @@ func NewQualifiedAlias(child Expr, qualifier, name string) *Alias {
 }
 
 func (a *Alias) Eval(row types.Row) (types.Value, error) { return a.Child.Eval(row) }
-func (a *Alias) String() string                          { return a.Child.String() + " AS " + a.Name }
+func (a *Alias) String() string                          { return a.Child.String() + " AS " + Ident(a.Name) }
 func (a *Alias) Children() []Expr                        { return []Expr{a.Child} }
 func (a *Alias) WithChildren(c []Expr) Expr {
 	return &Alias{Child: c[0], Name: a.Name, Qualifier: a.Qualifier}
@@ -207,7 +258,7 @@ func (s *Star) String() string {
 	if s.Qualifier == "" {
 		return "*"
 	}
-	return s.Qualifier + ".*"
+	return Ident(s.Qualifier) + ".*"
 }
 func (s *Star) Children() []Expr         { return nil }
 func (s *Star) WithChildren([]Expr) Expr { return s }

@@ -426,10 +426,10 @@ func (v *VectorEvaluator) evalIsNull(n *IsNull) ([]bool, []bool, error) {
 // non-NaN literal is not broadcast into a column: the other side is
 // compared against it in place (compareConst).
 func (v *VectorEvaluator) evalCompare(b *Binary) ([]bool, []bool, error) {
-	if c, ok := constOperand(b.R); ok {
+	if c, ok := ConstOperand(b.R); ok {
 		return v.compareConst(b.Op, b.L, c)
 	}
-	if c, ok := constOperand(b.L); ok {
+	if c, ok := ConstOperand(b.L); ok {
 		return v.compareConst(b.Op.Mirrored(), b.R, c)
 	}
 	lv, ln, err := v.evalNum(b.L)
@@ -465,10 +465,12 @@ func (v *VectorEvaluator) evalCompare(b *Binary) ([]bool, []bool, error) {
 	return out, nulls, nil
 }
 
-// constOperand returns the value of a comparison operand that is a
-// non-NULL, non-NaN literal (the static probe admits only numeric ones, and
-// integers only within ±2⁵³, where the conversion is exact).
-func constOperand(e Expr) (float64, bool) {
+// ConstOperand returns the value of a comparison operand that is a
+// non-NULL, non-NaN literal: the constant a comparison is evaluated
+// against in place. It is meant for trees that passed CanVectorize, whose
+// literal operands are numeric, and integer ones within ±2⁵³, where the
+// conversion is exact.
+func ConstOperand(e Expr) (float64, bool) {
 	lit, ok := e.(*Literal)
 	if !ok || lit.Value.IsNull() {
 		return 0, false

@@ -11,16 +11,29 @@ package physical
 // paths, chosen from the plan and the data — never a switch:
 //
 //   - The page path (pageScan): the fused chain is filters → local
-//     skyline, or filters under a columnar exchange sink. The filters run
-//     on the vectorized engine over dense columns read straight from the
-//     pages — only the columns they reference — the skyline dimensions of
-//     the rows that pass are read into a batch (skyline.FromColumns), the
-//     kernel runs, and only the rows that leave the stage are boxed, by
-//     row number: late materialization. No types.Row exists for a row the
-//     stage discards. With the kernel off no batch is decoded: the boxed
-//     BNL window reads the dimension values of the rows that pass from the
-//     pages one row at a time (skyline.BNLFunc), and still only the rows
-//     that leave the stage are boxed.
+//     skyline, or filters under a columnar exchange sink. It runs
+//     selection first, after late materialization over selection vectors
+//     (Abadi et al., ICDE 2007; MonetDB/X100, CIDR 2005): the filters only
+//     narrow a selection of row numbers (storage.Sel), conjunct by
+//     conjunct, each looking only at the rows still selected.
+//       1. A conjunct the segment's zone maps prove true for every row
+//          (cost.ProvablyFull) is dropped for that segment; its column is
+//          never read there.
+//       2. A comparison of a column with a constant runs on the page
+//          bytes (Reader.Filter), under the vectorized engine's rules.
+//       3. Any other conjunct (OR, arithmetic, IS NULL, column against
+//          column) runs on the vectorized engine over dense columns read
+//          from the pages at the current selection (pageColumns).
+//     Then the skyline dimensions are read once, at the final selection,
+//     straight into the batch's row-major storage (skyline.Gather with
+//     Reader.Gather) — the batch holds no rows — the kernel runs, and only
+//     the rows that leave the stage are boxed, by row number, and attached
+//     to the kept points (Batch.SelectRows). No column is copied in
+//     between and no types.Row exists for a row the stage discards. With
+//     the kernel off no batch is decoded: the boxed BNL window reads the
+//     dimension values of the rows that pass from the pages one row at a
+//     time (skyline.BNLFunc), and still only the rows that leave the stage
+//     are boxed.
 //
 //   - The boxed path: every other chain (projections, limits, DIFF or
 //     computed dimensions, vectorization off, a bounded window with the
@@ -34,6 +47,19 @@ package physical
 // Both paths return the rows the chain returns over the boxed segment, in
 // the same order; the page path's sidecar is the batch the chain would
 // have decoded.
+//
+// A file-backed reader reads its pages into buffers it returns to a
+// process-wide pool at Close, where the next reader takes them. That is
+// safe because nothing reads a page after its reader closes. A reader
+// closes in two places: when the last morsel of its segment has succeeded
+// (a morsel's task runs once more only after an attempt that failed, and
+// an injected fault fails an attempt before it reads anything, so the
+// count of successes reaches the segment's row count exactly once, after
+// every read of that segment is done), and when the round is over — and
+// RunBatch returns only once every task of the round has finished or been
+// skipped, canceled and failed rounds included. No output of the stage
+// aliases a page: the batch, the boxed rows and the evaluator's columns
+// are all copies.
 
 import (
 	"fmt"
@@ -55,7 +81,7 @@ type segmentTask func(r *storage.Reader, p, lo, hi int) ([]types.Row, *skyline.B
 // executeSegments is a bare segment scan (no fused stage above it reads
 // the pages itself): one task per surviving segment boxes its rows.
 func (s *ScanExec) executeSegments(ctx *cluster.Context) (*cluster.Dataset, error) {
-	out, err := s.scanSegments(ctx, false, func(r *storage.Reader, _, lo, hi int) ([]types.Row, *skyline.Batch, error) {
+	out, err := s.scanSegments(ctx, s.survivors(ctx), false, func(r *storage.Reader, _, lo, hi int) ([]types.Row, *skyline.Batch, error) {
 		rows, err := r.Box(storage.Sel{Lo: lo, Hi: hi})
 		return rows, nil, err
 	})
@@ -71,10 +97,10 @@ func (s *ScanExec) executeSegments(ctx *cluster.Context) (*cluster.Dataset, erro
 
 // scanSegments runs the task round that reads the table: one partition
 // per surviving segment, morsel-split when splittable. The pages a reader
-// holds are charged to the query and released as soon as the last morsel
-// of their segment is done, or when the round ends.
-func (s *ScanExec) scanSegments(ctx *cluster.Context, splittable bool, task segmentTask) (*cluster.Dataset, error) {
-	segs := s.survivors(ctx)
+// holds are charged to the query and released — their buffers back to
+// the pool — as soon as the last morsel of their segment has succeeded,
+// or when the round ends (see the file comment for why both are safe).
+func (s *ScanExec) scanSegments(ctx *cluster.Context, segs []*storage.Segment, splittable bool, task segmentTask) (*cluster.Dataset, error) {
 	chargePages := func(n int64) {
 		if n > 0 {
 			ctx.Metrics.Alloc(n)
@@ -159,16 +185,23 @@ func (p *PipelineExec) executeSegments(ctx *cluster.Context, scan *ScanExec) (*c
 	// decode-at-scan gate is consulted (and recorded) only when it runs.
 	var tailOnce sync.Once
 	var tail ColumnarPartitionFn
-	pages := planPageScan(p.Ops, p.Sink, scan.Schema(), ctx.DecodeAtScan)
+	segs := scan.survivors(ctx)
+	var pages []*segmentPages
+	if ps := planPageScan(p.Ops, p.Sink, scan.Schema(), ctx.DecodeAtScan); ps != nil {
+		pages = make([]*segmentPages, len(segs))
+		for i, seg := range segs {
+			pages[i] = ps.forSegment(seg, !ctx.DisableSegmentPrune)
+		}
+	}
 	var stats *skyline.Stats
 	if ctx.Metrics != nil {
 		stats = &ctx.Metrics.Sky
 	}
-	out, err := scan.scanSegments(ctx, morselSplittable(p.Ops), func(r *storage.Reader, i, lo, hi int) ([]types.Row, *skyline.Batch, error) {
+	out, err := scan.scanSegments(ctx, segs, morselSplittable(p.Ops), func(r *storage.Reader, i, lo, hi int) ([]types.Row, *skyline.Batch, error) {
 		// Checked per task: the governor may drop sidecars mid-round, and
 		// then no morsel may decode one.
-		if pages != nil && !(pages.decodes() && ctx.SidecarsDropped()) {
-			if rows, b, ok, err := pages.run(ctx, r, lo, hi, stats); err != nil || ok {
+		if pages != nil && !(pages[i].decodes() && ctx.SidecarsDropped()) {
+			if rows, b, ok, err := pages[i].run(ctx, r, lo, hi, stats); err != nil || ok {
 				return rows, b, err
 			}
 		}
@@ -192,8 +225,9 @@ func (p *PipelineExec) executeSegments(ctx *cluster.Context, scan *ScanExec) (*c
 
 // pageScan is the page-path plan of a fused stage over a segment scan.
 type pageScan struct {
-	// filters are the chain's predicates, in order, bound to the scan.
-	filters []expr.Expr
+	// filters are the chain's predicates, in order, bound to the scan, each
+	// split into its conjuncts.
+	filters [][]conjunct
 	// sky is the chain's local skyline; nil when the decode target is the
 	// columnar exchange sink above the stage.
 	sky *LocalSkylineExec
@@ -221,7 +255,11 @@ func planPageScan(ops []NarrowOperator, sink *DecodeSink, schema *types.Schema, 
 			if o.DisableVector || !expr.CanVectorize(o.Cond, schema) {
 				return nil
 			}
-			ps.filters = append(ps.filters, o.Cond)
+			var conjs []conjunct
+			for _, e := range expr.SplitConjuncts(o.Cond) {
+				conjs = append(conjs, newConjunct(e))
+			}
+			ps.filters = append(ps.filters, conjs)
 		case *LocalSkylineExec:
 			if i != len(ops)-1 || (o.DisableKernel && o.WindowCap > 0) {
 				return nil
@@ -255,58 +293,77 @@ func planPageScan(ops []NarrowOperator, sink *DecodeSink, schema *types.Schema, 
 // local skyline that tests dominance boxed.
 func (ps *pageScan) decodes() bool { return ps.sky == nil || !ps.sky.DisableKernel }
 
-// run executes the page path over rows [lo, hi) of one segment. ok=false
-// with a nil error hands the morsel to the boxed path.
-func (ps *pageScan) run(ctx *cluster.Context, r *storage.Reader, lo, hi int, stats *skyline.Stats) (rows []types.Row, b *skyline.Batch, ok bool, err error) {
-	cols := &pageColumns{r: r, sel: storage.Sel{Lo: lo, Hi: hi}}
-	for _, cond := range ps.filters {
-		sel, release, err := vectorSelect(ctx, cond, cols)
-		if cols.err != nil {
-			return nil, nil, false, cols.err
-		}
-		if err == expr.ErrNotVectorized {
-			return nil, nil, false, nil
-		}
-		if err != nil {
-			return nil, nil, false, err
-		}
-		cols.narrow(sel)
-		release()
+// forSegment returns the page path of one segment: with zoneMaps set, a
+// conjunct the segment's zone maps prove true for every row is dropped
+// (cost.ProvablyFull — a pure function of footer and conjunct, like the
+// prune decision).
+func (ps *pageScan) forSegment(seg *storage.Segment, zoneMaps bool) *segmentPages {
+	sp := &segmentPages{pageScan: ps, live: ps.filters}
+	if !zoneMaps {
+		return sp
 	}
-	if ps.sky != nil && ps.sky.DisableKernel {
+	sketch := seg.Sketch()
+	sp.live = make([][]conjunct, len(ps.filters))
+	for f, conjs := range ps.filters {
+		for _, cj := range conjs {
+			if !cost.ProvablyFull(cj.e, sketch) {
+				sp.live[f] = append(sp.live[f], cj)
+			}
+		}
+	}
+	return sp
+}
+
+// segmentPages is the page path of one segment: the stage's plan, and
+// per filter the conjuncts the segment leaves to evaluate.
+type segmentPages struct {
+	*pageScan
+	live [][]conjunct
+}
+
+// run executes the page path over rows [lo, hi) of the segment. ok=false
+// with a nil error hands the morsel to the boxed path.
+func (sp *segmentPages) run(ctx *cluster.Context, r *storage.Reader, lo, hi int, stats *skyline.Stats) (rows []types.Row, b *skyline.Batch, ok bool, err error) {
+	sel := storage.Sel{Lo: lo, Hi: hi}
+	for _, conjs := range sp.live {
+		for i := range conjs {
+			if sel, ok, err = conjs[i].narrow(ctx, r, sel); err != nil || !ok {
+				return nil, nil, false, err
+			}
+		}
+		ctx.Metrics.AddVectorizedBatch()
+	}
+	if sp.sky != nil && sp.sky.DisableKernel {
 		// Boxed dominance: BNL over the dimension values of the rows that
 		// passed, read from the pages one row at a time.
-		at, err := r.Values(ps.dimOrds, cols.sel)
+		at, err := r.Values(sp.dimOrds, sel)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		keep, err := skyline.BNLFunc(cols.sel.Len(), at, ps.dirs, ps.sky.Distinct, ps.sky.compare(), stats)
+		keep, err := skyline.BNLFunc(sel.Len(), at, sp.dirs, sp.sky.Distinct, sp.sky.compare(), stats)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		rows, err = r.Box(cols.rowsAt(keep))
+		rows, err = r.Box(rowsAt(sel, keep))
 		return rows, nil, err == nil, err
 	}
-	dims := make([][]float64, len(ps.dimOrds))
-	nulls := make([][]bool, len(ps.dimOrds))
-	for d, ord := range ps.dimOrds {
-		var ok bool
-		if dims[d], nulls[d], ok = cols.Column(ord); !ok {
-			return nil, nil, false, cols.err
-		}
+	var readErr error
+	b, ok = skyline.Gather(sel.Len(), sp.dirs, sp.incomplete, stats, func(d int, dst []float64, stride int, negate bool) (nulls []int, ok bool) {
+		nulls, ok, readErr = r.Gather(sp.dimOrds[d], sel, dst, stride, negate)
+		return nulls, ok
+	})
+	if readErr != nil || !ok {
+		return nil, nil, false, readErr
 	}
-	if b, ok = skyline.FromColumns(dims, nulls, ps.dirs, ps.incomplete, stats); !ok {
-		return nil, nil, false, nil
-	}
-	b.Tag = ps.tag
-	for d, ord := range ps.dimOrds {
-		b.BindColumn(ord, d, ps.dirs[d] == skyline.Max)
+	b.Tag = sp.tag
+	for d, ord := range sp.dimOrds {
+		b.BindColumn(ord, d, sp.dirs[d] == skyline.Max)
 	}
 	ctx.Metrics.Alloc(b.MemSize())
 	defer ctx.Metrics.Free(b.MemSize())
 	var keep []int
-	if ps.sky != nil {
-		if keep, err = ps.sky.kernel(b, stats); err != nil {
+	if sp.sky != nil {
+		if keep, err = sp.sky.kernel(b, stats); err != nil {
 			return nil, nil, false, err
 		}
 	} else {
@@ -315,15 +372,87 @@ func (ps *pageScan) run(ctx *cluster.Context, r *storage.Reader, lo, hi int, sta
 			keep[i] = i
 		}
 	}
-	if rows, err = r.Box(cols.rowsAt(keep)); err != nil {
+	if rows, err = r.Box(rowsAt(sel, keep)); err != nil {
 		return nil, nil, false, err
 	}
 	return rows, b.SelectRows(keep, rows), true, nil
 }
 
+// rowsAt is the selection of the given positions among the rows sel
+// names.
+func rowsAt(sel storage.Sel, pos []int) storage.Sel {
+	idx := make([]int, len(pos))
+	for j, k := range pos {
+		idx[j] = sel.Row(k) - sel.Lo
+	}
+	return storage.Sel{Lo: sel.Lo, Idx: idx}
+}
+
+// conjunct is one conjunct of a filter on the page path: a comparison of
+// a column with a constant (cmp: col op c, the constant on the right),
+// which runs on the page bytes, or any other expression, which runs on
+// the vectorized engine.
+type conjunct struct {
+	e   expr.Expr
+	cmp bool
+	col int
+	op  expr.BinaryOp
+	c   float64
+}
+
+// newConjunct classifies one conjunct of a vectorizable filter: a
+// comparison of a column with a literal the engine would compare against
+// in place (expr.ConstOperand) runs on the page bytes.
+func newConjunct(e expr.Expr) conjunct {
+	b, ok := stripAlias(e).(*expr.Binary)
+	if !ok || !b.Op.IsComparison() {
+		return conjunct{e: e}
+	}
+	if ref, ok := stripAlias(b.L).(*expr.BoundRef); ok {
+		if c, ok := expr.ConstOperand(b.R); ok {
+			return conjunct{e: e, cmp: true, col: ref.Index, op: b.Op, c: c}
+		}
+	}
+	if ref, ok := stripAlias(b.R).(*expr.BoundRef); ok {
+		if c, ok := expr.ConstOperand(b.L); ok {
+			return conjunct{e: e, cmp: true, col: ref.Index, op: b.Op.Mirrored(), c: c}
+		}
+	}
+	return conjunct{e: e}
+}
+
+// narrow keeps the selected rows the conjunct holds for. ok=false with a
+// nil error when the pages cannot serve it exactly at those rows.
+func (cj *conjunct) narrow(ctx *cluster.Context, r *storage.Reader, sel storage.Sel) (storage.Sel, bool, error) {
+	if cj.cmp {
+		return r.Filter(cj.col, cj.op, cj.c, sel)
+	}
+	cols := &pageColumns{r: r, sel: sel}
+	ve := expr.NewVectorEvaluator(cols)
+	keep, err := ve.EvalPredicate(cj.e)
+	switch {
+	case cols.err != nil:
+		return storage.Sel{}, false, cols.err
+	case err == expr.ErrNotVectorized:
+		return storage.Sel{}, false, nil
+	case err != nil:
+		return storage.Sel{}, false, err
+	}
+	defer chargeScratch(ctx, ve, cols)()
+	idx := sel.Idx[:0] // position k is read before anything at k or past it is written
+	if sel.Idx == nil {
+		idx = make([]int, 0, len(keep))
+	}
+	for k, ok := range keep {
+		if ok {
+			idx = append(idx, sel.Row(k)-sel.Lo)
+		}
+	}
+	return storage.Sel{Lo: sel.Lo, Hi: sel.Hi, Idx: idx}, true, nil
+}
+
 // pageColumns serves one morsel's columns to the vectorized engine
-// straight from the segment's pages, narrowed to the rows the filters so
-// far have kept.
+// straight from the segment's pages, at the rows selected so far.
 type pageColumns struct {
 	r     *storage.Reader
 	sel   storage.Sel
@@ -356,46 +485,4 @@ func (c *pageColumns) Column(ord int) ([]float64, []bool, bool) {
 	c.vals[ord], c.nulls[ord] = v, n
 	c.bytes += int64(len(v))*8 + int64(len(n))
 	return v, n, true
-}
-
-// narrow keeps the rows whose selection bit is set: the selection and
-// every column read so far shrink to them, in place.
-func (c *pageColumns) narrow(keep []bool) {
-	idx := make([]int, 0, len(keep))
-	for k, ok := range keep {
-		if ok {
-			idx = append(idx, c.sel.Row(k)-c.sel.Lo)
-		}
-	}
-	c.bytes = 0
-	for ord, v := range c.vals {
-		c.vals[ord] = compact(v, keep)
-		if n := c.nulls[ord]; n != nil {
-			c.nulls[ord] = compact(n, keep)
-		}
-		c.bytes += int64(len(idx))*8 + int64(len(c.nulls[ord]))
-	}
-	c.sel.Idx = idx
-}
-
-// rowsAt is the selection of the given positions among the rows kept so
-// far.
-func (c *pageColumns) rowsAt(pos []int) storage.Sel {
-	idx := make([]int, len(pos))
-	for j, k := range pos {
-		idx[j] = c.sel.Row(k) - c.sel.Lo
-	}
-	return storage.Sel{Lo: c.sel.Lo, Idx: idx}
-}
-
-// compact keeps s[k] where keep[k], in place.
-func compact[T any](s []T, keep []bool) []T {
-	j := 0
-	for k, ok := range keep {
-		if ok {
-			s[j] = s[k]
-			j++
-		}
-	}
-	return s[:j]
 }

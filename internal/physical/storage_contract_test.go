@@ -186,11 +186,13 @@ func TestDisableSegmentPruneScansEverything(t *testing.T) {
 // as segments of segRows rows as "seg" — covering what the page path must
 // serve or refuse: int id, a dense float y, a nullable float x with NULL
 // and ±Inf, a nullable float f with NULL, NaN and ±Inf, an int column big
-// holding values beyond 2⁵³, a string s, a bool b and a column m mixing
-// kinds (a boxed page).
+// holding values beyond 2⁵³, a string s, a bool b, a column m mixing
+// kinds (a boxed page) and a float column n mixing ints and floats with
+// NULL and a few ints beyond 2⁵³ (a boxed page the page path reads).
 func wideTwins(t *testing.T, nRows, segRows int) *catalog.Catalog {
 	t.Helper()
 	r := rand.New(rand.NewSource(23))
+	rn := rand.New(rand.NewSource(31))
 	schema := types.NewSchema(
 		types.Field{Name: "id", Type: types.KindInt},
 		types.Field{Name: "y", Type: types.KindFloat},
@@ -200,6 +202,7 @@ func wideTwins(t *testing.T, nRows, segRows int) *catalog.Catalog {
 		types.Field{Name: "s", Type: types.KindString, Nullable: true},
 		types.Field{Name: "b", Type: types.KindBool},
 		types.Field{Name: "m", Type: types.KindNull, Nullable: true},
+		types.Field{Name: "n", Type: types.KindFloat, Nullable: true},
 	)
 	words := []string{"red", "green", "blue"}
 	rows := make([]types.Row, nRows)
@@ -229,7 +232,11 @@ func wideTwins(t *testing.T, nRows, segRows int) *catalog.Catalog {
 			s = types.Null
 		}
 		m := []types.Value{types.Int(int64(i)), types.Float(float64(i) / 4), types.Str("m"), types.Null, types.Bool(i%2 == 0)}[r.Intn(5)]
-		rows[i] = types.Row{types.Int(int64(i)), types.Float(float64(r.Intn(1000)) / 100), x, f, big, s, types.Bool(r.Intn(2) == 0), m}
+		n := []types.Value{types.Int(int64(rn.Intn(9))), types.Float(rn.Float64() * 8), types.Null}[rn.Intn(3)]
+		if i%41 == 5 {
+			n = types.Int(types.MaxExactFloatInt + 7)
+		}
+		rows[i] = types.Row{types.Int(int64(i)), types.Float(float64(r.Intn(1000)) / 100), x, f, big, s, types.Bool(r.Intn(2) == 0), m, n}
 	}
 	mem, err := catalog.NewTable("mem", schema, rows)
 	if err != nil {
@@ -250,8 +257,13 @@ func wideTwins(t *testing.T, nRows, segRows int) *catalog.Catalog {
 // run time (big holds ints beyond 2⁵³); DIFF on a string (no page plan);
 // NULL in a dimension, complete and incomplete; NaN in a dimension (the
 // batch refuses it); a projection above the skyline selecting the mixed,
-// string and bool columns the survivors are boxed from; and a skyline
-// with no filter in front of it.
+// string and bool columns the survivors are boxed from; a skyline with no
+// filter in front of it. Then the selection-first shapes: literals on the
+// left, every operator and -0; a conjunct the zone maps prove full on
+// every segment beside column-vs-column; engine conjuncts (arithmetic, IS
+// NOT NULL) between page-byte ones; a filter column that refuses only at
+// rows still selected (big beyond 2⁵³); and a boxed page both filtered and
+// gathered, refusing where its big ints are still selected.
 var wideQueries = []string{
 	"SELECT * FROM {{T}} WHERE id >= 40 AND f < 0.5 SKYLINE OF COMPLETE y MIN, id MAX",
 	"SELECT * FROM {{T}} WHERE big > 5 SKYLINE OF COMPLETE y MIN, id MAX",
@@ -261,6 +273,11 @@ var wideQueries = []string{
 	"SELECT * FROM {{T}} WHERE y < 8 SKYLINE OF COMPLETE f MIN, y MIN",
 	"SELECT m, id, s, b FROM {{T}} WHERE f > 0.1 SKYLINE OF COMPLETE y MAX, id MIN",
 	"SELECT * FROM {{T}} SKYLINE OF COMPLETE y MIN, x MAX",
+	"SELECT * FROM {{T}} WHERE 40 <= id AND y <> 5 AND 2.5 > x AND -0.0 <= x SKYLINE OF COMPLETE y MIN, id MAX",
+	"SELECT * FROM {{T}} WHERE id > -1 AND f <= 0.9 AND y = y SKYLINE OF COMPLETE y MIN, x MAX",
+	"SELECT * FROM {{T}} WHERE y + x < 6 AND id < 280 AND f IS NOT NULL AND f > 0.2 SKYLINE OF COMPLETE x MIN, y MIN",
+	"SELECT * FROM {{T}} WHERE id > 100 AND big < 10 SKYLINE OF COMPLETE y MIN, id MAX",
+	"SELECT * FROM {{T}} WHERE n >= 1 AND 7 > n SKYLINE OF COMPLETE n MIN, y MAX",
 }
 
 // planSQL compiles a statement the way the engine does — parse, build,
@@ -436,6 +453,13 @@ func TestSegmentPagePathChosenFromPlanAndData(t *testing.T) {
 		{wideQueries[5], Options{DisableColumnarKernel: true}, true, true, 40},
 		{wideQueries[7], Options{DisableColumnarKernel: true, DisableVectorizedExprs: true}, true, true, 40},
 		{wideQueries[0], Options{DisableColumnarKernel: true, DisableVectorizedExprs: true}, false, false, 0},
+		// Selection first: page-byte and engine conjuncts served; a big int
+		// still selected in a filter column, or on a boxed page, refuses.
+		{wideQueries[8], Options{}, true, true, 40},
+		{wideQueries[9], Options{}, true, true, 40},
+		{wideQueries[10], Options{}, true, true, 40},
+		{wideQueries[11], Options{}, true, false, 0},
+		{wideQueries[12], Options{}, true, false, 0},
 	} {
 		q := strings.ReplaceAll(tc.query, "{{T}}", "seg")
 		pipe, _ := segmentStage(planSQL(t, cat, q, tc.opts)).(*PipelineExec)
@@ -450,7 +474,7 @@ func TestSegmentPagePathChosenFromPlanAndData(t *testing.T) {
 			continue
 		}
 		r := seg.NewReader(nil)
-		rows, b, ok, err := ps.run(cluster.NewContext(4), r, 0, seg.Rows(), nil)
+		rows, b, ok, err := ps.forSegment(seg, true).run(cluster.NewContext(4), r, 0, seg.Rows(), nil)
 		r.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -470,6 +494,43 @@ func TestSegmentPagePathChosenFromPlanAndData(t *testing.T) {
 			}
 		} else if b == nil || b.Len() != len(rows) {
 			t.Fatalf("%s: no sidecar aligned with the %d rows", q, len(rows))
+		}
+	}
+}
+
+// TestSegmentConjunctsProvenFullAreDropped: a conjunct a segment's zone
+// maps prove true for every row is not evaluated on that segment — on the
+// page path or anywhere — while the conjuncts beside it still are, and
+// with zone maps off (WithoutSegmentPruning) every conjunct runs.
+func TestSegmentConjunctsProvenFullAreDropped(t *testing.T) {
+	cat := wideTwins(t, 300, 97)
+	tab, _ := cat.Lookup("seg")
+	q := strings.ReplaceAll(wideQueries[9], "{{T}}", "seg")
+	pipe := segmentStage(planSQL(t, cat, q, Options{})).(*PipelineExec)
+	ps := planPageScan(pipe.Ops, pipe.Sink, pipe.Source.Schema(), true)
+	if ps == nil {
+		t.Fatalf("%s: no page plan", q)
+	}
+	count := func(filters [][]conjunct) (n, cmps int) {
+		for _, conjs := range filters {
+			for _, cj := range conjs {
+				n++
+				if cj.cmp {
+					cmps++
+				}
+			}
+		}
+		return n, cmps
+	}
+	if n, cmps := count(ps.filters); n != 3 || cmps != 2 {
+		t.Fatalf("%s: planned %d conjuncts (%d on page bytes), want 3 (2)", q, n, cmps)
+	}
+	for _, seg := range tab.Segments.Segments() {
+		if n, _ := count(ps.forSegment(seg, true).live); n != 2 {
+			t.Errorf("segment of %d rows: %d conjuncts left, want 2 (id > -1 proven)", seg.Rows(), n)
+		}
+		if n, _ := count(ps.forSegment(seg, false).live); n != 3 {
+			t.Errorf("segment of %d rows, zone maps off: %d conjuncts left, want 3", seg.Rows(), n)
 		}
 	}
 }

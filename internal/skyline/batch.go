@@ -36,6 +36,9 @@ const maxExactInt = types.MaxExactFloatInt
 
 // Batch is a partition of points decoded for the columnar dominance kernel.
 type Batch struct {
+	// n is the number of points. pts holds them, or is nil for a batch
+	// gathered from columns whose points carry no rows yet (Gather).
+	n          int
 	pts        []Point
 	incomplete bool  // dominance definition CompareDecoded implements
 	dirs       []Dir // dimension directions the batch was decoded under
@@ -123,6 +126,7 @@ func DecodeBatch(points []Point, dirs []Dir, incomplete bool, stats *Stats) (*Ba
 		}
 	}
 	b := &Batch{
+		n:          len(points),
 		pts:        points,
 		incomplete: incomplete,
 		dirs:       append([]Dir(nil), dirs...),
@@ -154,49 +158,61 @@ func DecodeBatch(points []Point, dirs []Dir, incomplete bool, stats *Stats) (*Ba
 	return b, true
 }
 
-// FromColumns builds the batch DecodeBatch would build for points given
-// column by column instead of as boxed vectors: cols[d][i] is MIN/MAX
-// dimension d of point i, NULL where nulls[d][i] is set (nulls[d] may be
-// nil). It refuses (ok=false) what DecodeBatch refuses on numeric input —
-// NaN, more than 64 dimensions — and DIFF dimensions, whose intern keys
-// need the boxed values. The points carry no rows: SelectRows attaches
-// rows to the points that are kept, so a scan boxes only those.
-func FromColumns(cols [][]float64, nulls [][]bool, dirs []Dir, incomplete bool, stats *Stats) (*Batch, bool) {
-	if len(dirs) == 0 || len(dirs) > 64 || len(cols) != len(dirs) || len(nulls) != len(dirs) {
-		return nil, false
+// Fill writes MIN/MAX dimension d of n points straight into a batch's
+// row-major storage: point k's raw value goes to dst[k*stride], negated
+// when negate is set (a MAX dimension), except for NULL points, whose
+// slots it leaves alone and whose positions it returns in increasing
+// order (nil when there are none). ok=false refuses the batch.
+type Fill func(d int, dst []float64, stride int, negate bool) (nulls []int, ok bool)
+
+// laneBits[d] is the null-bitmask bit of dimension d.
+var laneBits = func() (m [64]uint64) {
+	for d := range m {
+		m[d] = 1 << uint(d)
 	}
-	n := len(cols[0])
-	for d, dir := range dirs {
-		if dir == Diff || len(cols[d]) != n || (nulls[d] != nil && len(nulls[d]) != n) {
-			return nil, false
-		}
+	return m
+}()
+
+// Gather builds the batch DecodeBatch would build for n points whose
+// MIN/MAX dimensions fill writes straight into its storage, one dimension
+// at a time, instead of decoding them from boxed vectors. It refuses
+// (ok=false) what DecodeBatch refuses on numeric input — NaN, more than 64
+// dimensions — what fill refuses, and DIFF dimensions, whose intern keys
+// need the boxed values. The batch keeps dirs, which the caller must not
+// modify, and carries no rows and no points: SelectRows attaches rows to
+// the points that are kept, so a scan boxes only those.
+func Gather(n int, dirs []Dir, incomplete bool, stats *Stats, fill Fill) (*Batch, bool) {
+	if len(dirs) == 0 || len(dirs) > 64 {
+		return nil, false
 	}
 	s := len(dirs)
 	b := &Batch{
-		pts:        make([]Point, n),
+		n:          n,
 		incomplete: incomplete,
-		dirs:       append([]Dir(nil), dirs...),
+		dirs:       dirs,
 		num:        make([]float64, s*n),
 		numStride:  s,
-		numMask:    make([]uint64, s),
+		numMask:    laneBits[:s:s],
 	}
 	for d, dir := range dirs {
-		bit := uint64(1) << uint(d)
-		b.numMask[d] = bit
-		sign := 1.0
-		if dir == Max {
-			sign = -1
+		if dir == Diff {
+			return nil, false
 		}
-		mask := nulls[d]
-		for i, f := range cols[d] {
-			if mask != nil && mask[i] {
-				b.setNull(i, bit)
-				continue // slot stays 0; masked at compare time
-			}
-			if f != f {
-				return nil, false
-			}
-			b.num[i*s+d] = sign * f
+		if n == 0 {
+			continue
+		}
+		nulls, ok := fill(d, b.num[d:], s, dir == Max)
+		if !ok {
+			return nil, false
+		}
+		for _, k := range nulls {
+			b.setNull(k, laneBits[d])
+		}
+	}
+	// NULL slots hold 0, so a NaN anywhere is a value the batch refuses.
+	for _, f := range b.num {
+		if f != f {
+			return nil, false
 		}
 	}
 	b.anyNull = b.nulls != nil
@@ -208,7 +224,7 @@ func FromColumns(cols [][]float64, nulls [][]bool, dirs []Dir, incomplete bool, 
 // on first use.
 func (b *Batch) setNull(i int, bit uint64) {
 	if b.nulls == nil {
-		b.nulls = make([]uint64, len(b.pts))
+		b.nulls = make([]uint64, b.n)
 	}
 	b.nulls[i] |= bit
 }
@@ -351,12 +367,13 @@ func mayEqualBigInt(key string) bool {
 }
 
 // Len returns the number of points in the batch.
-func (b *Batch) Len() int { return len(b.pts) }
+func (b *Batch) Len() int { return b.n }
 
 // Incomplete reports which dominance definition CompareDecoded implements.
 func (b *Batch) Incomplete() bool { return b.incomplete }
 
-// Points materializes the points at the given batch indices, in order.
+// Points materializes the points at the given batch indices, in order. A
+// gathered batch has no points before SelectRows.
 func (b *Batch) Points(idx []int) []Point {
 	out := make([]Point, len(idx))
 	for i, j := range idx {

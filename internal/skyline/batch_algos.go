@@ -29,7 +29,7 @@ import (
 
 // allIndices returns 0..n-1, the identity processing order.
 func (b *Batch) allIndices() []int {
-	order := make([]int, len(b.pts))
+	order := make([]int, b.n)
 	for i := range order {
 		order[i] = i
 	}
@@ -55,7 +55,7 @@ func (b *Batch) BNL(distinct bool) []int {
 // dominated arrival leaves the window untouched, an admitted one evicts
 // without reordering the rest and joins at the end.
 func (b *Batch) BNLSeeded(seed int, distinct bool) []int {
-	return b.bnlOver(rangeIndices(0, seed), rangeIndices(seed, len(b.pts)), distinct, b.newGridSource())
+	return b.bnlOver(rangeIndices(0, seed), rangeIndices(seed, b.n), distinct, b.newGridSource())
 }
 
 // bnlOver runs the BNL window pass over the given processing order,
@@ -417,7 +417,7 @@ func (b *Batch) SFS(distinct bool) []int {
 // points keep their index order.
 func (b *Batch) sfsOrder() []int {
 	s := b.numStride
-	keys := make([]sfsKey, len(b.pts))
+	keys := make([]sfsKey, b.n)
 	for i := range keys {
 		for _, v := range b.num[i*s : i*s+s] {
 			keys[i].add(v)
@@ -488,7 +488,7 @@ func (b *Batch) dnc(order []int, distinct bool, gs *gridSource) []int {
 // are compared, dominated points are only removed at the end, tolerating
 // the cyclic dominance relationships of incomplete data.
 func (b *Batch) GlobalIncomplete(distinct bool) []int {
-	n := len(b.pts)
+	n := b.n
 	dominated := make([]bool, n)
 	duplicate := make([]bool, n)
 	for i := 0; i < n; i++ {

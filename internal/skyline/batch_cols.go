@@ -47,7 +47,7 @@ func (b *Batch) BindColumn(ord, dim int, negated bool) {
 // equal Len; nulls may be nil) bound to input-row ordinal ord — the batch
 // form of a projection output.
 func (b *Batch) AppendComputedColumn(ord int, vals []float64, nulls []bool) {
-	if len(vals) != len(b.pts) {
+	if len(vals) != b.n {
 		return
 	}
 	if b.bindings == nil {
@@ -79,7 +79,7 @@ func (b *Batch) Column(ord int) (vals []float64, nulls []bool, ok bool) {
 		return c.vals, c.nulls, true
 	}
 	s := b.numStride
-	vals = make([]float64, len(b.pts))
+	vals = make([]float64, b.n)
 	for i := range vals {
 		v := b.num[i*s+bind.dim]
 		if bind.neg {
@@ -90,7 +90,7 @@ func (b *Batch) Column(ord int) (vals []float64, nulls []bool, ok bool) {
 	if b.anyNull {
 		bit := b.numMask[bind.dim]
 		any := false
-		mask := make([]bool, len(b.pts))
+		mask := make([]bool, b.n)
 		for i, n := range b.nulls {
 			if n&bit != 0 {
 				mask[i] = true
@@ -122,7 +122,7 @@ func (b *Batch) Filter(sel []bool) *Batch {
 // ordinal space (new ordinal -> old ordinal); unmapped bindings are
 // dropped, computed-column storage is shared.
 func (b *Batch) WithRows(rows []types.Row, ordMap map[int]int) *Batch {
-	if len(rows) != len(b.pts) {
+	if len(rows) != b.n {
 		return nil
 	}
 	cp := *b

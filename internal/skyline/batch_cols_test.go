@@ -193,17 +193,37 @@ func TestWithoutDimsKeepsColumnsAndRows(t *testing.T) {
 	}
 }
 
-// TestFromColumnsMatchesDecodeBatch: a batch built from dense columns is
+// columnFill serves dense columns to Gather: cols[d][k] is dimension d of
+// point k, NULL where nulls[d][k] is set (nulls[d] may be nil).
+func columnFill(cols [][]float64, nulls [][]bool) Fill {
+	return func(d int, dst []float64, stride int, negate bool) ([]int, bool) {
+		var null []int
+		for k, f := range cols[d] {
+			switch {
+			case nulls[d] != nil && nulls[d][k]:
+				null = append(null, k)
+			case negate:
+				dst[k*stride] = -1 * f
+			default:
+				dst[k*stride] = f
+			}
+		}
+		return null, true
+	}
+}
+
+// TestGatherMatchesDecodeBatch: a batch gathered from dense columns is
 // the batch DecodeBatch builds from the same values boxed — the same
 // normalized vectors and null masks, so every kernel returns the same
 // indices under both dominance definitions — and SelectRows hands the
-// kept points the rows the caller boxed for them. NaN and DIFF, which
-// DecodeBatch would refuse or need boxed values for, are refused.
-func TestFromColumnsMatchesDecodeBatch(t *testing.T) {
+// kept points the rows the caller boxed for them. NaN, DIFF and a fill
+// that refuses, which DecodeBatch would refuse or need boxed values for,
+// are refused.
+func TestGatherMatchesDecodeBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	dirs := []Dir{Min, Max}
 	for trial := 0; trial < 80; trial++ {
-		pts := numericPoints(rng, 1+rng.Intn(60), trial%2 == 1)
+		pts := numericPoints(rng, rng.Intn(60), trial%2 == 1)
 		cols := [][]float64{make([]float64, len(pts)), make([]float64, len(pts))}
 		nulls := [][]bool{make([]bool, len(pts)), nil}
 		for i, p := range pts {
@@ -227,9 +247,9 @@ func TestFromColumnsMatchesDecodeBatch(t *testing.T) {
 				t.Fatal("numeric points must decode")
 			}
 			var stats Stats
-			got, ok := FromColumns(cols, nulls, dirs, incomplete, &stats)
+			got, ok := Gather(len(pts), dirs, incomplete, &stats, columnFill(cols, nulls))
 			if !ok || got.Len() != want.Len() || stats.BatchesDecoded() != 1 {
-				t.Fatalf("FromColumns ok=%v len=%d decoded=%d, want %d points, one decode", ok, got.Len(), stats.BatchesDecoded(), want.Len())
+				t.Fatalf("Gather ok=%v len=%d decoded=%d, want %d points, one decode", ok, got.Len(), stats.BatchesDecoded(), want.Len())
 			}
 			for i := 0; i < want.Len(); i++ {
 				if fmt.Sprint(got.NumRow(i)) != fmt.Sprint(want.NumRow(i)) || got.NullBits(i) != want.NullBits(i) {
@@ -257,10 +277,14 @@ func TestFromColumnsMatchesDecodeBatch(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := FromColumns([][]float64{{1, math.NaN()}}, [][]bool{nil}, []Dir{Min}, false, nil); ok {
-		t.Error("FromColumns accepted NaN in a MIN dimension")
+	if _, ok := Gather(2, []Dir{Max}, false, nil, columnFill([][]float64{{1, math.NaN()}}, [][]bool{nil})); ok {
+		t.Error("Gather accepted NaN in a MAX dimension")
 	}
-	if _, ok := FromColumns([][]float64{{1}}, [][]bool{nil}, []Dir{Diff}, false, nil); ok {
-		t.Error("FromColumns accepted a DIFF dimension")
+	if _, ok := Gather(1, []Dir{Diff}, false, nil, columnFill([][]float64{{1}}, [][]bool{nil})); ok {
+		t.Error("Gather accepted a DIFF dimension")
+	}
+	refuse := func(int, []float64, int, bool) ([]int, bool) { return nil, false }
+	if _, ok := Gather(1, []Dir{Min}, false, nil, refuse); ok {
+		t.Error("Gather accepted a batch its fill refused")
 	}
 }

@@ -201,7 +201,7 @@ func (v *Batch) eliminated(local [][]int, p, k int, distinct, sorted bool) bool 
 // DISTINCT). chunk is the target rows per task; inputs smaller than two
 // chunks fall back to the serial pass.
 func (b *Batch) BNLParallel(distinct bool, chunk int, run ParallelRunner) ([]int, error) {
-	bounds := parallelChunks(len(b.pts), chunk)
+	bounds := parallelChunks(b.n, chunk)
 	if bounds == nil {
 		return b.BNL(distinct), nil
 	}
@@ -222,7 +222,7 @@ func (b *Batch) BNLParallel(distinct bool, chunk int, run ParallelRunner) ([]int
 // skyline in input order — the same sequence BNL emits — so the twin
 // shares BNL's phase 2 and emission proof.
 func (b *Batch) DivideAndConquerParallel(distinct bool, chunk int, run ParallelRunner) ([]int, error) {
-	bounds := parallelChunks(len(b.pts), chunk)
+	bounds := parallelChunks(b.n, chunk)
 	if bounds == nil {
 		return b.DivideAndConquer(distinct), nil
 	}
@@ -246,7 +246,7 @@ func (b *Batch) DivideAndConquerParallel(distinct bool, chunk int, run ParallelR
 // eliminate p sorts before it. Emits exactly SFS's indices in SFS's
 // (sorted) order.
 func (b *Batch) SFSParallel(distinct bool, chunk int, run ParallelRunner) ([]int, error) {
-	bounds := parallelChunks(len(b.pts), chunk)
+	bounds := parallelChunks(b.n, chunk)
 	if bounds == nil {
 		return b.SFS(distinct), nil
 	}
@@ -270,7 +270,7 @@ func (b *Batch) SFSParallel(distinct bool, chunk int, run ParallelRunner) ([]int
 // task-local flag arrays that are OR-merged serially. Same flags, same
 // index-order emission, exactly n(n-1)/2 dominance tests either way.
 func (b *Batch) GlobalIncompleteParallel(distinct bool, chunk int, run ParallelRunner) ([]int, error) {
-	n := len(b.pts)
+	n := b.n
 	bounds := parallelChunks(n, chunk)
 	if bounds == nil {
 		return b.GlobalIncomplete(distinct), nil

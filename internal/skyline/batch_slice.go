@@ -49,7 +49,7 @@ func (b *Batch) HasNulls() bool { return b.anyNull }
 func (b *Batch) Slice(lo, hi int) *Batch {
 	ns, ks := b.numStride, b.keyStride
 	out := &Batch{
-		pts:        b.pts[lo:hi],
+		n:          hi - lo,
 		incomplete: b.incomplete,
 		dirs:       b.dirs,
 		Tag:        b.Tag,
@@ -59,6 +59,9 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 		keyStride:  ks,
 		diffMask:   b.diffMask,
 		diffIntern: b.diffIntern,
+	}
+	if b.pts != nil {
+		out.pts = b.pts[lo:hi]
 	}
 	if ks > 0 {
 		out.keys = b.keys[lo*ks : hi*ks]
@@ -87,7 +90,7 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 func (b *Batch) Select(idx []int) *Batch {
 	ns, ks := b.numStride, b.keyStride
 	out := &Batch{
-		pts:        b.Points(idx),
+		n:          len(idx),
 		incomplete: b.incomplete,
 		dirs:       b.dirs,
 		Tag:        b.Tag,
@@ -97,6 +100,9 @@ func (b *Batch) Select(idx []int) *Batch {
 		keyStride:  ks,
 		diffMask:   b.diffMask,
 		diffIntern: b.diffIntern,
+	}
+	if b.pts != nil {
+		out.pts = b.Points(idx)
 	}
 	for i, j := range idx {
 		copy(out.num[i*ns:(i+1)*ns], b.num[j*ns:(j+1)*ns])
@@ -140,15 +146,16 @@ func (b *Batch) Select(idx []int) *Batch {
 }
 
 // SelectRows is Select for a batch whose points carry no rows yet
-// (FromColumns): the kept points wrap rows, boxed by the caller for
-// exactly those points — late materialization.
+// (Gather): the kept points are created wrapping rows, boxed by the
+// caller for exactly those points — late materialization.
 func (b *Batch) SelectRows(idx []int, rows []types.Row) *Batch {
 	if len(rows) != len(idx) {
 		return nil
 	}
 	out := b.Select(idx)
-	for i := range out.pts {
-		out.pts[i].Row = rows[i]
+	out.pts = make([]Point, len(rows))
+	for i, r := range rows {
+		out.pts[i].Row = r
 	}
 	return out
 }
@@ -181,11 +188,12 @@ func MergeBatches(batches []*Batch) (*Batch, bool) {
 		if b == nil || !sameShape(first, b) {
 			return nil, false
 		}
-		n += len(b.pts)
+		n += b.n
 		anyNull = anyNull || b.anyNull
 	}
 	ns, ks := first.numStride, first.keyStride
 	out := &Batch{
+		n:          n,
 		pts:        make([]Point, 0, n),
 		incomplete: first.incomplete,
 		dirs:       first.dirs,
@@ -207,7 +215,7 @@ func MergeBatches(batches []*Batch) (*Batch, bool) {
 			if b.anyNull {
 				out.nulls = append(out.nulls, b.nulls...)
 			} else {
-				out.nulls = append(out.nulls, make([]uint64, len(b.pts))...)
+				out.nulls = append(out.nulls, make([]uint64, b.n)...)
 			}
 		}
 	}

@@ -76,7 +76,7 @@ type cellGrid struct {
 
 // newCellGrid takes the cut points from a strided sample of the batch.
 func (b *Batch) newCellGrid() *cellGrid {
-	n, s := len(b.pts), b.numStride
+	n, s := b.n, b.numStride
 	lanes := min(s, gridMaxLanes)
 	cells := int(math.Round(math.Pow(float64(n), 1/float64(lanes))))
 	cells = max(2, min(cells, gridMaxCells))

@@ -69,9 +69,9 @@ func (*TableName) tableRef() {}
 
 func (t *TableName) String() string {
 	if t.Alias != "" {
-		return t.Name + " AS " + t.Alias
+		return expr.Ident(t.Name) + " AS " + expr.Ident(t.Alias)
 	}
-	return t.Name
+	return expr.Ident(t.Name)
 }
 
 // Binding returns the qualifier the table contributes to the namespace.
@@ -90,7 +90,7 @@ type SubqueryRef struct {
 
 func (*SubqueryRef) tableRef() {}
 
-func (s *SubqueryRef) String() string { return "(subquery) AS " + s.Alias }
+func (s *SubqueryRef) String() string { return "(subquery) AS " + expr.Ident(s.Alias) }
 
 // JoinType enumerates join flavours.
 type JoinType int
@@ -136,7 +136,7 @@ func (j *JoinRef) String() string {
 	case j.On != nil:
 		s += " ON " + j.On.String()
 	case len(j.Using) > 0:
-		s += " USING (" + strings.Join(j.Using, ", ") + ")"
+		s += " USING (" + identList(j.Using) + ")"
 	}
 	return s
 }

@@ -3,6 +3,8 @@ package sql
 import (
 	"fmt"
 	"strings"
+
+	"skysql/internal/expr"
 )
 
 // String renders the statement back to parsable SQL. It is used by the
@@ -63,14 +65,11 @@ func (s *SelectStmt) String() string {
 func formatTableRef(r TableRef) string {
 	switch t := r.(type) {
 	case *TableName:
-		if t.Alias != "" {
-			return t.Name + " AS " + t.Alias
-		}
-		return t.Name
+		return t.String()
 	case *SubqueryRef:
 		out := "(" + t.Select.String() + ")"
 		if t.Alias != "" {
-			out += " AS " + t.Alias
+			out += " AS " + expr.Ident(t.Alias)
 		}
 		return out
 	case *JoinRef:
@@ -83,9 +82,18 @@ func formatTableRef(r TableRef) string {
 		case t.On != nil:
 			out += " ON " + t.On.String()
 		case len(t.Using) > 0:
-			out += " USING (" + strings.Join(t.Using, ", ") + ")"
+			out += " USING (" + identList(t.Using) + ")"
 		}
 		return out
 	}
 	return fmt.Sprintf("<%T>", r)
+}
+
+// identList renders names as a comma-separated list of identifiers.
+func identList(names []string) string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = expr.Ident(n)
+	}
+	return strings.Join(out, ", ")
 }

@@ -37,23 +37,6 @@ type Token struct {
 	Quoted bool   // true for `quoted` or "quoted" identifiers (never keywords)
 }
 
-// keyword set used by the parser (matched case-insensitively on tokIdent).
-var keywords = map[string]bool{
-	"select": true, "distinct": true, "from": true, "where": true,
-	"group": true, "by": true, "having": true, "order": true, "limit": true,
-	"asc": true, "desc": true, "and": true, "or": true, "not": true,
-	"exists": true, "is": true, "null": true, "true": true, "false": true,
-	"join": true, "inner": true, "left": true, "right": true, "full": true,
-	"outer": true, "cross": true, "on": true, "using": true, "as": true,
-	"skyline": true, "of": true, "complete": true,
-	"min": true, "max": true, "diff": true,
-	"between": true, "in": true,
-	"case": true, "when": true, "then": true, "else": true, "end": true,
-}
-
-// IsKeyword reports whether the identifier is a reserved word.
-func IsKeyword(s string) bool { return keywords[strings.ToLower(s)] }
-
 // Lexer tokenizes a SQL string.
 type Lexer struct {
 	src []rune

@@ -85,7 +85,7 @@ func (p *Parser) identifier() (string, error) {
 	if t.Type != tokIdent {
 		return "", p.errorf("expected identifier, found %q", t.Text)
 	}
-	if IsKeyword(t.Text) && !t.Quoted {
+	if expr.IsKeyword(t.Text) && !t.Quoted {
 		return "", p.errorf("reserved word %q cannot be used as an identifier", t.Text)
 	}
 	p.pos++
@@ -241,7 +241,7 @@ func (p *Parser) parseSelectItem() (expr.Expr, error) {
 		return &expr.Star{}, nil
 	}
 	// t.* lookahead
-	if p.cur().Type == tokIdent && (p.cur().Quoted || !IsKeyword(p.cur().Text)) &&
+	if p.cur().Type == tokIdent && (p.cur().Quoted || !expr.IsKeyword(p.cur().Text)) &&
 		p.pos+2 < len(p.toks) &&
 		p.toks[p.pos+1].Type == tokOp && p.toks[p.pos+1].Text == "." &&
 		p.toks[p.pos+2].Type == tokOp && p.toks[p.pos+2].Text == "*" {
@@ -261,7 +261,7 @@ func (p *Parser) parseSelectItem() (expr.Expr, error) {
 		return expr.NewAlias(e, name), nil
 	}
 	// Implicit alias: expr name
-	if p.cur().Type == tokIdent && (p.cur().Quoted || !IsKeyword(p.cur().Text)) {
+	if p.cur().Type == tokIdent && (p.cur().Quoted || !expr.IsKeyword(p.cur().Text)) {
 		name := p.cur().Text
 		p.pos++
 		return expr.NewAlias(e, name), nil
@@ -375,7 +375,7 @@ func (p *Parser) parseTablePrimary() (TableRef, error) {
 			}
 			p.acceptKeyword("as")
 			alias := ""
-			if p.cur().Type == tokIdent && (p.cur().Quoted || !IsKeyword(p.cur().Text)) {
+			if p.cur().Type == tokIdent && (p.cur().Quoted || !expr.IsKeyword(p.cur().Text)) {
 				alias, _ = p.identifier()
 			}
 			return &SubqueryRef{Select: sub, Alias: alias}, nil
@@ -400,7 +400,7 @@ func (p *Parser) parseTablePrimary() (TableRef, error) {
 			return nil, err
 		}
 		t.Alias = alias
-	} else if p.cur().Type == tokIdent && (p.cur().Quoted || !IsKeyword(p.cur().Text)) {
+	} else if p.cur().Type == tokIdent && (p.cur().Quoted || !expr.IsKeyword(p.cur().Text)) {
 		t.Alias, _ = p.identifier()
 	}
 	return t, nil
@@ -687,7 +687,7 @@ func (p *Parser) parsePrimary() (expr.Expr, error) {
 		if p.pos+1 < len(p.toks) && p.toks[p.pos+1].Type == tokOp && p.toks[p.pos+1].Text == "(" {
 			return p.parseFuncCall()
 		}
-		if IsKeyword(t.Text) {
+		if expr.IsKeyword(t.Text) {
 			return nil, p.errorf("unexpected keyword %q in expression", t.Text)
 		}
 		return p.parseColumnRef()

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"sync"
+	"sync/atomic"
 
+	"skysql/internal/expr"
 	"skysql/internal/types"
 )
 
@@ -34,13 +37,24 @@ func (s Sel) Row(k int) int {
 	return s.Lo + k
 }
 
-// Reader is the one page reader of a segment. It serves three outputs
-// from the same verified pages: dense float64 columns (Numeric), boxed
-// values by row number (Box for whole rows, Values for some columns one
-// row at a time), and — the all-rows case of Box — Segment.Decode. A page
-// is read and checked against its CRC the first time any caller needs it
-// and is shared from then on, so the morsels of one segment read each page
-// once, and a page no caller needs is never read. Safe for concurrent use.
+// Reader is the one page reader of a segment. It serves its outputs from
+// the same verified pages, in place: selections narrowed by comparing a
+// column with a constant (Filter), numeric columns written straight into
+// a caller's row-major storage (Gather), dense float64 columns (Numeric),
+// boxed values by row number (Box for whole rows, Values for some columns
+// one row at a time), and — the all-rows case of Box — Segment.Decode. A
+// page is read and checked against its CRC the first time any caller
+// needs it and is shared from then on, so the morsels of one segment read
+// each page once, and a page no caller needs is never read. Safe for
+// concurrent use.
+//
+// A file-backed reader reads its pages into buffers taken from a
+// package-level pool and gives them back at Close, so a scan that runs
+// again reads into the buffers the last one released instead of
+// allocating (and zeroing) fresh ones. No output of a reader aliases a
+// buffer: everything it returns is copied out of the pages. The caller
+// must therefore guarantee only that nothing reads through the reader
+// once Close has been called.
 type Reader struct {
 	footer *Footer
 	path   string
@@ -50,7 +64,46 @@ type Reader struct {
 	mu    sync.Mutex
 	f     *os.File
 	pages []*page
+	bufs  []*[]byte // the pooled buffers the pages of a file-backed reader live in
 	held  int64
+}
+
+// bufPools recycles page read buffers. Pool k holds buffers whose length
+// has bit length k, so a request only ever meets buffers within a factor
+// of two of its size; one too small for the request is dropped, and the
+// pool converges on the largest page of its class — in practice every
+// numeric page of a full segment has the same size.
+var bufPools [64]sync.Pool
+
+// poisonBuffers makes Close overwrite every buffer it returns to the
+// pool (SetBufferPoison).
+var poisonBuffers atomic.Bool
+
+// SetBufferPoison makes every reader overwrite its page buffers as it
+// returns them to the pool, so that a page read through a closed reader
+// fails its checksum or yields a wrong row instead of going unnoticed. It
+// is a test hook: poisoning costs a pass over every buffer released.
+func SetBufferPoison(on bool) { poisonBuffers.Store(on) }
+
+// takeBuffer returns a buffer of n bytes from the pool, or a fresh one.
+func takeBuffer(n int64) *[]byte {
+	pool := &bufPools[bits.Len64(uint64(n))]
+	if b, ok := pool.Get().(*[]byte); ok && int64(cap(*b)) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]byte, n)
+	return &b
+}
+
+// releaseBuffer returns a buffer to the pool.
+func releaseBuffer(b *[]byte) {
+	if poisonBuffers.Load() {
+		for i := range *b {
+			(*b)[i] = 0xA5
+		}
+	}
+	bufPools[bits.Len64(uint64(len(*b)))].Put(b)
 }
 
 // NewReader opens a reader over the segment's pages. Nothing is read
@@ -63,12 +116,18 @@ func (s *Segment) NewReader(charge func(delta int64)) *Reader {
 		pages: make([]*page, len(s.Footer.Cols))}
 }
 
-// Close drops every page the reader holds and closes its file. The
-// reader must not be used afterwards.
+// Close drops every page the reader holds, returns their buffers to the
+// pool and closes its file. The reader must not be used afterwards, and
+// nothing may still be reading through it: the buffers go to the next
+// reader that needs them.
 func (r *Reader) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.pages = nil
+	for _, b := range r.bufs {
+		releaseBuffer(b)
+	}
+	r.bufs = nil
 	if r.held > 0 && r.charge != nil {
 		r.charge(-r.held)
 	}
@@ -106,13 +165,16 @@ func (r *Reader) page(col int) (*page, error) {
 			}
 			r.f = f
 		}
-		buf = make([]byte, ref.len)
-		if _, err := r.f.ReadAt(buf, ref.off); err != nil {
+		b := takeBuffer(ref.len)
+		if _, err := r.f.ReadAt(*b, ref.off); err != nil {
+			releaseBuffer(b)
 			if errors.Is(err, io.EOF) {
 				return nil, errCorrupt("column %d page truncated", col)
 			}
 			return nil, fmt.Errorf("storage: read segment: %w", err)
 		}
+		buf = *b
+		r.bufs = append(r.bufs, b)
 		r.held += ref.len
 		if r.charge != nil {
 			r.charge(ref.len)
@@ -141,6 +203,44 @@ func (r *Reader) Numeric(col int, sel Sel) (vals []float64, nulls []bool, ok boo
 	}
 	vals, nulls, ok = pg.numeric(sel)
 	return vals, nulls, ok, nil
+}
+
+// Filter narrows sel to the rows where column col compares to the
+// constant c under op (one of the six comparisons), reading the page in
+// place. The rules are the vectorized engine's against a constant: NULL
+// fails, NaN sorts below every number (so it passes <, <= and <>), and -0
+// equals +0. c must not be NaN. ok=false (with a nil error) when the
+// column cannot be served exactly at the selected rows — Numeric's
+// refusals. The result may reuse sel.Idx, so sel must not be used again.
+func (r *Reader) Filter(col int, op expr.BinaryOp, c float64, sel Sel) (out Sel, ok bool, err error) {
+	pg, err := r.page(col)
+	if err != nil {
+		return Sel{}, false, err
+	}
+	idx := sel.Idx[:0]
+	if sel.Idx == nil {
+		idx = make([]int, 0, sel.Len())
+	}
+	if idx, ok = pg.filter(newCmpMask(op), c, sel, idx); !ok {
+		return Sel{}, false, nil
+	}
+	return Sel{Lo: sel.Lo, Hi: sel.Hi, Idx: idx}, true, nil
+}
+
+// Gather writes column col at the selected rows as float64 into a
+// caller's row-major storage: the k-th selected row's value goes to
+// dst[k*stride], negated when negate is set, except for NULL rows, whose
+// slots are left untouched and whose positions k are returned in
+// increasing order (nil when there are none). NaN is written as is.
+// ok=false (with a nil error) on Numeric's refusals; dst may then be
+// partly written.
+func (r *Reader) Gather(col int, sel Sel, dst []float64, stride int, negate bool) (nulls []int, ok bool, err error) {
+	pg, err := r.page(col)
+	if err != nil {
+		return nil, false, err
+	}
+	nulls, ok = pg.gather(sel, dst, stride, negate)
+	return nulls, ok, nil
 }
 
 // Values gives row-at-a-time access to some columns at the selected rows:

@@ -30,7 +30,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
+	"skysql/internal/expr"
 	"skysql/internal/types"
 )
 
@@ -397,57 +399,170 @@ func (pg *page) value(i int) types.Value {
 func (pg *page) numeric(sel Sel) (vals []float64, nulls []bool, ok bool) {
 	n := sel.Len()
 	vals = make([]float64, n)
-	setNull := func(k int) {
-		if nulls == nil {
-			nulls = make([]bool, n)
-		}
-		nulls[k] = true
+	pos, ok := pg.gather(sel, vals, 1, false)
+	if !ok {
+		return nil, nil, false
 	}
-	switch pg.enc {
-	case encFloat:
-		for k := 0; k < n; k++ {
-			i := sel.Row(k)
-			if pg.isNull(i) {
-				setNull(k)
-				continue
-			}
-			vals[k] = math.Float64frombits(pg.bits(i))
+	if pos != nil {
+		nulls = make([]bool, n)
+		for _, k := range pos {
+			nulls[k] = true
 		}
-	case encInt:
+	}
+	return vals, nulls, true
+}
+
+// cmpMask is a comparison with a non-NaN constant c as the outcomes it
+// accepts, 1 for accepted: x < c, x == c, x > c, and x NaN (which sorts
+// below c but fails every comparison the hardware does).
+type cmpMask struct{ lt, eq, gt, nan int }
+
+func newCmpMask(op expr.BinaryOp) cmpMask {
+	switch op {
+	case expr.OpEq:
+		return cmpMask{eq: 1}
+	case expr.OpNeq:
+		return cmpMask{lt: 1, gt: 1, nan: 1}
+	case expr.OpLt:
+		return cmpMask{lt: 1, nan: 1}
+	case expr.OpLeq:
+		return cmpMask{lt: 1, eq: 1, nan: 1}
+	case expr.OpGt:
+		return cmpMask{gt: 1}
+	case expr.OpGeq:
+		return cmpMask{gt: 1, eq: 1}
+	}
+	return cmpMask{}
+}
+
+// holds is 1 when x satisfies the comparison, 0 otherwise. It is written
+// without branches: on filter columns the outcome is close to a coin flip,
+// and a mispredicted branch per row costs more than the whole test.
+func (m cmpMask) holds(x, c float64) int {
+	return m.lt&b2i(x < c) | m.eq&b2i(x == c) | m.gt&b2i(x > c) | m.nan&b2i(x != x)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// filter appends to out the offsets from sel.Lo of the selected rows whose
+// non-NULL value satisfies m against c, under numeric's exactness rules:
+// ok=false when the page holds strings or bools at those rows, or an
+// integer beyond ±2⁵³. out may alias sel.Idx: the k-th offset is read
+// before anything at or past position k is written.
+func (pg *page) filter(m cmpMask, c float64, sel Sel, out []int) ([]int, bool) {
+	n := sel.Len()
+	at := len(out)
+	out = slices.Grow(out, n)[:at+n]
+	switch pg.enc {
+	case encFloat, encInt:
+		nb := (pg.rows + 7) / 8
+		nulls, vals := pg.p[:nb], pg.p[nb:]
+		isInt := pg.enc == encInt
+		lo, idx := sel.Lo, sel.Idx
 		for k := 0; k < n; k++ {
-			i := sel.Row(k)
-			if pg.isNull(i) {
-				setNull(k)
-				continue
+			i := lo + k
+			if idx != nil {
+				i = lo + idx[k]
 			}
-			iv := int64(pg.bits(i))
-			if iv > types.MaxExactFloatInt || iv < -types.MaxExactFloatInt {
-				return nil, nil, false
+			bits := binary.LittleEndian.Uint64(vals[i*8:])
+			x := math.Float64frombits(bits)
+			if isInt {
+				iv := int64(bits)
+				if iv > types.MaxExactFloatInt || iv < -types.MaxExactFloatInt {
+					return nil, false
+				}
+				x = float64(iv)
 			}
-			vals[k] = float64(iv)
+			out[at] = i - lo
+			at += m.holds(x, c) &^ int(nulls[i>>3]>>(i&7)&1)
 		}
 	case encBoxed:
 		for k := 0; k < n; k++ {
-			v := pg.boxed[sel.Row(k)]
-			switch v.Kind() {
-			case types.KindNull:
-				setNull(k)
-			case types.KindFloat:
-				vals[k] = v.AsFloat()
-			case types.KindInt:
-				iv := v.AsInt()
+			i := sel.Row(k)
+			x, null, ok := boxedNumber(pg.boxed[i])
+			if !ok {
+				return nil, false
+			}
+			out[at] = i - sel.Lo
+			at += m.holds(x, c) &^ b2i(null)
+		}
+	default:
+		return nil, false
+	}
+	return out[:at], true
+}
+
+// gather writes the selected rows' values, negated when negate is set,
+// to dst[k*stride], and returns the positions k of the NULL rows instead,
+// under numeric's exactness rules.
+func (pg *page) gather(sel Sel, dst []float64, stride int, negate bool) (nulls []int, ok bool) {
+	n := sel.Len()
+	sign := 1.0
+	if negate {
+		sign = -1
+	}
+	switch pg.enc {
+	case encFloat, encInt:
+		nb := (pg.rows + 7) / 8
+		nullBits, vals := pg.p[:nb], pg.p[nb:]
+		isInt := pg.enc == encInt
+		lo, idx := sel.Lo, sel.Idx
+		for k := 0; k < n; k++ {
+			i := lo + k
+			if idx != nil {
+				i = lo + idx[k]
+			}
+			if nullBits[i>>3]&(1<<(i&7)) != 0 {
+				nulls = append(nulls, k)
+				continue
+			}
+			bits := binary.LittleEndian.Uint64(vals[i*8:])
+			x := math.Float64frombits(bits)
+			if isInt {
+				iv := int64(bits)
 				if iv > types.MaxExactFloatInt || iv < -types.MaxExactFloatInt {
-					return nil, nil, false
+					return nil, false
 				}
-				vals[k] = float64(iv)
+				x = float64(iv)
+			}
+			dst[k*stride] = sign * x
+		}
+	case encBoxed:
+		for k := 0; k < n; k++ {
+			x, isNull, ok := boxedNumber(pg.boxed[sel.Row(k)])
+			switch {
+			case !ok:
+				return nil, false
+			case isNull:
+				nulls = append(nulls, k)
 			default:
-				return nil, nil, false
+				dst[k*stride] = sign * x
 			}
 		}
 	default:
-		return nil, nil, false
+		return nil, false
 	}
-	return vals, nulls, true
+	return nulls, true
+}
+
+// boxedNumber reads a boxed page value as numeric does: ok=false for a
+// string, a bool or an integer beyond ±2⁵³.
+func boxedNumber(v types.Value) (x float64, null, ok bool) {
+	switch v.Kind() {
+	case types.KindNull:
+		return 0, true, true
+	case types.KindFloat:
+		return v.AsFloat(), false, true
+	case types.KindInt:
+		iv := v.AsInt()
+		return float64(iv), false, iv <= types.MaxExactFloatInt && iv >= -types.MaxExactFloatInt
+	}
+	return 0, false, false
 }
 
 // encodeFooter serializes the footer with the same binary primitives as

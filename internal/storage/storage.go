@@ -22,10 +22,17 @@
 //     segments before any page is read.
 //
 //   - A Reader reads only the pages a query asks for, verifies each once,
-//     and serves dense float64 columns (the first stage's filters and
-//     skyline dimensions) and boxed values by row number (the rows that
-//     leave the stage, and the dimensions a boxed dominance test reads)
-//     from the same pages.
+//     and serves from the same pages, in place: selections narrowed by a
+//     comparison with a constant (Filter — the first stage's filters),
+//     numeric columns written straight into a caller's row-major batch
+//     storage (Gather — the skyline dimensions), dense float64 columns
+//     (Numeric — any other filter conjunct), and boxed values by row
+//     number (the rows that leave the stage, and the dimensions a boxed
+//     dominance test reads). A file-backed Reader reads into buffers from
+//     a package-level pool and returns them at Close; nothing it returns
+//     aliases a buffer, so the only rule is that nothing reads through a
+//     Reader after Close (SetBufferPoison makes a violation visible).
+//     In-memory segments serve their pages without copying them.
 //
 //   - The memory governor's spill tier writes gather buffers out as
 //     temporary segments and re-streams them through Segment.Decode, so

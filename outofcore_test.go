@@ -1,11 +1,14 @@
 package skysql_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"skysql"
 	"skysql/internal/datagen"
@@ -298,6 +301,103 @@ func TestConcurrentSegmentScans(t *testing.T) {
 	if live := sess.GovernorStats().LiveBytes; live != 0 {
 		t.Errorf("governor holds %d bytes after every query returned", live)
 	}
+}
+
+// TestSegmentPageBuffersRecycledSafely: file-backed readers return their
+// page buffers to a pool when they close, and the next reader reads into
+// them. With every released buffer poisoned, a page read through a
+// reader after it closed would fail its checksum or change a row. Several
+// goroutines run scan_segments-shape queries on one session under
+// injected task faults with retries, canceling some mid-round: each
+// query either fails canceled or answers exactly as the in-memory session
+// does, rows in the same order, and at the end the governor holds nothing.
+func TestSegmentPageBuffersRecycledSafely(t *testing.T) {
+	storage.SetBufferPoison(true)
+	t.Cleanup(func() { storage.SetBufferPoison(false) })
+	const rows = 14000
+	dir := t.TempDir()
+	queries := []string{
+		writeScanSegments(t, dir, rows),
+		"SELECT * FROM t WHERE d2 > 0.3 AND id < 11000 SKYLINE OF COMPLETE d3 MIN, d1 MAX",
+		"SELECT * FROM t WHERE d1 + d2 < 1 AND d4 <= 0.8 SKYLINE OF COMPLETE d1 MAX, d4 MIN",
+	}
+	tab := datagen.Synthetic(datagen.Independent, rows, 4, datagen.Config{Seed: 1, Complete: true})
+	mem := skysql.NewSession(skysql.WithExecutors(4))
+	t.Cleanup(mem.Close)
+	if err := mem.CreateTable("t", tab.Schema, tab.Rows); err != nil {
+		t.Fatal(err)
+	}
+	render := func(rows []skysql.Row) string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = r.String()
+		}
+		return strings.Join(out, "\n")
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		got, err := mem.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = render(got)
+	}
+
+	sess := skysql.NewSession(skysql.WithExecutors(4),
+		skysql.WithFaultInjection(skysql.FaultInjection{Seed: 5, FaultRate: 0.2}),
+		skysql.WithTaskRetries(12),
+		skysql.WithMemoryBudget(64<<20), skysql.WithGlobalMemoryBudget(256<<20))
+	t.Cleanup(sess.Close)
+	if err := sess.OpenSegments("t", dir); err != nil {
+		t.Fatal(err)
+	}
+	var answered, canceled atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4*len(queries); i++ {
+				qi := (g + i) % len(queries)
+				ctx, cancel := context.WithCancel(context.Background())
+				if i%3 == 2 {
+					time.AfterFunc(time.Duration(1+(g*7+i)%5)*200*time.Microsecond, cancel)
+				}
+				df, err := sess.SQL(queries[qi])
+				var got []skysql.Row
+				if err == nil {
+					got, err = df.CollectContext(ctx)
+				}
+				stopped := ctx.Err() != nil
+				cancel()
+				switch {
+				case err != nil && stopped:
+					canceled.Add(1)
+				case err != nil:
+					errs <- fmt.Errorf("%s: %w", queries[qi], err)
+					return
+				case render(got) != want[qi]:
+					errs <- fmt.Errorf("%s: segment answer differs from the in-memory one", queries[qi])
+					return
+				default:
+					answered.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if answered.Load() == 0 {
+		t.Fatal("no query completed: nothing was checked")
+	}
+	if live := sess.GovernorStats().LiveBytes; live != 0 {
+		t.Errorf("governor holds %d bytes after every query returned", live)
+	}
+	t.Logf("%d answers checked, %d queries canceled mid-run", answered.Load(), canceled.Load())
 }
 
 // TestOpenSegmentsRoundTrip covers the ingest path `datagen -segments`

@@ -274,10 +274,12 @@ func WithSpillDirectory(dir string) Option {
 }
 
 // WithoutSegmentPruning disables zone-map pruning at segment-backed
-// scans: every segment decodes, filters do all the work. Results are
-// bit-identical either way (pruning only skips segments the predicates
-// provably reject); the switch exists for A/B ablation of the pruning
-// win, mirroring WithoutStageFusion.
+// scans: every segment decodes, filters do all the work — including the
+// conjuncts a segment's zone maps prove true for every row, which are
+// otherwise not evaluated there. Results are bit-identical either way
+// (pruning only skips segments the predicates provably reject, and
+// conjuncts they provably accept); the switch exists for A/B ablation of
+// the pruning win, mirroring WithoutStageFusion.
 func WithoutSegmentPruning() Option {
 	return func(s *Session) { s.noSegPrune = true }
 }

@@ -212,13 +212,15 @@
 // The surviving segments are not decoded ahead of the query: the first
 // stage reads them inside its own tasks, one per segment, morsel-split
 // and run on the worker pool. When that stage is filters feeding a local
-// skyline, a task reads only the columns they reference, filters on them
-// vectorized, decodes the dimensions of the rows that pass straight into
-// the skyline batch, and boxes only the rows the local skyline keeps —
-// late materialization; any other stage, or data the dense columns cannot
-// carry exactly (strings or mixed kinds in a referenced column, integers
-// beyond ±2⁵³, NaN in a dimension), boxes the morsel's rows and runs the
-// stage as it would over in-memory rows. Segment files are format v2:
+// skyline, a task filters selection first — a conjunct the segment's zone
+// maps prove true for every row is skipped, a column compared with a
+// constant is tested on the page bytes, anything else runs vectorized on
+// the rows still selected — then reads the dimensions of the rows that
+// pass straight into the skyline batch, and boxes only the rows the local
+// skyline keeps — late materialization; any other stage, or data the
+// pages cannot carry exactly (strings or mixed kinds in a referenced
+// column, integers beyond ±2⁵³, NaN in a dimension), boxes the morsel's
+// rows and runs the stage as it would over in-memory rows. Segment files are format v2:
 // every column page and the header+footer carry a CRC-32C, checked on
 // first read, so a damaged file answers an error, never different rows;
 // v1 directories must be rewritten.

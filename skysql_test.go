@@ -1,6 +1,7 @@
 package skysql_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -703,5 +704,59 @@ func TestAdaptiveExchangeOptionsLastWins(t *testing.T) {
 	}
 	if ds := fdf.Metrics().AdaptiveDecisions(); len(ds) != 0 {
 		t.Errorf("WithoutAdaptiveExchange last must win, recorded %v", ds)
+	}
+}
+
+// TestRewriteSkylineKeepsNamesAndTypes: the Listing-4 rewrite renders a
+// name that is not a plain lower-case identifier quoted — one with a
+// space, a reserved word — and a DOUBLE literal as a DOUBLE (-0.0 stays
+// -0.0, not the BIGINT 0), so the rewritten SQL parses and returns the
+// skyline's answer, value kinds and float bits included.
+func TestRewriteSkylineKeepsNamesAndTypes(t *testing.T) {
+	sess := skysql.NewSession()
+	t.Cleanup(sess.Close)
+	schema := skysql.NewSchema(
+		skysql.Field{Name: "a b", Type: skysql.KindFloat},
+		skysql.Field{Name: "select", Type: skysql.KindFloat},
+		skysql.Field{Name: "x", Type: skysql.KindFloat},
+	)
+	rows := []skysql.Row{
+		{skysql.Float(1), skysql.Float(5), skysql.Float(-1)},
+		{skysql.Float(2), skysql.Float(9), skysql.Float(3)},
+		{skysql.Float(3), skysql.Float(7), skysql.Float(0.5)},
+		{skysql.Float(0.5), skysql.Float(1), skysql.Float(2)},
+	}
+	if err := sess.CreateTable("t", schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	query := `SELECT "a b", "select", -0.0 AS z FROM t WHERE x > -0.0 SKYLINE OF "a b" MIN, "select" MAX`
+	ref, err := sess.RewriteSkyline(query, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRows, err := sess.Query(ref)
+	if err != nil {
+		t.Fatalf("rewrite %q: %v", ref, err)
+	}
+	intRows, err := sess.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(rows []skysql.Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			for _, v := range r {
+				out[i] += fmt.Sprintf("%v:%v|", v.Kind(), v)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	got, want := render(refRows), render(intRows)
+	if len(want) == 0 || strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Fatalf("rewrite %q answers %v, the skyline %v", ref, got, want)
+	}
+	if !strings.Contains(want[0], "-0") {
+		t.Fatalf("the skyline's z column is %v, want DOUBLE -0", want)
 	}
 }
