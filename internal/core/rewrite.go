@@ -56,10 +56,12 @@ func ReferenceRewrite(relation string, selectList []string, dims []RefDim, incom
 			}
 		}
 	}
-	cond := strings.Join(weak, " AND ")
-	if len(strict) > 0 {
-		cond += " AND (" + strings.Join(strict, " OR ") + ")"
+	if len(strict) == 0 {
+		// Only DIFF dimensions: no tuple is better than another in any
+		// dimension, so none dominates and every tuple is in the skyline.
+		return fmt.Sprintf("SELECT %s FROM %s AS o", sel, relation)
 	}
+	cond := strings.Join(weak, " AND ") + " AND (" + strings.Join(strict, " OR ") + ")"
 	return fmt.Sprintf("SELECT %s FROM %s AS o WHERE NOT EXISTS(SELECT * FROM %s AS i WHERE %s)",
 		sel, relation, relation, cond)
 }
@@ -77,6 +79,11 @@ func RewriteSkylineStatement(query string, incomplete bool) (string, error) {
 	}
 	if stmt.Skyline == nil {
 		return "", fmt.Errorf("core: query has no SKYLINE clause")
+	}
+	if stmt.Skyline.Distinct {
+		// It keeps one representative of each class of equal points, and
+		// no plain SQL pins down which one.
+		return "", fmt.Errorf("core: SKYLINE OF DISTINCT has no plain-SQL reference rewriting")
 	}
 	if len(stmt.GroupBy) > 0 || stmt.Having != nil {
 		return "", fmt.Errorf("core: reference rewriting supports only SELECT-FROM-WHERE skyline queries; fold aggregates into a derived table")
@@ -115,7 +122,25 @@ func RewriteSkylineStatement(query string, incomplete bool) (string, error) {
 	if stmt.Where != nil {
 		rel = fmt.Sprintf("(SELECT * FROM %s WHERE %s)", relation, renderExpr(stmt.Where))
 	}
-	return ReferenceRewrite(rel, sel, dims, incomplete), nil
+	// DISTINCT, ORDER BY and LIMIT apply to the skyline: the outer query.
+	ref := ReferenceRewrite(rel, sel, dims, incomplete)
+	if stmt.Distinct {
+		ref = "SELECT DISTINCT " + strings.TrimPrefix(ref, "SELECT ")
+	}
+	if len(stmt.OrderBy) > 0 {
+		keys := make([]string, len(stmt.OrderBy))
+		for i, o := range stmt.OrderBy {
+			keys[i] = renderExpr(o.E)
+			if o.Desc {
+				keys[i] += " DESC"
+			}
+		}
+		ref += " ORDER BY " + strings.Join(keys, ", ")
+	}
+	if stmt.Limit >= 0 {
+		ref += fmt.Sprintf(" LIMIT %d", stmt.Limit)
+	}
+	return ref, nil
 }
 
 // renderExpr renders an unresolved expression back to parsable SQL.

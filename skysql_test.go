@@ -760,3 +760,60 @@ func TestRewriteSkylineKeepsNamesAndTypes(t *testing.T) {
 		t.Fatalf("the skyline's z column is %v, want DOUBLE -0", want)
 	}
 }
+
+// TestRewriteSkylineKeepsClauses: the Listing-4 rewrite of a skyline with
+// SELECT DISTINCT, ORDER BY or LIMIT answers what the skyline answers, a
+// DIFF-only skyline's rewrite keeps every row, and SKYLINE OF DISTINCT —
+// whose choice among equal points no plain SQL reproduces — is refused.
+func TestRewriteSkylineKeepsClauses(t *testing.T) {
+	sess := skysql.NewSession()
+	t.Cleanup(sess.Close)
+	schema := skysql.NewSchema(
+		skysql.Field{Name: "id", Type: skysql.KindInt},
+		skysql.Field{Name: "a", Type: skysql.KindInt},
+		skysql.Field{Name: "b", Type: skysql.KindInt},
+	)
+	rows := []skysql.Row{
+		{skysql.Int(1), skysql.Int(1), skysql.Int(5)},
+		{skysql.Int(2), skysql.Int(1), skysql.Int(5)},
+		{skysql.Int(3), skysql.Int(5), skysql.Int(1)},
+		{skysql.Int(4), skysql.Int(6), skysql.Int(6)},
+	}
+	if err := sess.CreateTable("t", schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	// render is how each answer is compared: the LIMIT without ORDER BY
+	// may keep any one skyline row, so only its size is.
+	inOrder := func(rows []skysql.Row) string { return fmt.Sprint(rows) }
+	asMultiset := func(rows []skysql.Row) string { return strings.Join(rowsToStrings(rows), ";") }
+	size := func(rows []skysql.Row) string { return fmt.Sprint(len(rows)) }
+	for _, c := range []struct {
+		query  string
+		render func([]skysql.Row) string
+		count  int
+	}{
+		{"SELECT * FROM t SKYLINE OF a MIN, b MIN LIMIT 1", size, 1},
+		{"SELECT * FROM t SKYLINE OF a MIN, b MIN ORDER BY id DESC LIMIT 1", inOrder, 1},
+		{"SELECT DISTINCT a, b FROM t SKYLINE OF a MIN, b MIN", asMultiset, 2},
+		{"SELECT id FROM t SKYLINE OF a DIFF", asMultiset, 4},
+	} {
+		ref, err := sess.RewriteSkyline(c.query, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refRows, err := sess.Query(ref)
+		if err != nil {
+			t.Fatalf("rewrite %q: %v", ref, err)
+		}
+		intRows, err := sess.Query(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(intRows) != c.count || c.render(refRows) != c.render(intRows) {
+			t.Errorf("%q answers %v; its rewrite %q answers %v", c.query, intRows, ref, refRows)
+		}
+	}
+	if ref, err := sess.RewriteSkyline("SELECT * FROM t SKYLINE OF DISTINCT a MIN, b MIN", false); err == nil {
+		t.Errorf("SKYLINE OF DISTINCT rewrote to %q, want an error", ref)
+	}
+}
