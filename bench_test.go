@@ -11,7 +11,14 @@ import (
 	"testing"
 
 	"skysql/internal/bench"
+	"skysql/internal/cluster"
 	"skysql/internal/core"
+	"skysql/internal/cost"
+	"skysql/internal/datagen"
+	"skysql/internal/expr"
+	"skysql/internal/physical"
+	"skysql/internal/skyline"
+	"skysql/internal/types"
 )
 
 // benchConfig returns the scaled-down harness configuration used by all
@@ -284,4 +291,78 @@ func BenchmarkAblationExtensionAlgorithms(b *testing.B) {
 				Tuples: benchAirbnbRows, Executors: 5, Algorithm: alg})
 		})
 	}
+}
+
+// BenchmarkLocalSkylineRows is the in-memory twin of BenchmarkSegmentScan
+// for the first stage of the benchmark's kernel_anti query: 4 000
+// anti-correlated rows (d=4, seed 1) in the engine's morsels for 4
+// executors, each decoded from its rows and reduced by the local skyline
+// exactly as LocalSkylineExec does. The sub-benchmarks split the stage:
+// "stage" is decode plus local BNL; "bnl" is the local BNL alone, over
+// batches decoded beforehand; "boxed-decode" is the decode through a boxed
+// dimension vector per row (evalPoints + DecodeBatch) that "stage" no
+// longer pays. ns/row is per input row; run with -benchmem for allocs/op.
+func BenchmarkLocalSkylineRows(b *testing.B) {
+	const rows = 4000
+	tab := datagen.Synthetic(datagen.AntiCorrelated, rows, 4, datagen.Config{Seed: 1, Complete: true})
+	dims := make([]physical.BoundDim, 4)
+	for d := range dims {
+		dims[d] = physical.BoundDim{E: expr.NewBoundRef(1+d, fmt.Sprintf("d%d", d+1), types.KindFloat, false), Dir: skyline.Min}
+	}
+	target := cost.MorselTarget(rows, 4)
+	var morsels [][]types.Row
+	for lo := 0; lo < rows; lo += target {
+		morsels = append(morsels, tab.Rows[lo:min(lo+target, rows)])
+	}
+	boxedDecode := func(part []types.Row) *skyline.Batch {
+		pts := make([]skyline.Point, len(part))
+		for i, r := range part {
+			pts[i] = skyline.Point{Dims: append(make(types.Row, 0, 4), r[1:5]...), Row: r}
+		}
+		batch, ok := skyline.DecodeBatch(pts, make([]skyline.Dir, 4), false, nil)
+		if !ok {
+			b.Fatal("decode refused")
+		}
+		return batch
+	}
+	perRow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+	}
+	b.Run("stage", func(b *testing.B) {
+		local := &physical.LocalSkylineExec{Dims: dims}
+		fn := local.PartitionTransformColumnar(cluster.NewContext(4))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for m, part := range morsels {
+				if _, _, err := fn(m, part, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		perRow(b)
+	})
+	b.Run("bnl", func(b *testing.B) {
+		batches := make([]*skyline.Batch, len(morsels))
+		for m, part := range morsels {
+			batches[m] = boxedDecode(part)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, batch := range batches {
+				batch.BNL(false)
+			}
+		}
+		perRow(b)
+	})
+	b.Run("boxed-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, part := range morsels {
+				boxedDecode(part)
+			}
+		}
+		perRow(b)
+	})
 }

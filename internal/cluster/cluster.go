@@ -927,7 +927,10 @@ func (c *Context) MapPartitionsColumnar(in *Dataset, fn ColumnarFn) (*Dataset, e
 // trivially; a complete-dominance local skyline satisfies it because
 // complete dominance is transitive (each morsel's survivors are a superset
 // of the partition's survivors restricted to that range, in input order,
-// and the global pass above removes exactly the difference). Prefix
+// and the global pass above removes exactly the difference). Such a
+// skyline marks each morsel's sidecar as one run (skyline.Batch.MarkRun);
+// reassembly concatenates the runs with the sidecars, so the global pass
+// tests only across morsels, never again inside one. Prefix
 // semantics (LIMIT), bounded windows, and incomplete dominance do not
 // satisfy it and must use MapPartitionsColumnar.
 func (c *Context) MapPartitionsSplittable(in *Dataset, fn ColumnarFn) (*Dataset, error) {

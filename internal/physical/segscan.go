@@ -28,7 +28,8 @@ package physical
 //     straight into the batch's row-major storage (skyline.Gather with
 //     Reader.Gather) — the batch holds no rows — the kernel runs, and only
 //     the rows that leave the stage are boxed, by row number, and attached
-//     to the kept points (Batch.SelectRows). No column is copied in
+//     to the kept points (Batch.SelectRows), which a local skyline marks
+//     as one run for the global pass (Batch.MarkRun). No column is copied in
 //     between and no types.Row exists for a row the stage discards. With
 //     the kernel off no batch is decoded: the boxed BNL window reads the
 //     dimension values of the rows that pass from the pages one row at a
@@ -375,7 +376,11 @@ func (sp *segmentPages) run(ctx *cluster.Context, r *storage.Reader, lo, hi int,
 	if rows, err = r.Box(rowsAt(sel, keep)); err != nil {
 		return nil, nil, false, err
 	}
-	return rows, b.SelectRows(keep, rows), true, nil
+	out := b.SelectRows(keep, rows)
+	if sp.sky != nil && sp.sky.marksRun() {
+		out.MarkRun(sp.sky.Distinct)
+	}
+	return rows, out, true, nil
 }
 
 // rowsAt is the selection of the given positions among the rows sel

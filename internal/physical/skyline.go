@@ -54,6 +54,50 @@ func evalPoints(rows []types.Row, dims []BoundDim) ([]skyline.Point, error) {
 	return pts, nil
 }
 
+// gatherDims decodes the dimensions of rows straight into a batch, one
+// dimension at a time, evaluating each bound dimension expression per row
+// (skyline.Gather), so no dimension vector is boxed per row. The batch
+// carries no points. It returns nil, for the caller to take evalPoints +
+// DecodeBatch instead, on DIFF dimensions (their intern keys need the
+// boxed values), on what DecodeBatch refuses (non-numeric values, NaN,
+// integers beyond ±2⁵³) and on an evaluation error, which that path then
+// reports exactly as before: it evaluates row by row, this column by
+// column.
+func gatherDims(rows []types.Row, dims []BoundDim, dirs []skyline.Dir, incomplete bool, stats *skyline.Stats) *skyline.Batch {
+	for _, d := range dirs {
+		if d == skyline.Diff {
+			return nil
+		}
+	}
+	b, ok := skyline.Gather(len(rows), dirs, incomplete, stats, func(d int, dst []float64, stride int, negate bool) ([]int, bool) {
+		e := dims[d].E
+		var nulls []int
+		for k, row := range rows {
+			v, err := e.Eval(row)
+			if err != nil {
+				return nil, false
+			}
+			if v.IsNull() {
+				nulls = append(nulls, k)
+				continue
+			}
+			f, ok := v.OrderKey()
+			if !ok {
+				return nil, false
+			}
+			if negate {
+				f = -f
+			}
+			dst[k*stride] = f
+		}
+		return nulls, true
+	})
+	if !ok {
+		return nil
+	}
+	return b
+}
+
 func dirsOf(dims []BoundDim) []skyline.Dir {
 	dirs := make([]skyline.Dir, len(dims))
 	for i, d := range dims {
@@ -76,6 +120,15 @@ func skyTag(dims []BoundDim, incomplete bool) string {
 // maintenance re-decodes an upgraded entry's sidecar under the same tag
 // the cold path would have produced, so the hit stays reuse-equivalent.
 func SkyTag(dims []BoundDim, incomplete bool) string { return skyTag(dims, incomplete) }
+
+// pickRows returns rows[j] for every j of idx, in order.
+func pickRows(rows []types.Row, idx []int) []types.Row {
+	out := make([]types.Row, len(idx))
+	for i, j := range idx {
+		out[i] = rows[j]
+	}
+	return out
+}
 
 func rowsOf(pts []skyline.Point) []types.Row {
 	rows := make([]types.Row, len(pts))
@@ -148,11 +201,14 @@ func (l *LocalSkylineExec) PartitionTransform(ctx *cluster.Context) PartitionFn 
 // arriving with a matching batch sidecar (e.g. from a Grid/Angle/Zorder
 // exchange that bucketed on decoded columns) is processed without
 // re-evaluating or re-decoding anything; otherwise the partition is
-// decoded once here. Either way the surviving rows leave with their
-// Batch.Select sidecar attached, so the gather above and the global
-// skyline after it stay decode-free. Partitions the kernel cannot
-// represent exactly fall back to the boxed CompareFunc path transparently
-// (no sidecar emitted).
+// decoded once here, column by column (gatherDims), or — for DIFF
+// dimensions and whatever that refuses — through boxed dimension vectors.
+// Either way the surviving rows leave with their sidecar attached, marked
+// as one run when the pass may vouch for it (marksRun), so the gather
+// above and the global skyline after it stay decode-free and the global
+// pass does not repeat this one. Partitions the kernel cannot represent
+// exactly fall back to the boxed CompareFunc path transparently (no
+// sidecar emitted).
 func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) ColumnarPartitionFn {
 	cmp := l.compare()
 	var stats *skyline.Stats
@@ -166,32 +222,36 @@ func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) Colu
 		var pts []skyline.Point
 		if !l.DisableKernel && in != nil && in.Tag == tag && in.Len() == len(part) {
 			b = in
-		} else {
+		} else if !l.DisableKernel {
+			b = gatherDims(part, l.Dims, dirs, l.Incomplete, stats)
+		}
+		if b == nil {
 			var err error
 			pts, err = evalPoints(part, l.Dims)
 			if err != nil {
 				return nil, nil, err
 			}
 			if !l.DisableKernel {
-				if db, ok := skyline.DecodeBatch(pts, dirs, l.Incomplete, stats); ok {
-					db.Tag = tag
-					bindDimColumns(db, l.Dims)
-					b = db
-				}
+				b, _ = skyline.DecodeBatch(pts, dirs, l.Incomplete, stats)
 			}
 		}
 		if b != nil {
+			if b != in {
+				b.Tag = tag
+				bindDimColumns(b, l.Dims)
+			}
 			idx, kerr := l.kernel(b, stats)
 			if kerr != nil {
 				return nil, nil, kerr
 			}
 			// Emit from the authoritative partition rows (identical to the
 			// batch's wrapped rows by the alignment invariant, but robust).
-			keep := make([]types.Row, len(idx))
-			for i, j := range idx {
-				keep[i] = part[j]
+			keep := pickRows(part, idx)
+			out := b.SelectRows(idx, keep)
+			if l.marksRun() {
+				out.MarkRun(l.Distinct)
 			}
-			return keep, b.Select(idx), nil
+			return keep, out, nil
 		}
 		var sky []skyline.Point
 		var err error
@@ -206,6 +266,12 @@ func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) Colu
 		return rowsOf(sky), nil, nil
 	}
 }
+
+// marksRun reports whether the kernel pass's output is a run the global
+// pass may trust (Batch.MarkRun): the unbounded complete-data BNL window
+// emits a skyline of its input. Incomplete and bounded-window passes do
+// not vouch for theirs.
+func (l *LocalSkylineExec) marksRun() bool { return !l.Incomplete && l.WindowCap == 0 }
 
 // compare is the boxed dominance test of the skyline's definition.
 func (l *LocalSkylineExec) compare() skyline.CompareFunc {
@@ -313,18 +379,23 @@ func (g *GlobalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, err
 		b = g.sidecarBatch(in, in.NumRows())
 	}
 	if b == nil {
-		// No reusable sidecar: evaluate the dimension vectors and decode
-		// once here. Non-decodable inputs fall through to the boxed path.
+		// No reusable sidecar: decode once here, column by column, or
+		// through boxed dimension vectors when that refuses. Non-decodable
+		// inputs fall through to the boxed path.
 		rows = in.Gather()
-		pts, err = evalPoints(rows, g.Dims)
-		if err != nil {
-			return nil, err
-		}
 		if !g.DisableKernel {
-			if db, ok := skyline.DecodeBatch(pts, dirsOf(g.Dims), incomplete, stats); ok {
-				db.Tag = skyTag(g.Dims, incomplete)
-				b = db
+			b = gatherDims(rows, g.Dims, dirsOf(g.Dims), incomplete, stats)
+		}
+		if b == nil {
+			if pts, err = evalPoints(rows, g.Dims); err != nil {
+				return nil, err
 			}
+			if !g.DisableKernel {
+				b, _ = skyline.DecodeBatch(pts, dirsOf(g.Dims), incomplete, stats)
+			}
+		}
+		if b != nil {
+			b.Tag = skyTag(g.Dims, incomplete)
 		}
 	}
 	if b != nil {
@@ -335,8 +406,14 @@ func (g *GlobalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, err
 			if kerr != nil {
 				return nil, kerr
 			}
-			out := cluster.NewDataset(rowsOf(b.Points(idx)))
-			out.Batches = []*skyline.Batch{b.Select(idx)}
+			var keep []types.Row
+			if rows != nil {
+				keep = pickRows(rows, idx)
+			} else {
+				keep = rowsOf(b.Points(idx))
+			}
+			out := cluster.NewDataset(keep)
+			out.Batches = []*skyline.Batch{b.SelectRows(idx, keep)}
 			charge(ctx, out, in)
 			return out, nil
 		}

@@ -21,6 +21,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -297,7 +298,7 @@ func appendQueryBody(ctx context.Context, dst []byte, df *skysql.DataFrame) ([]b
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	var req TableRequest
-	if !s.decodePost(w, r, &req) {
+	if !s.decodePostNumbers(w, r, &req) {
 		return
 	}
 	if req.Name == "" || len(req.Columns) == 0 {
@@ -386,18 +387,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // decodePost enforces method + body discipline for the mutating
 // endpoints; on failure it has already written the error response.
+// Numbers in untyped cells decode as float64.
 func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, into interface{}) bool {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "bad_request", "POST only")
-		return false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBytes+1))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
-		return false
-	}
-	if len(body) > MaxRequestBytes {
-		s.fail(w, http.StatusBadRequest, "bad_request", "request body too large")
+	body, ok := s.readPost(w, r)
+	if !ok {
 		return false
 	}
 	if err := json.Unmarshal(body, into); err != nil {
@@ -405,6 +398,47 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, into interfa
 		return false
 	}
 	return true
+}
+
+// decodePostNumbers is decodePost keeping every number in an untyped cell
+// as its literal (json.Number), so a typed decode can parse it exactly.
+func (s *Server) decodePostNumbers(w http.ResponseWriter, r *http.Request, into interface{}) bool {
+	body, ok := s.readPost(w, r)
+	if !ok {
+		return false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	err := dec.Decode(into)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("unexpected data after the top-level value")
+		}
+	}
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "bad_request", "decoding JSON: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// readPost checks the method and reads the body of a mutating request,
+// bounded by MaxRequestBytes.
+func (s *Server) readPost(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		s.fail(w, http.StatusMethodNotAllowed, "bad_request", "POST only")
+		return nil, false
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBytes+1))
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+		return nil, false
+	}
+	if len(body) > MaxRequestBytes {
+		s.fail(w, http.StatusBadRequest, "bad_request", "request body too large")
+		return nil, false
+	}
+	return body, true
 }
 
 // reply answers with one of this package's own response shapes.
@@ -459,9 +493,9 @@ func encodeColumns(schema *types.Schema) []Column {
 	return out
 }
 
-// decodeRows converts JSON rows against a schema: numbers land as the
-// declared kind (a JSON 3 or 3.0 is a valid BIGINT; 3.5 is not), null as
-// SQL NULL.
+// decodeRows converts JSON rows against a schema: numbers (json.Number
+// literals) land as the declared kind, parsed exactly (a JSON 3 or 3.0 is
+// a valid BIGINT; 3.5 and 2⁶³ are not), null as SQL NULL.
 func decodeRows(in [][]interface{}, schema *types.Schema) ([]types.Row, error) {
 	rows := make([]types.Row, len(in))
 	for i, rec := range in {
@@ -514,15 +548,23 @@ func decodeValue(cell interface{}, kind types.Kind) (types.Value, error) {
 	}
 	switch kind {
 	case types.KindInt:
-		f, ok := cell.(float64)
-		if !ok || f != float64(int64(f)) {
+		n, ok := cell.(json.Number)
+		if !ok {
 			return types.Null, fmt.Errorf("expected integral BIGINT, got %v", cell)
 		}
-		return types.Int(int64(f)), nil
+		i, err := parseBigint(string(n))
+		if err != nil {
+			return types.Null, err
+		}
+		return types.Int(i), nil
 	case types.KindFloat:
-		f, ok := cell.(float64)
+		n, ok := cell.(json.Number)
 		if !ok {
 			return types.Null, fmt.Errorf("expected DOUBLE, got %T", cell)
+		}
+		f, err := strconv.ParseFloat(string(n), 64)
+		if err != nil {
+			return types.Null, fmt.Errorf("DOUBLE out of range: %s", n)
 		}
 		return types.Float(f), nil
 	case types.KindString:
@@ -539,6 +581,46 @@ func decodeValue(cell interface{}, kind types.Kind) (types.Value, error) {
 		return types.Bool(b), nil
 	}
 	return types.Null, fmt.Errorf("unsupported column kind %v", kind)
+}
+
+// parseBigint parses a JSON number literal as an exact BIGINT: the plain
+// integer form with strconv.ParseInt, and a fraction or exponent form
+// (3.0, 1e3) by the digits it spells, which must leave no non-zero digit
+// behind the decimal point. A fraction or a value beyond int64 is an error
+// that names the literal.
+func parseBigint(lit string) (int64, error) {
+	i, err := strconv.ParseInt(lit, 10, 64)
+	if err == nil {
+		return i, nil
+	}
+	if errors.Is(err, strconv.ErrRange) {
+		return 0, fmt.Errorf("BIGINT out of range: %s", lit)
+	}
+	mant, exp := lit, 0
+	if k := strings.IndexAny(lit, "eE"); k >= 0 {
+		if exp, err = strconv.Atoi(lit[k+1:]); err != nil {
+			return 0, fmt.Errorf("BIGINT out of range: %s", lit)
+		}
+		mant = lit[:k]
+	}
+	whole, frac, _ := strings.Cut(mant, ".")
+	digits := whole + frac
+	exp -= len(frac)
+	for exp < 0 && strings.HasSuffix(digits, "0") {
+		digits, exp = digits[:len(digits)-1], exp+1
+	}
+	switch {
+	case strings.Trim(digits, "-0") == "":
+		return 0, nil
+	case exp < 0:
+		return 0, fmt.Errorf("expected integral BIGINT, got %s", lit)
+	case exp > 19:
+		return 0, fmt.Errorf("BIGINT out of range: %s", lit)
+	}
+	if i, err = strconv.ParseInt(digits+strings.Repeat("0", exp), 10, 64); err != nil {
+		return 0, fmt.Errorf("BIGINT out of range: %s", lit)
+	}
+	return i, nil
 }
 
 func parseKind(name string) (types.Kind, error) {

@@ -806,3 +806,58 @@ func TestRepeatedStatementsUnderAppendAndReplace(t *testing.T) {
 		t.Errorf("cache stats %+v: the run must have hit, upgraded, and stayed inside its 24 KiB", st)
 	}
 }
+
+// TestTablesBigintExact: /tables parses each BIGINT cell from its JSON
+// literal, so values beyond 2⁵³ keep every digit, 3.0 and 1e3 are still
+// BIGINTs, and a fraction or a value beyond int64 is a 400 that names the
+// literal. Decoding cells into float64 first answered 2⁵³+1 as 2⁵³ and
+// refused 2⁶³−1 as non-integral.
+func TestTablesBigintExact(t *testing.T) {
+	sess := skysql.NewSession(skysql.WithExecutors(2), skysql.WithResultCache(0))
+	defer sess.Close()
+	ts := httptest.NewServer(server.New(sess))
+	defer ts.Close()
+	c := ts.Client()
+
+	table := json.RawMessage(`{"name":"b","columns":[{"name":"id","type":"BIGINT"},{"name":"x","type":"DOUBLE"}],
+		"rows":[[9007199254740993,0.1],[1152921504606846977,1e300],[9223372036854775807,-2.5],
+		[-9223372036854775808,null],[3.0,1],[1e3,7],[-12.50e1,0],[null,3]]}`)
+	if status, raw := post(t, c, ts.URL+"/tables", table); status != http.StatusOK {
+		t.Fatalf("create: %d %s", status, raw)
+	}
+	status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: "SELECT id, x FROM b"})
+	if status != http.StatusOK {
+		t.Fatalf("query: %d %s", status, raw)
+	}
+	var got struct{ Rows [][]json.Number }
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	if err := dec.Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	want := "[[9007199254740993 0.1] [1152921504606846977 1e+300] [9223372036854775807 -2.5] " +
+		"[-9223372036854775808 ] [3 1] [1000 7] [-125 0] [ 3]]"
+	if fmt.Sprint(got.Rows) != want {
+		t.Errorf("rows:\n got  %v\n want %s", got.Rows, want)
+	}
+
+	for _, bad := range []struct{ cell, msg string }{
+		{`3.5`, "3.5"},
+		{`9223372036854775808`, "9223372036854775808"},
+		{`-9223372036854775809`, "-9223372036854775809"},
+		{`1e19`, "1e19"},
+		{`12.25e1`, "12.25e1"},
+		{`1e99999999999`, "1e99999999999"},
+		{`"7"`, "7"},
+	} {
+		body := json.RawMessage(`{"name":"bad","columns":[{"name":"id","type":"BIGINT"}],"rows":[[` + bad.cell + `]]}`)
+		status, raw := post(t, c, ts.URL+"/tables", body)
+		if status != http.StatusBadRequest || !strings.Contains(decodeErr(t, raw).Error, bad.msg) {
+			t.Errorf("BIGINT %s: %d %s, want 400 naming %s", bad.cell, status, raw, bad.msg)
+		}
+	}
+	body := json.RawMessage(`{"name":"bad","columns":[{"name":"x","type":"DOUBLE"}],"rows":[[1e400]]}`)
+	if status, raw := post(t, c, ts.URL+"/tables", body); status != http.StatusBadRequest || !strings.Contains(decodeErr(t, raw).Error, "1e400") {
+		t.Errorf("DOUBLE 1e400: %d %s, want 400 naming the literal", status, raw)
+	}
+}

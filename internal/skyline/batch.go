@@ -88,6 +88,15 @@ type Batch struct {
 	bindings map[int]colBinding
 	computed []computedColumn
 
+	// runs are the lengths of consecutive index ranges, in order and
+	// covering the batch, each of which a local skyline proved a skyline of
+	// itself (MarkRun); nil when the batch records none. runsDistinct says
+	// they were produced under DISTINCT, so no two points of a run are
+	// Equal either. Only MarkRun sets them and only MergeBatches keeps
+	// them; every other derivation drops them.
+	runs         []int
+	runsDistinct bool
+
 	// Batch-local cost counters; Flush merges them into a shared Stats.
 	counters Counters
 

@@ -130,7 +130,7 @@ func (b *Batch) WithRows(rows []types.Row, ordMap map[int]int) *Batch {
 	for i := range rows {
 		cp.pts[i] = Point{Dims: b.pts[i].Dims, Row: rows[i]}
 	}
-	cp.bindings = nil
+	cp.bindings, cp.runs = nil, nil
 	for newOrd, oldOrd := range ordMap {
 		if bind, ok := b.bindings[oldOrd]; ok {
 			if cp.bindings == nil {
@@ -154,6 +154,7 @@ func (b *Batch) WithoutDims() *Batch {
 	for i, p := range b.pts {
 		cp.pts[i] = Point{Row: p.Row}
 	}
+	cp.runs = nil
 	cp.counters = Counters{}
 	return &cp
 }

@@ -4,7 +4,8 @@ package skyline
 // phases over contiguous index-range chunks of one decoded batch:
 //
 //  1. a shared-nothing local pass per chunk (the serial algorithm applied
-//     to the chunk's index range), and
+//     to the chunk's index range) — for BNL, seeded by the leading run and
+//     skipped inside a run when the batch records runs (MarkRun), and
 //  2. a parallel cross-chunk filter: each chunk's local survivors are
 //     tested against the other chunks' local survivors.
 //
@@ -35,6 +36,8 @@ package skyline
 // batch with its own cost counters (the decoded storage is read-only; the
 // phase-2 index is read-only once built), and the counters are absorbed
 // back serially after each phase.
+
+import "slices"
 
 // ParallelRunner executes one round of independent tasks, returning the
 // first task error (or a cancellation error). The cluster's morsel runtime
@@ -195,23 +198,129 @@ func (v *Batch) eliminated(local [][]int, p, k int, distinct, sorted bool) bool 
 	return false
 }
 
+// MarkRun records the whole batch as one run: the caller vouches that no
+// point of it dominates another and, under distinct, that no two are
+// Equal — what a local BNL pass emits. Exchanges concatenate runs
+// (MergeBatches), and BNLParallel then leaves inside a run the work the
+// local pass already did. It returns b.
+func (b *Batch) MarkRun(distinct bool) *Batch {
+	b.runs, b.runsDistinct = []int{b.n}, distinct
+	return b
+}
+
+// Runs returns the batch's run lengths in index order, nil when it records
+// none, and whether they were produced under DISTINCT.
+func (b *Batch) Runs() ([]int, bool) { return b.runs, b.runsDistinct }
+
+// runEnds returns the end index of every run a pass under distinct may
+// trust, ascending, or nil when there is none: a DISTINCT pass ignores
+// runs that were not produced under DISTINCT, whose points may be Equal.
+func (b *Batch) runEnds(distinct bool) []int {
+	if b.runs == nil || (distinct && !b.runsDistinct) {
+		return nil
+	}
+	ends := make([]int, 0, len(b.runs))
+	end := 0
+	for _, r := range b.runs {
+		if r > 0 {
+			end += r
+			ends = append(ends, end)
+		}
+	}
+	if end != b.n {
+		return nil
+	}
+	return ends
+}
+
+// runEndAfter returns the end of the run that index lo lies in, or lo when
+// there are no runs.
+func runEndAfter(ends []int, lo int) int {
+	i, _ := slices.BinarySearch(ends, lo+1)
+	if i == len(ends) {
+		return lo
+	}
+	return ends[i]
+}
+
+// cutAtRuns moves every interior cut of bounds to the nearest run end (the
+// lower one on a tie), dropping cuts that land on the batch's ends or on
+// each other, so a chunk never has more pieces than bounds had. With no
+// run ends bounds is returned unchanged.
+func cutAtRuns(bounds [][2]int, ends []int) [][2]int {
+	if len(ends) == 0 || len(bounds) < 2 {
+		return bounds
+	}
+	n := bounds[len(bounds)-1][1]
+	out := make([][2]int, 0, len(bounds))
+	lo := 0
+	for _, bd := range bounds[:len(bounds)-1] {
+		c := bd[1]
+		i, _ := slices.BinarySearch(ends, c)
+		switch {
+		case i == len(ends):
+			c = ends[i-1]
+		case i > 0 && c-ends[i-1] <= ends[i]-c:
+			c = ends[i-1]
+		default:
+			c = ends[i]
+		}
+		if c > lo && c < n {
+			out = append(out, [2]int{lo, c})
+			lo = c
+		}
+	}
+	return append(out, [2]int{lo, n})
+}
+
+// bnlRange is the BNL pass over [lo, hi) with the run that starts at lo,
+// if any, installed as its window (BNLSeeded's contract: a run is what a
+// BNL pass over it holds), so a range inside one run costs no test.
+func (b *Batch) bnlRange(lo, hi int, ends []int, distinct bool, gs *gridSource) []int {
+	seed := min(runEndAfter(ends, lo), hi)
+	var window []int
+	if seed > lo {
+		window = rangeIndices(lo, seed)
+	}
+	return b.bnlOver(window, rangeIndices(seed, hi), distinct, gs)
+}
+
 // BNLParallel is the morsel-parallel twin of BNL: per-chunk window passes,
 // then the parallel cross-chunk filter. Emits exactly BNL's indices in
 // BNL's order (the skyline in input order; first-of-equals under
 // DISTINCT). chunk is the target rows per task; inputs smaller than two
 // chunks fall back to the serial pass.
+//
+// Runs the batch records (MarkRun, kept by MergeBatches) shape phase 1:
+// the chunk cuts move to run ends, a chunk inside one run is its own BNL
+// result and is not passed over, and any other chunk's pass starts with
+// its leading run as the window. The round is not submitted when no chunk
+// needs a pass. The serial pass, likewise, seeds its window with the first
+// run.
 func (b *Batch) BNLParallel(distinct bool, chunk int, run ParallelRunner) ([]int, error) {
-	bounds := parallelChunks(b.n, chunk)
-	if bounds == nil {
-		return b.BNL(distinct), nil
-	}
+	ends := b.runEnds(distinct)
 	gs := b.newGridSource()
+	bounds := cutAtRuns(parallelChunks(b.n, chunk), ends)
+	if len(bounds) < 2 {
+		return b.bnlRange(0, b.n, ends, distinct, gs), nil
+	}
 	local := make([][]int, len(bounds))
-	err := b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		local[k] = v.bnlOver(nil, rangeIndices(bounds[k][0], bounds[k][1]), distinct, gs)
-	})
-	if err != nil {
-		return nil, err
+	var pass []int // chunks that span more than one run
+	for k, bd := range bounds {
+		if runEndAfter(ends, bd[0]) >= bd[1] {
+			local[k] = rangeIndices(bd[0], bd[1])
+		} else {
+			pass = append(pass, k)
+		}
+	}
+	if len(pass) > 0 {
+		err := b.runChunks(len(pass), run, func(i int, v *Batch) {
+			bd := bounds[pass[i]]
+			local[pass[i]] = v.bnlRange(bd[0], bd[1], ends, distinct, gs)
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	return b.crossFilterChunks(gs, local, distinct, false, run)
 }

@@ -88,6 +88,15 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 // decoded vectors are copied by index arithmetic; intern ids stay valid
 // because the id space is shared with b.
 func (b *Batch) Select(idx []int) *Batch {
+	out := b.selectCols(idx)
+	if b.pts != nil {
+		out.pts = b.Points(idx)
+	}
+	return out
+}
+
+// selectCols is Select without the points.
+func (b *Batch) selectCols(idx []int) *Batch {
 	ns, ks := b.numStride, b.keyStride
 	out := &Batch{
 		n:          len(idx),
@@ -100,9 +109,6 @@ func (b *Batch) Select(idx []int) *Batch {
 		keyStride:  ks,
 		diffMask:   b.diffMask,
 		diffIntern: b.diffIntern,
-	}
-	if b.pts != nil {
-		out.pts = b.Points(idx)
 	}
 	for i, j := range idx {
 		copy(out.num[i*ns:(i+1)*ns], b.num[j*ns:(j+1)*ns])
@@ -146,13 +152,14 @@ func (b *Batch) Select(idx []int) *Batch {
 }
 
 // SelectRows is Select for a batch whose points carry no rows yet
-// (Gather): the kept points are created wrapping rows, boxed by the
-// caller for exactly those points — late materialization.
+// (Gather), or whose rows the caller holds: the kept points are created
+// wrapping rows, boxed by the caller for exactly those points — late
+// materialization. They carry no dimension vectors.
 func (b *Batch) SelectRows(idx []int, rows []types.Row) *Batch {
 	if len(rows) != len(idx) {
 		return nil
 	}
-	out := b.Select(idx)
+	out := b.selectCols(idx)
 	out.pts = make([]Point, len(rows))
 	for i, r := range rows {
 		out.pts[i].Row = r
@@ -170,7 +177,8 @@ func (b *Batch) SelectRows(idx []int, rows []types.Row) *Batch {
 // references); numeric vectors and null masks concatenate untouched. Column
 // bindings and computed columns are batch-local and do not survive the
 // merge (merged batches feed the global skyline, which reads only the
-// decoded dimension storage).
+// decoded dimension storage). Runs (MarkRun) concatenate when every batch
+// records them under the same DISTINCT flag, and are dropped otherwise.
 func MergeBatches(batches []*Batch) (*Batch, bool) {
 	if len(batches) == 0 {
 		return nil, false
@@ -209,6 +217,7 @@ func MergeBatches(batches []*Batch) (*Batch, bool) {
 		out.pts = append(out.pts, b.pts...)
 		out.num = append(out.num, b.num...)
 	}
+	out.runs, out.runsDistinct = mergeRuns(batches)
 	if anyNull {
 		out.nulls = make([]uint64, 0, n)
 		for _, b := range batches {
@@ -260,6 +269,23 @@ func MergeBatches(batches []*Batch) (*Batch, bool) {
 		}
 	}
 	return out, true
+}
+
+// mergeRuns concatenates the batches' runs, or returns nil when some batch
+// records none or the batches disagree on DISTINCT.
+func mergeRuns(batches []*Batch) ([]int, bool) {
+	distinct, total := batches[0].runsDistinct, 0
+	for _, b := range batches {
+		if b.runs == nil || b.runsDistinct != distinct {
+			return nil, false
+		}
+		total += len(b.runs)
+	}
+	runs := make([]int, 0, total)
+	for _, b := range batches {
+		runs = append(runs, b.runs...)
+	}
+	return runs, distinct
 }
 
 // sameShape reports whether two batches were decoded under the same

@@ -143,34 +143,49 @@ func datagenPoints(dist datagen.Distribution, n, dims int, seed int64) []Point {
 // merged survivors through BNLParallel at the engine's morsel target for 4
 // executors. The hard shape for the window: most arrivals are skyline
 // points, so a plain pass tests each against nearly the whole window.
+// "runs" marks each local skyline as a run, as the engine's local
+// skylines do, so the chunks are the runs and phase 1 is skipped;
+// "unmarked" keeps phase 1's per-chunk passes measured.
 func BenchmarkDominanceGlobalAnti(b *testing.B) {
 	pts := datagenPoints(datagen.AntiCorrelated, 4000, 4, 1)
 	dirs := make([]Dir, 4)
-	var locals []*Batch
-	for m := 0; m < 8; m++ {
-		lb, ok := DecodeBatch(pts[m*500:(m+1)*500], dirs, false, nil)
-		if !ok {
-			b.Fatal("decode failed")
+	for _, marked := range []bool{true, false} {
+		name := "runs"
+		if !marked {
+			name = "unmarked"
 		}
-		locals = append(locals, lb.Select(lb.BNL(false)))
+		b.Run(name, func(b *testing.B) {
+			var locals []*Batch
+			for m := 0; m < 8; m++ {
+				lb, ok := DecodeBatch(pts[m*500:(m+1)*500], dirs, false, nil)
+				if !ok {
+					b.Fatal("decode failed")
+				}
+				local := lb.Select(lb.BNL(false))
+				if marked {
+					local.MarkRun(false)
+				}
+				locals = append(locals, local)
+			}
+			global, ok := MergeBatches(locals)
+			if !ok {
+				b.Fatal("merge failed")
+			}
+			chunk := cost.MorselTarget(global.Len(), 4)
+			var stats Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx, err := global.BNLParallel(false, chunk, goRunner)
+				if err != nil {
+					b.Fatal(err)
+				}
+				kernelSink = idx
+				global.Flush(&stats)
+			}
+			b.ReportMetric(float64(stats.DominanceTests())/float64(b.N), "tests/op")
+		})
 	}
-	global, ok := MergeBatches(locals)
-	if !ok {
-		b.Fatal("merge failed")
-	}
-	chunk := cost.MorselTarget(global.Len(), 4)
-	var stats Stats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx, err := global.BNLParallel(false, chunk, goRunner)
-		if err != nil {
-			b.Fatal(err)
-		}
-		kernelSink = idx
-		global.Flush(&stats)
-	}
-	b.ReportMetric(float64(stats.DominanceTests())/float64(b.N), "tests/op")
 }
 
 // BenchmarkDominanceLocalIndependent guards the scan_segments shape: one

@@ -2,7 +2,9 @@ package skyline
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"skysql/internal/types"
@@ -124,4 +126,230 @@ func TestBNLSeededMatchesBNL(t *testing.T) {
 		data[0] = byte(trial) // walk shape × distinct × null systematically
 		checkBNLSeeded(t, data)
 	}
+}
+
+// runsValue maps one fuzz byte to a dimension value: NULLs when allowed,
+// three DIFF groups, small integers, and floats that include −0 and ±Inf,
+// so dominance, equality and cross-kind equality are all frequent.
+func runsValue(v byte, dir Dir, withNull bool) types.Value {
+	switch {
+	case withNull && v%16 == 15:
+		return types.Null
+	case dir == Diff:
+		return types.Str(fmt.Sprintf("g%d", v%3))
+	case v&0x80 == 0:
+		return types.Int(int64(v % 6))
+	}
+	switch v % 8 {
+	case 0:
+		return types.Float(math.Copysign(0, -1))
+	case 1:
+		return types.Float(math.Inf(1))
+	case 2:
+		return types.Float(math.Inf(-1))
+	}
+	return types.Float(float64(v%6) + 0.5)
+}
+
+// runsCase turns fuzz bytes into one scenario of a global pass over
+// local runs. Byte 0 picks the clause shape (seededShapes), the pass's
+// DISTINCT, the runs' DISTINCT and whether NULLs may appear; byte 1 gives
+// the number of cut bytes that follow (0–7), each placing one cut of the
+// input into slices; every following group of len(dirs) bytes is one
+// point, on an anti-correlated plane when byte 0 says so (antiPoint).
+func runsCase(data []byte) (pts []Point, dirs []Dir, distinct, runDistinct bool, cuts []int) {
+	dirs = seededShapes[0]
+	if len(data) < 2 {
+		return nil, dirs, false, false, nil
+	}
+	dirs = seededShapes[int(data[0]&3)]
+	distinct, runDistinct = data[0]&4 != 0, data[0]&8 != 0
+	withNull, anti := data[0]&16 != 0, data[0]&32 != 0
+	k := min(int(data[1]%8), len(data)-2)
+	raw, body := data[2:2+k], data[2+k:]
+	for ; len(body) >= len(dirs); body = body[len(dirs):] {
+		dims := make(types.Row, len(dirs))
+		for d, dir := range dirs {
+			dims[d] = runsValue(body[d], dir, withNull)
+		}
+		if anti {
+			antiPoint(dims, dirs, body)
+		}
+		pts = append(pts, Point{Dims: dims, Row: dims})
+	}
+	cuts = []int{0, len(pts)}
+	for _, c := range raw {
+		cuts = append(cuts, int(c)%(len(pts)+1))
+	}
+	slices.Sort(cuts)
+	return pts, dirs, distinct, runDistinct, slices.Compact(cuts)
+}
+
+// antiPoint rewrites a point's numeric dimensions so that their
+// direction-normalized sum is 1000 (one in four points misses it by one):
+// most points are then incomparable, the local skylines stay large, and
+// the global pass reaches the dominance screen and the cell index.
+func antiPoint(dims types.Row, dirs []Dir, body []byte) {
+	first, sum := -1, 0
+	for d, dir := range dirs {
+		switch {
+		case dir == Diff:
+		case first < 0:
+			first = d
+		case dir == Min:
+			dims[d], sum = types.Int(int64(body[d])), sum+int(body[d])
+		default:
+			dims[d], sum = types.Int(int64(body[d])), sum-int(body[d])
+		}
+	}
+	rest := 1000 - sum + int(body[first]>>6)/3
+	if dirs[first] == Max {
+		rest = -rest
+	}
+	dims[first] = types.Int(int64(rest))
+}
+
+// checkBNLRuns asserts the run contract of the global pass. Each slice of
+// the input between two cuts is reduced by a local BNL under the runs'
+// DISTINCT and marked as one run, the way a local skyline emits it, and
+// the runs are merged the way an exchange gathers them. BNLParallel over
+// the merge, at every chunk size from 1 to n and serially (chunk 0), must
+// return what BNL returns over the same points without runs, index for
+// index. A DISTINCT pass must ignore runs not produced under DISTINCT —
+// it spends exactly the tests it spends on the unmarked batch — and a
+// batch that is one trusted run costs no test at all.
+func checkBNLRuns(t *testing.T, data []byte) {
+	t.Helper()
+	pts, dirs, distinct, runDistinct, cuts := runsCase(data)
+	if len(pts) == 0 {
+		return
+	}
+	var marked, plain []*Batch
+	for i := 1; i < len(cuts); i++ {
+		b, ok := DecodeBatch(pts[cuts[i-1]:cuts[i]], dirs, false, nil)
+		if !ok {
+			t.Fatalf("DecodeBatch refused decodable points %v", pts)
+		}
+		sky := b.BNL(runDistinct)
+		plain = append(plain, b.Select(sky))
+		marked = append(marked, b.Select(sky).MarkRun(runDistinct))
+	}
+	ref, ok1 := MergeBatches(plain)
+	runs, ok2 := MergeBatches(marked)
+	if !ok1 || !ok2 {
+		t.Fatal("MergeBatches refused batches of one shape")
+	}
+	if r, _ := ref.Runs(); r != nil {
+		t.Fatalf("unmarked batches merged into runs %v", r)
+	}
+	if r, _ := runs.Runs(); len(r) > len(marked) {
+		t.Fatalf("%d marked batches merged into runs %v", len(marked), r)
+	}
+	want := ref.BNL(distinct)
+	trusted := !distinct || runDistinct
+	var stats Stats
+	ref.Flush(&stats)
+	stats = Stats{}
+	for chunk := 0; chunk <= runs.Len(); chunk++ {
+		got, err := runs.BNLParallel(distinct, chunk, goRunner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs.Flush(&stats)
+		tests := stats.DominanceTests()
+		stats = Stats{}
+		if !slices.Equal(got, want) {
+			t.Fatalf("dirs=%v distinct=%v runs distinct=%v cuts=%v chunk=%d:\n runs %v\n BNL  %v\n points %v",
+				dirs, distinct, runDistinct, cuts, chunk, got, want, pts)
+		}
+		if trusted && len(marked) == 1 && tests != 0 {
+			t.Fatalf("one trusted run (chunk %d) spent %d tests", chunk, tests)
+		}
+		if !trusted {
+			if _, err := ref.BNLParallel(distinct, chunk, goRunner); err != nil {
+				t.Fatal(err)
+			}
+			ref.Flush(&stats)
+			if plainTests := stats.DominanceTests(); plainTests != tests {
+				t.Fatalf("DISTINCT pass over non-DISTINCT runs (chunk %d) spent %d tests, %d without runs", chunk, tests, plainTests)
+			}
+			stats = Stats{}
+		}
+	}
+}
+
+// FuzzBNLRuns: bytes → local runs; BNLParallel over their merge, at every
+// chunk size and serially, ≡ BNL without runs, index for index. The
+// committed corpus under testdata/fuzz/FuzzBNLRuns runs as part of
+// `go test`.
+func FuzzBNLRuns(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 2, 3, 9, 1, 1, 2, 0, 0, 2, 3, 3, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 384 {
+			t.Skip("every chunk size is a pass of its own; longer inputs add time, not cases")
+		}
+		checkBNLRuns(t, data)
+	})
+}
+
+// TestBNLRunsMatchesBNL runs the fuzz property over seeded random inputs,
+// walking shape × DISTINCT × runs' DISTINCT × NULL systematically.
+func TestBNLRunsMatchesBNL(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 256; trial++ {
+		data := make([]byte, 2+rng.Intn(383))
+		rng.Read(data)
+		data[0] = byte(trial) // walk shape × distinct × run distinct × null × plane
+		checkBNLRuns(t, data)
+	}
+}
+
+// TestRunsDroppedByDerivations: only MergeBatches keeps runs, and only when
+// every input records them under one DISTINCT flag.
+func TestRunsDroppedByDerivations(t *testing.T) {
+	pts := genPoints(rand.New(rand.NewSource(5)), 40, 3, -1)
+	decode := func(p []Point) *Batch {
+		b, ok := DecodeBatch(p, make([]Dir, 3), false, nil)
+		if !ok {
+			t.Fatal("decode failed")
+		}
+		return b
+	}
+	a, b := decode(pts[:20]).MarkRun(true), decode(pts[20:]).MarkRun(true)
+	m, _ := MergeBatches([]*Batch{a, decode(nil).MarkRun(true), b})
+	if r, d := m.Runs(); !slices.Equal(r, []int{20, 0, 20}) || !d {
+		t.Fatalf("merged runs %v distinct=%v, want [20 0 20] true", r, d)
+	}
+	rows := make([]types.Row, 3)
+	for name, derived := range map[string]*Batch{
+		"Slice":       m.Slice(0, 10),
+		"Select":      m.Select([]int{0, 1, 2}),
+		"SelectRows":  m.SelectRows([]int{0, 1, 2}, rows),
+		"Filter":      m.Filter(make([]bool, 40)),
+		"WithRows":    a.WithRows(rowsOfPoints(pts[:20]), nil),
+		"WithoutDims": a.WithoutDims(),
+	} {
+		if r, _ := derived.Runs(); r != nil {
+			t.Errorf("%s kept runs %v", name, r)
+		}
+	}
+	for name, in := range map[string][]*Batch{
+		"unmarked":       {a, decode(pts[20:])},
+		"mixed DISTINCT": {a, decode(pts[20:]).MarkRun(false)},
+	} {
+		if m, ok := MergeBatches(in); !ok {
+			t.Fatalf("%s: merge refused", name)
+		} else if r, _ := m.Runs(); r != nil {
+			t.Errorf("%s: merged runs %v, want none", name, r)
+		}
+	}
+}
+
+func rowsOfPoints(pts []Point) []types.Row {
+	rows := make([]types.Row, len(pts))
+	for i, p := range pts {
+		rows[i] = p.Row
+	}
+	return rows
 }
