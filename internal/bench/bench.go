@@ -461,19 +461,29 @@ func (c Config) run(spec Spec) Measurement {
 		res *core.Result
 		err error
 	}
+	// The deadline is armed before the run starts, and a run that finishes
+	// past it counts as timed out: when both cases are ready the select
+	// picks one at random, so the channel alone cannot decide.
 	done := make(chan outcome, 1)
+	deadline := time.NewTimer(c.Timeout)
+	defer deadline.Stop()
+	start := time.Now()
 	go func() {
 		res, err := runModelled(engine, compiled, ctx)
 		done <- outcome{res, err}
 	}()
 	select {
 	case o := <-done:
+		if time.Since(start) > c.Timeout {
+			m.TimedOut = true
+			return m
+		}
 		if o.err != nil {
 			m.Err = o.err
 			return m
 		}
 		c.fill(&m, o.res)
-	case <-time.After(c.Timeout):
+	case <-deadline.C:
 		ctx.Cancel()
 		<-done // operators observe the cancel promptly; reclaim the worker
 		m.TimedOut = true

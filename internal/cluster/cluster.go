@@ -765,16 +765,17 @@ type Context struct {
 
 	// MorselParallel lets splittable task rounds cut large partitions into
 	// morsels — bounded row ranges sharing the partition's columnar sidecar
-	// via Batch.Slice — so a skewed partition parallelizes instead of
-	// serializing its stage. Only rounds whose transform is morsel-safe
-	// opt in (MapPartitionsSplittable); results are bit-identical to
-	// whole-partition execution by the splitting contract.
+	// via Batch.Slice, about four per executor per round — so a skewed
+	// partition parallelizes instead of serializing its stage. Only rounds
+	// whose transform is morsel-safe opt in (MapPartitionsSplittable);
+	// results are bit-identical to whole-partition execution by the
+	// splitting contract.
 	MorselParallel bool
 
 	// MorselTargetRows overrides the cost-chosen rows-per-morsel target
-	// (cost.MorselTarget) for morsel splitting. 0 (the default) keeps the
-	// cost-chosen target; tests use small explicit targets to exercise
-	// splitting on small inputs.
+	// (cost.MorselTarget over the round's total rows) for morsel
+	// splitting. 0 (the default) keeps the cost-chosen target; tests use
+	// small explicit targets to exercise splitting on small inputs.
 	MorselTargetRows int
 
 	// Injector, when non-nil, injects deterministic faults (transient task
@@ -913,7 +914,8 @@ func (c *Context) MapPartitionsColumnar(in *Dataset, fn ColumnarFn) (*Dataset, e
 }
 
 // MapPartitionsSplittable is MapPartitionsColumnar for transforms that are
-// morsel-safe: when MorselParallel is on, large partitions are cut into
+// morsel-safe: when MorselParallel is on, partitions that are large against
+// the round's morsel target (taken once over all partitions) are cut into
 // contiguous row-range morsels (sidecars sliced alongside via Batch.Slice)
 // that execute as independent tasks, and each partition's output is the
 // in-order concatenation of its morsel outputs (sidecars re-merged when
@@ -1006,13 +1008,15 @@ func (c *Context) mapRanges(sizes []int, splittable bool, bind func(dropSidecars
 	var (
 		tasks   []Task
 		results = make([][]morselResult, n)
+		target  int // rows per morsel; 0 keeps every partition whole
 	)
+	if morselMode {
+		target = c.morselTarget(sizes)
+	}
 	for p := 0; p < n; p++ {
 		bounds := [][2]int{{0, sizes[p]}}
-		if morselMode {
-			if mb := c.morselBounds(sizes[p]); mb != nil {
-				bounds = mb
-			}
+		if mb := morselBounds(sizes[p], target); mb != nil {
+			bounds = mb
 		}
 		results[p] = make([]morselResult, len(bounds))
 		for s, bd := range bounds {
@@ -1078,17 +1082,28 @@ func assemblePartition(rs []morselResult) ([]types.Row, *skyline.Batch) {
 	return rows, merged
 }
 
-// morselBounds cuts a partition of rows rows into contiguous morsel ranges,
-// or returns nil when the partition is too small to be worth splitting
-// (fewer than two full morsels). The target comes from MorselTargetRows or,
-// by default, the cost model — both depend only on (rows, Executors), so
-// morsel counts are deterministic.
-func (c *Context) morselBounds(rows int) [][2]int {
-	target := c.MorselTargetRows
-	if target <= 0 {
-		target = cost.MorselTarget(rows, c.Executors)
+// morselTarget is one round's rows-per-morsel: MorselTargetRows when set,
+// else cost.MorselTarget over the round's total rows, so the budget of
+// about four morsels per executor holds per stage, whatever the partition
+// count. It depends only on (sizes, Executors), so morsel counts are
+// deterministic.
+func (c *Context) morselTarget(sizes []int) int {
+	if c.MorselTargetRows > 0 {
+		return c.MorselTargetRows
 	}
-	if rows < 2*target {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	return cost.MorselTarget(total, c.Executors)
+}
+
+// morselBounds cuts a partition of rows rows into contiguous morsel ranges
+// of about the stage's target (morselTarget, taken once per round), or
+// returns nil when the partition is too small to be worth splitting (fewer
+// than two full morsels) or the round does not split (target 0).
+func morselBounds(rows, target int) [][2]int {
+	if target <= 0 || rows < 2*target {
 		return nil
 	}
 	return evenChunkBounds(rows, (rows+target-1)/target)

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"errors"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"skysql/internal/cost"
 	"skysql/internal/skyline"
 	"skysql/internal/types"
 )
@@ -207,6 +210,101 @@ func TestSimulatedMorselMakespan(t *testing.T) {
 	}
 	if ap := ctx.Metrics.AchievedParallelism(); ap < 2 {
 		t.Errorf("achieved parallelism = %.2f, want >= 2 on 4 simulated workers", ap)
+	}
+}
+
+// morselSplits runs one splittable MapRanges round over partitions of the
+// given sizes and returns each partition's morsel ranges in row order.
+func morselSplits(t *testing.T, ctx *Context, sizes []int) [][][2]int {
+	t.Helper()
+	var mu sync.Mutex
+	got := make([][][2]int, len(sizes))
+	_, err := ctx.MapRanges(sizes, func(p, lo, hi int) ([]types.Row, *skyline.Batch, error) {
+		mu.Lock()
+		got[p] = append(got[p], [2]int{lo, hi})
+		mu.Unlock()
+		return nil, nil, nil
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, bounds := range got {
+		sort.Slice(bounds, func(i, j int) bool { return bounds[i][0] < bounds[j][0] })
+		next := 0
+		for _, b := range bounds {
+			if b[0] != next || b[1] <= b[0] {
+				t.Fatalf("partition %d: morsels %v do not tile [0, %d)", p, bounds, sizes[p])
+			}
+			next = b[1]
+		}
+		if next != sizes[p] {
+			t.Fatalf("partition %d: morsels %v end at %d, want %d", p, bounds, next, sizes[p])
+		}
+	}
+	return got
+}
+
+// TestMorselBudgetIsPerStage pins the morsel budget to the task round, not
+// to each partition: cost.MorselTarget's "about four morsels per executor"
+// is taken once over the round's total rows, and every partition at least
+// twice that target is split by it.
+func TestMorselBudgetIsPerStage(t *testing.T) {
+	newCtx := func() *Context {
+		ctx := NewContext(4)
+		ctx.MorselParallel = true
+		return ctx
+	}
+	counts := func(splits [][][2]int) []int {
+		out := make([]int, len(splits))
+		for p, b := range splits {
+			out[p] = len(b)
+		}
+		return out
+	}
+
+	// Four equal partitions: 16 morsels for the stage (4 per executor), not
+	// 16 per partition.
+	ctx := newCtx()
+	splits := morselSplits(t, ctx, []int{1 << 16, 1 << 16, 1 << 16, 1 << 16})
+	if got := ctx.Metrics.MorselsExecuted(); got != 16 {
+		t.Errorf("4 × 65 536 rows at 4 executors: %d morsels, want 16", got)
+	}
+	for p, n := range counts(splits) {
+		if n != 4 {
+			t.Errorf("partition %d split into %d morsels, want 4", p, n)
+		}
+	}
+
+	// One partition: the round's total is the partition, so it splits
+	// exactly as the per-partition rule did.
+	ctx = newCtx()
+	splits = morselSplits(t, ctx, []int{1 << 16})
+	want := evenChunkBounds(1<<16, (1<<16)/cost.MorselTarget(1<<16, 4))
+	if len(splits[0]) != len(want) || len(want) != 16 {
+		t.Fatalf("one partition: morsels %v, want %v", splits[0], want)
+	}
+	for i := range want {
+		if splits[0][i] != want[i] {
+			t.Fatalf("one partition: morsel %d is %v, want %v", i, splits[0][i], want[i])
+		}
+	}
+
+	// Skewed: only the partition of at least twice the stage target splits.
+	ctx = newCtx()
+	sizes := []int{100000, 5000, 5000, 5000}
+	target := cost.MorselTarget(115000, 4)
+	splits = morselSplits(t, ctx, sizes)
+	got := counts(splits)
+	if wantBig := (100000 + target - 1) / target; got[0] != wantBig || got[1] != 1 || got[2] != 1 || got[3] != 1 {
+		t.Errorf("skewed round split into %v morsels, want [%d 1 1 1]", got, wantBig)
+	}
+
+	// MorselTargetRows still overrides the stage target.
+	ctx = newCtx()
+	ctx.MorselTargetRows = 8192
+	morselSplits(t, ctx, []int{1 << 16, 1 << 16, 1 << 16, 1 << 16})
+	if got := ctx.Metrics.MorselsExecuted(); got != 32 {
+		t.Errorf("MorselTargetRows = 8192: %d morsels, want 32", got)
 	}
 }
 

@@ -531,13 +531,16 @@ const MinPartitionRows = 2048
 // worth a task of their own.
 const MinMorselRows = 512
 
-// MorselTarget picks the rows-per-morsel for splitting one partition of
-// rows rows under the given parallelism budget, ExchangeTarget-style: a
-// partition splits into about four morsels per executor — enough slack
+// MorselTarget picks the rows-per-morsel for one stage of rows rows (a
+// task round's total over all its partitions, or one batch the global
+// kernel splits) under the given parallelism budget, ExchangeTarget-style:
+// the stage splits into about four morsels per executor — enough slack
 // that work stealing can rebalance a skewed partition across idle workers
-// — floored at MinMorselRows so tiny partitions stay whole. The target
-// depends only on (rows, executors), never on the machine's real core
-// count, so morsel counts are deterministic and benchdiff can gate them.
+// — floored at MinMorselRows so tiny stages stay whole. The budget is per
+// stage, not per partition: every extra cut adds its local skyline to
+// what the global pass must merge. The target depends only on (rows,
+// executors), never on the machine's real core count, so morsel counts
+// are deterministic and benchdiff can gate them.
 func MorselTarget(rows, executors int) int {
 	if executors < 1 {
 		executors = 1

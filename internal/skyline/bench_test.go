@@ -207,6 +207,51 @@ func BenchmarkDominanceLocalIndependent(b *testing.B) {
 	b.ReportMetric(float64(stats.DominanceTests())/float64(b.N), "tests/op")
 }
 
+// BenchmarkDominanceLocalSplit is scan_segments' local skylines at the
+// morsel counts a stage can be cut into: 100 000 independent d=4 rows with
+// d1 in [0, 0.5) (the rows its filter keeps), reduced by Batch.BNL over 83,
+// 20, 8 and 4 equal chunks. Every cut adds its chunk's local skyline to
+// what the global pass must merge, and a chunk's screen draws its strong
+// points from fewer rows, so tests/op and survivors/op fall as the cuts
+// grow.
+func BenchmarkDominanceLocalSplit(b *testing.B) {
+	const rows = 100000
+	var pts []Point
+	for _, p := range datagenPoints(datagen.Independent, 3*rows, 4, 1) {
+		if p.Dims[0].AsFloat() < 0.5 && len(pts) < rows {
+			pts = append(pts, p)
+		}
+	}
+	if len(pts) < rows {
+		b.Fatalf("%d rows with d1 < 0.5, want %d", len(pts), rows)
+	}
+	batch, ok := DecodeBatch(pts, make([]Dir, 4), false, nil)
+	if !ok {
+		b.Fatal("decode failed")
+	}
+	for _, chunks := range []int{83, 20, 8, 4} {
+		b.Run(fmt.Sprintf("chunks=%d", chunks), func(b *testing.B) {
+			parts := make([]*Batch, chunks)
+			for c := range parts {
+				parts[c] = batch.Slice(c*rows/chunks, (c+1)*rows/chunks)
+			}
+			var stats Stats
+			survivors := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, part := range parts {
+					kernelSink = part.BNL(false)
+					survivors += len(kernelSink)
+					part.Flush(&stats)
+				}
+			}
+			b.ReportMetric(float64(stats.DominanceTests())/float64(b.N), "tests/op")
+			b.ReportMetric(float64(survivors)/float64(b.N), "survivors/op")
+		})
+	}
+}
+
 // BenchmarkDominanceCompareDecoded is the single-test twin of
 // BenchmarkDominanceCheck: one decoded dominance classification.
 func BenchmarkDominanceCompareDecoded(b *testing.B) {

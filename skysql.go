@@ -122,8 +122,10 @@
 // LIFO (cache-warm) and steals FIFO from a random victim when its deque
 // drains, so a skewed hot partition is automatically spread across idle
 // workers instead of serializing the stage on one task. The morsel size
-// is cost-chosen (cost.MorselTarget: about four morsels per executor,
-// never below 512 rows) so scheduling overhead stays amortized.
+// is cost-chosen once per stage (cost.MorselTarget over the stage's rows:
+// about four morsels per executor for the whole stage, whatever its
+// partition count, never below 512 rows) so scheduling overhead stays
+// amortized and the global pass merges few local skylines.
 //
 // Two serial hot spots are parallelized on top of the pool. Narrow
 // stages whose operators are morsel-safe (filters, projections, and the
