@@ -1,6 +1,6 @@
 // Benchmarks regenerating each table and figure of the paper at reduced
-// scale — one Benchmark per artifact, named as in DESIGN.md's experiment
-// index. Each benchmark iterates the full pipeline (generate → parse →
+// scale — one Benchmark per artifact, named as in the experiment registry
+// (internal/bench/experiments.go). Each benchmark iterates the full pipeline (generate → parse →
 // analyze → optimize → plan → execute) for representative corners of the
 // figure's parameter sweep; the complete sweeps with paper-formatted
 // output are produced by `go run ./cmd/skybench -experiment <id>`.

@@ -46,12 +46,9 @@ func TestResultCacheBitIdenticalAcrossAblations(t *testing.T) {
 		{"distributed-complete", skysql.DistributedComplete},
 		{"non-distributed-complete", skysql.NonDistributedComplete},
 		{"distributed-incomplete", skysql.DistributedIncomplete},
-		{"sfs", skysql.SortFilterSkyline},
-		{"divide-and-conquer", skysql.DivideAndConquerSkyline},
 		{"grid", skysql.GridComplete},
 		{"angle", skysql.AngleComplete},
 		{"zorder", skysql.ZorderComplete},
-		{"cost-based", skysql.CostBased},
 	}
 	ablations := []struct {
 		name string

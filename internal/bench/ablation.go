@@ -10,12 +10,12 @@ import (
 	"skysql/internal/physical"
 )
 
-// runAblation benchmarks the design choices DESIGN.md calls out: the BNL
-// family of the paper against the §7 extension algorithms (SFS,
-// divide-and-conquer) on the three classic synthetic distributions, whose
-// skyline sizes differ by orders of magnitude. It also reports dominance-
-// test counts, the machine-independent cost the paper identifies as the
-// main cost factor (§2).
+// runAblation, the registry's `ablation` experiment (experiments.go),
+// benchmarks the BNL family of the paper against the §7 partitioning
+// schemes (grid, angle, Z-order) on the three classic synthetic
+// distributions, whose skyline sizes differ by orders of magnitude. It
+// also reports dominance-test counts, the machine-independent cost the
+// paper identifies as the main cost factor (§2).
 func runAblation(cfg Config, w io.Writer) error {
 	algs := []core.Algorithm{
 		{Name: "distributed complete", Strategy: physical.SkylineDistributedComplete},
@@ -23,9 +23,6 @@ func runAblation(cfg Config, w io.Writer) error {
 		{Name: "grid complete", Strategy: physical.SkylineGridComplete},
 		{Name: "angle complete", Strategy: physical.SkylineAngleComplete},
 		{Name: "zorder complete", Strategy: physical.SkylineZorderComplete},
-		{Name: "sfs", Strategy: physical.SkylineSFS},
-		{Name: "divide-and-conquer", Strategy: physical.SkylineDivideAndConquer},
-		{Name: "cost-based", Strategy: physical.SkylineCostBased},
 	}
 	n := cfg.scaled(20000)
 	const dims = 4

@@ -138,7 +138,7 @@ func TestAblationRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"correlated", "anti-correlated", "sfs", "divide-and-conquer", "dom. tests"} {
+	for _, want := range []string{"correlated", "anti-correlated", "grid complete", "zorder complete", "dom. tests"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation output missing %q", want)
 		}

@@ -15,8 +15,9 @@ type Experiment struct {
 	Run   func(cfg Config, w io.Writer) error
 }
 
-// Experiments returns the registry, ordered by figure number. The IDs
-// match the per-experiment index in DESIGN.md.
+// Experiments returns the registry, ordered by figure number: the index of
+// experiments that `skybench -experiment` takes and the root package's
+// benchmarks are named after.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"fig3", "Number of dimensions vs. execution time — Inside Airbnb (Figure 3, Tables 3–4)", runFig3},

@@ -32,8 +32,6 @@ func runKernel(cfg Config, w io.Writer) error {
 		{"synthetic_independent", true, []core.Algorithm{
 			{Name: "distributed complete", Strategy: physical.SkylineDistributedComplete},
 			{Name: "non-distributed complete", Strategy: physical.SkylineNonDistributedComplete},
-			{Name: "sfs", Strategy: physical.SkylineSFS},
-			{Name: "divide-and-conquer", Strategy: physical.SkylineDivideAndConquer},
 		}},
 		{"synthetic_independent_incomplete", false, []core.Algorithm{
 			{Name: "distributed incomplete", Strategy: physical.SkylineDistributedIncomplete},

@@ -53,9 +53,21 @@ type Table struct {
 	version atomic.Int64
 }
 
-// NewTable creates a table, validating that each row matches the schema
-// width.
+// NewTable creates a table, validating that every column has a name no
+// other column shares (column references resolve case-insensitively, so
+// "a" and "A" are one name) and that each row matches the schema width.
 func NewTable(name string, schema *types.Schema, rows []types.Row) (*Table, error) {
+	seen := make(map[string]bool, schema.Len())
+	for i, f := range schema.Fields {
+		key := strings.ToLower(f.Name)
+		if key == "" {
+			return nil, fmt.Errorf("catalog: column %d of table %q has an empty name", i, name)
+		}
+		if seen[key] {
+			return nil, fmt.Errorf("catalog: table %q has two columns named %q", name, key)
+		}
+		seen[key] = true
+	}
 	for i, r := range rows {
 		if len(r) != schema.Len() {
 			return nil, fmt.Errorf("catalog: row %d of table %q has %d values, schema has %d columns",

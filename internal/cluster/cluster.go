@@ -933,8 +933,8 @@ func (c *Context) MapPartitionsColumnar(in *Dataset, fn ColumnarFn) (*Dataset, e
 // skyline marks each morsel's sidecar as one run (skyline.Batch.MarkRun);
 // reassembly concatenates the runs with the sidecars, so the global pass
 // tests only across morsels, never again inside one. Prefix
-// semantics (LIMIT), bounded windows, and incomplete dominance do not
-// satisfy it and must use MapPartitionsColumnar.
+// semantics (LIMIT) and incomplete dominance do not satisfy it and must
+// use MapPartitionsColumnar.
 func (c *Context) MapPartitionsSplittable(in *Dataset, fn ColumnarFn) (*Dataset, error) {
 	return c.mapPartitions(in, fn, true)
 }

@@ -188,16 +188,13 @@ func Algorithms() []Algorithm {
 	}
 }
 
-// ExtensionAlgorithms returns the future-work algorithms (§7) used by the
-// ablation benchmarks.
+// ExtensionAlgorithms returns the future-work partitioning schemes (§7)
+// used by the ablation benchmarks.
 func ExtensionAlgorithms() []Algorithm {
 	return []Algorithm{
-		{Name: "sfs", Strategy: physical.SkylineSFS},
-		{Name: "divide-and-conquer", Strategy: physical.SkylineDivideAndConquer},
 		{Name: "grid complete", Strategy: physical.SkylineGridComplete},
 		{Name: "angle complete", Strategy: physical.SkylineAngleComplete},
 		{Name: "zorder complete", Strategy: physical.SkylineZorderComplete},
-		{Name: "cost-based", Strategy: physical.SkylineCostBased},
 	}
 }
 

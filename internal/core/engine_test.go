@@ -311,12 +311,9 @@ func TestAllStrategiesAgree(t *testing.T) {
 		physical.SkylineDistributedComplete,
 		physical.SkylineNonDistributedComplete,
 		physical.SkylineDistributedIncomplete,
-		physical.SkylineSFS,
-		physical.SkylineDivideAndConquer,
 		physical.SkylineGridComplete,
 		physical.SkylineAngleComplete,
 		physical.SkylineZorderComplete,
-		physical.SkylineCostBased,
 	}
 	var baseline []types.Row
 	for i, s := range strategies {
@@ -515,7 +512,7 @@ func TestAlgorithmRegistry(t *testing.T) {
 	if _, err := AlgorithmByName("nope"); err == nil {
 		t.Error("unknown algorithm must error")
 	}
-	if _, err := AlgorithmByName("sfs"); err != nil {
+	if _, err := AlgorithmByName("grid complete"); err != nil {
 		t.Error("extension algorithms must be findable")
 	}
 }

@@ -31,7 +31,7 @@ func (e *Engine) VerifyAgainstReference(query string, executors int) error {
 	incomplete := false
 	var walk func(op physical.Operator)
 	walk = func(op physical.Operator) {
-		if g, ok := op.(*physical.GlobalSkylineExec); ok && g.Algorithm == physical.GlobalIncompleteFlags {
+		if g, ok := op.(*physical.GlobalSkylineExec); ok && g.Incomplete {
 			incomplete = true
 		}
 		for _, c := range op.Children() {

@@ -43,12 +43,6 @@ func chaosCtx(executors int, seed int64, rate float64) *cluster.Context {
 // Re-execution is lineage-safe because tasks are pure per-partition
 // closures; this test is what makes that claim load-bearing.
 func TestChaosContractAllStrategies(t *testing.T) {
-	strategies := []SkylineStrategy{
-		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
-		SkylineDistributedIncomplete, SkylineSFS, SkylineDivideAndConquer,
-		SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete,
-		SkylineCostBased,
-	}
 	ablations := []struct {
 		name string
 		opts Options
@@ -80,7 +74,7 @@ func TestChaosContractAllStrategies(t *testing.T) {
 
 	faultsAtRate := map[float64]int64{}
 	seed := int64(0)
-	for _, st := range strategies {
+	for _, st := range allStrategies {
 		for _, ab := range ablations {
 			opts := ab.opts
 			opts.Strategy = st
@@ -127,8 +121,8 @@ func TestChaosContractAllStrategies(t *testing.T) {
 // where retry, work stealing, and cancellation re-checks interleave.
 func TestChaosContractMorselParallel(t *testing.T) {
 	strategies := []SkylineStrategy{
-		SkylineAuto, SkylineDistributedComplete, SkylineSFS,
-		SkylineGridComplete, SkylineZorderComplete, SkylineCostBased,
+		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
+		SkylineGridComplete, SkylineZorderComplete,
 	}
 	r := rand.New(rand.NewSource(43))
 	nRows := 400

@@ -45,13 +45,11 @@ func TestOperatorInterfaceContracts(t *testing.T) {
 		NewNestedLoopJoinExec(plan.CrossJoin, scan, scanOf(t, tab), nil, fourCol),
 		&ExtremumFilterExec{E: refA, Child: scan},
 		&LocalSkylineExec{Dims: dims, Child: scan},
-		&LocalSkylineExec{Dims: dims, Incomplete: true, WindowCap: 2, Child: scan},
+		&LocalSkylineExec{Dims: dims, Incomplete: true, Child: scan},
 		&LocalLimitExec{N: 1, Child: scan},
 		&PipelineExec{Ops: []NarrowOperator{&FilterExec{Cond: expr.NewBinary(expr.OpGt, refA, expr.NewLiteral(types.Int(0))), Child: scan}}, Source: scan},
-		&GlobalSkylineExec{Dims: dims, Algorithm: GlobalBNL, WindowCap: 1, Child: scan},
-		&GlobalSkylineExec{Dims: dims, Algorithm: GlobalIncompleteFlags, Child: scan},
-		&GlobalSkylineExec{Dims: dims, Algorithm: GlobalSFS, Child: scan},
-		&GlobalSkylineExec{Dims: dims, Algorithm: GlobalDivideAndConquer, Child: scan},
+		&GlobalSkylineExec{Dims: dims, Child: scan},
+		&GlobalSkylineExec{Dims: dims, Incomplete: true, Child: scan},
 	}
 	_ = twoCol
 	for _, op := range ops {
@@ -77,20 +75,12 @@ func TestOperatorInterfaceContracts(t *testing.T) {
 	}
 }
 
-// TestGlobalSkylineUnknownAlgorithm pins the error path.
-func TestGlobalSkylineUnknownAlgorithm(t *testing.T) {
-	tab := intTable(t, "t", []string{"a"}, [][]int64{{1}})
-	g := &GlobalSkylineExec{
-		Dims:      []BoundDim{{E: expr.NewBoundRef(0, "a", types.KindInt, false)}},
-		Algorithm: GlobalAlgorithm(99),
-		Child:     scanOf(t, tab),
-	}
-	if _, err := g.Execute(cluster.NewContext(1)); err == nil {
-		t.Error("unknown algorithm must error")
-	}
-	if GlobalAlgorithm(99).String() != "?" {
-		t.Error("unknown algorithm String")
-	}
+// allStrategies is every SkylineStrategy, the axis of the contract
+// matrices.
+var allStrategies = []SkylineStrategy{
+	SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
+	SkylineDistributedIncomplete, SkylineGridComplete, SkylineAngleComplete,
+	SkylineZorderComplete,
 }
 
 // TestStrategyStrings pins the display names used in EXPLAIN output.
@@ -100,20 +90,17 @@ func TestStrategyStrings(t *testing.T) {
 		SkylineDistributedComplete:    "distributed complete",
 		SkylineNonDistributedComplete: "non-distributed complete",
 		SkylineDistributedIncomplete:  "distributed incomplete",
-		SkylineSFS:                    "sfs",
-		SkylineDivideAndConquer:       "divide-and-conquer",
 		SkylineGridComplete:           "grid complete",
 		SkylineAngleComplete:          "angle complete",
 		SkylineZorderComplete:         "zorder complete",
-		SkylineCostBased:              "cost-based",
 	}
 	for st, name := range want {
 		if st.String() != name {
 			t.Errorf("strategy %d = %q, want %q", st, st.String(), name)
 		}
 	}
-	if SkylineStrategy(99).String() != "?" {
-		t.Error("unknown strategy String")
+	if got := SkylineStrategy(99).String(); got != "SkylineStrategy(99)" {
+		t.Errorf("unknown strategy String = %q", got)
 	}
 }
 
@@ -244,12 +231,6 @@ func TestFusedUnfusedEquivalenceRandomChains(t *testing.T) {
 // NullBitmap, Grid, Angle, Zorder) the stage-fused plan must be
 // result-identical to the per-operator plan.
 func TestFusedUnfusedEquivalenceAllStrategies(t *testing.T) {
-	strategies := []SkylineStrategy{
-		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
-		SkylineDistributedIncomplete, SkylineSFS, SkylineDivideAndConquer,
-		SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete,
-		SkylineCostBased,
-	}
 	r := rand.New(rand.NewSource(11))
 	for _, nullable := range []bool{false, true} {
 		nRows := 150
@@ -276,31 +257,29 @@ func TestFusedUnfusedEquivalenceAllStrategies(t *testing.T) {
 			expr.NewSkylineDimension(expr.NewBoundRef(1, "b", types.KindInt, false), expr.SkyMax),
 		}
 		sky := plan.NewSkylineOperator(false, false, dims, filter)
-		for _, st := range strategies {
-			for _, wcap := range []int{0, 8} {
-				label := fmt.Sprintf("%s/%v/window=%d", name, st, wcap)
-				unfusedOp, err := Plan(sky, Options{Strategy: st, SkylineWindowCap: wcap, DisableStageFusion: true})
-				if err != nil {
-					t.Fatalf("%s: plan unfused: %v", label, err)
-				}
-				fusedOp, err := Plan(sky, Options{Strategy: st, SkylineWindowCap: wcap})
-				if err != nil {
-					t.Fatalf("%s: plan fused: %v", label, err)
-				}
-				uctx, fctx := cluster.NewContext(4), cluster.NewContext(4)
-				unfused, err := Execute(unfusedOp, uctx)
-				if err != nil {
-					t.Fatalf("%s: unfused execute: %v", label, err)
-				}
-				fused, err := Execute(fusedOp, fctx)
-				if err != nil {
-					t.Fatalf("%s: fused execute: %v", label, err)
-				}
-				assertSameRows(t, label, unfused, fused)
-				if fctx.Metrics.StagesExecuted() > uctx.Metrics.StagesExecuted() {
-					t.Errorf("%s: fused scheduled %d rounds, unfused %d",
-						label, fctx.Metrics.StagesExecuted(), uctx.Metrics.StagesExecuted())
-				}
+		for _, st := range allStrategies {
+			label := fmt.Sprintf("%s/%v", name, st)
+			unfusedOp, err := Plan(sky, Options{Strategy: st, DisableStageFusion: true})
+			if err != nil {
+				t.Fatalf("%s: plan unfused: %v", label, err)
+			}
+			fusedOp, err := Plan(sky, Options{Strategy: st})
+			if err != nil {
+				t.Fatalf("%s: plan fused: %v", label, err)
+			}
+			uctx, fctx := cluster.NewContext(4), cluster.NewContext(4)
+			unfused, err := Execute(unfusedOp, uctx)
+			if err != nil {
+				t.Fatalf("%s: unfused execute: %v", label, err)
+			}
+			fused, err := Execute(fusedOp, fctx)
+			if err != nil {
+				t.Fatalf("%s: fused execute: %v", label, err)
+			}
+			assertSameRows(t, label, unfused, fused)
+			if fctx.Metrics.StagesExecuted() > uctx.Metrics.StagesExecuted() {
+				t.Errorf("%s: fused scheduled %d rounds, unfused %d",
+					label, fctx.Metrics.StagesExecuted(), uctx.Metrics.StagesExecuted())
 			}
 		}
 	}
@@ -308,15 +287,9 @@ func TestFusedUnfusedEquivalenceAllStrategies(t *testing.T) {
 
 // TestKernelBoxedEquivalenceAllStrategies is the columnar-kernel contract:
 // for every SkylineStrategy (complete and incomplete data, distinct both
-// ways, bounded and unbounded windows) the kernel-on plan must be
+// ways) the kernel-on plan must be
 // row-for-row identical to the kernel-off (boxed CompareFunc) plan.
 func TestKernelBoxedEquivalenceAllStrategies(t *testing.T) {
-	strategies := []SkylineStrategy{
-		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
-		SkylineDistributedIncomplete, SkylineSFS, SkylineDivideAndConquer,
-		SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete,
-		SkylineCostBased,
-	}
 	r := rand.New(rand.NewSource(23))
 	for _, nullable := range []bool{false, true} {
 		nRows := 160
@@ -344,30 +317,28 @@ func TestKernelBoxedEquivalenceAllStrategies(t *testing.T) {
 		}
 		for _, distinct := range []bool{false, true} {
 			sky := plan.NewSkylineOperator(distinct, false, dims, scan)
-			for _, st := range strategies {
-				for _, wcap := range []int{0, 8} {
-					label := fmt.Sprintf("%s/%v/distinct=%v/window=%d", name, st, distinct, wcap)
-					kernelOp, err := Plan(sky, Options{Strategy: st, SkylineWindowCap: wcap})
-					if err != nil {
-						t.Fatalf("%s: plan kernel: %v", label, err)
-					}
-					boxedOp, err := Plan(sky, Options{Strategy: st, SkylineWindowCap: wcap, DisableColumnarKernel: true})
-					if err != nil {
-						t.Fatalf("%s: plan boxed: %v", label, err)
-					}
-					kctx, bctx := cluster.NewContext(4), cluster.NewContext(4)
-					kernel, err := Execute(kernelOp, kctx)
-					if err != nil {
-						t.Fatalf("%s: kernel execute: %v", label, err)
-					}
-					boxed, err := Execute(boxedOp, bctx)
-					if err != nil {
-						t.Fatalf("%s: boxed execute: %v", label, err)
-					}
-					assertSameRows(t, label, boxed, kernel)
-					if kctx.Metrics.Sky.DominanceTests() == 0 && len(boxed) < nRows {
-						t.Errorf("%s: kernel path recorded no dominance tests", label)
-					}
+			for _, st := range allStrategies {
+				label := fmt.Sprintf("%s/%v/distinct=%v", name, st, distinct)
+				kernelOp, err := Plan(sky, Options{Strategy: st})
+				if err != nil {
+					t.Fatalf("%s: plan kernel: %v", label, err)
+				}
+				boxedOp, err := Plan(sky, Options{Strategy: st, DisableColumnarKernel: true})
+				if err != nil {
+					t.Fatalf("%s: plan boxed: %v", label, err)
+				}
+				kctx, bctx := cluster.NewContext(4), cluster.NewContext(4)
+				kernel, err := Execute(kernelOp, kctx)
+				if err != nil {
+					t.Fatalf("%s: kernel execute: %v", label, err)
+				}
+				boxed, err := Execute(boxedOp, bctx)
+				if err != nil {
+					t.Fatalf("%s: boxed execute: %v", label, err)
+				}
+				assertSameRows(t, label, boxed, kernel)
+				if kctx.Metrics.Sky.DominanceTests() == 0 && len(boxed) < nRows {
+					t.Errorf("%s: kernel path recorded no dominance tests", label)
 				}
 			}
 		}

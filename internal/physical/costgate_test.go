@@ -47,12 +47,6 @@ func costGatePlanFixture(t *testing.T, name string, nullable bool, cut int64) pl
 // both branches somewhere in the sweep), the cost-gated plan must be
 // row-for-row identical to the ungated plan.
 func TestCostGateBitIdentityAblation(t *testing.T) {
-	strategies := []SkylineStrategy{
-		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
-		SkylineDistributedIncomplete, SkylineSFS, SkylineDivideAndConquer,
-		SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete,
-		SkylineCostBased,
-	}
 	for _, nullable := range []bool{false, true} {
 		name := "gatecomplete"
 		if nullable {
@@ -60,7 +54,7 @@ func TestCostGateBitIdentityAblation(t *testing.T) {
 		}
 		for ci, cut := range []int64{4, 15} {
 			sky := costGatePlanFixture(t, fmt.Sprintf("%s%d", name, ci), nullable, cut)
-			for _, st := range strategies {
+			for _, st := range allStrategies {
 				for _, noFusion := range []bool{false, true} {
 					for _, noKernel := range []bool{false, true} {
 						for _, noVector := range []bool{false, true} {

@@ -20,12 +20,6 @@ import (
 // contract: sliced sidecar views and per-chunk batch views share only
 // read-only decoded storage.
 func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
-	strategies := []SkylineStrategy{
-		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
-		SkylineDistributedIncomplete, SkylineSFS, SkylineDivideAndConquer,
-		SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete,
-		SkylineCostBased,
-	}
 	ablations := []struct {
 		name string
 		opts Options
@@ -64,7 +58,7 @@ func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
 		}
 		for _, distinct := range []bool{false, true} {
 			sky := plan.NewSkylineOperator(distinct, false, dims, scan)
-			for _, st := range strategies {
+			for _, st := range allStrategies {
 				for _, ab := range ablations {
 					label := fmt.Sprintf("%s/%v/distinct=%v/%s", name, st, distinct, ab.name)
 					opts := ab.opts

@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -232,7 +231,7 @@ func TestLocalGlobalSkylineExec(t *testing.T) {
 	}
 	local := &LocalSkylineExec{Dims: dims, Child: scanOf(t, tab)}
 	gatherEx := &ExchangeExec{Dist: cluster.AllTuples, Child: local}
-	global := &GlobalSkylineExec{Dims: dims, Algorithm: GlobalBNL, Child: gatherEx}
+	global := &GlobalSkylineExec{Dims: dims, Child: gatherEx}
 	rows := gather(t, global, 3)
 	// skyline of (x MIN, y MAX): (1,5) dominates (2,4),(3,3),(1,1),(5,5).
 	if len(rows) != 1 || rows[0][0].AsInt() != 1 || rows[0][1].AsInt() != 5 {
@@ -249,42 +248,15 @@ func TestGlobalSkylineAlgorithms(t *testing.T) {
 		{E: expr.NewBoundRef(1, "y", types.KindInt, false)},
 	}
 	var want []int64
-	for _, algo := range []GlobalAlgorithm{GlobalBNL, GlobalIncompleteFlags, GlobalSFS, GlobalDivideAndConquer} {
-		g := &GlobalSkylineExec{Dims: dims, Algorithm: algo, Child: scanOf(t, tab)}
+	for _, incomplete := range []bool{false, true} {
+		g := &GlobalSkylineExec{Dims: dims, Incomplete: incomplete, Child: scanOf(t, tab)}
 		got := sortedInts(gather(t, g, 2), 0)
 		if want == nil {
 			want = got
 			continue
 		}
 		if len(got) != len(want) {
-			t.Errorf("%v: %v != %v", algo, got, want)
-		}
-	}
-}
-
-// TestGlobalSFSPresortRepros: a GlobalSFS skyline keeps only the second of
-// two rows the second dominates, kernel on and off, where the sums of the
-// rows' dimensions tie — at −Inf, and at 1e17 under rounding — so a presort
-// by the sum alone would keep both.
-func TestGlobalSFSPresortRepros(t *testing.T) {
-	schema := types.NewSchema(types.Field{Name: "x", Type: types.KindFloat}, types.Field{Name: "y", Type: types.KindFloat})
-	dims := []BoundDim{
-		{E: expr.NewBoundRef(0, "x", types.KindFloat, false)},
-		{E: expr.NewBoundRef(1, "y", types.KindFloat, false)},
-	}
-	for _, rows := range [][]types.Row{
-		{{types.Float(math.Inf(-1)), types.Float(7)}, {types.Float(math.Inf(-1)), types.Float(1)}},
-		{{types.Float(1e17), types.Float(1)}, {types.Float(1e17), types.Float(0)}},
-	} {
-		tab, err := catalog.NewTable("t", schema, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, noKernel := range []bool{false, true} {
-			g := &GlobalSkylineExec{Dims: dims, Algorithm: GlobalSFS, DisableKernel: noKernel, Child: scanOf(t, tab)}
-			if got := gather(t, g, 2); len(got) != 1 || got[0].String() != rows[1].String() {
-				t.Errorf("kernel off=%v: SFS skyline of %v = %v, want [%v]", noKernel, rows, got, rows[1])
-			}
+			t.Errorf("incomplete=%v: %v != %v", incomplete, got, want)
 		}
 	}
 }
@@ -339,8 +311,6 @@ func TestPlannerStrategies(t *testing.T) {
 	sky := plan.NewSkylineOperator(false, false, dims, scan)
 	wants := map[SkylineStrategy]string{
 		SkylineNonDistributedComplete: "GlobalSkylineExec(bnl)",
-		SkylineSFS:                    "GlobalSkylineExec(sfs)",
-		SkylineDivideAndConquer:       "GlobalSkylineExec(dnc)",
 		SkylineDistributedIncomplete:  "NullBitmap",
 	}
 	for st, want := range wants {
@@ -433,69 +403,5 @@ func TestGridAngleStrategiesProduceCorrectSkyline(t *testing.T) {
 		if len(got) != len(want) {
 			t.Errorf("strategy %v size %d != %d", st, len(got), len(want))
 		}
-	}
-}
-
-func TestCostBasedStrategySelection(t *testing.T) {
-	mkSky := func(rows int, nullable bool) *plan.SkylineOperator {
-		data := make([][]int64, rows)
-		for i := range data {
-			data[i] = []int64{int64(i), int64(rows - i)}
-		}
-		tab := intTable(t, "t", []string{"a", "b"}, data)
-		tab.Schema.Fields[0].Nullable = nullable
-		scan := plan.NewScan(tab, "t")
-		dims := []*expr.SkylineDimension{
-			expr.NewSkylineDimension(expr.NewBoundRef(0, "a", types.KindInt, nullable), expr.SkyMin),
-			expr.NewSkylineDimension(expr.NewBoundRef(1, "b", types.KindInt, false), expr.SkyMin),
-		}
-		return plan.NewSkylineOperator(false, false, dims, scan)
-	}
-	// Small input → non-distributed (no LocalSkylineExec).
-	op, err := Plan(mkSky(100, false), Options{Strategy: SkylineCostBased})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(Format(op), "LocalSkylineExec") {
-		t.Errorf("small input must plan non-distributed:\n%s", Format(op))
-	}
-	// Large input → distributed.
-	op, err = Plan(mkSky(10000, false), Options{Strategy: SkylineCostBased})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(Format(op), "LocalSkylineExec(complete)") {
-		t.Errorf("large input must plan distributed:\n%s", Format(op))
-	}
-	// Nullable dims → incomplete regardless of size.
-	op, err = Plan(mkSky(100, true), Options{Strategy: SkylineCostBased})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(Format(op), "incomplete") {
-		t.Errorf("nullable input must plan incomplete:\n%s", Format(op))
-	}
-}
-
-func TestEstimateRows(t *testing.T) {
-	tab := intTable(t, "t", []string{"a"}, [][]int64{{1}, {2}, {3}, {4}})
-	scan := plan.NewScan(tab, "t")
-	if got := EstimateRows(scan); got != 4 {
-		t.Errorf("scan estimate = %d", got)
-	}
-	filter := plan.NewFilter(expr.NewLiteral(types.Bool(true)), scan)
-	if got := EstimateRows(filter); got != 3 {
-		t.Errorf("filter estimate = %d, want 3 (half + 1)", got)
-	}
-	lim := plan.NewLimit(2, scan)
-	if got := EstimateRows(lim); got != 2 {
-		t.Errorf("limit estimate = %d", got)
-	}
-	cross := plan.NewJoin(plan.CrossJoin, scan, scan, nil)
-	if got := EstimateRows(cross); got != 16 {
-		t.Errorf("cross estimate = %d", got)
-	}
-	if got := EstimateRows(&plan.OneRow{}); got != 1 {
-		t.Errorf("one-row estimate = %d", got)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // SkylineStrategy overrides the paper's automatic algorithm selection
 // (Listing 8). SkylineAuto is the paper's default behaviour; the other
 // strategies exist so that the evaluation harness can run all algorithm
-// variants of §6.3 on the same query, plus the §7 extension algorithms.
+// variants of §6.3 on the same query, plus the §7 partitioning schemes.
 type SkylineStrategy int
 
 // Skyline strategies.
@@ -28,11 +28,6 @@ const (
 	// SkylineDistributedIncomplete forces the null-bitmap partitioned
 	// incomplete algorithm (§6.3 alg 3).
 	SkylineDistributedIncomplete
-	// SkylineSFS runs the single-node sort-filter-skyline extension (§7).
-	SkylineSFS
-	// SkylineDivideAndConquer runs the single-node divide-and-conquer
-	// extension (§7).
-	SkylineDivideAndConquer
 	// SkylineGridComplete partitions the local skyline by grid cells over
 	// the dimension space before the complete local/global split (§7).
 	SkylineGridComplete
@@ -42,11 +37,6 @@ const (
 	// SkylineZorderComplete range-partitions the tuples by Z-address before
 	// the complete local/global split (§7 long-term work).
 	SkylineZorderComplete
-	// SkylineCostBased picks between the distributed and non-distributed
-	// complete plans from an input-cardinality estimate — the light-weight
-	// cost-based selection the paper proposes as future work (§7). Falls
-	// back to the incomplete algorithm when nullability demands it.
-	SkylineCostBased
 )
 
 // String names the strategy in the paper's terms.
@@ -60,29 +50,19 @@ func (s SkylineStrategy) String() string {
 		return "non-distributed complete"
 	case SkylineDistributedIncomplete:
 		return "distributed incomplete"
-	case SkylineSFS:
-		return "sfs"
-	case SkylineDivideAndConquer:
-		return "divide-and-conquer"
 	case SkylineGridComplete:
 		return "grid complete"
 	case SkylineAngleComplete:
 		return "angle complete"
 	case SkylineZorderComplete:
 		return "zorder complete"
-	case SkylineCostBased:
-		return "cost-based"
 	}
-	return "?"
+	return fmt.Sprintf("SkylineStrategy(%d)", int(s))
 }
 
 // Options configures physical planning.
 type Options struct {
 	Strategy SkylineStrategy
-	// SkylineWindowCap bounds the BNL window of the complete skyline
-	// algorithms (0 = unbounded). Bounded windows trade extra passes for
-	// bounded memory, per the original BNL algorithm.
-	SkylineWindowCap int
 	// DisableStageFusion turns off the exchange-bounded stage compiler,
 	// executing every physical operator as its own fully-materialized task
 	// round (the pre-fusion behaviour). Used by the equivalence contract
@@ -353,9 +333,6 @@ func planSkyline(s *plan.SkylineOperator, opts Options) (Operator, error) {
 	}
 
 	strategy := opts.Strategy
-	if strategy == SkylineCostBased {
-		strategy = costBasedStrategy(s)
-	}
 	if strategy == SkylineAuto {
 		// Listing 8, line 1: skylineNullable ← ∃ d ∈ D_SKY : isnullable(d).
 		skylineNullable := false
@@ -375,23 +352,17 @@ func planSkyline(s *plan.SkylineOperator, opts Options) (Operator, error) {
 	noKernel := opts.DisableColumnarKernel
 	switch strategy {
 	case SkylineDistributedComplete:
-		local := &LocalSkylineExec{Dims: dims, Distinct: s.Distinct, WindowCap: opts.SkylineWindowCap, DisableKernel: noKernel, Child: child}
+		local := &LocalSkylineExec{Dims: dims, Distinct: s.Distinct, DisableKernel: noKernel, Child: child}
 		gather := &ExchangeExec{Dist: cluster.AllTuples, Child: local}
-		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Algorithm: GlobalBNL, WindowCap: opts.SkylineWindowCap, DisableKernel: noKernel, Child: gather}, nil
+		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, DisableKernel: noKernel, Child: gather}, nil
 	case SkylineNonDistributedComplete:
 		gather := &ExchangeExec{Dist: cluster.AllTuples, Child: child}
-		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Algorithm: GlobalBNL, WindowCap: opts.SkylineWindowCap, DisableKernel: noKernel, Child: gather}, nil
+		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, DisableKernel: noKernel, Child: gather}, nil
 	case SkylineDistributedIncomplete:
 		parts := &ExchangeExec{Dist: cluster.NullBitmap, Keys: dimExprs, Child: child}
 		local := &LocalSkylineExec{Dims: dims, Distinct: s.Distinct, Incomplete: true, DisableKernel: noKernel, Child: parts}
 		gather := &ExchangeExec{Dist: cluster.AllTuples, Child: local}
-		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Algorithm: GlobalIncompleteFlags, DisableKernel: noKernel, Child: gather}, nil
-	case SkylineSFS:
-		gather := &ExchangeExec{Dist: cluster.AllTuples, Child: child}
-		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Algorithm: GlobalSFS, DisableKernel: noKernel, Child: gather}, nil
-	case SkylineDivideAndConquer:
-		gather := &ExchangeExec{Dist: cluster.AllTuples, Child: child}
-		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Algorithm: GlobalDivideAndConquer, DisableKernel: noKernel, Child: gather}, nil
+		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Incomplete: true, DisableKernel: noKernel, Child: gather}, nil
 	case SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete:
 		dist := cluster.Grid
 		switch strategy {
@@ -407,87 +378,9 @@ func planSkyline(s *plan.SkylineOperator, opts Options) (Operator, error) {
 		parts := &ExchangeExec{Dist: dist, Keys: dimExprs, Minimize: minimize, SkyDims: dims, DisableKernel: noKernel, Child: child}
 		local := &LocalSkylineExec{Dims: dims, Distinct: s.Distinct, DisableKernel: noKernel, Child: parts}
 		gather := &ExchangeExec{Dist: cluster.AllTuples, Child: local}
-		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, Algorithm: GlobalBNL, DisableKernel: noKernel, Child: gather}, nil
+		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, DisableKernel: noKernel, Child: gather}, nil
 	}
 	return nil, fmt.Errorf("physical: unknown skyline strategy %v", opts.Strategy)
-}
-
-// costBasedStrategy implements the light-weight cost-based algorithm
-// selection of §7: with a small estimated input the distributed plan's
-// extra exchange outweighs the parallel local phase, so the non-distributed
-// plan wins; large inputs take the distributed plan. Nullability still
-// forces the incomplete algorithm (correctness over cost).
-func costBasedStrategy(s *plan.SkylineOperator) SkylineStrategy {
-	nullable := false
-	for _, d := range s.Dims {
-		if d.Child.Nullable() {
-			nullable = true
-		}
-	}
-	if nullable && !s.Complete {
-		return SkylineDistributedIncomplete
-	}
-	const distributionThreshold = 4096 // rows below which the shuffle dominates
-	if EstimateRows(s.Child) < distributionThreshold {
-		return SkylineNonDistributedComplete
-	}
-	return SkylineDistributedComplete
-}
-
-// EstimateRows is the planner's cardinality estimate: exact for scans,
-// textbook selectivities elsewhere.
-func EstimateRows(n plan.Node) int64 {
-	switch p := n.(type) {
-	case *plan.Scan:
-		return int64(p.Table.RowCount())
-	case *plan.OneRow:
-		return 1
-	case *plan.Filter:
-		return EstimateRows(p.Child)/2 + 1
-	case *plan.Limit:
-		est := EstimateRows(p.Child)
-		if p.N < est {
-			return p.N
-		}
-		return est
-	case *plan.Aggregate:
-		est := EstimateRows(p.Child)
-		if len(p.Groups) == 0 {
-			return 1
-		}
-		return est/3 + 1
-	case *plan.Join:
-		l, r := EstimateRows(p.Left), EstimateRows(p.Right)
-		switch p.Type {
-		case plan.CrossJoin:
-			return l * r
-		case plan.LeftSemiJoin, plan.LeftAntiJoin:
-			return l/2 + 1
-		default:
-			if r > l {
-				return r
-			}
-			return l
-		}
-	case *plan.SkylineOperator, *plan.ExtremumFilter:
-		// Skylines are usually selective; sqrt is a common rule of thumb.
-		child := EstimateRows(n.Children()[0])
-		est := int64(1)
-		for est*est < child {
-			est++
-		}
-		return est
-	default:
-		children := n.Children()
-		if len(children) == 1 {
-			return EstimateRows(children[0])
-		}
-		var total int64
-		for _, c := range children {
-			total += EstimateRows(c)
-		}
-		return total
-	}
 }
 
 // Execute runs a physical plan and returns all result rows in one slice.

@@ -37,8 +37,7 @@ package physical
 //     are boxed.
 //
 //   - The boxed path: every other chain (projections, limits, DIFF or
-//     computed dimensions, vectorization off, a bounded window with the
-//     kernel off), and any morsel the page path cannot serve exactly —
+//     computed dimensions, vectorization off), and any morsel the page path cannot serve exactly —
 //     strings, bools or mixed kinds in a referenced column, integers
 //     beyond ±2⁵³, NaN in a kernel dimension — or, for a plan that
 //     decodes a batch, whose sidecars the memory governor dropped. The
@@ -245,8 +244,8 @@ type pageScan struct {
 // vectorize, or a dimension is not a plain MIN/MAX column. decode
 // (Context.DecodeAtScan) gates the plans that decode a batch at the scan;
 // a local skyline that tests dominance boxed (kernel off) decodes none —
-// it reads its dimensions from the pages row by row into an unbounded
-// BNL window — and needs no gate.
+// it reads its dimensions from the pages row by row into a BNL window —
+// and needs no gate.
 func planPageScan(ops []NarrowOperator, sink *DecodeSink, schema *types.Schema, decode bool) *pageScan {
 	ps := &pageScan{}
 	var dims []BoundDim
@@ -262,7 +261,7 @@ func planPageScan(ops []NarrowOperator, sink *DecodeSink, schema *types.Schema, 
 			}
 			ps.filters = append(ps.filters, conjs)
 		case *LocalSkylineExec:
-			if i != len(ops)-1 || (o.DisableKernel && o.WindowCap > 0) {
+			if i != len(ops)-1 {
 				return nil
 			}
 			ps.sky, dims, ps.incomplete, ps.tag = o, o.Dims, o.Incomplete, skyTag(o.Dims, o.Incomplete)
@@ -364,9 +363,7 @@ func (sp *segmentPages) run(ctx *cluster.Context, r *storage.Reader, lo, hi int,
 	defer ctx.Metrics.Free(b.MemSize())
 	var keep []int
 	if sp.sky != nil {
-		if keep, err = sp.sky.kernel(b, stats); err != nil {
-			return nil, nil, false, err
-		}
+		keep = sp.sky.kernel(b, stats)
 	} else {
 		keep = make([]int, b.Len())
 		for i := range keep {

@@ -147,10 +147,6 @@ type LocalSkylineExec struct {
 	Dims       []BoundDim
 	Distinct   bool
 	Incomplete bool // dominance definition used within partitions
-	// WindowCap bounds the BNL window; 0 means unbounded. A bounded window
-	// switches to the multi-pass variant of the original BNL algorithm
-	// (§5.6 discusses the window's memory residency).
-	WindowCap int
 	// DisableKernel forces the boxed CompareFunc path even when the
 	// partition decodes into a columnar batch (Options.DisableColumnarKernel).
 	DisableKernel bool
@@ -179,12 +175,9 @@ func (l *LocalSkylineExec) NarrowChild() Operator { return l.Child }
 // range plus extra locally-undominated points — a superset the global pass
 // above reduces to exactly the whole-partition result, in the same order
 // (both outputs are input-order subsequences containing every true skyline
-// point). Incomplete dominance is not transitive and a bounded window's
-// emission order depends on overflow timing, so those configurations stay
-// whole-partition.
-func (l *LocalSkylineExec) MorselSplittable() bool {
-	return !l.Incomplete && l.WindowCap == 0
-}
+// point). Incomplete dominance is not transitive, so an incomplete local
+// skyline stays whole-partition.
+func (l *LocalSkylineExec) MorselSplittable() bool { return !l.Incomplete }
 
 // PartitionTransform returns the per-partition BNL closure without sidecar
 // flow (NarrowOperator interface); the stage compiler and Execute use the
@@ -240,10 +233,7 @@ func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) Colu
 				b.Tag = tag
 				bindDimColumns(b, l.Dims)
 			}
-			idx, kerr := l.kernel(b, stats)
-			if kerr != nil {
-				return nil, nil, kerr
-			}
+			idx := l.kernel(b, stats)
 			// Emit from the authoritative partition rows (identical to the
 			// batch's wrapped rows by the alignment invariant, but robust).
 			keep := pickRows(part, idx)
@@ -253,13 +243,7 @@ func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) Colu
 			}
 			return keep, out, nil
 		}
-		var sky []skyline.Point
-		var err error
-		if l.WindowCap > 0 {
-			sky, err = skyline.BNLBounded(pts, dirs, l.Distinct, l.WindowCap, cmp, stats)
-		} else {
-			sky, err = skyline.BNL(pts, dirs, l.Distinct, cmp, stats)
-		}
+		sky, err := skyline.BNL(pts, dirs, l.Distinct, cmp, stats)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -268,10 +252,9 @@ func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) Colu
 }
 
 // marksRun reports whether the kernel pass's output is a run the global
-// pass may trust (Batch.MarkRun): the unbounded complete-data BNL window
-// emits a skyline of its input. Incomplete and bounded-window passes do
-// not vouch for theirs.
-func (l *LocalSkylineExec) marksRun() bool { return !l.Incomplete && l.WindowCap == 0 }
+// pass may trust (Batch.MarkRun): the complete-data BNL window emits a
+// skyline of its input. An incomplete pass does not vouch for its output.
+func (l *LocalSkylineExec) marksRun() bool { return !l.Incomplete }
 
 // compare is the boxed dominance test of the skyline's definition.
 func (l *LocalSkylineExec) compare() skyline.CompareFunc {
@@ -283,16 +266,10 @@ func (l *LocalSkylineExec) compare() skyline.CompareFunc {
 
 // kernel runs the local skyline over a decoded batch: the batch indices
 // of the survivors, in input order.
-func (l *LocalSkylineExec) kernel(b *skyline.Batch, stats *skyline.Stats) ([]int, error) {
-	var idx []int
-	var err error
-	if l.WindowCap > 0 {
-		idx, err = b.BNLBounded(l.Distinct, l.WindowCap)
-	} else {
-		idx = b.BNL(l.Distinct)
-	}
+func (l *LocalSkylineExec) kernel(b *skyline.Batch, stats *skyline.Stats) []int {
+	idx := b.BNL(l.Distinct)
 	b.Flush(stats)
-	return idx, err
+	return idx
 }
 
 func (l *LocalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
@@ -314,52 +291,26 @@ func (l *LocalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, erro
 
 // GlobalSkylineExec computes the final skyline on a single executor. The
 // planner places an AllTuples exchange below it (§5.5); the operator
-// gathers defensively regardless. Algorithm selects the complete BNL, the
-// incomplete pairwise-flag algorithm, or one of the single-node extension
-// algorithms (SFS, divide-and-conquer).
+// gathers defensively regardless. It runs the complete BNL window
+// algorithm, or with Incomplete the pairwise-flag algorithm of §5.7.
 type GlobalSkylineExec struct {
-	Dims      []BoundDim
-	Distinct  bool
-	Algorithm GlobalAlgorithm
-	// WindowCap bounds the BNL window of the GlobalBNL algorithm; 0 means
-	// unbounded. Other global algorithms ignore it.
-	WindowCap int
+	Dims       []BoundDim
+	Distinct   bool
+	Incomplete bool // dominance definition, and with it the algorithm
 	// DisableKernel forces the boxed CompareFunc path even when the input
 	// decodes into a columnar batch (Options.DisableColumnarKernel).
 	DisableKernel bool
 	Child         Operator
 }
 
-// GlobalAlgorithm selects the global skyline computation.
-type GlobalAlgorithm int
-
-// Global skyline algorithms.
-const (
-	GlobalBNL GlobalAlgorithm = iota
-	GlobalIncompleteFlags
-	GlobalSFS
-	GlobalDivideAndConquer
-)
-
-// String names the algorithm.
-func (g GlobalAlgorithm) String() string {
-	switch g {
-	case GlobalBNL:
-		return "bnl"
-	case GlobalIncompleteFlags:
-		return "incomplete"
-	case GlobalSFS:
-		return "sfs"
-	case GlobalDivideAndConquer:
-		return "dnc"
-	}
-	return "?"
-}
-
 func (g *GlobalSkylineExec) Schema() *types.Schema { return g.Child.Schema() }
 func (g *GlobalSkylineExec) Children() []Operator  { return []Operator{g.Child} }
 func (g *GlobalSkylineExec) String() string {
-	return fmt.Sprintf("GlobalSkylineExec(%s) [%s]", g.Algorithm, dimStrings(g.Dims))
+	algo := "bnl"
+	if g.Incomplete {
+		algo = "incomplete"
+	}
+	return fmt.Sprintf("GlobalSkylineExec(%s) [%s]", algo, dimStrings(g.Dims))
 }
 
 func (g *GlobalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
@@ -371,7 +322,6 @@ func (g *GlobalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, err
 	if ctx.Metrics != nil {
 		stats = &ctx.Metrics.Sky
 	}
-	incomplete := g.Algorithm == GlobalIncompleteFlags
 	var rows []types.Row // gathered lazily: the sidecar path never needs it
 	var pts []skyline.Point
 	var b *skyline.Batch
@@ -384,67 +334,44 @@ func (g *GlobalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, err
 		// inputs fall through to the boxed path.
 		rows = in.Gather()
 		if !g.DisableKernel {
-			b = gatherDims(rows, g.Dims, dirsOf(g.Dims), incomplete, stats)
+			b = gatherDims(rows, g.Dims, dirsOf(g.Dims), g.Incomplete, stats)
 		}
 		if b == nil {
 			if pts, err = evalPoints(rows, g.Dims); err != nil {
 				return nil, err
 			}
 			if !g.DisableKernel {
-				b, _ = skyline.DecodeBatch(pts, dirsOf(g.Dims), incomplete, stats)
+				b, _ = skyline.DecodeBatch(pts, dirsOf(g.Dims), g.Incomplete, stats)
 			}
 		}
 		if b != nil {
-			b.Tag = skyTag(g.Dims, incomplete)
+			b.Tag = skyTag(g.Dims, g.Incomplete)
 		}
 	}
 	if b != nil {
 		// Columnar kernel over the (merged sidecar or freshly decoded)
-		// batch; ok=false only for unknown algorithms, which the boxed
-		// switch below reports.
-		if idx, ok, kerr := g.runKernelCtx(ctx, b, stats); ok {
-			if kerr != nil {
-				return nil, kerr
-			}
-			var keep []types.Row
-			if rows != nil {
-				keep = pickRows(rows, idx)
-			} else {
-				keep = rowsOf(b.Points(idx))
-			}
-			out := cluster.NewDataset(keep)
-			out.Batches = []*skyline.Batch{b.SelectRows(idx, keep)}
-			charge(ctx, out, in)
-			return out, nil
-		}
-	}
-	if pts == nil {
-		// Sidecar present but the algorithm has no kernel twin: box up for
-		// the fallback switch.
-		if rows == nil {
-			rows = in.Gather()
-		}
-		if pts, err = evalPoints(rows, g.Dims); err != nil {
+		// batch.
+		idx, err := g.runKernelCtx(ctx, b, stats)
+		if err != nil {
 			return nil, err
 		}
+		var keep []types.Row
+		if rows != nil {
+			keep = pickRows(rows, idx)
+		} else {
+			keep = rowsOf(b.Points(idx))
+		}
+		out := cluster.NewDataset(keep)
+		out.Batches = []*skyline.Batch{b.SelectRows(idx, keep)}
+		charge(ctx, out, in)
+		return out, nil
 	}
 	dirs := dirsOf(g.Dims)
 	var sky []skyline.Point
-	switch g.Algorithm {
-	case GlobalBNL:
-		if g.WindowCap > 0 {
-			sky, err = skyline.BNLBounded(pts, dirs, g.Distinct, g.WindowCap, skyline.Compare, stats)
-		} else {
-			sky, err = skyline.BNL(pts, dirs, g.Distinct, skyline.Compare, stats)
-		}
-	case GlobalIncompleteFlags:
+	if g.Incomplete {
 		sky, err = skyline.GlobalIncomplete(pts, dirs, g.Distinct, stats)
-	case GlobalSFS:
-		sky, err = skyline.SFS(pts, dirs, g.Distinct, stats)
-	case GlobalDivideAndConquer:
-		sky, err = skyline.DivideAndConquer(pts, dirs, g.Distinct, stats)
-	default:
-		err = fmt.Errorf("physical: unknown global skyline algorithm %d", g.Algorithm)
+	} else {
+		sky, err = skyline.BNL(pts, dirs, g.Distinct, skyline.Compare, stats)
 	}
 	if err != nil {
 		return nil, err
@@ -460,41 +387,26 @@ func (g *GlobalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, err
 // the local→global hop. nil when the input has no (usable) sidecar.
 func (g *GlobalSkylineExec) sidecarBatch(in *cluster.Dataset, totalRows int) *skyline.Batch {
 	b, ok := in.MergedSidecar()
-	if !ok || b.Tag != skyTag(g.Dims, g.Algorithm == GlobalIncompleteFlags) || b.Len() != totalRows {
+	if !ok || b.Tag != skyTag(g.Dims, g.Incomplete) || b.Len() != totalRows {
 		return nil
 	}
 	return b
 }
 
-// runKernelCtx runs the selected global algorithm on a decoded columnar
-// batch. ok=false means the algorithm has no kernel twin and the boxed
-// path must run instead. Every algorithm but the bounded-window BNL, whose
-// window state is inherently sequential, runs its morsel-parallel twin:
-// with a chunk of 0 (morsel parallelism off, or the batch too small to
-// split) a twin is its serial algorithm, and otherwise it emits the serial
-// algorithm's exact index sequence (batch_parallel.go), so the chunk is
-// purely a scheduling decision.
-func (g *GlobalSkylineExec) runKernelCtx(ctx *cluster.Context, b *skyline.Batch, stats *skyline.Stats) (idx []int, ok bool, err error) {
+// runKernelCtx runs the global algorithm's morsel-parallel twin on a
+// decoded columnar batch: with a chunk of 0 (morsel parallelism off, or
+// the batch too small to split) a twin is its serial algorithm, and
+// otherwise it emits the serial algorithm's exact index sequence
+// (batch_parallel.go), so the chunk is purely a scheduling decision.
+func (g *GlobalSkylineExec) runKernelCtx(ctx *cluster.Context, b *skyline.Batch, stats *skyline.Stats) (idx []int, err error) {
 	chunk := g.parallelChunk(ctx, b.Len())
-	run := ctx.RunMorsels
-	switch g.Algorithm {
-	case GlobalBNL:
-		if g.WindowCap > 0 {
-			idx, err = b.BNLBounded(g.Distinct, g.WindowCap)
-		} else {
-			idx, err = b.BNLParallel(g.Distinct, chunk, run)
-		}
-	case GlobalIncompleteFlags:
-		idx, err = b.GlobalIncompleteParallel(g.Distinct, chunk, run)
-	case GlobalSFS:
-		idx, err = b.SFSParallel(g.Distinct, chunk, run)
-	case GlobalDivideAndConquer:
-		idx, err = b.DivideAndConquerParallel(g.Distinct, chunk, run)
-	default:
-		return nil, false, nil
+	if g.Incomplete {
+		idx, err = b.GlobalIncompleteParallel(g.Distinct, chunk, ctx.RunMorsels)
+	} else {
+		idx, err = b.BNLParallel(g.Distinct, chunk, ctx.RunMorsels)
 	}
 	b.Flush(stats)
-	return idx, true, err
+	return idx, err
 }
 
 // parallelChunk returns the morsel row target for the parallel global

@@ -60,11 +60,10 @@ type ColumnarOperator interface {
 // over contiguous row ranges of a partition, and concatenating the range
 // outputs feeds downstream operators to the same final result as the
 // whole-partition run. Pure per-row transforms (filter, project) qualify
-// trivially; a complete-dominance, unbounded-window local skyline
-// qualifies by transitivity. Operators that do not implement the
-// interface, or return false, keep whole-partition tasks — prefix
-// semantics (LocalLimitExec), bounded windows, and incomplete dominance
-// must stay unsplit.
+// trivially; a complete-dominance local skyline qualifies by
+// transitivity. Operators that do not implement the interface, or return
+// false, keep whole-partition tasks — prefix semantics (LocalLimitExec)
+// and incomplete dominance must stay unsplit.
 type MorselSplittable interface {
 	MorselSplittable() bool
 }

@@ -60,12 +60,6 @@ func segmentTwinPlans(t *testing.T, name string, nRows, segRows int, cut int64) 
 // inside the clustered range, so trailing segments are provably empty).
 func TestSegmentScanContractAllStrategies(t *testing.T) {
 	const executors = 4
-	strategies := []SkylineStrategy{
-		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
-		SkylineDistributedIncomplete, SkylineSFS, SkylineDivideAndConquer,
-		SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete,
-		SkylineCostBased,
-	}
 	ablations := []struct {
 		name string
 		opts Options
@@ -75,7 +69,7 @@ func TestSegmentScanContractAllStrategies(t *testing.T) {
 		{"boxed-kernel", Options{DisableColumnarKernel: true}},
 		{"boxed-exprs", Options{DisableVectorizedExprs: true}},
 	}
-	for _, st := range strategies {
+	for _, st := range allStrategies {
 		for _, ab := range ablations {
 			label := fmt.Sprintf("%v/%s", st, ab.name)
 			memPlan, segPlan := segmentTwinPlans(t, fmt.Sprintf("sc_%v_%s", st, ab.name), 200, 25, 60)
@@ -348,12 +342,6 @@ func wideContext(opts Options) *cluster.Context {
 // also leaves exactly its result charged: no page, batch or boxed morsel
 // stays on the books.
 func TestSegmentWideTableContract(t *testing.T) {
-	strategies := []SkylineStrategy{
-		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
-		SkylineDistributedIncomplete, SkylineSFS, SkylineDivideAndConquer,
-		SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete,
-		SkylineCostBased,
-	}
 	ablations := []struct {
 		name string
 		opts Options
@@ -366,7 +354,7 @@ func TestSegmentWideTableContract(t *testing.T) {
 	for _, segRows := range []int{23, 97} {
 		cat := wideTwins(t, 300, segRows)
 		for qi, q := range wideQueries {
-			for _, st := range strategies {
+			for _, st := range allStrategies {
 				for _, ab := range ablations {
 					label := fmt.Sprintf("seg=%d q%d %v/%s", segRows, qi, st, ab.name)
 					opts := ab.opts

@@ -105,12 +105,6 @@ func TestFilteredSkylineDecodesOncePerPartitionVectorized(t *testing.T) {
 // DisableStageFusion / DisableColumnarKernel / DisableVectorizedExprs
 // ablations.
 func TestVectorizedContractsAllStrategies(t *testing.T) {
-	strategies := []SkylineStrategy{
-		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
-		SkylineDistributedIncomplete, SkylineSFS, SkylineDivideAndConquer,
-		SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete,
-		SkylineCostBased,
-	}
 	r := rand.New(rand.NewSource(61))
 	nRows := 140
 	data := make([][]int64, nRows)
@@ -141,7 +135,7 @@ func TestVectorizedContractsAllStrategies(t *testing.T) {
 	}
 	sky := plan.NewSkylineOperator(false, false, dims, proj)
 
-	for _, st := range strategies {
+	for _, st := range allStrategies {
 		var want []types.Row
 		for _, noFusion := range []bool{false, true} {
 			for _, noKernel := range []bool{false, true} {

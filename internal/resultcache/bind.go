@@ -21,11 +21,10 @@ import (
 // CacheExec. Uncacheable plans are returned unchanged.
 //
 // The opts parameter is the planning configuration the plan was compiled
-// under. Nothing from it joins the fingerprint directly: the
-// strategy-relevant options (strategy, window cap, presort) are already
-// encoded in the operator shapes the canonicalizer reads, and the
-// bit-identical ablations (fusion, kernel, vectorization) are excluded
-// by design so ablated sessions share entries.
+// under. Nothing from it joins the fingerprint directly: the strategy is
+// already encoded in the operator shapes the canonicalizer reads, and the
+// bit-identical ablations (fusion, kernel, vectorization) are excluded by
+// design so ablated sessions share entries.
 func (c *Cache) Bind(root physical.Operator, opts physical.Options) physical.Operator {
 	if c == nil {
 		return root
@@ -187,8 +186,8 @@ func (c *canonicalizer) op(op physical.Operator) bool {
 			return false
 		}
 		c.sawSkyline = true
-		fmt.Fprintf(&c.sb, "|global-sky(%s,distinct=%v,cap=%d)[%s]",
-			n.Algorithm, n.Distinct, n.WindowCap, c.dims(n.Dims))
+		fmt.Fprintf(&c.sb, "|global-sky(inc=%v,distinct=%v)[%s]",
+			n.Incomplete, n.Distinct, c.dims(n.Dims))
 	case *physical.ExtremumFilterExec, *physical.ProjectExec, *physical.SortExec,
 		*physical.DistinctExec, *physical.LimitExec, *physical.LocalLimitExec:
 		ch := op.Children()
@@ -254,17 +253,16 @@ func (c *canonicalizer) filterRun(conds []expr.Expr) {
 
 func (c *canonicalizer) localSky(n *physical.LocalSkylineExec) {
 	c.sawSkyline = true
-	fmt.Fprintf(&c.sb, "|local-sky(inc=%v,distinct=%v,cap=%d)[%s]",
-		n.Incomplete, n.Distinct, n.WindowCap, c.dims(n.Dims))
+	fmt.Fprintf(&c.sb, "|local-sky(inc=%v,distinct=%v)[%s]",
+		n.Incomplete, n.Distinct, c.dims(n.Dims))
 }
 
 // dims renders a skyline clause. When the surrounding plan shape is
 // order-invariant (sortDims, set exactly when the plan is maintainable:
-// complete unbounded-window BNL emits the table-order subsequence of the
-// skyline regardless of dimension order), the dimensions are sorted so
-// "d1 MIN, d2 MAX" and "d2 MAX, d1 MIN" share an entry. Order-sensitive
-// shapes (SFS presorts, Grid/Angle/Z-order bucketing, bounded windows,
-// incomplete dominance) keep the literal order.
+// complete BNL emits the table-order subsequence of the skyline regardless
+// of dimension order), the dimensions are sorted so "d1 MIN, d2 MAX" and
+// "d2 MAX, d1 MIN" share an entry. Order-sensitive shapes (Grid/Angle/
+// Z-order bucketing, incomplete dominance) keep the literal order.
 func (c *canonicalizer) dims(dims []physical.BoundDim) string {
 	parts := make([]string, len(dims))
 	for i, d := range dims {
@@ -281,13 +279,13 @@ func (c *canonicalizer) dims(dims []physical.BoundDim) string {
 // maintainShape recognizes the incrementally maintainable (and
 // dimension-order-invariant) plan shape:
 //
-//	GlobalSkylineExec(bnl, unbounded)
+//	GlobalSkylineExec(bnl)
 //	  └ ExchangeExec AllTuples
-//	      └ [LocalSkylineExec(complete, unbounded, same clause)]
+//	      └ [LocalSkylineExec(complete, same clause)]
 //	          └ FilterExec* (possibly fused into a pipeline)
 //	              └ ScanExec (in-memory table)
 //
-// Complete BNL with an unbounded window emits the input-order subsequence
+// Complete BNL emits the input-order subsequence
 // of the skyline; chunk partitioning plus the order-preserving AllTuples
 // gather make that the table-order subsequence, invariant to executor
 // count, fusion, and dimension permutation — which is what lets appends
@@ -295,7 +293,7 @@ func (c *canonicalizer) dims(dims []physical.BoundDim) string {
 // other shape returns nil (cacheable, but append ⇒ invalidate).
 func maintainShape(root physical.Operator) *maintenance {
 	g, ok := root.(*physical.GlobalSkylineExec)
-	if !ok || g.Algorithm != physical.GlobalBNL || g.WindowCap != 0 {
+	if !ok || g.Incomplete {
 		return nil
 	}
 	ex, ok := g.Child.(*physical.ExchangeExec)
@@ -337,7 +335,7 @@ flatten:
 	rest := chain
 	if len(rest) > 0 {
 		if l, ok := rest[0].(*physical.LocalSkylineExec); ok {
-			if l.Incomplete || l.WindowCap != 0 || l.Distinct != g.Distinct || !sameDims(l.Dims, g.Dims) {
+			if l.Incomplete || l.Distinct != g.Distinct || !sameDims(l.Dims, g.Dims) {
 				return nil
 			}
 			rest = rest[1:]

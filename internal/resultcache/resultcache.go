@@ -12,8 +12,8 @@
 // (catalog.Table.Version, the invalidation source of truth), the
 // canonicalized SKYLINE OF clause (dimension order normalized when the
 // plan shape is provably order-invariant), the pushed-down predicate set
-// (filter conjuncts sorted), and the strategy-relevant plan parameters
-// (algorithm, window cap, presort — all encoded in the operator shapes).
+// (filter conjuncts sorted), and the strategy (encoded in the operator
+// shapes).
 // Ablation switches that are bit-identical by the engine's standing
 // contract (stage fusion, columnar kernel, vectorized expressions) are
 // deliberately excluded, so ablated sessions share entries.
@@ -118,7 +118,7 @@ func (c *Cache) Stats() Stats {
 // maintenance carries what incremental upgrade needs: the scan table, the
 // pre-skyline filter conjuncts, and the skyline clause bound to the scan
 // schema. Present only for plans whose shape is provably maintainable
-// (complete unbounded-window BNL over a single in-memory scan).
+// (complete BNL over a single in-memory scan).
 type maintenance struct {
 	table    *catalog.Table
 	filters  []expr.Expr
@@ -376,10 +376,10 @@ func (c *Cache) remove(el *list.Element, e *entry) {
 // absorbKernel while the entry carries its sidecar and the kernel can
 // decode the new rows, absorbBoxed otherwise.
 //
-// Bit-identity argument: a maintainable plan (complete unbounded-window
-// BNL, locals chunk-partitioned, AllTuples gather preserving partition
-// order) emits the table-order subsequence of the skyline, which is what
-// one BNL pass over the table in order leaves in its window. The cached
+// Bit-identity argument: a maintainable plan (complete BNL, locals
+// chunk-partitioned, AllTuples gather preserving partition order) emits
+// the table-order subsequence of the skyline, which is what one BNL pass
+// over the table in order leaves in its window. The cached
 // rows are that window for the pre-append table, so seeding the window
 // with them — in cached order, no tests, no evictions — and absorbing the
 // surviving new rows in append order replays the tail of that one pass:

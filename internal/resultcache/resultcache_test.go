@@ -133,15 +133,15 @@ func TestFingerprintNormalization(t *testing.T) {
 		t.Error("MIN vs MAX must not share a key")
 	}
 
-	// Order-sensitive shape (SFS presorts by dimension order): literal
+	// Order-sensitive shape (grid cells bucket by dimension order): literal
 	// dimension order is kept, so the permuted clause gets its own key.
-	sa := key("SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX", physical.Options{Strategy: physical.SkylineSFS})
-	sb := key("SELECT * FROM hotels SKYLINE OF user_rating MAX, price MIN", physical.Options{Strategy: physical.SkylineSFS})
+	sa := key("SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX", physical.Options{Strategy: physical.SkylineGridComplete})
+	sb := key("SELECT * FROM hotels SKYLINE OF user_rating MAX, price MIN", physical.Options{Strategy: physical.SkylineGridComplete})
 	if sa == sb {
-		t.Error("SFS plans are order-sensitive; dims must keep literal order")
+		t.Error("grid plans are order-sensitive; dims must keep literal order")
 	}
 	if sa == a {
-		t.Error("SFS and BNL plans must not share a key")
+		t.Error("grid and BNL plans must not share a key")
 	}
 
 	// Bit-identical ablations are excluded from the key on purpose.
@@ -264,9 +264,9 @@ func TestNullAppendInvalidates(t *testing.T) {
 func TestNonMaintainableShapeInvalidatesOnAppend(t *testing.T) {
 	e, tab := newHotelEngine(t)
 	c := New(0)
-	// SFS plans are cacheable but not incrementally maintainable.
+	// Grid plans are cacheable but not incrementally maintainable.
 	const q = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX"
-	runQuery(t, e, c, q, physical.Options{Strategy: physical.SkylineSFS})
+	runQuery(t, e, c, q, physical.Options{Strategy: physical.SkylineGridComplete})
 	r := types.Row{types.Int(7), types.Int(30), types.Int(9)}
 	if err := tab.Append(r); err != nil {
 		t.Fatal(err)

@@ -861,3 +861,28 @@ func TestTablesBigintExact(t *testing.T) {
 		t.Errorf("DOUBLE 1e400: %d %s, want 400 naming the literal", status, raw)
 	}
 }
+
+// TestTablesRejectsBadColumnNames: a table whose columns share a name
+// (column references resolve case-insensitively) or have an empty one is
+// refused with 400 naming the column, and is not registered.
+func TestTablesRejectsBadColumnNames(t *testing.T) {
+	sess := skysql.NewSession(skysql.WithExecutors(1))
+	defer sess.Close()
+	ts := httptest.NewServer(server.New(sess))
+	defer ts.Close()
+	c := ts.Client()
+
+	for _, tc := range []struct{ columns, msg string }{
+		{`[{"name":"a","type":"BIGINT"},{"name":"A","type":"DOUBLE"}]`, `two columns named "a"`},
+		{`[{"name":"a","type":"BIGINT"},{"name":"","type":"DOUBLE"}]`, "column 1"},
+	} {
+		body := json.RawMessage(`{"name":"t","columns":` + tc.columns + `,"rows":[[1,2]]}`)
+		status, raw := post(t, c, ts.URL+"/tables", body)
+		if status != http.StatusBadRequest || !strings.Contains(decodeErr(t, raw).Error, tc.msg) {
+			t.Errorf("columns %s: %d %s, want 400 naming %s", tc.columns, status, raw, tc.msg)
+		}
+		if got := sess.Tables(); len(got) != 0 {
+			t.Errorf("columns %s: table registered anyway: %v", tc.columns, got)
+		}
+	}
+}

@@ -11,21 +11,17 @@ package skyline
 // dominates is dropped before the window sees it. The screen stops itself
 // on data where it does not pay (anti-correlated), after one stretch.
 //
-// The BNL and SFS window passes then count their dominance tests as they
-// go and, once the count says most arrivals scan most of a large window,
-// continue on the cell-grid index (grid.go), which tests an arrival only
-// against the window points whose cells allow dominance. Neither changes
-// the result: it is the plain pass's, index for index and in order. The
+// The BNL window passes then count their dominance tests as they go and,
+// once the count says most arrivals scan most of a large window, continue
+// on the cell-grid index (grid.go), which tests an arrival only against
+// the window points whose cells allow dominance. Neither changes the
+// result: it is the plain pass's, index for index and in order. The
 // screen drops only points some input point strictly dominates, which a
 // BNL pass never emits and whose absence changes no emitted point's
 // admission; the gridded window keeps the plain window's insertion order
 // and only marks evictions.
 
-import (
-	"fmt"
-	"math"
-	"slices"
-)
+import "math"
 
 // allIndices returns 0..n-1, the identity processing order.
 func (b *Batch) allIndices() []int {
@@ -227,7 +223,7 @@ func (b *Batch) bnlDense(window, order []int, distinct bool, gs *gridSource) []i
 		if gs.pays(len(window), len(order)-i, tests-mark) {
 			b.counters.Tests += tests
 			b.counters.Comparisons += comps
-			return b.windowGrid(window, order[i:], distinct, true, gs.grid())
+			return b.windowGrid(window, order[i:], distinct, gs.grid())
 		}
 		if i%gridCheckEvery == 0 {
 			mark = tests
@@ -286,7 +282,7 @@ func (b *Batch) bnlDense2(window, order []int, distinct bool, gs *gridSource) []
 		if gs.pays(len(window), len(order)-i, tests-mark) {
 			b.counters.Tests += tests
 			b.counters.Comparisons += 2 * tests
-			return b.windowGrid(window, order[i:], distinct, true, gs.grid())
+			return b.windowGrid(window, order[i:], distinct, gs.grid())
 		}
 		if i%gridCheckEvery == 0 {
 			mark = tests
@@ -329,158 +325,6 @@ func (b *Batch) bnlDense2(window, order []int, distinct bool, gs *gridSource) []
 	b.counters.Tests += tests
 	b.counters.Comparisons += 2 * tests
 	return window
-}
-
-// BNLBounded is the multi-pass bounded-window BNL (see bounded.go) over
-// the decoded batch.
-func (b *Batch) BNLBounded(distinct bool, windowCap int) ([]int, error) {
-	if windowCap < 1 {
-		return nil, fmt.Errorf("skyline: window capacity must be positive, got %d", windowCap)
-	}
-	var out []int
-	input := b.allIndices()
-	n := len(input)
-	for pass := 0; len(input) > 0; pass++ {
-		if pass > n+1 {
-			return nil, fmt.Errorf("skyline: bounded BNL failed to converge (window cap %d)", windowCap)
-		}
-		type entry struct {
-			p int
-			t int // insertion timestamp within this pass
-		}
-		var window []entry
-		var overflow []int
-		firstOverflow := -1 // timestamp of the first overflow write; -1 = none
-		clock := 0
-		for _, t := range input {
-			clock++
-			dominated := false
-			keep := window[:0]
-			for wi, w := range window {
-				switch b.CompareDecoded(w.p, t) {
-				case LeftDominates:
-					dominated = true
-				case Equal:
-					if distinct {
-						dominated = true
-					} else {
-						keep = append(keep, w)
-					}
-				case RightDominates:
-					// evicted
-				default:
-					keep = append(keep, w)
-				}
-				if dominated {
-					keep = append(keep, window[wi:]...)
-					break
-				}
-			}
-			window = keep
-			if dominated {
-				continue
-			}
-			if len(window) < windowCap {
-				window = append(window, entry{p: t, t: clock})
-				continue
-			}
-			if firstOverflow < 0 {
-				firstOverflow = clock
-			}
-			overflow = append(overflow, t)
-		}
-		var carry []int
-		for _, w := range window {
-			if firstOverflow < 0 || w.t < firstOverflow {
-				out = append(out, w.p)
-			} else {
-				carry = append(carry, w.p)
-			}
-		}
-		input = append(carry, overflow...)
-	}
-	return out, nil
-}
-
-// SFS is the Sort-Filter-Skyline pass (§7 extension) over the decoded
-// batch: presort by the dominance-compatible key (sfsKey), then filter
-// without evictions. The order is the boxed SFS's exactly: the key and its
-// tie-break read the direction-normalized columns, and NULL slots hold 0,
-// the value the boxed key gives a NULL.
-func (b *Batch) SFS(distinct bool) []int {
-	return b.sfsFilter(b.sfsOrder(), distinct, b.newGridSource())
-}
-
-// sfsOrder computes SFS's processing order: all indices, stably sorted by
-// sfsKey, ties broken by the normalized vectors compared lexicographically.
-// A dominator sorts strictly before every point it dominates, and equal
-// points keep their index order.
-func (b *Batch) sfsOrder() []int {
-	s := b.numStride
-	keys := make([]sfsKey, b.n)
-	for i := range keys {
-		for _, v := range b.num[i*s : i*s+s] {
-			keys[i].add(v)
-		}
-	}
-	order := b.allIndices()
-	slices.SortStableFunc(order, func(x, y int) int {
-		if c := keys[x].compare(keys[y]); c != 0 {
-			return c
-		}
-		return slices.Compare(b.num[x*s:x*s+s], b.num[y*s:y*s+s])
-	})
-	return order
-}
-
-// sfsFilter is the eviction-free SFS filter pass over an already
-// dominance-compatible processing order (sfsOrder). On dense batches it
-// switches to the cell index by bnlDense's rule.
-func (b *Batch) sfsFilter(order []int, distinct bool, gs *gridSource) []int {
-	window := make([]int, 0, 16)
-	dense := b.dense()
-	mark := b.counters.Tests
-	for i, t := range order {
-		if dense {
-			if gs.pays(len(window), len(order)-i, b.counters.Tests-mark) {
-				return b.windowGrid(window, order[i:], distinct, false, gs.grid())
-			}
-			if i%gridCheckEvery == 0 {
-				mark = b.counters.Tests
-			}
-		}
-		dominated := false
-		for _, w := range window {
-			rel := b.CompareDecoded(w, t)
-			if rel == LeftDominates || (rel == Equal && distinct) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			window = append(window, t)
-		}
-	}
-	return window
-}
-
-// DivideAndConquer recursively splits the batch, computes partial
-// skylines, and merges them with a BNL pass, mirroring the boxed
-// DivideAndConquer structure (same cutoff, same merge order).
-func (b *Batch) DivideAndConquer(distinct bool) []int {
-	return b.dnc(b.allIndices(), distinct, b.newGridSource())
-}
-
-func (b *Batch) dnc(order []int, distinct bool, gs *gridSource) []int {
-	const cutoff = 64
-	if len(order) <= cutoff {
-		return b.bnlOver(nil, order, distinct, gs)
-	}
-	mid := len(order) / 2
-	left := b.dnc(order[:mid], distinct, gs)
-	right := b.dnc(order[mid:], distinct, gs)
-	merged := append(append(make([]int, 0, len(left)+len(right)), left...), right...)
-	return b.bnlOver(nil, merged, distinct, gs)
 }
 
 // GlobalIncomplete is the pairwise flag-based algorithm of §5.7/Appendix A

@@ -126,11 +126,11 @@ func concatChunks(keep [][]int) []int {
 
 // crossFilterChunks runs phase 2 as one parallel round, a crossFilter task
 // per chunk, and concatenates the kept survivors in chunk order.
-func (b *Batch) crossFilterChunks(gs *gridSource, local [][]int, distinct, sorted bool, run ParallelRunner) ([]int, error) {
+func (b *Batch) crossFilterChunks(gs *gridSource, local [][]int, distinct bool, run ParallelRunner) ([]int, error) {
 	ci := &crossIndex{gs: gs, local: local}
 	keep := make([][]int, len(local))
 	err := b.runChunks(len(local), run, func(k int, v *Batch) {
-		keep[k] = v.crossFilter(ci, k, distinct, sorted)
+		keep[k] = v.crossFilter(ci, k, distinct)
 	})
 	if err != nil {
 		return nil, err
@@ -138,20 +138,17 @@ func (b *Batch) crossFilterChunks(gs *gridSource, local [][]int, distinct, sorte
 	return concatChunks(keep), nil
 }
 
-// crossFilter is phase 2: keep p of chunk k unless a local survivor of a
-// chunk that can eliminate it dominates it, or — under DISTINCT — equals
-// it and precedes it in processing order (the serial pass keeps the first
-// occurrence of an equal class). For the input-order algorithms (BNL,
-// divide & conquer) every other chunk counts and precedence is index
-// order; for SFS (sorted) only earlier chunks of the sorted order count,
-// and all of them precede. Within-chunk elimination already happened in
-// phase 1. On dense batches the task moves to the shared cell index once
-// its measured tests say it pays, exactly as a window pass does.
-func (v *Batch) crossFilter(ci *crossIndex, k int, distinct, sorted bool) []int {
+// crossFilter is phase 2: keep p of chunk k unless a local survivor of
+// another chunk dominates it, or — under DISTINCT — equals it and precedes
+// it in index order (the serial pass keeps the first occurrence of an
+// equal class). Within-chunk elimination already happened in phase 1. On
+// dense batches the task moves to the shared cell index once its measured
+// tests say it pays, exactly as a window pass does.
+func (v *Batch) crossFilter(ci *crossIndex, k int, distinct bool) []int {
 	local := ci.local
 	against := 0
 	for j, l := range local {
-		if j != k && !(sorted && j > k) {
+		if j != k {
 			against += len(l)
 		}
 	}
@@ -170,9 +167,9 @@ func (v *Batch) crossFilter(ci *crossIndex, k int, distinct, sorted bool) []int 
 		}
 		var gone bool
 		if indexed {
-			gone, cand = v.eliminatedIndexed(ci, cand, p, k, distinct, sorted)
+			gone, cand = v.eliminatedIndexed(ci, cand, p, k, distinct)
 		} else {
-			gone = v.eliminated(local, p, k, distinct, sorted)
+			gone = v.eliminated(local, p, k, distinct)
 		}
 		if !gone {
 			out = append(out, p)
@@ -182,15 +179,15 @@ func (v *Batch) crossFilter(ci *crossIndex, k int, distinct, sorted bool) []int 
 }
 
 // eliminated is crossFilter's test of p against every survivor of the
-// chunks that count.
-func (v *Batch) eliminated(local [][]int, p, k int, distinct, sorted bool) bool {
+// other chunks.
+func (v *Batch) eliminated(local [][]int, p, k int, distinct bool) bool {
 	for j, l := range local {
-		if j == k || (sorted && j > k) {
+		if j == k {
 			continue
 		}
 		for _, q := range l {
 			rel := v.CompareDecoded(q, p)
-			if rel == LeftDominates || (rel == Equal && distinct && (sorted || q < p)) {
+			if rel == LeftDominates || (rel == Equal && distinct && q < p) {
 				return true
 			}
 		}
@@ -322,53 +319,7 @@ func (b *Batch) BNLParallel(distinct bool, chunk int, run ParallelRunner) ([]int
 			return nil, err
 		}
 	}
-	return b.crossFilterChunks(gs, local, distinct, false, run)
-}
-
-// DivideAndConquerParallel is the morsel-parallel twin of DivideAndConquer:
-// each chunk runs the recursive split-and-merge locally, the cross-chunk
-// filter replaces the top merge levels. The serial algorithm emits the
-// skyline in input order — the same sequence BNL emits — so the twin
-// shares BNL's phase 2 and emission proof.
-func (b *Batch) DivideAndConquerParallel(distinct bool, chunk int, run ParallelRunner) ([]int, error) {
-	bounds := parallelChunks(b.n, chunk)
-	if bounds == nil {
-		return b.DivideAndConquer(distinct), nil
-	}
-	gs := b.newGridSource()
-	local := make([][]int, len(bounds))
-	err := b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		local[k] = v.dnc(rangeIndices(bounds[k][0], bounds[k][1]), distinct, gs)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b.crossFilterChunks(gs, local, distinct, false, run)
-}
-
-// SFSParallel is the morsel-parallel twin of SFS. The presort keys and the
-// stable sort stay serial (O(n log n), not the hot spot); the sorted order
-// is chunked, each chunk runs the eviction-free filter locally, and phase 2
-// filters chunk k's survivors against the survivors of chunks j < k only:
-// the presort puts a dominator strictly before every point it dominates
-// (sfsKey) and equal points in index order, so every point that can
-// eliminate p sorts before it. Emits exactly SFS's indices in SFS's
-// (sorted) order.
-func (b *Batch) SFSParallel(distinct bool, chunk int, run ParallelRunner) ([]int, error) {
-	bounds := parallelChunks(b.n, chunk)
-	if bounds == nil {
-		return b.SFS(distinct), nil
-	}
-	order := b.sfsOrder()
-	gs := b.newGridSource()
-	local := make([][]int, len(bounds))
-	err := b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		local[k] = v.sfsFilter(order[bounds[k][0]:bounds[k][1]], distinct, gs)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b.crossFilterChunks(gs, local, distinct, true, run)
+	return b.crossFilterChunks(gs, local, distinct, run)
 }
 
 // GlobalIncompleteParallel is the morsel-parallel twin of GlobalIncomplete.

@@ -63,9 +63,6 @@ func assertBatchEquiv(t *testing.T, label string, got, fresh *Batch) {
 			t.Fatalf("%s: BNL(distinct=%v) = %v, fresh %v", label, distinct, g, f)
 		}
 	}
-	if g, f := got.SFS(false), fresh.SFS(false); fmt.Sprint(g) != fmt.Sprint(f) {
-		t.Fatalf("%s: SFS = %v, fresh %v", label, g, f)
-	}
 }
 
 // TestMergeBatchesEquivalentToFreshDecode is the re-bucketing property: a

@@ -62,10 +62,6 @@ func BenchmarkBNL(b *testing.B) {
 	})
 }
 
-func BenchmarkSFS(b *testing.B) { benchAlgo(b, "sfs", SFS) }
-
-func BenchmarkDivideAndConquer(b *testing.B) { benchAlgo(b, "dnc", DivideAndConquer) }
-
 func BenchmarkGlobalIncomplete(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	dirs := []Dir{Min, Min, Min}

@@ -8,16 +8,13 @@
 //   - GlobalIncomplete — the pairwise flag-based algorithm of §5.7 and
 //     Appendix A that tolerates cyclic dominance relationships.
 //   - NullBitmap — the IsNull-based partitioning key of §5.7.
-//   - SFS and DivideAndConquer — the sorting-based and partition-based
-//     alternatives the paper lists as future work (§7), provided for
-//     ablation benchmarks.
 //   - Batch / DecodeBatch / CompareDecoded — the columnar dominance
 //     kernel: a partition's points are decoded ONCE into dense,
 //     direction-normalized float64 vectors (plus a null bitmask and
 //     interned DIFF keys), after which every dominance test is pure index
 //     arithmetic with no Value boxing, no error returns, and batch-local
 //     cost counters. Every window algorithm has a batch-index twin
-//     (Batch.BNL, Batch.SFS, …) that emits the same rows in the same
+//     (Batch.BNL, Batch.GlobalIncomplete) that emits the same rows in the same
 //     order as its boxed counterpart; inputs the kernel cannot represent
 //     exactly are refused at decode and served by the boxed path.
 //

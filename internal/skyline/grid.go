@@ -252,21 +252,20 @@ type gridWindow struct {
 	perm    []int32  // scratch of the install sort
 	keys    []uint64 // scratch of the install sort: entry → code
 
-	num              []float64
-	s                int
-	distinct, evicts bool
-	tv               []float64 // the arrival's vector
-	tests, comps     int64
+	num          []float64
+	s            int
+	distinct     bool
+	tv           []float64 // the arrival's vector
+	tests, comps int64
 }
 
 var gridWindows = sync.Pool{New: func() any { return new(gridWindow) }}
 
-// windowGrid continues a dense window pass on the cell index: window is
-// the pass's window so far, order the arrivals still to come. With evicts
-// it is BNL (an admitted arrival evicts what it dominates); without, the
-// SFS filter, whose presort guarantees no arrival dominates the window.
-// Either way it returns exactly what the plain pass returns.
-func (b *Batch) windowGrid(window, order []int, distinct, evicts bool, g *cellGrid) []int {
+// windowGrid continues a dense BNL pass on the cell index: window is the
+// pass's window so far, order the arrivals still to come; an admitted
+// arrival evicts what it dominates. It returns exactly what the plain pass
+// returns.
+func (b *Batch) windowGrid(window, order []int, distinct bool, g *cellGrid) []int {
 	s, num := b.numStride, b.num
 	maxEntries := len(window) + len(order)
 	maxBuckets := g.maxBuckets(maxEntries)
@@ -276,7 +275,7 @@ func (b *Batch) windowGrid(window, order []int, distinct, evicts bool, g *cellGr
 	w.head = reuse(w.head, maxBuckets)
 	w.next = reuse(w.next, maxEntries)[:len(window)]
 	w.sets.reset(g, maxBuckets)
-	w.num, w.s, w.distinct, w.evicts, w.tests, w.comps = num, s, distinct, evicts, 0, 0
+	w.num, w.s, w.distinct, w.tests, w.comps = num, s, distinct, 0, 0
 	// Install the window bucket by bucket: sort its entries by code.
 	keys := reuse(w.keys, len(window))[:len(window)]
 	perm := reuse(w.perm, len(window))[:len(window)]
@@ -312,17 +311,13 @@ func (b *Batch) windowGrid(window, order []int, distinct, evicts bool, g *cellGr
 		if dominated {
 			continue
 		}
-		if evicts {
-			// The window is an antichain: t, not dominated, may evict from
-			// the buckets above it; its own was scanned in full already.
-			// (Without evictions the presort guarantees t dominates nothing
-			// in the window.)
-			w.cand = w.sets.above(w.cand, ct)
-			for i, word := range w.cand {
-				for ; word != 0; word &= word - 1 {
-					if id := i*64 + bits.TrailingZeros64(word); id != own {
-						w.scan(id)
-					}
+		// The window is an antichain: t, not dominated, may evict from the
+		// buckets above it; its own was scanned in full already.
+		w.cand = w.sets.above(w.cand, ct)
+		for i, word := range w.cand {
+			for ; word != 0; word &= word - 1 {
+				if id := i*64 + bits.TrailingZeros64(word); id != own {
+					w.scan(id)
 				}
 			}
 		}
@@ -362,7 +357,7 @@ func (w *gridWindow) bucket(code uint64) int {
 }
 
 // scan tests the arrival against bucket id's window points, evicting those
-// it dominates when the pass evicts, and reports whether one dominates it
+// it dominates, and reports whether one dominates it
 // (or, under distinct, equals it) — at which point it stops.
 func (w *gridWindow) scan(id int) bool {
 	prev := int32(-1)
@@ -374,7 +369,7 @@ func (w *gridWindow) scan(id int) bool {
 		switch {
 		case rel == LeftDominates || (rel == Equal && w.distinct):
 			return true
-		case rel == RightDominates && w.evicts:
+		case rel == RightDominates:
 			w.entries[e] = -1
 			if prev < 0 {
 				w.head[id] = w.next[e]
@@ -448,7 +443,7 @@ func (ci *crossIndex) build() {
 // eliminatedIndexed is crossFilter's eliminated on the built index: only
 // the survivors whose cells allow dominance of p are tested. cand is the
 // calling task's scratch, returned for reuse.
-func (v *Batch) eliminatedIndexed(ci *crossIndex, cand []uint64, p, k int, distinct, sorted bool) (bool, []uint64) {
+func (v *Batch) eliminatedIndexed(ci *crossIndex, cand []uint64, p, k int, distinct bool) (bool, []uint64) {
 	s, num := v.numStride, v.num
 	pv := num[p*s : p*s+s]
 	cand = ci.sets.below(cand, ci.g.code(pv))
@@ -457,13 +452,13 @@ func (v *Batch) eliminatedIndexed(ci *crossIndex, cand []uint64, p, k int, disti
 			id := i*64 + bits.TrailingZeros64(word)
 			for _, m := range ci.members[ci.start[id]:ci.start[id+1]] {
 				j, q := int(m.chunk), int(m.q)
-				if j == k || (sorted && j > k) {
+				if j == k {
 					continue
 				}
 				rel, c := denseCompare(num[q*s:q*s+s], pv)
 				v.counters.Tests++
 				v.counters.Comparisons += int64(c)
-				if rel == LeftDominates || (rel == Equal && distinct && (sorted || q < p)) {
+				if rel == LeftDominates || (rel == Equal && distinct && q < p) {
 					return true, cand
 				}
 			}

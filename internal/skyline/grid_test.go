@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -42,18 +41,8 @@ var gridAlgos = []struct {
 }{
 	{"BNL", func(b *Batch, d bool, _, _ int) []int { return b.BNL(d) }},
 	{"BNLSeeded", func(b *Batch, d bool, seed, _ int) []int { return b.BNLSeeded(seed, d) }},
-	{"DivideAndConquer", func(b *Batch, d bool, _, _ int) []int { return b.DivideAndConquer(d) }},
-	{"SFS", func(b *Batch, d bool, _, _ int) []int { return b.SFS(d) }},
 	{"BNLParallel", func(b *Batch, d bool, _, chunk int) []int {
 		idx, _ := b.BNLParallel(d, chunk, goRunner)
-		return idx
-	}},
-	{"DivideAndConquerParallel", func(b *Batch, d bool, _, chunk int) []int {
-		idx, _ := b.DivideAndConquerParallel(d, chunk, goRunner)
-		return idx
-	}},
-	{"SFSParallel", func(b *Batch, d bool, _, chunk int) []int {
-		idx, _ := b.SFSParallel(d, chunk, goRunner)
 		return idx
 	}},
 }
@@ -96,14 +85,6 @@ func checkGrid(t *testing.T, pts []Point, dirs []Dir, distinct bool, cut, chunk 
 					a.name, p, len(dirs), len(pts), distinct, cut, chunk, got, want)
 			}
 		}
-	}
-	// SFS's presort is dominance-compatible: it keeps BNL's set (which BNL
-	// emits in index order).
-	full.gridPolicy = gridOff
-	bnl, sfs := full.BNL(distinct), full.SFS(distinct)
-	slices.Sort(sfs)
-	if fmt.Sprint(sfs) != fmt.Sprint(bnl) {
-		t.Fatalf("d=%d n=%d distinct=%v: SFS kept %v, BNL %v", len(dirs), len(pts), distinct, sfs, bnl)
 	}
 }
 

@@ -54,8 +54,7 @@ func LocalIncomplete(points []Point, dirs []Dir, distinct bool, stats *Stats) ([
 
 // PartitionByNullBitmap splits points into groups sharing a null bitmap,
 // in first-seen order. It is the in-process equivalent of the engine's
-// NullBitmap exchange and is used directly by tests and by the
-// divide-and-conquer extension.
+// NullBitmap exchange and is used directly by tests.
 func PartitionByNullBitmap(points []Point) [][]Point {
 	index := make(map[uint64]int)
 	var out [][]Point

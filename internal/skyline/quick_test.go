@@ -279,15 +279,6 @@ func TestQuickBatchAlgorithmsMatchBoxed(t *testing.T) {
 				{"BNL",
 					func() ([]Point, error) { return BNL(ps.pts, kernelDirs, distinct, Compare, nil) },
 					func() ([]int, error) { return cb.BNL(distinct), nil }},
-				{"SFS",
-					func() ([]Point, error) { return SFS(ps.pts, kernelDirs, distinct, nil) },
-					func() ([]int, error) { return cb.SFS(distinct), nil }},
-				{"DivideAndConquer",
-					func() ([]Point, error) { return DivideAndConquer(ps.pts, kernelDirs, distinct, nil) },
-					func() ([]int, error) { return cb.DivideAndConquer(distinct), nil }},
-				{"BNLBounded",
-					func() ([]Point, error) { return BNLBounded(ps.pts, kernelDirs, distinct, 4, Compare, nil) },
-					func() ([]int, error) { return cb.BNLBounded(distinct, 4) }},
 			}
 			// Incomplete-definition algorithms on their own decoded batch.
 			ib, ok := DecodeBatch(ps.pts, kernelDirs, true, nil)

@@ -304,8 +304,6 @@ func TestAlgorithmsAgreeOnCompleteData(t *testing.T) {
 		"BNL": func(p []Point, d []Dir, dis bool, s *Stats) ([]Point, error) {
 			return BNL(p, d, dis, Compare, s)
 		},
-		"SFS":              SFS,
-		"DivideAndConquer": DivideAndConquer,
 		"GlobalIncomplete": GlobalIncomplete, // must coincide on complete data
 	}
 	for trial := 0; trial < 100; trial++ {
@@ -346,13 +344,6 @@ func TestAlgorithmsAgreeDistinct(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameSet(t, got, want, "BNL distinct")
-		gotSFS, err := SFS(pts, dirs, true, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotSFS) != len(want) {
-			t.Fatalf("SFS distinct size = %d, want %d", len(gotSFS), len(want))
-		}
 	}
 }
 
@@ -428,30 +419,6 @@ func TestLocalGlobalSplitMatchesGlobalComplete(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameSet(t, got, want, "local+global split")
-	}
-}
-
-func TestSFSPresortingReducesTests(t *testing.T) {
-	// On anti-correlated-ish data SFS should not do more dominance tests
-	// than quadratic naive; this guards the scoring function's monotonicity
-	// wiring rather than asserting a specific constant.
-	rng := rand.New(rand.NewSource(8))
-	pts := make([]Point, 400)
-	for i := range pts {
-		v := rng.Intn(1000)
-		pts[i] = pt(v, 1000-v+rng.Intn(50))
-	}
-	dirs := []Dir{Min, Min}
-	sfsStats, naiveStats := &Stats{}, &Stats{}
-	if _, err := SFS(pts, dirs, false, sfsStats); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NaiveComplete(pts, dirs, false, naiveStats); err != nil {
-		t.Fatal(err)
-	}
-	if sfsStats.DominanceTests() > naiveStats.DominanceTests() {
-		t.Errorf("SFS did %d tests, naive %d — presorting should not be worse",
-			sfsStats.DominanceTests(), naiveStats.DominanceTests())
 	}
 }
 

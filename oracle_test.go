@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,11 +12,28 @@ import (
 	"skysql"
 )
 
-// oracleStrategies is every skyline strategy the differential runs.
+// oracleStrategies is every skyline strategy the differential runs;
+// TestOracleCoversEveryStrategy keeps it complete.
 var oracleStrategies = []skysql.SkylineStrategy{
 	skysql.Auto, skysql.DistributedComplete, skysql.NonDistributedComplete,
-	skysql.DistributedIncomplete, skysql.SortFilterSkyline, skysql.DivideAndConquerSkyline,
-	skysql.GridComplete, skysql.AngleComplete, skysql.ZorderComplete, skysql.CostBased,
+	skysql.DistributedIncomplete, skysql.GridComplete, skysql.AngleComplete,
+	skysql.ZorderComplete,
+}
+
+// TestOracleCoversEveryStrategy walks the SkylineStrategy values from 0
+// until String reports one unknown, so a strategy cannot be added without
+// the Listing-4 differential covering it.
+func TestOracleCoversEveryStrategy(t *testing.T) {
+	n := 0
+	for st := skysql.SkylineStrategy(0); !strings.HasPrefix(st.String(), "SkylineStrategy("); st++ {
+		if !slices.Contains(oracleStrategies, st) {
+			t.Errorf("strategy %v (%d) is missing from oracleStrategies", st, int(st))
+		}
+		n++
+	}
+	if n != len(oracleStrategies) {
+		t.Errorf("%d strategies, oracleStrategies lists %d", n, len(oracleStrategies))
+	}
 }
 
 // oracleCase is one random table and one random skyline query over it.

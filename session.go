@@ -23,7 +23,6 @@ type Session struct {
 	engine       *core.Engine
 	executors    int
 	strategy     SkylineStrategy
-	windowCap    int
 	noFusion     bool
 	noKernel     bool
 	noVector     bool
@@ -80,18 +79,6 @@ func WithExecutors(n int) Option {
 // paper's Listing 8.
 func WithSkylineStrategy(st SkylineStrategy) Option {
 	return func(s *Session) { s.strategy = st }
-}
-
-// WithSkylineWindow bounds the Block-Nested-Loop window of the complete
-// skyline algorithms to n tuples; the engine then uses the original BNL's
-// multi-pass overflow handling instead of growing the window without
-// limit. 0 (the default) means unbounded.
-func WithSkylineWindow(n int) Option {
-	return func(s *Session) {
-		if n > 0 {
-			s.windowCap = n
-		}
-	}
 }
 
 // WithoutStageFusion disables the exchange-bounded stage compiler: every
@@ -505,7 +492,6 @@ func (s *Session) Tables() []string { return s.engine.Catalog.Names() }
 func (s *Session) options() physical.Options {
 	opts := physical.Options{
 		Strategy:               s.strategy,
-		SkylineWindowCap:       s.windowCap,
 		DisableStageFusion:     s.noFusion,
 		DisableColumnarKernel:  s.noKernel,
 		DisableVectorizedExprs: s.noVector,

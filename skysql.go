@@ -129,7 +129,7 @@
 //
 // Two serial hot spots are parallelized on top of the pool. Narrow
 // stages whose operators are morsel-safe (filters, projections, and the
-// complete unbounded local skyline — see physical.MorselSplittable)
+// complete local skyline — see physical.MorselSplittable)
 // split their partitions into morsels; the final global skyline runs
 // morsel-parallel kernel twins (shared-nothing local windows plus a
 // parallel cross-chunk filter) that emit the exact serial index sequence.
@@ -259,8 +259,8 @@
 // their dependencies read fresh at execution time, and CreateTable,
 // RegisterTable, DropTable, and AppendRows all advance it — so a query
 // over changed data simply computes a key no stale entry can have.
-// AppendRows goes further on maintainable plans (a complete unbounded
-// skyline over gathered, filtered scans): instead of invalidating, the
+// AppendRows goes further on maintainable plans (a complete skyline over
+// gathered, filtered scans): instead of invalidating, the
 // cache upgrades the entry in place, dominance-testing only the appended
 // rows against the cached skyline — the incremental-maintenance win that
 // makes append-heavy sessions keep their hits. The cached skyline is a
@@ -362,18 +362,18 @@ func NewSchema(fields ...Field) *Schema { return types.NewSchema(fields...) }
 // §6.3 for the algorithm family names.
 type SkylineStrategy = physical.SkylineStrategy
 
-// Skyline strategies. Auto is the paper's Listing 8 behaviour.
+// Skyline strategies. Auto is the paper's Listing 8 behaviour; the three
+// after it are the algorithms of §6.3, and the last three partition the
+// local skylines by grid cell, angle or Z-address before the complete
+// local/global split (§7).
 const (
-	Auto                    = physical.SkylineAuto
-	DistributedComplete     = physical.SkylineDistributedComplete
-	NonDistributedComplete  = physical.SkylineNonDistributedComplete
-	DistributedIncomplete   = physical.SkylineDistributedIncomplete
-	SortFilterSkyline       = physical.SkylineSFS
-	DivideAndConquerSkyline = physical.SkylineDivideAndConquer
-	GridComplete            = physical.SkylineGridComplete
-	AngleComplete           = physical.SkylineAngleComplete
-	ZorderComplete          = physical.SkylineZorderComplete
-	CostBased               = physical.SkylineCostBased
+	Auto                   = physical.SkylineAuto
+	DistributedComplete    = physical.SkylineDistributedComplete
+	NonDistributedComplete = physical.SkylineNonDistributedComplete
+	DistributedIncomplete  = physical.SkylineDistributedIncomplete
+	GridComplete           = physical.SkylineGridComplete
+	AngleComplete          = physical.SkylineAngleComplete
+	ZorderComplete         = physical.SkylineZorderComplete
 )
 
 // NewTable validates and builds a table that can be attached to a session

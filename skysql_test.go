@@ -11,8 +11,8 @@ import (
 	"skysql"
 )
 
-func hotelSession(t testing.TB) *skysql.Session {
-	sess := skysql.NewSession(skysql.WithExecutors(3))
+func hotelSession(t testing.TB, opts ...skysql.Option) *skysql.Session {
+	sess := skysql.NewSession(append([]skysql.Option{skysql.WithExecutors(3)}, opts...)...)
 	schema := skysql.NewSchema(
 		skysql.Field{Name: "id", Type: skysql.KindInt},
 		skysql.Field{Name: "price", Type: skysql.KindInt},
@@ -171,15 +171,8 @@ func TestSQLDataFrameCannotBeExtended(t *testing.T) {
 }
 
 func TestStrategyOption(t *testing.T) {
-	for _, st := range []skysql.SkylineStrategy{
-		skysql.Auto, skysql.DistributedComplete, skysql.NonDistributedComplete,
-		skysql.DistributedIncomplete, skysql.SortFilterSkyline, skysql.DivideAndConquerSkyline,
-	} {
-		sess := hotelSession(t)
-		sessOpt := skysql.NewSession(skysql.WithExecutors(2), skysql.WithSkylineStrategy(st))
-		_ = sessOpt
-		sess2 := hotelSession(t)
-		_ = sess2
+	for _, st := range oracleStrategies {
+		sess := hotelSession(t, skysql.WithSkylineStrategy(st))
 		rows, err := sess.Query("SELECT price, user_rating FROM hotels SKYLINE OF price MIN, user_rating MAX")
 		if err != nil {
 			t.Fatalf("strategy %v: %v", st, err)
@@ -187,6 +180,17 @@ func TestStrategyOption(t *testing.T) {
 		if len(rows) != 3 {
 			t.Errorf("strategy %v: %d rows", st, len(rows))
 		}
+	}
+}
+
+// TestUnknownStrategyError: a strategy outside the enum is refused at
+// planning time, and the error names it by its number.
+func TestUnknownStrategyError(t *testing.T) {
+	sess := hotelSession(t, skysql.WithSkylineStrategy(skysql.SkylineStrategy(42)))
+	_, err := sess.Query("SELECT id FROM hotels SKYLINE OF price MIN, user_rating MAX")
+	const want = "physical: unknown skyline strategy SkylineStrategy(42)"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to contain %q", err, want)
 	}
 }
 
@@ -275,37 +279,6 @@ func TestSetExecutors(t *testing.T) {
 	sess.SetExecutors(0)
 	if sess.Executors() != 10 {
 		t.Error("SetExecutors must ignore non-positive values")
-	}
-}
-
-func TestSkylineWindowOption(t *testing.T) {
-	unbounded := hotelSession(t)
-	bounded := skysql.NewSession(skysql.WithExecutors(3), skysql.WithSkylineWindow(1))
-	schema := skysql.NewSchema(
-		skysql.Field{Name: "id", Type: skysql.KindInt},
-		skysql.Field{Name: "price", Type: skysql.KindInt},
-		skysql.Field{Name: "user_rating", Type: skysql.KindInt},
-	)
-	rows := []skysql.Row{
-		{skysql.Int(1), skysql.Int(50), skysql.Int(7)},
-		{skysql.Int(2), skysql.Int(60), skysql.Int(9)},
-		{skysql.Int(3), skysql.Int(80), skysql.Int(9)},
-		{skysql.Int(4), skysql.Int(40), skysql.Int(5)},
-		{skysql.Int(5), skysql.Int(55), skysql.Int(7)},
-		{skysql.Int(6), skysql.Int(45), skysql.Int(8)},
-	}
-	bounded.MustCreateTable("hotels", schema, rows)
-	q := "SELECT id FROM hotels SKYLINE OF price MIN, user_rating MAX"
-	a, err := unbounded.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bounded.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(rowsToStrings(a), ";") != strings.Join(rowsToStrings(b), ";") {
-		t.Errorf("bounded window changed the result: %v vs %v", b, a)
 	}
 }
 
