@@ -429,36 +429,27 @@ func (b *Batch) compareDense(i, j int) Relation {
 	}
 	s := b.numStride
 	rel, comps := denseCompare(b.num[i*s:i*s+s], b.num[j*s:j*s+s])
-	b.counters.Comparisons += int64(comps)
+	b.counters.Comparisons += comps
 	return rel
 }
 
 // denseCompare classifies w against t on direction-normalized vectors with
-// no NULLs, returning the relation and the dimensions compared before the
-// outcome was fixed.
-func denseCompare(wv, tv []float64) (Relation, int) {
-	aBetter, bBetter := false, false
-	for k, x := range wv {
-		y := tv[k]
-		if x < y {
-			if bBetter {
-				return Incomparable, k + 1
-			}
-			aBetter = true
-		} else if x > y {
-			if aBetter {
-				return Incomparable, k + 1
-			}
-			bBetter = true
-		}
-	}
+// no NULLs, returning the relation and the lanes an early-exit scan would
+// have compared, from the lane masks (masks.go). It serves CompareDecoded's
+// dense case; the window passes and the cross-chunk filter take the masks
+// themselves and decide from them without building a Relation.
+func denseCompare(wv, tv []float64) (Relation, int64) {
+	lt, gt := laneMasks(wv, tv)
+	n := lanesCompared(lt, gt, len(wv))
 	switch {
-	case aBetter:
-		return LeftDominates, len(wv)
-	case bBetter:
-		return RightDominates, len(wv)
+	case lt != 0 && gt != 0:
+		return Incomparable, n
+	case lt != 0:
+		return LeftDominates, n
+	case gt != 0:
+		return RightDominates, n
 	}
-	return Equal, len(wv)
+	return Equal, n
 }
 
 // compareCompleteNulls applies the complete-data definition when either

@@ -174,6 +174,7 @@ func (b *Batch) screenOrder(order []int) []int {
 		}
 		strong[i], score[i] = t, sum
 	}
+	four := s == 4
 	var tests, comps int64
 	kept, dropped := order[:0], 0
 	for i, t := range order {
@@ -187,10 +188,16 @@ func (b *Batch) screenOrder(order []int) []int {
 		tv := num[t*s : t*s+s]
 		gone := false
 		for _, p := range strong[:m] {
-			rel, c := denseCompare(num[p*s:p*s+s], tv)
+			pv := num[p*s : p*s+s]
+			var lt, gt uint64
+			if four {
+				lt, gt = lessMask4(pv, tv), lessMask4(tv, pv)
+			} else {
+				lt, gt = laneMasks(pv, tv)
+			}
 			tests++
-			comps += int64(c)
-			if gone = rel == LeftDominates; gone {
+			comps += lanesCompared(lt, gt, s)
+			if gone = gt == 0 && lt != 0; gone {
 				break
 			}
 		}
@@ -207,10 +214,10 @@ func (b *Batch) screenOrder(order []int) []int {
 
 // bnlDense is the window pass for the hot case — purely numeric
 // dimensions, no NULLs: the incoming point's vector is hoisted out of the
-// window scan and the dominance classification (denseCompare) inlines, so
-// every test is a branchy linear scan of two contiguous float64 slices
-// with no calls and no per-test counter writes. Before each arrival it
-// asks gs whether the tests of the current stretch say the cell index
+// window scan, and every test is the branch-free lane masks of masks.go,
+// inlined, with no calls and no per-test counter writes. The window is
+// compacted in place without a branch per kept point. Before each arrival
+// it asks gs whether the tests of the current stretch say the cell index
 // pays; if so, it hands its window and the rest of order to windowGrid.
 func (b *Batch) bnlDense(window, order []int, distinct bool, gs *gridSource) []int {
 	s := b.numStride
@@ -218,6 +225,7 @@ func (b *Batch) bnlDense(window, order []int, distinct bool, gs *gridSource) []i
 	if s == 2 {
 		return b.bnlDense2(window, order, distinct, gs)
 	}
+	four := s == 4
 	var tests, comps, mark int64
 	for i, t := range order {
 		if gs.pays(len(window), len(order)-i, tests-mark) {
@@ -230,38 +238,35 @@ func (b *Batch) bnlDense(window, order []int, distinct bool, gs *gridSource) []i
 		}
 		tv := num[t*s : t*s+s]
 		dominated := false
-		keep := window[:0]
+		n := 0 // window[:n] is what t has left of window[:wi]
 		for wi, w := range window {
-			rel, c := denseCompare(num[w*s:w*s+s], tv)
-			tests++
-			comps += int64(c)
-			switch rel {
-			case LeftDominates:
-				dominated = true
-			case RightDominates: // evicted
-			case Equal:
-				if distinct {
-					dominated = true
-				} else {
-					keep = append(keep, w)
-				}
-			default:
-				keep = append(keep, w)
+			wv := num[w*s : w*s+s]
+			var lt, gt uint64
+			if four {
+				lt, gt = lessMask4(wv, tv), lessMask4(tv, wv)
+			} else {
+				lt, gt = laneMasks(wv, tv)
 			}
-			if dominated {
-				// t cannot dominate the remaining window tuples
-				// (transitivity); keep w and the rest, and stop. When
-				// nothing was evicted before w the window is unchanged
-				// (keep aliases its prefix), so skip the copy entirely.
-				if len(keep) == wi {
-					keep = window
+			tests++
+			comps += lanesCompared(lt, gt, s)
+			if gt == 0 && (lt != 0 || distinct) {
+				// w dominates t, or equals it under distinct. t cannot
+				// dominate the remaining window tuples (transitivity);
+				// keep w and the rest, and stop. When nothing was evicted
+				// before w the window is unchanged: skip the copy.
+				dominated = true
+				if n != wi {
+					n += copy(window[n:], window[wi:])
 				} else {
-					keep = append(keep, window[wi:]...)
+					n = len(window)
 				}
 				break
 			}
+			// Kept unless t evicts it (lt == 0 && gt != 0).
+			window[n] = w
+			n += int(b2u(lt != 0) | b2u(gt == 0))
 		}
-		window = keep
+		window = window[:n]
 		if !dominated {
 			window = append(window, t)
 		}

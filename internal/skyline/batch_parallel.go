@@ -166,9 +166,12 @@ func (v *Batch) crossFilter(ci *crossIndex, k int, distinct bool) []int {
 			}
 		}
 		var gone bool
-		if indexed {
-			gone, cand = v.eliminatedIndexed(ci, cand, p, k, distinct)
-		} else {
+		switch {
+		case indexed:
+			gone, cand = v.eliminatedIndexed(ci, cand, k, i, distinct)
+		case dense:
+			gone = v.eliminatedDense(local, p, k, distinct)
+		default:
 			gone = v.eliminated(local, p, k, distinct)
 		}
 		if !gone {
@@ -193,6 +196,40 @@ func (v *Batch) eliminated(local [][]int, p, k int, distinct bool) bool {
 		}
 	}
 	return false
+}
+
+// eliminatedDense is eliminated on a dense batch: each test is the lane
+// masks, inlined, and the counters accumulate locally until p is decided.
+func (v *Batch) eliminatedDense(local [][]int, p, k int, distinct bool) bool {
+	s, num := v.numStride, v.num
+	pv := num[p*s : p*s+s]
+	four := s == 4
+	var tests, comps int64
+	gone := false
+scan:
+	for j, l := range local {
+		if j == k {
+			continue
+		}
+		for _, q := range l {
+			qv := num[q*s : q*s+s]
+			var lt, gt uint64
+			if four {
+				lt, gt = lessMask4(qv, pv), lessMask4(pv, qv)
+			} else {
+				lt, gt = laneMasks(qv, pv)
+			}
+			tests++
+			comps += lanesCompared(lt, gt, s)
+			if gt == 0 && (lt != 0 || distinct && q < p) {
+				gone = true
+				break scan
+			}
+		}
+	}
+	v.counters.Tests += tests
+	v.counters.Comparisons += comps
+	return gone
 }
 
 // MarkRun records the whole batch as one run: the caller vouches that no

@@ -248,6 +248,57 @@ func BenchmarkDominanceLocalSplit(b *testing.B) {
 	}
 }
 
+// dominancePairs is BenchmarkDominanceTest's input: 4 096 datagen points
+// of d dimensions (seed 1) and a fixed stream of 65 536 pairs among them.
+func dominancePairs(b *testing.B, dist datagen.Distribution, d int) (*Batch, [][2]int32) {
+	batch, ok := DecodeBatch(datagenPoints(dist, 4096, d, 1), make([]Dir, d), false, nil)
+	if !ok {
+		b.Fatal("decode failed")
+	}
+	rng := rand.New(rand.NewSource(2))
+	pairs := make([][2]int32, 1<<16)
+	for i := range pairs {
+		pairs[i] = [2]int32{int32(rng.Intn(batch.n)), int32(rng.Intn(batch.n))}
+	}
+	return batch, pairs
+}
+
+// BenchmarkDominanceTest is the cost of one dense dominance test, decided
+// and counted as the window passes decide and count it: ns per test over a
+// fixed pair stream, anti-correlated and independent, at d = 2, 3, 4, 6.
+// lanes/test is the mean Comparisons count.
+func BenchmarkDominanceTest(b *testing.B) {
+	for _, dist := range []datagen.Distribution{datagen.AntiCorrelated, datagen.Independent} {
+		for _, d := range []int{2, 3, 4, 6} {
+			b.Run(fmt.Sprintf("%s/d=%d", dist, d), func(b *testing.B) {
+				batch, pairs := dominancePairs(b, dist, d)
+				num, four := batch.num, d == 4
+				var dominated, evicted, comps int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pr := pairs[i&(len(pairs)-1)]
+					w, t := int(pr[0]), int(pr[1])
+					wv, tv := num[w*d:w*d+d], num[t*d:t*d+d]
+					var lt, gt uint64
+					if four {
+						lt, gt = lessMask4(wv, tv), lessMask4(tv, wv)
+					} else {
+						lt, gt = laneMasks(wv, tv)
+					}
+					comps += lanesCompared(lt, gt, d)
+					if gt == 0 && lt != 0 {
+						dominated++
+					} else if lt == 0 && gt != 0 {
+						evicted++
+					}
+				}
+				kernelSink = []int{int(dominated), int(evicted)}
+				b.ReportMetric(float64(comps)/float64(b.N), "lanes/test")
+			})
+		}
+	}
+}
+
 // BenchmarkDominanceCompareDecoded is the single-test twin of
 // BenchmarkDominanceCheck: one decoded dominance classification.
 func BenchmarkDominanceCompareDecoded(b *testing.B) {

@@ -101,18 +101,16 @@ func (b *Batch) newCellGrid() *cellGrid {
 }
 
 // code returns the cell code of a normalized vector: per lane, the number
-// of cut points the value lies above. -0 and +0, equal to every cut point
-// alike, share a cell.
+// of cut points the value lies above, counted without a branch (the cuts
+// ascend, so they are the leading ones). -0 and +0, equal to every cut
+// point alike, share a cell.
 func (g *cellGrid) code(v []float64) uint64 {
 	var c uint64
 	for k, cuts := range g.cuts {
 		x := v[k]
 		var cell uint64
 		for _, cut := range cuts {
-			if x <= cut {
-				break
-			}
-			cell++
+			cell += b2u(x > cut)
 		}
 		c |= cell << (4 * uint(k))
 	}
@@ -194,9 +192,10 @@ func (cs *cellSets) add(id int, code uint64) {
 			cs.le[i] = cs.le[i][:w+1]
 		}
 	}
-	for i := range cs.le {
-		if c := int(code>>(4*(i/cs.cells))) & 15; c <= i%cs.cells {
-			cs.le[i][w] |= bit
+	for lane := 0; lane*cs.cells < len(cs.le); lane++ {
+		sets := cs.le[lane*cs.cells : (lane+1)*cs.cells]
+		for v := int(code>>(4*lane)) & 15; v < len(sets); v++ {
+			sets[v][w] |= bit
 		}
 	}
 }
@@ -363,13 +362,19 @@ func (w *gridWindow) scan(id int) bool {
 	prev := int32(-1)
 	for e := w.head[id]; e >= 0; e = w.next[e] {
 		p := w.entries[e]
-		rel, c := denseCompare(w.num[p*w.s:p*w.s+w.s], w.tv)
+		pv := w.num[p*w.s : p*w.s+w.s]
+		var lt, gt uint64
+		if w.s == 4 {
+			lt, gt = lessMask4(pv, w.tv), lessMask4(w.tv, pv)
+		} else {
+			lt, gt = laneMasks(pv, w.tv)
+		}
 		w.tests++
-		w.comps += int64(c)
+		w.comps += lanesCompared(lt, gt, w.s)
 		switch {
-		case rel == LeftDominates || (rel == Equal && w.distinct):
+		case gt == 0 && (lt != 0 || w.distinct):
 			return true
-		case rel == RightDominates:
+		case lt == 0 && gt != 0:
 			w.entries[e] = -1
 			if prev < 0 {
 				w.head[id] = w.next[e]
@@ -393,6 +398,7 @@ type crossIndex struct {
 	once  sync.Once
 
 	g       *cellGrid
+	codes   [][]uint64 // codes[j][i]: the cell code of local[j][i]
 	members []crossMember
 	start   []int32 // bucket → first member; one past the last bucket: len(members)
 	sets    cellSets
@@ -405,7 +411,9 @@ type crossMember struct {
 	q, chunk int32
 }
 
-// build indexes the survivors the first time it is called.
+// build indexes the survivors the first time it is called. It keeps every
+// survivor's cell code by chunk and position, so a query for a survivor
+// reads its code instead of computing it again.
 func (ci *crossIndex) build() {
 	ci.once.Do(func() {
 		b := ci.gs.b
@@ -415,11 +423,17 @@ func (ci *crossIndex) build() {
 		for _, l := range ci.local {
 			n += len(l)
 		}
+		codes := make([]uint64, n)
+		ci.codes = make([][]uint64, len(ci.local))
 		ci.members = make([]crossMember, 0, n)
 		for j, l := range ci.local {
-			for _, q := range l {
-				ci.members = append(ci.members, crossMember{ci.g.code(b.num[q*s : q*s+s]), int32(q), int32(j)})
+			c := codes[:len(l):len(l)]
+			codes = codes[len(l):]
+			for i, q := range l {
+				c[i] = ci.g.code(b.num[q*s : q*s+s])
+				ci.members = append(ci.members, crossMember{c[i], int32(q), int32(j)})
 			}
+			ci.codes[j] = c
 		}
 		slices.SortFunc(ci.members, func(a, b crossMember) int { return cmp.Compare(a.code, b.code) })
 		buckets := 0
@@ -440,29 +454,43 @@ func (ci *crossIndex) build() {
 	})
 }
 
-// eliminatedIndexed is crossFilter's eliminated on the built index: only
-// the survivors whose cells allow dominance of p are tested. cand is the
-// calling task's scratch, returned for reuse.
-func (v *Batch) eliminatedIndexed(ci *crossIndex, cand []uint64, p, k int, distinct bool) (bool, []uint64) {
+// eliminatedIndexed is crossFilter's eliminated on the built index for
+// local[k][i]: only the survivors whose cells allow dominance of it are
+// tested. cand is the calling task's scratch, returned for reuse.
+func (v *Batch) eliminatedIndexed(ci *crossIndex, cand []uint64, k, i int, distinct bool) (bool, []uint64) {
 	s, num := v.numStride, v.num
+	p := ci.local[k][i]
 	pv := num[p*s : p*s+s]
-	cand = ci.sets.below(cand, ci.g.code(pv))
-	for i, word := range cand {
+	cand = ci.sets.below(cand, ci.codes[k][i])
+	four := s == 4
+	var tests, comps int64
+	gone := false
+scan:
+	for wi, word := range cand {
 		for ; word != 0; word &= word - 1 {
-			id := i*64 + bits.TrailingZeros64(word)
+			id := wi*64 + bits.TrailingZeros64(word)
 			for _, m := range ci.members[ci.start[id]:ci.start[id+1]] {
-				j, q := int(m.chunk), int(m.q)
-				if j == k {
+				q := int(m.q)
+				if int(m.chunk) == k {
 					continue
 				}
-				rel, c := denseCompare(num[q*s:q*s+s], pv)
-				v.counters.Tests++
-				v.counters.Comparisons += int64(c)
-				if rel == LeftDominates || (rel == Equal && distinct && q < p) {
-					return true, cand
+				qv := num[q*s : q*s+s]
+				var lt, gt uint64
+				if four {
+					lt, gt = lessMask4(qv, pv), lessMask4(pv, qv)
+				} else {
+					lt, gt = laneMasks(qv, pv)
+				}
+				tests++
+				comps += lanesCompared(lt, gt, s)
+				if gt == 0 && (lt != 0 || distinct && q < p) {
+					gone = true
+					break scan
 				}
 			}
 		}
 	}
-	return false, cand
+	v.counters.Tests += tests
+	v.counters.Comparisons += comps
+	return gone, cand
 }
