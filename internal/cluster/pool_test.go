@@ -312,6 +312,12 @@ func TestMorselBudgetIsPerStage(t *testing.T) {
 // layout — one hot partition among trivial ones — and asserts the morsel
 // runtime actually rebalances: the hot partition splits into morsels, idle
 // workers steal them, and the output matches serial execution exactly.
+//
+// The steal is made certain, not likely: the first hot morsel to start
+// holds its worker until a second hot morsel has started. Every hot morsel
+// is homed on one worker's deque, so whichever worker holds the first, the
+// second can only start on another worker — a steal — and without one the
+// round fails after 10 s.
 func TestMorselStealingOnSkewedPartitions(t *testing.T) {
 	hot := make([]types.Row, 4096)
 	for i := range hot {
@@ -321,16 +327,26 @@ func TestMorselStealingOnSkewedPartitions(t *testing.T) {
 	fn := func(i int, part []types.Row, b *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
 		out := make([]types.Row, len(part))
 		for j, r := range part {
-			// Per-row compute so the hot partition's morsels take long
-			// enough for idle workers to wake up and steal.
-			v := r[0].AsInt()
-			for k := int64(0); k < 2000; k++ {
-				v = v*3 + 1
-			}
-			_ = v
 			out[j] = types.Row{types.Int(r[0].AsInt() * 2)}
 		}
 		return out, nil, nil
+	}
+	var hotStarted atomic.Int32
+	secondStarted := make(chan struct{})
+	gated := func(i int, part []types.Row, b *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
+		if i == 0 {
+			switch hotStarted.Add(1) {
+			case 1:
+				select {
+				case <-secondStarted:
+				case <-time.After(10 * time.Second):
+					return nil, nil, errors.New("no second hot morsel started within 10 s: nothing was stolen")
+				}
+			case 2:
+				close(secondStarted)
+			}
+		}
+		return fn(i, part, b)
 	}
 
 	serialCtx := NewContext(1)
@@ -345,7 +361,7 @@ func TestMorselStealingOnSkewedPartitions(t *testing.T) {
 	ctx.Runner = pool
 	ctx.MorselParallel = true
 	ctx.MorselTargetRows = 256
-	got, err := ctx.MapPartitionsSplittable(&Dataset{Parts: parts}, fn)
+	got, err := ctx.MapPartitionsSplittable(&Dataset{Parts: parts}, gated)
 	if err != nil {
 		t.Fatal(err)
 	}

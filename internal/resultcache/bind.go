@@ -63,9 +63,10 @@ func entryKey(structural string, deps []*catalog.Table) string {
 // CacheExec is the operator the planner wraps a cacheable plan in. At
 // execution time it keys the cache on (structural fingerprint, current
 // table versions): a hit returns the cached rows and sidecar without
-// executing a single stage; a miss runs the wrapped plan and — only on
-// full success, so a faulted or canceled query can never populate the
-// cache with partial results — stores the gathered result.
+// executing a single stage or walking a row — it charges the size the
+// entry recorded when it was stored; a miss runs the wrapped plan and —
+// only on full success, so a faulted or canceled query can never populate
+// the cache with partial results — stores the gathered result.
 type CacheExec struct {
 	cache      *Cache
 	child      physical.Operator
@@ -101,7 +102,7 @@ func (e *CacheExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 		if h.batch != nil {
 			out.Batches = []*skyline.Batch{h.batch}
 		}
-		ctx.Metrics.Alloc(out.MemSize())
+		ctx.Metrics.Alloc(h.bytes) // out.MemSize(), as recorded at store time
 		ctx.Metrics.AddCostDecision(cluster.CostDecision{
 			Site: "result-cache", Choice: "hit", Rows: len(h.rows), Selectivity: -1,
 			Detail: "stages skipped, served from cache",

@@ -149,17 +149,26 @@ type entry struct {
 // size is the entry's charge against the cache's byte budget.
 func (e *entry) size() int64 { return e.rowBytes + e.batchBytes + int64(len(e.encoded)) }
 
+// servedBytes is what the entry's rows and sidecar weigh as a dataset — the
+// Dataset.MemSize of a hit on it — read off the recorded sizes: rowBytes
+// counts the key beside the rows, the dataset does not.
+func (e *entry) servedBytes() int64 { return e.rowBytes - int64(len(e.key)) + e.batchBytes }
+
 // hit is what a lookup found: the cached rows, their sidecar and encoded
-// form when the entry carries them, and the number of incremental
-// upgrades this hit drained.
+// form when the entry carries them, what the rows and sidecar weigh, and
+// the number of incremental upgrades this hit drained.
 type hit struct {
 	rows     []types.Row
 	batch    *skyline.Batch
 	encoded  []byte
+	bytes    int64
 	upgrades int64
 }
 
-// lookup returns the entry under key, marking it most-recently used.
+// lookup returns the entry under key, marking it most-recently used. The
+// hit's rows, sidecar and byte count are read in one snapshot under c.mu,
+// so an upgrade or a shed can never pair one state's rows with another's
+// size.
 func (c *Cache) lookup(key string) (hit, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -170,7 +179,7 @@ func (c *Cache) lookup(key string) (hit, bool) {
 	}
 	c.lru.MoveToFront(el)
 	e := el.Value.(*entry)
-	h := hit{rows: e.rows, batch: e.batch, encoded: e.encoded, upgrades: e.pendingUpgrades}
+	h := hit{rows: e.rows, batch: e.batch, encoded: e.encoded, bytes: e.servedBytes(), upgrades: e.pendingUpgrades}
 	e.pendingUpgrades = 0
 	c.hits.Add(1)
 	return h, true

@@ -10,6 +10,7 @@ import (
 	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/physical"
+	"skysql/internal/skyline"
 	"skysql/internal/types"
 )
 
@@ -86,6 +87,56 @@ func assertIdentical(t *testing.T, got, want []types.Row, label string) {
 		if g[i] != w[i] {
 			t.Fatalf("%s: row %d differs (order matters — bit identity):\n got  %v\n want %v", label, i, g, w)
 		}
+	}
+}
+
+// servedWalk is what a hit on e serves, weighed the slow way: a walk of
+// its rows and sidecar as the dataset the hit returns.
+func servedWalk(e *entry) int64 {
+	served := &cluster.Dataset{Parts: [][]types.Row{e.rows}}
+	if e.batch != nil {
+		served.Batches = []*skyline.Batch{e.batch}
+	}
+	return served.MemSize()
+}
+
+// walkRowBytes is what an entry under key holding rows must record as its
+// rowBytes: the rows' MemSize plus the key.
+func walkRowBytes(rows []types.Row, key string) int64 {
+	n := int64(len(key))
+	for _, r := range rows {
+		n += r.MemSize()
+	}
+	return n
+}
+
+// checkRecordedSizes holds every entry's recorded sizes to a walk of what
+// it holds: rowBytes to its rows' MemSize plus its key, batchBytes to its
+// sidecar's MemSize (0 without one), the size a hit charges to the walk of
+// the dataset it serves, and the cache's used bytes to the entries' sum.
+func checkRecordedSizes(t *testing.T, label string, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var used int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		rowBytes := walkRowBytes(e.rows, e.key)
+		var batchBytes int64
+		if e.batch != nil {
+			batchBytes = e.batch.MemSize()
+		}
+		if e.rowBytes != rowBytes || e.batchBytes != batchBytes {
+			t.Fatalf("%s: entry %q records rowBytes=%d batchBytes=%d, walked %d and %d",
+				label, e.key, e.rowBytes, e.batchBytes, rowBytes, batchBytes)
+		}
+		if got, walked := e.servedBytes(), servedWalk(e); got != walked {
+			t.Fatalf("%s: entry %q charges a hit %d bytes, the dataset it serves walks to %d", label, e.key, got, walked)
+		}
+		used += e.size()
+	}
+	if c.used != used {
+		t.Fatalf("%s: used = %d, the entries sum to %d", label, c.used, used)
 	}
 }
 
@@ -414,7 +465,9 @@ func TestLRUShedsEncodedThenSidecarThenEntry(t *testing.T) {
 	for _, tc := range cases {
 		c := New(tc.budget)
 		serveJSON(t, e, c, q1)
+		checkRecordedSizes(t, tc.name+": q1 stored and encoded", c)
 		text2, _ := serveJSON(t, e, c, q2)
+		checkRecordedSizes(t, tc.name+": q2 stored and encoded", c)
 		s := c.Stats()
 		if s.Entries != tc.entries || s.Evictions != tc.wantEvictions || s.UsedBytes != tc.wantUsed {
 			t.Fatalf("%s: stats = %+v, want %d entries, %d evictions, %d bytes", tc.name, s, tc.entries, tc.wantEvictions, tc.wantUsed)
@@ -435,6 +488,7 @@ func TestLRUShedsEncodedThenSidecarThenEntry(t *testing.T) {
 		if !bytes.Equal(text1, rowsJSON(t, rows1)) || (m.CacheHits() == 1) != tc.olderStillServesFromRows {
 			t.Errorf("%s: q1 after shedding: hits=%d, %d bytes", tc.name, m.CacheHits(), len(text1))
 		}
+		checkRecordedSizes(t, tc.name+": q1 served again", c)
 	}
 
 	// Invalidation gives back every byte, text included.
@@ -451,9 +505,76 @@ func TestLRUShedsEncodedThenSidecarThenEntry(t *testing.T) {
 	if up, inv := c.TableChanged(tab, []types.Row{nullRow}); up != 0 || inv != 2 {
 		t.Fatalf("NULL price: upgraded=%d invalidated=%d, want 0 and 2", up, inv)
 	}
+	checkRecordedSizes(t, "after invalidation", c)
 	if s := c.Stats(); s.Entries != 0 || s.UsedBytes != 0 {
 		t.Errorf("after invalidation: stats = %+v, want nothing held", s)
 	}
+}
+
+// TestRecordedSizesFollowEveryStore: a store made after the governor
+// dropped sidecars records no sidecar bytes, and a same-key re-store (what
+// a concurrent miss does) replaces every recorded size with the new
+// result's and drops the old text. A hit on either state charges its
+// query exactly what a walk of the rows and sidecar it serves weighs.
+func TestRecordedSizesFollowEveryStore(t *testing.T) {
+	e, _ := newHotelEngine(t)
+	c := New(0)
+	const q = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX"
+	hitCharge := func(label string) {
+		t.Helper()
+		en := c.lru.Front().Value.(*entry)
+		_, m := runQuery(t, e, c, q, physical.Options{})
+		if m.CacheHits() != 1 || m.PeakBytes() != servedWalk(en) {
+			t.Fatalf("%s: hits=%d peak=%d, the served rows and sidecar walk to %d",
+				label, m.CacheHits(), m.PeakBytes(), servedWalk(en))
+		}
+	}
+
+	// Populate under a governor that has already dropped sidecars.
+	compiled, err := e.CompileSQL(q, physical.Options{ResultCache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := cluster.NewContext(3)
+	ctx.MemoryBudget = 1 << 20
+	ctx.Metrics.Alloc(700 << 10)
+	if err := ctx.CheckBudget(); err != nil || !ctx.SidecarsDropped() {
+		t.Fatalf("governor must drop sidecars at 70%% of budget: err=%v dropped=%v", err, ctx.SidecarsDropped())
+	}
+	ctx.Metrics.Free(700 << 10)
+	if _, err := e.RunCtx(compiled, ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkRecordedSizes(t, "store after dropped sidecars", c)
+	en := c.lru.Front().Value.(*entry)
+	if c.lru.Len() != 1 || en.batch != nil {
+		t.Fatalf("want one entry without a sidecar, have %d (sidecar %v)", c.lru.Len(), en.batch != nil)
+	}
+	hitCharge("hit without a sidecar")
+	serveJSON(t, e, c, q)
+	if en.encoded == nil {
+		t.Fatal("a hit that renders text must leave it on the entry")
+	}
+	checkRecordedSizes(t, "text attached", c)
+
+	// Re-store the same key with a fresh result that carries its sidecar.
+	ce := bindExec(t, e, c, q, physical.Options{})
+	out, err := ce.child.Execute(cluster.NewContext(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, ok := out.MergedSidecar()
+	if !ok {
+		t.Fatal("a complete skyline over ints must carry a sidecar")
+	}
+	if !c.store(cluster.NewContext(3), entryKey(ce.structural, ce.deps), ce.structural, out.Gather(), batch, ce.deps, ce.maint) {
+		t.Fatal("same-key re-store refused")
+	}
+	checkRecordedSizes(t, "same-key re-store", c)
+	if c.lru.Len() != 1 || en.batch == nil || en.encoded != nil {
+		t.Fatalf("re-store: %d entries, sidecar %v, text %v; want 1, true, false", c.lru.Len(), en.batch != nil, en.encoded != nil)
+	}
+	hitCharge("hit with a sidecar")
 }
 
 // TestEncodedFormNeverOutlivesItsRows: text rendered from a result can

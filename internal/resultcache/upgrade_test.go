@@ -229,7 +229,7 @@ func assertSidecarFresh(t *testing.T, label string, m *maintenance, rows []types
 }
 
 // assertEntry checks the single cached entry against the oracle rows and
-// re-sums its byte accounting from scratch.
+// re-walks its byte accounting (checkRecordedSizes).
 func assertEntry(t *testing.T, label string, c *Cache, want []types.Row, wantSidecar bool) *entry {
 	t.Helper()
 	if c.lru.Len() != 1 {
@@ -237,24 +237,13 @@ func assertEntry(t *testing.T, label string, c *Cache, want []types.Row, wantSid
 	}
 	e := c.lru.Front().Value.(*entry)
 	assertIdentical(t, e.rows, want, label+": cached rows vs cold recompute")
-	rowBytes := int64(len(e.key))
-	for _, r := range e.rows {
-		rowBytes += r.MemSize()
-	}
-	if e.rowBytes != rowBytes {
-		t.Fatalf("%s: delta-adjusted rowBytes = %d, re-summed %d", label, e.rowBytes, rowBytes)
-	}
 	if (e.batch != nil) != wantSidecar {
 		t.Fatalf("%s: sidecar present = %v, want %v", label, e.batch != nil, wantSidecar)
 	}
-	var batchBytes int64
 	if e.batch != nil {
 		assertSidecarFresh(t, label, e.maint, e.rows, e.batch)
-		batchBytes = e.batch.MemSize()
 	}
-	if used := rowBytes + batchBytes + int64(len(e.encoded)); e.batchBytes != batchBytes || c.used != used {
-		t.Fatalf("%s: batchBytes=%d used=%d, want %d and %d", label, e.batchBytes, c.used, batchBytes, used)
-	}
+	checkRecordedSizes(t, label, c)
 	return e
 }
 
@@ -308,6 +297,7 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 				if v.shed {
 					c.used -= e.batchBytes
 					e.batch, e.batchBytes = nil, 0
+					checkRecordedSizes(t, fmt.Sprintf("seed %d sidecar shed", seed), c)
 				}
 				drained := int64(0)
 				for step := 0; step < 12; step++ {
@@ -329,6 +319,9 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 						t.Fatalf("%s: the boxed engine must absorb any complete delta", label)
 					}
 					assertIdentical(t, bRows, want, label+": boxed engine vs cold recompute")
+					if walked := walkRowBytes(bRows, e.key); bBytes != walked {
+						t.Fatalf("%s: boxed engine's rowBytes %d, its rows walk to %d", label, bBytes, walked)
+					}
 					kRows, kBatch, kBytes, kOK := e.maint.absorbKernel(e, delta)
 					if kOK != (e.batch != nil && decodable) {
 						t.Fatalf("%s: kernel engine ok=%v with sidecar=%v decodable delta=%v",

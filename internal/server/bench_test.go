@@ -21,6 +21,9 @@ import (
 //     (and leaves the text on the entry). Each iteration invalidates that
 //     text with an untimed one-row append the query's filter rejects.
 //   - bytes_hit: the entry carries the text; the request copies it out.
+//     No row is read: the hit's memory charge is the size the entry
+//     recorded when it was stored, so what is left is the plan-memo and
+//     cache lookups, the copy and net/http on both ends.
 func BenchmarkQueryHit(b *testing.B) {
 	const sql = "SELECT * FROM t WHERE d1 < 0.4 SKYLINE OF COMPLETE d1 MIN, d2 MIN, d3 MIN, d4 MIN"
 	for _, mode := range []string{"first_encode", "bytes_hit"} {

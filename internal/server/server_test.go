@@ -18,6 +18,7 @@ import (
 	"skysql"
 	"skysql/internal/datagen"
 	"skysql/internal/server"
+	"skysql/internal/skyline"
 )
 
 // post sends a JSON body and returns the status plus the raw response.
@@ -138,6 +139,51 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 	if len(st.Catalog.Tables) != 1 || st.Catalog.Tables[0] != "hotels" {
 		t.Errorf("catalog tables = %v", st.Catalog.Tables)
+	}
+}
+
+// TestHitPeakBytesIsWhatItServes: a cache hit's metrics.peak_bytes is the
+// size of the rows and columnar sidecar it served — walked here from the
+// rows the session returns and a fresh decode of their skyline dimensions —
+// while it runs no stage.
+func TestHitPeakBytesIsWhatItServes(t *testing.T) {
+	sess := skysql.NewSession(skysql.WithExecutors(2), skysql.WithResultCache(0))
+	defer sess.Close()
+	ts := httptest.NewServer(server.New(sess))
+	defer ts.Close()
+	c := ts.Client()
+	if status, raw := post(t, c, ts.URL+"/tables", hotels); status != http.StatusOK {
+		t.Fatalf("create table: %d %s", status, raw)
+	}
+	const sql = "SELECT * FROM hotels SKYLINE OF COMPLETE price MIN, distance MIN"
+	var q [2]server.QueryResponse
+	for i := range q {
+		status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: sql})
+		if status != http.StatusOK {
+			t.Fatalf("query %d: %d %s", i, status, raw)
+		}
+		q[i] = decodeQuery(t, raw)
+	}
+	if m := q[1].Metrics; m.CacheHits != 1 || m.CacheMisses != 0 || m.Stages != 0 {
+		t.Fatalf("repeat must be a stage-free hit: %+v", m)
+	}
+	rows, err := sess.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rowBytes int64
+	pts := make([]skyline.Point, len(rows))
+	for i, r := range rows {
+		rowBytes += r.MemSize()
+		pts[i] = skyline.Point{Dims: skysql.Row{r[1], r[2]}, Row: r}
+	}
+	sidecar, ok := skyline.DecodeBatch(pts, []skyline.Dir{skyline.Min, skyline.Min}, false, nil)
+	if !ok {
+		t.Fatal("DOUBLE dimensions must decode")
+	}
+	if want := rowBytes + sidecar.MemSize(); q[1].Metrics.PeakBytes != want {
+		t.Errorf("hit peak_bytes = %d, its %d rows weigh %d and their sidecar %d",
+			q[1].Metrics.PeakBytes, len(rows), rowBytes, sidecar.MemSize())
 	}
 }
 
