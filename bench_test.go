@@ -278,21 +278,6 @@ func BenchmarkFig19ComplexExecutorsMemory(b *testing.B) {
 	}
 }
 
-// ---- Ablation: extension algorithms (§7) on the same workload ----
-
-func BenchmarkAblationExtensionAlgorithms(b *testing.B) {
-	cfg := benchConfig()
-	algs := append([]core.Algorithm{{Name: "distributed complete"}}, core.ExtensionAlgorithms()...)
-	algs[0], _ = core.AlgorithmByName("distributed complete")
-	for _, alg := range algs {
-		alg := alg
-		b.Run(alg.Name, func(b *testing.B) {
-			runSpec(b, cfg, bench.Spec{Dataset: "airbnb", Complete: true, Dimensions: 6,
-				Tuples: benchAirbnbRows, Executors: 5, Algorithm: alg})
-		})
-	}
-}
-
 // BenchmarkLocalSkylineRows is the in-memory twin of BenchmarkSegmentScan
 // for the first stage of the benchmark's kernel_anti query: 4 000
 // anti-correlated rows (d=4, seed 1) in the engine's morsels for 4

@@ -1,24 +1,22 @@
 // Command skybench regenerates the paper's evaluation artifacts: every
-// figure (3–19) and the Appendix D tables, plus an ablation over the §7
-// extension algorithms. Each experiment prints the measured series in the
-// paper's layout, with timed-out cells marked "t.o." and a relative-%-of-
-// reference table.
+// figure (3–19) and the Appendix D tables. Each experiment prints the
+// measured series in the paper's layout, with timed-out cells marked
+// "t.o." and a relative-%-of-reference table; -verify runs the §5.9
+// integrated-vs-reference check.
 //
 // Usage:
 //
 //	skybench -list
 //	skybench -experiment fig3
 //	skybench -experiment all -scale 0.25 -timeout 60s
+//	skybench -verify -scale 0.05
 //
-// Full manual, including the post-paper subsystem experiments and the
-// BENCH_*.json trajectory they feed: docs/skybench.md.
+// Full manual: docs/skybench.md.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -27,13 +25,12 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "", "experiment id (fig3..fig19, ablation, or all)")
+		experiment = flag.String("experiment", "", "experiment id (fig3..fig19, or all)")
 		list       = flag.Bool("list", false, "list available experiments")
 		verify     = flag.Bool("verify", false, "run the §5.9 correctness check (integrated vs reference) and exit")
 		scale      = flag.Float64("scale", 1.0, "dataset size multiplier")
 		timeout    = flag.Duration("timeout", 120*time.Second, "per-query timeout")
 		seed       = flag.Int64("seed", 1, "dataset generator seed")
-		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON records (experiment id, wall time, rows shuffled, peak bytes, stages executed) instead of tables")
 	)
 	flag.Parse()
 
@@ -62,31 +59,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	// In JSON mode the tables are discarded and every measurement is
-	// collected through the Observer hook instead.
-	records := []bench.Record{}
-	currentID := ""
-	tableOut := io.Writer(os.Stdout)
-	if *jsonOut {
-		tableOut = io.Discard
-		cfg.Observer = func(m bench.Measurement) {
-			records = append(records, bench.NewRecord(currentID, m))
-		}
-	}
-
 	run := func(e bench.Experiment) {
-		currentID = e.ID
-		if !*jsonOut {
-			fmt.Printf("==== %s: %s ====\n", e.ID, e.Title)
-		}
+		fmt.Printf("==== %s: %s ====\n", e.ID, e.Title)
 		start := time.Now()
-		if err := e.Run(cfg, tableOut); err != nil {
+		if err := e.Run(cfg, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "skybench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		if !*jsonOut {
-			fmt.Printf("(%s completed in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-		}
+		fmt.Printf("(%s completed in %s)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *experiment == "all" {
@@ -100,20 +80,5 @@ func main() {
 			os.Exit(2)
 		}
 		run(e)
-	}
-
-	if *jsonOut {
-		report := bench.Report{
-			Scale:          cfg.Scale,
-			Seed:           cfg.Seed,
-			TimeoutSeconds: cfg.Timeout.Seconds(),
-			Records:        records,
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(os.Stderr, "skybench:", err)
-			os.Exit(1)
-		}
 	}
 }

@@ -9,7 +9,10 @@
 // Wall-clock numbers are not expected to match the paper's cluster (the
 // substrate is a simulated cluster on one machine); the comparisons the
 // harness makes — which algorithm wins, by what factor, where behaviour
-// crosses over — are the reproduction targets recorded in EXPERIMENTS.md.
+// crosses over — are the reproduction targets. Experiments (experiments.go)
+// is the registry of figures; ROADMAP.md records what they show and what
+// they do not. Wall time of this engine on real hardware is measured by
+// the benchmark/ program, not here.
 package bench
 
 import (
@@ -18,13 +21,11 @@ import (
 	"time"
 
 	"skysql/internal/catalog"
-	"skysql/internal/chaos"
 	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/datagen"
 	"skysql/internal/expr"
 	"skysql/internal/physical"
-	"skysql/internal/types"
 )
 
 // Config scales and parameterizes the harness.
@@ -40,10 +41,6 @@ type Config struct {
 	// ExecutorOverheadMB models the fixed per-executor memory footprint
 	// (each Spark executor loads its full runtime; Appendix C).
 	ExecutorOverheadMB float64
-	// Observer, when non-nil, receives every completed measurement. The
-	// -json path of cmd/skybench uses it to collect machine-readable
-	// records while the tables render normally (or are discarded).
-	Observer func(Measurement)
 }
 
 // DefaultConfig returns the harness defaults.
@@ -67,134 +64,17 @@ type Spec struct {
 	Tuples     int
 	Executors  int
 	Algorithm  core.Algorithm
-	// NoKernel disables the columnar dominance kernel for this run (the
-	// boxed-path side of the kernel A/B ablation, which also disables the
-	// batch sidecars exchanges would otherwise carry).
-	NoKernel bool
-	// NoVector disables the vectorized expression engine for this run (the
-	// boxed-path side of the vectorization A/B ablation, which also stops
-	// fused stages decoding their batch at the scan).
-	NoVector bool
-	// AdaptiveTarget, when positive, enables adaptive post-exchange
-	// partitioning with this rows-per-partition target
-	// (cluster.Context.TargetRowsPerPartition).
-	AdaptiveTarget int
-	// AdaptiveDefault enables cost-chosen adaptive partitioning without an
-	// explicit target (cluster.Context.AdaptiveExchange) — the session
-	// default the costgate experiment measures.
-	AdaptiveDefault bool
-	// NoCostGate disables the decode-at-scan cost gate for this run
-	// (cluster.Context.DisableCostGate), the ungated side of the costgate
-	// A/B. The pure kernel/vectorization ablations also set it so their
-	// trajectory stays comparable across PRs.
-	NoCostGate bool
-	// Variant distinguishes records an experiment emits at several query
-	// shapes over otherwise identical specs (e.g. the filter cut of the
-	// vectorized/costgate sweeps), so benchdiff matches like with like.
-	Variant string
-	// MorselParallel enables morsel-granular task splitting and the
-	// parallel global-skyline kernel for this run
-	// (cluster.Context.MorselParallel); part of a record's identity in
-	// benchdiff, since it changes the task decomposition.
-	MorselParallel bool
-	// FaultRate, when positive, enables deterministic chaos injection of
-	// transient task faults at this rate, seeded from Config.Seed
-	// (cluster.Context.Injector); part of a record's identity in benchdiff.
-	FaultRate float64
-	// RetryBudget is the per-task retry budget for the run
-	// (cluster.Context.MaxTaskRetries); identity-bearing alongside FaultRate.
-	RetryBudget int
-	// MemoryBudget, when positive, enforces the per-query memory budget
-	// (cluster.Context.MemoryBudget), engaging the degradation ladder.
-	MemoryBudget int64
-	// Clients and TargetRPS describe a serve-experiment cell: the number
-	// of open-loop load clients and their aggregate request rate against
-	// one skysqld server. Both are identity-bearing in benchdiff (a
-	// 2-client cell never compares against an 8-client cell).
-	Clients   int
-	TargetRPS float64
 }
 
 // Measurement is the outcome of one run.
 type Measurement struct {
-	Spec           Spec
-	Duration       time.Duration
-	DominanceTests int64
-	Comparisons    int64
-	RowsShuffled   int64
-	PeakDataBytes  int64
-	// PeakModelMB adds the per-executor runtime overhead to the data
-	// bytes, modelling the paper's Appendix C memory measurements.
+	Duration time.Duration
+	// PeakModelMB adds the per-executor runtime overhead to the run's peak
+	// data bytes, modelling the paper's Appendix C memory measurements.
 	PeakModelMB float64
-	// StagesExecuted counts the scheduled task rounds of the run; fused
-	// stage execution makes it smaller than the operator count.
-	StagesExecuted int64
-	// StageSeconds is the per-stage makespan breakdown, in execution
-	// order, exposing which stage dominates the query.
-	StageSeconds []float64
-	// BatchesDecoded counts columnar kernel decodes; on a sidecar-carrying
-	// plan it equals the number of input partitions (decode-free exchanges
-	// and global pass).
-	BatchesDecoded int64
-	// VectorizedBatches counts partition passes served by the vectorized
-	// expression engine (zero on boxed runs).
-	VectorizedBatches int64
-	// AdaptivePartitions lists the partition counts adaptive exchanges
-	// chose, in execution order (empty when adaptivity is off).
-	AdaptivePartitions []int
-	// CostDecisions renders the cost-model decisions of the run, in
-	// execution order (empty when the model decided nothing).
-	CostDecisions []string
-	// MorselsExecuted counts morsel-granular tasks scheduled by the run
-	// (zero when MorselParallel is off — whole partitions are not counted).
-	MorselsExecuted int64
-	// Steals counts tasks executed by a worker other than their home
-	// worker. Informational: depends on measured task durations.
-	Steals int64
-	// AchievedParallelism is busy-time / wall-time over the parallel
-	// morsel rounds (0 when none ran). Informational.
-	AchievedParallelism float64
-	// TaskRetries, TasksFailed, and InjectedFaults count the
-	// fault-tolerance events of the run. Deterministic under seeded
-	// injection in simulated mode (decisions are pure functions of the
-	// task key), so benchdiff gates on retries and faults.
-	TaskRetries    int64
-	TasksFailed    int64
-	InjectedFaults int64
-	// DegradationSteps counts memory-governor escalations (benchdiff-gated);
-	// DegradationLog lists them in order.
-	DegradationSteps int64
-	DegradationLog   []string
-	// SegmentsPruned counts storage segments skipped by zone-map pruning
-	// before decode; SegmentsSpilled counts gather inputs written to
-	// temporary segments under memory pressure. Both are pure functions of
-	// (data, plan, budget), so benchdiff gates on them.
-	SegmentsPruned  int64
-	SegmentsSpilled int64
-	// CacheHits/CacheMisses count result-cache lookups of the run;
-	// CacheEvictions counts whole entries evicted under the byte budget and
-	// IncrementalUpgrades counts in-place append upgrades drained by a hit.
-	// All four are pure functions of (queries, data, budget) under a fixed
-	// seed, so benchdiff gates on the hit/miss/upgrade counters.
-	CacheHits           int64
-	CacheMisses         int64
-	CacheEvictions      int64
-	IncrementalUpgrades int64
-	// Serve-experiment load metrics. RequestsIssued and the admission
-	// counters are deterministic per (seed, sweep shape) — benchdiff gates
-	// on rejections — while the latency percentiles and achieved
-	// throughput are wall-clock observations, informational only.
-	RequestsIssued    int64
-	AdmissionAdmitted int64
-	AdmissionQueued   int64
-	AdmissionRejected int64
-	LatencyP50MS      float64
-	LatencyP95MS      float64
-	LatencyP99MS      float64
-	AchievedRPS       float64
-	ResultRows        int
-	TimedOut          bool
-	Err               error
+	ResultRows  int
+	TimedOut    bool
+	Err         error
 }
 
 // Seconds returns the runtime in seconds (for chart-style output).
@@ -255,16 +135,6 @@ func (c Config) buildWorkload(spec Spec) (*workload, error) {
 		cat.Register(mb.Meta)
 		cat.Register(mb.Tracks)
 		return c.buildMusicBrainzWorkload(cat, mb, spec)
-	case "synthetic_correlated", "synthetic_independent", "synthetic_anti-correlated", "synthetic_skewed":
-		t, err := c.syntheticTable(spec)
-		if err != nil {
-			return nil, err
-		}
-		cat.Register(t)
-		table = t.Name
-		for d := 1; d <= spec.Dimensions; d++ {
-			dims = append(dims, datagen.Dim{Col: fmt.Sprintf("d%d", d), Dir: "MIN"})
-		}
 	default:
 		return nil, fmt.Errorf("bench: unknown dataset %q", spec.Dataset)
 	}
@@ -310,37 +180,6 @@ func (c Config) buildMusicBrainzWorkload(cat *catalog.Catalog, mb *datagen.Music
 	return &workload{cat: cat, query: sky.String(), refQuery: ref}, nil
 }
 
-// syntheticTable builds the synthetic tables of the ablation and parallel
-// experiments from the spec's dataset name. "synthetic_skewed" is a
-// mixture — about 70% correlated rows followed by 30% anti-correlated
-// rows in one table — so contiguous range partitioning produces one
-// hot partition (the anti-correlated tail, whose local skyline is orders
-// of magnitude more work) among cheap ones: the skew case where morsel
-// stealing beats whole-partition scheduling.
-func (c Config) syntheticTable(spec Spec) (*catalog.Table, error) {
-	gen := datagen.Config{Seed: c.Seed, Complete: spec.Complete, NullFraction: 0.08}
-	switch spec.Dataset {
-	case "synthetic_correlated":
-		return datagen.Synthetic(datagen.Correlated, spec.Tuples, spec.Dimensions, gen), nil
-	case "synthetic_independent":
-		return datagen.Synthetic(datagen.Independent, spec.Tuples, spec.Dimensions, gen), nil
-	case "synthetic_anti-correlated":
-		return datagen.Synthetic(datagen.AntiCorrelated, spec.Tuples, spec.Dimensions, gen), nil
-	case "synthetic_skewed":
-		cold := spec.Tuples * 7 / 10
-		hot := spec.Tuples - cold
-		corr := datagen.Synthetic(datagen.Correlated, cold, spec.Dimensions, gen)
-		anti := datagen.Synthetic(datagen.AntiCorrelated, hot, spec.Dimensions, gen)
-		rows := append(append(make([]types.Row, 0, spec.Tuples), corr.Rows...), anti.Rows...)
-		for i, r := range rows {
-			// Re-number the ids so the concatenated halves stay distinct.
-			r[0] = types.Int(int64(i + 1))
-		}
-		return catalog.NewTable("t", corr.Schema, rows)
-	}
-	return nil, fmt.Errorf("bench: unknown synthetic dataset %q", spec.Dataset)
-}
-
 func dirOf(s string) expr.SkylineDir {
 	d, ok := expr.SkylineDirByName(s)
 	if !ok {
@@ -349,78 +188,14 @@ func dirOf(s string) expr.SkylineDir {
 	return d
 }
 
-// fill populates the result-derived fields of a measurement from a
-// finished run; m.Spec must already be set (Executors feeds the
-// Appendix C memory model).
-func (c Config) fill(m *Measurement, res *core.Result) {
-	m.Duration = res.Duration
-	m.DominanceTests = res.Metrics.Sky.DominanceTests()
-	m.Comparisons = res.Metrics.Sky.Comparisons()
-	m.RowsShuffled = res.Metrics.RowsShuffled()
-	m.PeakDataBytes = res.Metrics.PeakBytes()
-	m.StagesExecuted = res.Metrics.StagesExecuted()
-	m.BatchesDecoded = res.Metrics.BatchesDecoded()
-	m.VectorizedBatches = res.Metrics.VectorizedBatches()
-	for _, d := range res.Metrics.AdaptiveDecisions() {
-		m.AdaptivePartitions = append(m.AdaptivePartitions, d.Chosen)
-	}
-	for _, d := range res.Metrics.CostDecisions() {
-		m.CostDecisions = append(m.CostDecisions, d.String())
-	}
-	for _, st := range res.Metrics.StageTimes() {
-		m.StageSeconds = append(m.StageSeconds, st.Elapsed.Seconds())
-	}
-	m.MorselsExecuted = res.Metrics.MorselsExecuted()
-	m.Steals = res.Metrics.Steals()
-	m.AchievedParallelism = res.Metrics.AchievedParallelism()
-	m.TaskRetries = res.Metrics.TaskRetries()
-	m.TasksFailed = res.Metrics.TasksFailed()
-	m.InjectedFaults = res.Metrics.InjectedFaults()
-	m.DegradationSteps = res.Metrics.DegradationSteps()
-	m.DegradationLog = res.Metrics.Degradations()
-	m.SegmentsPruned = res.Metrics.SegmentsPruned()
-	m.SegmentsSpilled = res.Metrics.SegmentsSpilled()
-	m.CacheHits = res.Metrics.CacheHits()
-	m.CacheMisses = res.Metrics.CacheMisses()
-	m.CacheEvictions = res.Metrics.CacheEvictions()
-	m.IncrementalUpgrades = res.Metrics.IncrementalUpgrades()
-	m.PeakModelMB = c.ExecutorOverheadMB*float64(m.Spec.Executors) + float64(m.PeakDataBytes)/1e6
-	m.ResultRows = len(res.Rows)
-}
-
-// Run executes one spec and returns its measurement, forwarding it to the
-// Observer when one is configured.
+// Run executes one spec on the harness substrate and returns its
+// measurement. The rounds run on a cluster.Simulator — tasks one at a time,
+// each round charged its greedy makespan on spec.Executors workers plus
+// 1 ms per task — and Duration is that modelled time. Everything else is
+// NewContext's default: decode at the scan, whole-partition tasks, no task
+// retries, no memory budget.
 func (c Config) Run(spec Spec) Measurement {
-	m := c.run(spec)
-	if c.Observer != nil {
-		c.Observer(m)
-	}
-	return m
-}
-
-// modelContext returns a context whose rounds run on the harness
-// substrate: a Simulator that runs tasks one at a time and charges each
-// round its greedy makespan on executors workers plus 1 ms per task.
-func modelContext(executors int) *cluster.Context {
-	ctx := cluster.NewContext(executors)
-	ctx.Runner = &cluster.Simulator{Executors: executors, TaskOverhead: time.Millisecond}
-	return ctx
-}
-
-// runModelled runs c on a context from modelContext and reports the
-// result's duration in modelled time: the rounds' makespans in place of the
-// serial time their tasks took.
-func runModelled(engine *core.Engine, c *core.Compiled, ctx *cluster.Context) (*core.Result, error) {
-	res, err := engine.RunCtx(c, ctx)
-	if err != nil {
-		return nil, err
-	}
-	res.Duration = max(res.Duration+ctx.Runner.(*cluster.Simulator).Adjustment(), 0)
-	return res, nil
-}
-
-func (c Config) run(spec Spec) Measurement {
-	m := Measurement{Spec: spec}
+	var m Measurement
 	w, err := c.buildWorkload(spec)
 	if err != nil {
 		m.Err = err
@@ -428,35 +203,19 @@ func (c Config) run(spec Spec) Measurement {
 	}
 	engine := core.NewEngine(w.cat)
 	query := w.query
-	opts := physical.Options{Strategy: spec.Algorithm.Strategy, DisableColumnarKernel: spec.NoKernel, DisableVectorizedExprs: spec.NoVector}
+	opts := physical.Options{Strategy: spec.Algorithm.Strategy}
 	if spec.Algorithm.Reference {
 		query = w.refQuery
-		opts = physical.Options{DisableColumnarKernel: spec.NoKernel, DisableVectorizedExprs: spec.NoVector}
+		opts = physical.Options{}
 	}
 	compiled, err := engine.CompileSQL(query, opts)
 	if err != nil {
 		m.Err = err
 		return m
 	}
-	ctx := modelContext(spec.Executors)
-	ctx.TargetRowsPerPartition = spec.AdaptiveTarget
-	ctx.AdaptiveExchange = spec.AdaptiveDefault
-	ctx.DisableCostGate = spec.NoCostGate
-	ctx.DecodeAtScan = !spec.NoVector && !spec.NoKernel
-	ctx.MorselParallel = spec.MorselParallel
-	if spec.FaultRate > 0 {
-		// The injector seed is salted per (rate, budget) cell: decisions
-		// are pure functions of (seed, stage, task, attempt), and every
-		// cell of a sweep reuses the same few small key tuples, so a shared
-		// seed would replay one draw instead of sampling the key space.
-		seed := int64(chaos.Mix(c.Seed, int64(spec.FaultRate*1e6), int64(spec.RetryBudget)) >> 1)
-		ctx.Injector = chaos.New(chaos.Config{Seed: seed, FaultRate: spec.FaultRate})
-		// The substrate simulates task time but backoff sleeps are real;
-		// keep them far below the measured makespan scale.
-		ctx.RetryBackoff = time.Microsecond
-	}
-	ctx.MaxTaskRetries = spec.RetryBudget
-	ctx.MemoryBudget = spec.MemoryBudget
+	sim := &cluster.Simulator{Executors: spec.Executors, TaskOverhead: time.Millisecond}
+	ctx := cluster.NewContext(spec.Executors)
+	ctx.Runner = sim
 	type outcome struct {
 		res *core.Result
 		err error
@@ -469,7 +228,12 @@ func (c Config) run(spec Spec) Measurement {
 	defer deadline.Stop()
 	start := time.Now()
 	go func() {
-		res, err := runModelled(engine, compiled, ctx)
+		res, err := engine.RunCtx(compiled, ctx)
+		if err == nil {
+			// The rounds' makespans in place of the serial time their
+			// tasks took.
+			res.Duration = max(res.Duration+sim.Adjustment(), 0)
+		}
 		done <- outcome{res, err}
 	}()
 	select {
@@ -482,7 +246,9 @@ func (c Config) run(spec Spec) Measurement {
 			m.Err = o.err
 			return m
 		}
-		c.fill(&m, o.res)
+		m.Duration = o.res.Duration
+		m.PeakModelMB = c.ExecutorOverheadMB*float64(spec.Executors) + float64(o.res.Metrics.PeakBytes())/1e6
+		m.ResultRows = len(o.res.Rows)
 	case <-deadline.C:
 		ctx.Cancel()
 		<-done // operators observe the cancel promptly; reclaim the worker

@@ -37,16 +37,6 @@ func Experiments() []Experiment {
 		{"fig17", "Dimensions vs. memory — MusicBrainz complex queries (Figure 17)", runFig17},
 		{"fig18", "Executors vs. time — MusicBrainz complex queries (Figure 18)", runFig18},
 		{"fig19", "Executors vs. memory — MusicBrainz complex queries (Figure 19)", runFig19},
-		{"ablation", "Algorithm ablation — extension algorithms on synthetic distributions (§7)", runAblation},
-		{"kernel", "Columnar dominance kernel vs boxed compare path — fixed synthetic workload", runKernel},
-		{"exchange", "Columnar data plane — batch sidecars across exchanges + adaptive partitioning", runExchange},
-		{"vectorized", "Vectorized expression engine — boxed vs vectorized filtered skyline plans", runVectorized},
-		{"costgate", "Cost-gated adaptive planning — decode-at-scan gate + cost-chosen adaptive exchanges", runCostGate},
-		{"parallel", "Morsel-driven parallel runtime — work-stealing morsel scheduling vs whole-partition tasks", runParallel},
-		{"chaos", "Fault-tolerant task runtime — deterministic fault injection over fault rate × retry budget", runChaos},
-		{"storage", "Out-of-core columnar segments — zone-map pruning and governed spill vs in-memory", runStorage},
-		{"cache", "Skyline result cache — hit vs recompute latency, zipfian repeat mix, incremental upgrades vs invalidation", runCache},
-		{"serve", "Concurrent serving — skysqld under open-loop load: latency percentiles, shared cache, admission 429s, global governor", runServe},
 	}
 }
 

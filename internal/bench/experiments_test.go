@@ -7,9 +7,10 @@ import (
 	"time"
 )
 
-// TestEveryExperimentRunsAtTinyScale executes all 18 registered
-// experiments end to end on miniature datasets — the smoke test that keeps
-// the harness runnable as the engine evolves. Run with -short to skip.
+// TestEveryExperimentRunsAtTinyScale executes every registered
+// experiment (the 17 figures, fig3–fig19) end to end on miniature datasets
+// — the smoke test that keeps the harness runnable as the engine evolves.
+// Run with -short to skip.
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test is not short")

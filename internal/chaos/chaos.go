@@ -6,7 +6,8 @@
 // Determinism is the whole point. Spark-style task retry is only testable
 // if every chaos run is bit-reproducible: the Injector never consults a
 // clock, a global RNG, or any scheduling state, so the set of injected
-// faults — and therefore the retry counters benchdiff gates on — depends
+// faults — and therefore the retry counters, which
+// TestFaultInjectionBitIdentical holds equal across runs — depends
 // only on the key tuple, never on timing or worker interleaving. The same
 // seed over the same plan injects the same faults whether the run executes
 // on the work-stealing pool under the race detector or serially on the

@@ -192,8 +192,9 @@ func (m *Metrics) AddSegmentsPruned(n int64) {
 // SegmentsPruned returns the number of segments a scan skipped because
 // the zone maps proved the filter predicate empty over them. Prune
 // decisions are pure functions of (footer zone maps, predicate) — never
-// wall clock or worker placement — so the count is deterministic and
-// benchdiff can gate it, under any Runner.
+// wall clock or worker placement — so the count is deterministic under
+// any Runner; TestSegmentScanPeakBelowBoxedSurvivors (root package) pins
+// it.
 func (m *Metrics) SegmentsPruned() int64 {
 	if m == nil {
 		return 0
@@ -241,7 +242,8 @@ func (m *Metrics) AddCacheHit() {
 
 // CacheHits returns the number of result-cache hits. Hit/miss outcomes are
 // pure functions of (query sequence, table versions, cache budget) — never
-// wall clock — so benchdiff gates the count.
+// wall clock — so TestResultCacheBitIdenticalAcrossAblations (root
+// package) pins the count.
 func (m *Metrics) CacheHits() int64 {
 	if m == nil {
 		return 0
@@ -272,15 +274,6 @@ func (m *Metrics) AddCacheEvictions(n int64) {
 	if m != nil && n != 0 {
 		m.cacheEvictions.Add(n)
 	}
-}
-
-// CacheEvictions returns the number of whole result-cache entries evicted
-// under the byte budget.
-func (m *Metrics) CacheEvictions() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheEvictions.Load()
 }
 
 // AddIncrementalUpgrade records one cache entry upgraded in place after a
@@ -327,7 +320,8 @@ func (m *Metrics) AddMorsels(n int64) {
 // morsel-parallel rounds. Zero when morsel parallelism was off: whole
 // partitions scheduled by the classic path are not morsels. The count is a
 // pure function of the data layout and the executor budget (morsel sizing
-// never consults the real core count), so benchdiff can gate it.
+// never consults the real core count), so TestMorselBudgetIsPerStage pins
+// it.
 func (m *Metrics) MorselsExecuted() int64 {
 	if m == nil {
 		return 0
@@ -465,7 +459,7 @@ func (m *Metrics) AdaptiveDecisions() []AdaptiveDecision {
 
 // CostDecision records one choice the cost model made during planning or
 // execution, so adaptive behaviour stays observable: EXPLAIN (after a
-// run), the shell's \s, and skybench -json all surface the list.
+// run) and the shell's \s surface the list.
 type CostDecision struct {
 	// Site names the decision point: "decode-at-scan" (fused stages),
 	// "exchange-target" (adaptive partition counts), "exchange-bucketing"

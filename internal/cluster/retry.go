@@ -306,7 +306,8 @@ func (m *Metrics) AddTaskRetry() {
 
 // TaskRetries returns the number of task attempts that were retried after
 // a transient failure. Deterministic under fault injection (decisions are
-// pure functions of the task key), so benchdiff gates on it.
+// pure functions of the task key), so TestRetryRecoversTransientFaults
+// pins it.
 func (m *Metrics) TaskRetries() int64 {
 	if m == nil {
 		return 0
@@ -338,7 +339,8 @@ func (m *Metrics) AddInjectedFault() {
 }
 
 // InjectedFaults returns the number of chaos-injected task failures.
-// Deterministic per (seed, plan), so benchdiff gates on it.
+// Deterministic per (seed, plan), so TestInjectedFaultsRetriedDeterministically
+// holds it equal across runs.
 func (m *Metrics) InjectedFaults() int64 {
 	if m == nil {
 		return 0

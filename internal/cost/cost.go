@@ -15,8 +15,8 @@
 //     still fan out to every executor.
 //
 // Every consumer records its choice in cluster.Metrics.CostDecisions, so
-// the decisions stay observable (EXPLAIN after a run, the shell's \s,
-// skybench -json). The model is deliberately coarse — decisions must be
+// the decisions stay observable (EXPLAIN after a run, the shell's \s).
+// The model is deliberately coarse — decisions must be
 // deterministic and cheap, and every gated path is bit-identical to its
 // ungated twin, so a wrong estimate costs time, never correctness.
 package cost
@@ -261,7 +261,9 @@ func widenUp(f float64) float64 {
 // false); and zone bounds plus literals are widened by ulpMargin so
 // float64 rounding of large integers can never flip a decision. The
 // decision is a pure function of (predicate, sketch) — no clocks, no
-// randomness — so prune counters are deterministic and benchdiff-gated.
+// randomness — so prune counters are deterministic;
+// TestSegmentPruneCountersDeterministic (internal/physical) holds them
+// equal across runs and runners.
 func ProvablyEmpty(e expr.Expr, t *Table) bool {
 	if t == nil {
 		return false
@@ -540,7 +542,8 @@ const MinMorselRows = 512
 // stage, not per partition: every extra cut adds its local skyline to
 // what the global pass must merge. The target depends only on (rows,
 // executors), never on the machine's real core count, so morsel counts
-// are deterministic and benchdiff can gate them.
+// are deterministic; TestMorselBudgetIsPerStage (internal/cluster) pins
+// them.
 func MorselTarget(rows, executors int) int {
 	if executors < 1 {
 		executors = 1

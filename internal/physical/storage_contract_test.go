@@ -112,8 +112,7 @@ func TestSegmentScanContractAllStrategies(t *testing.T) {
 
 // TestSegmentPruneCountersDeterministic pins the prune counter as a pure
 // function of (data, predicate, segment size): repeat runs and Simulator
-// runs of the same plan must report the same SegmentsPruned, so benchdiff
-// can gate on it.
+// runs of the same plan must report the same SegmentsPruned.
 func TestSegmentPruneCountersDeterministic(t *testing.T) {
 	const executors = 4
 	_, segPlan := segmentTwinPlans(t, "det", 200, 25, 60)

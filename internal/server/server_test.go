@@ -380,13 +380,18 @@ func TestAdmission429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// Six probes in a row, each a round trip of milliseconds against the
+	// blocker's 1 s hold: every one is turned away.
 	const probeSQL = "SELECT * FROM probe SKYLINE OF d1 MIN, d2 MIN"
-	status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: probeSQL})
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("probe under saturation: %d (%s), want 429", status, raw)
-	}
-	if e := decodeErr(t, raw); e.Code != "admission_rejected" {
-		t.Errorf("code = %q, want admission_rejected", e.Code)
+	const probes = 6
+	for i := 0; i < probes; i++ {
+		status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: probeSQL})
+		if status != http.StatusTooManyRequests {
+			t.Fatalf("probe %d under saturation: %d (%s), want 429", i, status, raw)
+		}
+		if e := decodeErr(t, raw); e.Code != "admission_rejected" {
+			t.Errorf("probe %d: code = %q, want admission_rejected", i, e.Code)
+		}
 	}
 
 	if bs := <-blockerDone; bs != http.StatusGatewayTimeout {
@@ -396,8 +401,9 @@ func TestAdmission429(t *testing.T) {
 		t.Errorf("probe after drain: %d (%s), want 200", status, raw)
 	}
 	st := getStats(t, c, ts.URL)
-	if st.Admission.Rejected < 1 {
-		t.Errorf("rejected = %d, want >= 1", st.Admission.Rejected)
+	if st.Admission.Rejected != probes || st.Admission.Admitted != 2 {
+		t.Errorf("rejected = %d, admitted = %d; want %d and 2 (the blocker, the probe after drain)",
+			st.Admission.Rejected, st.Admission.Admitted, probes)
 	}
 	if st.Admission.InFlight != 0 {
 		t.Errorf("in-flight after drain = %d, want 0", st.Admission.InFlight)
@@ -443,7 +449,11 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("reference %d: %d %s", i, status, raw)
 		}
-		rows, err := json.Marshal(decodeQuery(t, raw).Rows)
+		resp := decodeQuery(t, raw)
+		if resp.Metrics.CacheMisses != 1 {
+			t.Fatalf("reference %d: cache_misses = %d, want the shape's one miss", i, resp.Metrics.CacheMisses)
+		}
+		rows, err := json.Marshal(resp.Rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,13 +480,20 @@ func TestConcurrentMixedLoad(t *testing.T) {
 				status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: shapes[k]})
 				switch status {
 				case http.StatusOK:
-					rows, err := json.Marshal(decodeQuery(t, raw).Rows)
+					resp := decodeQuery(t, raw)
+					rows, err := json.Marshal(resp.Rows)
 					if err != nil {
 						errs <- err
 						return
 					}
 					if string(rows) != ref[k] {
 						errs <- fmt.Errorf("querier %d iter %d: shape %d diverged from serial reference", g, i, k)
+						return
+					}
+					// The serial references warmed every shape, and appends
+					// to table a never invalidate q's entries.
+					if m := resp.Metrics; m.CacheHits != 1 || m.CacheMisses != 0 {
+						errs <- fmt.Errorf("querier %d iter %d: hits=%d misses=%d, want a hit", g, i, m.CacheHits, m.CacheMisses)
 						return
 					}
 				case http.StatusTooManyRequests:

@@ -81,8 +81,10 @@ func TestOutOfCoreSpillCompletesBudgetedQuery(t *testing.T) {
 		t.Fatalf("spilled rows differ:\n got %v\nwant %v", got, want)
 	}
 	m := bdf.Metrics()
-	if m.SegmentsSpilled() == 0 {
-		t.Error("budgeted run never spilled — the spill tier did not engage")
+	// One gather input goes to a temporary segment: the count is a pure
+	// function of the partition layout at the budgeted gather.
+	if got := m.SegmentsSpilled(); got != 1 {
+		t.Errorf("budgeted run spilled %d segments, want 1", got)
 	}
 	steps := m.Degradations()
 	if len(steps) == 0 {

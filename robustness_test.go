@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"skysql/internal/chaos"
 	"skysql/internal/cluster"
 	"skysql/internal/core"
+	"skysql/internal/datagen"
 	"skysql/internal/physical"
 )
 
@@ -239,6 +241,39 @@ func TestMemoryBudgetDegradesGracefully(t *testing.T) {
 	}
 	if m.PeakBytes() > peak+peak/4 {
 		t.Errorf("degraded run peaked at %d bytes over its %d budget", m.PeakBytes(), peak+peak/4)
+	}
+
+	// The session-wide governor at exactly a serial run's unbudgeted peak:
+	// 20 000 anti-correlated rows on one executor with morsels off, so the
+	// checkpoints see the same live bytes every run. They pass the first
+	// rung of the global ladder but not the second, so the query takes
+	// exactly one step, drop-sidecars, and answers the same rows.
+	tab := datagen.Synthetic(datagen.AntiCorrelated, 20000, 4, datagen.Config{Seed: 1, Complete: true})
+	const anti = "SELECT * FROM t SKYLINE OF COMPLETE d1 MIN, d2 MIN, d3 MIN, d4 MIN"
+	serial := func(globalBudget int64) ([]skysql.Row, *skysql.Metrics) {
+		sess := skysql.NewSession(skysql.WithExecutors(1), skysql.WithoutMorselParallelism(),
+			skysql.WithGlobalMemoryBudget(globalBudget))
+		t.Cleanup(sess.Close)
+		if err := sess.CreateTable("t", tab.Schema, tab.Rows); err != nil {
+			t.Fatal(err)
+		}
+		df, err := sess.SQL(anti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := df.Collect()
+		if err != nil {
+			t.Fatalf("global budget %d: %v", globalBudget, err)
+		}
+		return rows, df.Metrics()
+	}
+	ref, rm := serial(0)
+	gov, gm := serial(rm.PeakBytes())
+	if fmt.Sprint(rowsToStrings(gov)) != fmt.Sprint(rowsToStrings(ref)) {
+		t.Errorf("governed rows differ from the unbudgeted run (%d vs %d rows)", len(gov), len(ref))
+	}
+	if steps := gm.Degradations(); len(steps) != 1 || !strings.HasPrefix(steps[0], "drop-sidecars") {
+		t.Errorf("global budget at the peak took steps %q, want exactly one drop-sidecars", steps)
 	}
 }
 

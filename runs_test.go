@@ -42,6 +42,15 @@ func TestGlobalPassReusesLocalRuns(t *testing.T) {
 	if got := m.MorselsExecuted(); got != 16 {
 		t.Errorf("auto ran %d morsels, want 16: 8 local, 8 cross-chunk", got)
 	}
+	// The plan's peak charge and exchange volume are pure functions of the
+	// data, the plan and the executor count, so they are pinned too: a
+	// change that grows either shows here, not only in wall time.
+	if got := m.PeakBytes(); got != 1862144 {
+		t.Errorf("auto peaked at %d bytes, want 1862144", got)
+	}
+	if got := m.RowsShuffled(); got != 7774 {
+		t.Errorf("auto shuffled %d rows, want 7774", got)
+	}
 	got := strings.Join(oracleKeys(rows, false), "\n")
 	ndc, _ := run(skysql.NonDistributedComplete)
 	if want := strings.Join(oracleKeys(ndc, false), "\n"); got != want {

@@ -282,8 +282,9 @@ func WithoutSegmentPruning() Option {
 // by any table-version bump — except in-memory appends to plans the
 // cache can maintain incrementally, which upgrade entries in place by
 // testing the new rows against the cached skyline (see
-// Session.AppendRows). Hit/miss/eviction/upgrade
-// counts surface in Explain, the skysql shell's \s, and skybench.
+// Session.AppendRows). Hit/miss/eviction/upgrade counts surface in
+// Explain, the skysql shell's \s and skysqld's /stats;
+// TestResultCacheBitIdenticalAcrossAblations pins the hit and miss counts.
 // The cache is off by default: WithoutResultCache spells that out.
 func WithResultCache(bytes int64) Option {
 	return func(s *Session) { s.cache = resultcache.New(bytes) }

@@ -72,7 +72,8 @@
 // with the sidecar still carried forward by index selection — so results
 // are always row-for-row identical. Metrics.VectorizedBatches counts the
 // partition passes the engine actually served (surfaced by EXPLAIN after a
-// run, the shell's \s, and skybench -json); WithoutVectorizedExprs forces
+// run and the shell's \s; TestFilteredSkylineDecodesOncePerPartitionVectorized
+// pins it at one per partition); WithoutVectorizedExprs forces
 // the boxed path everywhere for A/B ablation, mirroring
 // WithoutColumnarKernel.
 //
@@ -106,10 +107,9 @@
 // correctness — and when the model cannot see (no scan below the stage,
 // no filters, no sketchable columns) the engine simply keeps the
 // pre-gate behaviour. Every decision is recorded in
-// Metrics.CostDecisions, surfaced by EXPLAIN after a run, the shell's \s,
-// and skybench -json; `skybench -experiment costgate` measures the gate
-// (BENCH_PR5.json), and CI's benchdiff gates the deterministic counters
-// of the whole BENCH_*.json trajectory against the committed baselines.
+// Metrics.CostDecisions, surfaced by EXPLAIN after a run and the shell's
+// \s. The decisions are deterministic, so TestCostGateDecisions
+// (internal/physical) pins the gate's choice per filter selectivity.
 //
 // # Morsel-driven parallel runtime
 //
@@ -143,10 +143,11 @@
 // model for it (cluster.Simulator: tasks run one at a time and each round
 // is charged its greedy makespan on the executor count, so modelled
 // speedups stay honest). Metrics report morsels executed, steals,
-// per-worker busy time, and achieved parallelism in EXPLAIN, the shell's
-// \s, and skybench -json; `skybench -experiment parallel` sweeps worker counts
-// over correlated, anti-correlated, and skewed workloads
-// (BENCH_PR6.json), with the deterministic morsel counts benchdiff-gated.
+// per-worker busy time, and achieved parallelism in EXPLAIN and the
+// shell's \s. The morsel count is deterministic (partition layout and
+// executor count only), and TestMorselBudgetIsPerStage (internal/cluster)
+// and TestGlobalPassReusesLocalRuns pin it; steals and parallelism depend
+// on timing.
 //
 // # Fault-tolerant execution
 //
@@ -184,9 +185,10 @@
 // decisions are pure functions of (seed, stage, task, attempt)) through
 // every task attempt, so chaos runs are bit-reproducible: the
 // TaskRetries/InjectedFaults/TasksFailed/DegradationSteps counters in
-// Metrics — surfaced by EXPLAIN, the shell's \s, and skybench -json —
-// repeat exactly, and `skybench -experiment chaos` sweeps fault rate ×
-// retry budget (BENCH_PR7.json) with those counters benchdiff-gated.
+// Metrics — surfaced by EXPLAIN and the shell's \s — repeat exactly:
+// TestFaultInjectionBitIdentical holds them equal across runs, and
+// TestRetryRecoversTransientFaults and TestMemoryGovernorLadder
+// (internal/cluster) pin their values.
 //
 // # Out-of-core columnar storage
 //
@@ -235,9 +237,8 @@
 // sidecar-drop or fan-out collapse fires; without a spill directory the
 // pre-spill ladder is preserved exactly. SegmentsPruned and
 // SegmentsSpilled are deterministic counters in Metrics (EXPLAIN, the
-// shell's \s, skybench -json); `skybench -experiment storage` measures
-// memory vs segments vs segments+pruning plus a budgeted spill cell
-// (BENCH_PR8.json), benchdiff-gated on both counters.
+// shell's \s): TestSegmentScanPeakBelowBoxedSurvivors pins the pruned
+// count and TestOutOfCoreSpillCompletesBudgetedQuery the spilled one.
 //
 // # Skyline result cache
 //
@@ -278,13 +279,14 @@
 // hit copied from the entry without touching a row. Session.SQL, for its
 // part, keeps the plans of the statements it compiled last and reuses one
 // while the tables it bound are unchanged, so a repeated statement costs
-// a lookup at either end. CacheHits, CacheMisses,
-// CacheEvictions, and IncrementalUpgrades are Metrics counters (EXPLAIN,
-// the shell's \s, skybench -json; Session.ResultCacheStats snapshots the
-// cache itself); `skybench -experiment cache` measures hit-vs-recompute
-// latency, a zipfian repeat mix, and incremental upgrades vs
-// invalidate-and-recompute (BENCH_PR9.json, benchdiff-gated on the
-// hit/miss/upgrade counters).
+// a lookup at either end. CacheHits, CacheMisses and IncrementalUpgrades
+// are Metrics counters, and whole-entry evictions are counted beside them
+// (EXPLAIN, the shell's \s; Session.ResultCacheStats snapshots the cache
+// itself). They are pure functions of the statements and appends:
+// TestResultCacheBitIdenticalAcrossAblations pins a miss then a
+// bit-identical hit under every strategy and ablation, and
+// TestIncrementalUpgradeMatchesRecompute (internal/resultcache) one
+// upgrade per append and the recompute's rows.
 package skysql
 
 import (
