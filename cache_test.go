@@ -34,7 +34,7 @@ func collectWithMetrics(t *testing.T, sess *skysql.Session, query string) ([]sky
 
 // TestResultCacheBitIdenticalAcrossAblations is the cache's core public
 // contract: across every skyline strategy and every bit-identical
-// ablation (fusion, columnar kernel, vectorized expressions), a cache
+// ablation (columnar kernel, vectorized expressions), a cache
 // hit returns exactly — row for row, in order — what a cold recompute
 // returns, and the hit/miss counters account for every run.
 func TestResultCacheBitIdenticalAcrossAblations(t *testing.T) {
@@ -55,7 +55,6 @@ func TestResultCacheBitIdenticalAcrossAblations(t *testing.T) {
 		opts []skysql.Option
 	}{
 		{"default", nil},
-		{"no-fusion", []skysql.Option{skysql.WithoutStageFusion()}},
 		{"no-kernel", []skysql.Option{skysql.WithoutColumnarKernel()}},
 		{"no-vector", []skysql.Option{skysql.WithoutVectorizedExprs()}},
 	}
@@ -305,7 +304,7 @@ func TestResultCacheTellsDoubleFromBigintLiterals(t *testing.T) {
 	}
 	cached := skysql.NewSession(skysql.WithResultCache(1 << 20))
 	t.Cleanup(cached.Close)
-	cold := skysql.NewSession(skysql.WithoutResultCache())
+	cold := skysql.NewSession()
 	t.Cleanup(cold.Close)
 	for _, s := range []*skysql.Session{cached, cold} {
 		if err := s.CreateTable("t", schema, rows); err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,29 +19,29 @@ func rowsOfN(n int) []types.Row {
 
 // TestPartitionTargetChoices pins the partition-count arithmetic across
 // the three modes — static, explicit target, cost-chosen — over tiny and
-// large inputs, together with the decision records each mode leaves.
+// large inputs, together with the decision record each mode leaves: none
+// for the static fan-out, one exchange-target cost decision otherwise.
 func TestPartitionTargetChoices(t *testing.T) {
 	cases := []struct {
-		name         string
-		rows         int
-		explicit     int
-		adaptive     bool
-		wantParts    int
-		wantAdaptive int // recorded adaptive decisions
-		wantCost     int // recorded exchange-target cost decisions
-		wantChoice   string
+		name       string
+		rows       int
+		explicit   int
+		adaptive   bool
+		wantParts  int
+		wantCost   int // recorded exchange-target cost decisions
+		wantChoice string
 	}{
-		{"static tiny", 100, 0, false, 8, 0, 0, ""},
-		{"static large", 1 << 15, 0, false, 8, 0, 0, ""},
-		{"explicit target tiny", 100, 2048, false, 1, 1, 0, ""},
-		{"explicit target mid", 5000, 2048, false, 3, 1, 0, ""},
-		{"cost-chosen tiny", 100, 0, true, 1, 1, 1, "adaptive"},
-		{"cost-chosen mid", 5000, 0, true, 3, 1, 1, "adaptive"},
+		{"static tiny", 100, 0, false, 8, 0, ""},
+		{"static large", 1 << 15, 0, false, 8, 0, ""},
+		{"explicit target tiny", 100, 2048, false, 1, 1, "explicit"},
+		{"explicit target mid", 5000, 2048, false, 3, 1, "explicit"},
+		{"cost-chosen tiny", 100, 0, true, 1, 1, "adaptive"},
+		{"cost-chosen mid", 5000, 0, true, 3, 1, "adaptive"},
 		// 8 executors × the 2048-row floor: above it the even split keeps
 		// every executor busy, and the decision reports static.
-		{"cost-chosen large", 8 * cost.MinPartitionRows, 0, true, 8, 1, 1, "static"},
+		{"cost-chosen large", 8 * cost.MinPartitionRows, 0, true, 8, 1, "static"},
 		// Explicit target wins over the cost-chosen default.
-		{"explicit beats cost", 100, 50, true, 2, 1, 0, ""},
+		{"explicit beats cost", 100, 50, true, 2, 1, "explicit"},
 	}
 	for _, tc := range cases {
 		c := NewContext(8)
@@ -52,9 +53,6 @@ func TestPartitionTargetChoices(t *testing.T) {
 		}
 		if got := len(ds.Parts); got != tc.wantParts {
 			t.Errorf("%s: partitions = %d, want %d", tc.name, got, tc.wantParts)
-		}
-		if got := len(c.Metrics.AdaptiveDecisions()); got != tc.wantAdaptive {
-			t.Errorf("%s: adaptive decisions = %d, want %d", tc.name, got, tc.wantAdaptive)
 		}
 		var costDs []CostDecision
 		for _, d := range c.Metrics.CostDecisions() {
@@ -72,8 +70,9 @@ func TestPartitionTargetChoices(t *testing.T) {
 			if d.Rows != tc.rows || d.Selectivity != -1 {
 				t.Errorf("%s: decision %+v", tc.name, d)
 			}
-			if !strings.Contains(d.Detail, "target=") {
-				t.Errorf("%s: detail %q must name the target", tc.name, d.Detail)
+			if !strings.Contains(d.Detail, "target=") ||
+				!strings.HasSuffix(d.Detail, fmt.Sprintf("partitions=%d/8", tc.wantParts)) {
+				t.Errorf("%s: detail %q must name the target and partitions=%d/8", tc.name, d.Detail, tc.wantParts)
 			}
 		}
 		if got := ds.NumRows(); got != tc.rows {

@@ -171,7 +171,6 @@ type Metrics struct {
 
 	mu         sync.Mutex
 	stageTimes []StageTime
-	adaptive   []AdaptiveDecision
 	cost       []CostDecision
 	workerBusy []int64  // per-worker busy nanos, grown on demand
 	degrade    []string // memory-governor escalations, in order
@@ -424,39 +423,6 @@ func (m *Metrics) FormatMorsels() string {
 	return s
 }
 
-// AdaptiveDecision records one adaptive post-exchange partitioning choice:
-// the observed upstream row count, the static partition count the exchange
-// would have used (the executor count), and the count actually chosen from
-// the rows-per-partition target.
-type AdaptiveDecision struct {
-	Rows   int
-	Static int
-	Chosen int
-}
-
-// AddAdaptiveDecision appends one adaptive partitioning record, in
-// execution order.
-func (m *Metrics) AddAdaptiveDecision(d AdaptiveDecision) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.adaptive = append(m.adaptive, d)
-	m.mu.Unlock()
-}
-
-// AdaptiveDecisions returns a copy of the adaptive partitioning records.
-func (m *Metrics) AdaptiveDecisions() []AdaptiveDecision {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]AdaptiveDecision, len(m.adaptive))
-	copy(out, m.adaptive)
-	return out
-}
-
 // CostDecision records one choice the cost model made during planning or
 // execution, so adaptive behaviour stays observable: EXPLAIN (after a
 // run) and the shell's \s surface the list.
@@ -466,7 +432,7 @@ type CostDecision struct {
 	// (columnar vs boxed partitioned exchanges).
 	Site string
 	// Choice is the selected alternative, e.g. "decode"/"defer",
-	// "adaptive"/"static", "columnar"/"boxed".
+	// "adaptive"/"static"/"explicit"/"degraded", "columnar"/"boxed".
 	Choice string
 	// Rows is the (estimated or observed) input row count the decision was
 	// based on.
@@ -613,8 +579,7 @@ func (m *Metrics) FormatStageTimes() string {
 
 // AddStage records one scheduled stage: a wave of per-partition tasks
 // submitted in one MapPartitions round. Under stage-fused execution a
-// whole pipeline of narrow operators costs a single stage, where the
-// per-operator path pays one per operator.
+// whole pipeline of narrow operators costs a single stage.
 func (m *Metrics) AddStage() {
 	if m != nil {
 		m.stages.Add(1)
@@ -737,25 +702,18 @@ type Context struct {
 	// [1, Executors] — instead of the static executor count, so tiny
 	// intermediate results collapse into fewer tasks and the stage makespan
 	// stops paying per-task overhead for near-empty partitions. 0 (the
-	// default) keeps the static count unless AdaptiveExchange is set.
-	// Decisions are recorded in Metrics.
+	// default) keeps the static count unless AdaptiveExchange is set; tests
+	// use small explicit targets to exercise adaptivity on small inputs.
+	// Decisions are recorded in Metrics.CostDecisions.
 	TargetRowsPerPartition int
 
 	// AdaptiveExchange makes exchanges adaptive even without an explicit
 	// TargetRowsPerPartition: the target is then cost-chosen per exchange
 	// from the observed upstream size and the executor count
-	// (cost.ExchangeTarget), and the choice is recorded in
-	// Metrics.CostDecisions as well as Metrics.AdaptiveDecisions. Sessions
-	// enable this by default (skysql.WithoutAdaptiveExchange opts out); the
-	// raw cluster context keeps it off so low-level callers see the static
-	// partitioning unless they ask.
+	// (cost.ExchangeTarget). Every session sets it; the raw cluster context
+	// keeps it off, so the evaluation harness's modelled figures and other
+	// low-level callers see the static partitioning unless they ask.
 	AdaptiveExchange bool
-
-	// DisableCostGate turns off the cost model's decode-at-scan gating:
-	// fused stages then decode eagerly whenever DecodeAtScan allows,
-	// exactly as before the gate existed. Results are bit-identical either
-	// way; the switch exists for A/B ablation of the gate itself.
-	DisableCostGate bool
 
 	// MorselParallel lets splittable task rounds cut large partitions into
 	// morsels — bounded row ranges sharing the partition's columnar sidecar
@@ -814,15 +772,6 @@ type Context struct {
 	// skips the spill rung entirely — the ladder then starts at
 	// drop-sidecars, bit-identical to the pre-spill governor.
 	SpillDir string
-
-	// DisableSegmentPrune turns off zone-map segment pruning at
-	// segment-backed scans: every segment decodes, and every filter
-	// conjunct runs on it, even one its zone maps prove true for every
-	// row. Results are bit-identical either way (pruning only skips
-	// segments the predicate provably rejects and conjuncts it provably
-	// accepts); the switch exists for A/B ablation of the pruning win
-	// itself.
-	DisableSegmentPrune bool
 
 	canceled     atomic.Bool
 	degradeLevel atomic.Int32 // memory-governor ladder position
@@ -1175,8 +1124,8 @@ func newDatasetWithBatches(parts [][]types.Row, batches []*skyline.Batch) *Datas
 // the static executor count, the adaptive count under an explicit
 // TargetRowsPerPartition, or — when AdaptiveExchange is set — the adaptive
 // count under a cost-chosen target derived from the observed size and the
-// executor count. Adaptive choices are recorded in Metrics; cost-chosen
-// targets additionally record a CostDecision.
+// executor count. Each choice but the plain static fan-out records one
+// CostDecision (site "exchange-target", detail "partitions=chosen/static").
 func (c *Context) partitionTarget(rows int) int {
 	static := c.Executors
 	if rows == 0 {
@@ -1191,7 +1140,6 @@ func (c *Context) partitionTarget(rows int) int {
 		if chosen > static {
 			chosen = static
 		}
-		c.Metrics.AddAdaptiveDecision(AdaptiveDecision{Rows: rows, Static: static, Chosen: chosen})
 		c.Metrics.AddCostDecision(CostDecision{
 			Site: "exchange-target", Choice: "degraded", Rows: rows, Selectivity: -1,
 			Detail: fmt.Sprintf("memory budget: partitions=%d/%d", chosen, static),
@@ -1199,13 +1147,12 @@ func (c *Context) partitionTarget(rows int) int {
 		return chosen
 	}
 	target := c.TargetRowsPerPartition
-	costChosen := false
-	if target <= 0 {
+	explicit := target > 0
+	if !explicit {
 		if !c.AdaptiveExchange {
 			return static
 		}
 		target = cost.ExchangeTarget(rows, static)
-		costChosen = true
 	}
 	chosen := (rows + target - 1) / target
 	if chosen > static {
@@ -1214,17 +1161,17 @@ func (c *Context) partitionTarget(rows int) int {
 	if chosen < 1 {
 		chosen = 1
 	}
-	c.Metrics.AddAdaptiveDecision(AdaptiveDecision{Rows: rows, Static: static, Chosen: chosen})
-	if costChosen {
-		choice := "adaptive"
-		if chosen == static {
-			choice = "static"
-		}
-		c.Metrics.AddCostDecision(CostDecision{
-			Site: "exchange-target", Choice: choice, Rows: rows, Selectivity: -1,
-			Detail: fmt.Sprintf("target=%d, partitions=%d/%d", target, chosen, static),
-		})
+	choice := "adaptive"
+	switch {
+	case explicit:
+		choice = "explicit"
+	case chosen == static:
+		choice = "static"
 	}
+	c.Metrics.AddCostDecision(CostDecision{
+		Site: "exchange-target", Choice: choice, Rows: rows, Selectivity: -1,
+		Detail: fmt.Sprintf("target=%d, partitions=%d/%d", target, chosen, static),
+	})
 	return chosen
 }
 

@@ -43,8 +43,10 @@ func TestAdaptiveUnspecifiedExchange(t *testing.T) {
 	if len(out.Parts) != 4 {
 		t.Errorf("parts = %d, want 4 (100 rows / 25 target)", len(out.Parts))
 	}
-	ds := ctx.Metrics.AdaptiveDecisions()
-	if len(ds) != 1 || ds[0] != (AdaptiveDecision{Rows: 100, Static: 8, Chosen: 4}) {
+	ds := ctx.Metrics.CostDecisions()
+	want := CostDecision{Site: "exchange-target", Choice: "explicit", Rows: 100, Selectivity: -1,
+		Detail: "target=25, partitions=4/8"}
+	if len(ds) != 1 || ds[0] != want {
 		t.Errorf("decisions = %+v", ds)
 	}
 	// Large inputs keep full parallelism.

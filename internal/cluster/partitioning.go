@@ -27,9 +27,9 @@ import (
 // the bucketed output partitions are carved out of the batch with
 // Batch.Select, they carry the decoded columns forward as a sidecar, so
 // the local skylines downstream of the exchange never re-decode. The
-// partition count itself is adaptive when Context.TargetRowsPerPartition
-// is set: it derives from the observed input size instead of the static
-// executor count.
+// partition count itself is adaptive under Context.AdaptiveExchange or an
+// explicit TargetRowsPerPartition: it derives from the observed input size
+// instead of the static executor count.
 
 // Grid and Angle distributions (continuing the Distribution enum).
 const (

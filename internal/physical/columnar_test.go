@@ -109,17 +109,24 @@ func TestAdaptiveExchangeResultsUnchanged(t *testing.T) {
 		if got, want := sortedRowStrings(adaptiveRows), sortedRowStrings(staticRows); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%v: adaptive result differs:\n%v\nvs\n%v", st, got, want)
 		}
-		decisions := adaptive.Metrics.AdaptiveDecisions()
+		var decisions []cluster.CostDecision
+		for _, d := range adaptive.Metrics.CostDecisions() {
+			if d.Site == "exchange-target" {
+				decisions = append(decisions, d)
+			}
+		}
 		if len(decisions) == 0 {
 			t.Fatalf("%v: no adaptive decisions recorded", st)
 		}
 		for _, d := range decisions {
-			if d.Chosen != 3 || d.Static != executors {
-				t.Errorf("%v: decision %+v, want 6 collapsed to 3", st, d)
+			if d.Choice != "explicit" || d.Detail != "target=30, partitions=3/6" {
+				t.Errorf("%v: decision %v, want 6 collapsed to 3", st, d)
 			}
 		}
-		if len(static.Metrics.AdaptiveDecisions()) != 0 {
-			t.Errorf("%v: static run recorded adaptive decisions", st)
+		for _, d := range static.Metrics.CostDecisions() {
+			if d.Site == "exchange-target" {
+				t.Errorf("%v: static run recorded %v", st, d)
+			}
 		}
 	}
 }

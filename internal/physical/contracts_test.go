@@ -114,8 +114,9 @@ func rowStrings(rows []types.Row) []string {
 	return out
 }
 
-// execBoth runs the same operator tree unfused and through the stage
-// compiler, returning both row sequences and both contexts.
+// execBoth runs the same operator tree as built — every narrow operator a
+// one-operator pipeline, the per-operator reference — and through the
+// stage compiler, returning both row sequences and both contexts.
 func execBoth(t *testing.T, op Operator, executors int) (unfused, fused []types.Row, uctx, fctx *cluster.Context) {
 	t.Helper()
 	uctx = cluster.NewContext(executors)
@@ -150,8 +151,8 @@ func assertSameRows(t *testing.T, label string, unfused, fused []types.Row) {
 // equivalence contract over randomized operator chains: random
 // filter/project/limit/local-skyline chains interleaved with random
 // exchange distributions must produce identical row sequences whether
-// executed per-operator or stage-fused, and fusion must never schedule
-// more task rounds.
+// executed per-operator (one-operator pipelines) or stage-fused, and
+// fusion must never schedule more task rounds.
 func TestFusedUnfusedEquivalenceRandomChains(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
@@ -229,7 +230,8 @@ func TestFusedUnfusedEquivalenceRandomChains(t *testing.T) {
 // for every SkylineStrategy (over complete and incomplete data, covering
 // all exchange distributions the strategies emit — Unspecified, AllTuples,
 // NullBitmap, Grid, Angle, Zorder) the stage-fused plan must be
-// result-identical to the per-operator plan.
+// result-identical to the per-operator tree lower builds, whose narrow
+// operators each run as a one-operator pipeline.
 func TestFusedUnfusedEquivalenceAllStrategies(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, nullable := range []bool{false, true} {
@@ -259,7 +261,7 @@ func TestFusedUnfusedEquivalenceAllStrategies(t *testing.T) {
 		sky := plan.NewSkylineOperator(false, false, dims, filter)
 		for _, st := range allStrategies {
 			label := fmt.Sprintf("%s/%v", name, st)
-			unfusedOp, err := Plan(sky, Options{Strategy: st, DisableStageFusion: true})
+			unfusedOp, err := lower(sky, Options{Strategy: st})
 			if err != nil {
 				t.Fatalf("%s: plan unfused: %v", label, err)
 			}
@@ -448,25 +450,48 @@ func TestCompileStagesDoesNotMutate(t *testing.T) {
 	}
 }
 
+// assertFusedTail pins the StageSource contract: a filter keeping the rows
+// whose column col exceeds min, compiled over the StageSource src(), must
+// return exactly src's rows that pass it, in order, in as many task rounds
+// as src alone — the filter rides in the source's last round. It returns
+// the fused rows.
+func assertFusedTail(t *testing.T, label string, src func() Operator, col int, min int64, executors int) []types.Row {
+	t.Helper()
+	sctx := cluster.NewContext(executors)
+	all, err := Execute(src(), sctx)
+	if err != nil {
+		t.Fatalf("%s: source execute: %v", label, err)
+	}
+	var want []types.Row
+	for _, row := range all {
+		if row[col].AsInt() > min {
+			want = append(want, row)
+		}
+	}
+	chain := &FilterExec{
+		Cond:  expr.NewBinary(expr.OpGt, expr.NewBoundRef(col, "x", types.KindInt, false), expr.NewLiteral(types.Int(min))),
+		Child: src(),
+	}
+	fctx := cluster.NewContext(executors)
+	fused, err := Execute(CompileStages(chain), fctx)
+	if err != nil {
+		t.Fatalf("%s: fused execute: %v", label, err)
+	}
+	assertSameRows(t, label, want, fused)
+	if fctx.Metrics.StagesExecuted() != sctx.Metrics.StagesExecuted() {
+		t.Errorf("%s: the fused tail must ride in the source's last round: %d rounds, source alone %d",
+			label, fctx.Metrics.StagesExecuted(), sctx.Metrics.StagesExecuted())
+	}
+	return fused
+}
+
 // TestExtremumFilterFusedTail pins the StageSource path: narrow operators
 // above an ExtremumFilterExec run inside its second pass, saving a round,
 // with identical results.
 func TestExtremumFilterFusedTail(t *testing.T) {
 	tab := intTable(t, "t", []string{"a", "b"}, [][]int64{{1, 9}, {1, 3}, {2, 5}, {1, 7}})
-	chain := func() Operator {
-		x := &ExtremumFilterExec{E: ref(0), Child: scanOf(t, tab)}
-		return &FilterExec{
-			Cond:  expr.NewBinary(expr.OpGt, expr.NewBoundRef(1, "b", types.KindInt, false), expr.NewLiteral(types.Int(4))),
-			Child: x,
-		}
-	}
-	unfused, fused, uctx, fctx := execBoth(t, chain(), 2)
-	assertSameRows(t, "extremum tail", unfused, fused)
-	if len(fused) != 2 {
+	src := func() Operator { return &ExtremumFilterExec{E: ref(0), Child: scanOf(t, tab)} }
+	if fused := assertFusedTail(t, "extremum tail", src, 1, 4, 2); len(fused) != 2 {
 		t.Fatalf("rows = %v", fused)
-	}
-	if fctx.Metrics.StagesExecuted() >= uctx.Metrics.StagesExecuted() {
-		t.Errorf("fused tail must save a round: fused %d, unfused %d",
-			fctx.Metrics.StagesExecuted(), uctx.Metrics.StagesExecuted())
 	}
 }

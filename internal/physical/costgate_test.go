@@ -41,11 +41,12 @@ func costGatePlanFixture(t *testing.T, name string, nullable bool, cut int64) pl
 	return plan.NewSkylineOperator(false, false, dims, filter)
 }
 
-// TestCostGateBitIdentityAblation is the tentpole contract: for every
-// SkylineStrategy × fusion × kernel × vectorization ablation, and at both
-// a selective and a non-selective filter cut (so the gate actually takes
+// TestCostGateBitIdentityAblation is the gate's contract: for every
+// SkylineStrategy × kernel × vectorization ablation, and at both a
+// selective and a non-selective filter cut (so the gate actually takes
 // both branches somewhere in the sweep), the cost-gated plan must be
-// row-for-row identical to the ungated plan.
+// row-for-row identical to the plan run without decode-at-scan
+// (DecodeAtScan=false), which never decodes at the source.
 func TestCostGateBitIdentityAblation(t *testing.T) {
 	for _, nullable := range []bool{false, true} {
 		name := "gatecomplete"
@@ -55,31 +56,28 @@ func TestCostGateBitIdentityAblation(t *testing.T) {
 		for ci, cut := range []int64{4, 15} {
 			sky := costGatePlanFixture(t, fmt.Sprintf("%s%d", name, ci), nullable, cut)
 			for _, st := range allStrategies {
-				for _, noFusion := range []bool{false, true} {
-					for _, noKernel := range []bool{false, true} {
-						for _, noVector := range []bool{false, true} {
-							label := fmt.Sprintf("%s/cut=%d/%v/fusion=%v/kernel=%v/vector=%v",
-								name, cut, st, !noFusion, !noKernel, !noVector)
-							opts := Options{Strategy: st, DisableStageFusion: noFusion,
-								DisableColumnarKernel: noKernel, DisableVectorizedExprs: noVector}
-							op, err := Plan(sky, opts)
-							if err != nil {
-								t.Fatalf("%s: plan: %v", label, err)
-							}
-							gctx, uctx := cluster.NewContext(4), cluster.NewContext(4)
-							gctx.DecodeAtScan = !noVector && !noKernel
-							uctx.DecodeAtScan = !noVector && !noKernel
-							uctx.DisableCostGate = true
-							gated, err := Execute(op, gctx)
-							if err != nil {
-								t.Fatalf("%s: gated execute: %v", label, err)
-							}
-							ungated, err := Execute(Plan2(t, sky, opts), uctx)
-							if err != nil {
-								t.Fatalf("%s: ungated execute: %v", label, err)
-							}
-							assertSameRows(t, label, ungated, gated)
+				for _, noKernel := range []bool{false, true} {
+					for _, noVector := range []bool{false, true} {
+						label := fmt.Sprintf("%s/cut=%d/%v/kernel=%v/vector=%v",
+							name, cut, st, !noKernel, !noVector)
+						opts := Options{Strategy: st,
+							DisableColumnarKernel: noKernel, DisableVectorizedExprs: noVector}
+						op, err := Plan(sky, opts)
+						if err != nil {
+							t.Fatalf("%s: plan: %v", label, err)
 						}
+						gctx, nctx := cluster.NewContext(4), cluster.NewContext(4)
+						gctx.DecodeAtScan = !noVector && !noKernel
+						nctx.DecodeAtScan = false
+						gated, err := Execute(op, gctx)
+						if err != nil {
+							t.Fatalf("%s: gated execute: %v", label, err)
+						}
+						never, err := Execute(Plan2(t, sky, opts), nctx)
+						if err != nil {
+							t.Fatalf("%s: no-decode-at-scan execute: %v", label, err)
+						}
+						assertSameRows(t, label, never, gated)
 					}
 				}
 			}
@@ -102,7 +100,8 @@ func Plan2(t *testing.T, n plan.Node, opts Options) Operator {
 // counters: a selective filter defers the decode (no vectorized passes,
 // decode still once per post-filter partition), a non-selective filter
 // keeps decode-at-scan (vectorized passes, same decode count), and both
-// record their decision; the gate-disabled context records none.
+// record their decision; a context without decode-at-scan never consults
+// the gate and records none.
 func TestCostGateDecisions(t *testing.T) {
 	for _, tc := range []struct {
 		cut        int64
@@ -148,19 +147,20 @@ func TestCostGateDecisions(t *testing.T) {
 			t.Errorf("decision String() = %q", d.String())
 		}
 
-		// Gate disabled: eager decode, no decision recorded.
+		// No decode-at-scan: the gate is never consulted, the filter runs
+		// boxed and the skyline decodes the survivors.
 		off := cluster.NewContext(4)
-		off.DisableCostGate = true
+		off.DecodeAtScan = false
 		if _, err := Execute(Plan2(t, sky, Options{Strategy: SkylineDistributedComplete}), off); err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range off.Metrics.CostDecisions() {
 			if d.Site == "decode-at-scan" {
-				t.Errorf("cut=%d: gate-disabled run recorded %v", tc.cut, d)
+				t.Errorf("cut=%d: run without decode-at-scan recorded %v", tc.cut, d)
 			}
 		}
-		if off.Metrics.VectorizedBatches() == 0 {
-			t.Errorf("cut=%d: gate-disabled run must decode at scan and vectorize", tc.cut)
+		if got := off.Metrics.VectorizedBatches(); got != 0 {
+			t.Errorf("cut=%d: run without decode-at-scan vectorized %d passes", tc.cut, got)
 		}
 	}
 }
@@ -214,8 +214,8 @@ func TestExchangeSinkDecode(t *testing.T) {
 
 // TestAdaptiveDefaultResultIdentity pins cost-chosen adaptive exchanges
 // against the static partitioning: identical row sets for every strategy
-// (and identical sequences on the order-preserving default plan), with the
-// partition choices recorded in both decision lists.
+// (and identical sequences on the order-preserving default plan), with
+// each partition choice recorded as an exchange-target cost decision.
 func TestAdaptiveDefaultResultIdentity(t *testing.T) {
 	strategies := []SkylineStrategy{
 		SkylineDistributedComplete, SkylineNonDistributedComplete,
@@ -245,17 +245,9 @@ func TestAdaptiveDefaultResultIdentity(t *testing.T) {
 				t.Errorf("%v: adaptive row set differs from static", st)
 			}
 		}
-		if len(sctx.Metrics.AdaptiveDecisions()) != 0 {
-			t.Errorf("%v: static run recorded adaptive decisions", st)
-		}
-		ads := actx.Metrics.AdaptiveDecisions()
-		if len(ads) == 0 {
-			t.Fatalf("%v: adaptive run recorded no decisions", st)
-		}
-		// 160 rows under the 2048-row floor: every exchange collapses to 1.
-		for _, d := range ads {
-			if d.Chosen != 1 || d.Static != 4 {
-				t.Errorf("%v: decision %+v, want tiny input collapsed 4 -> 1", st, d)
+		for _, d := range sctx.Metrics.CostDecisions() {
+			if d.Site == "exchange-target" {
+				t.Errorf("%v: static run recorded %v", st, d)
 			}
 		}
 		var targets []cluster.CostDecision
@@ -264,13 +256,13 @@ func TestAdaptiveDefaultResultIdentity(t *testing.T) {
 				targets = append(targets, d)
 			}
 		}
-		if len(targets) != len(ads) {
-			t.Errorf("%v: %d exchange-target cost decisions for %d adaptive decisions",
-				st, len(targets), len(ads))
+		if len(targets) == 0 {
+			t.Fatalf("%v: adaptive run recorded no decisions", st)
 		}
+		// 160 rows under the 2048-row floor: every exchange collapses to 1.
 		for _, d := range targets {
-			if d.Choice != "adaptive" {
-				t.Errorf("%v: tiny-input target decision %v, want adaptive", st, d)
+			if d.Choice != "adaptive" || !strings.HasSuffix(d.Detail, "partitions=1/4") {
+				t.Errorf("%v: decision %v, want tiny input collapsed 4 -> 1", st, d)
 			}
 		}
 	}
@@ -286,23 +278,13 @@ func TestNestedLoopJoinFusedTail(t *testing.T) {
 	joined := types.NewSchema(
 		types.Field{Name: "a"}, types.Field{Name: "b"}, types.Field{Name: "x"},
 	)
-	chain := func() Operator {
-		join := NewNestedLoopJoinExec(plan.InnerJoin,
+	src := func() Operator {
+		return NewNestedLoopJoinExec(plan.InnerJoin,
 			scanOf(t, left), scanOf(t, right),
 			expr.NewBinary(expr.OpLt, ref(0), expr.NewBoundRef(2, "x", types.KindInt, false)),
 			joined)
-		return &FilterExec{
-			Cond:  expr.NewBinary(expr.OpGt, expr.NewBoundRef(1, "b", types.KindInt, false), expr.NewLiteral(types.Int(4))),
-			Child: join,
-		}
 	}
-	unfused, fused, uctx, fctx := execBoth(t, chain(), 2)
-	assertSameRows(t, "nested-loop tail", unfused, fused)
-	if len(fused) == 0 {
+	if fused := assertFusedTail(t, "nested-loop tail", src, 1, 4, 2); len(fused) == 0 {
 		t.Fatal("fixture must produce rows")
-	}
-	if fctx.Metrics.StagesExecuted() >= uctx.Metrics.StagesExecuted() {
-		t.Errorf("fused tail must save a round: fused %d, unfused %d",
-			fctx.Metrics.StagesExecuted(), uctx.Metrics.StagesExecuted())
 	}
 }

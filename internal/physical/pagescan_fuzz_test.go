@@ -139,7 +139,7 @@ func FuzzPageScan(f *testing.F) {
 		seg := store.Segments()[0]
 		r := seg.NewReader(nil)
 		defer r.Close()
-		got, b, ok, err := ps.forSegment(seg, true).run(cluster.NewContext(1), r, lo, hi, nil)
+		got, b, ok, err := ps.forSegment(seg).run(cluster.NewContext(1), r, lo, hi, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", filters, err)
 		}

@@ -13,7 +13,7 @@ import (
 
 // TestMorselParallelBitIdentityAllStrategies is the morsel-runtime
 // contract: for every SkylineStrategy (complete and incomplete data,
-// distinct both ways, across the fusion/kernel/vectorization ablations)
+// distinct both ways, across the kernel/vectorization ablations)
 // the morsel-parallel execution — on the work-stealing pool and on the
 // Simulator alike — must be row-for-row identical to whole-partition
 // execution. Run under -race this also exercises the pool's memory-safety
@@ -25,7 +25,6 @@ func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
 		opts Options
 	}{
 		{"default", Options{}},
-		{"nofusion", Options{DisableStageFusion: true}},
 		{"nokernel", Options{DisableColumnarKernel: true}},
 		{"novector", Options{DisableVectorizedExprs: true}},
 	}

@@ -138,7 +138,7 @@ func (s *ScanExec) scanSegments(ctx *cluster.Context, segs []*storage.Segment, s
 // predicate one operator later.
 func (s *ScanExec) survivors(ctx *cluster.Context) []*storage.Segment {
 	segs := s.Table.Segments.Segments()
-	prune := len(s.Prune) > 0 && !ctx.DisableSegmentPrune
+	prune := len(s.Prune) > 0
 	out := make([]*storage.Segment, 0, len(segs))
 	pruned := 0
 	for _, seg := range segs {
@@ -190,7 +190,7 @@ func (p *PipelineExec) executeSegments(ctx *cluster.Context, scan *ScanExec) (*c
 	if ps := planPageScan(p.Ops, p.Sink, scan.Schema(), ctx.DecodeAtScan); ps != nil {
 		pages = make([]*segmentPages, len(segs))
 		for i, seg := range segs {
-			pages[i] = ps.forSegment(seg, !ctx.DisableSegmentPrune)
+			pages[i] = ps.forSegment(seg)
 		}
 	}
 	var stats *skyline.Stats
@@ -293,15 +293,12 @@ func planPageScan(ops []NarrowOperator, sink *DecodeSink, schema *types.Schema, 
 // local skyline that tests dominance boxed.
 func (ps *pageScan) decodes() bool { return ps.sky == nil || !ps.sky.DisableKernel }
 
-// forSegment returns the page path of one segment: with zoneMaps set, a
-// conjunct the segment's zone maps prove true for every row is dropped
+// forSegment returns the page path of one segment: a conjunct the
+// segment's zone maps prove true for every row is dropped
 // (cost.ProvablyFull — a pure function of footer and conjunct, like the
 // prune decision).
-func (ps *pageScan) forSegment(seg *storage.Segment, zoneMaps bool) *segmentPages {
-	sp := &segmentPages{pageScan: ps, live: ps.filters}
-	if !zoneMaps {
-		return sp
-	}
+func (ps *pageScan) forSegment(seg *storage.Segment) *segmentPages {
+	sp := &segmentPages{pageScan: ps}
 	sketch := seg.Sketch()
 	sp.live = make([][]conjunct, len(ps.filters))
 	for f, conjs := range ps.filters {

@@ -179,18 +179,7 @@ func (l *LocalSkylineExec) NarrowChild() Operator { return l.Child }
 // skyline stays whole-partition.
 func (l *LocalSkylineExec) MorselSplittable() bool { return !l.Incomplete }
 
-// PartitionTransform returns the per-partition BNL closure without sidecar
-// flow (NarrowOperator interface); the stage compiler and Execute use the
-// columnar variant below.
-func (l *LocalSkylineExec) PartitionTransform(ctx *cluster.Context) PartitionFn {
-	cfn := l.PartitionTransformColumnar(ctx)
-	return func(i int, part []types.Row) ([]types.Row, error) {
-		rows, _, err := cfn(i, part, nil)
-		return rows, err
-	}
-}
-
-// PartitionTransformColumnar implements ColumnarOperator. A partition
+// PartitionTransformColumnar implements NarrowOperator. A partition
 // arriving with a matching batch sidecar (e.g. from a Grid/Angle/Zorder
 // exchange that bucketed on decoded columns) is processed without
 // re-evaluating or re-decoding anything; otherwise the partition is
@@ -273,20 +262,7 @@ func (l *LocalSkylineExec) kernel(b *skyline.Batch, stats *skyline.Stats) []int 
 }
 
 func (l *LocalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
-	in, err := l.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	mapFn := ctx.MapPartitionsColumnar
-	if l.MorselSplittable() {
-		mapFn = ctx.MapPartitionsSplittable
-	}
-	out, err := mapFn(in, l.PartitionTransformColumnar(ctx))
-	if err != nil {
-		return nil, err
-	}
-	charge(ctx, out, in)
-	return out, nil
+	return executeNarrow(ctx, l)
 }
 
 // GlobalSkylineExec computes the final skyline on a single executor. The

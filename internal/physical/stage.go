@@ -18,14 +18,10 @@ import (
 // sorts, aggregates, joins, limits) cut the plan into stages exactly where
 // a Spark shuffle would.
 
-// PartitionFn is the per-partition row transform of a narrow operator:
-// given the partition index and its rows it produces the operator's output
-// rows for that partition.
-type PartitionFn func(i int, part []types.Row) ([]types.Row, error)
-
-// ColumnarPartitionFn is the batch-aware per-partition transform: it
-// additionally receives the partition's columnar sidecar (nil when none)
-// and may emit a sidecar index-aligned with its output rows. The stage
+// ColumnarPartitionFn is the per-partition transform of a narrow
+// operator: given the partition index, its rows and its columnar sidecar
+// (nil when none) it produces the operator's output rows for that
+// partition and may emit a sidecar index-aligned with them. The stage
 // compiler threads these sidecars through fused pipelines and across
 // exchanges, which is how a batch decoded by a local skyline reaches the
 // global skyline without a second decode.
@@ -33,25 +29,25 @@ type ColumnarPartitionFn func(i int, part []types.Row, b *skyline.Batch) ([]type
 
 // NarrowOperator is implemented by physical operators whose work is a pure
 // per-partition pass (Spark's narrow transformations). The stage compiler
-// fuses chains of them into one PipelineExec.
+// fuses chains of them into one PipelineExec; an operator executed on its
+// own runs as a one-operator pipeline (executeNarrow).
 type NarrowOperator interface {
 	Operator
 	// NarrowChild returns the input the per-partition pass reads from.
 	NarrowChild() Operator
-	// PartitionTransform returns the operator's per-partition closure. It
-	// is invoked once per stage execution, so implementations may capture
-	// context-derived state (e.g. metric sinks) in the returned closure.
-	PartitionTransform(ctx *cluster.Context) PartitionFn
+	// PartitionTransformColumnar returns the operator's per-partition
+	// closure, which can consume an incoming batch sidecar (skipping its
+	// own decode) and/or produce one for the operators and exchanges above
+	// it. It is invoked once per stage execution, so implementations may
+	// capture context-derived state (e.g. metric sinks) in the closure.
+	PartitionTransformColumnar(ctx *cluster.Context) ColumnarPartitionFn
 }
 
-// ColumnarOperator is a NarrowOperator that participates in the columnar
-// data plane: its per-partition pass can consume an incoming batch sidecar
-// (skipping its own decode) and/or produce one for the operators and
-// exchanges above it.
-type ColumnarOperator interface {
-	NarrowOperator
-	// PartitionTransformColumnar is PartitionTransform with sidecar flow.
-	PartitionTransformColumnar(ctx *cluster.Context) ColumnarPartitionFn
+// executeNarrow runs a narrow operator outside a compiled plan: as a
+// one-operator pipeline over its child, the one executor narrow
+// operators have.
+func executeNarrow(ctx *cluster.Context, op NarrowOperator) (*cluster.Dataset, error) {
+	return (&PipelineExec{Ops: []NarrowOperator{op}, Source: op.NarrowChild()}).Execute(ctx)
 }
 
 // MorselSplittable is the opt-in interface of narrow operators whose
@@ -133,9 +129,7 @@ func (p *PipelineExec) String() string {
 }
 
 // tailFn composes the fused chain into one batch-aware per-partition
-// closure. Columnar operators pass the sidecar along; plain narrow
-// operators transform rows only, which invalidates index alignment, so the
-// sidecar is dropped at that link.
+// closure that passes the sidecar from operator to operator.
 //
 // When the chain contains a local skyline reachable through filters/
 // projections/limits and the context allows it (Context.DecodeAtScan), the
@@ -147,20 +141,12 @@ func (p *PipelineExec) String() string {
 func (p *PipelineExec) tailFn(ctx *cluster.Context) ColumnarPartitionFn {
 	fns := make([]ColumnarPartitionFn, len(p.Ops))
 	for i, op := range p.Ops {
-		if c, ok := op.(ColumnarOperator); ok {
-			fns[i] = c.PartitionTransformColumnar(ctx)
-			continue
-		}
-		plain := op.PartitionTransform(ctx)
-		fns[i] = func(i int, part []types.Row, _ *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
-			rows, err := plain(i, part)
-			return rows, nil, err
-		}
+		fns[i] = op.PartitionTransformColumnar(ctx)
 	}
 	var spec *stageDecode
 	if ctx.DecodeAtScan {
 		spec = planStageDecode(p.Ops, p.Sink)
-		if spec != nil && !ctx.DisableCostGate {
+		if spec != nil {
 			spec = gateStageDecode(ctx, spec, p.Source)
 		}
 	}
@@ -236,16 +222,7 @@ func (l *LocalLimitExec) String() string        { return fmt.Sprintf("LocalLimit
 
 func (l *LocalLimitExec) NarrowChild() Operator { return l.Child }
 
-func (l *LocalLimitExec) PartitionTransform(*cluster.Context) PartitionFn {
-	return func(_ int, part []types.Row) ([]types.Row, error) {
-		if int64(len(part)) > l.N {
-			part = part[:l.N]
-		}
-		return part, nil
-	}
-}
-
-// PartitionTransformColumnar implements ColumnarOperator: truncation is a
+// PartitionTransformColumnar implements NarrowOperator: truncation is a
 // prefix, so the sidecar survives as a Batch.Slice of the same prefix.
 func (l *LocalLimitExec) PartitionTransformColumnar(*cluster.Context) ColumnarPartitionFn {
 	return func(_ int, part []types.Row, b *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
@@ -263,16 +240,7 @@ func (l *LocalLimitExec) PartitionTransformColumnar(*cluster.Context) ColumnarPa
 }
 
 func (l *LocalLimitExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
-	in, err := l.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ctx.MapPartitions(in, l.PartitionTransform(ctx))
-	if err != nil {
-		return nil, err
-	}
-	charge(ctx, out, in)
-	return out, nil
+	return executeNarrow(ctx, l)
 }
 
 // CompileStages rewrites a physical operator tree into its stage-fused
@@ -376,7 +344,7 @@ func opName(op Operator) string {
 }
 
 // CountStages returns the number of fused pipeline stages in a compiled
-// plan (0 for an unfused tree).
+// plan.
 func CountStages(root Operator) int {
 	n := 0
 	var rec func(Operator)
@@ -427,15 +395,12 @@ func FormatStages(root Operator) string {
 			rec(o.Child, depth+1, newStage())
 		default:
 			fmt.Fprintf(&sb, "%s[stage %d] %s\n", ind, stage, op.String())
-			_, narrow := op.(NarrowOperator)
 			for _, ch := range op.Children() {
+				// Breakers cut a stage; an exchange child allocates its own
+				// producing stage when it recurses.
 				s := stage
-				if !narrow {
-					// Breakers cut a stage; an exchange child allocates its
-					// own producing stage when it recurses.
-					if _, isExchange := ch.(*ExchangeExec); !isExchange {
-						s = newStage()
-					}
+				if _, isExchange := ch.(*ExchangeExec); !isExchange {
+					s = newStage()
 				}
 				rec(ch, depth+1, s)
 			}

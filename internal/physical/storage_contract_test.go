@@ -55,8 +55,8 @@ func segmentTwinPlans(t *testing.T, name string, nRows, segRows int, cut int64) 
 // TestSegmentScanContractAllStrategies is the standing contract of the
 // segment storage layer: a segment-backed scan — zone-map pruning
 // included — must be bit-identical to the in-memory scan of the same
-// rows, across every SkylineStrategy × fusion × kernel × vectorization
-// ablation, and the pruning must actually fire (the filter cut lies well
+// rows, across every SkylineStrategy × kernel × vectorization ablation,
+// and the pruning must actually fire (the filter cut lies well
 // inside the clustered range, so trailing segments are provably empty).
 func TestSegmentScanContractAllStrategies(t *testing.T) {
 	const executors = 4
@@ -65,7 +65,6 @@ func TestSegmentScanContractAllStrategies(t *testing.T) {
 		opts Options
 	}{
 		{"full", Options{}},
-		{"unfused", Options{DisableStageFusion: true}},
 		{"boxed-kernel", Options{DisableColumnarKernel: true}},
 		{"boxed-exprs", Options{DisableVectorizedExprs: true}},
 	}
@@ -143,36 +142,6 @@ func TestSegmentPruneCountersDeterministic(t *testing.T) {
 	if fmt.Sprint(r1) != fmt.Sprint(r2) || fmt.Sprint(r1) != fmt.Sprint(r3) {
 		t.Error("repeat/simulate runs changed the result rows")
 	}
-}
-
-// TestDisableSegmentPruneScansEverything: the pruning kill switch must
-// decode every segment (counter stays zero) and still return the
-// identical rows — pruning is an optimization, never a semantic change.
-func TestDisableSegmentPruneScansEverything(t *testing.T) {
-	const executors = 4
-	_, segPlan := segmentTwinPlans(t, "nop", 200, 25, 60)
-	op, err := Plan(segPlan, Options{Strategy: SkylineDistributedComplete})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned := cluster.NewContext(executors)
-	prunedRows, err := Execute(op, pruned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := cluster.NewContext(executors)
-	full.DisableSegmentPrune = true
-	fullRows, err := Execute(op, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := full.Metrics.SegmentsPruned(); got != 0 {
-		t.Errorf("DisableSegmentPrune run still pruned %d segments", got)
-	}
-	if pruned.Metrics.SegmentsPruned() == 0 {
-		t.Error("pruning-enabled run skipped nothing")
-	}
-	assertSameRows(t, "prune on vs off", fullRows, prunedRows)
 }
 
 // wideTwins registers the same wide table twice — in memory as "mem" and
@@ -336,8 +305,8 @@ func wideContext(opts Options) *cluster.Context {
 // TestSegmentWideTableContract: over a table of every kind the page path
 // must serve or refuse, a segment-backed scan — page path, boxed fallback
 // and morsel splits alike — returns exactly the rows of the in-memory
-// twin, in the same order, bit for bit, across every strategy × fusion ×
-// kernel × vectorization ablation and two segment sizes. Every query
+// twin, in the same order, bit for bit, across every strategy × kernel ×
+// vectorization ablation and two segment sizes. Every query
 // also leaves exactly its result charged: no page, batch or boxed morsel
 // stays on the books.
 func TestSegmentWideTableContract(t *testing.T) {
@@ -346,7 +315,6 @@ func TestSegmentWideTableContract(t *testing.T) {
 		opts Options
 	}{
 		{"full", Options{}},
-		{"unfused", Options{DisableStageFusion: true}},
 		{"boxed-kernel", Options{DisableColumnarKernel: true}},
 		{"boxed-exprs", Options{DisableVectorizedExprs: true}},
 	}
@@ -461,7 +429,7 @@ func TestSegmentPagePathChosenFromPlanAndData(t *testing.T) {
 			continue
 		}
 		r := seg.NewReader(nil)
-		rows, b, ok, err := ps.forSegment(seg, true).run(cluster.NewContext(4), r, 0, seg.Rows(), nil)
+		rows, b, ok, err := ps.forSegment(seg).run(cluster.NewContext(4), r, 0, seg.Rows(), nil)
 		r.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -487,8 +455,7 @@ func TestSegmentPagePathChosenFromPlanAndData(t *testing.T) {
 
 // TestSegmentConjunctsProvenFullAreDropped: a conjunct a segment's zone
 // maps prove true for every row is not evaluated on that segment — on the
-// page path or anywhere — while the conjuncts beside it still are, and
-// with zone maps off (WithoutSegmentPruning) every conjunct runs.
+// page path or anywhere — while the conjuncts beside it still are.
 func TestSegmentConjunctsProvenFullAreDropped(t *testing.T) {
 	cat := wideTwins(t, 300, 97)
 	tab, _ := cat.Lookup("seg")
@@ -513,11 +480,8 @@ func TestSegmentConjunctsProvenFullAreDropped(t *testing.T) {
 		t.Fatalf("%s: planned %d conjuncts (%d on page bytes), want 3 (2)", q, n, cmps)
 	}
 	for _, seg := range tab.Segments.Segments() {
-		if n, _ := count(ps.forSegment(seg, true).live); n != 2 {
+		if n, _ := count(ps.forSegment(seg).live); n != 2 {
 			t.Errorf("segment of %d rows: %d conjuncts left, want 2 (id > -1 proven)", seg.Rows(), n)
-		}
-		if n, _ := count(ps.forSegment(seg, false).live); n != 3 {
-			t.Errorf("segment of %d rows, zone maps off: %d conjuncts left, want 3", seg.Rows(), n)
 		}
 	}
 }

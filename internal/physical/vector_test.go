@@ -102,8 +102,7 @@ func TestFilteredSkylineDecodesOncePerPartitionVectorized(t *testing.T) {
 // TestVectorizedContractsAllStrategies is the vectorization contract: a
 // filtered + computed-dimension skyline plan must produce identical row
 // sequences across every SkylineStrategy and every combination of the
-// DisableStageFusion / DisableColumnarKernel / DisableVectorizedExprs
-// ablations.
+// DisableColumnarKernel / DisableVectorizedExprs ablations.
 func TestVectorizedContractsAllStrategies(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	nRows := 140
@@ -137,34 +136,31 @@ func TestVectorizedContractsAllStrategies(t *testing.T) {
 
 	for _, st := range allStrategies {
 		var want []types.Row
-		for _, noFusion := range []bool{false, true} {
-			for _, noKernel := range []bool{false, true} {
-				for _, noVector := range []bool{false, true} {
-					label := fmt.Sprintf("%v/fusion=%v/kernel=%v/vector=%v", st, !noFusion, !noKernel, !noVector)
-					op, err := Plan(sky, Options{
-						Strategy:               st,
-						DisableStageFusion:     noFusion,
-						DisableColumnarKernel:  noKernel,
-						DisableVectorizedExprs: noVector,
-					})
-					if err != nil {
-						t.Fatalf("%s: plan: %v", label, err)
-					}
-					ctx := cluster.NewContext(4)
-					ctx.DecodeAtScan = !noVector && !noKernel
-					rows, err := Execute(op, ctx)
-					if err != nil {
-						t.Fatalf("%s: execute: %v", label, err)
-					}
-					if want == nil {
-						want = rows
-						if len(want) == 0 {
-							t.Fatalf("%s: empty skyline", label)
-						}
-						continue
-					}
-					assertSameRows(t, label, want, rows)
+		for _, noKernel := range []bool{false, true} {
+			for _, noVector := range []bool{false, true} {
+				label := fmt.Sprintf("%v/kernel=%v/vector=%v", st, !noKernel, !noVector)
+				op, err := Plan(sky, Options{
+					Strategy:               st,
+					DisableColumnarKernel:  noKernel,
+					DisableVectorizedExprs: noVector,
+				})
+				if err != nil {
+					t.Fatalf("%s: plan: %v", label, err)
 				}
+				ctx := cluster.NewContext(4)
+				ctx.DecodeAtScan = !noVector && !noKernel
+				rows, err := Execute(op, ctx)
+				if err != nil {
+					t.Fatalf("%s: execute: %v", label, err)
+				}
+				if want == nil {
+					want = rows
+					if len(want) == 0 {
+						t.Fatalf("%s: empty skyline", label)
+					}
+					continue
+				}
+				assertSameRows(t, label, want, rows)
 			}
 		}
 	}
@@ -286,22 +282,12 @@ func TestHashJoinFusedTail(t *testing.T) {
 		types.Field{Name: "k", Type: types.KindInt}, types.Field{Name: "v", Type: types.KindInt},
 		types.Field{Name: "k", Type: types.KindInt}, types.Field{Name: "w", Type: types.KindInt},
 	)
-	chain := func() Operator {
-		join := NewHashJoinExec(plan.InnerJoin, scanOf(t, left), scanOf(t, right),
+	src := func() Operator {
+		return NewHashJoinExec(plan.InnerJoin, scanOf(t, left), scanOf(t, right),
 			[]expr.Expr{ref(0)}, []expr.Expr{ref(0)}, nil, fourCol)
-		return &FilterExec{
-			Cond:  expr.NewBinary(expr.OpGt, expr.NewBoundRef(1, "v", types.KindInt, false), expr.NewLiteral(types.Int(15))),
-			Child: join,
-		}
 	}
-	unfused, fused, uctx, fctx := execBoth(t, chain(), 2)
-	assertSameRows(t, "hash join tail", unfused, fused)
-	if len(fused) != 3 {
+	if fused := assertFusedTail(t, "hash join tail", src, 1, 15, 2); len(fused) != 3 {
 		t.Fatalf("rows = %v", rowStrings(fused))
-	}
-	if fctx.Metrics.StagesExecuted() >= uctx.Metrics.StagesExecuted() {
-		t.Errorf("fused probe tail must save a task round: fused %d, unfused %d",
-			fctx.Metrics.StagesExecuted(), uctx.Metrics.StagesExecuted())
 	}
 }
 

@@ -20,12 +20,11 @@ import (
 // is a *skyline* result cache; plain selects are cheap) — wraps it in a
 // CacheExec. Uncacheable plans are returned unchanged.
 //
-// The opts parameter is the planning configuration the plan was compiled
-// under. Nothing from it joins the fingerprint directly: the strategy is
+// Nothing from the planning options joins the fingerprint: the strategy is
 // already encoded in the operator shapes the canonicalizer reads, and the
-// bit-identical ablations (fusion, kernel, vectorization) are excluded by
-// design so ablated sessions share entries.
-func (c *Cache) Bind(root physical.Operator, opts physical.Options) physical.Operator {
+// bit-identical ablations (kernel, vectorization) are excluded by design
+// so ablated sessions share entries.
+func (c *Cache) Bind(root physical.Operator) physical.Operator {
 	if c == nil {
 		return root
 	}
@@ -132,8 +131,9 @@ func (e *CacheExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 	return out, nil
 }
 
-// canonicalizer builds the structural fingerprint bottom-up. Only
-// operator kinds whose String()/fields capture everything
+// canonicalizer builds the structural fingerprint of a compiled plan
+// bottom-up; narrow operators only ever appear inside fused pipelines.
+// Only operator kinds whose String()/fields capture everything
 // result-relevant are accepted; anything else makes the plan uncacheable
 // (default-deny — a false negative costs a recompute, a false positive
 // would serve wrong rows).
@@ -157,31 +157,11 @@ func (c *canonicalizer) op(op physical.Operator) bool {
 		c.deps = append(c.deps, n.Table)
 	case *physical.OneRowExec:
 		c.sb.WriteString("|onerow")
-	case *physical.FilterExec:
-		conds := []expr.Expr{n.Cond}
-		child := physical.Operator(n.Child)
-		for {
-			f, ok := child.(*physical.FilterExec)
-			if !ok {
-				break
-			}
-			conds = append(conds, f.Cond)
-			child = f.Child
-		}
-		if !c.op(child) {
-			return false
-		}
-		c.filterRun(conds)
 	case *physical.ExchangeExec:
 		if !c.op(n.Child) {
 			return false
 		}
 		fmt.Fprintf(&c.sb, "|%s", n.String())
-	case *physical.LocalSkylineExec:
-		if !c.op(n.Child) {
-			return false
-		}
-		c.localSky(n)
 	case *physical.GlobalSkylineExec:
 		if !c.op(n.Child) {
 			return false
@@ -189,8 +169,8 @@ func (c *canonicalizer) op(op physical.Operator) bool {
 		c.sawSkyline = true
 		fmt.Fprintf(&c.sb, "|global-sky(inc=%v,distinct=%v)[%s]",
 			n.Incomplete, n.Distinct, c.dims(n.Dims))
-	case *physical.ExtremumFilterExec, *physical.ProjectExec, *physical.SortExec,
-		*physical.DistinctExec, *physical.LimitExec, *physical.LocalLimitExec:
+	case *physical.ExtremumFilterExec, *physical.SortExec, *physical.DistinctExec,
+		*physical.LimitExec:
 		ch := op.Children()
 		if len(ch) != 1 || !c.op(ch[0]) {
 			return false
@@ -203,9 +183,8 @@ func (c *canonicalizer) op(op physical.Operator) bool {
 }
 
 // narrowOps renders a fused pipeline's operator chain (already in
-// execution order) with the same normalizations the tree walk applies,
-// without recursing into the ops' structural children (those are the
-// preceding chain elements).
+// execution order), without recursing into the ops' structural children
+// (those are the preceding chain elements).
 func (c *canonicalizer) narrowOps(ops []physical.NarrowOperator) bool {
 	for i := 0; i < len(ops); {
 		if f, ok := ops[i].(*physical.FilterExec); ok {
@@ -282,14 +261,14 @@ func (c *canonicalizer) dims(dims []physical.BoundDim) string {
 //
 //	GlobalSkylineExec(bnl)
 //	  └ ExchangeExec AllTuples
-//	      └ [LocalSkylineExec(complete, same clause)]
-//	          └ FilterExec* (possibly fused into a pipeline)
-//	              └ ScanExec (in-memory table)
+//	      └ [PipelineExec of [LocalSkylineExec(complete, same clause)]
+//	         over FilterExec*]
+//	          └ ScanExec (in-memory table)
 //
 // Complete BNL emits the input-order subsequence
 // of the skyline; chunk partitioning plus the order-preserving AllTuples
 // gather make that the table-order subsequence, invariant to executor
-// count, fusion, and dimension permutation — which is what lets appends
+// count and dimension permutation — which is what lets appends
 // be absorbed by a BNL window seeded from the cached rows (Cache.upgrade). Any
 // other shape returns nil (cacheable, but append ⇒ invalidate).
 func maintainShape(root physical.Operator) *maintenance {
@@ -301,29 +280,15 @@ func maintainShape(root physical.Operator) *maintenance {
 	if !ok || ex.Dist != cluster.AllTuples || len(ex.Keys) != 0 {
 		return nil
 	}
-	// Flatten the subtree under the exchange into top-down order,
-	// expanding fused pipelines (whose Ops are bottom-up execution order).
+	// Flatten the fused stage under the exchange into top-down order (its
+	// Ops are bottom-up execution order).
 	var chain []physical.Operator
 	cur := ex.Child
-flatten:
-	for {
-		switch n := cur.(type) {
-		case *physical.FilterExec:
-			chain = append(chain, n)
-			cur = n.Child
-		case *physical.LocalSkylineExec:
-			chain = append(chain, n)
-			cur = n.Child
-		case *physical.PipelineExec:
-			for i := len(n.Ops) - 1; i >= 0; i-- {
-				chain = append(chain, n.Ops[i])
-			}
-			cur = n.Source
-		case *physical.ScanExec:
-			break flatten
-		default:
-			return nil
+	if p, ok := cur.(*physical.PipelineExec); ok {
+		for i := len(p.Ops) - 1; i >= 0; i-- {
+			chain = append(chain, p.Ops[i])
 		}
+		cur = p.Source
 	}
 	scan, ok := cur.(*physical.ScanExec)
 	if !ok || scan.Table.Segments != nil {

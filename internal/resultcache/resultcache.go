@@ -15,7 +15,7 @@
 // (filter conjuncts sorted), and the strategy (encoded in the operator
 // shapes).
 // Ablation switches that are bit-identical by the engine's standing
-// contract (stage fusion, columnar kernel, vectorized expressions) are
+// contract (columnar kernel, vectorized expressions) are
 // deliberately excluded, so ablated sessions share entries.
 //
 // An entry stores the result rows plus their columnar skyline.Batch

@@ -329,14 +329,21 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var req AppendRequest
-	if !s.decodePost(w, r, &req) {
+	if !s.decodePostNumbers(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
 		s.fail(w, http.StatusBadRequest, "bad_request", "table name is required")
 		return
 	}
-	rows, err := decodeRowsLoose(req.Rows)
+	// Cells are checked against the table's declared schema before any row
+	// lands, so a rejected batch leaves the table and the cache untouched.
+	schema, err := s.sess.Table(req.Name).Schema()
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
+	rows, err := decodeRows(req.Rows, schema)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -495,7 +502,9 @@ func encodeColumns(schema *types.Schema) []Column {
 
 // decodeRows converts JSON rows against a schema: numbers (json.Number
 // literals) land as the declared kind, parsed exactly (a JSON 3 or 3.0 is
-// a valid BIGINT; 3.5 and 2⁶³ are not), null as SQL NULL.
+// a valid BIGINT; 3.5 and 2⁶³ are not), null as SQL NULL where the column
+// is nullable. A cell of another kind, or a null in a NOT NULL column, is
+// an error naming the row and column.
 func decodeRows(in [][]interface{}, schema *types.Schema) ([]types.Row, error) {
 	rows := make([]types.Row, len(in))
 	for i, rec := range in {
@@ -504,38 +513,15 @@ func decodeRows(in [][]interface{}, schema *types.Schema) ([]types.Row, error) {
 		}
 		row := make(types.Row, len(rec))
 		for j, cell := range rec {
-			v, err := decodeValue(cell, schema.Fields[j].Type)
+			f := schema.Fields[j]
+			if cell == nil && !f.Nullable {
+				return nil, fmt.Errorf("row %d column %q: NULL in NOT NULL column", i, f.Name)
+			}
+			v, err := decodeValue(cell, f.Type)
 			if err != nil {
-				return nil, fmt.Errorf("row %d column %q: %w", i, schema.Fields[j].Name, err)
+				return nil, fmt.Errorf("row %d column %q: %w", i, f.Name, err)
 			}
 			row[j] = v
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
-// decodeRowsLoose converts JSON rows without a schema (appends — the
-// table's own validation catches width mismatches): every JSON number
-// becomes a DOUBLE, integral or not, strings STRING, booleans BOOLEAN,
-// null NULL.
-func decodeRowsLoose(in [][]interface{}) ([]types.Row, error) {
-	rows := make([]types.Row, len(in))
-	for i, rec := range in {
-		row := make(types.Row, len(rec))
-		for j, cell := range rec {
-			switch c := cell.(type) {
-			case nil:
-				row[j] = types.Null
-			case bool:
-				row[j] = types.Bool(c)
-			case string:
-				row[j] = types.Str(c)
-			case float64:
-				row[j] = types.Float(c)
-			default:
-				return nil, fmt.Errorf("row %d column %d: unsupported JSON value %T", i, j, cell)
-			}
 		}
 		rows[i] = row
 	}

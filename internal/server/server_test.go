@@ -188,11 +188,22 @@ func TestHitPeakBytesIsWhatItServes(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	sess := skysql.NewSession(skysql.WithExecutors(1))
+	sess := skysql.NewSession(skysql.WithExecutors(1), skysql.WithResultCache(0))
 	defer sess.Close()
 	ts := httptest.NewServer(server.New(sess))
 	defer ts.Close()
 	c := ts.Client()
+	if status, raw := post(t, c, ts.URL+"/tables", hotels); status != http.StatusOK {
+		t.Fatalf("create: %d %s", status, raw)
+	}
+	const sky = "SELECT * FROM hotels SKYLINE OF price MIN, distance MIN"
+	status, before := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: sky})
+	if status != http.StatusOK {
+		t.Fatalf("query: %d %s", status, before)
+	}
+	badTable := func(row []interface{}) server.TableRequest {
+		return server.TableRequest{Name: "bad", Columns: hotels.Columns, Rows: [][]interface{}{row}}
+	}
 
 	cases := []struct {
 		name   string
@@ -226,6 +237,22 @@ func TestBadRequests(t *testing.T) {
 		{"drop without name", http.StatusBadRequest, func() (int, []byte) {
 			return post(t, c, ts.URL+"/drop", server.DropRequest{})
 		}},
+		{"/tables string into DOUBLE", http.StatusBadRequest, func() (int, []byte) {
+			return post(t, c, ts.URL+"/tables", badTable([]interface{}{9, "x", 3.0}))
+		}},
+		{"/tables NULL into NOT NULL", http.StatusBadRequest, func() (int, []byte) {
+			return post(t, c, ts.URL+"/tables", badTable([]interface{}{9, 60.0, nil}))
+		}},
+		{"/append string into DOUBLE", http.StatusBadRequest, func() (int, []byte) {
+			return post(t, c, ts.URL+"/append", server.AppendRequest{Name: "hotels", Rows: [][]interface{}{{9, "x", 3.0}}})
+		}},
+		{"/append string into BIGINT", http.StatusBadRequest, func() (int, []byte) {
+			return post(t, c, ts.URL+"/append", server.AppendRequest{Name: "hotels", Rows: [][]interface{}{{"x", 60, nil}}})
+		}},
+		{"/append NULL into NOT NULL", http.StatusBadRequest, func() (int, []byte) {
+			// The first row is good: a rejected batch appends none of it.
+			return post(t, c, ts.URL+"/append", server.AppendRequest{Name: "hotels", Rows: [][]interface{}{{8, 10.0, 1.0}, {9, 60.0, nil}}})
+		}},
 	}
 	for _, tc := range cases {
 		status, raw := tc.run()
@@ -236,6 +263,27 @@ func TestBadRequests(t *testing.T) {
 		if e := decodeErr(t, raw); e.Code != "bad_request" {
 			t.Errorf("%s: code %q, want bad_request", tc.name, e.Code)
 		}
+	}
+	if got := sess.Tables(); len(got) != 1 {
+		t.Errorf("tables after rejected creates: %v, want [hotels]", got)
+	}
+	// The rejected appends left the table and its cached skyline alone.
+	status, after := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: sky})
+	if status != http.StatusOK {
+		t.Fatalf("query: %d %s", status, after)
+	}
+	if b, a := decodeQuery(t, before), decodeQuery(t, after); fmt.Sprint(a.Rows) != fmt.Sprint(b.Rows) || a.Metrics.CacheHits != 1 {
+		t.Errorf("after rejected appends: rows %v (cache hits %d), want the original %v from the cache", a.Rows, a.Metrics.CacheHits, b.Rows)
+	}
+	if st := sess.ResultCacheStats(); st.Upgrades != 0 || st.Invalidations != 0 {
+		t.Errorf("rejected appends reached the cache: %+v", st)
+	}
+	status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: "SELECT * FROM hotels"})
+	if status != http.StatusOK {
+		t.Fatalf("query: %d %s", status, raw)
+	}
+	if got, want := fmt.Sprint(decodeQuery(t, raw).Rows), fmt.Sprint([][]interface{}{{1, 50, 4}, {2, 80, 5}, {3, 90, 1}, {4, 95, 2}}); got != want {
+		t.Errorf("rows after rejected appends: %s, want %s", got, want)
 	}
 }
 
@@ -925,11 +973,15 @@ func TestTablesBigintExact(t *testing.T) {
 	defer ts.Close()
 	c := ts.Client()
 
-	table := json.RawMessage(`{"name":"b","columns":[{"name":"id","type":"BIGINT"},{"name":"x","type":"DOUBLE"}],
+	table := json.RawMessage(`{"name":"b","columns":[{"name":"id","type":"BIGINT","nullable":true},{"name":"x","type":"DOUBLE","nullable":true}],
 		"rows":[[9007199254740993,0.1],[1152921504606846977,1e300],[9223372036854775807,-2.5],
 		[-9223372036854775808,null],[3.0,1],[1e3,7],[-12.50e1,0],[null,3]]}`)
 	if status, raw := post(t, c, ts.URL+"/tables", table); status != http.StatusOK {
 		t.Fatalf("create: %d %s", status, raw)
+	}
+	// /append parses its cells against the table's schema the same way.
+	if status, raw := post(t, c, ts.URL+"/append", json.RawMessage(`{"name":"b","rows":[[9007199254740993,0.5]]}`)); status != http.StatusOK {
+		t.Fatalf("append: %d %s", status, raw)
 	}
 	status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: "SELECT id, x FROM b"})
 	if status != http.StatusOK {
@@ -942,7 +994,7 @@ func TestTablesBigintExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "[[9007199254740993 0.1] [1152921504606846977 1e+300] [9223372036854775807 -2.5] " +
-		"[-9223372036854775808 ] [3 1] [1000 7] [-125 0] [ 3]]"
+		"[-9223372036854775808 ] [3 1] [1000 7] [-125 0] [ 3] [9007199254740993 0.5]]"
 	if fmt.Sprint(got.Rows) != want {
 		t.Errorf("rows:\n got  %v\n want %s", got.Rows, want)
 	}

@@ -17,7 +17,7 @@ import (
 
 // TestSegmentStorageSessionBitIdentical is the public-API face of the
 // storage contract: a session storing its tables as paged columnar
-// segments — with or without zone-map pruning — must answer every query
+// segments — zone-map pruning included — must answer every query
 // exactly like the in-memory session, on the same mixed workload the
 // robustness suite uses.
 func TestSegmentStorageSessionBitIdentical(t *testing.T) {
@@ -32,8 +32,6 @@ func TestSegmentStorageSessionBitIdentical(t *testing.T) {
 	}{
 		{"segments", []skysql.Option{skysql.WithSegmentStorage(""), skysql.WithSegmentRows(64)}},
 		{"segments on disk", []skysql.Option{skysql.WithSegmentStorage(t.TempDir()), skysql.WithSegmentRows(64)}},
-		{"segments unpruned", []skysql.Option{
-			skysql.WithSegmentStorage(""), skysql.WithSegmentRows(64), skysql.WithoutSegmentPruning()}},
 	} {
 		sess := wideSession(t, tc.opts...)
 		got, err := sess.Query(wideSkyline)

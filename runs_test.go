@@ -20,7 +20,7 @@ func TestGlobalPassReusesLocalRuns(t *testing.T) {
 	tab := datagen.Synthetic(datagen.AntiCorrelated, 4000, 4, datagen.Config{Seed: 1, Complete: true})
 	const query = "SELECT * FROM t SKYLINE OF COMPLETE d1 MIN, d2 MIN, d3 MIN, d4 MIN"
 	run := func(st skysql.SkylineStrategy) ([]skysql.Row, *skysql.Metrics) {
-		sess := skysql.NewSession(skysql.WithExecutors(4), skysql.WithoutResultCache(), skysql.WithSkylineStrategy(st))
+		sess := skysql.NewSession(skysql.WithExecutors(4), skysql.WithSkylineStrategy(st))
 		defer sess.Close()
 		if err := sess.CreateTable("t", tab.Schema, tab.Rows); err != nil {
 			t.Fatal(err)
@@ -117,7 +117,7 @@ func TestStackedDistinctSkylineOverRuns(t *testing.T) {
 
 	for executors := 1; executors <= 4; executors++ {
 		for _, morsels := range []bool{true, false} {
-			opts := []skysql.Option{skysql.WithExecutors(executors), skysql.WithoutResultCache()}
+			opts := []skysql.Option{skysql.WithExecutors(executors)}
 			if !morsels {
 				opts = append(opts, skysql.WithoutMorselParallelism())
 			}

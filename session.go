@@ -23,11 +23,8 @@ type Session struct {
 	engine       *core.Engine
 	executors    int
 	strategy     SkylineStrategy
-	noFusion     bool
 	noKernel     bool
 	noVector     bool
-	adaptiveRows int
-	noAdaptive   bool
 	noMorsel     bool
 	poolSize     int
 	injector     *chaos.Injector
@@ -38,7 +35,6 @@ type Session struct {
 	segDir       string
 	segRows      int
 	spillDir     string
-	noSegPrune   bool
 	cache        *resultcache.Cache
 
 	// Serving-tier configuration (serving.go): admission bounds and the
@@ -81,21 +77,11 @@ func WithSkylineStrategy(st SkylineStrategy) Option {
 	return func(s *Session) { s.strategy = st }
 }
 
-// WithoutStageFusion disables the exchange-bounded stage compiler: every
-// physical operator then executes as its own fully-materialized task
-// round instead of fusing narrow chains into single-pass pipelines. The
-// default (fused) execution is result-identical; this switch exists for
-// A/B comparison and debugging.
-func WithoutStageFusion() Option {
-	return func(s *Session) { s.noFusion = true }
-}
-
 // WithoutColumnarKernel disables the columnar dominance kernel: skyline
 // operators then run every dominance test through the boxed compare path
 // instead of decode-once float64 column batches, and exchanges stop
 // carrying the decoded batches as sidecars. The default (kernel) execution
-// is result-identical; this switch exists for A/B ablation and debugging,
-// mirroring WithoutStageFusion.
+// is result-identical; this switch exists for A/B ablation and debugging.
 func WithoutColumnarKernel() Option {
 	return func(s *Session) { s.noKernel = true }
 }
@@ -104,39 +90,9 @@ func WithoutColumnarKernel() Option {
 // filters, projections, and extremum passes then evaluate boxed, row at a
 // time, and fused stages stop decoding their columnar batch at the scan
 // (cluster.Context.DecodeAtScan). The default (vectorized) execution is
-// result-identical; this switch exists for A/B ablation and debugging,
-// mirroring WithoutColumnarKernel.
+// result-identical; this switch exists for A/B ablation and debugging.
 func WithoutVectorizedExprs() Option {
 	return func(s *Session) { s.noVector = true }
-}
-
-// WithAdaptiveExchange overrides the cost-chosen rows-per-partition target
-// of adaptive exchanges (AQE-style): the post-exchange partition count is
-// derived from the observed upstream output size — ceil(rows/targetRows),
-// clamped to the executor count — so tiny intermediate results collapse
-// into fewer tasks. Adaptive exchanges are on by default with a target the
-// cost model picks per exchange from the observed size and the executor
-// count; this option pins one explicit target instead. targetRows <= 0
-// keeps the static executor-count fan-out, exactly as it did before
-// adaptivity became the default (WithoutAdaptiveExchange spells the same
-// thing out).
-func WithAdaptiveExchange(targetRows int) Option {
-	return func(s *Session) {
-		if targetRows > 0 {
-			s.adaptiveRows = targetRows
-			s.noAdaptive = false // last-wins over WithoutAdaptiveExchange
-		} else {
-			s.noAdaptive = true
-		}
-	}
-}
-
-// WithoutAdaptiveExchange disables adaptive post-exchange partitioning:
-// every exchange then fans out to the static executor count, the pre-cost-
-// model behaviour. Results are identical as sets; the switch exists for
-// A/B ablation of the adaptivity, mirroring WithoutColumnarKernel.
-func WithoutAdaptiveExchange() Option {
-	return func(s *Session) { s.noAdaptive = true }
 }
 
 // WithWorkerPool pins the size of the session's work-stealing worker pool
@@ -156,7 +112,7 @@ func WithWorkerPool(n int) Option {
 // then schedule whole partitions as tasks on the pool and the global
 // skyline runs its serial kernel, the pre-morsel behaviour. Results are bit-identical
 // either way (the parallel twins preserve emission order); the switch
-// exists for A/B ablation and debugging, mirroring WithoutStageFusion.
+// exists for A/B ablation and debugging.
 func WithoutMorselParallelism() Option {
 	return func(s *Session) { s.noMorsel = true }
 }
@@ -260,17 +216,6 @@ func WithSpillDirectory(dir string) Option {
 	return func(s *Session) { s.spillDir = dir }
 }
 
-// WithoutSegmentPruning disables zone-map pruning at segment-backed
-// scans: every segment decodes, filters do all the work — including the
-// conjuncts a segment's zone maps prove true for every row, which are
-// otherwise not evaluated there. Results are bit-identical either way
-// (pruning only skips segments the predicates provably reject, and
-// conjuncts they provably accept); the switch exists for A/B ablation of
-// the pruning win, mirroring WithoutStageFusion.
-func WithoutSegmentPruning() Option {
-	return func(s *Session) { s.noSegPrune = true }
-}
-
 // WithResultCache enables the session-scoped skyline result cache with
 // the given byte budget (<= 0 selects resultcache.DefaultBudget, 64 MiB).
 // Cacheable queries — skyline plans whose every operator the cache can
@@ -285,16 +230,9 @@ func WithoutSegmentPruning() Option {
 // Session.AppendRows). Hit/miss/eviction/upgrade counts surface in
 // Explain, the skysql shell's \s and skysqld's /stats;
 // TestResultCacheBitIdenticalAcrossAblations pins the hit and miss counts.
-// The cache is off by default: WithoutResultCache spells that out.
+// The cache is off by default.
 func WithResultCache(bytes int64) Option {
 	return func(s *Session) { s.cache = resultcache.New(bytes) }
-}
-
-// WithoutResultCache disables the skyline result cache — the default;
-// the option exists so callers can spell the ablation out explicitly,
-// mirroring WithoutStageFusion.
-func WithoutResultCache() Option {
-	return func(s *Session) { s.cache = nil }
 }
 
 // NewSession creates a session with an empty catalog.
@@ -493,7 +431,6 @@ func (s *Session) Tables() []string { return s.engine.Catalog.Names() }
 func (s *Session) options() physical.Options {
 	opts := physical.Options{
 		Strategy:               s.strategy,
-		DisableStageFusion:     s.noFusion,
 		DisableColumnarKernel:  s.noKernel,
 		DisableVectorizedExprs: s.noVector,
 	}
@@ -572,18 +509,13 @@ func (s *Session) runCtx(goCtx context.Context, c *core.Compiled) (*core.Result,
 		ctx.Metrics.AttachGovernor(s.governor)
 		defer ctx.Metrics.DetachGovernor()
 	}
-	ctx.AdaptiveExchange = !s.noAdaptive
-	ctx.TargetRowsPerPartition = s.adaptiveRows
-	if s.noAdaptive {
-		ctx.TargetRowsPerPartition = 0
-	}
+	ctx.AdaptiveExchange = true
 	ctx.DecodeAtScan = !s.noVector && !s.noKernel
 	ctx.MorselParallel = !s.noMorsel
 	ctx.Injector = s.injector
 	ctx.MaxTaskRetries = s.taskRetries
 	ctx.MemoryBudget = s.memoryBudget
 	ctx.SpillDir = s.spillDir
-	ctx.DisableSegmentPrune = s.noSegPrune
 	pool := s.workerPool()
 	ctx.Runner = pool
 	if pool.Size() == 1 {
@@ -599,20 +531,14 @@ func (s *Session) runCtx(goCtx context.Context, c *core.Compiled) (*core.Result,
 	if err := goCtx.Err(); err != nil {
 		return nil, fmt.Errorf("skysql: %w: %w", cluster.ErrCanceled, err)
 	}
-	if goCtx.Done() != nil {
-		// Watcher mapping ctx.Done() onto the cooperative cancel. The
-		// recorded cause wraps both sentinels, so callers can match either
-		// errors.Is(err, context.DeadlineExceeded) or ErrCanceled.
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-goCtx.Done():
-				ctx.CancelWith(fmt.Errorf("skysql: %w: %w", cluster.ErrCanceled, goCtx.Err()))
-			case <-stop:
-			}
-		}()
-	}
+	// Map goCtx's end onto the cooperative cancel; the callback runs only
+	// if the context ends while the query is still running. The recorded
+	// cause wraps both sentinels, so callers can match either
+	// errors.Is(err, context.DeadlineExceeded) or ErrCanceled.
+	stop := context.AfterFunc(goCtx, func() {
+		ctx.CancelWith(fmt.Errorf("skysql: %w: %w", cluster.ErrCanceled, goCtx.Err()))
+	})
+	defer stop()
 	res, err := s.engine.ExecuteCtx(c, ctx)
 	if err == nil {
 		// Cancellation is cooperative: a round whose tasks were already

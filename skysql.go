@@ -31,8 +31,7 @@
 // aggregates, joins — cut the stages exactly where a Spark shuffle would,
 // so a filter → project → local-skyline chain materializes no
 // intermediate datasets and costs one scheduling round instead of three.
-// EXPLAIN renders the stage boundaries; WithoutStageFusion restores the
-// per-operator path for A/B comparison.
+// Fused stages are the only executor; EXPLAIN renders their boundaries.
 //
 // Skyline dominance testing — the O(n²) innermost loop of every skyline
 // operator — runs on a columnar kernel: each partition is decoded once
@@ -45,9 +44,9 @@
 // per input partition for the whole plan. Partitions with non-numeric or
 // otherwise non-decodable skyline dimensions fall back transparently to
 // the boxed compare path; WithoutColumnarKernel forces that path (and
-// row-only exchanges) everywhere for A/B ablation. Exchanges can also pick
-// their partition counts adaptively from observed intermediate sizes
-// (WithAdaptiveExchange), collapsing tiny results into fewer tasks.
+// row-only exchanges) everywhere for A/B ablation. Exchanges pick their
+// partition counts from observed intermediate sizes, collapsing tiny
+// results into fewer tasks.
 //
 // # Vectorized expression evaluation
 //
@@ -89,12 +88,11 @@
 // deferring pays the boxed filter but decodes only the survivors, and the
 // gate picks whichever the estimated filter selectivity × decode width
 // says is cheaper (selective filters defer; permissive ones decode).
-// Second, exchanges are adaptive by default: each exchange derives its
-// rows-per-partition target from the observed upstream size and the
+// Second, exchanges are adaptive in every session: each exchange derives
+// its rows-per-partition target from the observed upstream size and the
 // executor count, so tiny intermediates collapse into the few tasks that
 // amortize their scheduling overhead while large inputs still fan out to
-// every executor; WithAdaptiveExchange pins one explicit target instead,
-// WithoutAdaptiveExchange restores the static fan-out for A/B. Third, the
+// every executor. Third, the
 // Grid/Angle/Zorder exchanges accept a sidecar decoded at the scan below
 // them, so a filter under a partitioned exchange vectorizes instead of
 // forcing the boxed key path, and the exchange buckets on the decoded
@@ -102,8 +100,8 @@
 //
 // The fallback rules mirror the vectorization contract: every gated
 // choice selects between execution strategies that are bit-identical by
-// construction (contract-tested across every SkylineStrategy × fusion ×
-// kernel × vectorization ablation), so a wrong estimate costs time, never
+// construction (contract-tested across every SkylineStrategy × kernel ×
+// vectorization ablation), so a wrong estimate costs time, never
 // correctness — and when the model cannot see (no scan below the stage,
 // no filters, no sketchable columns) the engine simply keeps the
 // pre-gate behaviour. Every decision is recorded in
@@ -162,8 +160,8 @@
 //     WithTaskRetries budget (default 3), on every task runner — the
 //     work-stealing pool and the harness's makespan model. Retried
 //     runs are bit-identical to fault-free runs (contract-tested at fault
-//     rates up to 0.3 across every strategy × fusion × kernel ×
-//     vectorization ablation, under the race detector).
+//     rates up to 0.3 across every strategy × kernel × vectorization
+//     ablation, under the race detector).
 //
 //   - What degrades: under a WithMemoryBudget cap, live materialized
 //     bytes past 60% of the budget drop the columnar sidecars (boxed
@@ -208,8 +206,8 @@
 // skips every segment whose zone map proves the predicate can keep no
 // row (conservatively: NaN-bearing segments never min-prune, all-NULL
 // columns always prune, non-numeric columns never do) before decoding a
-// single page — WithoutSegmentPruning turns the skip off for A/B, and
-// results are bit-identical either way. Statistics: footer histograms
+// single page; results are bit-identical to the in-memory scan of the same
+// rows (TestSegmentScanContractAllStrategies). Statistics: footer histograms
 // feed the cost model's selectivity estimator, replacing the uniform
 // interpolation on skewed columns.
 //
@@ -242,8 +240,8 @@
 //
 // # Skyline result cache
 //
-// Sessions built WithResultCache(bytes) (0 = 64 MiB default;
-// WithoutResultCache disables; the shell's -cache flag mirrors both)
+// Sessions built WithResultCache(bytes) (0 = 64 MiB default; without it
+// there is no cache; the shell's -cache flag mirrors it)
 // memoize skyline results: the planner wraps every skyline-bearing plan
 // in a cache node keyed on a normalized fingerprint — canonical operator
 // shapes, the SKYLINE OF clause with dimension order normalized exactly

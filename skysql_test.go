@@ -420,41 +420,6 @@ func hotelInto(t testing.TB, sess *skysql.Session) {
 	}
 }
 
-func TestWithAdaptiveExchangeOption(t *testing.T) {
-	// Adaptive post-exchange partitioning must leave results untouched
-	// while collapsing the tiny hotels table into fewer tasks, and the
-	// decisions must be visible in the metrics.
-	q := "SELECT id, price, user_rating FROM hotels SKYLINE OF price MIN, user_rating MAX"
-	static := hotelSession(t)
-	srows, err := static.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive := skysql.NewSession(skysql.WithExecutors(3), skysql.WithAdaptiveExchange(6))
-	hotelInto(t, adaptive)
-	df, err := adaptive.SQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arows, err := df.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, ag := rowsToStrings(srows), rowsToStrings(arows)
-	if strings.Join(sg, "|") != strings.Join(ag, "|") {
-		t.Fatalf("adaptive rows %v != static rows %v", ag, sg)
-	}
-	ds := df.Metrics().AdaptiveDecisions()
-	if len(ds) == 0 {
-		t.Fatal("adaptive run must record partitioning decisions")
-	}
-	for _, d := range ds {
-		if d.Chosen > d.Static {
-			t.Errorf("adaptive chose %d partitions over static %d", d.Chosen, d.Static)
-		}
-	}
-}
-
 func TestExplainReportsBatchesDecoded(t *testing.T) {
 	sess := hotelSession(t)
 	df, err := sess.SQL("SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX")
@@ -520,94 +485,43 @@ func TestWithoutVectorizedExprsOption(t *testing.T) {
 }
 
 func TestAdaptiveExchangeDefaultOn(t *testing.T) {
-	// Sessions default to cost-chosen adaptive exchanges: the tiny hotels
-	// table collapses to single-partition task rounds, the choices are
-	// pinned in both decision lists, and WithoutAdaptiveExchange restores
-	// the static fan-out with identical result rows.
+	// Sessions run cost-chosen adaptive exchanges: the tiny hotels table
+	// collapses to single-partition task rounds, each choice is pinned as
+	// an exchange-target cost decision, and the rows are the Listing-4
+	// rewrite's.
 	q := "SELECT id, price, user_rating FROM hotels SKYLINE OF price MIN, user_rating MAX"
-	def := hotelSession(t)
-	ddf, err := def.SQL(q)
+	sess := hotelSession(t)
+	df, err := sess.SQL(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drows, err := ddf.Collect()
+	rows, err := df.Collect()
 	if err != nil {
 		t.Fatal(err)
-	}
-	ads := ddf.Metrics().AdaptiveDecisions()
-	if len(ads) == 0 {
-		t.Fatal("default session must record adaptive decisions")
-	}
-	for _, d := range ads {
-		if d.Chosen != 1 || d.Static != 3 {
-			t.Errorf("tiny input must collapse 3 -> 1, got %+v", d)
-		}
 	}
 	var targets int
-	for _, d := range ddf.Metrics().CostDecisions() {
+	for _, d := range df.Metrics().CostDecisions() {
 		if d.Site == "exchange-target" {
 			targets++
-			if d.Choice != "adaptive" {
-				t.Errorf("tiny-input target decision = %+v, want adaptive", d)
+			if d.Choice != "adaptive" || !strings.HasSuffix(d.Detail, "partitions=1/3") {
+				t.Errorf("tiny input must collapse 3 -> 1, got %+v", d)
 			}
 		}
 	}
-	if targets != len(ads) {
-		t.Errorf("%d exchange-target cost decisions for %d adaptive decisions", targets, len(ads))
+	if targets == 0 {
+		t.Fatal("a session must record adaptive decisions")
 	}
-
-	static := skysql.NewSession(skysql.WithExecutors(3), skysql.WithoutAdaptiveExchange())
-	hotelInto(t, static)
-	sdf, err := static.SQL(q)
+	ref, err := sess.RewriteSkyline(q, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srows, err := sdf.Collect()
+	refRows, err := sess.Query(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sdf.Metrics().AdaptiveDecisions()) != 0 {
-		t.Error("WithoutAdaptiveExchange must not record adaptive decisions")
-	}
-	for _, d := range sdf.Metrics().CostDecisions() {
-		if d.Site == "exchange-target" {
-			t.Errorf("WithoutAdaptiveExchange recorded %+v", d)
-		}
-	}
-	dg, sg := rowsToStrings(drows), rowsToStrings(srows)
-	if strings.Join(dg, "|") != strings.Join(sg, "|") {
-		t.Fatalf("adaptive rows %v != static rows %v", dg, sg)
-	}
-
-	// An explicit target overrides the cost-chosen one: decisions land in
-	// AdaptiveDecisions with the pinned arithmetic, but no exchange-target
-	// cost decision is recorded (nothing was cost-chosen).
-	override := skysql.NewSession(skysql.WithExecutors(3), skysql.WithAdaptiveExchange(2))
-	hotelInto(t, override)
-	odf, err := override.SQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orows, err := odf.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oas := odf.Metrics().AdaptiveDecisions()
-	if len(oas) == 0 {
-		t.Fatal("explicit-target session must record adaptive decisions")
-	}
-	// 6 scanned rows at 2 rows per partition fill all 3 executors.
-	if oas[0].Chosen != 3 || oas[0].Rows != 6 {
-		t.Errorf("scan decision = %+v, want 6 rows -> 3 partitions", oas[0])
-	}
-	for _, d := range odf.Metrics().CostDecisions() {
-		if d.Site == "exchange-target" {
-			t.Errorf("explicit target recorded cost decision %+v", d)
-		}
-	}
-	og := rowsToStrings(orows)
-	if strings.Join(og, "|") != strings.Join(sg, "|") {
-		t.Fatalf("override rows %v != static rows %v", og, sg)
+	got, want := rowsToStrings(rows), rowsToStrings(refRows)
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("adaptive rows %v != rewrite rows %v", got, want)
 	}
 }
 
@@ -628,55 +542,6 @@ func TestExplainReportsCostDecisions(t *testing.T) {
 	}
 	if !strings.Contains(out, "cost decisions:") || !strings.Contains(out, "decode-at-scan:") {
 		t.Errorf("explain after run must surface cost decisions:\n%s", out)
-	}
-}
-
-func TestWithAdaptiveExchangeZeroKeepsStatic(t *testing.T) {
-	// The pre-default contract: targetRows <= 0 keeps the static fan-out,
-	// same as WithoutAdaptiveExchange.
-	sess := skysql.NewSession(skysql.WithExecutors(3), skysql.WithAdaptiveExchange(0))
-	hotelInto(t, sess)
-	df, err := sess.SQL("SELECT id, price, user_rating FROM hotels SKYLINE OF price MIN, user_rating MAX")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := df.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if ds := df.Metrics().AdaptiveDecisions(); len(ds) != 0 {
-		t.Errorf("WithAdaptiveExchange(0) must keep static partitioning, recorded %v", ds)
-	}
-}
-
-func TestAdaptiveExchangeOptionsLastWins(t *testing.T) {
-	// Option application is last-wins: an explicit target after
-	// WithoutAdaptiveExchange re-enables adaptivity, and vice versa.
-	q := "SELECT id, price, user_rating FROM hotels SKYLINE OF price MIN, user_rating MAX"
-	on := skysql.NewSession(skysql.WithExecutors(3),
-		skysql.WithoutAdaptiveExchange(), skysql.WithAdaptiveExchange(2))
-	hotelInto(t, on)
-	odf, err := on.SQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := odf.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if len(odf.Metrics().AdaptiveDecisions()) == 0 {
-		t.Error("explicit target after WithoutAdaptiveExchange must win")
-	}
-	off := skysql.NewSession(skysql.WithExecutors(3),
-		skysql.WithAdaptiveExchange(2), skysql.WithoutAdaptiveExchange())
-	hotelInto(t, off)
-	fdf, err := off.SQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fdf.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if ds := fdf.Metrics().AdaptiveDecisions(); len(ds) != 0 {
-		t.Errorf("WithoutAdaptiveExchange last must win, recorded %v", ds)
 	}
 }
 
