@@ -318,11 +318,13 @@ func (df *DataFrame) CollectContext(ctx context.Context) ([]Row, error) {
 // slice and the row count. When the session's result cache answers the
 // query, the text comes from the cache entry too: the first call that
 // encodes an entry's rows leaves the bytes on it (inside the cache's byte
-// budget, shed before anything else under pressure, dropped when an
-// append changes the entry), and later hits copy them without touching a
-// row. JSON has no NaN or ±Inf: a result holding one fails with an error
-// naming the row and column, dst is returned as it came, and nothing is
-// cached.
+// budget, shed before anything else under pressure), and later hits copy
+// them without touching a row. An append the cache absorbs on the
+// columnar kernel rebuilds the text from the old one, encoding only the
+// appended rows that survive; any other change to the entry drops it, and
+// the next call encodes again. JSON has no NaN or ±Inf: a result holding
+// one fails with an error naming the row and column, dst is returned as
+// it came, and nothing is cached.
 func (df *DataFrame) CollectJSON(ctx context.Context, dst []byte) ([]byte, int, error) {
 	res, err := df.collect(ctx)
 	if err != nil {

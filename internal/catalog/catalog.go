@@ -55,7 +55,10 @@ type Table struct {
 
 // NewTable creates a table, validating that every column has a name no
 // other column shares (column references resolve case-insensitively, so
-// "a" and "A" are one name) and that each row matches the schema width.
+// "a" and "A" are one name) and that each row fits the schema
+// (types.Schema.CheckRow: width, kinds, NULL only in nullable columns).
+// Rows needing an exact BIGINT↔DOUBLE conversion are stored as converted
+// copies, in a copy of rows; the caller's rows are never written.
 func NewTable(name string, schema *types.Schema, rows []types.Row) (*Table, error) {
 	seen := make(map[string]bool, schema.Len())
 	for i, f := range schema.Fields {
@@ -68,11 +71,9 @@ func NewTable(name string, schema *types.Schema, rows []types.Row) (*Table, erro
 		}
 		seen[key] = true
 	}
-	for i, r := range rows {
-		if len(r) != schema.Len() {
-			return nil, fmt.Errorf("catalog: row %d of table %q has %d values, schema has %d columns",
-				i, name, len(r), schema.Len())
-		}
+	rows, err := checkRows(schema, rows)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: table %q: %w", name, err)
 	}
 	t := &Table{Name: strings.ToLower(name), Schema: schema, Rows: rows}
 	t.bump()
@@ -95,21 +96,23 @@ func (t *Table) Version() int64 { return t.version.Load() }
 // bump advances the table to a fresh, globally unique version.
 func (t *Table) bump() { t.version.Store(versionCounter.Add(1)) }
 
-// Append adds rows to an in-memory table, validating widths, and bumps the
-// table's version so version-keyed consumers see the change. Segment-backed
-// tables are immutable at this layer and refuse the append. Safe to call
-// concurrently with Snapshot readers: rows visible to an existing snapshot
-// are never rewritten, and the version moves inside the same critical
-// section as the row swap.
-func (t *Table) Append(rows ...types.Row) error {
+// Append adds rows to an in-memory table and bumps the table's version so
+// version-keyed consumers see the change. The rows are checked as NewTable
+// checks them; a batch with one row that does not fit appends nothing.
+// It returns the rows as stored — converted copies where a value needed
+// an exact BIGINT↔DOUBLE conversion — which is what version-keyed
+// consumers must be told was appended. Segment-backed tables are immutable
+// at this layer and refuse the append. Safe to call concurrently with
+// Snapshot readers: rows visible to an existing snapshot are never
+// rewritten, and the version moves inside the same critical section as the
+// row swap.
+func (t *Table) Append(rows ...types.Row) ([]types.Row, error) {
 	if t.Segments != nil {
-		return fmt.Errorf("catalog: table %q is segment-backed; appends are not supported", t.Name)
+		return nil, fmt.Errorf("catalog: table %q is segment-backed; appends are not supported", t.Name)
 	}
-	for i, r := range rows {
-		if len(r) != t.Schema.Len() {
-			return fmt.Errorf("catalog: appended row %d of table %q has %d values, schema has %d columns",
-				i, t.Name, len(r), t.Schema.Len())
-		}
+	rows, err := checkRows(t.Schema, rows)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: append to table %q: %w", t.Name, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -118,7 +121,31 @@ func (t *Table) Append(rows ...types.Row) error {
 	// snapshots never observe the new elements.
 	t.Rows = append(t.Rows, rows...)
 	t.bump()
-	return nil
+	return rows, nil
+}
+
+// checkRows holds every row to the schema (types.Schema.CheckRow) and
+// returns them as they are to be stored: rows itself when none needed a
+// conversion, else a copy holding the converted rows.
+func checkRows(schema *types.Schema, rows []types.Row) ([]types.Row, error) {
+	var out []types.Row // nil until a row is converted
+	for i, r := range rows {
+		c, err := schema.CheckRow(r)
+		if err != nil {
+			return nil, fmt.Errorf("row %d %w", i, err)
+		}
+		if c == nil {
+			continue
+		}
+		if out == nil {
+			out = append([]types.Row(nil), rows...)
+		}
+		out[i] = c
+	}
+	if out == nil {
+		return rows, nil
+	}
+	return out, nil
 }
 
 // Snapshot returns the table's current in-memory rows as an immutable
@@ -202,30 +229,4 @@ func (c *Catalog) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// InferNullability recomputes each column's Nullable flag of the table's
-// schema from the actual data. This mirrors the paper's observation that
-// Spark "cannot always detect the nullability of a column": callers may
-// either trust declared metadata, call this to derive it, or override at
-// query level with the COMPLETE keyword.
-func (t *Table) InferNullability() {
-	if t.Segments != nil {
-		// Segment-backed: the footers' exact null counts answer without
-		// decoding a single page.
-		for i := range t.Schema.Fields {
-			t.Schema.Fields[i].Nullable = t.Segments.Nullable(i)
-		}
-		return
-	}
-	for i := range t.Schema.Fields {
-		t.Schema.Fields[i].Nullable = false
-	}
-	for _, r := range t.Snapshot() {
-		for i, v := range r {
-			if v.IsNull() {
-				t.Schema.Fields[i].Nullable = true
-			}
-		}
-	}
 }

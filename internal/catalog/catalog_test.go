@@ -74,7 +74,7 @@ func TestTableVersionLifecycle(t *testing.T) {
 	if v1 <= v0 {
 		t.Errorf("Register must bump the version: %d -> %d", v0, v1)
 	}
-	if err := tab.Append(types.Row{types.Int(2), types.Float(60), types.Int(8)}); err != nil {
+	if _, err := tab.Append(types.Row{types.Int(2), types.Float(60), types.Int(8)}); err != nil {
 		t.Fatal(err)
 	}
 	v2 := tab.Version()
@@ -108,7 +108,7 @@ func TestTableVersionLifecycle(t *testing.T) {
 func TestTableAppendValidation(t *testing.T) {
 	tab, _ := NewTable("h", hotelSchema(), nil)
 	v := tab.Version()
-	if err := tab.Append(types.Row{types.Int(1)}); err == nil {
+	if _, err := tab.Append(types.Row{types.Int(1)}); err == nil {
 		t.Error("short appended row must be rejected")
 	}
 	if tab.Version() != v || len(tab.Rows) != 0 {
@@ -127,22 +127,58 @@ func TestSegmentTableRefusesAppend(t *testing.T) {
 	if tab.Version() <= 0 {
 		t.Error("NewSegmentTable must assign a version")
 	}
-	if err := tab.Append(types.Row{types.Int(2), types.Float(60), types.Int(8)}); err == nil {
+	if _, err := tab.Append(types.Row{types.Int(2), types.Float(60), types.Int(8)}); err == nil {
 		t.Error("segment-backed table must refuse appends")
 	}
 }
 
-func TestInferNullability(t *testing.T) {
-	tab, _ := NewTable("h", hotelSchema(), []types.Row{
+// TestRowsCheckedAgainstSchema: NewTable and Append store only rows that
+// fit the schema — a refused batch appends nothing — and convert BIGINT
+// and DOUBLE into each other's columns exactly, on copies: the caller's
+// rows and row slice are left as they came.
+func TestRowsCheckedAgainstSchema(t *testing.T) {
+	schema := hotelSchema() // id BIGINT, price DOUBLE, rating BIGINT, all NOT NULL
+	for _, bad := range []types.Row{
+		{types.Float(1.5), types.Float(50), types.Int(7)},
+		{types.Float(1 << 54), types.Float(50), types.Int(7)},
+		{types.Int(1), types.Int(1<<53 + 1), types.Int(7)},
 		{types.Int(1), types.Null, types.Int(7)},
-		{types.Int(2), types.Float(60), types.Int(8)},
-	})
-	tab.InferNullability()
-	want := []bool{false, true, false}
-	for i, f := range tab.Schema.Fields {
-		if f.Nullable != want[i] {
-			t.Errorf("column %s nullable = %v, want %v", f.Name, f.Nullable, want[i])
+		{types.Int(1), types.Str("x"), types.Int(7)},
+		{types.Int(1), types.Float(50), types.Bool(true)},
+	} {
+		if _, err := NewTable("h", schema, []types.Row{bad}); err == nil {
+			t.Errorf("NewTable stored %v", bad)
 		}
+		tab, _ := NewTable("h", schema, nil)
+		v := tab.Version()
+		if _, err := tab.Append(types.Row{types.Int(1), types.Float(50), types.Int(7)}, bad); err == nil || tab.Version() != v || len(tab.Rows) != 0 {
+			t.Errorf("Append of %v: err=%v, %d rows stored", bad, err, len(tab.Rows))
+		}
+	}
+
+	in := []types.Row{{types.Float(2), types.Int(60), types.Float(-8)}, {types.Int(3), types.Float(70), types.Int(9)}}
+	tab, err := NewTable("h", schema, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in[0][0].Kind() != types.KindFloat || in[0][1].Kind() != types.KindInt {
+		t.Fatalf("NewTable converted the caller's row in place: %v", in[0])
+	}
+	if tab.Rows[1][0] != in[1][0] || fmt.Sprint(tab.Rows[0]) != "[2 | 60 | -8]" || tab.Rows[0][0].Kind() != types.KindInt ||
+		tab.Rows[0][1].Kind() != types.KindFloat || tab.Rows[0][2].Kind() != types.KindInt {
+		t.Fatalf("stored rows %v, want the first converted and the second as given", tab.Rows)
+	}
+	stored, err := tab.Append(in...)
+	if err != nil || in[0][0].Kind() != types.KindFloat || fmt.Sprint(stored) != fmt.Sprint(tab.Rows[2:]) || stored[0][0].Kind() != types.KindInt {
+		t.Fatalf("Append: err=%v, returned %v, stored %v, caller's row %v", err, stored, tab.Rows[2:], in[0])
+	}
+
+	open := types.NewSchema(types.Field{Name: "x", Type: types.KindFloat, Nullable: true}, types.Field{Name: "y"})
+	if _, err := NewTable("o", open, []types.Row{{types.Null, types.Str("any")}, {types.Float(1), types.Int(2)}}); err != nil {
+		t.Errorf("nullable and untyped columns: %v", err)
+	}
+	if _, err := NewTable("o", open, []types.Row{{types.Float(1), types.Null}}); err == nil {
+		t.Error("an untyped NOT NULL column stored a NULL")
 	}
 }
 
@@ -197,10 +233,15 @@ func TestReadCSVErrors(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	tab, _ := NewTable("h", hotelSchema(), []types.Row{
+	schema := hotelSchema()
+	schema.Fields[1].Nullable, schema.Fields[2].Nullable = true, true
+	tab, err := NewTable("h", schema, []types.Row{
 		{types.Int(1), types.Float(50), types.Null},
 		{types.Int(2), types.Null, types.Int(9)},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, tab); err != nil {
 		t.Fatal(err)
@@ -247,7 +288,7 @@ func TestConcurrentAppendSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perApp; i++ {
 				r := types.Row{types.Int(int64(a*perApp + i)), types.Float(float64(i)), types.Int(int64(a))}
-				if err := tab.Append(r); err != nil {
+				if _, err := tab.Append(r); err != nil {
 					errs <- err
 					return
 				}

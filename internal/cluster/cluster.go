@@ -45,13 +45,17 @@ type Dataset struct {
 }
 
 // ResultEncoding holds a query result's rows as text across runs of the
-// same plan over the same data. The holder never interprets the bytes.
+// same plan over the same data. The text is types.AppendRowsJSON's, split
+// at row boundaries by the offsets types.AppendRowsJSONEnds records; that
+// is its only format, and it lets the holder rebuild the text of an
+// upgraded result from the rows it kept without parsing it.
 type ResultEncoding interface {
 	// Bytes returns the text an earlier run left, or nil. The slice is
 	// shared between readers and must not be modified.
 	Bytes() []byte
-	// Attach leaves a copy of b for later runs; the holder may decline.
-	Attach(b []byte)
+	// Attach leaves a copy of b, and ends itself, for later runs; the
+	// holder may decline.
+	Attach(b []byte, ends []uint32)
 }
 
 // NewDataset creates a dataset from partitions.

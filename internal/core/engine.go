@@ -137,20 +137,23 @@ func (r *Result) Gather() []types.Row { return r.data.Gather() }
 // AppendRowsJSON appends the result's rows to dst as a JSON array of
 // arrays (types.AppendRowsJSON). A result the cache served takes the text
 // from its entry when an earlier call left it there, without touching a
-// row; otherwise the rows are encoded and the text is left on the entry
-// for the next hit. A non-finite DOUBLE fails the call, and leaves
-// nothing behind.
+// row; otherwise the rows are encoded and the text, with its row
+// boundaries, is left on the entry for the next hit. A non-finite DOUBLE
+// fails the call, and leaves nothing behind.
 func (r *Result) AppendRowsJSON(dst []byte) ([]byte, error) {
 	enc := r.data.Encoding
-	if enc != nil {
-		if b := enc.Bytes(); b != nil {
-			return append(dst, b...), nil
-		}
+	if enc == nil {
+		return types.AppendRowsJSON(dst, r.data.Rows())
 	}
+	if b := enc.Bytes(); b != nil {
+		return append(dst, b...), nil
+	}
+	rows := r.data.Rows()
+	ends := make([]uint32, len(rows))
 	start := len(dst)
-	dst, err := types.AppendRowsJSON(dst, r.data.Rows())
-	if err == nil && enc != nil {
-		enc.Attach(dst[start:])
+	dst, err := types.AppendRowsJSONEnds(dst, rows, ends)
+	if err == nil {
+		enc.Attach(dst[start:], ends)
 	}
 	return dst, err
 }

@@ -18,15 +18,16 @@
 // contract (columnar kernel, vectorized expressions) are
 // deliberately excluded, so ablated sessions share entries.
 //
-// An entry stores the result rows plus their columnar skyline.Batch
-// sidecar, so a hit re-enters the data plane decode-free, and — once a
-// caller that wanted the result as text has rendered it — that encoded
-// form, so the next such hit copies bytes instead of encoding rows
-// (Encoding). Entries are byte-accounted against the memory governor at
-// store time and held under an LRU byte budget whose pressure response
-// mirrors the degradation ladder: the oldest entry first sheds what can be
-// rebuilt from its rows, cheapest first — the encoded form, then the
-// sidecar — and only then is evicted whole.
+// An entry stores the result rows; their decoded skyline columns (a
+// skyline.Batch sidecar without points), which the next append's
+// dominance tests read instead of re-decoding the cached skyline; and —
+// once a caller that wanted the result as text has rendered it — its JSON
+// text with the offset where each row ends, so the next such hit copies
+// bytes instead of encoding rows (Encoding). Entries are byte-accounted
+// against the memory governor at store time and held under an LRU byte
+// budget whose pressure response mirrors the degradation ladder: the
+// oldest entry first sheds what can be rebuilt from its rows, cheapest
+// first — the text, then the sidecar — and only then is evicted whole.
 //
 // Appends to a cached table either upgrade matching entries in place —
 // the new points need dominance tests only against the cached skyline —
@@ -38,14 +39,18 @@
 // over the cached sidecar plus the decoded delta) while the entry still
 // carries its sidecar and the new rows decode, and on the boxed
 // stream.Incremental, seeded with the cached rows, otherwise — the entry
-// and the data select the path, no option does. A hit serves exactly the
-// rows a cold recompute would, bit for bit; stale entries can never be
+// and the data select the path, no option does. The kernel names the
+// cached rows it keeps, so their text is copied out of the old text and
+// only the new survivors are encoded; the boxed path drops the text, and
+// the next hit that wants it encodes. A hit serves exactly the rows (and
+// bytes) a cold recompute would, bit for bit; stale entries can never be
 // served because the key embeds the table versions read at execution
 // time.
 package resultcache
 
 import (
 	"container/list"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -133,8 +138,9 @@ type entry struct {
 	key        string // structural fingerprint + dep versions
 	structural string
 	rows       []types.Row
-	batch      *skyline.Batch // nil once the sidecar was shed
-	encoded    []byte         // the rows as some caller rendered them; nil until attached, and again once shed or upgraded
+	batch      *skyline.Batch // decoded columns only (no points); nil once the sidecar was shed
+	encoded    []byte         // the rows as JSON (types.AppendRowsJSON); nil until attached, and again once shed
+	ends       []uint32       // where each row's text ends in encoded (types.AppendRowsJSONEnds); nil beside no text, and on an entry no append upgrades
 	rowBytes   int64
 	batchBytes int64
 	deps       []*catalog.Table
@@ -147,7 +153,10 @@ type entry struct {
 }
 
 // size is the entry's charge against the cache's byte budget.
-func (e *entry) size() int64 { return e.rowBytes + e.batchBytes + int64(len(e.encoded)) }
+func (e *entry) size() int64 { return e.rowBytes + e.batchBytes + textBytes(e.encoded, e.ends) }
+
+// textBytes is the charge of an entry's text and its row offsets.
+func textBytes(text []byte, ends []uint32) int64 { return int64(len(text)) + 4*int64(len(ends)) }
 
 // servedBytes is what the entry's rows and sidecar weigh as a dataset — the
 // Dataset.MemSize of a hit on it — read off the recorded sizes: rowBytes
@@ -185,17 +194,18 @@ func (c *Cache) lookup(key string) (hit, bool) {
 	return h, true
 }
 
-// Encoding is the place of one query result's encoded form — its rows as
-// text, in whatever format the session's callers ask for; the cache never
-// reads it — on the cache entry that served or stored the result. It
-// implements cluster.ResultEncoding.
+// Encoding is the place of one query result's JSON text on the cache
+// entry that served or stored the result — the rows as
+// types.AppendRowsJSON writes them, with the offsets where each row ends.
+// It implements cluster.ResultEncoding.
 //
-// The form lives and dies with the entry's rows: the first caller to
+// The text lives and dies with the entry's rows: the first caller to
 // render them attaches it, later hits find it, memory pressure sheds it
-// before anything else, and an append that upgrades or invalidates the
-// entry drops it. It is addressed by the entry's key, which embeds the
-// versions of every table read, so bytes rendered from one result can
-// only ever be attached to an entry holding that same result.
+// before anything else, an append the kernel absorbs splices it (see
+// upgrade), and any other change to the entry drops it. It is addressed
+// by the entry's key, which embeds the versions of every table read, so
+// bytes rendered from one result can only ever be attached to an entry
+// holding that same result.
 type Encoding struct {
 	cache *Cache
 	key   string
@@ -206,10 +216,13 @@ type Encoding struct {
 // The slice is shared with every other reader: it must not be modified.
 func (e *Encoding) Bytes() []byte { return e.bytes }
 
-// Attach leaves a copy of b on the entry as its encoded form, charged to
-// the cache's byte budget. It does nothing when the entry is gone, was
-// re-keyed by an append, or already carries one.
-func (e *Encoding) Attach(b []byte) {
+// Attach leaves a copy of b on the entry as its text, and ends — one
+// offset per row, where its text ends in b (types.AppendRowsJSONEnds) —
+// beside it, both charged to the cache's byte budget. The offsets are kept
+// only where an append can read them: on an entry the cache maintains,
+// and when they line up with its rows. It does nothing when the entry is
+// gone, was re-keyed by an append, or already carries text.
+func (e *Encoding) Attach(b []byte, ends []uint32) {
 	c := e.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -218,8 +231,11 @@ func (e *Encoding) Attach(b []byte) {
 		return
 	}
 	if en := el.Value.(*entry); en.encoded == nil {
-		en.encoded = append(make([]byte, 0, len(b)), b...)
-		c.used += int64(len(b))
+		if en.maint == nil || len(ends) != len(en.rows) || uint64(len(b)) > math.MaxUint32 {
+			ends = nil
+		}
+		en.encoded, en.ends = append(make([]byte, 0, len(b)), b...), ends
+		c.used += textBytes(en.encoded, en.ends)
 		c.shed(nil)
 	}
 }
@@ -253,9 +269,10 @@ func (c *Cache) store(ctx *cluster.Context, key, structural string, rows []types
 		}
 	}
 	if batch != nil {
-		// The entry holds rows and decoded columns, both counted; the boxed
-		// vectors the columns were decoded from are neither, so they go.
-		batch = batch.WithoutDims()
+		// The entry holds rows and decoded columns, both counted; the points
+		// that pair them with boxed dimension vectors are neither, and only
+		// the next upgrade reads the sidecar — its columns — so they go.
+		batch = batch.WithoutPoints()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -276,7 +293,7 @@ func (c *Cache) store(ctx *cluster.Context, key, structural string, rows []types
 		// Same key, fresh result (e.g. a concurrent miss): replace in place.
 		e := el.Value.(*entry)
 		c.used -= e.size()
-		e.rows, e.batch, e.encoded, e.rowBytes, e.batchBytes = rows, batch, nil, rowBytes, batchBytes
+		e.rows, e.batch, e.encoded, e.ends, e.rowBytes, e.batchBytes = rows, batch, nil, nil, rowBytes, batchBytes
 		c.used += rowBytes + batchBytes
 		c.lru.MoveToFront(el)
 	} else {
@@ -303,8 +320,8 @@ func (c *Cache) shed(ctx *cluster.Context) {
 		}
 		e := el.Value.(*entry)
 		if e.encoded != nil {
-			c.used -= int64(len(e.encoded))
-			e.encoded = nil
+			c.used -= textBytes(e.encoded, e.ends)
+			e.encoded, e.ends = nil, nil
 			continue
 		}
 		if e.batch != nil {
@@ -383,7 +400,8 @@ func (c *Cache) remove(el *list.Element, e *entry) {
 // each tested against it — O(Δ·s) dominance tests per append. Which
 // engine runs them is read off the entry and the data, never a setting:
 // absorbKernel while the entry carries its sidecar and the kernel can
-// decode the new rows, absorbBoxed otherwise.
+// decode the new rows, absorbBoxed otherwise. The entry's text follows
+// the kernel's answer (spliceText) and is dropped on the boxed path.
 //
 // Bit-identity argument: a maintainable plan (complete BNL, locals
 // chunk-partitioned, AllTuples gather preserving partition order) emits
@@ -409,29 +427,45 @@ func (c *Cache) upgrade(el *list.Element, e *entry, newRows []types.Row) bool {
 	if !ok {
 		return false
 	}
-	rows, batch, rowBytes := e.rows, e.batch, e.rowBytes
+	a := e.held()
 	if len(delta) > 0 {
-		if rows, batch, rowBytes, ok = m.absorbKernel(e, delta); !ok {
-			if rows, batch, rowBytes, ok = m.absorbBoxed(e, delta); !ok {
+		if a, ok = m.absorbKernel(e, delta); !ok {
+			if a, ok = m.absorbBoxed(e, delta); !ok {
 				return false
 			}
 		}
 	}
-	rowBytes += int64(len(newKey) - len(e.key))
+	a.rowBytes += int64(len(newKey) - len(e.key))
 	var batchBytes int64
-	if batch != nil {
-		batchBytes = batch.MemSize()
+	if a.batch != nil {
+		batchBytes = a.batch.MemSize()
 	}
-	// The encoded form described the old rows; the next hit renders the new.
-	c.used += (rowBytes + batchBytes) - e.size()
+	c.used += (a.rowBytes + batchBytes + textBytes(a.text, a.ends)) - e.size()
 	delete(c.byKey, e.key)
-	e.key, e.rows, e.batch, e.encoded = newKey, rows, batch, nil
-	e.rowBytes, e.batchBytes = rowBytes, batchBytes
+	e.key, e.rows, e.batch, e.encoded, e.ends = newKey, a.rows, a.batch, a.text, a.ends
+	e.rowBytes, e.batchBytes = a.rowBytes, batchBytes
 	e.pendingUpgrades++
 	c.byKey[newKey] = el
 	c.upgrades.Add(1)
 	c.shed(nil)
 	return true
+}
+
+// absorbed is what an upgrade engine built for an entry: its new rows,
+// their sidecar (nil when they do not decode, or the entry had none),
+// what the rows weigh, and their text with its row offsets (nil when the
+// engine could not build it; the next hit that wants text encodes).
+type absorbed struct {
+	rows     []types.Row
+	batch    *skyline.Batch
+	rowBytes int64
+	text     []byte
+	ends     []uint32
+}
+
+// held is what the entry holds, as an append that changes nothing leaves it.
+func (e *entry) held() absorbed {
+	return absorbed{rows: e.rows, batch: e.batch, rowBytes: e.rowBytes, text: e.encoded, ends: e.ends}
 }
 
 // delta returns the appended rows the plan's filters let through, as
@@ -470,44 +504,86 @@ next:
 // prefix is the window, the delta the input. ok=false (nothing touched)
 // when the entry has no sidecar, the sidecar no longer lines up with the
 // rows or holds NULLs, or the kernel refuses the delta or the merge; the
-// caller then takes absorbBoxed. Rows, sidecar and byte count are built
-// fresh, never in place: concurrent readers hold the old ones.
-func (m *maintenance) absorbKernel(e *entry, delta []skyline.Point) ([]types.Row, *skyline.Batch, int64, bool) {
+// caller then takes absorbBoxed. Rows, sidecar and text are built fresh,
+// never in place: concurrent readers hold the old ones.
+func (m *maintenance) absorbKernel(e *entry, delta []skyline.Point) (absorbed, bool) {
 	s := len(e.rows)
 	if e.batch == nil || e.batch.Len() != s || e.batch.HasNulls() {
-		return nil, nil, 0, false
+		return absorbed{}, false
 	}
 	d, ok := skyline.DecodeBatch(delta, m.dirs, false, nil)
 	if !ok {
-		return nil, nil, 0, false
+		return absorbed{}, false
 	}
 	d.Tag = m.tag
-	merged, ok := skyline.MergeBatches([]*skyline.Batch{e.batch, d})
+	merged, ok := skyline.MergeBatches([]*skyline.Batch{e.batch, d.WithoutPoints()})
 	if !ok {
-		return nil, nil, 0, false
+		return absorbed{}, false
 	}
 	// idx is ascending: cached survivors keep their order, new survivors
 	// follow in append order. Every cached index it skips was evicted.
 	idx := merged.BNLSeeded(s, m.distinct)
-	rows := make([]types.Row, len(idx))
-	rowBytes := e.rowBytes
+	if len(idx) == s && (s == 0 || idx[s-1] == s-1) {
+		return e.held(), true // nothing evicted, nothing admitted
+	}
+	a := absorbed{rows: make([]types.Row, len(idx)), rowBytes: e.rowBytes}
 	old := 0 // next cached row not yet accounted for
 	for i, j := range idx {
 		if j >= s {
-			rows[i] = delta[j-s].Row
-			rowBytes += rows[i].MemSize()
+			a.rows[i] = delta[j-s].Row
+			a.rowBytes += a.rows[i].MemSize()
 			continue
 		}
 		for ; old < j; old++ {
-			rowBytes -= e.rows[old].MemSize()
+			a.rowBytes -= e.rows[old].MemSize()
 		}
 		old = j + 1
-		rows[i] = e.rows[j]
+		a.rows[i] = e.rows[j]
 	}
 	for ; old < s; old++ {
-		rowBytes -= e.rows[old].MemSize()
+		a.rowBytes -= e.rows[old].MemSize()
 	}
-	return rows, merged.Select(idx), rowBytes, true
+	a.batch = merged.Select(idx)
+	a.text, a.ends = spliceText(e, idx, delta)
+	return a, true
+}
+
+// spliceText builds the text of the rows idx picks — cached rows below
+// len(e.rows), delta rows above, ascending — from the entry's: the cached
+// rows' bytes are copied out of e.encoded at their recorded offsets, and
+// only the new survivors are encoded. It returns nil when the entry has
+// no text or no offsets, or a new survivor has no JSON form (the next hit
+// encodes, and fails naming the cell).
+func spliceText(e *entry, idx []int, delta []skyline.Point) ([]byte, []uint32) {
+	s := len(e.rows)
+	if e.encoded == nil || len(e.ends) != s {
+		return nil, nil
+	}
+	text := make([]byte, 1, len(e.encoded)+len(delta)*(len(e.encoded)/(s+1)+16))
+	text[0] = '['
+	ends := make([]uint32, len(idx))
+	for i, j := range idx {
+		if i > 0 {
+			text = append(text, ',')
+		}
+		if j < s {
+			lo := uint32(1)
+			if j > 0 {
+				lo = e.ends[j-1] + 1
+			}
+			text = append(text, e.encoded[lo:e.ends[j]]...)
+		} else {
+			var err error
+			if text, err = types.AppendRowJSON(text, delta[j-s].Row); err != nil {
+				return nil, nil
+			}
+		}
+		ends[i] = uint32(len(text))
+	}
+	if uint64(len(text)) >= math.MaxUint32 {
+		return nil, nil
+	}
+	return append(text, ']'), ends
 }
 
 // absorbBoxed is the boxed upgrade for entries the kernel cannot serve:
@@ -515,46 +591,46 @@ func (m *maintenance) absorbKernel(e *entry, delta []skyline.Point) ([]types.Row
 // dimensions are evaluated, not compared) and the delta is added through
 // the boxed skyline.Compare. An entry that still carried a sidecar gets
 // one back when the survivors decode — the refusal may have concerned a
-// row that did not survive.
-func (m *maintenance) absorbBoxed(e *entry, delta []skyline.Point) ([]types.Row, *skyline.Batch, int64, bool) {
+// row that did not survive. The text is dropped: the window does not say
+// which cached rows it kept.
+func (m *maintenance) absorbBoxed(e *entry, delta []skyline.Point) (absorbed, bool) {
 	seed := make([]skyline.Point, len(e.rows))
 	for i, row := range e.rows {
 		dims, ok := evalDims(m.dims, row)
 		if !ok {
-			return nil, nil, 0, false
+			return absorbed{}, false
 		}
 		seed[i] = skyline.Point{Dims: dims, Row: row}
 	}
 	inc := stream.NewIncremental(m.dirs, m.distinct)
 	if err := inc.Seed(seed); err != nil {
-		return nil, nil, 0, false // a cached row with a NULL dimension
+		return absorbed{}, false // a cached row with a NULL dimension
 	}
-	rowBytes := e.rowBytes
+	a := absorbed{rowBytes: e.rowBytes}
 	for _, p := range delta {
 		ev, err := inc.Add(p.Dims, p.Row)
 		if err != nil {
-			return nil, nil, 0, false
+			return absorbed{}, false
 		}
 		if ev.Admitted {
-			rowBytes += p.Row.MemSize()
+			a.rowBytes += p.Row.MemSize()
 		}
 		for _, gone := range ev.Evicted {
-			rowBytes -= gone.Row.MemSize()
+			a.rowBytes -= gone.Row.MemSize()
 		}
 	}
 	pts := inc.Skyline()
-	rows := make([]types.Row, len(pts))
+	a.rows = make([]types.Row, len(pts))
 	for i, p := range pts {
-		rows[i] = p.Row
+		a.rows[i] = p.Row
 	}
-	var batch *skyline.Batch
 	if e.batch != nil {
 		if b, ok := skyline.DecodeBatch(pts, m.dirs, false, nil); ok {
 			b.Tag = m.tag
-			batch = b
+			a.batch = b.WithoutPoints()
 		}
 	}
-	return rows, batch, rowBytes, true
+	return a, true
 }
 
 // evalDims evaluates the skyline dimension vector of a row; ok=false on

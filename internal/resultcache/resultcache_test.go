@@ -27,12 +27,29 @@ func hotelRows() []types.Row {
 
 func newHotelEngine(t *testing.T) (*core.Engine, *catalog.Table) {
 	t.Helper()
-	cat := catalog.New()
-	schema := types.NewSchema(
+	return hotelEngine(t, types.NewSchema(
 		types.Field{Name: "id", Type: types.KindInt},
 		types.Field{Name: "price", Type: types.KindInt},
 		types.Field{Name: "user_rating", Type: types.KindInt},
-	)
+	))
+}
+
+// newNullableHotelEngine is newHotelEngine for tests that append NULLs or
+// a NaN: every column is nullable and id is a DOUBLE. Its skyline queries
+// say COMPLETE, or nullable dimensions would plan the incomplete skyline,
+// which no append upgrades.
+func newNullableHotelEngine(t *testing.T) (*core.Engine, *catalog.Table) {
+	t.Helper()
+	return hotelEngine(t, types.NewSchema(
+		types.Field{Name: "id", Type: types.KindFloat, Nullable: true},
+		types.Field{Name: "price", Type: types.KindInt, Nullable: true},
+		types.Field{Name: "user_rating", Type: types.KindInt, Nullable: true},
+	))
+}
+
+func hotelEngine(t *testing.T, schema *types.Schema) (*core.Engine, *catalog.Table) {
+	t.Helper()
+	cat := catalog.New()
 	tab, err := catalog.NewTable("hotels", schema, hotelRows())
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +246,7 @@ func TestVersionInvalidationNeverServesStale(t *testing.T) {
 	// Bump the version without telling the cache (simulating a writer that
 	// bypasses TableChanged): the key embeds the fresh version, so the
 	// entry simply can never match again.
-	if err := tab.Append(types.Row{types.Int(7), types.Int(30), types.Int(9)}); err != nil {
+	if _, err := tab.Append(types.Row{types.Int(7), types.Int(30), types.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
 	rows, m := runQuery(t, e, c, q, physical.Options{})
@@ -261,7 +278,7 @@ func TestIncrementalUpgradeMatchesRecompute(t *testing.T) {
 	c1 := New(0)
 	runQuery(t, e1, c1, q, physical.Options{})
 	for _, r := range appends {
-		if err := t1.Append(r); err != nil {
+		if _, err := t1.Append(r); err != nil {
 			t.Fatal(err)
 		}
 		up, inv := c1.TableChanged(t1, []types.Row{r})
@@ -280,7 +297,7 @@ func TestIncrementalUpgradeMatchesRecompute(t *testing.T) {
 	// Cold session over the grown table: the ground truth.
 	e2, t2 := newHotelEngine(t)
 	for _, r := range appends {
-		if err := t2.Append(r); err != nil {
+		if _, err := t2.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,12 +309,12 @@ func TestIncrementalUpgradeMatchesRecompute(t *testing.T) {
 }
 
 func TestNullAppendInvalidates(t *testing.T) {
-	e, tab := newHotelEngine(t)
+	e, tab := newNullableHotelEngine(t)
 	c := New(0)
-	const q = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX"
+	const q = "SELECT * FROM hotels SKYLINE OF COMPLETE price MIN, user_rating MAX"
 	runQuery(t, e, c, q, physical.Options{})
 	nullRow := types.Row{types.Int(7), types.Null, types.Int(9)}
-	if err := tab.Append(nullRow); err != nil {
+	if _, err := tab.Append(nullRow); err != nil {
 		t.Fatal(err)
 	}
 	up, inv := c.TableChanged(tab, []types.Row{nullRow})
@@ -319,7 +336,7 @@ func TestNonMaintainableShapeInvalidatesOnAppend(t *testing.T) {
 	const q = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX"
 	runQuery(t, e, c, q, physical.Options{Strategy: physical.SkylineGridComplete})
 	r := types.Row{types.Int(7), types.Int(30), types.Int(9)}
-	if err := tab.Append(r); err != nil {
+	if _, err := tab.Append(r); err != nil {
 		t.Fatal(err)
 	}
 	up, inv := c.TableChanged(tab, []types.Row{r})
@@ -441,13 +458,15 @@ func TestFailedRunNeverPopulates(t *testing.T) {
 // entry first loses its text, then its sidecar too, then goes whole — and
 // the newer entry is never touched.
 func TestLRUShedsEncodedThenSidecarThenEntry(t *testing.T) {
-	e, tab := newHotelEngine(t)
-	const q1 = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX"
-	const q2 = "SELECT * FROM hotels SKYLINE OF price MIN, id MIN"
+	e, tab := newNullableHotelEngine(t)
+	const q1 = "SELECT * FROM hotels SKYLINE OF COMPLETE price MIN, user_rating MAX"
+	const q2 = "SELECT * FROM hotels SKYLINE OF COMPLETE price MIN, id MIN"
 	r1, b1, r2, b2 := probeFootprints(t, e, q1, q2)
 	rows1, _ := runQuery(t, e, New(0), q1, physical.Options{})
 	rows2, _ := runQuery(t, e, New(0), q2, physical.Options{})
-	n1, n2 := int64(len(rowsJSON(t, rows1))), int64(len(rowsJSON(t, rows2)))
+	// Each entry's text is charged with its row offsets, 4 bytes a row.
+	n1 := int64(len(rowsJSON(t, rows1)) + 4*len(rows1))
+	n2 := int64(len(rowsJSON(t, rows2)) + 4*len(rows2))
 	newer := r2 + b2 + n2
 
 	cases := []struct {
@@ -499,7 +518,7 @@ func TestLRUShedsEncodedThenSidecarThenEntry(t *testing.T) {
 		t.Fatalf("both entries in full: used = %d, want %d", s.UsedBytes, r1+b1+n1+newer)
 	}
 	nullRow := types.Row{types.Int(7), types.Null, types.Int(9)}
-	if err := tab.Append(nullRow); err != nil {
+	if _, err := tab.Append(nullRow); err != nil {
 		t.Fatal(err)
 	}
 	if up, inv := c.TableChanged(tab, []types.Row{nullRow}); up != 0 || inv != 2 {
@@ -582,9 +601,9 @@ func TestRecordedSizesFollowEveryStore(t *testing.T) {
 // rows before an append and encodes them after it finds the entry re-keyed
 // and leaves nothing; the next hit serves, and keeps, the new rows' text.
 func TestEncodedFormNeverOutlivesItsRows(t *testing.T) {
-	e, tab := newHotelEngine(t)
+	e, tab := newNullableHotelEngine(t)
 	c := New(0)
-	const q = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX"
+	const q = "SELECT * FROM hotels SKYLINE OF COMPLETE price MIN, user_rating MAX"
 	compiled, err := e.CompileSQL(q, physical.Options{ResultCache: c})
 	if err != nil {
 		t.Fatal(err)
@@ -594,7 +613,7 @@ func TestEncodedFormNeverOutlivesItsRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	best := types.Row{types.Int(7), types.Int(1), types.Int(10)} // dominates every hotel
-	if err := tab.Append(best); err != nil {
+	if _, err := tab.Append(best); err != nil {
 		t.Fatal(err)
 	}
 	if up, inv := c.TableChanged(tab, []types.Row{best}); up != 1 || inv != 0 {
@@ -615,13 +634,20 @@ func TestEncodedFormNeverOutlivesItsRows(t *testing.T) {
 		t.Error("the hit that encoded the new rows must leave their text on the entry")
 	}
 
-	// A result JSON cannot carry is refused, and leaves nothing behind.
-	nan := types.Row{types.Int(8), types.Int(0), types.Int(11)}
-	nan[0] = types.Float(math.NaN())
-	if err := tab.Append(nan); err != nil {
+	// A result JSON cannot carry is refused, and leaves nothing behind: the
+	// upgrade that admits the NaN drops the text it cannot splice, and the
+	// hit that encodes fails naming the cell.
+	nan := types.Row{types.Float(math.NaN()), types.Int(0), types.Int(11)}
+	if _, err := tab.Append(nan); err != nil {
 		t.Fatal(err)
 	}
-	c.TableChanged(tab, []types.Row{nan})
+	if up, inv := c.TableChanged(tab, []types.Row{nan}); up != 1 || inv != 0 {
+		t.Fatalf("NaN id: upgraded=%d invalidated=%d, want 1 and 0", up, inv)
+	}
+	if en := c.lru.Front().Value.(*entry); en.encoded != nil || en.ends != nil {
+		t.Fatal("the upgrade kept text for rows JSON cannot carry")
+	}
+	checkRecordedSizes(t, "NaN admitted", c)
 	res, err := e.ExecuteCtx(compiled, cluster.NewContext(3))
 	if err != nil {
 		t.Fatal(err)
@@ -662,7 +688,7 @@ func TestOvertakenRunLeavesNoText(t *testing.T) {
 	var atV []types.Row
 	overtaken.child = &appendDuringScan{Operator: overtaken.child, before: func() {
 		atV, _ = runQuery(t, e, c, q, physical.Options{}) // stores under the key of version v
-		if err := tab.Append(best); err != nil {          // v+1; the cache has not heard yet
+		if _, err := tab.Append(best); err != nil {       // v+1; the cache has not heard yet
 			t.Fatal(err)
 		}
 	}}

@@ -25,9 +25,10 @@ import (
 // its result produce, and both upgrade engines (absorbKernel,
 // absorbBoxed) are run side by side on the same delta and held to the
 // same answer, so neither is covered only when upgrade happens to pick
-// it. The entry's encoded form rides along: dropped by every upgrade,
-// rebuilt by the next hit that asks for text, and what is served — encoded
-// afresh or copied off the entry — is the cold recompute's rows as JSON.
+// it. The entry's text rides along: spliced by the kernel engine, dropped
+// by the boxed one, rebuilt by the next hit that asks for text when it was
+// dropped, and what is served — encoded afresh or copied off the entry —
+// is the cold recompute's rows as JSON.
 
 // diffSchema: id, two INT and two DOUBLE measures, and a group column for
 // DIFF dimensions.
@@ -276,6 +277,30 @@ func rowsJSON(t *testing.T, rows []types.Row) []byte {
 	return text
 }
 
+// assertText holds an entry's text, when it has one, to its rows: the
+// bytes a fresh encode of them writes, and offsets that cut out each
+// row's own encoding.
+func assertText(t *testing.T, label string, e *entry) {
+	t.Helper()
+	if e.encoded == nil {
+		return
+	}
+	if want := rowsJSON(t, e.rows); !bytes.Equal(e.encoded, want) {
+		t.Fatalf("%s: the entry's text is %s, its rows encode to %s", label, e.encoded, want)
+	}
+	if len(e.ends) != len(e.rows) {
+		t.Fatalf("%s: %d row offsets for %d rows", label, len(e.ends), len(e.rows))
+	}
+	lo := uint32(1)
+	for i, r := range e.rows {
+		want, err := types.AppendRowJSON(nil, r)
+		if err != nil || e.ends[i] < lo || int(e.ends[i]) >= len(e.encoded) || !bytes.Equal(e.encoded[lo:e.ends[i]], want) {
+			t.Fatalf("%s: row %d's offsets [%d, %d) do not cut %s out of the text", label, i, lo, e.ends[i], want)
+		}
+		lo = e.ends[i] + 1
+	}
+}
+
 func TestResultCacheUpgradeDifferential(t *testing.T) {
 	variants := []struct {
 		name         string
@@ -288,12 +313,13 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			kernelSteps, boxedSteps := 0, 0
+			kernelSteps, boxedSteps, spliced := 0, 0, 0
 			for seed := int64(1); seed <= 25; seed++ {
 				sc := newDiffScenario(t, seed)
 				c := New(0)
-				runQuery(t, sc.eng, c, sc.query, physical.Options{})
+				serveJSON(t, sc.eng, c, sc.query)
 				e := assertEntry(t, fmt.Sprintf("seed %d %q populate", seed, sc.query), c, sc.coldRows(t), true)
+				assertText(t, fmt.Sprintf("seed %d %q populate", seed, sc.query), e)
 				if v.shed {
 					c.used -= e.batchBytes
 					e.batch, e.batchBytes = nil, 0
@@ -303,7 +329,7 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 				for step := 0; step < 12; step++ {
 					label := fmt.Sprintf("%s seed %d step %d %q", v.name, seed, step, sc.query)
 					rows := sc.batch(step+int(seed), e.rows, v.undecodables)
-					if err := sc.tab.Append(rows...); err != nil {
+					if _, err := sc.tab.Append(rows...); err != nil {
 						t.Fatal(err)
 					}
 					want := sc.coldRows(t)
@@ -314,48 +340,65 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 						t.Fatalf("%s: delta refused complete rows", label)
 					}
 					_, decodable := skyline.DecodeBatch(delta, e.maint.dirs, false, nil)
-					bRows, bBatch, bBytes, bOK := e.maint.absorbBoxed(e, delta)
+					boxed, bOK := e.maint.absorbBoxed(e, delta)
 					if !bOK {
 						t.Fatalf("%s: the boxed engine must absorb any complete delta", label)
 					}
-					assertIdentical(t, bRows, want, label+": boxed engine vs cold recompute")
-					if walked := walkRowBytes(bRows, e.key); bBytes != walked {
-						t.Fatalf("%s: boxed engine's rowBytes %d, its rows walk to %d", label, bBytes, walked)
+					assertIdentical(t, boxed.rows, want, label+": boxed engine vs cold recompute")
+					if walked := walkRowBytes(boxed.rows, e.key); boxed.rowBytes != walked {
+						t.Fatalf("%s: boxed engine's rowBytes %d, its rows walk to %d", label, boxed.rowBytes, walked)
 					}
-					kRows, kBatch, kBytes, kOK := e.maint.absorbKernel(e, delta)
+					if boxed.text != nil {
+						t.Fatalf("%s: the boxed engine built text", label)
+					}
+					kernel, kOK := e.maint.absorbKernel(e, delta)
 					if kOK != (e.batch != nil && decodable) {
 						t.Fatalf("%s: kernel engine ok=%v with sidecar=%v decodable delta=%v",
 							label, kOK, e.batch != nil, decodable)
 					}
+					wantText := rowsJSON(t, want)
 					if kOK {
 						kernelSteps++
-						assertIdentical(t, kRows, want, label+": kernel engine vs cold recompute")
-						if kBytes != bBytes {
-							t.Fatalf("%s: kernel rowBytes %d, boxed %d", label, kBytes, bBytes)
+						assertIdentical(t, kernel.rows, want, label+": kernel engine vs cold recompute")
+						if kernel.rowBytes != boxed.rowBytes {
+							t.Fatalf("%s: kernel rowBytes %d, boxed %d", label, kernel.rowBytes, boxed.rowBytes)
 						}
-						assertSidecarFresh(t, label+" kernel", e.maint, kRows, kBatch)
-						if bBatch == nil {
+						assertSidecarFresh(t, label+" kernel", e.maint, kernel.rows, kernel.batch)
+						if boxed.batch == nil {
 							t.Fatalf("%s: boxed engine lost a sidecar the survivors can carry", label)
+						}
+						if !bytes.Equal(kernel.text, wantText) {
+							t.Fatalf("%s: the kernel engine spliced %d bytes, a fresh encode of the cold recompute is %d",
+								label, len(kernel.text), len(wantText))
 						}
 					} else {
 						boxedSteps++
 					}
 					// The sidecar survives an append iff the entry had one and
-					// the surviving rows still decode.
-					wantSidecar := e.batch != nil && bBatch != nil
+					// the surviving rows still decode; the text iff the kernel
+					// absorbed the delta, or no row passed the filters.
+					wantSidecar := e.batch != nil && boxed.batch != nil
+					wantSpliced := kOK || len(delta) == 0
 
 					if up, inv := c.TableChanged(sc.tab, rows); up != 1 || inv != 0 {
 						t.Fatalf("%s: upgraded=%d invalidated=%d, want 1,0", label, up, inv)
 					}
 					e = assertEntry(t, label, c, want, wantSidecar)
 
-					// The upgrade dropped the old rows' text; the first hit
-					// encodes the new rows and leaves the text, the second
-					// copies it, and both serve the cold recompute's.
-					if e.encoded != nil {
-						t.Fatalf("%s: the upgraded entry kept the text of its old rows", label)
+					// The upgrade spliced the text, or dropped it and the
+					// first hit encodes the new rows and leaves theirs; the
+					// second hit copies it, and both serve the cold
+					// recompute's.
+					if (e.encoded != nil) != wantSpliced {
+						t.Fatalf("%s: text after the upgrade = %v, want %v", label, e.encoded != nil, wantSpliced)
 					}
-					wantText := rowsJSON(t, want)
+					if e.encoded != nil {
+						spliced++
+						assertText(t, label+" spliced", e)
+						if !bytes.Equal(e.encoded, wantText) {
+							t.Fatalf("%s: spliced %d bytes, a fresh encode of the cold recompute is %d", label, len(e.encoded), len(wantText))
+						}
+					}
 					first, m := serveJSON(t, sc.eng, c, sc.query)
 					drained += m.IncrementalUpgrades()
 					if !bytes.Equal(first, wantText) || !bytes.Equal(e.encoded, wantText) {
@@ -365,7 +408,7 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 					if second, m := serveJSON(t, sc.eng, c, sc.query); !bytes.Equal(second, wantText) || m.CacheHits() != 1 {
 						t.Fatalf("%s: second hit (hits=%d) served %d bytes, want the %d attached", label, m.CacheHits(), len(second), len(wantText))
 					}
-					assertEntry(t, label+" with text", c, want, wantSidecar)
+					assertText(t, label+" with text", assertEntry(t, label+" with text", c, want, wantSidecar))
 				}
 				// The maintained entry serves the next query as a hit; the
 				// twelve upgrades were drained by the hits that followed them.
@@ -382,6 +425,8 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 				t.Errorf("undecodable deltas must split the steps: kernel=%d boxed=%d", kernelSteps, boxedSteps)
 			case !v.shed && !v.undecodables && boxedSteps != 0:
 				t.Errorf("a decodable entry fell back to the boxed engine %d times", boxedSteps)
+			case !v.shed && spliced < kernelSteps:
+				t.Errorf("%d kernel upgrades spliced the text only %d times", kernelSteps, spliced)
 			}
 		})
 	}
@@ -393,9 +438,9 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 // column the clause does not read does not.
 func TestResultCacheUpgradeNullStillInvalidates(t *testing.T) {
 	for _, shed := range []bool{false, true} {
-		e, tab := newHotelEngine(t)
+		e, tab := newNullableHotelEngine(t)
 		c := New(0)
-		const q = "SELECT * FROM hotels WHERE price < 100 SKYLINE OF price MIN, user_rating MAX"
+		const q = "SELECT * FROM hotels WHERE price < 100 SKYLINE OF COMPLETE price MIN, user_rating MAX"
 		runQuery(t, e, c, q, physical.Options{})
 		if shed {
 			en := c.lru.Front().Value.(*entry)
@@ -404,7 +449,7 @@ func TestResultCacheUpgradeNullStillInvalidates(t *testing.T) {
 		}
 		appendRow := func(r types.Row) (int, int) {
 			t.Helper()
-			if err := tab.Append(r); err != nil {
+			if _, err := tab.Append(r); err != nil {
 				t.Fatal(err)
 			}
 			return c.TableChanged(tab, []types.Row{r})
@@ -425,11 +470,13 @@ func TestResultCacheUpgradeNullStillInvalidates(t *testing.T) {
 }
 
 // BenchmarkTableChanged measures one 20-row append against a cached
-// anti-correlated d=4 skyline of s rows (run with -benchmem). The cost is
-// O(Δ·s) kernel tests plus the O(s) copies that rebuild rows and sidecar,
-// so ns/op grows linearly in s, not quadratically, and allocs/op stays
-// flat. Each iteration upgrades a fresh entry: the base entry is copied
-// (a struct copy shares rows and sidecar, which upgrade never mutates).
+// anti-correlated d=4 skyline of s rows (run with -benchmem), whose entry
+// was served once as JSON, so the op includes splicing its text. The cost
+// is O(Δ·s) kernel tests plus the O(s) copies that rebuild rows, sidecar
+// and text, so ns/op grows linearly in s, not quadratically, and
+// allocs/op stays flat. Each iteration upgrades a fresh entry: the base
+// entry is copied (a struct copy shares rows, sidecar and text, which
+// upgrade never mutates).
 func BenchmarkTableChanged(b *testing.B) {
 	const dims, delta = 4, 20
 	const q = "SELECT * FROM t SKYLINE OF d1 MIN, d2 MIN, d3 MIN, d4 MIN"
@@ -471,13 +518,20 @@ func BenchmarkTableChanged(b *testing.B) {
 			if _, err := eng.Run(compiled, 3); err != nil {
 				b.Fatal(err)
 			}
+			res, err := eng.ExecuteCtx(compiled, cluster.NewContext(3))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := res.AppendRowsJSON(nil); err != nil {
+				b.Fatal(err)
+			}
 			el := c.lru.Front()
 			base := *el.Value.(*entry)
-			if base.batch == nil || base.maint == nil {
-				b.Fatal("the benchmark entry must be maintainable and carry its sidecar")
+			if base.batch == nil || base.maint == nil || base.ends == nil {
+				b.Fatal("the benchmark entry must be maintainable and carry its sidecar and text")
 			}
 			extra := datagen.Synthetic(datagen.AntiCorrelated, delta, dims, datagen.Config{Seed: 2, Complete: true}).Rows
-			if err := tab.Append(extra...); err != nil {
+			if _, err := tab.Append(extra...); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -486,7 +540,7 @@ func BenchmarkTableChanged(b *testing.B) {
 				e := base
 				el.Value = &e
 				c.byKey = map[string]*list.Element{e.key: el}
-				c.used = e.rowBytes + e.batchBytes
+				c.used = e.size()
 				if up, inv := c.TableChanged(tab, extra); up != 1 || inv != 0 {
 					b.Fatalf("upgraded=%d invalidated=%d", up, inv)
 				}

@@ -501,10 +501,13 @@ func encodeColumns(schema *types.Schema) []Column {
 }
 
 // decodeRows converts JSON rows against a schema: numbers (json.Number
-// literals) land as the declared kind, parsed exactly (a JSON 3 or 3.0 is
-// a valid BIGINT; 3.5 and 2⁶³ are not), null as SQL NULL where the column
-// is nullable. A cell of another kind, or a null in a NOT NULL column, is
-// an error naming the row and column.
+// literals) in a BIGINT column parse exactly as BIGINT (a JSON 3 or 3.0
+// is valid; 3.5 and 2⁶³ are not), other numbers as DOUBLE, strings as
+// STRING, booleans as BOOLEAN, null as SQL NULL. A literal that does not
+// parse is an error naming the row and column. Whether each value may
+// stand in its column — its kind, a NULL in a NOT NULL column — is the
+// table's check (types.Schema.CheckRow), which the session applies to
+// every row it stores.
 func decodeRows(in [][]interface{}, schema *types.Schema) ([]types.Row, error) {
 	rows := make([]types.Row, len(in))
 	for i, rec := range in {
@@ -513,13 +516,9 @@ func decodeRows(in [][]interface{}, schema *types.Schema) ([]types.Row, error) {
 		}
 		row := make(types.Row, len(rec))
 		for j, cell := range rec {
-			f := schema.Fields[j]
-			if cell == nil && !f.Nullable {
-				return nil, fmt.Errorf("row %d column %q: NULL in NOT NULL column", i, f.Name)
-			}
-			v, err := decodeValue(cell, f.Type)
+			v, err := decodeValue(cell, schema.Fields[j].Type)
 			if err != nil {
-				return nil, fmt.Errorf("row %d column %q: %w", i, f.Name, err)
+				return nil, fmt.Errorf("row %d column %q: %w", i, schema.Fields[j].Name, err)
 			}
 			row[j] = v
 		}
@@ -529,44 +528,28 @@ func decodeRows(in [][]interface{}, schema *types.Schema) ([]types.Row, error) {
 }
 
 func decodeValue(cell interface{}, kind types.Kind) (types.Value, error) {
-	if cell == nil {
+	switch c := cell.(type) {
+	case nil:
 		return types.Null, nil
-	}
-	switch kind {
-	case types.KindInt:
-		n, ok := cell.(json.Number)
-		if !ok {
-			return types.Null, fmt.Errorf("expected integral BIGINT, got %v", cell)
+	case json.Number:
+		if kind == types.KindInt {
+			i, err := parseBigint(string(c))
+			if err != nil {
+				return types.Null, err
+			}
+			return types.Int(i), nil
 		}
-		i, err := parseBigint(string(n))
+		f, err := strconv.ParseFloat(string(c), 64)
 		if err != nil {
-			return types.Null, err
-		}
-		return types.Int(i), nil
-	case types.KindFloat:
-		n, ok := cell.(json.Number)
-		if !ok {
-			return types.Null, fmt.Errorf("expected DOUBLE, got %T", cell)
-		}
-		f, err := strconv.ParseFloat(string(n), 64)
-		if err != nil {
-			return types.Null, fmt.Errorf("DOUBLE out of range: %s", n)
+			return types.Null, fmt.Errorf("DOUBLE out of range: %s", c)
 		}
 		return types.Float(f), nil
-	case types.KindString:
-		s, ok := cell.(string)
-		if !ok {
-			return types.Null, fmt.Errorf("expected STRING, got %T", cell)
-		}
-		return types.Str(s), nil
-	case types.KindBool:
-		b, ok := cell.(bool)
-		if !ok {
-			return types.Null, fmt.Errorf("expected BOOLEAN, got %T", cell)
-		}
-		return types.Bool(b), nil
+	case string:
+		return types.Str(c), nil
+	case bool:
+		return types.Bool(c), nil
 	}
-	return types.Null, fmt.Errorf("unsupported column kind %v", kind)
+	return types.Null, fmt.Errorf("unsupported cell %T", cell)
 }
 
 // parseBigint parses a JSON number literal as an exact BIGINT: the plain

@@ -143,17 +143,15 @@ func (b *Batch) WithRows(rows []types.Row, ordMap map[int]int) *Batch {
 	return &cp
 }
 
-// WithoutDims returns a copy of the batch fit to outlive the query that
-// decoded it: the decoded columns are shared, the points keep their rows
-// but let go of the boxed dimension vectors they were decoded from — one
-// allocation per point that no batch algorithm reads once the columns
-// exist, and that MemSize does not count.
-func (b *Batch) WithoutDims() *Batch {
+// WithoutPoints returns a copy of the batch fit to outlive the query that
+// decoded it: the decoded columns are shared, the points — a row header and
+// a boxed dimension vector each, which no batch algorithm reads once the
+// columns exist and which MemSize does not count — are let go. The copy
+// returns the same indices as the batch; a holder that keeps the rows
+// beside it maps them back (SelectRows attaches rows when it needs points).
+func (b *Batch) WithoutPoints() *Batch {
 	cp := *b
-	cp.pts = make([]Point, len(b.pts))
-	for i, p := range b.pts {
-		cp.pts[i] = Point{Row: p.Row}
-	}
+	cp.pts = nil
 	cp.runs = nil
 	cp.counters = Counters{}
 	return &cp

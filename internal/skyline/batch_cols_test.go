@@ -162,10 +162,11 @@ func TestWithRowsRebinds(t *testing.T) {
 	}
 }
 
-// TestWithoutDimsKeepsColumnsAndRows: the copy runs every batch algorithm
-// to the same indices and emits the same rows; only the boxed dimension
-// vectors are gone, and MemSize — which never counted them — is unchanged.
-func TestWithoutDimsKeepsColumnsAndRows(t *testing.T) {
+// TestWithoutPointsKeepsColumns: the copy runs every batch algorithm to
+// the same indices and carries no points; MemSize — which never counted
+// them — is unchanged, SelectRows gives the kept indices points back,
+// and a merge with a batch that has points carries none.
+func TestWithoutPointsKeepsColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 40; trial++ {
 		pts := numericPoints(rng, 2+rng.Intn(60), false)
@@ -174,21 +175,34 @@ func TestWithoutDimsKeepsColumnsAndRows(t *testing.T) {
 			t.Fatal("numeric points must decode")
 		}
 		b.Tag = "clause"
-		bare := b.WithoutDims()
-		if bare.Len() != b.Len() || bare.Tag != b.Tag || bare.MemSize() != b.MemSize() {
-			t.Fatalf("copy: len %d tag %q mem %d, original %d %q %d", bare.Len(), bare.Tag, bare.MemSize(), b.Len(), b.Tag, b.MemSize())
+		bare := b.WithoutPoints()
+		if bare.Len() != b.Len() || bare.Tag != b.Tag || bare.MemSize() != b.MemSize() || bare.pts != nil {
+			t.Fatalf("copy: len %d tag %q mem %d points %d, original %d %q %d", bare.Len(), bare.Tag, bare.MemSize(), len(bare.pts), b.Len(), b.Tag, b.MemSize())
 		}
 		want, got := b.BNL(false), bare.BNL(false)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("BNL over the copy %v, over the original %v", got, want)
 		}
-		for i, p := range bare.Points(got) {
-			if p.Dims != nil || fmt.Sprint(p.Row) != fmt.Sprint(pts[want[i]].Row) {
-				t.Fatalf("point %d of the copy: dims %v row %v, want no dims and row %v", i, p.Dims, p.Row, pts[want[i]].Row)
+		rows := make([]types.Row, len(got))
+		for i, j := range got {
+			rows[i] = pts[j].Row
+		}
+		for i, p := range bare.SelectRows(got, rows).pts {
+			if fmt.Sprint(p.Row) != fmt.Sprint(pts[want[i]].Row) {
+				t.Fatalf("point %d of the selection: row %v, want %v", i, p.Row, pts[want[i]].Row)
 			}
 		}
 		if b.Points([]int{0})[0].Dims == nil {
-			t.Fatal("the original must keep its dimension vectors")
+			t.Fatal("the original must keep its points")
+		}
+		for _, in := range [][]*Batch{{bare, b}, {b, bare}} {
+			m, ok := MergeBatches(in)
+			if !ok || m.Len() != 2*b.Len() || m.pts != nil {
+				t.Fatalf("merge of a batch without points: ok=%v len=%d points=%d", ok, m.Len(), len(m.pts))
+			}
+		}
+		if m, _ := MergeBatches([]*Batch{bare.Slice(0, 0), b}); len(m.pts) != b.Len() {
+			t.Fatalf("an empty batch without points must not drop the others': %d points, want %d", len(m.pts), b.Len())
 		}
 	}
 }

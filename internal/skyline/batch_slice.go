@@ -179,6 +179,8 @@ func (b *Batch) SelectRows(idx []int, rows []types.Row) *Batch {
 // merge (merged batches feed the global skyline, which reads only the
 // decoded dimension storage). Runs (MarkRun) concatenate when every batch
 // records them under the same DISTINCT flag, and are dropped otherwise.
+// Points concatenate when every non-empty batch carries them; otherwise
+// the merged batch carries none (WithoutPoints).
 func MergeBatches(batches []*Batch) (*Batch, bool) {
 	if len(batches) == 0 {
 		return nil, false
@@ -191,18 +193,18 @@ func MergeBatches(batches []*Batch) (*Batch, bool) {
 		return first, true
 	}
 	n := 0
-	anyNull := false
+	anyNull, withPts := false, true
 	for _, b := range batches {
 		if b == nil || !sameShape(first, b) {
 			return nil, false
 		}
 		n += b.n
 		anyNull = anyNull || b.anyNull
+		withPts = withPts && (b.pts != nil || b.n == 0)
 	}
 	ns, ks := first.numStride, first.keyStride
 	out := &Batch{
 		n:          n,
-		pts:        make([]Point, 0, n),
 		incomplete: first.incomplete,
 		dirs:       first.dirs,
 		Tag:        first.Tag,
@@ -213,8 +215,13 @@ func MergeBatches(batches []*Batch) (*Batch, bool) {
 		diffMask:   first.diffMask,
 		anyNull:    anyNull,
 	}
+	if withPts {
+		out.pts = make([]Point, 0, n)
+	}
 	for _, b := range batches {
-		out.pts = append(out.pts, b.pts...)
+		if withPts {
+			out.pts = append(out.pts, b.pts...)
+		}
 		out.num = append(out.num, b.num...)
 	}
 	out.runs, out.runsDistinct = mergeRuns(batches)

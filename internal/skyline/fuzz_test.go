@@ -323,12 +323,12 @@ func TestRunsDroppedByDerivations(t *testing.T) {
 	}
 	rows := make([]types.Row, 3)
 	for name, derived := range map[string]*Batch{
-		"Slice":       m.Slice(0, 10),
-		"Select":      m.Select([]int{0, 1, 2}),
-		"SelectRows":  m.SelectRows([]int{0, 1, 2}, rows),
-		"Filter":      m.Filter(make([]bool, 40)),
-		"WithRows":    a.WithRows(rowsOfPoints(pts[:20]), nil),
-		"WithoutDims": a.WithoutDims(),
+		"Slice":         m.Slice(0, 10),
+		"Select":        m.Select([]int{0, 1, 2}),
+		"SelectRows":    m.SelectRows([]int{0, 1, 2}, rows),
+		"Filter":        m.Filter(make([]bool, 40)),
+		"WithRows":      a.WithRows(rowsOfPoints(pts[:20]), nil),
+		"WithoutPoints": a.WithoutPoints(),
 	} {
 		if r, _ := derived.Runs(); r != nil {
 			t.Errorf("%s kept runs %v", name, r)

@@ -162,9 +162,6 @@ func TestOpenDirRoundTrip(t *testing.T) {
 	if f := store.Schema().Fields[1]; f.Name != "v" || f.Type != types.KindFloat {
 		t.Errorf("reopened schema field %+v, want float column v", f)
 	}
-	if !store.Nullable(1) || store.Nullable(0) {
-		t.Error("footer-based Nullable must reflect the observed NULLs (col 1 yes, col 0 no)")
-	}
 
 	// A truncated file must fail loudly, not decode garbage.
 	bad := filepath.Join(dir, "zz-bad.seg")

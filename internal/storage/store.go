@@ -104,17 +104,6 @@ func (st *Store) Sketch() *cost.Table {
 	return st.sketch
 }
 
-// Nullable reports whether any segment observed a NULL in the column —
-// the footer-based answer to catalog.InferNullability.
-func (st *Store) Nullable(col int) bool {
-	for _, s := range st.segs {
-		if col < len(s.Footer.Cols) && s.Footer.Cols[col].NullCount > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Decode materializes every segment in order — the whole table as rows.
 func (st *Store) Decode() ([]types.Row, error) {
 	out := make([]types.Row, 0, st.Rows())

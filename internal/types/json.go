@@ -28,23 +28,48 @@ func (e *NonFiniteError) Error() string {
 // AppendRowsJSON appends rows as a JSON array of arrays. On a non-finite
 // DOUBLE it returns dst unextended and a *NonFiniteError naming the cell.
 func AppendRowsJSON(dst []byte, rows []Row) ([]byte, error) {
+	return AppendRowsJSONEnds(dst, rows, nil)
+}
+
+// AppendRowsJSONEnds is AppendRowsJSON that also fills ends, when it is
+// not nil, with one offset per row: where the row's text ends, counted
+// from the array's opening bracket. Row i is then the text between
+// ends[i-1]+1 (1 for the first row) and ends[i], so a reader can copy
+// rows out of the text without parsing it. Offsets wrap past 4 GiB of
+// text.
+func AppendRowsJSONEnds(dst []byte, rows []Row, ends []uint32) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, '[')
 	for i, r := range rows {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, '[')
-		for j, v := range r {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			var ok bool
-			if dst, ok = v.AppendJSON(dst); !ok {
-				return dst[:start], &NonFiniteError{Row: i, Col: j, Value: v.f}
-			}
+		var err error
+		if dst, err = AppendRowJSON(dst, r); err != nil {
+			err.(*NonFiniteError).Row = i
+			return dst[:start], err
 		}
-		dst = append(dst, ']')
+		if ends != nil {
+			ends[i] = uint32(len(dst) - start)
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// AppendRowJSON appends one row as a JSON array. On a non-finite DOUBLE
+// it returns dst unextended and a *NonFiniteError naming the cell, as
+// row 0.
+func AppendRowJSON(dst []byte, r Row) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, '[')
+	for j, v := range r {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		var ok bool
+		if dst, ok = v.AppendJSON(dst); !ok {
+			return dst[:start], &NonFiniteError{Col: j, Value: v.f}
+		}
 	}
 	return append(dst, ']'), nil
 }

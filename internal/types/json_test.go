@@ -66,6 +66,26 @@ func checkAgainstEncodingJSON(t *testing.T, rows []Row) {
 	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
 		t.Fatalf("rows %v:\n got  %s\n want %s", rows, got[len(prefix):], want)
 	}
+	checkEnds(t, rows, got[len(prefix):])
+}
+
+// checkEnds holds AppendRowsJSONEnds to the text AppendRowsJSON wrote:
+// the same bytes, and ends that cut it into each row's AppendRowJSON.
+func checkEnds(t *testing.T, rows []Row, text []byte) {
+	t.Helper()
+	ends := make([]uint32, len(rows))
+	got, err := AppendRowsJSONEnds([]byte("x"), rows, ends)
+	if err != nil || !bytes.Equal(got[1:], text) {
+		t.Fatalf("AppendRowsJSONEnds wrote %s (err %v), AppendRowsJSON %s", got[1:], err, text)
+	}
+	lo := uint32(1)
+	for i, r := range rows {
+		want, _ := AppendRowJSON(nil, r)
+		if ends[i] < lo || int(ends[i]) > len(text) || !bytes.Equal(text[lo:ends[i]], want) {
+			t.Fatalf("row %d: ends %v do not cut %s out of %s", i, ends, want, text)
+		}
+		lo = ends[i] + 1
+	}
 }
 
 func TestAppendRowsJSONGolden(t *testing.T) {

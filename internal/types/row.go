@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -31,6 +32,55 @@ func (r Row) String() string {
 		parts[i] = v.String()
 	}
 	return "[" + strings.Join(parts, " | ") + "]"
+}
+
+// CheckRow holds a row to the schema: one value per column, each of the
+// column's declared kind (any kind where the type is unknown, KindNull),
+// and NULL only in a nullable column. A BIGINT value in a DOUBLE column,
+// and a DOUBLE value holding an integer in a BIGINT column, are converted
+// when the conversion is exact — magnitudes up to 2⁵³ — and refused
+// beyond. It returns nil when the row is fit to store as it is, and a
+// converted copy otherwise; r itself is never written.
+func (s *Schema) CheckRow(r Row) (Row, error) {
+	if len(r) != len(s.Fields) {
+		return nil, fmt.Errorf("has %d values, schema has %d columns", len(r), len(s.Fields))
+	}
+	var out Row
+	for j, v := range r {
+		f := s.Fields[j]
+		if v.kind == KindNull {
+			if f.Nullable {
+				continue
+			}
+			return nil, fmt.Errorf("column %q: NULL in NOT NULL column", f.Name)
+		}
+		if v.kind == f.Type || f.Type == KindNull {
+			continue
+		}
+		c, ok := convertExact(v, f.Type)
+		if !ok {
+			return nil, fmt.Errorf("column %q: %s value %s does not fit a %s column", f.Name, v.kind, v, f.Type)
+		}
+		if out == nil {
+			out = r.Clone()
+		}
+		out[j] = c
+	}
+	return out, nil
+}
+
+// convertExact converts a BIGINT to a DOUBLE, or a DOUBLE to a BIGINT,
+// when the value survives the round trip — magnitudes up to 2⁵³, and no
+// fraction.
+func convertExact(v Value, to Kind) (Value, bool) {
+	const limit = float64(MaxExactFloatInt)
+	switch {
+	case v.kind == KindInt && to == KindFloat && v.i >= -MaxExactFloatInt && v.i <= MaxExactFloatInt:
+		return Float(float64(v.i)), true
+	case v.kind == KindFloat && to == KindInt && v.f >= -limit && v.f <= limit && v.f == math.Trunc(v.f):
+		return Int(int64(v.f)), true
+	}
+	return Null, false
 }
 
 // Field describes one column of a schema.

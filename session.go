@@ -221,9 +221,11 @@ func WithSpillDirectory(dir string) Option {
 // Cacheable queries — skyline plans whose every operator the cache can
 // fingerprint — are then answered from cache when the same normalized
 // plan was executed before over the same table versions, bit-identically
-// to a cold recompute. Entries store rows plus the columnar sidecar (a
-// hit re-enters the data plane decode-free), are held under an LRU byte
-// budget that sheds sidecars before whole entries, and are invalidated
+// to a cold recompute. Entries store rows, their decoded skyline
+// columns (which an append's dominance tests read instead of decoding
+// the cached rows again) and, once rendered, their JSON text; they are
+// held under an LRU byte budget that sheds text, then columns, before
+// whole entries, and are invalidated
 // by any table-version bump — except in-memory appends to plans the
 // cache can maintain incrementally, which upgrade entries in place by
 // testing the new rows against the cached skyline (see
@@ -304,7 +306,11 @@ func (s *Session) SetExecutors(n int) {
 }
 
 // CreateTable registers an in-memory table (segment-encoded when the
-// session was built WithSegmentStorage).
+// session was built WithSegmentStorage). Every row must fit the schema:
+// one value per column, of the column's kind, and NULL only in a
+// nullable column (Field.Nullable). BIGINT and DOUBLE values convert into
+// each other's columns when the conversion is exact (up to 2⁵³ in
+// magnitude, no fraction); the table stores the converted value.
 func (s *Session) CreateTable(name string, schema *Schema, rows []Row) error {
 	t, err := catalog.NewTable(name, schema, rows)
 	if err != nil {
@@ -390,8 +396,10 @@ func (s *Session) LoadCSV(name, path string, kinds []Kind) error {
 // O(len(rows)·s) of them for an entry of s rows, on the columnar kernel
 // when the entry has its sidecar and the rows decode, boxed otherwise —
 // while all other dependent entries are invalidated. ResultCacheStats
-// reports both counts (Upgrades, Invalidations). Segment-backed tables
-// refuse appends (they are immutable at this layer).
+// reports both counts (Upgrades, Invalidations). Each row must fit the
+// table's schema as CreateTable requires; a batch with one that does not
+// appends nothing. Segment-backed tables refuse appends (they are
+// immutable at this layer).
 // Safe for concurrent use: the append + cache-maintenance pair is
 // serialized per session, so two concurrent appends cannot offer their
 // batches to the cache in an order different from the one the table's
@@ -403,11 +411,12 @@ func (s *Session) AppendRows(name string, rows []Row) error {
 	if err != nil {
 		return err
 	}
-	if err := t.Append(rows...); err != nil {
+	stored, err := t.Append(rows...)
+	if err != nil {
 		return err
 	}
 	if s.cache != nil {
-		s.cache.TableChanged(t, rows)
+		s.cache.TableChanged(t, stored)
 	}
 	return nil
 }
