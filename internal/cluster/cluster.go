@@ -694,10 +694,12 @@ type Context struct {
 	// segment-backed scan — straight from the pages) instead of at the
 	// local skyline, so leading filters and projections run on the
 	// vectorized expression engine and the whole narrow chain is
-	// decode-once. Results are bit-identical either way; the gate exists
-	// because eager decoding evaluates the skyline dimensions on pre-filter
-	// rows, which a caller with very selective boxed-only filters may want
-	// to avoid (skysql.WithoutVectorizedExprs clears it).
+	// decode-once. Results are bit-identical either way. Production never
+	// clears it (NewContext sets it): the cost gate's "defer" choice is the
+	// production route to the same behaviour, per stage, when eager decoding
+	// of pre-filter rows would not pay. false is the tests' boxed
+	// reference: no sidecar reaches a filter or projection, so they run the
+	// boxed evaluator.
 	DecodeAtScan bool
 
 	// TargetRowsPerPartition, when positive, makes exchanges adaptive

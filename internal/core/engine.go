@@ -7,7 +7,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"skysql/internal/analyzer"
@@ -167,8 +166,8 @@ func (e *Engine) Query(query string, executors int, opts physical.Options) (*Res
 	return e.Run(c, executors)
 }
 
-// Algorithm names the four algorithms of the paper's evaluation (§6.3)
-// plus the §7 extensions, and maps them onto planner strategies.
+// Algorithm names one of the four algorithms of the paper's evaluation
+// (§6.3) and maps it onto a planner strategy.
 type Algorithm struct {
 	// Name as used in the paper's charts.
 	Name string
@@ -189,24 +188,4 @@ func Algorithms() []Algorithm {
 		{Name: "distributed incomplete", Strategy: physical.SkylineDistributedIncomplete},
 		{Name: "reference", Reference: true},
 	}
-}
-
-// ExtensionAlgorithms returns the future-work partitioning schemes (§7)
-// used by the ablation benchmarks.
-func ExtensionAlgorithms() []Algorithm {
-	return []Algorithm{
-		{Name: "grid complete", Strategy: physical.SkylineGridComplete},
-		{Name: "angle complete", Strategy: physical.SkylineAngleComplete},
-		{Name: "zorder complete", Strategy: physical.SkylineZorderComplete},
-	}
-}
-
-// AlgorithmByName finds an algorithm by its chart name.
-func AlgorithmByName(name string) (Algorithm, error) {
-	for _, a := range append(Algorithms(), ExtensionAlgorithms()...) {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return Algorithm{}, fmt.Errorf("core: unknown algorithm %q", name)
 }

@@ -44,12 +44,6 @@ var scalarFuncs = map[string]int{
 	"trim":     1,
 }
 
-// IsScalarFunc reports whether name is a known scalar function.
-func IsScalarFunc(name string) bool {
-	_, ok := scalarFuncs[strings.ToLower(name)]
-	return ok
-}
-
 // CheckArity validates the argument count for a scalar function.
 func (f *Func) CheckArity() error {
 	want, ok := scalarFuncs[f.Name]

@@ -217,19 +217,6 @@ func MaterializeNumeric(kind types.Kind, vals []float64, nulls []bool) []types.V
 	return out
 }
 
-// MaterializeBool converts a boolean result column into boxed values.
-func MaterializeBool(vals []bool, nulls []bool) []types.Value {
-	out := make([]types.Value, len(vals))
-	for i, b := range vals {
-		if nulls != nil && nulls[i] {
-			out[i] = types.Null
-			continue
-		}
-		out[i] = types.Bool(b)
-	}
-	return out
-}
-
 // evalNum evaluates a numeric-class node.
 func (v *VectorEvaluator) evalNum(e Expr) ([]float64, []bool, error) {
 	switch n := e.(type) {
@@ -483,8 +470,8 @@ func ConstOperand(e Expr) (float64, bool) {
 // loop. Against a c that is not NaN, compareFloats(x, c) is the plain float
 // comparison except that a NaN x sorts below c, so only < and <= must admit
 // NaN slots (and <> does, as x != c). The result carries e's null mask;
-// its values under NULL slots are left as computed, since EvalPredicate,
-// the three-valued operators and MaterializeBool read the mask first.
+// its values under NULL slots are left as computed, since EvalPredicate
+// and the three-valued operators read the mask first.
 func (v *VectorEvaluator) compareConst(op BinaryOp, e Expr, c float64) ([]bool, []bool, error) {
 	xs, nulls, err := v.evalNum(e)
 	if err != nil {

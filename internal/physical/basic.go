@@ -101,14 +101,8 @@ func (o *OneRowExec) Execute(*cluster.Context) (*cluster.Dataset, error) {
 
 // FilterExec keeps rows satisfying the predicate.
 type FilterExec struct {
-	Cond expr.Expr
-	// DisableVector forces the boxed row-at-a-time predicate
-	// (Options.DisableVectorizedExprs). The columnar sidecar still survives
-	// the filter either way: the vectorized path reduces the selection
-	// bitmap with Batch.Filter, the boxed path tracks the kept indices and
-	// applies Batch.Select.
-	DisableVector bool
-	Child         Operator
+	Cond  expr.Expr
+	Child Operator
 }
 
 func (f *FilterExec) Schema() *types.Schema { return f.Child.Schema() }
@@ -131,7 +125,7 @@ func (f *FilterExec) MorselSplittable() bool { return true }
 // refusals, expr.ErrNotVectorized) fall back to the boxed row loop but
 // still carry the sidecar forward via Batch.Select.
 func (f *FilterExec) PartitionTransformColumnar(ctx *cluster.Context) ColumnarPartitionFn {
-	canVec := !f.DisableVector && expr.CanVectorize(f.Cond, f.Child.Schema())
+	canVec := expr.CanVectorize(f.Cond, f.Child.Schema())
 	return func(_ int, part []types.Row, b *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
 		if b != nil && b.Len() != len(part) {
 			b = nil // misaligned sidecar: rows stay authoritative
@@ -180,14 +174,9 @@ func (f *FilterExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 
 // ProjectExec evaluates projection expressions over each row.
 type ProjectExec struct {
-	Exprs []expr.Expr
-	// DisableVector forces the boxed row-at-a-time evaluation of every
-	// output column (Options.DisableVectorizedExprs). Sidecar flow through
-	// the projection (rows re-wrapped, pass-through bindings re-keyed) is
-	// unaffected.
-	DisableVector bool
-	Child         Operator
-	schema        *types.Schema
+	Exprs  []expr.Expr
+	Child  Operator
+	schema *types.Schema
 }
 
 // NewProjectExec creates a projection with a precomputed output schema.
@@ -227,7 +216,7 @@ func (p *ProjectExec) PartitionTransformColumnar(ctx *cluster.Context) ColumnarP
 			passthrough[j] = ref.Index
 			continue
 		}
-		canVec[j] = !p.DisableVector && expr.CanVectorize(e, childSchema)
+		canVec[j] = expr.CanVectorize(e, childSchema)
 	}
 	return func(_ int, part []types.Row, b *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
 		if b != nil && b.Len() != len(part) {

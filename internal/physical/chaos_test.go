@@ -39,9 +39,9 @@ func chaosCtx(executors int, seed int64, rate float64) *cluster.Context {
 // runtime: with deterministic fault injection at rates up to 0.3 — plus
 // straggler delays and allocation spikes — a retried run must be
 // row-for-row identical to the fault-free run of the same plan, across
-// every SkylineStrategy × kernel × vectorization ablation.
-// Re-execution is lineage-safe because tasks are pure per-partition
-// closures; this test is what makes that claim load-bearing.
+// every SkylineStrategy × kernel ablation. Re-execution is lineage-safe
+// because tasks are pure per-partition closures; this test is what makes
+// that claim load-bearing.
 func TestChaosContractAllStrategies(t *testing.T) {
 	ablations := []struct {
 		name string
@@ -49,7 +49,6 @@ func TestChaosContractAllStrategies(t *testing.T) {
 	}{
 		{"full", Options{}},
 		{"boxed-kernel", Options{DisableColumnarKernel: true}},
-		{"boxed-exprs", Options{DisableVectorizedExprs: true}},
 	}
 
 	r := rand.New(rand.NewSource(41))

@@ -42,9 +42,9 @@ func costGatePlanFixture(t *testing.T, name string, nullable bool, cut int64) pl
 }
 
 // TestCostGateBitIdentityAblation is the gate's contract: for every
-// SkylineStrategy × kernel × vectorization ablation, and at both a
-// selective and a non-selective filter cut (so the gate actually takes
-// both branches somewhere in the sweep), the cost-gated plan must be
+// SkylineStrategy × kernel ablation, and at both a selective and a
+// non-selective filter cut (so the gate actually takes both branches
+// somewhere in the sweep), the cost-gated plan must be
 // row-for-row identical to the plan run without decode-at-scan
 // (DecodeAtScan=false), which never decodes at the source.
 func TestCostGateBitIdentityAblation(t *testing.T) {
@@ -57,28 +57,23 @@ func TestCostGateBitIdentityAblation(t *testing.T) {
 			sky := costGatePlanFixture(t, fmt.Sprintf("%s%d", name, ci), nullable, cut)
 			for _, st := range allStrategies {
 				for _, noKernel := range []bool{false, true} {
-					for _, noVector := range []bool{false, true} {
-						label := fmt.Sprintf("%s/cut=%d/%v/kernel=%v/vector=%v",
-							name, cut, st, !noKernel, !noVector)
-						opts := Options{Strategy: st,
-							DisableColumnarKernel: noKernel, DisableVectorizedExprs: noVector}
-						op, err := Plan(sky, opts)
-						if err != nil {
-							t.Fatalf("%s: plan: %v", label, err)
-						}
-						gctx, nctx := cluster.NewContext(4), cluster.NewContext(4)
-						gctx.DecodeAtScan = !noVector && !noKernel
-						nctx.DecodeAtScan = false
-						gated, err := Execute(op, gctx)
-						if err != nil {
-							t.Fatalf("%s: gated execute: %v", label, err)
-						}
-						never, err := Execute(Plan2(t, sky, opts), nctx)
-						if err != nil {
-							t.Fatalf("%s: no-decode-at-scan execute: %v", label, err)
-						}
-						assertSameRows(t, label, never, gated)
+					label := fmt.Sprintf("%s/cut=%d/%v/kernel=%v", name, cut, st, !noKernel)
+					opts := Options{Strategy: st, DisableColumnarKernel: noKernel}
+					op, err := Plan(sky, opts)
+					if err != nil {
+						t.Fatalf("%s: plan: %v", label, err)
 					}
+					nctx := cluster.NewContext(4)
+					nctx.DecodeAtScan = false
+					gated, err := Execute(op, cluster.NewContext(4))
+					if err != nil {
+						t.Fatalf("%s: gated execute: %v", label, err)
+					}
+					never, err := Execute(Plan2(t, sky, opts), nctx)
+					if err != nil {
+						t.Fatalf("%s: no-decode-at-scan execute: %v", label, err)
+					}
+					assertSameRows(t, label, never, gated)
 				}
 			}
 		}

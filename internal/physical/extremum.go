@@ -20,10 +20,6 @@ import (
 type ExtremumFilterExec struct {
 	E   expr.Expr
 	Max bool
-	// DisableVector forces the boxed row-at-a-time expression evaluation in
-	// both passes even when a partition arrives with a columnar sidecar
-	// whose dense columns could serve E (Options.DisableVectorizedExprs).
-	DisableVector bool
 	// DisableKernel turns off the decode-once column cache: with it set,
 	// the second pass re-evaluates E per row, the pre-kernel behaviour
 	// (Options.DisableColumnarKernel).
@@ -65,7 +61,7 @@ func (x *ExtremumFilterExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPar
 	if err != nil {
 		return nil, err
 	}
-	canVec := !x.DisableVector && !x.DisableKernel && expr.CanVectorize(x.E, x.Child.Schema())
+	canVec := !x.DisableKernel && expr.CanVectorize(x.E, x.Child.Schema())
 	// Pass 1: per-partition extrema, merged into the global extremum.
 	var (
 		mu   sync.Mutex

@@ -13,12 +13,12 @@ import (
 
 // TestMorselParallelBitIdentityAllStrategies is the morsel-runtime
 // contract: for every SkylineStrategy (complete and incomplete data,
-// distinct both ways, across the kernel/vectorization ablations)
-// the morsel-parallel execution — on the work-stealing pool and on the
-// Simulator alike — must be row-for-row identical to whole-partition
-// execution. Run under -race this also exercises the pool's memory-safety
-// contract: sliced sidecar views and per-chunk batch views share only
-// read-only decoded storage.
+// distinct both ways, with the kernel on and off) the morsel-parallel
+// execution — on the work-stealing pool and on the Simulator alike —
+// must be row-for-row identical to whole-partition execution. Run under
+// -race this also exercises the pool's memory-safety contract: sliced
+// sidecar views and per-chunk batch views share only read-only decoded
+// storage.
 func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
 	ablations := []struct {
 		name string
@@ -26,7 +26,6 @@ func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
 	}{
 		{"default", Options{}},
 		{"nokernel", Options{DisableColumnarKernel: true}},
-		{"novector", Options{DisableVectorizedExprs: true}},
 	}
 	pool := cluster.NewWorkerPool(4)
 	defer pool.Close()

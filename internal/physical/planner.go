@@ -66,14 +66,12 @@ type Options struct {
 	// DisableColumnarKernel turns off the columnar dominance kernel: the
 	// skyline operators then run the boxed CompareFunc path on every
 	// partition (and the extremum filter re-evaluates its expression per
-	// pass). Result-identical; kept selectable for A/B ablation.
+	// pass). Result-identical; it builds the reference session of the
+	// benchmark's answer check. Expression evaluation has no such switch:
+	// filters, projections and extremum passes run vectorized wherever a
+	// sidecar reaches them and the expression vectorizes, and fall back to
+	// the boxed evaluator per expression otherwise.
 	DisableColumnarKernel bool
-	// DisableVectorizedExprs turns off the vectorized expression engine:
-	// filters, projections, and the extremum passes then evaluate boxed,
-	// row at a time, even when a partition carries a columnar sidecar.
-	// Result-identical; kept selectable for A/B ablation
-	// (skysql.WithoutVectorizedExprs also clears Context.DecodeAtScan).
-	DisableVectorizedExprs bool
 	// ResultCache, when non-nil, lets the planner wrap the compiled plan in
 	// a result-cache consultation (internal/resultcache): the wrapper checks
 	// the cache before any stage executes and records the hit/miss decision
@@ -152,15 +150,13 @@ func lower(n plan.Node, opts Options) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		proj := NewProjectExec(p.Exprs, p.Schema(), child)
-		proj.DisableVector = opts.DisableVectorizedExprs
-		return proj, nil
+		return NewProjectExec(p.Exprs, p.Schema(), child), nil
 	case *plan.Filter:
 		child, err := lower(p.Child, opts)
 		if err != nil {
 			return nil, err
 		}
-		return &FilterExec{Cond: p.Cond, DisableVector: opts.DisableVectorizedExprs, Child: child}, nil
+		return &FilterExec{Cond: p.Cond, Child: child}, nil
 	case *plan.Aggregate:
 		child, err := lower(p.Child, opts)
 		if err != nil {
@@ -194,7 +190,7 @@ func lower(n plan.Node, opts Options) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ExtremumFilterExec{E: p.E, Max: p.Max, DisableKernel: opts.DisableColumnarKernel, DisableVector: opts.DisableVectorizedExprs, Child: child}, nil
+		return &ExtremumFilterExec{E: p.E, Max: p.Max, DisableKernel: opts.DisableColumnarKernel, Child: child}, nil
 	case *plan.Join:
 		return planJoin(p, opts)
 	case *plan.SkylineOperator:

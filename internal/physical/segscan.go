@@ -37,12 +37,12 @@ package physical
 //     are boxed.
 //
 //   - The boxed path: every other chain (projections, limits, DIFF or
-//     computed dimensions, vectorization off), and any morsel the page path cannot serve exactly —
-//     strings, bools or mixed kinds in a referenced column, integers
-//     beyond ±2⁵³, NaN in a kernel dimension — or, for a plan that
-//     decodes a batch, whose sidecars the memory governor dropped. The
-//     task boxes its morsel's rows from the pages and runs the fused
-//     chain unchanged.
+//     computed dimensions, filters the engine does not vectorize), and
+//     any morsel the page path cannot serve exactly — strings, bools or
+//     mixed kinds in a referenced column, integers beyond ±2⁵³, NaN in a
+//     kernel dimension — or, for a plan that decodes a batch, whose
+//     sidecars the memory governor dropped. The task boxes its morsel's
+//     rows from the pages and runs the fused chain unchanged.
 //
 // Both paths return the rows the chain returns over the boxed segment, in
 // the same order; the page path's sidecar is the batch the chain would
@@ -252,7 +252,7 @@ func planPageScan(ops []NarrowOperator, sink *DecodeSink, schema *types.Schema, 
 	for i, op := range ops {
 		switch o := op.(type) {
 		case *FilterExec:
-			if o.DisableVector || !expr.CanVectorize(o.Cond, schema) {
+			if !expr.CanVectorize(o.Cond, schema) {
 				return nil
 			}
 			var conjs []conjunct

@@ -55,7 +55,7 @@ func segmentTwinPlans(t *testing.T, name string, nRows, segRows int, cut int64) 
 // TestSegmentScanContractAllStrategies is the standing contract of the
 // segment storage layer: a segment-backed scan — zone-map pruning
 // included — must be bit-identical to the in-memory scan of the same
-// rows, across every SkylineStrategy × kernel × vectorization ablation,
+// rows, across every SkylineStrategy × kernel ablation,
 // and the pruning must actually fire (the filter cut lies well
 // inside the clustered range, so trailing segments are provably empty).
 func TestSegmentScanContractAllStrategies(t *testing.T) {
@@ -66,7 +66,6 @@ func TestSegmentScanContractAllStrategies(t *testing.T) {
 	}{
 		{"full", Options{}},
 		{"boxed-kernel", Options{DisableColumnarKernel: true}},
-		{"boxed-exprs", Options{DisableVectorizedExprs: true}},
 	}
 	for _, st := range allStrategies {
 		for _, ab := range ablations {
@@ -293,20 +292,21 @@ func assertSameBits(t *testing.T, label string, want, got []types.Row) {
 }
 
 // wideContext is a context with morsel splitting forced down to a few
-// rows, configured the way a session configures it for the ablation.
+// rows. With the kernel off it also never decodes at the scan, the boxed
+// reference the contract compares the page path against.
 func wideContext(opts Options) *cluster.Context {
 	ctx := cluster.NewContext(4)
 	ctx.MorselParallel = true
 	ctx.MorselTargetRows = 8
-	ctx.DecodeAtScan = !opts.DisableVectorizedExprs && !opts.DisableColumnarKernel
+	ctx.DecodeAtScan = !opts.DisableColumnarKernel
 	return ctx
 }
 
 // TestSegmentWideTableContract: over a table of every kind the page path
 // must serve or refuse, a segment-backed scan — page path, boxed fallback
 // and morsel splits alike — returns exactly the rows of the in-memory
-// twin, in the same order, bit for bit, across every strategy × kernel ×
-// vectorization ablation and two segment sizes. Every query
+// twin, in the same order, bit for bit, across every strategy × kernel
+// ablation and two segment sizes. Every query
 // also leaves exactly its result charged: no page, batch or boxed morsel
 // stays on the books.
 func TestSegmentWideTableContract(t *testing.T) {
@@ -316,7 +316,6 @@ func TestSegmentWideTableContract(t *testing.T) {
 	}{
 		{"full", Options{}},
 		{"boxed-kernel", Options{DisableColumnarKernel: true}},
-		{"boxed-exprs", Options{DisableVectorizedExprs: true}},
 	}
 	for _, segRows := range []int{23, 97} {
 		cat := wideTwins(t, 300, segRows)
@@ -400,14 +399,15 @@ func TestSegmentPagePathChosenFromPlanAndData(t *testing.T) {
 		{wideQueries[3], Options{}, true, true, 40},
 		{wideQueries[5], Options{}, true, false, 0},
 		{wideQueries[7], Options{}, true, true, 40},
-		{wideQueries[0], Options{DisableVectorizedExprs: true}, false, false, 0},
+		// A filter the engine does not vectorize (a string comparison)
+		// refuses the page path at plan time.
+		{"SELECT * FROM {{T}} WHERE s = 'red' SKYLINE OF COMPLETE y MIN, id MAX", Options{}, false, false, 0},
 		// Kernel off: no batch, so no decode-at-scan gate and no refusal
 		// of NaN in a dimension; the boxed BNL reads its dimensions from
 		// the pages and still boxes only the rows that leave.
 		{wideQueries[0], Options{DisableColumnarKernel: true}, true, true, 40},
 		{wideQueries[5], Options{DisableColumnarKernel: true}, true, true, 40},
-		{wideQueries[7], Options{DisableColumnarKernel: true, DisableVectorizedExprs: true}, true, true, 40},
-		{wideQueries[0], Options{DisableColumnarKernel: true, DisableVectorizedExprs: true}, false, false, 0},
+		{wideQueries[7], Options{DisableColumnarKernel: true}, true, true, 40},
 		// Selection first: page-byte and engine conjuncts served; a big int
 		// still selected in a filter column, or on a boxed page, refuses.
 		{wideQueries[8], Options{}, true, true, 40},

@@ -2,9 +2,11 @@ package physical
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"skysql/internal/catalog"
 	"skysql/internal/cluster"
 	"skysql/internal/expr"
 	"skysql/internal/plan"
@@ -37,8 +39,8 @@ func filteredSkylinePlan(t *testing.T, name string, nRows int, cut int64) *plan.
 // skyline → exchange → global skyline decodes exactly once per input
 // partition (the stage decodes at the scan, the filter reduces the batch
 // with a selection bitmap, the skyline and the global pass reuse it) and
-// reports one vectorized pass per partition. The vector-off and kernel-off
-// ablations stay row-for-row identical.
+// reports one vectorized pass per partition. The boxed-filter run (no
+// decode at the scan) and the kernel-off run stay row-for-row identical.
 func TestFilteredSkylineDecodesOncePerPartitionVectorized(t *testing.T) {
 	const executors = 4
 	const nRows = 120 // splitEven gives exactly `executors` input partitions
@@ -63,24 +65,21 @@ func TestFilteredSkylineDecodesOncePerPartitionVectorized(t *testing.T) {
 		t.Errorf("VectorizedBatches = %d, want %d (one vectorized filter pass per partition)", got, executors)
 	}
 
-	// Vectorization off: same rows, zero vectorized passes, and the decode
+	// No decode at the scan: no sidecar reaches the filter, so it runs the
+	// boxed evaluator — same rows, zero vectorized passes, and the decode
 	// moves after the filter (still once per partition).
-	boxedOp, err := Plan(sky, Options{Strategy: SkylineDistributedComplete, DisableVectorizedExprs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bctx := cluster.NewContext(executors)
 	bctx.DecodeAtScan = false
-	boxed, err := Execute(boxedOp, bctx)
+	boxed, err := Execute(Plan2(t, sky, Options{Strategy: SkylineDistributedComplete}), bctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameRows(t, "vectorized on/off", boxed, rows)
+	assertSameRows(t, "decode at scan on/off", boxed, rows)
 	if got := bctx.Metrics.VectorizedBatches(); got != 0 {
-		t.Errorf("vector-off run reported %d vectorized passes", got)
+		t.Errorf("boxed-filter run reported %d vectorized passes", got)
 	}
 	if got := bctx.Metrics.BatchesDecoded(); got != executors {
-		t.Errorf("vector-off BatchesDecoded = %d, want %d", got, executors)
+		t.Errorf("boxed-filter BatchesDecoded = %d, want %d", got, executors)
 	}
 
 	// Kernel off: fully boxed, still identical.
@@ -101,8 +100,12 @@ func TestFilteredSkylineDecodesOncePerPartitionVectorized(t *testing.T) {
 
 // TestVectorizedContractsAllStrategies is the vectorization contract: a
 // filtered + computed-dimension skyline plan must produce identical row
-// sequences across every SkylineStrategy and every combination of the
-// DisableColumnarKernel / DisableVectorizedExprs ablations.
+// sequences across every SkylineStrategy, with the kernel on and off, and
+// whether the stage decodes at the scan (the vectorized engine serves the
+// filter and the projection) or not (no sidecar reaches them, so they run
+// the boxed evaluator). Beside the fixed plan, seeded random predicates
+// and computed dimensions over NULL, NaN, ±Inf, −0 and ±2⁵³ values hold
+// the two evaluators to each other.
 func TestVectorizedContractsAllStrategies(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	nRows := 140
@@ -132,38 +135,164 @@ func TestVectorizedContractsAllStrategies(t *testing.T) {
 		expr.NewSkylineDimension(expr.NewBoundRef(2, "score", types.KindInt, false), expr.SkyMin),
 		expr.NewSkylineDimension(expr.NewBoundRef(0, "a", types.KindInt, false), expr.SkyMax),
 	}
-	sky := plan.NewSkylineOperator(false, false, dims, proj)
+	plans := []*plan.SkylineOperator{plan.NewSkylineOperator(false, false, dims, proj)}
+	for seed := int64(1); seed <= 160; seed++ {
+		plans = append(plans, randomVectorPlan(t, seed))
+	}
 
-	for _, st := range allStrategies {
-		var want []types.Row
-		for _, noKernel := range []bool{false, true} {
-			for _, noVector := range []bool{false, true} {
-				label := fmt.Sprintf("%v/kernel=%v/vector=%v", st, !noKernel, !noVector)
-				op, err := Plan(sky, Options{
-					Strategy:               st,
-					DisableColumnarKernel:  noKernel,
-					DisableVectorizedExprs: noVector,
-				})
-				if err != nil {
-					t.Fatalf("%s: plan: %v", label, err)
-				}
-				ctx := cluster.NewContext(4)
-				ctx.DecodeAtScan = !noVector && !noKernel
-				rows, err := Execute(op, ctx)
-				if err != nil {
-					t.Fatalf("%s: execute: %v", label, err)
-				}
-				if want == nil {
-					want = rows
-					if len(want) == 0 {
-						t.Fatalf("%s: empty skyline", label)
+	vectorized := int64(0)
+	for pi, sky := range plans {
+		desc := fmt.Sprintf("plan %d", pi)
+		if pi > 0 {
+			desc += "\n" + plan.Format(sky)
+		}
+		for _, st := range allStrategies {
+			var want []types.Row
+			for _, noKernel := range []bool{false, true} {
+				for _, decode := range []bool{true, false} {
+					label := fmt.Sprintf("%v/kernel=%v/decode-at-scan=%v: %s", st, !noKernel, decode, desc)
+					op, err := Plan(sky, Options{Strategy: st, DisableColumnarKernel: noKernel})
+					if err != nil {
+						t.Fatalf("%s: plan: %v", label, err)
 					}
-					continue
+					ctx := cluster.NewContext(4)
+					ctx.DecodeAtScan = decode
+					rows, err := Execute(op, ctx)
+					if err != nil {
+						t.Fatalf("%s: execute: %v", label, err)
+					}
+					if pi > 0 && decode && !noKernel {
+						vectorized += ctx.Metrics.VectorizedBatches()
+					}
+					if want == nil {
+						want = rows
+						if len(want) == 0 && pi == 0 {
+							t.Fatalf("%s: empty skyline", label)
+						}
+						continue
+					}
+					assertSameRows(t, label, want, rows)
 				}
-				assertSameRows(t, label, want, rows)
 			}
 		}
 	}
+	// The random plans must exercise the engine, or they compared the boxed
+	// evaluator with itself.
+	if vectorized == 0 {
+		t.Error("no random plan ran a vectorized pass")
+	}
+}
+
+// randomVectorPlan builds scan → filter(random predicate) →
+// project(a, b, c, random numeric expression) → skyline(score MIN, c MAX),
+// COMPLETE on even seeds, over a seeded table whose nullable columns hold
+// the values the boxed and vectorized evaluators most easily disagree on:
+// NULL, NaN, ±Inf, −0, ±2⁵³, and (rarely) 2⁶²−1, which the engine refuses
+// per batch.
+func randomVectorPlan(t *testing.T, seed int64) *plan.SkylineOperator {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	const bigExact = types.MaxExactFloatInt
+	ints := []types.Value{types.Null, types.Int(bigExact), types.Int(-bigExact), types.Int(0), types.Int(-1)}
+	floats := []types.Value{types.Null, types.Float(math.NaN()), types.Float(math.Inf(1)), types.Float(math.Inf(-1)),
+		types.Float(math.Copysign(0, -1)), types.Float(float64(bigExact)), types.Float(-float64(bigExact))}
+	schema := types.NewSchema(
+		types.Field{Name: "a", Type: types.KindInt, Nullable: true},
+		types.Field{Name: "b", Type: types.KindFloat, Nullable: true},
+		types.Field{Name: "c", Type: types.KindInt},
+	)
+	rows := make([]types.Row, 40+r.Intn(40))
+	for i := range rows {
+		a := types.Value(types.Int(int64(r.Intn(9) - 3)))
+		switch k := r.Intn(40); {
+		case k == 0:
+			a = types.Int(1<<62 - 1)
+		case k < 8:
+			a = ints[r.Intn(len(ints))]
+		}
+		b := types.Value(types.Float(float64(r.Intn(13)-4) / 2))
+		if r.Intn(4) == 0 {
+			b = floats[r.Intn(len(floats))]
+		}
+		rows[i] = types.Row{a, b, types.Int(int64(r.Intn(10)))}
+	}
+	name := fmt.Sprintf("vecrand%d", seed)
+	tab, err := catalog.NewTable(name, schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := vectorExprGen{r: r}
+	filter := plan.NewFilter(g.predicate(2), plan.NewScan(tab, name))
+	score := g.numeric(2)
+	proj := plan.NewProject([]expr.Expr{
+		g.ref(0), g.ref(1), g.ref(2), expr.NewAlias(score, "score"),
+	}, filter)
+	dims := []*expr.SkylineDimension{
+		expr.NewSkylineDimension(expr.NewBoundRef(3, "score", score.DataType(), true), expr.SkyMin),
+		expr.NewSkylineDimension(expr.NewBoundRef(2, "c", types.KindInt, false), expr.SkyMax),
+	}
+	return plan.NewSkylineOperator(false, seed%2 == 0, dims, proj)
+}
+
+// vectorExprGen draws random expressions over randomVectorPlan's columns
+// from the operators the vectorized engine serves.
+type vectorExprGen struct{ r *rand.Rand }
+
+func (g vectorExprGen) ref(i int) expr.Expr {
+	switch i {
+	case 0:
+		return expr.NewBoundRef(0, "a", types.KindInt, true)
+	case 1:
+		return expr.NewBoundRef(1, "b", types.KindFloat, true)
+	}
+	return expr.NewBoundRef(2, "c", types.KindInt, false)
+}
+
+func (g vectorExprGen) literal() expr.Expr {
+	lits := []types.Value{types.Null, types.Float(math.NaN()), types.Float(math.Inf(1)), types.Float(math.Inf(-1)),
+		types.Float(math.Copysign(0, -1)), types.Int(types.MaxExactFloatInt), types.Int(-types.MaxExactFloatInt),
+		types.Float(0.5), types.Int(0), types.Int(2), types.Int(-3)}
+	return expr.NewLiteral(lits[g.r.Intn(len(lits))])
+}
+
+// numeric draws a column, a literal, + − * / or a unary minus; at depth 0
+// only a column or a literal.
+func (g vectorExprGen) numeric(depth int) expr.Expr {
+	k := g.r.Intn(5)
+	if depth == 0 {
+		k %= 2
+	}
+	switch k {
+	case 0:
+		return g.ref(g.r.Intn(3))
+	case 1:
+		return g.literal()
+	case 4:
+		return expr.NewNegate(g.numeric(depth - 1))
+	}
+	ops := []expr.BinaryOp{expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv}
+	return expr.NewBinary(ops[g.r.Intn(len(ops))], g.numeric(depth-1), g.numeric(depth-1))
+}
+
+// predicate draws a comparison, AND, OR, NOT or IS [NOT] NULL; at depth 0
+// only a comparison.
+func (g vectorExprGen) predicate(depth int) expr.Expr {
+	k := g.r.Intn(6)
+	if depth == 0 {
+		k = 0
+	}
+	switch k {
+	case 1:
+		return expr.NewNot(g.predicate(depth - 1))
+	case 2:
+		return expr.NewIsNull(g.numeric(depth-1), g.r.Intn(2) == 0)
+	case 3:
+		return expr.NewBinary(expr.OpAnd, g.predicate(depth-1), g.predicate(depth-1))
+	case 4:
+		return expr.NewBinary(expr.OpOr, g.predicate(depth-1), g.predicate(depth-1))
+	}
+	ops := []expr.BinaryOp{expr.OpEq, expr.OpNeq, expr.OpLt, expr.OpLeq, expr.OpGt, expr.OpGeq}
+	return expr.NewBinary(ops[g.r.Intn(len(ops))], g.numeric(depth), g.numeric(depth))
 }
 
 // TestProjectComputedDimensionKeepsSidecar pins the computed-column path: a
@@ -214,23 +343,24 @@ func TestProjectComputedDimensionKeepsSidecar(t *testing.T) {
 		t.Errorf("VectorizedBatches = %d, want %d", got, 2*executors)
 	}
 
-	boxedOp, err := Plan(sky, Options{Strategy: SkylineDistributedComplete, DisableColumnarKernel: true, DisableVectorizedExprs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// No decode at the scan: the filter and the projection evaluate boxed.
 	bctx := cluster.NewContext(executors)
 	bctx.DecodeAtScan = false
-	boxed, err := Execute(boxedOp, bctx)
+	boxed, err := Execute(Plan2(t, sky, Options{Strategy: SkylineDistributedComplete}), bctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameRows(t, "computed dimension boxed/vectorized", boxed, rows)
+	if got := bctx.Metrics.VectorizedBatches(); got != 0 {
+		t.Errorf("boxed run reported %d vectorized passes", got)
+	}
 }
 
 // TestExtremumFilterVectorizedPasses pins the vectorized extremum path: a
 // partition arriving with a columnar sidecar evaluates the extremum
 // expression over the decoded columns (one vectorized pass per partition
-// and per distributed pass), with results identical to the boxed run.
+// and per distributed pass), with results identical to the boxed run of
+// the kernel-off chain, whose local skyline hands up no sidecar.
 func TestExtremumFilterVectorizedPasses(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	data := make([][]int64, 80)
@@ -240,15 +370,16 @@ func TestExtremumFilterVectorizedPasses(t *testing.T) {
 	tab := intTable(t, "vecext", []string{"a", "b"}, data)
 	// A local skyline below the extremum produces the sidecar the extremum
 	// passes consume (stacked single-dimension skyline shape).
-	chain := func(noVector bool) Operator {
+	chain := func(noKernel bool) Operator {
 		local := &LocalSkylineExec{
 			Dims: []BoundDim{
 				{E: expr.NewBoundRef(0, "a", types.KindInt, false), Dir: skyline.Min},
 				{E: expr.NewBoundRef(1, "b", types.KindInt, false), Dir: skyline.Max},
 			},
-			Child: scanOf(t, tab),
+			DisableKernel: noKernel,
+			Child:         scanOf(t, tab),
 		}
-		return &ExtremumFilterExec{E: expr.NewBoundRef(0, "a", types.KindInt, false), DisableVector: noVector, Child: local}
+		return &ExtremumFilterExec{E: expr.NewBoundRef(0, "a", types.KindInt, false), DisableKernel: noKernel, Child: local}
 	}
 	vctx := cluster.NewContext(3)
 	vec, err := Execute(chain(false), vctx)

@@ -115,13 +115,7 @@ type stageDecode struct {
 	extra []int
 	// filters are the chain's filter predicates rebased onto the source
 	// schema, feeding the decode-at-scan cost gate.
-	filters []stageFilter
-}
-
-// stageFilter is one filter of the fused chain, rebased for the gate.
-type stageFilter struct {
-	cond          expr.Expr
-	disableVector bool
+	filters []expr.Expr
 }
 
 type colBind struct {
@@ -160,7 +154,7 @@ func planStageDecode(ops []NarrowOperator, sink *DecodeSink) *stageDecode {
 	// so non-dimension columns a vectorizable predicate needs are decoded
 	// alongside the dimensions.
 	refs := make(map[int]bool)
-	var filters []stageFilter
+	var filters []expr.Expr
 	hasWork := false
 	// KindNull-typed refs are included: expr.CanVectorize resolves those
 	// against the schema field type, so a numeric column behind one still
@@ -209,18 +203,14 @@ func planStageDecode(ops []NarrowOperator, sink *DecodeSink) *stageDecode {
 		case *LocalLimitExec:
 			// Row-preserving, expression-free.
 		case *FilterExec:
-			filters = append(filters, stageFilter{cond: rebaseThrough(o.Cond, subst), disableVector: o.DisableVector})
+			filters = append(filters, rebaseThrough(o.Cond, subst))
 			hasWork = true
-			if !o.DisableVector {
-				addRefs(o.Cond, subst)
-			}
+			addRefs(o.Cond, subst)
 		case *ProjectExec:
 			next := make([]expr.Expr, len(o.Exprs))
 			for j, e := range o.Exprs {
 				next[j] = rebaseThrough(stripAlias(e), subst)
-				if !o.DisableVector {
-					addRefs(e, subst)
-				}
+				addRefs(e, subst)
 			}
 			subst = next
 			hasWork = true
@@ -265,9 +255,9 @@ func gateStageDecode(ctx *cluster.Context, spec *stageDecode, source Operator) *
 	nodes := 0
 	vectorizable := true
 	for _, f := range spec.filters {
-		sel *= cost.Selectivity(f.cond, sketch)
-		nodes += cost.PredicateNodes(f.cond)
-		if f.disableVector || !expr.CanVectorize(f.cond, scan.Schema()) {
+		sel *= cost.Selectivity(f, sketch)
+		nodes += cost.PredicateNodes(f)
+		if !expr.CanVectorize(f, scan.Schema()) {
 			vectorizable = false
 		}
 	}

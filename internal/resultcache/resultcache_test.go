@@ -212,10 +212,10 @@ func TestFingerprintNormalization(t *testing.T) {
 		t.Error("grid and BNL plans must not share a key")
 	}
 
-	// Bit-identical ablations are excluded from the key on purpose.
-	ka := key("SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX", physical.Options{DisableColumnarKernel: true, DisableVectorizedExprs: true})
+	// The bit-identical kernel ablation is excluded from the key on purpose.
+	ka := key("SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX", physical.Options{DisableColumnarKernel: true})
 	if ka != a {
-		t.Errorf("kernel/vectorization ablations must share entries:\n %s\n %s", ka, a)
+		t.Errorf("kernel ablation must share entries:\n %s\n %s", ka, a)
 	}
 }
 

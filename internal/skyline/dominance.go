@@ -1,8 +1,8 @@
 // Package skyline implements the skyline (Pareto front) algorithms the
 // physical operators execute:
 //
-//   - Dominates / DominatesIncomplete — the dominance-check utility of
-//     paper §5.5, matching Definition 3.1 and its incomplete-data variant.
+//   - Compare / CompareIncomplete — the dominance-check utility of paper
+//     §5.5, matching Definition 3.1 and its incomplete-data variant.
 //   - BNL — the Block-Nested-Loop window algorithm of §5.6, used for local
 //     skylines and for the global skyline over complete data.
 //   - GlobalIncomplete — the pairwise flag-based algorithm of §5.7 and
@@ -282,19 +282,6 @@ func CompareIncomplete(a, b types.Row, dirs []Dir, counters *Counters) (Relation
 		// tuples are incomparable, not duplicates.
 		return Incomparable, nil
 	}
-}
-
-// Dominates reports whether a ≺ b under the complete-data definition.
-func Dominates(a, b types.Row, dirs []Dir, counters *Counters) (bool, error) {
-	rel, err := Compare(a, b, dirs, counters)
-	return rel == LeftDominates, err
-}
-
-// DominatesIncomplete reports whether a ≺ b under the incomplete-data
-// definition.
-func DominatesIncomplete(a, b types.Row, dirs []Dir, counters *Counters) (bool, error) {
-	rel, err := CompareIncomplete(a, b, dirs, counters)
-	return rel == LeftDominates, err
 }
 
 // NullBitmap computes the partitioning key of §5.7: bit i is set iff

@@ -119,8 +119,8 @@ func TestQuickNoSkylinePointDominated(t *testing.T) {
 		}
 		for _, o := range out {
 			for _, in := range ps.pts {
-				d, err := DominatesIncomplete(in.Dims, o.Dims, quickDirs, nil)
-				if err != nil || d {
+				rel, err := CompareIncomplete(in.Dims, o.Dims, quickDirs, nil)
+				if err != nil || rel == LeftDominates {
 					return false
 				}
 			}

@@ -24,7 +24,6 @@ type Session struct {
 	executors    int
 	strategy     SkylineStrategy
 	noKernel     bool
-	noVector     bool
 	noMorsel     bool
 	poolSize     int
 	injector     *chaos.Injector
@@ -84,15 +83,6 @@ func WithSkylineStrategy(st SkylineStrategy) Option {
 // is result-identical; this switch exists for A/B ablation and debugging.
 func WithoutColumnarKernel() Option {
 	return func(s *Session) { s.noKernel = true }
-}
-
-// WithoutVectorizedExprs disables the vectorized expression engine:
-// filters, projections, and extremum passes then evaluate boxed, row at a
-// time, and fused stages stop decoding their columnar batch at the scan
-// (cluster.Context.DecodeAtScan). The default (vectorized) execution is
-// result-identical; this switch exists for A/B ablation and debugging.
-func WithoutVectorizedExprs() Option {
-	return func(s *Session) { s.noVector = true }
 }
 
 // WithWorkerPool pins the size of the session's work-stealing worker pool
@@ -439,9 +429,8 @@ func (s *Session) Tables() []string { return s.engine.Catalog.Names() }
 // options assembles the physical planning options of this session.
 func (s *Session) options() physical.Options {
 	opts := physical.Options{
-		Strategy:               s.strategy,
-		DisableColumnarKernel:  s.noKernel,
-		DisableVectorizedExprs: s.noVector,
+		Strategy:              s.strategy,
+		DisableColumnarKernel: s.noKernel,
 	}
 	if s.cache != nil {
 		// Guarded assignment: a typed-nil *Cache in the interface would
@@ -519,7 +508,6 @@ func (s *Session) runCtx(goCtx context.Context, c *core.Compiled) (*core.Result,
 		defer ctx.Metrics.DetachGovernor()
 	}
 	ctx.AdaptiveExchange = true
-	ctx.DecodeAtScan = !s.noVector && !s.noKernel
 	ctx.MorselParallel = !s.noMorsel
 	ctx.Injector = s.injector
 	ctx.MaxTaskRetries = s.taskRetries

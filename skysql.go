@@ -72,9 +72,10 @@
 // are always row-for-row identical. Metrics.VectorizedBatches counts the
 // partition passes the engine actually served (surfaced by EXPLAIN after a
 // run and the shell's \s; TestFilteredSkylineDecodesOncePerPartitionVectorized
-// pins it at one per partition); WithoutVectorizedExprs forces
-// the boxed path everywhere for A/B ablation, mirroring
-// WithoutColumnarKernel.
+// pins it at one per partition). The vectorized engine has no off switch:
+// the boxed evaluator is not a mode but the per-expression fallback for
+// what the engine refuses and for partitions that arrive without a
+// columnar sidecar.
 //
 // # Cost-gated adaptive planning
 //
@@ -100,9 +101,9 @@
 //
 // The fallback rules mirror the vectorization contract: every gated
 // choice selects between execution strategies that are bit-identical by
-// construction (contract-tested across every SkylineStrategy × kernel ×
-// vectorization ablation), so a wrong estimate costs time, never
-// correctness — and when the model cannot see (no scan below the stage,
+// construction (contract-tested across every SkylineStrategy × kernel
+// ablation, with and without decode at the scan), so a wrong estimate
+// costs time, never correctness — and when the model cannot see (no scan below the stage,
 // no filters, no sketchable columns) the engine simply keeps the
 // pre-gate behaviour. Every decision is recorded in
 // Metrics.CostDecisions, surfaced by EXPLAIN after a run and the shell's
@@ -160,8 +161,8 @@
 //     WithTaskRetries budget (default 3), on every task runner — the
 //     work-stealing pool and the harness's makespan model. Retried
 //     runs are bit-identical to fault-free runs (contract-tested at fault
-//     rates up to 0.3 across every strategy × kernel × vectorization
-//     ablation, under the race detector).
+//     rates up to 0.3 across every strategy × kernel ablation, under the
+//     race detector).
 //
 //   - What degrades: under a WithMemoryBudget cap, live materialized
 //     bytes past 60% of the budget drop the columnar sidecars (boxed

@@ -441,46 +441,61 @@ func TestExplainReportsBatchesDecoded(t *testing.T) {
 	}
 }
 
-func TestWithoutVectorizedExprsOption(t *testing.T) {
-	// A filtered skyline query must produce identical rows with the
-	// vectorized expression engine on and off; the default (vectorized)
-	// run reports the passes it served, the boxed run reports none.
-	q := "SELECT id, price, user_rating FROM hotels WHERE price < 70 SKYLINE OF price MIN, user_rating MAX"
-	vec := hotelSession(t)
-	vdf, err := vec.SQL(q)
-	if err != nil {
-		t.Fatal(err)
+// TestBoxedFilterFallbackReachable pins that a default session serves a
+// vectorizable filter on the vectorized engine and falls back to the boxed
+// evaluator, per expression, for a filter the engine refuses (IN): both
+// answer exactly what the paper's Listing-4 rewrite of the same query
+// answers.
+func TestBoxedFilterFallbackReachable(t *testing.T) {
+	sess := hotelSession(t)
+	var answers []string
+	for _, tc := range []struct {
+		where      string
+		vectorized bool
+	}{
+		{"price < 70", true},
+		{"price IN (40, 45, 50, 55, 60)", false},
+	} {
+		q := "SELECT id, price, user_rating FROM hotels WHERE " + tc.where + " SKYLINE OF price MIN, user_rating MAX"
+		df, err := sess.SQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := df.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := df.Metrics().VectorizedBatches(); (got > 0) != tc.vectorized {
+			t.Errorf("%s: %d vectorized batches, want vectorized = %v", tc.where, got, tc.vectorized)
+		}
+		ref, err := sess.RewriteSkyline(q, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refRows, err := sess.Query(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) == 0 {
+			t.Fatalf("%s: empty skyline", tc.where)
+		}
+		got := strings.Join(rowsToStrings(rows), "|")
+		if want := strings.Join(rowsToStrings(refRows), "|"); got != want {
+			t.Fatalf("%s: rows %s, Listing-4 rewrite %s", tc.where, got, want)
+		}
+		answers = append(answers, got)
+		if tc.vectorized {
+			out, err := df.Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, "vectorized batches:") {
+				t.Errorf("explain after run must report vectorized batches:\n%s", out)
+			}
+		}
 	}
-	vrows, err := vdf.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vdf.Metrics().VectorizedBatches() == 0 {
-		t.Error("default run must report vectorized batches on a filtered skyline")
-	}
-	boxed := skysql.NewSession(skysql.WithExecutors(3), skysql.WithoutVectorizedExprs())
-	hotelInto(t, boxed)
-	bdf, err := boxed.SQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	brows, err := bdf.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bdf.Metrics().VectorizedBatches() != 0 {
-		t.Error("WithoutVectorizedExprs run must report zero vectorized batches")
-	}
-	vg, bg := rowsToStrings(vrows), rowsToStrings(brows)
-	if strings.Join(vg, "|") != strings.Join(bg, "|") {
-		t.Fatalf("vectorized rows %v != boxed rows %v", vg, bg)
-	}
-	out, err := vdf.Explain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "vectorized batches:") {
-		t.Errorf("explain after run must report vectorized batches:\n%s", out)
+	if answers[0] != answers[1] {
+		t.Errorf("the two filters select the same hotels but answer %s and %s", answers[0], answers[1])
 	}
 }
 
