@@ -68,12 +68,12 @@ func TestResultCacheBitIdenticalAcrossAblations(t *testing.T) {
 				}
 				cached := wideSession(t, append(base, skysql.WithResultCache(0))...)
 				first, m1 := collectWithMetrics(t, cached, wideSkyline)
-				if m1.CacheMisses() != 1 || m1.CacheHits() != 0 {
-					t.Fatalf("first run: hits=%d misses=%d, want 0/1", m1.CacheHits(), m1.CacheMisses())
+				if m1.Count(skysql.CacheMisses) != 1 || m1.Count(skysql.CacheHits) != 0 {
+					t.Fatalf("first run: hits=%d misses=%d, want 0/1", m1.Count(skysql.CacheHits), m1.Count(skysql.CacheMisses))
 				}
 				second, m2 := collectWithMetrics(t, cached, wideSkyline)
-				if m2.CacheHits() != 1 || m2.CacheMisses() != 0 {
-					t.Fatalf("second run: hits=%d misses=%d, want 1/0", m2.CacheHits(), m2.CacheMisses())
+				if m2.Count(skysql.CacheHits) != 1 || m2.Count(skysql.CacheMisses) != 0 {
+					t.Fatalf("second run: hits=%d misses=%d, want 1/0", m2.Count(skysql.CacheHits), m2.Count(skysql.CacheMisses))
 				}
 				if rowsInOrder(first) != rowsInOrder(want) {
 					t.Fatalf("populating run differs from cacheless session:\n got %v\nwant %v", first, want)
@@ -138,7 +138,7 @@ func TestResultCacheStaleNeverServed(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows, m := collectWithMetrics(t, s, q)
-		if m.CacheHits() != 0 {
+		if m.Count(skysql.CacheHits) != 0 {
 			t.Fatal("re-registered table must not serve the old entry")
 		}
 		if len(rows) != 1 || rows[0][0].AsInt() != 7 {
@@ -181,12 +181,12 @@ func TestResultCacheIncrementalUpgrade(t *testing.T) {
 		}
 	}
 	got, m := collectWithMetrics(t, cached, starSkyline)
-	if m.CacheHits() != 1 || m.CacheMisses() != 0 {
+	if m.Count(skysql.CacheHits) != 1 || m.Count(skysql.CacheMisses) != 0 {
 		t.Fatalf("post-append run must hit the upgraded entry: hits=%d misses=%d",
-			m.CacheHits(), m.CacheMisses())
+			m.Count(skysql.CacheHits), m.Count(skysql.CacheMisses))
 	}
-	if m.IncrementalUpgrades() != int64(len(appends)) {
-		t.Errorf("incremental upgrades drained = %d, want %d", m.IncrementalUpgrades(), len(appends))
+	if m.Count(skysql.IncrementalUpgrades) != int64(len(appends)) {
+		t.Errorf("incremental upgrades drained = %d, want %d", m.Count(skysql.IncrementalUpgrades), len(appends))
 	}
 	if s := cached.ResultCacheStats(); s.Upgrades != int64(len(appends)) || s.Invalidations != 0 {
 		t.Errorf("session counters: upgrades = %d, invalidations = %d, want %d and 0",
@@ -245,15 +245,15 @@ func TestResultCacheChaosPopulation(t *testing.T) {
 			}),
 		)
 		first, m := collectWithMetrics(t, sess, wideSkyline)
-		if m.InjectedFaults() == 0 {
+		if m.Count(skysql.InjectedFaults) == 0 {
 			t.Fatal("injector fired no faults at rate 0.3; the population assertion needs some")
 		}
 		if rowsInOrder(first) != rowsInOrder(want) {
 			t.Fatalf("chaotic populating run differs from fault-free run:\n got %v\nwant %v", first, want)
 		}
 		second, m2 := collectWithMetrics(t, sess, wideSkyline)
-		if m2.CacheHits() != 1 {
-			t.Fatalf("second run must hit: hits=%d misses=%d", m2.CacheHits(), m2.CacheMisses())
+		if m2.Count(skysql.CacheHits) != 1 {
+			t.Fatalf("second run must hit: hits=%d misses=%d", m2.Count(skysql.CacheHits), m2.Count(skysql.CacheMisses))
 		}
 		if rowsInOrder(second) != rowsInOrder(want) {
 			t.Fatalf("cached chaotic result differs from fault-free run:\n got %v\nwant %v", second, want)

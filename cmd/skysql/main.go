@@ -38,7 +38,7 @@ func main() {
 		query      = flag.String("q", "", "query to execute (omit for interactive shell)")
 		executors  = flag.Int("executors", 4, "executor count")
 		explain    = flag.Bool("explain", false, "print plans instead of executing")
-		showStages = flag.Bool("stages", false, "print the per-stage makespan breakdown after each query")
+		showStages = flag.Bool("stages", false, "print the run's metrics report (stage makespans and counters) after each query")
 		cacheBytes = flag.Int64("cache", 0, "skyline result-cache budget in bytes (0 = off, negative = default budget)")
 	)
 	flag.Var(&tables, "table", "name=file.csv:kind,kind,... (repeatable)")
@@ -92,7 +92,7 @@ func loadTable(sess *skysql.Session, spec string) error {
 }
 
 // execute runs (or explains) one query; showStages additionally prints the
-// per-stage makespan breakdown and decode counter of the run.
+// run's Metrics.Report.
 func execute(sess *skysql.Session, query string, explain, showStages bool) error {
 	if explain {
 		out, err := sess.Explain(query)
@@ -118,28 +118,7 @@ func execute(sess *skysql.Session, query string, explain, showStages bool) error
 	fmt.Print(skysql.FormatRows(schema, rows))
 	fmt.Printf("(%d rows in %s)\n", len(rows), time.Since(start).Round(time.Millisecond))
 	if showStages {
-		if m := df.Metrics(); m != nil {
-			if s := m.FormatStageTimes(); s != "" {
-				fmt.Print("stage makespans:\n" + s)
-			}
-			fmt.Printf("batches decoded: %d\n", m.BatchesDecoded())
-			fmt.Printf("vectorized batches: %d\n", m.VectorizedBatches())
-			if ms := m.FormatMorsels(); ms != "" {
-				fmt.Print(ms)
-			}
-			if ds := m.FormatCostDecisions(); ds != "" {
-				fmt.Print("cost decisions:\n" + ds)
-			}
-			if rc := m.FormatResultCache(); rc != "" {
-				fmt.Println(rc)
-			}
-			if fs := m.FormatFaults(); fs != "" {
-				fmt.Print(fs)
-			}
-			if sg := m.FormatSegments(); sg != "" {
-				fmt.Println(sg)
-			}
-		}
+		fmt.Print(df.Metrics().Report())
 	}
 	return nil
 }

@@ -374,36 +374,14 @@ func (df *DataFrame) Schema() (*Schema, error) {
 }
 
 // Explain compiles the query and renders all plan stages. After a Collect
-// it additionally appends the per-stage makespan breakdown of that run, so
-// the dominating stage of the query is visible next to the stage DAG.
+// it additionally appends that run's Metrics.Report — the per-stage
+// makespans first, so the dominating stage of the query is visible next to
+// the stage DAG.
 func (df *DataFrame) Explain() (string, error) {
 	if err := df.compile(); err != nil {
 		return "", err
 	}
-	out := df.compiled.Explain()
-	if df.metrics != nil {
-		if breakdown := df.metrics.FormatStageTimes(); breakdown != "" {
-			out += "== Stage Times (last run) ==\n" + breakdown
-		}
-		out += fmt.Sprintf("batches decoded: %d\n", df.metrics.BatchesDecoded())
-		out += fmt.Sprintf("vectorized batches: %d\n", df.metrics.VectorizedBatches())
-		if ms := df.metrics.FormatMorsels(); ms != "" {
-			out += ms
-		}
-		if ds := df.metrics.FormatCostDecisions(); ds != "" {
-			out += "cost decisions:\n" + ds
-		}
-		if rc := df.metrics.FormatResultCache(); rc != "" {
-			out += rc + "\n"
-		}
-		if fs := df.metrics.FormatFaults(); fs != "" {
-			out += fs
-		}
-		if sg := df.metrics.FormatSegments(); sg != "" {
-			out += sg + "\n"
-		}
-	}
-	return out, nil
+	return df.compiled.Explain() + df.metrics.Report(), nil
 }
 
 // Metrics returns the execution counters of the last Collect (nil before

@@ -48,5 +48,5 @@ func main() {
 	fmt.Print(plan)
 
 	fmt.Printf("\ndominance tests: %d, rows shuffled: %d, wall clock: %s\n",
-		df.Metrics().Sky.DominanceTests(), df.Metrics().RowsShuffled(), df.Duration())
+		df.Metrics().Sky.DominanceTests(), df.Metrics().Count(skysql.RowsShuffled), df.Duration())
 }

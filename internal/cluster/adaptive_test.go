@@ -93,12 +93,12 @@ func TestCostDecisionString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 	var m *Metrics
-	if m.FormatCostDecisions() != "" || m.CostDecisions() != nil {
+	if m.Report() != "" || m.CostDecisions() != nil {
 		t.Error("nil metrics must be inert")
 	}
 	m = &Metrics{}
 	m.AddCostDecision(d)
-	if !strings.Contains(m.FormatCostDecisions(), "decode-at-scan: defer") {
-		t.Errorf("FormatCostDecisions = %q", m.FormatCostDecisions())
+	if !strings.Contains(m.Report(), "cost decisions:\n  decode-at-scan: defer") {
+		t.Errorf("Report = %q", m.Report())
 	}
 }

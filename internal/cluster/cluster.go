@@ -11,7 +11,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,535 +140,6 @@ func (d *Dataset) MemSize() int64 {
 		}
 	}
 	return n
-}
-
-// Metrics accumulates execution counters. Safe for concurrent use.
-type Metrics struct {
-	rowsShuffled atomic.Int64
-	curBytes     atomic.Int64
-	peakBytes    atomic.Int64
-	stages       atomic.Int64
-	vectorized   atomic.Int64
-
-	morsels      atomic.Int64
-	steals       atomic.Int64
-	parallelBusy atomic.Int64 // nanos of task work inside parallel rounds
-	parallelWall atomic.Int64 // nanos of (real or modeled) round makespans
-
-	taskRetries    atomic.Int64
-	tasksFailed    atomic.Int64
-	injectedFaults atomic.Int64
-	degradeSteps   atomic.Int64
-
-	segmentsPruned  atomic.Int64
-	segmentsSpilled atomic.Int64
-
-	cacheHits           atomic.Int64
-	cacheMisses         atomic.Int64
-	cacheEvictions      atomic.Int64
-	incrementalUpgrades atomic.Int64
-
-	// governor, when attached, mirrors this query's live-byte movements
-	// into the shared cross-query pool (see governor.go).
-	governor atomic.Pointer[Governor]
-
-	mu         sync.Mutex
-	stageTimes []StageTime
-	cost       []CostDecision
-	workerBusy []int64  // per-worker busy nanos, grown on demand
-	degrade    []string // memory-governor escalations, in order
-
-	// Sky aggregates dominance-test counts across all skyline operators in
-	// the query.
-	Sky skyline.Stats
-}
-
-// AddSegmentsPruned records n segments skipped by zone-map pruning before
-// any page was decoded.
-func (m *Metrics) AddSegmentsPruned(n int64) {
-	if m != nil && n != 0 {
-		m.segmentsPruned.Add(n)
-	}
-}
-
-// SegmentsPruned returns the number of segments a scan skipped because
-// the zone maps proved the filter predicate empty over them. Prune
-// decisions are pure functions of (footer zone maps, predicate) — never
-// wall clock or worker placement — so the count is deterministic under
-// any Runner; TestSegmentScanPeakBelowBoxedSurvivors (root package) pins
-// it.
-func (m *Metrics) SegmentsPruned() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.segmentsPruned.Load()
-}
-
-// AddSegmentsSpilled records n buffers written out as temporary segments
-// by the memory governor's spill tier.
-func (m *Metrics) AddSegmentsSpilled(n int64) {
-	if m != nil && n != 0 {
-		m.segmentsSpilled.Add(n)
-	}
-}
-
-// SegmentsSpilled returns the number of gather buffers the memory
-// governor spilled to temporary segments instead of holding live.
-func (m *Metrics) SegmentsSpilled() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.segmentsSpilled.Load()
-}
-
-// FormatSegments renders the out-of-core counters, or "" when the query
-// touched no segment machinery (no noise for in-memory runs).
-func (m *Metrics) FormatSegments() string {
-	if m == nil {
-		return ""
-	}
-	pruned, spilled := m.segmentsPruned.Load(), m.segmentsSpilled.Load()
-	if pruned == 0 && spilled == 0 {
-		return ""
-	}
-	return fmt.Sprintf("segments: %d pruned, %d spilled", pruned, spilled)
-}
-
-// AddCacheHit records one skyline result-cache hit: a query answered from
-// a cached entry without executing its stages.
-func (m *Metrics) AddCacheHit() {
-	if m != nil {
-		m.cacheHits.Add(1)
-	}
-}
-
-// CacheHits returns the number of result-cache hits. Hit/miss outcomes are
-// pure functions of (query sequence, table versions, cache budget) — never
-// wall clock — so TestResultCacheBitIdenticalAcrossAblations (root
-// package) pins the count.
-func (m *Metrics) CacheHits() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheHits.Load()
-}
-
-// AddCacheMiss records one result-cache lookup that found no usable entry
-// and fell through to stage execution.
-func (m *Metrics) AddCacheMiss() {
-	if m != nil {
-		m.cacheMisses.Add(1)
-	}
-}
-
-// CacheMisses returns the number of result-cache misses.
-func (m *Metrics) CacheMisses() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheMisses.Load()
-}
-
-// AddCacheEvictions records n whole entries evicted from the result cache
-// by its LRU byte budget (sidecar drops are degradation, not eviction, and
-// are not counted here).
-func (m *Metrics) AddCacheEvictions(n int64) {
-	if m != nil && n != 0 {
-		m.cacheEvictions.Add(n)
-	}
-}
-
-// AddIncrementalUpgrade records one cache entry upgraded in place after a
-// table append — new points dominance-tested against the cached skyline
-// instead of invalidating the entry.
-func (m *Metrics) AddIncrementalUpgrade() {
-	if m != nil {
-		m.incrementalUpgrades.Add(1)
-	}
-}
-
-// IncrementalUpgrades returns the number of in-place incremental cache
-// entry upgrades.
-func (m *Metrics) IncrementalUpgrades() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.incrementalUpgrades.Load()
-}
-
-// FormatResultCache renders the result-cache counters, or "" when the
-// query touched no cache (no noise for uncached runs).
-func (m *Metrics) FormatResultCache() string {
-	if m == nil {
-		return ""
-	}
-	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
-	evicted, upgraded := m.cacheEvictions.Load(), m.incrementalUpgrades.Load()
-	if hits == 0 && misses == 0 && evicted == 0 && upgraded == 0 {
-		return ""
-	}
-	return fmt.Sprintf("result cache: %d hits, %d misses, %d evictions, %d incremental upgrades",
-		hits, misses, evicted, upgraded)
-}
-
-// AddMorsels records n morsel tasks scheduled by a morsel-parallel round.
-func (m *Metrics) AddMorsels(n int64) {
-	if m != nil {
-		m.morsels.Add(n)
-	}
-}
-
-// MorselsExecuted returns the number of morsel tasks scheduled by
-// morsel-parallel rounds. Zero when morsel parallelism was off: whole
-// partitions scheduled by the classic path are not morsels. The count is a
-// pure function of the data layout and the executor budget (morsel sizing
-// never consults the real core count), so TestMorselBudgetIsPerStage pins
-// it.
-func (m *Metrics) MorselsExecuted() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.morsels.Load()
-}
-
-// AddSteal records one work-stealing event: a task executed by a worker
-// other than the one it was enqueued on. On the real pool this is observed;
-// a Simulator derives it from the greedy makespan model's task placement (a
-// task placed off its home worker).
-func (m *Metrics) AddSteal() {
-	if m != nil {
-		m.steals.Add(1)
-	}
-}
-
-// Steals returns the number of work-stealing events. Informational (the
-// real pool's placement depends on timing); morsel counts are the
-// deterministic twin.
-func (m *Metrics) Steals() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.steals.Load()
-}
-
-// AddWorkerBusy charges d of busy time to the given worker.
-func (m *Metrics) AddWorkerBusy(worker int, d time.Duration) {
-	if m == nil || worker < 0 {
-		return
-	}
-	m.mu.Lock()
-	for len(m.workerBusy) <= worker {
-		m.workerBusy = append(m.workerBusy, 0)
-	}
-	m.workerBusy[worker] += int64(d)
-	m.mu.Unlock()
-}
-
-// WorkerBusy returns the per-worker busy times (index = worker id); empty
-// when no parallel round ran.
-func (m *Metrics) WorkerBusy() []time.Duration {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]time.Duration, len(m.workerBusy))
-	for i, n := range m.workerBusy {
-		out[i] = time.Duration(n)
-	}
-	return out
-}
-
-// AddParallelRound accumulates one round's busy time (the summed task
-// work) and wall time (the round's real or modeled makespan). Their running
-// ratio is the achieved parallelism.
-func (m *Metrics) AddParallelRound(busy, wall time.Duration) {
-	if m == nil {
-		return
-	}
-	m.parallelBusy.Add(int64(busy))
-	m.parallelWall.Add(int64(wall))
-}
-
-// AchievedParallelism returns total busy time over total wall time across
-// the parallel rounds of the run — how many workers were effectively busy
-// on average. 0 when no parallel round ran.
-func (m *Metrics) AchievedParallelism() float64 {
-	if m == nil {
-		return 0
-	}
-	wall := m.parallelWall.Load()
-	if wall <= 0 {
-		return 0
-	}
-	return float64(m.parallelBusy.Load()) / float64(wall)
-}
-
-// FormatMorsels renders the morsel-runtime counters for EXPLAIN and the
-// shell ("" when no morsel-parallel round ran).
-func (m *Metrics) FormatMorsels() string {
-	morsels := m.MorselsExecuted()
-	if morsels == 0 {
-		return ""
-	}
-	s := fmt.Sprintf("morsels executed: %d, steals: %d", morsels, m.Steals())
-	if ap := m.AchievedParallelism(); ap > 0 {
-		s += fmt.Sprintf(", achieved parallelism: %.2fx", ap)
-	}
-	s += "\n"
-	if busy := m.WorkerBusy(); len(busy) > 0 {
-		parts := make([]string, len(busy))
-		for i, d := range busy {
-			parts[i] = d.Round(time.Microsecond).String()
-		}
-		s += "worker busy: [" + strings.Join(parts, " ") + "]\n"
-	}
-	return s
-}
-
-// CostDecision records one choice the cost model made during planning or
-// execution, so adaptive behaviour stays observable: EXPLAIN (after a
-// run) and the shell's \s surface the list.
-type CostDecision struct {
-	// Site names the decision point: "decode-at-scan" (fused stages),
-	// "exchange-target" (adaptive partition counts), "exchange-bucketing"
-	// (columnar vs boxed partitioned exchanges).
-	Site string
-	// Choice is the selected alternative, e.g. "decode"/"defer",
-	// "adaptive"/"static"/"explicit"/"degraded", "columnar"/"boxed".
-	Choice string
-	// Rows is the (estimated or observed) input row count the decision was
-	// based on.
-	Rows int
-	// Selectivity is the estimated predicate selectivity driving the
-	// decision; -1 when no predicate was involved.
-	Selectivity float64
-	// Detail renders the deciding quantities for humans.
-	Detail string
-}
-
-// String renders the decision for EXPLAIN and the shell.
-func (d CostDecision) String() string {
-	s := fmt.Sprintf("%s: %s (rows=%d", d.Site, d.Choice, d.Rows)
-	if d.Selectivity >= 0 {
-		s += fmt.Sprintf(", selectivity=%.3f", d.Selectivity)
-	}
-	if d.Detail != "" {
-		s += ", " + d.Detail
-	}
-	return s + ")"
-}
-
-// AddCostDecision appends one cost-model decision, in execution order.
-func (m *Metrics) AddCostDecision(d CostDecision) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.cost = append(m.cost, d)
-	m.mu.Unlock()
-}
-
-// CostDecisions returns a copy of the cost-model decision records.
-func (m *Metrics) CostDecisions() []CostDecision {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]CostDecision, len(m.cost))
-	copy(out, m.cost)
-	return out
-}
-
-// FormatCostDecisions renders the decision list one per line ("" when the
-// cost model made no decisions).
-func (m *Metrics) FormatCostDecisions() string {
-	ds := m.CostDecisions()
-	if len(ds) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for _, d := range ds {
-		sb.WriteString("  " + d.String() + "\n")
-	}
-	return sb.String()
-}
-
-// BatchesDecoded returns the number of columnar batches decoded during the
-// run. On a sidecar-carrying local→global skyline plan it equals the
-// number of input partitions: the global pass and the exchanges between
-// are decode-free.
-func (m *Metrics) BatchesDecoded() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.Sky.BatchesDecoded()
-}
-
-// AddVectorizedBatch records one partition whose filter/projection/
-// extremum expression pass ran on the vectorized engine instead of the
-// boxed row loop.
-func (m *Metrics) AddVectorizedBatch() {
-	if m != nil {
-		m.vectorized.Add(1)
-	}
-}
-
-// VectorizedBatches returns the number of partition passes served by the
-// vectorized expression engine. On a decode-at-scan plan with a
-// vectorizable filter it is at least the number of input partitions; zero
-// means every expression ran boxed.
-func (m *Metrics) VectorizedBatches() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.vectorized.Load()
-}
-
-// StageTime is the makespan record of one executed stage (one scheduled
-// task round): Elapsed is the round's duration as its Runner reports it —
-// the real wall time on the pool, the modeled makespan (including per-task
-// overhead) on a Simulator.
-type StageTime struct {
-	Tasks   int
-	Elapsed time.Duration
-}
-
-// AddStageTime appends one stage's makespan record, in execution order.
-func (m *Metrics) AddStageTime(tasks int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.stageTimes = append(m.stageTimes, StageTime{Tasks: tasks, Elapsed: d})
-	m.mu.Unlock()
-}
-
-// StageTimes returns a copy of the per-stage makespan records.
-func (m *Metrics) StageTimes() []StageTime {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]StageTime, len(m.stageTimes))
-	copy(out, m.stageTimes)
-	return out
-}
-
-// FormatStageTimes renders the per-stage makespan breakdown so the
-// dominating stage of a query is visible at a glance.
-func (m *Metrics) FormatStageTimes() string {
-	times := m.StageTimes()
-	if len(times) == 0 {
-		return ""
-	}
-	var total time.Duration
-	for _, st := range times {
-		total += st.Elapsed
-	}
-	var sb strings.Builder
-	for i, st := range times {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(st.Elapsed) / float64(total)
-		}
-		fmt.Fprintf(&sb, "stage %2d: %4d task(s) %12s  %5.1f%%\n", i+1, st.Tasks, st.Elapsed.Round(time.Microsecond), pct)
-	}
-	fmt.Fprintf(&sb, "total:    %4d stage(s) %11s\n", len(times), total.Round(time.Microsecond))
-	return sb.String()
-}
-
-// AddStage records one scheduled stage: a wave of per-partition tasks
-// submitted in one MapPartitions round. Under stage-fused execution a
-// whole pipeline of narrow operators costs a single stage.
-func (m *Metrics) AddStage() {
-	if m != nil {
-		m.stages.Add(1)
-	}
-}
-
-// StagesExecuted returns the number of scheduled task rounds (stages).
-func (m *Metrics) StagesExecuted() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.stages.Load()
-}
-
-// AddShuffled records rows moved through an exchange.
-func (m *Metrics) AddShuffled(n int64) {
-	if m != nil {
-		m.rowsShuffled.Add(n)
-	}
-}
-
-// RowsShuffled returns the number of rows moved through exchanges.
-func (m *Metrics) RowsShuffled() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.rowsShuffled.Load()
-}
-
-// Alloc charges n bytes of materialized data and updates the peak. When a
-// global governor is attached the charge also lands in the shared pool.
-func (m *Metrics) Alloc(n int64) {
-	if m == nil {
-		return
-	}
-	m.governor.Load().add(n)
-	cur := m.curBytes.Add(n)
-	for {
-		peak := m.peakBytes.Load()
-		if cur <= peak || m.peakBytes.CompareAndSwap(peak, cur) {
-			return
-		}
-	}
-}
-
-// Free releases n bytes of materialized data. The live counter is clamped
-// at zero: an unmatched Free (a bookkeeping bug in some operator) must not
-// drive it negative, which would silently deflate every later PeakBytes
-// reading — and, worse now that the counter is enforced, hide real
-// pressure from the memory governor.
-func (m *Metrics) Free(n int64) {
-	if m == nil {
-		return
-	}
-	for {
-		cur := m.curBytes.Load()
-		next := cur - n
-		if next < 0 {
-			next = 0
-		}
-		if m.curBytes.CompareAndSwap(cur, next) {
-			// The shared pool is released by what was actually freed — the
-			// clamp above can shrink an unmatched Free, and forwarding the
-			// raw n would drift the global counter below the sum of its
-			// per-query parts.
-			m.governor.Load().add(next - cur)
-			return
-		}
-	}
-}
-
-// LiveBytes returns the currently-materialized byte count — the quantity
-// the memory governor budgets. Never negative (see Free).
-func (m *Metrics) LiveBytes() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.curBytes.Load()
-}
-
-// PeakBytes returns the highest concurrently-materialized byte count seen.
-func (m *Metrics) PeakBytes() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.peakBytes.Load()
 }
 
 // ErrCanceled is returned by operators when the context was canceled.
@@ -938,11 +408,11 @@ func (c *Context) mapRanges(sizes []int, splittable bool, bind func(dropSidecars
 	if err := c.CheckBudget(); err != nil {
 		return nil, err
 	}
-	c.Metrics.AddStage()
+	c.Metrics.Add(Stages, 1)
 	// The stage number keys fault-injection and retry jitter. It comes from
 	// the metrics counter, which only driver-side round submissions bump —
 	// serially — so it is deterministic per plan, never per timing.
-	stage := c.Metrics.StagesExecuted()
+	stage := c.Metrics.Count(Stages)
 	morselMode := splittable && c.MorselParallel
 	// Under memory degradation the columnar sidecars are dropped: tasks see
 	// nil batches (the boxed path, bit-identical by the kernel ablation
@@ -984,7 +454,7 @@ func (c *Context) mapRanges(sizes []int, splittable bool, bind func(dropSidecars
 		}
 	}
 	if morselMode {
-		c.Metrics.AddMorsels(int64(len(tasks)))
+		c.Metrics.Add(Morsels, int64(len(tasks)))
 	}
 	if err := c.runTasks(tasks); err != nil {
 		return nil, err
@@ -1069,9 +539,9 @@ func (c *Context) RunMorsels(tasks []func() error) error {
 	if err := c.CheckBudget(); err != nil {
 		return err
 	}
-	c.Metrics.AddStage()
-	stage := c.Metrics.StagesExecuted()
-	c.Metrics.AddMorsels(int64(len(tasks)))
+	c.Metrics.Add(Stages, 1)
+	stage := c.Metrics.Count(Stages)
+	c.Metrics.Add(Morsels, int64(len(tasks)))
 	wrapped := make([]Task, len(tasks))
 	for i := range tasks {
 		wrapped[i] = Task{Home: i, Run: c.taskAttempts(stage, int64(i), 0, tasks[i])}
@@ -1093,7 +563,7 @@ func (c *Context) runTasks(tasks []Task) error {
 	var busy atomic.Int64
 	elapsed, err := runner.RunBatch(tasks, c.Canceled, func(worker int, stolen bool, d time.Duration) {
 		if stolen {
-			c.Metrics.AddSteal()
+			c.Metrics.Add(Steals, 1)
 		}
 		c.Metrics.AddWorkerBusy(worker, d)
 		busy.Add(int64(d))
@@ -1236,7 +706,7 @@ func (c *Context) Exchange(in *Dataset, dist Distribution, key KeyFunc) (*Datase
 	if err := c.CheckBudget(); err != nil {
 		return nil, err
 	}
-	c.Metrics.AddShuffled(int64(in.NumRows()))
+	c.Metrics.Add(RowsShuffled, int64(in.NumRows()))
 	switch dist {
 	case AllTuples:
 		rows, err := c.gatherExchange(in)
@@ -1354,7 +824,7 @@ func (c *Context) spillGather(in *Dataset) ([]types.Row, error) {
 		segs = append(segs, seg)
 		total += len(p)
 	}
-	c.Metrics.AddSegmentsSpilled(int64(len(segs)))
+	c.Metrics.Add(SegmentsSpilled, int64(len(segs)))
 	c.Metrics.Free(in.MemSize())
 	in.Parts, in.Batches = nil, nil
 	rows := make([]types.Row, 0, total)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,8 +80,8 @@ func TestExchangeAllTuples(t *testing.T) {
 	if len(out.Parts) != 1 || len(out.Parts[0]) != 3 {
 		t.Errorf("AllTuples = %d parts, %d rows", len(out.Parts), out.NumRows())
 	}
-	if ctx.Metrics.RowsShuffled() != 3 {
-		t.Errorf("shuffled = %d, want 3", ctx.Metrics.RowsShuffled())
+	if ctx.Metrics.Count(RowsShuffled) != 3 {
+		t.Errorf("shuffled = %d, want 3", ctx.Metrics.Count(RowsShuffled))
 	}
 }
 
@@ -200,7 +201,7 @@ func TestMetricsPeak(t *testing.T) {
 	var nilM *Metrics
 	nilM.Alloc(1)
 	nilM.Free(1)
-	if nilM.PeakBytes() != 0 || nilM.RowsShuffled() != 0 {
+	if nilM.PeakBytes() != 0 || nilM.Count(RowsShuffled) != 0 {
 		t.Error("nil metrics must read zero")
 	}
 }
@@ -290,19 +291,19 @@ func TestStagesExecutedCountsTaskRounds(t *testing.T) {
 	if _, err := ctx.MapPartitions(d, identity); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.Metrics.StagesExecuted(); got != 2 {
+	if got := ctx.Metrics.Count(Stages); got != 2 {
 		t.Errorf("stages = %d, want 2", got)
 	}
 	// Empty datasets schedule no tasks and count no stage.
 	if _, err := ctx.MapPartitions(&Dataset{}, identity); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.Metrics.StagesExecuted(); got != 2 {
+	if got := ctx.Metrics.Count(Stages); got != 2 {
 		t.Errorf("stages after empty round = %d, want 2", got)
 	}
 	var nilM *Metrics
-	nilM.AddStage()
-	if nilM.StagesExecuted() != 0 {
+	nilM.Add(Stages, 1)
+	if nilM.Count(Stages) != 0 {
 		t.Error("nil metrics must report 0 stages")
 	}
 }
@@ -322,8 +323,8 @@ func TestStageTimesRecorded(t *testing.T) {
 	if times[0].Tasks != 2 {
 		t.Errorf("tasks = %d, want 2", times[0].Tasks)
 	}
-	if s := ctx.Metrics.FormatStageTimes(); s == "" {
-		t.Error("breakdown must render")
+	if s := ctx.Metrics.Report(); !strings.Contains(s, "stage  1:    2 task(s)") {
+		t.Errorf("Report must render the stage breakdown:\n%s", s)
 	}
 	var nilM *Metrics
 	nilM.AddStageTime(1, time.Second) // must not panic

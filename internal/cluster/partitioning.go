@@ -53,7 +53,7 @@ func (c *Context) ExchangePartitioned(in *Dataset, dist Distribution, key KeyFun
 	if err := c.CheckBudget(); err != nil {
 		return nil, err
 	}
-	c.Metrics.AddShuffled(int64(in.NumRows()))
+	c.Metrics.Add(RowsShuffled, int64(in.NumRows()))
 	return c.exchangePartitioned(in, dist, key, minimize)
 }
 
@@ -183,7 +183,7 @@ func (c *Context) ExchangePartitionedColumnar(rows []types.Row, batch *skyline.B
 	if err := c.CheckBudget(); err != nil {
 		return nil, err
 	}
-	c.Metrics.AddShuffled(int64(len(rows)))
+	c.Metrics.Add(RowsShuffled, int64(len(rows)))
 	if len(rows) == 0 {
 		return &Dataset{}, nil
 	}

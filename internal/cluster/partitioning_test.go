@@ -116,8 +116,8 @@ func TestGridAngleShuffleCharged(t *testing.T) {
 	if _, err := ctx.ExchangePartitioned(NewDataset(rows), Grid, identityKey, []bool{true, true}); err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Metrics.RowsShuffled() != 100 {
-		t.Errorf("shuffled = %d, want 100", ctx.Metrics.RowsShuffled())
+	if ctx.Metrics.Count(RowsShuffled) != 100 {
+		t.Errorf("shuffled = %d, want 100", ctx.Metrics.Count(RowsShuffled))
 	}
 }
 

@@ -195,7 +195,7 @@ func TestSimulatedMorselMakespan(t *testing.T) {
 	if out.NumRows() != 4096 {
 		t.Fatalf("NumRows = %d, want 4096", out.NumRows())
 	}
-	if got := ctx.Metrics.MorselsExecuted(); got != 8 {
+	if got := ctx.Metrics.Count(Morsels); got != 8 {
 		t.Fatalf("morsels executed = %d, want 8 (4096 rows / 512 target)", got)
 	}
 	st := ctx.Metrics.StageTimes()
@@ -266,7 +266,7 @@ func TestMorselBudgetIsPerStage(t *testing.T) {
 	// 16 per partition.
 	ctx := newCtx()
 	splits := morselSplits(t, ctx, []int{1 << 16, 1 << 16, 1 << 16, 1 << 16})
-	if got := ctx.Metrics.MorselsExecuted(); got != 16 {
+	if got := ctx.Metrics.Count(Morsels); got != 16 {
 		t.Errorf("4 × 65 536 rows at 4 executors: %d morsels, want 16", got)
 	}
 	for p, n := range counts(splits) {
@@ -303,7 +303,7 @@ func TestMorselBudgetIsPerStage(t *testing.T) {
 	ctx = newCtx()
 	ctx.MorselTargetRows = 8192
 	morselSplits(t, ctx, []int{1 << 16, 1 << 16, 1 << 16, 1 << 16})
-	if got := ctx.Metrics.MorselsExecuted(); got != 32 {
+	if got := ctx.Metrics.Count(Morsels); got != 32 {
 		t.Errorf("MorselTargetRows = 8192: %d morsels, want 32", got)
 	}
 }
@@ -366,11 +366,11 @@ func TestMorselStealingOnSkewedPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if ctx.Metrics.MorselsExecuted() <= int64(len(parts)) {
+	if ctx.Metrics.Count(Morsels) <= int64(len(parts)) {
 		t.Errorf("morsels executed = %d, want > %d (hot partition must split)",
-			ctx.Metrics.MorselsExecuted(), len(parts))
+			ctx.Metrics.Count(Morsels), len(parts))
 	}
-	if ctx.Metrics.Steals() == 0 {
+	if ctx.Metrics.Count(Steals) == 0 {
 		t.Error("steals = 0: idle workers never rebalanced the hot partition's morsels")
 	}
 	wr, gr := want.Gather(), got.Gather()

@@ -111,11 +111,11 @@ func (c *Context) taskAttempts(stage, part, morsel int64, run func() error) func
 				return err
 			}
 			if IsTransient(err) && attempt < int64(c.MaxTaskRetries) {
-				c.Metrics.AddTaskRetry()
+				c.Metrics.Add(TaskRetries, 1)
 				c.backoff(stage, part, morsel, attempt)
 				continue
 			}
-			c.Metrics.AddTaskFailed()
+			c.Metrics.Add(TasksFailed, 1)
 			return &TaskError{Stage: stage, Partition: part, Morsel: morsel, Attempts: attempt + 1, Err: err}
 		}
 	}
@@ -153,7 +153,7 @@ func (c *Context) attemptTask(stage, part, morsel, attempt int64, run func() err
 			}
 		}
 		if d.Fail {
-			c.Metrics.AddInjectedFault()
+			c.Metrics.Add(InjectedFaults, 1)
 			return Transient(fmt.Errorf("chaos: injected fault (stage %d partition %d morsel %d attempt %d)",
 				stage, part, morsel, attempt))
 		}
@@ -222,7 +222,7 @@ func (c *Context) fanoutCollapsed() bool {
 // otherwise), above 60% it drops columnar sidecars, above 80% it collapses
 // exchange fan-out, and only when the budget is exceeded with every step
 // already taken does it return ErrMemoryBudget. Each escalation is
-// recorded in the metrics (Metrics.DegradationSteps). Called at every
+// recorded in the metrics (the DegradationSteps counter). Called at every
 // cooperative checkpoint — round scheduling, exchanges, injected
 // allocation spikes — so workers observe the budget with bounded latency.
 // No-op when MemoryBudget <= 0 and no enforcing global governor is
@@ -293,105 +293,4 @@ func (c *Context) climbLadder(live, budget int64, scope string, g *Governor) err
 			}
 		}
 	}
-}
-
-// ---- Fault-tolerance metrics ----
-
-// AddTaskRetry records one retried task attempt.
-func (m *Metrics) AddTaskRetry() {
-	if m != nil {
-		m.taskRetries.Add(1)
-	}
-}
-
-// TaskRetries returns the number of task attempts that were retried after
-// a transient failure. Deterministic under fault injection (decisions are
-// pure functions of the task key), so TestRetryRecoversTransientFaults
-// pins it.
-func (m *Metrics) TaskRetries() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.taskRetries.Load()
-}
-
-// AddTaskFailed records one task that failed permanently (retry budget
-// exhausted, or a non-transient error).
-func (m *Metrics) AddTaskFailed() {
-	if m != nil {
-		m.tasksFailed.Add(1)
-	}
-}
-
-// TasksFailed returns the number of permanently failed tasks.
-func (m *Metrics) TasksFailed() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.tasksFailed.Load()
-}
-
-// AddInjectedFault records one chaos-injected transient task failure.
-func (m *Metrics) AddInjectedFault() {
-	if m != nil {
-		m.injectedFaults.Add(1)
-	}
-}
-
-// InjectedFaults returns the number of chaos-injected task failures.
-// Deterministic per (seed, plan), so TestInjectedFaultsRetriedDeterministically
-// holds it equal across runs.
-func (m *Metrics) InjectedFaults() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.injectedFaults.Load()
-}
-
-// AddDegradation records one memory-governor escalation, in order.
-func (m *Metrics) AddDegradation(step string) {
-	if m == nil {
-		return
-	}
-	m.degradeSteps.Add(1)
-	m.mu.Lock()
-	m.degrade = append(m.degrade, step)
-	m.mu.Unlock()
-}
-
-// DegradationSteps returns the number of memory-governor escalations.
-func (m *Metrics) DegradationSteps() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.degradeSteps.Load()
-}
-
-// Degradations returns the recorded escalation steps, in order.
-func (m *Metrics) Degradations() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, len(m.degrade))
-	copy(out, m.degrade)
-	return out
-}
-
-// FormatFaults renders the fault-tolerance counters for EXPLAIN and the
-// shell ("" when nothing fault-related happened).
-func (m *Metrics) FormatFaults() string {
-	if m.TaskRetries() == 0 && m.TasksFailed() == 0 && m.InjectedFaults() == 0 && m.DegradationSteps() == 0 {
-		return ""
-	}
-	s := fmt.Sprintf("task retries: %d, injected faults: %d, tasks failed: %d\n",
-		m.TaskRetries(), m.InjectedFaults(), m.TasksFailed())
-	if steps := m.Degradations(); len(steps) > 0 {
-		s += "degradation steps:\n"
-		for _, st := range steps {
-			s += "  " + st + "\n"
-		}
-	}
-	return s
 }

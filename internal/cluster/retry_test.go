@@ -68,10 +68,10 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 	if out.NumRows() != 4 {
 		t.Fatalf("lost rows: %d", out.NumRows())
 	}
-	if got := ctx.Metrics.TaskRetries(); got != 8 {
+	if got := ctx.Metrics.Count(TaskRetries); got != 8 {
 		t.Errorf("TaskRetries = %d, want 8 (2 per partition)", got)
 	}
-	if got := ctx.Metrics.TasksFailed(); got != 0 {
+	if got := ctx.Metrics.Count(TasksFailed); got != 0 {
 		t.Errorf("TasksFailed = %d, want 0", got)
 	}
 }
@@ -103,7 +103,7 @@ func TestRetryExhaustionWrapsTaskError(t *testing.T) {
 	if errors.Is(err, ErrCanceled) {
 		t.Errorf("permanent task failure surfaced as ErrCanceled")
 	}
-	if got := ctx.Metrics.TasksFailed(); got != 1 {
+	if got := ctx.Metrics.Count(TasksFailed); got != 1 {
 		t.Errorf("TasksFailed = %d, want 1", got)
 	}
 }
@@ -125,7 +125,7 @@ func TestNonTransientFailsImmediately(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Errorf("non-transient error ran %d attempts, want 1", calls.Load())
 	}
-	if ctx.Metrics.TaskRetries() != 0 {
+	if ctx.Metrics.Count(TaskRetries) != 0 {
 		t.Errorf("non-transient error counted retries")
 	}
 }
@@ -152,7 +152,7 @@ func TestInjectedFaultsRetriedDeterministically(t *testing.T) {
 		if err == nil && out.NumRows() != 64 {
 			err = fmt.Errorf("lost rows: %d", out.NumRows())
 		}
-		return ctx.Metrics.InjectedFaults(), ctx.Metrics.TaskRetries(), err
+		return ctx.Metrics.Count(InjectedFaults), ctx.Metrics.Count(TaskRetries), err
 	}
 	f0, r0, err := run(false)
 	if err != nil {
@@ -218,7 +218,7 @@ func TestMemoryGovernorLadder(t *testing.T) {
 	if !ctx.fanoutCollapsed() {
 		t.Fatal("90% live: fan-out not collapsed")
 	}
-	if got := ctx.Metrics.DegradationSteps(); got != 2 {
+	if got := ctx.Metrics.Count(DegradationSteps); got != 2 {
 		t.Errorf("DegradationSteps = %d, want 2", got)
 	}
 	ctx.Metrics.Alloc(200) // 110%: over budget, fully degraded
@@ -347,7 +347,7 @@ func TestPanicContainedAtTaskBoundary(t *testing.T) {
 	if !strings.Contains(string(pe.stack), "TestPanicContainedAtTaskBoundary") {
 		t.Errorf("panic stack does not name the panicking function:\n%s", pe.stack)
 	}
-	if got := ctx.Metrics.TasksFailed(); got != 1 {
+	if got := ctx.Metrics.Count(TasksFailed); got != 1 {
 		t.Errorf("TasksFailed = %d, want 1", got)
 	}
 	out, err := ctx.MapPartitions(in, func(i int, part []types.Row) ([]types.Row, error) { return part, nil })

@@ -292,7 +292,7 @@ func (p *ProjectExec) PartitionTransformColumnar(ctx *cluster.Context) ColumnarP
 		}
 		if vectorized {
 			release := chargeScratch(ctx, ve, cols)
-			ctx.Metrics.AddVectorizedBatch()
+			ctx.Metrics.Add(cluster.VectorizedBatches, 1)
 			release()
 		}
 		return res, nb, nil

@@ -93,14 +93,14 @@ func TestChaosContractAllStrategies(t *testing.T) {
 					t.Fatalf("%s: chaos execute: %v", label, err)
 				}
 				assertSameRows(t, label, clean, got)
-				faultsAtRate[rate] += ctx.Metrics.InjectedFaults()
-				if ctx.Metrics.TaskRetries() < ctx.Metrics.InjectedFaults() {
+				faultsAtRate[rate] += ctx.Metrics.Count(cluster.InjectedFaults)
+				if ctx.Metrics.Count(cluster.TaskRetries) < ctx.Metrics.Count(cluster.InjectedFaults) {
 					t.Errorf("%s: %d faults but only %d retries", label,
-						ctx.Metrics.InjectedFaults(), ctx.Metrics.TaskRetries())
+						ctx.Metrics.Count(cluster.InjectedFaults), ctx.Metrics.Count(cluster.TaskRetries))
 				}
-				if ctx.Metrics.TasksFailed() != 0 {
+				if ctx.Metrics.Count(cluster.TasksFailed) != 0 {
 					t.Errorf("%s: %d tasks failed permanently under a 12-retry budget", label,
-						ctx.Metrics.TasksFailed())
+						ctx.Metrics.Count(cluster.TasksFailed))
 				}
 			}
 		}
@@ -156,7 +156,7 @@ func TestChaosContractMorselParallel(t *testing.T) {
 			t.Fatalf("%v: chaos morsel execute: %v", st, err)
 		}
 		assertSameRows(t, fmt.Sprintf("%v/morsel", st), clean, got)
-		if ctx.Metrics.InjectedFaults() == 0 {
+		if ctx.Metrics.Count(cluster.InjectedFaults) == 0 {
 			t.Errorf("%v: no faults injected on the morsel path", st)
 		}
 	}
@@ -207,7 +207,7 @@ func TestChaosMemoryDegradationBitIdentical(t *testing.T) {
 		t.Fatalf("budgeted execute: %v", err)
 	}
 	assertSameRows(t, "memory-degraded", free, got)
-	if ctx.Metrics.DegradationSteps() == 0 {
+	if ctx.Metrics.Count(cluster.DegradationSteps) == 0 {
 		t.Error("budget never degraded — the test exercised nothing; tighten the budget")
 	}
 	if !ctx.SidecarsDropped() {

@@ -219,9 +219,9 @@ func TestFusedUnfusedEquivalenceRandomChains(t *testing.T) {
 		executors := 1 + r.Intn(5)
 		unfused, fused, uctx, fctx := execBoth(t, op, executors)
 		assertSameRows(t, fmt.Sprintf("trial %d (%s, %d executors)", trial, desc, executors), unfused, fused)
-		if fctx.Metrics.StagesExecuted() > uctx.Metrics.StagesExecuted() {
+		if fctx.Metrics.Count(cluster.Stages) > uctx.Metrics.Count(cluster.Stages) {
 			t.Errorf("trial %d (%s): fused scheduled %d rounds, unfused %d",
-				trial, desc, fctx.Metrics.StagesExecuted(), uctx.Metrics.StagesExecuted())
+				trial, desc, fctx.Metrics.Count(cluster.Stages), uctx.Metrics.Count(cluster.Stages))
 		}
 	}
 }
@@ -279,9 +279,9 @@ func TestFusedUnfusedEquivalenceAllStrategies(t *testing.T) {
 				t.Fatalf("%s: fused execute: %v", label, err)
 			}
 			assertSameRows(t, label, unfused, fused)
-			if fctx.Metrics.StagesExecuted() > uctx.Metrics.StagesExecuted() {
+			if fctx.Metrics.Count(cluster.Stages) > uctx.Metrics.Count(cluster.Stages) {
 				t.Errorf("%s: fused scheduled %d rounds, unfused %d",
-					label, fctx.Metrics.StagesExecuted(), uctx.Metrics.StagesExecuted())
+					label, fctx.Metrics.Count(cluster.Stages), uctx.Metrics.Count(cluster.Stages))
 			}
 		}
 	}
@@ -420,9 +420,9 @@ func TestFusedPipelinePeakBytesLower(t *testing.T) {
 		t.Errorf("fused peak bytes %d must be strictly lower than unfused %d",
 			fctx.Metrics.PeakBytes(), uctx.Metrics.PeakBytes())
 	}
-	if fctx.Metrics.StagesExecuted() >= uctx.Metrics.StagesExecuted() {
+	if fctx.Metrics.Count(cluster.Stages) >= uctx.Metrics.Count(cluster.Stages) {
 		t.Errorf("fused task rounds %d must be strictly fewer than unfused %d",
-			fctx.Metrics.StagesExecuted(), uctx.Metrics.StagesExecuted())
+			fctx.Metrics.Count(cluster.Stages), uctx.Metrics.Count(cluster.Stages))
 	}
 	if got := CountStages(CompileStages(chain())); got != 1 {
 		t.Errorf("chain must compile into exactly 1 fused stage, got %d", got)
@@ -478,9 +478,9 @@ func assertFusedTail(t *testing.T, label string, src func() Operator, col int, m
 		t.Fatalf("%s: fused execute: %v", label, err)
 	}
 	assertSameRows(t, label, want, fused)
-	if fctx.Metrics.StagesExecuted() != sctx.Metrics.StagesExecuted() {
+	if fctx.Metrics.Count(cluster.Stages) != sctx.Metrics.Count(cluster.Stages) {
 		t.Errorf("%s: the fused tail must ride in the source's last round: %d rounds, source alone %d",
-			label, fctx.Metrics.StagesExecuted(), sctx.Metrics.StagesExecuted())
+			label, fctx.Metrics.Count(cluster.Stages), sctx.Metrics.Count(cluster.Stages))
 	}
 	return fused
 }

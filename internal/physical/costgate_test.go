@@ -131,9 +131,9 @@ func TestCostGateDecisions(t *testing.T) {
 		if d.Rows != 160 || d.Selectivity <= 0 || d.Selectivity > 1 {
 			t.Errorf("cut=%d: implausible decision %+v", tc.cut, d)
 		}
-		if gotVec := ctx.Metrics.VectorizedBatches() > 0; gotVec != tc.wantVec {
+		if gotVec := ctx.Metrics.Count(cluster.VectorizedBatches) > 0; gotVec != tc.wantVec {
 			t.Errorf("cut=%d: vectorized batches = %d, want >0: %v",
-				tc.cut, ctx.Metrics.VectorizedBatches(), tc.wantVec)
+				tc.cut, ctx.Metrics.Count(cluster.VectorizedBatches), tc.wantVec)
 		}
 		if ctx.Metrics.BatchesDecoded() == 0 {
 			t.Errorf("cut=%d: skyline must still decode once per partition", tc.cut)
@@ -154,7 +154,7 @@ func TestCostGateDecisions(t *testing.T) {
 				t.Errorf("cut=%d: run without decode-at-scan recorded %v", tc.cut, d)
 			}
 		}
-		if got := off.Metrics.VectorizedBatches(); got != 0 {
+		if got := off.Metrics.Count(cluster.VectorizedBatches); got != 0 {
 			t.Errorf("cut=%d: run without decode-at-scan vectorized %d passes", tc.cut, got)
 		}
 	}
@@ -179,7 +179,7 @@ func TestExchangeSinkDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", st, err)
 		}
-		if ctx.Metrics.VectorizedBatches() == 0 {
+		if ctx.Metrics.Count(cluster.VectorizedBatches) == 0 {
 			t.Errorf("%v: filter below the partitioned exchange must vectorize", st)
 		}
 		if got := ctx.Metrics.BatchesDecoded(); got != 4 {

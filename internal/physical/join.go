@@ -78,7 +78,7 @@ func (h *HashJoinExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPartition
 	// Build side: broadcast hash table of the right input.
 	build := make(map[string][]types.Row)
 	rightRows := right.Gather()
-	ctx.Metrics.AddShuffled(int64(len(rightRows)) * int64(ctx.Executors)) // broadcast cost
+	ctx.Metrics.Add(cluster.RowsShuffled, int64(len(rightRows))*int64(ctx.Executors)) // broadcast cost
 	for _, row := range rightRows {
 		k, ok, err := evalKeys(h.RightKeys, row)
 		if err != nil {
@@ -181,7 +181,7 @@ func (n *NestedLoopJoinExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPar
 		return nil, err
 	}
 	rightRows := right.Gather()
-	ctx.Metrics.AddShuffled(int64(len(rightRows)) * int64(ctx.Executors)) // broadcast cost
+	ctx.Metrics.Add(cluster.RowsShuffled, int64(len(rightRows))*int64(ctx.Executors)) // broadcast cost
 	rightWidth := n.Right.Schema().Len()
 	out, err := ctx.MapPartitionsColumnar(left, func(pi int, part []types.Row, _ *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
 		var res []types.Row

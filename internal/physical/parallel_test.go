@@ -92,9 +92,9 @@ func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
 					}
 					assertSameRows(t, label+"/simulate", serial, simulated)
 
-					if serialCtx.Metrics.MorselsExecuted() != 0 {
+					if serialCtx.Metrics.Count(cluster.Morsels) != 0 {
 						t.Errorf("%s: serial run counted %d morsels, want 0",
-							label, serialCtx.Metrics.MorselsExecuted())
+							label, serialCtx.Metrics.Count(cluster.Morsels))
 					}
 					// Not every combo has a morsel opportunity (incomplete
 					// local skylines are not splittable; boxed global
@@ -104,12 +104,12 @@ func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
 					// complete data with the default options always do: the
 					// global kernel twin chunks the 160-row merged batch.
 					if !nullable && ab.name == "default" && st != SkylineDistributedIncomplete &&
-						poolCtx.Metrics.MorselsExecuted() == 0 {
+						poolCtx.Metrics.Count(cluster.Morsels) == 0 {
 						t.Errorf("%s: morsel-parallel run counted no morsels on a 160-row input with target 16", label)
 					}
-					if poolCtx.Metrics.MorselsExecuted() != simCtx.Metrics.MorselsExecuted() {
+					if poolCtx.Metrics.Count(cluster.Morsels) != simCtx.Metrics.Count(cluster.Morsels) {
 						t.Errorf("%s: pool counted %d morsels, simulate %d — morsel layout must be deterministic",
-							label, poolCtx.Metrics.MorselsExecuted(), simCtx.Metrics.MorselsExecuted())
+							label, poolCtx.Metrics.Count(cluster.Morsels), simCtx.Metrics.Count(cluster.Morsels))
 					}
 				}
 			}

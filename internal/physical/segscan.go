@@ -151,7 +151,7 @@ func (s *ScanExec) survivors(ctx *cluster.Context) []*storage.Segment {
 		}
 	}
 	if prune {
-		ctx.Metrics.AddSegmentsPruned(int64(pruned))
+		ctx.Metrics.Add(cluster.SegmentsPruned, int64(pruned))
 		choice := "scan-all"
 		if pruned > 0 {
 			choice = "prune"
@@ -328,7 +328,7 @@ func (sp *segmentPages) run(ctx *cluster.Context, r *storage.Reader, lo, hi int,
 				return nil, nil, false, err
 			}
 		}
-		ctx.Metrics.AddVectorizedBatch()
+		ctx.Metrics.Add(cluster.VectorizedBatches, 1)
 	}
 	if sp.sky != nil && sp.sky.DisableKernel {
 		// Boxed dominance: BNL over the dimension values of the rows that

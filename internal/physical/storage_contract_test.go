@@ -98,10 +98,10 @@ func TestSegmentScanContractAllStrategies(t *testing.T) {
 			if len(memRows) == 0 {
 				t.Fatalf("%s: empty skyline proves nothing", label)
 			}
-			if got := sctx.Metrics.SegmentsPruned(); got == 0 {
+			if got := sctx.Metrics.Count(cluster.SegmentsPruned); got == 0 {
 				t.Errorf("%s: segment scan pruned nothing — a < 60 over 8 clustered segments must skip the tail", label)
 			}
-			if got := mctx.Metrics.SegmentsPruned(); got != 0 {
+			if got := mctx.Metrics.Count(cluster.SegmentsPruned); got != 0 {
 				t.Errorf("%s: in-memory scan reported %d pruned segments", label, got)
 			}
 		}
@@ -127,7 +127,7 @@ func TestSegmentPruneCountersDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("simulate=%v: %v", simulate, err)
 		}
-		return ctx.Metrics.SegmentsPruned(), rowStrings(rows)
+		return ctx.Metrics.Count(cluster.SegmentsPruned), rowStrings(rows)
 	}
 	p1, r1 := run(false)
 	p2, r2 := run(false)

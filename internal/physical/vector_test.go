@@ -61,7 +61,7 @@ func TestFilteredSkylineDecodesOncePerPartitionVectorized(t *testing.T) {
 	if got := ctx.Metrics.BatchesDecoded(); got != executors {
 		t.Errorf("BatchesDecoded = %d, want %d (one per input partition, filter included)", got, executors)
 	}
-	if got := ctx.Metrics.VectorizedBatches(); got != executors {
+	if got := ctx.Metrics.Count(cluster.VectorizedBatches); got != executors {
 		t.Errorf("VectorizedBatches = %d, want %d (one vectorized filter pass per partition)", got, executors)
 	}
 
@@ -75,7 +75,7 @@ func TestFilteredSkylineDecodesOncePerPartitionVectorized(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRows(t, "decode at scan on/off", boxed, rows)
-	if got := bctx.Metrics.VectorizedBatches(); got != 0 {
+	if got := bctx.Metrics.Count(cluster.VectorizedBatches); got != 0 {
 		t.Errorf("boxed-filter run reported %d vectorized passes", got)
 	}
 	if got := bctx.Metrics.BatchesDecoded(); got != executors {
@@ -162,7 +162,7 @@ func TestVectorizedContractsAllStrategies(t *testing.T) {
 						t.Fatalf("%s: execute: %v", label, err)
 					}
 					if pi > 0 && decode && !noKernel {
-						vectorized += ctx.Metrics.VectorizedBatches()
+						vectorized += ctx.Metrics.Count(cluster.VectorizedBatches)
 					}
 					if want == nil {
 						want = rows
@@ -339,7 +339,7 @@ func TestProjectComputedDimensionKeepsSidecar(t *testing.T) {
 		t.Errorf("BatchesDecoded = %d, want %d (computed dimension decoded at scan)", got, executors)
 	}
 	// Filter and projection each report one vectorized pass per partition.
-	if got := ctx.Metrics.VectorizedBatches(); got != 2*executors {
+	if got := ctx.Metrics.Count(cluster.VectorizedBatches); got != 2*executors {
 		t.Errorf("VectorizedBatches = %d, want %d", got, 2*executors)
 	}
 
@@ -351,7 +351,7 @@ func TestProjectComputedDimensionKeepsSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRows(t, "computed dimension boxed/vectorized", boxed, rows)
-	if got := bctx.Metrics.VectorizedBatches(); got != 0 {
+	if got := bctx.Metrics.Count(cluster.VectorizedBatches); got != 0 {
 		t.Errorf("boxed run reported %d vectorized passes", got)
 	}
 }
@@ -395,10 +395,10 @@ func TestExtremumFilterVectorizedPasses(t *testing.T) {
 	if len(vec) == 0 {
 		t.Fatal("extremum filter returned no rows")
 	}
-	if got := vctx.Metrics.VectorizedBatches(); got == 0 {
+	if got := vctx.Metrics.Count(cluster.VectorizedBatches); got == 0 {
 		t.Error("extremum pass 1 never ran vectorized despite sidecar input")
 	}
-	if got := bctx.Metrics.VectorizedBatches(); got != 0 {
+	if got := bctx.Metrics.Count(cluster.VectorizedBatches); got != 0 {
 		t.Errorf("boxed extremum reported %d vectorized passes", got)
 	}
 }

@@ -90,7 +90,7 @@ func vectorSelect(ctx *cluster.Context, cond expr.Expr, cols denseColumns) (sel 
 	if sel, err = ve.EvalPredicate(cond); err != nil {
 		return nil, nil, err
 	}
-	ctx.Metrics.AddVectorizedBatch()
+	ctx.Metrics.Add(cluster.VectorizedBatches, 1)
 	return sel, chargeScratch(ctx, ve, cols), nil
 }
 

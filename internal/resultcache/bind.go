@@ -92,9 +92,9 @@ func (e *CacheExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 	}
 	key := entryKey(e.structural, e.deps)
 	if h, ok := e.cache.lookup(key); ok {
-		ctx.Metrics.AddCacheHit()
+		ctx.Metrics.Add(cluster.CacheHits, 1)
 		for ; h.upgrades > 0; h.upgrades-- {
-			ctx.Metrics.AddIncrementalUpgrade()
+			ctx.Metrics.Add(cluster.IncrementalUpgrades, 1)
 		}
 		out := &cluster.Dataset{Parts: [][]types.Row{h.rows},
 			Encoding: &Encoding{cache: e.cache, key: key, bytes: h.encoded}}
@@ -108,7 +108,7 @@ func (e *CacheExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 		})
 		return out, nil
 	}
-	ctx.Metrics.AddCacheMiss()
+	ctx.Metrics.Add(cluster.CacheMisses, 1)
 	ctx.Metrics.AddCostDecision(cluster.CostDecision{
 		Site: "result-cache", Choice: "miss", Rows: 0, Selectivity: -1,
 		Detail: "no entry at current table versions",

@@ -334,7 +334,7 @@ func (c *Cache) shed(ctx *cluster.Context) {
 		delete(c.byKey, e.key)
 		c.evictions.Add(1)
 		if ctx != nil {
-			ctx.Metrics.AddCacheEvictions(1)
+			ctx.Metrics.Add(cluster.CacheEvictions, 1)
 		}
 	}
 }

@@ -224,12 +224,12 @@ func TestHitServesBitIdenticalRows(t *testing.T) {
 	c := New(0)
 	const q = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX"
 	cold, m1 := runQuery(t, e, c, q, physical.Options{})
-	if m1.CacheHits() != 0 || m1.CacheMisses() != 1 {
-		t.Fatalf("cold run: hits=%d misses=%d", m1.CacheHits(), m1.CacheMisses())
+	if m1.Count(cluster.CacheHits) != 0 || m1.Count(cluster.CacheMisses) != 1 {
+		t.Fatalf("cold run: hits=%d misses=%d", m1.Count(cluster.CacheHits), m1.Count(cluster.CacheMisses))
 	}
 	hot, m2 := runQuery(t, e, c, q, physical.Options{})
-	if m2.CacheHits() != 1 || m2.CacheMisses() != 0 {
-		t.Fatalf("hot run: hits=%d misses=%d", m2.CacheHits(), m2.CacheMisses())
+	if m2.Count(cluster.CacheHits) != 1 || m2.Count(cluster.CacheMisses) != 0 {
+		t.Fatalf("hot run: hits=%d misses=%d", m2.Count(cluster.CacheHits), m2.Count(cluster.CacheMisses))
 	}
 	assertIdentical(t, hot, cold, "hit vs cold")
 	if s := c.Stats(); s.Entries != 1 || s.Hits != 1 || s.Misses != 1 {
@@ -250,8 +250,8 @@ func TestVersionInvalidationNeverServesStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, m := runQuery(t, e, c, q, physical.Options{})
-	if m.CacheHits() != 0 || m.CacheMisses() != 1 {
-		t.Fatalf("post-append run must miss: hits=%d misses=%d", m.CacheHits(), m.CacheMisses())
+	if m.Count(cluster.CacheHits) != 0 || m.Count(cluster.CacheMisses) != 1 {
+		t.Fatalf("post-append run must miss: hits=%d misses=%d", m.Count(cluster.CacheHits), m.Count(cluster.CacheMisses))
 	}
 	found := false
 	for _, r := range rows {
@@ -287,11 +287,11 @@ func TestIncrementalUpgradeMatchesRecompute(t *testing.T) {
 		}
 	}
 	got, m := runQuery(t, e1, c1, q, physical.Options{})
-	if m.CacheHits() != 1 {
-		t.Fatalf("upgraded entry must serve a hit, got hits=%d misses=%d", m.CacheHits(), m.CacheMisses())
+	if m.Count(cluster.CacheHits) != 1 {
+		t.Fatalf("upgraded entry must serve a hit, got hits=%d misses=%d", m.Count(cluster.CacheHits), m.Count(cluster.CacheMisses))
 	}
-	if m.IncrementalUpgrades() != int64(len(appends)) {
-		t.Errorf("the serving query must drain %d pending upgrades, got %d", len(appends), m.IncrementalUpgrades())
+	if m.Count(cluster.IncrementalUpgrades) != int64(len(appends)) {
+		t.Errorf("the serving query must drain %d pending upgrades, got %d", len(appends), m.Count(cluster.IncrementalUpgrades))
 	}
 
 	// Cold session over the grown table: the ground truth.
@@ -389,8 +389,8 @@ func TestLRUShedsSidecarBeforeEviction(t *testing.T) {
 
 	// The shed entry still serves a hit with bit-identical rows.
 	rows, m := runQuery(t, e, c, q1, physical.Options{})
-	if m.CacheHits() != 1 {
-		t.Fatalf("shed entry must still hit: hits=%d misses=%d", m.CacheHits(), m.CacheMisses())
+	if m.Count(cluster.CacheHits) != 1 {
+		t.Fatalf("shed entry must still hit: hits=%d misses=%d", m.Count(cluster.CacheHits), m.Count(cluster.CacheMisses))
 	}
 	want, _ := runQuery(t, e, New(0), q1, physical.Options{})
 	assertIdentical(t, rows, want, "shed-sidecar hit vs recompute")
@@ -425,12 +425,12 @@ func TestLRUEvictsOldestWholeEntry(t *testing.T) {
 	}
 	// The survivor is q2; q1 misses, q2 hits.
 	_, m := runQuery(t, e, c, q2, physical.Options{})
-	if m.CacheHits() != 1 {
-		t.Errorf("survivor must hit: hits=%d misses=%d", m.CacheHits(), m.CacheMisses())
+	if m.Count(cluster.CacheHits) != 1 {
+		t.Errorf("survivor must hit: hits=%d misses=%d", m.Count(cluster.CacheHits), m.Count(cluster.CacheMisses))
 	}
 	_, m = runQuery(t, e, c, q1, physical.Options{})
-	if m.CacheMisses() != 1 {
-		t.Errorf("evicted oldest must miss: hits=%d misses=%d", m.CacheHits(), m.CacheMisses())
+	if m.Count(cluster.CacheMisses) != 1 {
+		t.Errorf("evicted oldest must miss: hits=%d misses=%d", m.Count(cluster.CacheHits), m.Count(cluster.CacheMisses))
 	}
 }
 
@@ -504,8 +504,8 @@ func TestLRUShedsEncodedThenSidecarThenEntry(t *testing.T) {
 		// Whatever was shed, the answer is the same text: re-encoded from
 		// the rows of a hit, or recomputed after the eviction.
 		text1, m := serveJSON(t, e, c, q1)
-		if !bytes.Equal(text1, rowsJSON(t, rows1)) || (m.CacheHits() == 1) != tc.olderStillServesFromRows {
-			t.Errorf("%s: q1 after shedding: hits=%d, %d bytes", tc.name, m.CacheHits(), len(text1))
+		if !bytes.Equal(text1, rowsJSON(t, rows1)) || (m.Count(cluster.CacheHits) == 1) != tc.olderStillServesFromRows {
+			t.Errorf("%s: q1 after shedding: hits=%d, %d bytes", tc.name, m.Count(cluster.CacheHits), len(text1))
 		}
 		checkRecordedSizes(t, tc.name+": q1 served again", c)
 	}
@@ -543,9 +543,9 @@ func TestRecordedSizesFollowEveryStore(t *testing.T) {
 		t.Helper()
 		en := c.lru.Front().Value.(*entry)
 		_, m := runQuery(t, e, c, q, physical.Options{})
-		if m.CacheHits() != 1 || m.PeakBytes() != servedWalk(en) {
+		if m.Count(cluster.CacheHits) != 1 || m.PeakBytes() != servedWalk(en) {
 			t.Fatalf("%s: hits=%d peak=%d, the served rows and sidecar walk to %d",
-				label, m.CacheHits(), m.PeakBytes(), servedWalk(en))
+				label, m.Count(cluster.CacheHits), m.PeakBytes(), servedWalk(en))
 		}
 	}
 
@@ -627,8 +627,8 @@ func TestEncodedFormNeverOutlivesItsRows(t *testing.T) {
 		t.Fatalf("text of the pre-append rows (%s) was attached to the upgraded entry", stale)
 	}
 	fresh, m := serveJSON(t, e, c, q)
-	if want := rowsJSON(t, []types.Row{best}); m.CacheHits() != 1 || !bytes.Equal(fresh, want) || bytes.Equal(fresh, stale) {
-		t.Fatalf("hit after the append (hits=%d) served %s, want %s", m.CacheHits(), fresh, want)
+	if want := rowsJSON(t, []types.Row{best}); m.Count(cluster.CacheHits) != 1 || !bytes.Equal(fresh, want) || bytes.Equal(fresh, stale) {
+		t.Fatalf("hit after the append (hits=%d) served %s, want %s", m.Count(cluster.CacheHits), fresh, want)
 	}
 	if en := c.lru.Front().Value.(*entry); !bytes.Equal(en.encoded, fresh) {
 		t.Error("the hit that encoded the new rows must leave their text on the entry")

@@ -400,21 +400,21 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 						}
 					}
 					first, m := serveJSON(t, sc.eng, c, sc.query)
-					drained += m.IncrementalUpgrades()
+					drained += m.Count(cluster.IncrementalUpgrades)
 					if !bytes.Equal(first, wantText) || !bytes.Equal(e.encoded, wantText) {
 						t.Fatalf("%s: first hit served %d bytes and left %d, a fresh encode of the cold recompute is %d",
 							label, len(first), len(e.encoded), len(wantText))
 					}
-					if second, m := serveJSON(t, sc.eng, c, sc.query); !bytes.Equal(second, wantText) || m.CacheHits() != 1 {
-						t.Fatalf("%s: second hit (hits=%d) served %d bytes, want the %d attached", label, m.CacheHits(), len(second), len(wantText))
+					if second, m := serveJSON(t, sc.eng, c, sc.query); !bytes.Equal(second, wantText) || m.Count(cluster.CacheHits) != 1 {
+						t.Fatalf("%s: second hit (hits=%d) served %d bytes, want the %d attached", label, m.Count(cluster.CacheHits), len(second), len(wantText))
 					}
 					assertText(t, label+" with text", assertEntry(t, label+" with text", c, want, wantSidecar))
 				}
 				// The maintained entry serves the next query as a hit; the
 				// twelve upgrades were drained by the hits that followed them.
 				got, m := runQuery(t, sc.eng, c, sc.query, physical.Options{})
-				if m.CacheHits() != 1 || drained != 12 {
-					t.Fatalf("seed %d: hits=%d upgrades drained=%d, want 1 and 12", seed, m.CacheHits(), drained)
+				if m.Count(cluster.CacheHits) != 1 || drained != 12 {
+					t.Fatalf("seed %d: hits=%d upgrades drained=%d, want 1 and 12", seed, m.Count(cluster.CacheHits), drained)
 				}
 				assertIdentical(t, got, sc.coldRows(t), "served after 12 upgrades vs cold recompute")
 			}

@@ -606,22 +606,20 @@ func parseKind(name string) (types.Kind, error) {
 	return types.KindNull, fmt.Errorf("unknown column type %q (BIGINT, DOUBLE, STRING, BOOLEAN)", name)
 }
 
+// encodeMetrics flattens m (nil before any run: every read is then zero).
 func encodeMetrics(m *skysql.Metrics) QueryMetrics {
-	if m == nil {
-		return QueryMetrics{}
-	}
 	return QueryMetrics{
-		Stages:           m.StagesExecuted(),
-		RowsShuffled:     m.RowsShuffled(),
+		Stages:           m.Count(skysql.Stages),
+		RowsShuffled:     m.Count(skysql.RowsShuffled),
 		PeakBytes:        m.PeakBytes(),
-		CacheHits:        m.CacheHits(),
-		CacheMisses:      m.CacheMisses(),
-		Morsels:          m.MorselsExecuted(),
-		Steals:           m.Steals(),
-		TaskRetries:      m.TaskRetries(),
-		DegradationSteps: m.DegradationSteps(),
+		CacheHits:        m.Count(skysql.CacheHits),
+		CacheMisses:      m.Count(skysql.CacheMisses),
+		Morsels:          m.Count(skysql.Morsels),
+		Steals:           m.Count(skysql.Steals),
+		TaskRetries:      m.Count(skysql.TaskRetries),
+		DegradationSteps: m.Count(skysql.DegradationSteps),
 		Degradations:     m.Degradations(),
-		SegmentsPruned:   m.SegmentsPruned(),
-		SegmentsSpilled:  m.SegmentsSpilled(),
+		SegmentsPruned:   m.Count(skysql.SegmentsPruned),
+		SegmentsSpilled:  m.Count(skysql.SegmentsSpilled),
 	}
 }

@@ -187,6 +187,76 @@ func TestHitPeakBytesIsWhatItServes(t *testing.T) {
 	}
 }
 
+// metricsKeys returns the keys of a /query body's metrics object, in the
+// order they appear on the wire.
+func metricsKeys(t *testing.T, raw []byte) []string {
+	t.Helper()
+	var body struct {
+		Metrics json.RawMessage `json:"metrics"`
+	}
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body.Metrics))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("metrics is not an object: %s", body.Metrics)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestQueryMetricsKeys pins the /query metrics object — its keys and their
+// order — on a result-cache miss and on the hit that follows, and that
+// each counter key is that counter's name in the engine's counter table.
+func TestQueryMetricsKeys(t *testing.T) {
+	sess := skysql.NewSession(skysql.WithExecutors(2), skysql.WithResultCache(0))
+	defer sess.Close()
+	ts := httptest.NewServer(server.New(sess))
+	defer ts.Close()
+	c := ts.Client()
+	if status, raw := post(t, c, ts.URL+"/tables", hotels); status != http.StatusOK {
+		t.Fatalf("create table: %d %s", status, raw)
+	}
+	want := []string{"stages", "rows_shuffled", "peak_bytes", "cache_hits", "cache_misses",
+		"morsels", "steals", "task_retries", "degradation_steps", "segments_pruned", "segments_spilled"}
+	const sql = "SELECT * FROM hotels SKYLINE OF COMPLETE price MIN, distance MIN"
+	for i, name := range []string{"miss", "hit"} {
+		status, raw := post(t, c, ts.URL+"/query", server.QueryRequest{SQL: sql})
+		if status != http.StatusOK {
+			t.Fatalf("%s: %d %s", name, status, raw)
+		}
+		if got := metricsKeys(t, raw); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: metrics keys %v, want %v", name, got, want)
+		}
+		m := decodeQuery(t, raw).Metrics
+		if m.CacheHits != int64(i) || m.CacheMisses != int64(1-i) || (m.Stages == 0) == (i == 0) {
+			t.Errorf("%s: stages=%d cache_hits=%d cache_misses=%d", name, m.Stages, m.CacheHits, m.CacheMisses)
+		}
+	}
+	for key, c := range map[string]skysql.Counter{
+		"stages": skysql.Stages, "rows_shuffled": skysql.RowsShuffled,
+		"cache_hits": skysql.CacheHits, "cache_misses": skysql.CacheMisses,
+		"morsels": skysql.Morsels, "steals": skysql.Steals, "task_retries": skysql.TaskRetries,
+		"degradation_steps": skysql.DegradationSteps, "segments_pruned": skysql.SegmentsPruned,
+		"segments_spilled": skysql.SegmentsSpilled,
+	} {
+		if c.String() != key {
+			t.Errorf("metrics key %q reads the counter named %q", key, c)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	sess := skysql.NewSession(skysql.WithExecutors(1), skysql.WithResultCache(0))
 	defer sess.Close()

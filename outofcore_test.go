@@ -81,7 +81,7 @@ func TestOutOfCoreSpillCompletesBudgetedQuery(t *testing.T) {
 	m := bdf.Metrics()
 	// One gather input goes to a temporary segment: the count is a pure
 	// function of the partition layout at the budgeted gather.
-	if got := m.SegmentsSpilled(); got != 1 {
+	if got := m.Count(skysql.SegmentsSpilled); got != 1 {
 		t.Errorf("budgeted run spilled %d segments, want 1", got)
 	}
 	steps := m.Degradations()
@@ -141,7 +141,7 @@ func TestMillionPointPruningBitIdentical(t *testing.T) {
 	}
 	// 1M rows at the default 65536-row segments is 16 zone maps; d1 < 0.01
 	// on d1-sorted data leaves all but the leading segments provably empty.
-	if pruned := df.Metrics().SegmentsPruned(); pruned < 1 {
+	if pruned := df.Metrics().Count(skysql.SegmentsPruned); pruned < 1 {
 		t.Errorf("SegmentsPruned = %d, want at least 1 of 16 segments skipped", pruned)
 	}
 }
@@ -227,7 +227,7 @@ func TestSegmentScanPeakBelowBoxedSurvivors(t *testing.T) {
 			boxed += r.MemSize()
 		}
 	}
-	if pruned := df.Metrics().SegmentsPruned(); pruned != int64(len(store.Segments())-survivors) {
+	if pruned := df.Metrics().Count(skysql.SegmentsPruned); pruned != int64(len(store.Segments())-survivors) {
 		t.Fatalf("pruned %d segments, want %d", pruned, len(store.Segments())-survivors)
 	}
 	peak := df.Metrics().PeakBytes()

@@ -92,13 +92,13 @@ func TestFaultInjectionBitIdentical(t *testing.T) {
 		}
 		m := df.Metrics()
 		if run == 0 {
-			faults, retries = m.InjectedFaults(), m.TaskRetries()
+			faults, retries = m.Count(skysql.InjectedFaults), m.Count(skysql.TaskRetries)
 			if faults == 0 {
 				t.Fatal("injector fired no faults at rate 0.3")
 			}
-		} else if m.InjectedFaults() != faults || m.TaskRetries() != retries {
+		} else if m.Count(skysql.InjectedFaults) != faults || m.Count(skysql.TaskRetries) != retries {
 			t.Errorf("run %d: counters (%d, %d) != run 0 (%d, %d) — chaos not reproducible",
-				run, m.InjectedFaults(), m.TaskRetries(), faults, retries)
+				run, m.Count(skysql.InjectedFaults), m.Count(skysql.TaskRetries), faults, retries)
 		}
 	}
 }
@@ -135,7 +135,7 @@ func TestFaultInjectionSimulated(t *testing.T) {
 	if fmt.Sprint(rowsToStrings(res.Rows)) != fmt.Sprint(rowsToStrings(want)) {
 		t.Fatalf("simulated chaotic rows differ:\n got %v\nwant %v", res.Rows, want)
 	}
-	if ctx.Metrics.InjectedFaults() == 0 {
+	if ctx.Metrics.Count(skysql.InjectedFaults) == 0 {
 		t.Error("injector fired no faults at rate 0.3")
 	}
 }
@@ -236,7 +236,7 @@ func TestMemoryBudgetDegradesGracefully(t *testing.T) {
 		t.Fatalf("degraded rows differ:\n got %v\nwant %v", got, want)
 	}
 	m := bdf.Metrics()
-	if m.DegradationSteps() == 0 {
+	if m.Count(skysql.DegradationSteps) == 0 {
 		t.Error("budget near the peak never degraded — tighten the test budget")
 	}
 	if m.PeakBytes() > peak+peak/4 {

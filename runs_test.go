@@ -36,10 +36,10 @@ func TestGlobalPassReusesLocalRuns(t *testing.T) {
 		return rows, df.Metrics()
 	}
 	rows, m := run(skysql.Auto)
-	if got := m.StagesExecuted(); got != 2 {
+	if got := m.Count(skysql.Stages); got != 2 {
 		t.Errorf("auto ran %d task rounds, want 2: local skylines, then the cross-chunk filter", got)
 	}
-	if got := m.MorselsExecuted(); got != 16 {
+	if got := m.Count(skysql.Morsels); got != 16 {
 		t.Errorf("auto ran %d morsels, want 16: 8 local, 8 cross-chunk", got)
 	}
 	// The plan's peak charge and exchange volume are pure functions of the
@@ -48,7 +48,7 @@ func TestGlobalPassReusesLocalRuns(t *testing.T) {
 	if got := m.PeakBytes(); got != 1862144 {
 		t.Errorf("auto peaked at %d bytes, want 1862144", got)
 	}
-	if got := m.RowsShuffled(); got != 7774 {
+	if got := m.Count(skysql.RowsShuffled); got != 7774 {
 		t.Errorf("auto shuffled %d rows, want 7774", got)
 	}
 	got := strings.Join(oracleKeys(rows, false), "\n")

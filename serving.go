@@ -179,13 +179,12 @@ func (s *Session) GovernorStats() GovernorStats {
 }
 
 // PoolSize returns the size the session's work-stealing worker pool has
-// (or would have, when not yet created): the WithWorkerPool value, else
-// min(NumCPU, executors).
+// (or would have, when not yet created): min(NumCPU, executors).
 func (s *Session) PoolSize() int {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	if s.pool != nil {
 		return s.pool.Size()
 	}
-	return s.poolSizeLocked()
+	return s.poolSize()
 }

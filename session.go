@@ -25,7 +25,6 @@ type Session struct {
 	strategy     SkylineStrategy
 	noKernel     bool
 	noMorsel     bool
-	poolSize     int
 	injector     *chaos.Injector
 	taskRetries  int
 	queryTimeout time.Duration
@@ -83,19 +82,6 @@ func WithSkylineStrategy(st SkylineStrategy) Option {
 // is result-identical; this switch exists for A/B ablation and debugging.
 func WithoutColumnarKernel() Option {
 	return func(s *Session) { s.noKernel = true }
-}
-
-// WithWorkerPool pins the size of the session's work-stealing worker pool
-// to n OS-thread-backed workers. The default (without this option) is
-// min(runtime.NumCPU(), executors): the pool never oversubscribes the
-// machine and never exceeds the configured parallelism budget. The pool
-// is created lazily on the first query and freed by Close.
-func WithWorkerPool(n int) Option {
-	return func(s *Session) {
-		if n > 0 {
-			s.poolSize = n
-		}
-	}
 }
 
 // WithoutMorselParallelism disables morsel-granular task splitting: stages
@@ -250,31 +236,22 @@ func NewSession(opts ...Option) *Session {
 // Executors returns the configured parallelism budget.
 func (s *Session) Executors() int { return s.executors }
 
-// workerPool lazily creates the session's work-stealing pool. The size is
-// the pinned WithWorkerPool value, else min(runtime.NumCPU(), executors).
+// workerPool lazily creates the session's work-stealing pool of
+// min(runtime.NumCPU(), executors) workers: the pool never oversubscribes
+// the machine and never exceeds the configured parallelism budget. Close
+// frees it.
 func (s *Session) workerPool() *cluster.WorkerPool {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	if s.pool == nil {
-		s.pool = cluster.NewWorkerPool(s.poolSizeLocked())
+		s.pool = cluster.NewWorkerPool(s.poolSize())
 	}
 	return s.pool
 }
 
-// poolSizeLocked resolves the pool size under poolMu: the pinned
-// WithWorkerPool value, else min(runtime.NumCPU(), executors).
-func (s *Session) poolSizeLocked() int {
-	n := s.poolSize
-	if n <= 0 {
-		n = runtime.NumCPU()
-		if s.executors < n {
-			n = s.executors
-		}
-		if n < 1 {
-			n = 1
-		}
-	}
-	return n
+// poolSize is min(runtime.NumCPU(), executors), at least 1.
+func (s *Session) poolSize() int {
+	return max(1, min(runtime.NumCPU(), s.executors))
 }
 
 // Close stops the session's worker pool. The session remains usable:

@@ -69,7 +69,7 @@
 // column, integer arithmetic leaving the ±2⁵³ range where int64 wraps but
 // float64 rounds). Refused expressions fall back to the boxed row loop —
 // with the sidecar still carried forward by index selection — so results
-// are always row-for-row identical. Metrics.VectorizedBatches counts the
+// are always row-for-row identical. The VectorizedBatches counter counts the
 // partition passes the engine actually served (surfaced by EXPLAIN after a
 // run and the shell's \s; TestFilteredSkylineDecodesOncePerPartitionVectorized
 // pins it at one per partition). The vectorized engine has no off switch:
@@ -113,8 +113,8 @@
 // # Morsel-driven parallel runtime
 //
 // Task execution is morsel-driven: a session owns one persistent
-// work-stealing worker pool (sized min(runtime.NumCPU(), executors) by
-// default; WithWorkerPool pins it), and stages submit morsels — bounded
+// work-stealing worker pool of min(runtime.NumCPU(), executors) workers,
+// and stages submit morsels — bounded
 // contiguous row ranges of a partition together with a zero-copy
 // Batch.Slice view of its columnar sidecar — rather than one task per
 // partition. Each worker owns a deque: it pushes and pops its own morsels
@@ -135,18 +135,18 @@
 // Both paths are bit-identical to serial execution by construction and
 // contract-tested under the race detector across every ablation.
 //
-// The A/B knobs mirror the other levers: WithoutMorselParallelism
+// The A/B knob mirrors the other levers: WithoutMorselParallelism
 // restores whole-partition tasks (still on the pool) and the serial global
-// kernel, and WithWorkerPool sizes the pool. Every query runs on its
-// session's pool; the paper-figure harness alone substitutes a makespan
-// model for it (cluster.Simulator: tasks run one at a time and each round
-// is charged its greedy makespan on the executor count, so modelled
-// speedups stay honest). Metrics report morsels executed, steals,
-// per-worker busy time, and achieved parallelism in EXPLAIN and the
-// shell's \s. The morsel count is deterministic (partition layout and
-// executor count only), and TestMorselBudgetIsPerStage (internal/cluster)
-// and TestGlobalPassReusesLocalRuns pin it; steals and parallelism depend
-// on timing.
+// kernel. Every query runs on its session's pool; the paper-figure harness
+// alone substitutes a makespan model for it (cluster.Simulator: tasks run
+// one at a time and each round is charged its greedy makespan on the
+// executor count, so modelled speedups stay honest). Metrics.Report shows
+// morsels executed, steals, per-worker busy time, and achieved parallelism
+// in EXPLAIN and the shell's \s. The morsel count is deterministic
+// (partition layout and executor count only), and
+// TestMorselBudgetIsPerStage (internal/cluster) and
+// TestGlobalPassReusesLocalRuns pin it; steals and parallelism depend on
+// timing.
 //
 // # Fault-tolerant execution
 //
@@ -183,10 +183,10 @@
 // WithFaultInjection wires a deterministic chaos injector (seeded;
 // decisions are pure functions of (seed, stage, task, attempt)) through
 // every task attempt, so chaos runs are bit-reproducible: the
-// TaskRetries/InjectedFaults/TasksFailed/DegradationSteps counters in
-// Metrics — surfaced by EXPLAIN and the shell's \s — repeat exactly:
-// TestFaultInjectionBitIdentical holds them equal across runs, and
-// TestRetryRecoversTransientFaults and TestMemoryGovernorLadder
+// InjectedFaults and TaskRetries counters in Metrics — surfaced by EXPLAIN
+// and the shell's \s beside TasksFailed and DegradationSteps — repeat
+// exactly: TestFaultInjectionBitIdentical holds them equal across runs,
+// and TestRetryRecoversTransientFaults and TestMemoryGovernorLadder
 // (internal/cluster) pin their values.
 //
 // # Out-of-core columnar storage
@@ -234,10 +234,10 @@
 // segment-at-a-time, so a query whose working set exceeds its budget
 // completes out-of-core — with identical results — before any
 // sidecar-drop or fan-out collapse fires; without a spill directory the
-// pre-spill ladder is preserved exactly. SegmentsPruned and
-// SegmentsSpilled are deterministic counters in Metrics (EXPLAIN, the
-// shell's \s): TestSegmentScanPeakBelowBoxedSurvivors pins the pruned
-// count and TestOutOfCoreSpillCompletesBudgetedQuery the spilled one.
+// pre-spill ladder is preserved exactly. SegmentsPruned (deterministic)
+// and SegmentsSpilled are counters in Metrics (EXPLAIN, the shell's \s):
+// TestSegmentScanPeakBelowBoxedSurvivors pins the pruned count and
+// TestOutOfCoreSpillCompletesBudgetedQuery the spilled one.
 //
 // # Skyline result cache
 //
@@ -310,6 +310,9 @@ type (
 	Schema = types.Schema
 	// Metrics carries execution counters of the last Collect.
 	Metrics = cluster.Metrics
+	// Counter names one execution counter of Metrics, read with
+	// Metrics.Count.
+	Counter = cluster.Counter
 	// FaultInjection configures WithFaultInjection: a seed plus rates for
 	// transient task errors, straggler delays, and allocation spikes. The
 	// zero value injects nothing.
@@ -328,6 +331,26 @@ var (
 	// ErrMemoryBudget is returned when a query exceeds WithMemoryBudget
 	// after every degradation step has been taken.
 	ErrMemoryBudget = cluster.ErrMemoryBudget
+)
+
+// Execution counters, read with Metrics.Count; each is documented on the
+// cluster package's constant of the same name.
+const (
+	Stages              = cluster.Stages
+	RowsShuffled        = cluster.RowsShuffled
+	VectorizedBatches   = cluster.VectorizedBatches
+	Morsels             = cluster.Morsels
+	Steals              = cluster.Steals
+	CacheHits           = cluster.CacheHits
+	CacheMisses         = cluster.CacheMisses
+	CacheEvictions      = cluster.CacheEvictions
+	IncrementalUpgrades = cluster.IncrementalUpgrades
+	TaskRetries         = cluster.TaskRetries
+	InjectedFaults      = cluster.InjectedFaults
+	TasksFailed         = cluster.TasksFailed
+	DegradationSteps    = cluster.DegradationSteps
+	SegmentsPruned      = cluster.SegmentsPruned
+	SegmentsSpilled     = cluster.SegmentsSpilled
 )
 
 // Column kinds.

@@ -465,7 +465,7 @@ func TestBoxedFilterFallbackReachable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := df.Metrics().VectorizedBatches(); (got > 0) != tc.vectorized {
+		if got := df.Metrics().Count(skysql.VectorizedBatches); (got > 0) != tc.vectorized {
 			t.Errorf("%s: %d vectorized batches, want vectorized = %v", tc.where, got, tc.vectorized)
 		}
 		ref, err := sess.RewriteSkyline(q, false)
