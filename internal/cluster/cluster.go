@@ -870,8 +870,7 @@ func spillSchema(width int) *types.Schema {
 // evenChunkBounds returns the [start, end) boundaries of splitting n items
 // into at most parts equal contiguous chunks (ceil-sized; no empty chunks).
 // It is the single source of truth for range partitioning, shared by
-// splitEven and the columnar Zorder exchange so both carve identical
-// partitions.
+// splitEven and the Zorder exchange.
 func evenChunkBounds(n, parts int) [][2]int {
 	if n == 0 {
 		return nil

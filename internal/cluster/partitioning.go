@@ -17,19 +17,19 @@ import (
 // skylines more selective and shrinks the input of the non-parallelizable
 // global phase.
 //
-// Each scheme has two key paths. The boxed path (ExchangePartitioned)
-// extracts key rows one tuple at a time through a KeyFunc and converts
-// them to float64 per row. The columnar path (ExchangePartitionedColumnar)
-// buckets directly on a decoded skyline.Batch: the batch's numeric vectors
-// are already direction-normalized (MAX negated at decode), so the
-// per-dimension [0,1] rescaling needs no orientation flip and assigns
-// every tuple to exactly the same bucket as the boxed path — and because
-// the bucketed output partitions are carved out of the batch with
-// Batch.Select, they carry the decoded columns forward as a sidecar, so
-// the local skylines downstream of the exchange never re-decode. The
-// partition count itself is adaptive under Context.AdaptiveExchange or an
-// explicit TargetRowsPerPartition: it derives from the observed input size
-// instead of the static executor count.
+// One core (bucket) assigns every tuple to its partition from raw float64
+// keys, and two key sources feed it. The boxed source
+// (ExchangePartitioned) extracts key rows one tuple at a time through a
+// KeyFunc. The batch source (ExchangePartitionedColumnar) reads a decoded
+// skyline.Batch, whose MAX dimensions are stored negated: negation is
+// exact, so negating them back recovers every raw key bit for bit, and
+// the core assigns each tuple exactly the bucket the boxed source would.
+// Partitions carved out of a batch carry their Batch.Select slice forward
+// as a sidecar, so the local skylines downstream of the exchange never
+// re-decode. The partition count itself is adaptive under
+// Context.AdaptiveExchange or an explicit TargetRowsPerPartition: it
+// derives from the observed input size instead of the static executor
+// count.
 
 // Grid and Angle distributions (continuing the Distribution enum).
 const (
@@ -47,139 +47,82 @@ const (
 	Zorder
 )
 
-// ExchangePartitioned repartitions under the Grid or Angle distribution
-// and charges the shuffle to the metrics.
+// ExchangePartitioned repartitions under the Grid, Angle or Zorder
+// distribution from boxed keys: key extracts the (numeric) skyline-
+// dimension values of a row, and minimize flags which dimensions are
+// minimized (true) vs maximized (false). A NULL key counts as 0 (the
+// schemes serve complete data; this degrades gracefully), and a
+// non-numeric key refuses the exchange.
 func (c *Context) ExchangePartitioned(in *Dataset, dist Distribution, key KeyFunc, minimize []bool) (*Dataset, error) {
-	if err := c.CheckBudget(); err != nil {
-		return nil, err
-	}
-	c.Metrics.Add(RowsShuffled, int64(in.NumRows()))
-	return c.exchangePartitioned(in, dist, key, minimize)
-}
-
-// chargeShuffleBuffer books the driver-side gather buffer of a partitioned
-// exchange in the metrics: the gathered rows are live concurrently with the
-// input dataset until the output partitions are assembled, and peak-bytes
-// accounting must see that. The returned func releases the charge.
-func (c *Context) chargeShuffleBuffer(rows []types.Row) func() {
-	var n int64
-	for _, r := range rows {
-		n += r.MemSize()
-	}
-	c.Metrics.Alloc(n)
-	return func() { c.Metrics.Free(n) }
-}
-
-// exchangePartitioned implements the Grid and Angle distributions; key
-// extracts the (numeric) skyline-dimension values, and dirs flags which
-// dimensions are minimized (true) vs maximized (false) so that values can
-// be oriented consistently before bucketing.
-func (c *Context) exchangePartitioned(in *Dataset, dist Distribution, key KeyFunc, minimize []bool) (*Dataset, error) {
 	rows := in.Gather()
-	if len(rows) == 0 {
-		return &Dataset{}, nil
-	}
-	release := c.chargeShuffleBuffer(rows)
-	defer release()
-	keys := make([][]float64, len(rows))
+	var keys []float64
 	width := 0
 	for i, row := range rows {
 		kv, err := key(row)
 		if err != nil {
 			return nil, err
 		}
-		width = len(kv)
-		fs := make([]float64, len(kv))
-		for d, v := range kv {
+		if i == 0 {
+			width = len(kv)
+			keys = make([]float64, 0, len(rows)*width)
+		}
+		for _, v := range kv {
 			switch {
 			case v.IsNull():
-				fs[d] = 0 // schemes are used on complete data; degrade gracefully
+				keys = append(keys, 0)
 			case v.IsNumeric():
-				fs[d] = v.AsFloat()
+				keys = append(keys, v.AsFloat())
 			default:
 				return nil, fmt.Errorf("cluster: %v partitioning requires numeric dimensions", dist)
 			}
 		}
-		keys[i] = fs
 	}
-	// Normalize each dimension to [0,1] oriented so 0 is "best".
-	mins := make([]float64, width)
-	maxs := make([]float64, width)
-	for d := 0; d < width; d++ {
-		mins[d], maxs[d] = math.Inf(1), math.Inf(-1)
-		for _, k := range keys {
-			if k[d] < mins[d] {
-				mins[d] = k[d]
-			}
-			if k[d] > maxs[d] {
-				maxs[d] = k[d]
-			}
-		}
+	flip := make([]bool, width)
+	for d := range flip {
+		flip[d] = d < len(minimize) && !minimize[d]
 	}
-	norm := func(k []float64) []float64 {
-		out := make([]float64, width)
-		for d := 0; d < width; d++ {
-			span := maxs[d] - mins[d]
-			if span == 0 {
-				out[d] = 0
-				continue
-			}
-			v := (k[d] - mins[d]) / span
-			if d < len(minimize) && !minimize[d] {
-				v = 1 - v // orient MAX dimensions so smaller = better
-			}
-			out[d] = v
-		}
-		return out
-	}
-
-	target := c.partitionTarget(len(rows))
-	if dist == Zorder {
-		zs := make([]uint64, len(rows))
-		for i := range rows {
-			zs[i] = skyline.ZAddress(norm(keys[i]))
-		}
-		order := zorderedIndices(zs)
-		sorted := make([]types.Row, len(order))
-		for i, j := range order {
-			sorted[i] = rows[j]
-		}
-		return NewDataset(splitEven(sorted, target)...), nil
-	}
-	parts := make([][]types.Row, target)
-	for i, row := range rows {
-		nk := norm(keys[i])
-		var p int
-		switch dist {
-		case Grid:
-			p = gridCell(nk, target)
-		case Angle:
-			p = angleBucket(nk, target)
-		default:
-			return nil, fmt.Errorf("cluster: exchangePartitioned on %v", dist)
-		}
-		parts[p] = append(parts[p], row)
-	}
-	// Drop empty partitions to avoid scheduling empty tasks.
-	var nonEmpty [][]types.Row
-	for _, p := range parts {
-		if len(p) > 0 {
-			nonEmpty = append(nonEmpty, p)
-		}
-	}
-	return NewDataset(nonEmpty...), nil
+	return c.bucket(rows, keys, flip, nil, dist)
 }
 
-// ExchangePartitionedColumnar repartitions rows under Grid/Angle/Zorder by
-// bucketing directly on the decoded numeric columns of batch (which must be
-// index-aligned with rows and hold only MIN/MAX dimensions). Bucket
-// assignment is bit-identical to the boxed path: decode negated MAX values
-// exactly, so the raw key of every tuple is recovered bit-for-bit (another
-// exact negation) and normalized with the very same "(v-min)/span, flip
-// MAX" arithmetic the boxed path applies — same operations, same operands,
-// same rounding. Every output partition carries its Batch.Select slice as
-// a columnar sidecar, so downstream local skylines run decode-free.
+// ExchangePartitionedColumnar repartitions rows under Grid/Angle/Zorder
+// from the decoded numeric columns of batch, which must be index-aligned
+// with rows and hold only MIN/MAX dimensions. Every output partition
+// carries its Batch.Select slice as a columnar sidecar, so downstream
+// local skylines run decode-free.
 func (c *Context) ExchangePartitionedColumnar(rows []types.Row, batch *skyline.Batch, dist Distribution) (*Dataset, error) {
+	if len(rows) > 0 && (batch.Len() != len(rows) || batch.KeyDims() > 0 || batch.NumDims() == 0) {
+		return nil, fmt.Errorf("cluster: columnar %v exchange needs an aligned numeric-only batch", dist)
+	}
+	var flip []bool
+	var keys []float64
+	if len(rows) > 0 {
+		flip = make([]bool, batch.NumDims())
+		for d, dir := range batch.Dirs() {
+			flip[d] = dir == skyline.Max
+		}
+		keys = make([]float64, 0, len(rows)*len(flip))
+		for i := range rows {
+			for d, v := range batch.NumRow(i) {
+				if flip[d] {
+					v = -v // the raw key, exactly
+				}
+				keys = append(keys, v)
+			}
+		}
+	}
+	return c.bucket(rows, keys, flip, batch, dist)
+}
+
+// bucket is the one place Grid, Angle and Zorder assign partitions. keys
+// holds the raw keys of rows, row-major, len(flip) per row; flip marks
+// the MAX dimensions. Each dimension is rescaled to [0,1] as
+// (v-min)/span, then turned so 0 is best (1-v on MAX), and the tuple goes
+// to its gridCell or angleBucket, or to its range of the stable Z-order.
+// Empty partitions are dropped. With a batch (index-aligned with rows)
+// every partition carries its Batch.Select slice, unless the memory
+// governor dropped sidecars. The gathered rows stay charged to the
+// metrics while the partitions are assembled.
+func (c *Context) bucket(rows []types.Row, keys []float64, flip []bool, batch *skyline.Batch, dist Distribution) (*Dataset, error) {
 	if err := c.CheckBudget(); err != nil {
 		return nil, err
 	}
@@ -187,34 +130,21 @@ func (c *Context) ExchangePartitionedColumnar(rows []types.Row, batch *skyline.B
 	if len(rows) == 0 {
 		return &Dataset{}, nil
 	}
-	if batch.Len() != len(rows) || batch.KeyDims() > 0 || batch.NumDims() == 0 {
-		return nil, fmt.Errorf("cluster: columnar %v exchange needs an aligned numeric-only batch", dist)
+	var charged int64
+	for _, r := range rows {
+		charged += r.MemSize()
 	}
-	release := c.chargeShuffleBuffer(rows)
-	defer release()
-	width := batch.NumDims()
-	// flip[d] marks MAX dimensions: their stored values are negated (an
-	// exact operation), so -v recovers the raw key and the boxed 1-v
-	// orientation flip is replayed after normalization.
-	flip := make([]bool, width)
-	nc := 0
-	for _, dir := range batch.Dirs() {
-		if dir == skyline.Diff {
-			continue
-		}
-		flip[nc] = dir == skyline.Max
-		nc++
-	}
+	c.Metrics.Alloc(charged)
+	defer c.Metrics.Free(charged)
+
+	width := len(flip)
 	mins := make([]float64, width)
 	maxs := make([]float64, width)
-	for d := 0; d < width; d++ {
+	for d := range mins {
 		mins[d], maxs[d] = math.Inf(1), math.Inf(-1)
 	}
-	for i := 0; i < batch.Len(); i++ {
-		for d, v := range batch.NumRow(i) {
-			if flip[d] {
-				v = -v
-			}
+	for i := range rows {
+		for d, v := range keys[i*width : (i+1)*width] {
 			if v < mins[d] {
 				mins[d] = v
 			}
@@ -225,10 +155,7 @@ func (c *Context) ExchangePartitionedColumnar(rows []types.Row, batch *skyline.B
 	}
 	nk := make([]float64, width)
 	norm := func(i int) []float64 {
-		for d, v := range batch.NumRow(i) {
-			if flip[d] {
-				v = -v
-			}
+		for d, v := range keys[i*width : (i+1)*width] {
 			span := maxs[d] - mins[d]
 			if span == 0 {
 				nk[d] = 0
@@ -267,11 +194,11 @@ func (c *Context) ExchangePartitionedColumnar(rows []types.Row, batch *skyline.B
 			buckets = append(buckets, order[b[0]:b[1]])
 		}
 	default:
-		return nil, fmt.Errorf("cluster: ExchangePartitionedColumnar on %v", dist)
+		return nil, fmt.Errorf("cluster: %v is not a partitioning scheme", dist)
 	}
 
 	out := &Dataset{}
-	attach := !c.SidecarsDropped() // under memory degradation, buckets go boxed
+	attach := batch != nil && !c.SidecarsDropped() // under memory degradation, buckets go boxed
 	for _, idx := range buckets {
 		if len(idx) == 0 {
 			continue
@@ -289,8 +216,7 @@ func (c *Context) ExchangePartitionedColumnar(rows []types.Row, batch *skyline.B
 }
 
 // zorderedIndices returns row indices sorted by Z-address. The sort is
-// stable so the boxed and columnar paths (which compute identical
-// addresses) produce identical range partitions.
+// stable, so tuples with equal addresses keep their input order.
 func zorderedIndices(zs []uint64) []int {
 	order := make([]int, len(zs))
 	for i := range order {

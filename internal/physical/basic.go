@@ -488,11 +488,7 @@ type ExchangeExec struct {
 	// partition once) instead of extracting boxed keys row by row — and the
 	// bucketed output partitions then carry their batch slices downstream.
 	SkyDims []BoundDim
-	// DisableKernel forces the boxed per-row KeyFunc path
-	// (Options.DisableColumnarKernel), which also stops sidecar flow
-	// through this exchange.
-	DisableKernel bool
-	Child         Operator
+	Child   Operator
 }
 
 func (e *ExchangeExec) Schema() *types.Schema { return e.Child.Schema() }
@@ -524,25 +520,21 @@ func (e *ExchangeExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 			return out, nil
 		}
 	}
-	var out *cluster.Dataset
-	if e.Dist == cluster.Grid || e.Dist == cluster.Angle || e.Dist == cluster.Zorder {
-		if !e.DisableKernel && len(e.SkyDims) > 0 {
-			if cols, ok, cerr := e.executeColumnar(ctx, in); cerr != nil {
-				return nil, cerr
-			} else if ok {
-				e.recordBucketing(ctx, in, "columnar")
-				return cols, nil
-			}
-			e.recordBucketing(ctx, in, "boxed")
+	if e.Dist != cluster.Grid && e.Dist != cluster.Angle && e.Dist != cluster.Zorder {
+		return ctx.Exchange(in, e.Dist, key)
+	}
+	if len(e.SkyDims) > 0 {
+		cols, ok, err := e.executeColumnar(ctx, in)
+		if err != nil {
+			return nil, err
 		}
-		out, err = ctx.ExchangePartitioned(in, e.Dist, key, e.Minimize)
-	} else {
-		out, err = ctx.Exchange(in, e.Dist, key)
+		if ok {
+			e.recordBucketing(ctx, in, "columnar")
+			return cols, nil
+		}
+		e.recordBucketing(ctx, in, "boxed")
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return ctx.ExchangePartitioned(in, e.Dist, key, e.Minimize)
 }
 
 // recordBucketing notes whether the partitioned exchange served its bucket
@@ -557,23 +549,17 @@ func (e *ExchangeExec) recordBucketing(ctx *cluster.Context, in *cluster.Dataset
 // executeColumnar buckets the Grid/Angle/Zorder exchange on decoded batch
 // columns: input partitions already carrying a matching sidecar are reused
 // as-is, the rest are decoded once here (the same decode the local skyline
-// above would otherwise pay). ok=false falls back to the boxed per-row
-// KeyFunc path — taken when the data does not decode exactly or the clause
-// has DIFF dimensions (which the numeric bucketing schemes cannot serve
-// bit-identically to the boxed path).
+// above would otherwise pay). ok=false falls back to the boxed KeyFunc
+// source — taken when the data does not decode exactly or the clause has
+// DIFF dimensions, which the numeric bucketing schemes cannot serve.
 func (e *ExchangeExec) executeColumnar(ctx *cluster.Context, in *cluster.Dataset) (*cluster.Dataset, bool, error) {
-	var stats *skyline.Stats
-	if ctx.Metrics != nil {
-		stats = &ctx.Metrics.Sky
-	}
-	dirs := dirsOf(e.SkyDims)
-	for _, d := range dirs {
-		if d == skyline.Diff {
+	for _, d := range e.SkyDims {
+		if d.Dir == skyline.Diff {
 			return nil, false, nil
 		}
 	}
-	tag := skyTag(e.SkyDims, false)
-	batches := make([]*skyline.Batch, len(in.Parts))
+	pd := newPartitionDecode(e.SkyDims, false, false)
+	var batches []*skyline.Batch
 	// Fresh decodes are counted only once the columnar path commits: a
 	// later partition refusing to decode abandons the whole path, and the
 	// boxed fallback (plus the local skyline's own decode attempts) must
@@ -583,37 +569,30 @@ func (e *ExchangeExec) executeColumnar(ctx *cluster.Context, in *cluster.Dataset
 		if len(part) == 0 {
 			continue
 		}
-		if b := in.BatchAt(i); b != nil && b.Tag == tag && b.Len() == len(part) {
-			batches[i] = b
-			continue
-		}
-		pts, err := evalPoints(part, e.SkyDims)
+		side := in.BatchAt(i)
+		b, _, err := pd.decode(part, side, nil)
 		if err != nil {
 			return nil, false, err
 		}
-		b, ok := skyline.DecodeBatch(pts, dirs, false, nil)
-		if !ok {
+		if b == nil {
 			return nil, false, nil
 		}
-		b.Tag = tag
-		batches[i] = b
-		fresh++
-	}
-	var nonEmpty []*skyline.Batch
-	for _, b := range batches {
-		if b != nil {
-			nonEmpty = append(nonEmpty, b)
+		if b != side {
+			fresh++
 		}
+		batches = append(batches, b)
 	}
-	if len(nonEmpty) == 0 {
+	if len(batches) == 0 {
 		return &cluster.Dataset{}, true, nil
 	}
-	merged, ok := skyline.MergeBatches(nonEmpty)
+	merged, ok := skyline.MergeBatches(batches)
 	if !ok {
 		return nil, false, nil
 	}
-	for ; fresh > 0; fresh-- {
-		stats.AddBatchDecoded()
+	if ctx.Metrics != nil {
+		for ; fresh > 0; fresh-- {
+			ctx.Metrics.Sky.AddBatchDecoded()
+		}
 	}
 	out, err := ctx.ExchangePartitionedColumnar(in.Gather(), merged, e.Dist)
 	if err != nil {

@@ -2,10 +2,12 @@ package physical
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"skysql/internal/catalog"
 	"skysql/internal/cluster"
 	"skysql/internal/expr"
 	"skysql/internal/plan"
@@ -61,7 +63,9 @@ func TestLocalGlobalSkylineDecodesOncePerPartition(t *testing.T) {
 			t.Errorf("%v: BatchesDecoded = %d, want %d (one per input partition)", st, got, executors)
 		}
 
-		// The sidecar-disabled plan must stay bit-identical.
+		// The kernel-off plan must stay bit-identical. Its skyline
+		// operators decode nothing; a partitioned exchange is not switched
+		// by the kernel option and still decodes each input partition once.
 		boxedOp, err := Plan(sky, Options{Strategy: st, DisableColumnarKernel: true})
 		if err != nil {
 			t.Fatalf("%v: %v", st, err)
@@ -72,8 +76,73 @@ func TestLocalGlobalSkylineDecodesOncePerPartition(t *testing.T) {
 			t.Fatalf("%v boxed: %v", st, err)
 		}
 		assertSameRows(t, fmt.Sprintf("sidecar on/off %v", st), boxed, rows)
-		if got := bctx.Metrics.BatchesDecoded(); got != 0 {
-			t.Errorf("%v: boxed path decoded %d batches, want 0", st, got)
+		wantBoxed := int64(0)
+		if st != SkylineDistributedComplete {
+			wantBoxed = executors
+		}
+		if got := bctx.Metrics.BatchesDecoded(); got != wantBoxed {
+			t.Errorf("%v: boxed path decoded %d batches, want %d", st, got, wantBoxed)
+		}
+	}
+}
+
+// TestBoxedKeySourceReachable: a key the batch cannot hold — a NaN
+// DOUBLE, a BIGINT beyond 2⁵³ — sends a Grid/Angle/Zorder exchange to the
+// boxed key source (the kernel option no longer does), the choice is
+// recorded, and the answer equals the kernel-off plan's.
+func TestBoxedKeySourceReachable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind types.Kind
+		bad  types.Value
+	}{
+		{"nan", types.KindFloat, types.Float(math.NaN())},
+		{"bigint", types.KindInt, types.Int(1<<53 + 1)},
+	} {
+		r := rand.New(rand.NewSource(37))
+		rows := make([]types.Row, 120)
+		for i := range rows {
+			a := types.Value(types.Int(int64(r.Intn(40))))
+			if tc.kind == types.KindFloat {
+				a = types.Float(float64(r.Intn(40)))
+			}
+			rows[i] = types.Row{a, types.Int(int64(r.Intn(40)))}
+		}
+		rows[57][0] = tc.bad
+		schema := types.NewSchema(types.Field{Name: "a", Type: tc.kind}, types.Field{Name: "b", Type: types.KindInt})
+		tab, err := catalog.NewTable("keys_"+tc.name, schema, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims := []*expr.SkylineDimension{
+			expr.NewSkylineDimension(expr.NewBoundRef(0, "a", tc.kind, false), expr.SkyMin),
+			expr.NewSkylineDimension(expr.NewBoundRef(1, "b", types.KindInt, false), expr.SkyMax),
+		}
+		sky := plan.NewSkylineOperator(false, false, dims, plan.NewScan(tab, tab.Name))
+		for _, st := range []SkylineStrategy{SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete} {
+			label := fmt.Sprintf("%s %v", tc.name, st)
+			ctx := cluster.NewContext(4)
+			got, err := Execute(Plan2(t, sky, Options{Strategy: st}), ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var bucketing []cluster.CostDecision
+			for _, d := range ctx.Metrics.CostDecisions() {
+				if d.Site == "exchange-bucketing" {
+					bucketing = append(bucketing, d)
+				}
+			}
+			if len(bucketing) != 1 || bucketing[0].Choice != "boxed" {
+				t.Errorf("%s: bucketing decisions = %v, want one boxed", label, bucketing)
+			}
+			want, err := Execute(Plan2(t, sky, Options{Strategy: st, DisableColumnarKernel: true}), cluster.NewContext(4))
+			if err != nil {
+				t.Fatalf("%s kernel off: %v", label, err)
+			}
+			if len(got) == 0 {
+				t.Fatalf("%s: empty skyline", label)
+			}
+			assertSameRows(t, label, want, got)
 		}
 	}
 }

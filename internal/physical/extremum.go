@@ -18,13 +18,9 @@ import (
 // complete-skyline semantics (the rule only fires for non-nullable or
 // COMPLETE inputs).
 type ExtremumFilterExec struct {
-	E   expr.Expr
-	Max bool
-	// DisableKernel turns off the decode-once column cache: with it set,
-	// the second pass re-evaluates E per row, the pre-kernel behaviour
-	// (Options.DisableColumnarKernel).
-	DisableKernel bool
-	Child         Operator
+	E     expr.Expr
+	Max   bool
+	Child Operator
 }
 
 func (x *ExtremumFilterExec) Schema() *types.Schema { return x.Child.Schema() }
@@ -61,18 +57,15 @@ func (x *ExtremumFilterExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPar
 	if err != nil {
 		return nil, err
 	}
-	canVec := !x.DisableKernel && expr.CanVectorize(x.E, x.Child.Schema())
+	canVec := expr.CanVectorize(x.E, x.Child.Schema())
 	// Pass 1: per-partition extrema, merged into the global extremum.
 	var (
 		mu   sync.Mutex
 		best types.Value
 		seen bool
 	)
-	var cols [][]types.Value
+	cols := make([][]types.Value, len(in.Parts))
 	var cacheBytes atomic.Int64
-	if !x.DisableKernel {
-		cols = make([][]types.Value, len(in.Parts))
-	}
 	merge := func(localBest types.Value, localSeen bool) {
 		if !localSeen {
 			return
@@ -90,10 +83,8 @@ func (x *ExtremumFilterExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPar
 			if col, ok, err := x.vectorPass1(ctx, b); err != nil {
 				return nil, nil, err
 			} else if ok {
-				if cols != nil {
-					cols[pi] = col
-					cacheBytes.Add(int64(len(col)) * 40)
-				}
+				cols[pi] = col
+				cacheBytes.Add(int64(len(col)) * 40)
 				localBest, localSeen := types.Null, false
 				for _, v := range col {
 					if v.IsNull() {
@@ -111,11 +102,8 @@ func (x *ExtremumFilterExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPar
 				return nil, nil, nil
 			}
 		}
-		var col []types.Value
+		col := make([]types.Value, len(part))
 		var colBytes int64
-		if cols != nil {
-			col = make([]types.Value, len(part))
-		}
 		var localBest types.Value
 		localSeen := false
 		for ri, row := range part {
@@ -123,10 +111,8 @@ func (x *ExtremumFilterExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPar
 			if err != nil {
 				return nil, nil, err
 			}
-			if col != nil {
-				col[ri] = v
-				colBytes += v.MemSize()
-			}
+			col[ri] = v
+			colBytes += v.MemSize()
 			if v.IsNull() {
 				continue
 			}
@@ -142,10 +128,8 @@ func (x *ExtremumFilterExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPar
 				localBest = v
 			}
 		}
-		if col != nil {
-			cols[pi] = col // tasks write disjoint slots; no lock needed
-			cacheBytes.Add(colBytes)
-		}
+		cols[pi] = col // tasks write disjoint slots; no lock needed
+		cacheBytes.Add(colBytes)
 		merge(localBest, localSeen)
 		return nil, nil, nil
 	}); err != nil {
@@ -173,16 +157,7 @@ func (x *ExtremumFilterExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPar
 		var keep []types.Row
 		var idx []int
 		for ri, row := range part {
-			var v types.Value
-			if cols != nil {
-				v = cols[i][ri]
-			} else {
-				var err error
-				v, err = x.E.Eval(row)
-				if err != nil {
-					return nil, nil, err
-				}
-			}
+			v := cols[i][ri]
 			if v.IsNull() {
 				continue
 			}

@@ -64,13 +64,15 @@ func (s SkylineStrategy) String() string {
 type Options struct {
 	Strategy SkylineStrategy
 	// DisableColumnarKernel turns off the columnar dominance kernel: the
-	// skyline operators then run the boxed CompareFunc path on every
-	// partition (and the extremum filter re-evaluates its expression per
-	// pass). Result-identical; it builds the reference session of the
-	// benchmark's answer check. Expression evaluation has no such switch:
-	// filters, projections and extremum passes run vectorized wherever a
-	// sidecar reaches them and the expression vectorizes, and fall back to
-	// the boxed evaluator per expression otherwise.
+	// local and global skyline operators then run the boxed CompareFunc
+	// path on every partition and decode nothing at the source.
+	// Result-identical; it builds the reference session of the
+	// benchmark's answer check. Nothing else has such a switch: a
+	// partitioned exchange buckets on decoded columns whenever the data
+	// decodes, the extremum filter caches its pass-1 column, and filters,
+	// projections and extremum passes run vectorized wherever a sidecar
+	// reaches them and the expression vectorizes, falling back to the
+	// boxed evaluator per expression otherwise.
 	DisableColumnarKernel bool
 	// ResultCache, when non-nil, lets the planner wrap the compiled plan in
 	// a result-cache consultation (internal/resultcache): the wrapper checks
@@ -190,7 +192,7 @@ func lower(n plan.Node, opts Options) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ExtremumFilterExec{E: p.E, Max: p.Max, DisableKernel: opts.DisableColumnarKernel, Child: child}, nil
+		return &ExtremumFilterExec{E: p.E, Max: p.Max, Child: child}, nil
 	case *plan.Join:
 		return planJoin(p, opts)
 	case *plan.SkylineOperator:
@@ -348,7 +350,7 @@ func planSkyline(s *plan.SkylineOperator, opts Options) (Operator, error) {
 		for i, d := range dims {
 			minimize[i] = d.Dir == skyline.Min
 		}
-		parts := &ExchangeExec{Dist: dist, Keys: dimExprs, Minimize: minimize, SkyDims: dims, DisableKernel: noKernel, Child: child}
+		parts := &ExchangeExec{Dist: dist, Keys: dimExprs, Minimize: minimize, SkyDims: dims, Child: child}
 		local := &LocalSkylineExec{Dims: dims, Distinct: s.Distinct, DisableKernel: noKernel, Child: parts}
 		gather := &ExchangeExec{Dist: cluster.AllTuples, Child: local}
 		return &GlobalSkylineExec{Dims: dims, Distinct: s.Distinct, DisableKernel: noKernel, Child: gather}, nil

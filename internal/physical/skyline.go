@@ -106,6 +106,50 @@ func dirsOf(dims []BoundDim) []skyline.Dir {
 	return dirs
 }
 
+// partitionDecode decodes partitions for one skyline clause: the one
+// decode sequence of the local skyline, the global skyline and the
+// partitioned exchange.
+type partitionDecode struct {
+	dims       []BoundDim
+	dirs       []skyline.Dir
+	tag        string
+	incomplete bool
+	boxed      bool // the kernel is off: evaluate points, decode nothing
+}
+
+func newPartitionDecode(dims []BoundDim, incomplete, boxed bool) *partitionDecode {
+	return &partitionDecode{dims: dims, dirs: dirsOf(dims), tag: skyTag(dims, incomplete), incomplete: incomplete, boxed: boxed}
+}
+
+// decode returns the batch of rows: side when it is this clause's sidecar
+// for exactly these rows, else the rows decoded column by column
+// (gatherDims), else their evaluated dimension vectors decoded
+// (DecodeBatch). A batch decoded here is tagged and counted on stats (may
+// be nil). When the data does not decode — strings, NaN, integers beyond
+// ±2⁵³ — or the kernel is off, the batch is nil and pts holds the
+// evaluated points the boxed path runs on.
+func (pd *partitionDecode) decode(rows []types.Row, side *skyline.Batch, stats *skyline.Stats) (b *skyline.Batch, pts []skyline.Point, err error) {
+	if !pd.boxed {
+		if side != nil && side.Tag == pd.tag && side.Len() == len(rows) {
+			return side, nil, nil
+		}
+		if b = gatherDims(rows, pd.dims, pd.dirs, pd.incomplete, stats); b != nil {
+			b.Tag = pd.tag
+			return b, nil, nil
+		}
+	}
+	pts, err = evalPoints(rows, pd.dims)
+	if err != nil || pd.boxed {
+		return nil, pts, err
+	}
+	b, ok := skyline.DecodeBatch(pts, pd.dirs, pd.incomplete, stats)
+	if !ok {
+		return nil, pts, nil
+	}
+	b.Tag = pd.tag
+	return b, pts, nil
+}
+
 // skyTag is the sidecar signature of a skyline clause: the dimension
 // expressions, their directions, and the dominance definition. A batch is
 // only ever reused by an operator whose own tag matches, so a sidecar
@@ -197,29 +241,14 @@ func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) Colu
 	if ctx.Metrics != nil {
 		stats = &ctx.Metrics.Sky
 	}
-	dirs := dirsOf(l.Dims)
-	tag := skyTag(l.Dims, l.Incomplete)
+	pd := newPartitionDecode(l.Dims, l.Incomplete, l.DisableKernel)
 	return func(_ int, part []types.Row, in *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
-		var b *skyline.Batch
-		var pts []skyline.Point
-		if !l.DisableKernel && in != nil && in.Tag == tag && in.Len() == len(part) {
-			b = in
-		} else if !l.DisableKernel {
-			b = gatherDims(part, l.Dims, dirs, l.Incomplete, stats)
-		}
-		if b == nil {
-			var err error
-			pts, err = evalPoints(part, l.Dims)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !l.DisableKernel {
-				b, _ = skyline.DecodeBatch(pts, dirs, l.Incomplete, stats)
-			}
+		b, pts, err := pd.decode(part, in, stats)
+		if err != nil {
+			return nil, nil, err
 		}
 		if b != nil {
 			if b != in {
-				b.Tag = tag
 				bindDimColumns(b, l.Dims)
 			}
 			idx := l.kernel(b, stats)
@@ -232,7 +261,7 @@ func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) Colu
 			}
 			return keep, out, nil
 		}
-		sky, err := skyline.BNL(pts, dirs, l.Distinct, cmp, stats)
+		sky, err := skyline.BNL(pts, pd.dirs, l.Distinct, cmp, stats)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -298,56 +327,32 @@ func (g *GlobalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, err
 	if ctx.Metrics != nil {
 		stats = &ctx.Metrics.Sky
 	}
-	var rows []types.Row // gathered lazily: the sidecar path never needs it
-	var pts []skyline.Point
-	var b *skyline.Batch
-	if !g.DisableKernel {
-		b = g.sidecarBatch(in, in.NumRows())
-	}
-	if b == nil {
-		// No reusable sidecar: decode once here, column by column, or
-		// through boxed dimension vectors when that refuses. Non-decodable
-		// inputs fall through to the boxed path.
-		rows = in.Gather()
-		if !g.DisableKernel {
-			b = gatherDims(rows, g.Dims, dirsOf(g.Dims), g.Incomplete, stats)
-		}
-		if b == nil {
-			if pts, err = evalPoints(rows, g.Dims); err != nil {
-				return nil, err
-			}
-			if !g.DisableKernel {
-				b, _ = skyline.DecodeBatch(pts, dirsOf(g.Dims), g.Incomplete, stats)
-			}
-		}
-		if b != nil {
-			b.Tag = skyTag(g.Dims, g.Incomplete)
-		}
+	// The merged sidecar of the local skylines below serves the
+	// decode-free path of the local→global hop; without one the gathered
+	// rows are decoded once here.
+	rows := in.Rows()
+	side, _ := in.MergedSidecar()
+	pd := newPartitionDecode(g.Dims, g.Incomplete, g.DisableKernel)
+	b, pts, err := pd.decode(rows, side, stats)
+	if err != nil {
+		return nil, err
 	}
 	if b != nil {
-		// Columnar kernel over the (merged sidecar or freshly decoded)
-		// batch.
 		idx, err := g.runKernelCtx(ctx, b, stats)
 		if err != nil {
 			return nil, err
 		}
-		var keep []types.Row
-		if rows != nil {
-			keep = pickRows(rows, idx)
-		} else {
-			keep = rowsOf(b.Points(idx))
-		}
+		keep := pickRows(rows, idx)
 		out := cluster.NewDataset(keep)
 		out.Batches = []*skyline.Batch{b.SelectRows(idx, keep)}
 		charge(ctx, out, in)
 		return out, nil
 	}
-	dirs := dirsOf(g.Dims)
 	var sky []skyline.Point
 	if g.Incomplete {
-		sky, err = skyline.GlobalIncomplete(pts, dirs, g.Distinct, stats)
+		sky, err = skyline.GlobalIncomplete(pts, pd.dirs, g.Distinct, stats)
 	} else {
-		sky, err = skyline.BNL(pts, dirs, g.Distinct, skyline.Compare, stats)
+		sky, err = skyline.BNL(pts, pd.dirs, g.Distinct, skyline.Compare, stats)
 	}
 	if err != nil {
 		return nil, err
@@ -355,18 +360,6 @@ func (g *GlobalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, err
 	out := cluster.NewDataset(rowsOf(sky))
 	charge(ctx, out, in)
 	return out, nil
-}
-
-// sidecarBatch returns the merged columnar sidecar of the gathered input
-// when every non-empty partition carries one matching this operator's
-// dimension signature and dominance definition — the decode-free path of
-// the local→global hop. nil when the input has no (usable) sidecar.
-func (g *GlobalSkylineExec) sidecarBatch(in *cluster.Dataset, totalRows int) *skyline.Batch {
-	b, ok := in.MergedSidecar()
-	if !ok || b.Tag != skyTag(g.Dims, g.Incomplete) || b.Len() != totalRows {
-		return nil
-	}
-	return b
 }
 
 // runKernelCtx runs the global algorithm's morsel-parallel twin on a

@@ -290,7 +290,7 @@ func CompileStages(root Operator) Operator {
 		// at the source (filters vectorize, the exchange reuses the
 		// sidecar) instead of forcing the boxed key path.
 		if (o.Dist == cluster.Grid || o.Dist == cluster.Angle || o.Dist == cluster.Zorder) &&
-			len(o.SkyDims) > 0 && !o.DisableKernel {
+			len(o.SkyDims) > 0 {
 			if pipe, ok := cp.Child.(*PipelineExec); ok {
 				pc := *pipe
 				pc.Sink = &DecodeSink{Dims: o.SkyDims, Tag: skyTag(o.SkyDims, false)}

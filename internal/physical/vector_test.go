@@ -379,7 +379,7 @@ func TestExtremumFilterVectorizedPasses(t *testing.T) {
 			DisableKernel: noKernel,
 			Child:         scanOf(t, tab),
 		}
-		return &ExtremumFilterExec{E: expr.NewBoundRef(0, "a", types.KindInt, false), DisableKernel: noKernel, Child: local}
+		return &ExtremumFilterExec{E: expr.NewBoundRef(0, "a", types.KindInt, false), Child: local}
 	}
 	vctx := cluster.NewContext(3)
 	vec, err := Execute(chain(false), vctx)

@@ -31,21 +31,18 @@
 //
 // Appends to a cached table either upgrade matching entries in place —
 // the new points need dominance tests only against the cached skyline —
-// or invalidate them when the entry's plan shape is not maintainable or
-// a new point carries a NULL skyline dimension. The cached skyline is a
-// BNL window already (§5.6: mutually non-dominating), so it is trusted,
-// not re-tested: Δ appended rows against s cached ones cost O(Δ·s)
-// dominance tests. They run on the columnar kernel (skyline.BNLSeeded
-// over the cached sidecar plus the decoded delta) while the entry still
-// carries its sidecar and the new rows decode, and on the boxed
-// stream.Incremental, seeded with the cached rows, otherwise — the entry
-// and the data select the path, no option does. The kernel names the
-// cached rows it keeps, so their text is copied out of the old text and
-// only the new survivors are encoded; the boxed path drops the text, and
-// the next hit that wants it encodes. A hit serves exactly the rows (and
-// bytes) a cold recompute would, bit for bit; stale entries can never be
-// served because the key embeds the table versions read at execution
-// time.
+// or invalidate them when the entry's plan shape is not maintainable, a
+// new point carries a NULL skyline dimension, or the cached rows or the
+// new ones do not decode. The cached skyline is a BNL window already
+// (§5.6: mutually non-dominating), so it is trusted, not re-tested: Δ
+// appended rows against s cached ones cost O(Δ·s) dominance tests, all on
+// the columnar kernel (skyline.BNLSeeded over the cached sidecar plus the
+// decoded delta). An entry that shed its sidecar under memory pressure
+// gets it rebuilt from its rows first. The kernel names the cached rows
+// it keeps, so their text is copied out of the old text and only the new
+// survivors are encoded. A hit serves exactly the rows (and bytes) a cold
+// recompute would, bit for bit; stale entries can never be served because
+// the key embeds the table versions read at execution time.
 package resultcache
 
 import (
@@ -59,7 +56,6 @@ import (
 	"skysql/internal/expr"
 	"skysql/internal/physical"
 	"skysql/internal/skyline"
-	"skysql/internal/stream"
 	"skysql/internal/types"
 )
 
@@ -309,8 +305,9 @@ func (c *Cache) store(ctx *cluster.Context, key, structural string, rows []types
 // shed brings the cache back under its byte budget, oldest entry first.
 // The entry sheds what its rows can rebuild before it goes itself: the
 // encoded form (the next hit that wants it encodes again), then the
-// sidecar (the hit stays a hit, it just re-enters the data plane boxed),
-// and only a bare entry is evicted whole. Mirrors the memory governor's
+// sidecar (the hit stays a hit, it just re-enters the data plane boxed,
+// and the next append decodes the rows again), and only a bare entry is
+// evicted whole. Mirrors the memory governor's
 // spill-before-abort ladder.
 func (c *Cache) shed(ctx *cluster.Context) {
 	for c.used > c.budget {
@@ -345,9 +342,9 @@ func (c *Cache) shed(ctx *cluster.Context) {
 // against the cached skyline, O(Δ·s) tests for Δ new rows and s cached
 // ones (see upgrade) — and invalidated otherwise, including when a new
 // point carries a NULL skyline dimension (incremental maintenance
-// requires complete data) or fails a filter evaluation. It returns the
-// number of entries upgraded and invalidated; both are also accumulated
-// in Stats.
+// requires complete data), fails a filter evaluation, or does not decode.
+// It returns the number of entries upgraded and invalidated; both are
+// also accumulated in Stats.
 //
 // Deletions need no call: DropTable bumps the version, so stale keys can
 // simply never match again (the bytes age out via LRU).
@@ -393,15 +390,16 @@ func (c *Cache) remove(el *list.Element, e *entry) {
 
 // upgrade absorbs newRows into e incrementally and re-keys it under the
 // table's new version. Reports false when the entry must be invalidated
-// instead (NULL dimension, evaluation error, or a key collision).
+// instead: a NULL dimension or an evaluation error in the delta, cached
+// rows or delta rows the kernel does not decode (NaN, integers beyond
+// ±2⁵³; the next read recomputes cold), or a key collision.
 //
 // Cost: the cached skyline is a trusted BNL window, installed without
 // one test among its s rows; the Δ new rows that pass the filters are
-// each tested against it — O(Δ·s) dominance tests per append. Which
-// engine runs them is read off the entry and the data, never a setting:
-// absorbKernel while the entry carries its sidecar and the kernel can
-// decode the new rows, absorbBoxed otherwise. The entry's text follows
-// the kernel's answer (spliceText) and is dropped on the boxed path.
+// each tested against it on the kernel (absorbKernel) — O(Δ·s) dominance
+// tests per append. An entry that shed its sidecar pays one decode of
+// its rows first (sidecar). The entry's text follows the kernel's answer
+// (spliceText).
 //
 // Bit-identity argument: a maintainable plan (complete BNL, locals
 // chunk-partitioned, AllTuples gather preserving partition order) emits
@@ -416,7 +414,7 @@ func (c *Cache) remove(el *list.Element, e *entry) {
 // is old survivors in table order followed by new survivors in append
 // order — exactly the table-order subsequence a cold recompute over the
 // grown table emits. DIFF dimensions change nothing in the argument:
-// rows differing in one are incomparable, in both engines.
+// rows differing in one are incomparable.
 func (c *Cache) upgrade(el *list.Element, e *entry, newRows []types.Row) bool {
 	m := e.maint
 	newKey := entryKey(e.structural, e.deps)
@@ -429,10 +427,12 @@ func (c *Cache) upgrade(el *list.Element, e *entry, newRows []types.Row) bool {
 	}
 	a := e.held()
 	if len(delta) > 0 {
-		if a, ok = m.absorbKernel(e, delta); !ok {
-			if a, ok = m.absorbBoxed(e, delta); !ok {
-				return false
-			}
+		side, ok := m.sidecar(e)
+		if !ok {
+			return false
+		}
+		if a, ok = m.absorbKernel(e, side, delta); !ok {
+			return false
 		}
 	}
 	a.rowBytes += int64(len(newKey) - len(e.key))
@@ -451,10 +451,10 @@ func (c *Cache) upgrade(el *list.Element, e *entry, newRows []types.Row) bool {
 	return true
 }
 
-// absorbed is what an upgrade engine built for an entry: its new rows,
-// their sidecar (nil when they do not decode, or the entry had none),
-// what the rows weigh, and their text with its row offsets (nil when the
-// engine could not build it; the next hit that wants text encodes).
+// absorbed is what an upgrade built for an entry: its new rows, their
+// sidecar, what the rows weigh, and their text with its row offsets (nil
+// when the entry had none or a new survivor has no JSON form; the next
+// hit that wants text encodes).
 type absorbed struct {
 	rows     []types.Row
 	batch    *skyline.Batch
@@ -499,16 +499,38 @@ next:
 	return delta, true
 }
 
-// absorbKernel is the columnar upgrade: decode only the delta, append it
-// to the cached sidecar, and run the seeded window pass — the cached
+// sidecar returns the entry's decoded columns: its sidecar, or — when
+// memory pressure shed it — its rows decoded again (evalDims +
+// DecodeBatch). ok=false when a cached row does not evaluate or decode.
+func (m *maintenance) sidecar(e *entry) (*skyline.Batch, bool) {
+	if e.batch != nil && e.batch.Len() == len(e.rows) {
+		return e.batch, true
+	}
+	pts := make([]skyline.Point, len(e.rows))
+	for i, row := range e.rows {
+		dims, ok := evalDims(m.dims, row)
+		if !ok {
+			return nil, false
+		}
+		pts[i] = skyline.Point{Dims: dims, Row: row}
+	}
+	b, ok := skyline.DecodeBatch(pts, m.dirs, false, nil)
+	if !ok {
+		return nil, false
+	}
+	b.Tag = m.tag
+	return b.WithoutPoints(), true
+}
+
+// absorbKernel is the upgrade: decode only the delta, append it to side
+// (the cached rows' sidecar), and run the seeded window pass — the cached
 // prefix is the window, the delta the input. ok=false (nothing touched)
-// when the entry has no sidecar, the sidecar no longer lines up with the
-// rows or holds NULLs, or the kernel refuses the delta or the merge; the
-// caller then takes absorbBoxed. Rows, sidecar and text are built fresh,
-// never in place: concurrent readers hold the old ones.
-func (m *maintenance) absorbKernel(e *entry, delta []skyline.Point) (absorbed, bool) {
+// when side holds NULLs, or the kernel refuses the delta or the merge.
+// Rows, sidecar and text are built fresh, never in place: concurrent
+// readers hold the old ones.
+func (m *maintenance) absorbKernel(e *entry, side *skyline.Batch, delta []skyline.Point) (absorbed, bool) {
 	s := len(e.rows)
-	if e.batch == nil || e.batch.Len() != s || e.batch.HasNulls() {
+	if side.HasNulls() {
 		return absorbed{}, false
 	}
 	d, ok := skyline.DecodeBatch(delta, m.dirs, false, nil)
@@ -516,7 +538,7 @@ func (m *maintenance) absorbKernel(e *entry, delta []skyline.Point) (absorbed, b
 		return absorbed{}, false
 	}
 	d.Tag = m.tag
-	merged, ok := skyline.MergeBatches([]*skyline.Batch{e.batch, d.WithoutPoints()})
+	merged, ok := skyline.MergeBatches([]*skyline.Batch{side, d.WithoutPoints()})
 	if !ok {
 		return absorbed{}, false
 	}
@@ -524,7 +546,9 @@ func (m *maintenance) absorbKernel(e *entry, delta []skyline.Point) (absorbed, b
 	// follow in append order. Every cached index it skips was evicted.
 	idx := merged.BNLSeeded(s, m.distinct)
 	if len(idx) == s && (s == 0 || idx[s-1] == s-1) {
-		return e.held(), true // nothing evicted, nothing admitted
+		a := e.held() // nothing evicted, nothing admitted
+		a.batch = side
+		return a, true
 	}
 	a := absorbed{rows: make([]types.Row, len(idx)), rowBytes: e.rowBytes}
 	old := 0 // next cached row not yet accounted for
@@ -584,53 +608,6 @@ func spliceText(e *entry, idx []int, delta []skyline.Point) ([]byte, []uint32) {
 		return nil, nil
 	}
 	return append(text, ']'), ends
-}
-
-// absorbBoxed is the boxed upgrade for entries the kernel cannot serve:
-// the cached rows seed a stream.Incremental as its trusted window (their
-// dimensions are evaluated, not compared) and the delta is added through
-// the boxed skyline.Compare. An entry that still carried a sidecar gets
-// one back when the survivors decode — the refusal may have concerned a
-// row that did not survive. The text is dropped: the window does not say
-// which cached rows it kept.
-func (m *maintenance) absorbBoxed(e *entry, delta []skyline.Point) (absorbed, bool) {
-	seed := make([]skyline.Point, len(e.rows))
-	for i, row := range e.rows {
-		dims, ok := evalDims(m.dims, row)
-		if !ok {
-			return absorbed{}, false
-		}
-		seed[i] = skyline.Point{Dims: dims, Row: row}
-	}
-	inc := stream.NewIncremental(m.dirs, m.distinct)
-	if err := inc.Seed(seed); err != nil {
-		return absorbed{}, false // a cached row with a NULL dimension
-	}
-	a := absorbed{rowBytes: e.rowBytes}
-	for _, p := range delta {
-		ev, err := inc.Add(p.Dims, p.Row)
-		if err != nil {
-			return absorbed{}, false
-		}
-		if ev.Admitted {
-			a.rowBytes += p.Row.MemSize()
-		}
-		for _, gone := range ev.Evicted {
-			a.rowBytes -= gone.Row.MemSize()
-		}
-	}
-	pts := inc.Skyline()
-	a.rows = make([]types.Row, len(pts))
-	for i, p := range pts {
-		a.rows[i] = p.Row
-	}
-	if e.batch != nil {
-		if b, ok := skyline.DecodeBatch(pts, m.dirs, false, nil); ok {
-			b.Tag = m.tag
-			a.batch = b.WithoutPoints()
-		}
-	}
-	return a, true
 }
 
 // evalDims evaluates the skyline dimension vector of a row; ok=false on

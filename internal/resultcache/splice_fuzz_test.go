@@ -13,6 +13,7 @@ import (
 	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/physical"
+	"skysql/internal/skyline"
 	"skysql/internal/types"
 )
 
@@ -20,7 +21,9 @@ import (
 // the text the entry keeps is byte for byte a fresh encode of its rows,
 // cut at the row boundaries it records, and what a hit serves is the cold
 // recompute's rows as JSON — or, when they hold a DOUBLE JSON cannot
-// carry, the same refusal naming the same cell.
+// carry, the same refusal naming the same cell. An append the kernel
+// cannot decode invalidates the entry, and the next read is that cold
+// recompute.
 
 // spliceSchema: id and note are never skyline dimensions; s is a label
 // that a DIFF dimension may group on.
@@ -247,24 +250,61 @@ func checkSplice(t *testing.T, seed int64, shape uint8, script []byte) (kept [8]
 		if c.lru.Len() != 1 {
 			t.Fatalf("%s: %d entries, want 1", label, c.lru.Len())
 		}
-		rows := r.batch(op, c.lru.Front().Value.(*entry).rows)
+		e := c.lru.Front().Value.(*entry)
+		rows := r.batch(op, e.rows)
 		stored, err := r.tab.Append(rows...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if up, inv := c.TableChanged(r.tab, stored); up != 1 || inv != 0 {
-			t.Fatalf("%s: upgraded=%d invalidated=%d, want 1 and 0", label, up, inv)
-		}
-		checkSplicedEntry(t, label, c)
-		if c.lru.Front().Value.(*entry).encoded != nil {
-			kept[op%8]++
-		}
 		cold = coldRowsOf(t, r.eng, r.query)
-		assertIdentical(t, c.lru.Front().Value.(*entry).rows, cold, label+": upgraded rows vs cold recompute")
+		if upgradable(t, e, stored) {
+			if up, inv := c.TableChanged(r.tab, stored); up != 1 || inv != 0 {
+				t.Fatalf("%s: upgraded=%d invalidated=%d, want 1 and 0", label, up, inv)
+			}
+			checkSplicedEntry(t, label, c)
+			if c.lru.Front().Value.(*entry).encoded != nil {
+				kept[op%8]++
+			}
+			assertIdentical(t, c.lru.Front().Value.(*entry).rows, cold, label+": upgraded rows vs cold recompute")
+		} else if up, inv := c.TableChanged(r.tab, stored); up != 0 || inv != 1 || c.lru.Len() != 0 {
+			t.Fatalf("%s: upgraded=%d invalidated=%d entries=%d, want 0, 1 and 0", label, up, inv, c.lru.Len())
+		}
 		got, err = r.serveText(t, c)
 		sameAnswer(t, label+" after the append", got, err, cold)
 	}
 	return kept
+}
+
+// upgradable reports whether the kernel can absorb rows into e: no row
+// that passes the filters does, or the entry's rows and those rows all
+// decode. Otherwise the append invalidates the entry.
+func upgradable(t *testing.T, e *entry, rows []types.Row) bool {
+	t.Helper()
+	delta, ok := e.maint.delta(rows)
+	if !ok {
+		t.Fatalf("delta refused complete rows %v", rows)
+	}
+	if len(delta) == 0 {
+		return true
+	}
+	_, decodes := skyline.DecodeBatch(delta, e.maint.dirs, false, nil)
+	return decodes && rowsDecode(t, e.maint, e.rows)
+}
+
+// rowsDecode reports whether a fresh DecodeBatch of rows' skyline
+// dimensions succeeds.
+func rowsDecode(t *testing.T, m *maintenance, rows []types.Row) bool {
+	t.Helper()
+	pts := make([]skyline.Point, len(rows))
+	for i, r := range rows {
+		dims, ok := evalDims(m.dims, r)
+		if !ok {
+			t.Fatalf("evalDims failed on %v", r)
+		}
+		pts[i] = skyline.Point{Dims: dims, Row: r}
+	}
+	_, ok := skyline.DecodeBatch(pts, m.dirs, false, nil)
+	return ok
 }
 
 func coldRowsOf(t *testing.T, eng *core.Engine, query string) []types.Row {

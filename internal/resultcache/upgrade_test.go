@@ -20,14 +20,14 @@ import (
 // The randomized differential for incremental upgrades. Every scenario
 // draws a maintainable query shape and a base table, populates the cache,
 // and plays append batches through TableChanged. After every append the
-// entry — rows, rebuilt sidecar, byte accounting — must equal what a cold
+// entry — rows, sidecar, byte accounting — must equal what a cold
 // cache-less recompute over the grown table and a fresh DecodeBatch of
-// its result produce, and both upgrade engines (absorbKernel,
-// absorbBoxed) are run side by side on the same delta and held to the
-// same answer, so neither is covered only when upgrade happens to pick
-// it. The entry's text rides along: spliced by the kernel engine, dropped
-// by the boxed one, rebuilt by the next hit that asks for text when it was
-// dropped, and what is served — encoded afresh or copied off the entry —
+// its result produce, and the upgrade engine (absorbKernel) is also run
+// directly on the same delta and held to the same answer. An entry that
+// shed its sidecar has it rebuilt from its rows, held to a fresh decode;
+// an append the kernel cannot decode invalidates the entry, and the next
+// read recomputes cold. The entry's text rides along: spliced by the
+// kernel, and what is served — encoded afresh or copied off the entry —
 // is the cold recompute's rows as JSON.
 
 // diffSchema: id, two INT and two DOUBLE measures, and a group column for
@@ -313,7 +313,7 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			kernelSteps, boxedSteps, spliced := 0, 0, 0
+			kernelSteps, rebuilt, invalidated, spliced := 0, 0, 0, 0
 			for seed := int64(1); seed <= 25; seed++ {
 				sc := newDiffScenario(t, seed)
 				c := New(0)
@@ -325,7 +325,7 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 					e.batch, e.batchBytes = nil, 0
 					checkRecordedSizes(t, fmt.Sprintf("seed %d sidecar shed", seed), c)
 				}
-				drained := int64(0)
+				drained, upgraded := int64(0), int64(0)
 				for step := 0; step < 12; step++ {
 					label := fmt.Sprintf("%s seed %d step %d %q", v.name, seed, step, sc.query)
 					rows := sc.batch(step+int(seed), e.rows, v.undecodables)
@@ -333,72 +333,78 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := sc.coldRows(t)
+					wantText := rowsJSON(t, want)
 
-					// Both engines, side by side, on the entry as it stands.
+					// The engine, run directly on the entry as it stands.
 					delta, ok := e.maint.delta(rows)
 					if !ok {
 						t.Fatalf("%s: delta refused complete rows", label)
 					}
 					_, decodable := skyline.DecodeBatch(delta, e.maint.dirs, false, nil)
-					boxed, bOK := e.maint.absorbBoxed(e, delta)
-					if !bOK {
-						t.Fatalf("%s: the boxed engine must absorb any complete delta", label)
+					side, sideOK := e.maint.sidecar(e)
+					if sideOK != rowsDecode(t, e.maint, e.rows) {
+						t.Fatalf("%s: sidecar ok=%v, a fresh decode of the cached rows disagrees", label, sideOK)
 					}
-					assertIdentical(t, boxed.rows, want, label+": boxed engine vs cold recompute")
-					if walked := walkRowBytes(boxed.rows, e.key); boxed.rowBytes != walked {
-						t.Fatalf("%s: boxed engine's rowBytes %d, its rows walk to %d", label, boxed.rowBytes, walked)
+					if sideOK && e.batch == nil {
+						rebuilt++
+						assertSidecarFresh(t, label+" rebuilt", e.maint, e.rows, side)
 					}
-					if boxed.text != nil {
-						t.Fatalf("%s: the boxed engine built text", label)
-					}
-					kernel, kOK := e.maint.absorbKernel(e, delta)
-					if kOK != (e.batch != nil && decodable) {
-						t.Fatalf("%s: kernel engine ok=%v with sidecar=%v decodable delta=%v",
-							label, kOK, e.batch != nil, decodable)
-					}
-					wantText := rowsJSON(t, want)
-					if kOK {
-						kernelSteps++
-						assertIdentical(t, kernel.rows, want, label+": kernel engine vs cold recompute")
-						if kernel.rowBytes != boxed.rowBytes {
-							t.Fatalf("%s: kernel rowBytes %d, boxed %d", label, kernel.rowBytes, boxed.rowBytes)
+					wantUpgrade := len(delta) == 0 || (sideOK && decodable)
+					if len(delta) > 0 && sideOK {
+						kernel, kOK := e.maint.absorbKernel(e, side, delta)
+						if kOK != decodable {
+							t.Fatalf("%s: kernel engine ok=%v with a decodable delta=%v", label, kOK, decodable)
 						}
-						assertSidecarFresh(t, label+" kernel", e.maint, kernel.rows, kernel.batch)
-						if boxed.batch == nil {
-							t.Fatalf("%s: boxed engine lost a sidecar the survivors can carry", label)
+						if kOK {
+							kernelSteps++
+							assertIdentical(t, kernel.rows, want, label+": kernel engine vs cold recompute")
+							if walked := walkRowBytes(kernel.rows, e.key); kernel.rowBytes != walked {
+								t.Fatalf("%s: kernel engine's rowBytes %d, its rows walk to %d", label, kernel.rowBytes, walked)
+							}
+							assertSidecarFresh(t, label+" kernel", e.maint, kernel.rows, kernel.batch)
+							if !bytes.Equal(kernel.text, wantText) {
+								t.Fatalf("%s: the kernel engine spliced %d bytes, a fresh encode of the cold recompute is %d",
+									label, len(kernel.text), len(wantText))
+							}
 						}
-						if !bytes.Equal(kernel.text, wantText) {
-							t.Fatalf("%s: the kernel engine spliced %d bytes, a fresh encode of the cold recompute is %d",
-								label, len(kernel.text), len(wantText))
-						}
-					} else {
-						boxedSteps++
 					}
-					// The sidecar survives an append iff the entry had one and
-					// the surviving rows still decode; the text iff the kernel
-					// absorbed the delta, or no row passed the filters.
-					wantSidecar := e.batch != nil && boxed.batch != nil
-					wantSpliced := kOK || len(delta) == 0
+					// An upgrade leaves a sidecar unless nothing passed the
+					// filters of an entry that had shed it; it splices the text.
+					wantSidecar := e.batch != nil || len(delta) > 0
 
-					if up, inv := c.TableChanged(sc.tab, rows); up != 1 || inv != 0 {
+					up, inv := c.TableChanged(sc.tab, rows)
+					if !wantUpgrade {
+						// Undecodable rows invalidate; the next read is a miss
+						// that recomputes cold, byte for byte.
+						if up != 0 || inv != 1 || c.lru.Len() != 0 {
+							t.Fatalf("%s: upgraded=%d invalidated=%d entries=%d, want 0,1,0", label, up, inv, c.lru.Len())
+						}
+						invalidated++
+						first, m := serveJSON(t, sc.eng, c, sc.query)
+						if !bytes.Equal(first, wantText) || m.Count(cluster.CacheMisses) != 1 {
+							t.Fatalf("%s: the read after the invalidation (misses=%d) served %d bytes, a fresh encode of the cold recompute is %d",
+								label, m.Count(cluster.CacheMisses), len(first), len(wantText))
+						}
+						e = c.lru.Front().Value.(*entry)
+						e = assertEntry(t, label+" recomputed", c, want, e.batch != nil)
+						assertText(t, label+" recomputed", e)
+						continue
+					}
+					if up != 1 || inv != 0 {
 						t.Fatalf("%s: upgraded=%d invalidated=%d, want 1,0", label, up, inv)
 					}
+					upgraded++
 					e = assertEntry(t, label, c, want, wantSidecar)
-
-					// The upgrade spliced the text, or dropped it and the
-					// first hit encodes the new rows and leaves theirs; the
-					// second hit copies it, and both serve the cold
-					// recompute's.
-					if (e.encoded != nil) != wantSpliced {
-						t.Fatalf("%s: text after the upgrade = %v, want %v", label, e.encoded != nil, wantSpliced)
+					if e.encoded == nil {
+						t.Fatalf("%s: the upgrade dropped the text", label)
 					}
-					if e.encoded != nil {
-						spliced++
-						assertText(t, label+" spliced", e)
-						if !bytes.Equal(e.encoded, wantText) {
-							t.Fatalf("%s: spliced %d bytes, a fresh encode of the cold recompute is %d", label, len(e.encoded), len(wantText))
-						}
+					spliced++
+					assertText(t, label+" spliced", e)
+					if !bytes.Equal(e.encoded, wantText) {
+						t.Fatalf("%s: spliced %d bytes, a fresh encode of the cold recompute is %d", label, len(e.encoded), len(wantText))
 					}
+					// The first hit copies the spliced text, the second too, and
+					// both serve the cold recompute's.
 					first, m := serveJSON(t, sc.eng, c, sc.query)
 					drained += m.Count(cluster.IncrementalUpgrades)
 					if !bytes.Equal(first, wantText) || !bytes.Equal(e.encoded, wantText) {
@@ -410,22 +416,27 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 					}
 					assertText(t, label+" with text", assertEntry(t, label+" with text", c, want, wantSidecar))
 				}
-				// The maintained entry serves the next query as a hit; the
-				// twelve upgrades were drained by the hits that followed them.
+				// The maintained entry serves the next query as a hit; every
+				// upgrade was drained by the hit that followed it.
 				got, m := runQuery(t, sc.eng, c, sc.query, physical.Options{})
-				if m.Count(cluster.CacheHits) != 1 || drained != 12 {
-					t.Fatalf("seed %d: hits=%d upgrades drained=%d, want 1 and 12", seed, m.Count(cluster.CacheHits), drained)
+				if m.Count(cluster.CacheHits) != 1 || drained != upgraded {
+					t.Fatalf("seed %d: hits=%d upgrades drained=%d, want 1 and %d", seed, m.Count(cluster.CacheHits), drained, upgraded)
 				}
-				assertIdentical(t, got, sc.coldRows(t), "served after 12 upgrades vs cold recompute")
+				assertIdentical(t, got, sc.coldRows(t), "served after the appends vs cold recompute")
 			}
+			t.Logf("kernel upgrades %d (spliced %d), sidecars rebuilt %d, invalidations %d", kernelSteps, spliced, rebuilt, invalidated)
 			switch {
-			case v.shed && kernelSteps != 0:
-				t.Errorf("an entry without a sidecar took the kernel engine %d times", kernelSteps)
-			case v.undecodables && (kernelSteps == 0 || boxedSteps == 0):
-				t.Errorf("undecodable deltas must split the steps: kernel=%d boxed=%d", kernelSteps, boxedSteps)
-			case !v.shed && !v.undecodables && boxedSteps != 0:
-				t.Errorf("a decodable entry fell back to the boxed engine %d times", boxedSteps)
-			case !v.shed && spliced < kernelSteps:
+			case kernelSteps == 0:
+				t.Error("no append took the kernel engine")
+			case v.shed && rebuilt == 0:
+				t.Error("no shed sidecar was rebuilt")
+			case !v.shed && !v.undecodables && rebuilt != 0:
+				t.Errorf("an entry holding its sidecar had it rebuilt %d times", rebuilt)
+			case v.undecodables && invalidated == 0:
+				t.Error("no undecodable delta invalidated the entry")
+			case !v.undecodables && invalidated != 0:
+				t.Errorf("a decodable entry was invalidated %d times", invalidated)
+			case spliced < kernelSteps:
 				t.Errorf("%d kernel upgrades spliced the text only %d times", kernelSteps, spliced)
 			}
 		})

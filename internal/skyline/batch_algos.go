@@ -337,26 +337,38 @@ func (b *Batch) bnlDense2(window, order []int, distinct bool, gs *gridSource) []
 // are compared, dominated points are only removed at the end, tolerating
 // the cyclic dominance relationships of incomplete data.
 func (b *Batch) GlobalIncomplete(distinct bool) []int {
-	n := b.n
-	dominated := make([]bool, n)
-	duplicate := make([]bool, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+	drop := make([]bool, b.n)
+	b.flagIncomplete(0, b.n, distinct, drop)
+	return keptIndices(drop)
+}
+
+// flagIncomplete is the flag loop of GlobalIncomplete for the points i in
+// [lo, hi): it compares each with every j > i and sets drop on the
+// dominated point of every pair and, under distinct, on the later of two
+// equal points (the first occurrence is kept). Over [0, n) it makes
+// exactly n(n-1)/2 dominance tests.
+func (b *Batch) flagIncomplete(lo, hi int, distinct bool, drop []bool) {
+	for i := lo; i < hi; i++ {
+		for j := i + 1; j < b.n; j++ {
 			switch b.CompareDecoded(i, j) {
 			case LeftDominates:
-				dominated[j] = true
+				drop[j] = true
 			case RightDominates:
-				dominated[i] = true
+				drop[i] = true
 			case Equal:
 				if distinct {
-					duplicate[j] = true // keep the first occurrence
+					drop[j] = true
 				}
 			}
 		}
 	}
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if !dominated[i] && !duplicate[i] {
+}
+
+// keptIndices returns the indices whose drop flag is unset, in order.
+func keptIndices(drop []bool) []int {
+	out := make([]int, 0, len(drop))
+	for i, d := range drop {
+		if !d {
 			out = append(out, i)
 		}
 	}

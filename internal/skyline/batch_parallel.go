@@ -363,51 +363,29 @@ func (b *Batch) BNLParallel(distinct bool, chunk int, run ParallelRunner) ([]int
 // Incomplete dominance is not transitive, so there is no local-survivor
 // shortcut; instead the pairwise flag marking — which is order-independent
 // by construction (flags are only read after every pair was visited) — is
-// split by i-chunk: each task scans its i range against all j > i, writing
-// task-local flag arrays that are OR-merged serially. Same flags, same
-// index-order emission, exactly n(n-1)/2 dominance tests either way.
+// split by i-chunk: each task runs flagIncomplete over its i range against
+// all j > i, writing a task-local flag array, and the arrays are OR-merged
+// serially. Same flags, same index-order emission, exactly n(n-1)/2
+// dominance tests either way.
 func (b *Batch) GlobalIncompleteParallel(distinct bool, chunk int, run ParallelRunner) ([]int, error) {
 	n := b.n
 	bounds := parallelChunks(n, chunk)
 	if bounds == nil {
 		return b.GlobalIncomplete(distinct), nil
 	}
-	dom := make([][]bool, len(bounds))
-	dup := make([][]bool, len(bounds))
+	drops := make([][]bool, len(bounds))
 	err := b.runChunks(len(bounds), run, func(k int, v *Batch) {
-		dominated := make([]bool, n)
-		duplicate := make([]bool, n)
-		for i := bounds[k][0]; i < bounds[k][1]; i++ {
-			for j := i + 1; j < n; j++ {
-				switch v.CompareDecoded(i, j) {
-				case LeftDominates:
-					dominated[j] = true
-				case RightDominates:
-					dominated[i] = true
-				case Equal:
-					if distinct {
-						duplicate[j] = true // keep the first occurrence
-					}
-				}
-			}
-		}
-		dom[k], dup[k] = dominated, duplicate
+		drops[k] = make([]bool, n)
+		v.flagIncomplete(bounds[k][0], bounds[k][1], distinct, drops[k])
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		keep := true
-		for k := range dom {
-			if dom[k][i] || dup[k][i] {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, i)
+	drop := drops[0]
+	for _, d := range drops[1:] {
+		for i, f := range d {
+			drop[i] = drop[i] || f
 		}
 	}
-	return out, nil
+	return keptIndices(drop), nil
 }

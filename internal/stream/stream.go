@@ -59,27 +59,6 @@ func (inc *Incremental) Skyline() []skyline.Point {
 	return out
 }
 
-// Seed installs points as the maintained skyline without a single
-// dominance test: the caller vouches that they are mutually
-// non-dominating (and pairwise non-Equal under DISTINCT) — typically a
-// skyline BNL already emitted, which is exactly what the window would
-// hold after absorbing that BNL's input. Only the properties Add checks
-// per tuple are checked here (dimension count, no NULLs). The maintainer
-// must not have absorbed anything yet; points is copied.
-func (inc *Incremental) Seed(points []skyline.Point) error {
-	if inc.seen != 0 {
-		return fmt.Errorf("stream: Seed on a maintainer that already absorbed %d tuples", inc.seen)
-	}
-	for _, p := range points {
-		if err := inc.check(p.Dims); err != nil {
-			return err
-		}
-	}
-	inc.window = append([]skyline.Point(nil), points...)
-	inc.seen = len(points)
-	return nil
-}
-
 // check validates one dimension vector: matching width, complete data.
 func (inc *Incremental) check(dims types.Row) error {
 	if len(dims) != len(inc.dirs) {

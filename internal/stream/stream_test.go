@@ -109,8 +109,8 @@ func TestIncrementalMatchesBatchBNL(t *testing.T) {
 	}
 }
 
-// TestIncrementalPermutationProperty is the property behind the result
-// cache's incremental maintenance: absorbing ANY permutation of a tuple
+// TestIncrementalPermutationProperty is the property behind incremental
+// maintenance: absorbing ANY permutation of a tuple
 // set yields exactly the batch engine's skyline (as a multiset — which
 // duplicate survives under DISTINCT legitimately depends on arrival
 // order, so rows are compared by their dimension vectors). Exhaustive
@@ -198,8 +198,8 @@ func TestIncrementalPermutationProperty(t *testing.T) {
 	}
 }
 
-// TestIncrementalNullRoutingRefusal pins the NULL-routing contract the
-// result cache relies on: a NULL skyline dimension is refused with an
+// TestIncrementalNullRoutingRefusal pins the NULL-routing contract a
+// streaming caller relies on: a NULL skyline dimension is refused with an
 // error (the caller must route to batch recomputation / invalidation),
 // and the refusal leaves the maintained window untouched and usable.
 func TestIncrementalNullRoutingRefusal(t *testing.T) {
@@ -296,72 +296,5 @@ func TestFailedAddLeavesWindowIntact(t *testing.T) {
 	// two dimensions is absorbed normally.
 	if ev, err := inc.Add(row(0, 20, 0), row(0, 20, 0)); err != nil || !ev.Admitted || len(ev.Evicted) != 0 {
 		t.Errorf("window must stay usable after a failed Add: %+v %v", ev, err)
-	}
-}
-
-// TestSeedInstallsTrustedWindow pins Seed's contract: the points become
-// the window with zero dominance tests, and continuing with Add yields
-// exactly — order included — what absorbing everything through Add does.
-func TestSeedInstallsTrustedWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	dirs := []skyline.Dir{skyline.Min, skyline.Max, skyline.Diff}
-	for trial := 0; trial < 40; trial++ {
-		distinct := trial%2 == 0
-		set := make([]types.Row, 20+rng.Intn(100))
-		for i := range set {
-			set[i] = row(int64(rng.Intn(10)), int64(rng.Intn(10)), int64(rng.Intn(2)))
-		}
-		cut := rng.Intn(len(set))
-		all, head := NewIncremental(dirs, distinct), NewIncremental(dirs, distinct)
-		for i, r := range set {
-			if _, err := all.Add(r, r); err != nil {
-				t.Fatal(err)
-			}
-			if i < cut {
-				head.Add(r, r)
-			}
-		}
-		seeded := NewIncremental(dirs, distinct)
-		if err := seeded.Seed(head.Skyline()); err != nil {
-			t.Fatal(err)
-		}
-		if seeded.Stats().DominanceTests() != 0 || seeded.Size() != head.Size() {
-			t.Fatalf("Seed must install %d points without tests: size=%d tests=%d",
-				head.Size(), seeded.Size(), seeded.Stats().DominanceTests())
-		}
-		for _, r := range set[cut:] {
-			if _, err := seeded.Add(r, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, want := dimStrings(seeded.Skyline()), dimStrings(all.Skyline()); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d distinct=%v cut=%d: seeded %v != full %v", trial, distinct, cut, got, want)
-		}
-	}
-}
-
-func TestSeedRefusals(t *testing.T) {
-	dirs := []skyline.Dir{skyline.Min, skyline.Min}
-	pt := func(r types.Row) []skyline.Point { return []skyline.Point{{Dims: r, Row: r}} }
-	if err := NewIncremental(dirs, false).Seed(pt(types.Row{types.Int(1), types.Null})); err == nil {
-		t.Error("a NULL dimension must be refused")
-	}
-	if err := NewIncremental(dirs, false).Seed(pt(row(1))); err == nil {
-		t.Error("a width mismatch must be refused")
-	}
-	inc := NewIncremental(dirs, false)
-	inc.Add(row(1, 1), row(1, 1))
-	if err := inc.Seed(pt(row(0, 5))); err == nil {
-		t.Error("Seed after Add must be refused: the window is no longer the caller's to vouch for")
-	}
-	// Seed copies: compacting the window must not reach the caller's slice.
-	src := []skyline.Point{{Dims: row(5, 5)}, {Dims: row(1, 9)}}
-	inc = NewIncremental(dirs, false)
-	if err := inc.Seed(src); err != nil {
-		t.Fatal(err)
-	}
-	inc.Add(row(4, 4), nil) // evicts (5,5), shifts (1,9)
-	if src[0].Dims.String() != row(5, 5).String() {
-		t.Error("Seed must copy its input")
 	}
 }

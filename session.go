@@ -75,11 +75,14 @@ func WithSkylineStrategy(st SkylineStrategy) Option {
 	return func(s *Session) { s.strategy = st }
 }
 
-// WithoutColumnarKernel disables the columnar dominance kernel: skyline
-// operators then run every dominance test through the boxed compare path
-// instead of decode-once float64 column batches, and exchanges stop
-// carrying the decoded batches as sidecars. The default (kernel) execution
-// is result-identical; this switch exists for A/B ablation and debugging.
+// WithoutColumnarKernel disables the columnar dominance kernel: the local
+// and global skyline operators then run every dominance test through the
+// boxed compare path instead of decode-once float64 column batches, and
+// no scan decodes for them. It reaches nothing else: a Grid/Angle/Zorder
+// exchange still buckets on decoded columns and the extremum rewrite still
+// caches its column. The default (kernel) execution is result-identical;
+// this switch exists for A/B ablation and the benchmark's reference
+// answers.
 func WithoutColumnarKernel() Option {
 	return func(s *Session) { s.noKernel = true }
 }

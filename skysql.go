@@ -43,8 +43,9 @@
 // columns), and the global skyline runs off the merged batch — one decode
 // per input partition for the whole plan. Partitions with non-numeric or
 // otherwise non-decodable skyline dimensions fall back transparently to
-// the boxed compare path; WithoutColumnarKernel forces that path (and
-// row-only exchanges) everywhere for A/B ablation. Exchanges pick their
+// the boxed compare path; WithoutColumnarKernel forces that path in the
+// local and global skyline operators, and nowhere else, for A/B ablation
+// and the benchmark's reference answers. Exchanges pick their
 // partition counts from observed intermediate sizes, collapsing tiny
 // results into fewer tasks.
 //
