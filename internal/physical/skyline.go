@@ -358,6 +358,15 @@ func (g *GlobalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, err
 		return nil, err
 	}
 	out := cluster.NewDataset(rowsOf(sky))
+	if !g.DisableKernel {
+		// The rows the kernel refused may not have survived: the skyline
+		// leaves with its sidecar when it decodes, so a holder of the
+		// result (the result cache) need not decode it again. Nil stats:
+		// the pass above counted its decode attempt.
+		if sb, _, err := pd.decode(out.Rows(), nil, nil); err == nil && sb != nil {
+			out.Batches = []*skyline.Batch{sb}
+		}
+	}
 	charge(ctx, out, in)
 	return out, nil
 }

@@ -304,19 +304,24 @@ func stripAlias(e expr.Expr) expr.Expr {
 }
 
 // decodeSourceBatch decodes one source partition under the spec: the
-// rebased dimensions are evaluated once per row (the same boxed pass the
-// skyline would pay after the filters) and the batch is stamped with the
-// skyline's tag plus the source-ordinal column bindings. ok=false — an
-// evaluation error on pre-filter rows or a kernel refusal — leaves the
-// partition boxed; downstream operators behave exactly as before.
+// rebased dimensions are gathered column by column (gatherDims) — or, for
+// what that refuses (DIFF dimensions, NaN, strings, integers beyond
+// ±2⁵³), evaluated into dimension vectors once per row and decoded — and
+// the batch is stamped with the skyline's tag plus the source-ordinal
+// column bindings. ok=false — an evaluation error on pre-filter rows or a
+// kernel refusal — leaves the partition boxed; downstream operators behave
+// exactly as before.
 func (s *stageDecode) decodeSourceBatch(part []types.Row, stats *skyline.Stats) (*skyline.Batch, bool) {
-	pts, err := evalPoints(part, s.dims)
-	if err != nil {
-		return nil, false
-	}
-	b, ok := skyline.DecodeBatch(pts, s.dirs, s.incomplete, stats)
-	if !ok {
-		return nil, false
+	b := gatherDims(part, s.dims, s.dirs, s.incomplete, stats)
+	if b == nil {
+		pts, err := evalPoints(part, s.dims)
+		if err != nil {
+			return nil, false
+		}
+		var ok bool
+		if b, ok = skyline.DecodeBatch(pts, s.dirs, s.incomplete, stats); !ok {
+			return nil, false
+		}
 	}
 	b.Tag = s.tag
 	for _, bind := range s.binds {

@@ -44,7 +44,10 @@ func (c *Cache) Bind(root physical.Operator) physical.Operator {
 
 // entryKey joins the structural fingerprint with the current version of
 // every dependency table — read fresh each time, which is what makes a
-// stale entry unservable by construction.
+// stale entry unservable by construction. A version is written as 16 hex
+// digits, so a key's length, and with it the entry's charge, does not
+// depend on how many versions the process has issued (versions are
+// process-global, catalog.Table.Version).
 func entryKey(structural string, deps []*catalog.Table) string {
 	var sb strings.Builder
 	sb.Grow(len(structural) + 24*len(deps))
@@ -54,7 +57,12 @@ func entryKey(structural string, deps []*catalog.Table) string {
 		sb.WriteString("|v")
 		sb.Write(strconv.AppendInt(num[:0], int64(i), 10))
 		sb.WriteByte('=')
-		sb.Write(strconv.AppendInt(num[:0], t.Version(), 10))
+		v := uint64(t.Version())
+		for k := 15; k >= 0; k-- {
+			num[k] = "0123456789abcdef"[v&15]
+			v >>= 4
+		}
+		sb.Write(num[:16])
 	}
 	return sb.String()
 }

@@ -129,8 +129,9 @@ func walkRowBytes(rows []types.Row, key string) int64 {
 
 // checkRecordedSizes holds every entry's recorded sizes to a walk of what
 // it holds: rowBytes to its rows' MemSize plus its key, batchBytes to its
-// sidecar's MemSize (0 without one), the size a hit charges to the walk of
-// the dataset it serves, and the cache's used bytes to the entries' sum.
+// sidecar's and cell codes' MemSize (0 without either), the size a hit
+// charges to the walk of the dataset it serves, and the cache's used bytes
+// to the entries' sum.
 func checkRecordedSizes(t *testing.T, label string, c *Cache) {
 	t.Helper()
 	c.mu.Lock()
@@ -139,9 +140,9 @@ func checkRecordedSizes(t *testing.T, label string, c *Cache) {
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
 		rowBytes := walkRowBytes(e.rows, e.key)
-		var batchBytes int64
+		batchBytes := e.codes.MemSize()
 		if e.batch != nil {
-			batchBytes = e.batch.MemSize()
+			batchBytes += e.batch.MemSize()
 		}
 		if e.rowBytes != rowBytes || e.batchBytes != batchBytes {
 			t.Fatalf("%s: entry %q records rowBytes=%d batchBytes=%d, walked %d and %d",

@@ -53,19 +53,63 @@ type diffScenario struct {
 	dimCols []int          // table ordinals of the skyline dimensions
 	dirs    []skyline.Dir  // their directions
 	nextID  int64          // ids stay unique so row strings identify rows
+	anti    bool           // rows lie near a plane across the clause: most are incomparable
 	tab     *catalog.Table // the cached side's table
 	eng     *core.Engine
 }
 
 func (sc *diffScenario) randomRow() types.Row {
 	sc.nextID++
-	return types.Row{
+	r := types.Row{
 		types.Int(sc.nextID),
 		types.Int(int64(sc.rng.Intn(diffValues))),
 		types.Int(int64(sc.rng.Intn(diffValues))),
 		types.Float(float64(sc.rng.Intn(diffValues)) / 2),
 		types.Float(float64(sc.rng.Intn(diffValues)) / 2),
 		types.Str(fmt.Sprintf("g%d", sc.rng.Intn(3))),
+	}
+	if sc.anti {
+		sc.antiRow(r)
+	}
+	return r
+}
+
+// antiRow moves a row's last MIN/MAX dimension so that the clause's
+// values, each mapped onto [0, diffValues) with lower better (a DOUBLE
+// measure doubled, a MAX one mirrored), sum to the middle of their range,
+// clamped to the measure range: the skyline then keeps most rows, and the
+// upgrades run on the cell index.
+func (sc *diffScenario) antiRow(r types.Row) {
+	norm := func(i int) int {
+		var v int
+		if col := sc.dimCols[i]; col <= 2 {
+			v = int(r[col].AsInt())
+		} else {
+			v = int(2 * r[col].AsFloat())
+		}
+		if sc.dirs[i] == skyline.Max {
+			v = diffValues - 1 - v
+		}
+		return v
+	}
+	last, sum, n := -1, 0, 0
+	for i, dir := range sc.dirs {
+		if dir == skyline.Diff {
+			continue
+		}
+		if last >= 0 {
+			sum += norm(last)
+		}
+		last, n = i, n+1
+	}
+	v := max(0, min(n*(diffValues-1)/2-sum, diffValues-1))
+	if sc.dirs[last] == skyline.Max {
+		v = diffValues - 1 - v
+	}
+	if col := sc.dimCols[last]; col <= 2 {
+		r[col] = types.Int(int64(v))
+	} else {
+		r[col] = types.Float(float64(v) / 2)
 	}
 }
 
@@ -93,11 +137,12 @@ func (sc *diffScenario) extremeRow(best bool) types.Row {
 // newDiffScenario draws a shape: 2–4 MIN/MAX dimensions over distinct
 // columns (the optimizer turns a single-dimension skyline into an
 // extremum filter, which is not a skyline plan), an optional DIFF
-// dimension, 0–2 filters, DISTINCT on or off.
-func newDiffScenario(t *testing.T, seed int64) *diffScenario {
+// dimension, 0–2 filters, DISTINCT on or off. With anti the rows are
+// anti-correlated across the clause (antiRow).
+func newDiffScenario(t *testing.T, seed int64, anti bool) *diffScenario {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	sc := &diffScenario{rng: rng}
+	sc := &diffScenario{rng: rng, anti: anti}
 	names := []string{"id", "a", "b", "c", "d", "g"}
 	cols := rng.Perm(4)[:2+rng.Intn(3)] // measures a..d are ordinals 1..4
 	var clause []string
@@ -128,6 +173,11 @@ func newDiffScenario(t *testing.T, seed int64) *diffScenario {
 	sc.query = "SELECT * FROM t" + where + " SKYLINE OF " + distinct + strings.Join(clause, ", ")
 
 	base := make([]types.Row, 100+rng.Intn(200))
+	if anti {
+		// A skyline of a few hundred rows: a 20-row append is then enough
+		// for the seeded pass to run on the cell index (paysSeeded).
+		base = make([]types.Row, 2*len(base))
+	}
 	for i := range base {
 		base[i] = sc.randomRow()
 	}
@@ -142,12 +192,21 @@ func newDiffScenario(t *testing.T, seed int64) *diffScenario {
 }
 
 // batch draws one append batch of the given kind against the entry's
-// current rows.
+// current rows. Beside an anti-correlated skyline the batches keep it
+// large, so its upgrades run on the cell index: no rows off the plane
+// (kinds 1 and 3 draw plain rows), and up to 60 plain rows, not 20.
 func (sc *diffScenario) batch(kind int, cached []types.Row, undecodables bool) []types.Row {
 	var out []types.Row
+	most := 20
+	if sc.anti {
+		most = 60
+		if kind%6 == 1 || kind%6 == 3 {
+			kind = 0
+		}
+	}
 	switch kind % 6 {
 	case 0: // plain random rows
-		for i := 0; i < 1+sc.rng.Intn(20); i++ {
+		for i := 0; i < 1+sc.rng.Intn(most); i++ {
 			out = append(out, sc.randomRow())
 		}
 	case 1: // rows every filter in the pool rejects
@@ -220,6 +279,9 @@ func assertSidecarFresh(t *testing.T, label string, m *maintenance, rows []types
 	for i := 0; i < got.Len(); i++ {
 		if fmt.Sprint(got.NumRow(i)) != fmt.Sprint(fresh.NumRow(i)) || got.NullBits(i) != fresh.NullBits(i) {
 			t.Fatalf("%s: point %d decoded as %v, fresh %v", label, i, got.NumRow(i), fresh.NumRow(i))
+		}
+		if got.KeyDims() == 0 {
+			continue // no DIFF ids: equal vectors and null bits classify every pair alike
 		}
 		for j := 0; j < got.Len(); j++ {
 			if g, f := got.CompareDecoded(i, j), fresh.CompareDecoded(i, j); g != f {
@@ -306,28 +368,44 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 		name         string
 		shed         bool // drop the sidecar up front, as LRU pressure would
 		undecodables bool // appended rows may carry values the kernel refuses
+		shedAt       int  // from this step on, every fourth drops the sidecar and its cell codes (0: never)
+		anti         bool // anti-correlated rows (antiRow): large skylines, upgrades on the cell index
+		seeds        int64
 	}{
-		{name: "sidecar"},
-		{name: "shed", shed: true},
-		{name: "undecodable", undecodables: true},
+		{name: "sidecar", seeds: 25},
+		{name: "shed", shed: true, seeds: 25},
+		{name: "undecodable", undecodables: true, seeds: 25},
+		{name: "shed mid-chain", shedAt: 3, anti: true, seeds: 8},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			kernelSteps, rebuilt, invalidated, spliced := 0, 0, 0, 0
-			for seed := int64(1); seed <= 25; seed++ {
-				sc := newDiffScenario(t, seed)
+			coded, codesShed, retaken := 0, 0, 0
+			for seed := int64(1); seed <= v.seeds; seed++ {
+				sc := newDiffScenario(t, seed, v.anti)
 				c := New(0)
 				serveJSON(t, sc.eng, c, sc.query)
 				e := assertEntry(t, fmt.Sprintf("seed %d %q populate", seed, sc.query), c, sc.coldRows(t), true)
 				assertText(t, fmt.Sprintf("seed %d %q populate", seed, sc.query), e)
 				if v.shed {
-					c.used -= e.batchBytes
-					e.batch, e.batchBytes = nil, 0
+					c.used -= e.shedSidecar()
 					checkRecordedSizes(t, fmt.Sprintf("seed %d sidecar shed", seed), c)
 				}
 				drained, upgraded := int64(0), int64(0)
+				shedCodes := false // the last shed dropped cell codes the entry had not taken again since
 				for step := 0; step < 12; step++ {
 					label := fmt.Sprintf("%s seed %d step %d %q", v.name, seed, step, sc.query)
+					if v.shedAt > 0 && step >= v.shedAt && (step-v.shedAt)%4 == 0 && e.batch != nil {
+						// As LRU pressure would, mid-chain: the codes go with
+						// the sidecar, and the next upgrade decodes the rows
+						// and takes the grid again.
+						if e.codes.MemSize() > 0 {
+							codesShed++
+							shedCodes = true
+						}
+						c.used -= e.shedSidecar()
+						checkRecordedSizes(t, label+" sidecar shed", c)
+					}
 					rows := sc.batch(step+int(seed), e.rows, v.undecodables)
 					if _, err := sc.tab.Append(rows...); err != nil {
 						t.Fatal(err)
@@ -395,6 +473,16 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 					}
 					upgraded++
 					e = assertEntry(t, label, c, want, wantSidecar)
+					if e.codes.MemSize() > 0 {
+						if e.batch == nil {
+							t.Fatalf("%s: the entry holds cell codes without a sidecar", label)
+						}
+						coded++
+						if shedCodes {
+							retaken++
+							shedCodes = false
+						}
+					}
 					if e.encoded == nil {
 						t.Fatalf("%s: the upgrade dropped the text", label)
 					}
@@ -424,14 +512,19 @@ func TestResultCacheUpgradeDifferential(t *testing.T) {
 				}
 				assertIdentical(t, got, sc.coldRows(t), "served after the appends vs cold recompute")
 			}
-			t.Logf("kernel upgrades %d (spliced %d), sidecars rebuilt %d, invalidations %d", kernelSteps, spliced, rebuilt, invalidated)
+			t.Logf("kernel upgrades %d (spliced %d), sidecars rebuilt %d, invalidations %d; entries left coded %d times, codes shed %d, taken again %d",
+				kernelSteps, spliced, rebuilt, invalidated, coded, codesShed, retaken)
 			switch {
 			case kernelSteps == 0:
 				t.Error("no append took the kernel engine")
-			case v.shed && rebuilt == 0:
+			case (v.shed || v.shedAt > 0) && rebuilt == 0:
 				t.Error("no shed sidecar was rebuilt")
-			case !v.shed && !v.undecodables && rebuilt != 0:
+			case !v.shed && v.shedAt == 0 && rebuilt != 0:
+				// Undecodable rows included: a skyline they left decodes, and
+				// it is stored with its sidecar.
 				t.Errorf("an entry holding its sidecar had it rebuilt %d times", rebuilt)
+			case v.anti && (codesShed == 0 || retaken == 0):
+				t.Errorf("cell codes shed %d times and taken again %d times; the history must do both", codesShed, retaken)
 			case v.undecodables && invalidated == 0:
 				t.Error("no undecodable delta invalidated the entry")
 			case !v.undecodables && invalidated != 0:
@@ -455,8 +548,7 @@ func TestResultCacheUpgradeNullStillInvalidates(t *testing.T) {
 		runQuery(t, e, c, q, physical.Options{})
 		if shed {
 			en := c.lru.Front().Value.(*entry)
-			c.used -= en.batchBytes
-			en.batch, en.batchBytes = nil, 0
+			c.used -= en.shedSidecar()
 		}
 		appendRow := func(r types.Row) (int, int) {
 			t.Helper()
@@ -480,83 +572,149 @@ func TestResultCacheUpgradeNullStillInvalidates(t *testing.T) {
 	}
 }
 
-// BenchmarkTableChanged measures one 20-row append against a cached
+// BenchmarkTableChanged measures 20-row appends against a cached
 // anti-correlated d=4 skyline of s rows (run with -benchmem), whose entry
-// was served once as JSON, so the op includes splicing its text. The cost
-// is O(Δ·s) kernel tests plus the O(s) copies that rebuild rows, sidecar
-// and text, so ns/op grows linearly in s, not quadratically, and
-// allocs/op stays flat. Each iteration upgrades a fresh entry: the base
-// entry is copied (a struct copy shares rows, sidecar and text, which
-// upgrade never mutates).
+// was served once as JSON, so each op includes splicing its text.
+//
+// first: the entry's first upgrade after it was stored, every iteration
+// from a copy of the stored entry (a struct copy shares rows, sidecar and
+// text, which upgrade never mutates). It holds no cell codes yet, so a
+// pass on the cell index takes the grid and codes every cached row.
+//
+// chain: the steady state of an entry that absorbs append after append.
+// Iterations walk a chain of chainLinks appends of fresh rows on one
+// entry, which starts each chain from its state after one upgrade, so it
+// carries the codes of its rows and each pass codes only the new ones.
+//
+// tests/op is the dominance tests of the seeded pass, replayed outside the
+// timer (seededTests). With the index the tests per append fall far below
+// Δ·s; without it (s=100: a seed times its arrivals below the switch
+// rule's threshold, paysSeeded) they are at most Δ·s.
 func BenchmarkTableChanged(b *testing.B) {
-	const dims, delta = 4, 20
+	const dims, delta, chainLinks = 4, 20, 8
 	const q = "SELECT * FROM t SKYLINE OF d1 MIN, d2 MIN, d3 MIN, d4 MIN"
 	for _, s := range []int{100, 700, 2400} {
-		b.Run(fmt.Sprintf("s=%d/delta=%d/d=%d", s, delta, dims), func(b *testing.B) {
-			// Grow an anti-correlated table until its skyline reaches s rows.
-			src := datagen.Synthetic(datagen.AntiCorrelated, 40*s, dims, datagen.Config{Seed: 1, Complete: true})
-			n := s
-			var tab *catalog.Table
-			var eng *core.Engine
-			c := New(1 << 30)
-			for {
-				var err error
-				if tab, err = catalog.NewTable("t", src.Schema, src.Rows[:n:n]); err != nil {
-					b.Fatal(err)
-				}
-				cat := catalog.New()
-				cat.Register(tab)
-				eng = core.NewEngine(cat)
-				compiled, err := eng.CompileSQL(q, physical.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := eng.Run(compiled, 3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) >= s || n == len(src.Rows) {
-					break
-				}
-				if n += n/8 + 1; n > len(src.Rows) {
-					n = len(src.Rows)
-				}
+		// Grow an anti-correlated table until its skyline reaches s rows.
+		src := datagen.Synthetic(datagen.AntiCorrelated, 40*s, dims, datagen.Config{Seed: 1, Complete: true})
+		n := s
+		var tab *catalog.Table
+		var eng *core.Engine
+		c := New(1 << 30)
+		for {
+			var err error
+			if tab, err = catalog.NewTable("t", src.Schema, src.Rows[:n:n]); err != nil {
+				b.Fatal(err)
 			}
-			compiled, err := eng.CompileSQL(q, physical.Options{ResultCache: c})
+			cat := catalog.New()
+			cat.Register(tab)
+			eng = core.NewEngine(cat)
+			compiled, err := eng.CompileSQL(q, physical.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Run(compiled, 3); err != nil {
-				b.Fatal(err)
-			}
-			res, err := eng.ExecuteCtx(compiled, cluster.NewContext(3))
+			res, err := eng.Run(compiled, 3)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := res.AppendRowsJSON(nil); err != nil {
+			if len(res.Rows) >= s || n == len(src.Rows) {
+				break
+			}
+			if n += n/8 + 1; n > len(src.Rows) {
+				n = len(src.Rows)
+			}
+		}
+		compiled, err := eng.CompileSQL(q, physical.Options{ResultCache: c})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Run(compiled, 3); err != nil {
+			b.Fatal(err)
+		}
+		res, err := eng.ExecuteCtx(compiled, cluster.NewContext(3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := res.AppendRowsJSON(nil); err != nil {
+			b.Fatal(err)
+		}
+		el := c.lru.Front()
+		base := *el.Value.(*entry)
+		if base.batch == nil || base.maint == nil || base.ends == nil {
+			b.Fatal("the benchmark entry must be maintainable and carry its sidecar and text")
+		}
+		// Fresh rows for every append: the first, and one per chain link.
+		// The table takes them all, so the entry's key names their version;
+		// the chain re-applies its links to an entry at that version.
+		var appends [][]types.Row
+		for i := 0; i <= chainLinks; i++ {
+			rows := datagen.Synthetic(datagen.AntiCorrelated, delta, dims, datagen.Config{Seed: int64(2 + i), Complete: true}).Rows
+			if _, err := tab.Append(rows...); err != nil {
 				b.Fatal(err)
 			}
-			el := c.lru.Front()
-			base := *el.Value.(*entry)
-			if base.batch == nil || base.maint == nil || base.ends == nil {
-				b.Fatal("the benchmark entry must be maintainable and carry its sidecar and text")
+			appends = append(appends, rows)
+		}
+		upgrade := func(e entry, rows []types.Row) entry {
+			el.Value = &e
+			c.byKey = map[string]*list.Element{e.key: el}
+			c.used = e.size()
+			if up, inv := c.TableChanged(tab, rows); up != 1 || inv != 0 {
+				b.Fatalf("upgraded=%d invalidated=%d", up, inv)
 			}
-			extra := datagen.Synthetic(datagen.AntiCorrelated, delta, dims, datagen.Config{Seed: 2, Complete: true}).Rows
-			if _, err := tab.Append(extra...); err != nil {
-				b.Fatal(err)
+			return *el.Value.(*entry)
+		}
+		name := fmt.Sprintf("s=%d/delta=%d/d=%d", s, delta, dims)
+		b.Run(name+"/first", func(b *testing.B) {
+			tests := seededTests(b, &base, appends[0])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				upgrade(base, appends[0])
+			}
+			b.ReportMetric(float64(len(base.rows)), "skyline-rows")
+			b.ReportMetric(float64(tests), "tests/op")
+		})
+		b.Run(name+"/chain", func(b *testing.B) {
+			primed := upgrade(base, appends[0])
+			var tests int64
+			e := primed
+			for _, rows := range appends[1:] {
+				tests += seededTests(b, &e, rows)
+				e = upgrade(e, rows)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e := base
-				el.Value = &e
-				c.byKey = map[string]*list.Element{e.key: el}
-				c.used = e.size()
-				if up, inv := c.TableChanged(tab, extra); up != 1 || inv != 0 {
-					b.Fatalf("upgraded=%d invalidated=%d", up, inv)
+				if i%chainLinks == 0 {
+					e = primed
 				}
+				e = upgrade(e, appends[1+i%chainLinks])
 			}
-			b.ReportMetric(float64(len(base.rows)), "skyline-rows")
+			b.ReportMetric(float64(len(primed.rows)), "skyline-rows")
+			b.ReportMetric(float64(tests)/chainLinks, "tests/op")
 		})
 	}
+}
+
+// seededTests replays the seeded pass an upgrade of e by rows runs — the
+// filtered delta decoded and merged after e's sidecar, seeded with e's rows
+// and cell codes — and returns its dominance tests.
+func seededTests(b *testing.B, e *entry, rows []types.Row) int64 {
+	b.Helper()
+	delta, ok := e.maint.delta(rows)
+	if !ok {
+		b.Fatal("delta refused")
+	}
+	d, ok := skyline.DecodeBatch(delta, e.maint.dirs, false, nil)
+	if !ok {
+		b.Fatal("delta does not decode")
+	}
+	d.Tag = e.maint.tag
+	merged, ok := skyline.MergeBatches([]*skyline.Batch{e.batch, d.WithoutPoints()})
+	if !ok {
+		b.Fatal("merge refused")
+	}
+	merged.BNLSeeded(len(e.rows), e.maint.distinct, e.codes)
+	var stats skyline.Stats
+	merged.Flush(&stats)
+	return stats.DominanceTests()
 }

@@ -14,7 +14,8 @@ package skyline
 // The BNL window passes then count their dominance tests as they go and,
 // once the count says most arrivals scan most of a large window, continue
 // on the cell-grid index (grid.go), which tests an arrival only against
-// the window points whose cells allow dominance. Neither changes the
+// the window points whose cells allow dominance. A pass seeded with a
+// large trusted window (BNLSeeded) needs no count: it starts on the index. Neither changes the
 // result: it is the plain pass's, index for index and in order. The
 // screen drops only points some input point strictly dominates, which a
 // BNL pass never emits and whose absence changes no emitted point's
@@ -50,8 +51,36 @@ func (b *Batch) BNL(distinct bool) []int {
 // survivor and in order, what BNL emits over X followed by [seed, n): a
 // dominated arrival leaves the window untouched, an admitted one evicts
 // without reordering the rest and joins at the end.
-func (b *Batch) BNLSeeded(seed int, distinct bool) []int {
-	return b.bnlOver(rangeIndices(0, seed), rangeIndices(seed, b.n), distinct, b.newGridSource())
+//
+// On a dense batch whose seed and arrivals are large enough
+// (paysSeeded) the pass runs on the cell index from its first arrival.
+// codes are the seed's cell codes as the pass that returned the seed left
+// them (zero: none); the pass installs them when they fit and otherwise
+// takes the grid again. It returns the survivors' codes beside them — for
+// the next pass seeded with the survivors — whenever it ran on the index
+// or was handed codes that fit, and none otherwise.
+func (b *Batch) BNLSeeded(seed int, distinct bool, codes CellCodes) ([]int, CellCodes) {
+	window, order := rangeIndices(0, seed), rangeIndices(seed, b.n)
+	gs := b.newGridSource()
+	if !b.dense() {
+		return b.bnlOver(window, order, distinct, gs), CellCodes{}
+	}
+	if gs.policy != gridOff {
+		order = b.screenOrder(order)
+	}
+	fits := codes.fits(b, seed)
+	if !gs.paysSeeded(seed, len(order)) {
+		idx := b.bnlDense(window, order, distinct, gs)
+		if !fits {
+			return idx, CellCodes{}
+		}
+		return idx, codes.carry(b, seed, idx)
+	}
+	if !fits {
+		codes = CellCodes{grid: b.newCellGrid(), taken: seed}
+	}
+	idx, out := b.windowGrid(window, order, distinct, codes.grid, codes.codes, true)
+	return idx, CellCodes{grid: codes.grid, codes: out, taken: codes.taken}
 }
 
 // bnlOver runs the BNL window pass over the given processing order,
@@ -231,7 +260,8 @@ func (b *Batch) bnlDense(window, order []int, distinct bool, gs *gridSource) []i
 		if gs.pays(len(window), len(order)-i, tests-mark) {
 			b.counters.Tests += tests
 			b.counters.Comparisons += comps
-			return b.windowGrid(window, order[i:], distinct, gs.grid())
+			idx, _ := b.windowGrid(window, order[i:], distinct, gs.grid(), nil, false)
+			return idx
 		}
 		if i%gridCheckEvery == 0 {
 			mark = tests
@@ -287,7 +317,8 @@ func (b *Batch) bnlDense2(window, order []int, distinct bool, gs *gridSource) []
 		if gs.pays(len(window), len(order)-i, tests-mark) {
 			b.counters.Tests += tests
 			b.counters.Comparisons += 2 * tests
-			return b.windowGrid(window, order[i:], distinct, gs.grid())
+			idx, _ := b.windowGrid(window, order[i:], distinct, gs.grid(), nil, false)
+			return idx
 		}
 		if i%gridCheckEvery == 0 {
 			mark = tests

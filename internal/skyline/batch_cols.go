@@ -118,7 +118,8 @@ func (b *Batch) Filter(sel []bool) *Batch {
 
 // WithRows returns a copy of the batch whose points wrap the given rows
 // (index-aligned with the batch) — how a projection keeps a sidecar alive
-// across a row transform. ordMap re-keys the column bindings into the new
+// across a row transform. The points keep their dimension vectors when
+// the batch has points, and carry none when it was gathered without. ordMap re-keys the column bindings into the new
 // ordinal space (new ordinal -> old ordinal); unmapped bindings are
 // dropped, computed-column storage is shared.
 func (b *Batch) WithRows(rows []types.Row, ordMap map[int]int) *Batch {
@@ -128,7 +129,10 @@ func (b *Batch) WithRows(rows []types.Row, ordMap map[int]int) *Batch {
 	cp := *b
 	cp.pts = make([]Point, len(rows))
 	for i := range rows {
-		cp.pts[i] = Point{Dims: b.pts[i].Dims, Row: rows[i]}
+		cp.pts[i].Row = rows[i]
+		if b.pts != nil {
+			cp.pts[i].Dims = b.pts[i].Dims
+		}
 	}
 	cp.bindings, cp.runs = nil, nil
 	for newOrd, oldOrd := range ordMap {

@@ -81,7 +81,7 @@ func checkBNLSeeded(t *testing.T, data []byte) {
 	if !ok {
 		t.Fatal("MergeBatches refused two batches of one shape")
 	}
-	got := merged.BNLSeeded(len(sky), distinct)
+	got, _ := merged.BNLSeeded(len(sky), distinct, CellCodes{})
 	var stats Stats
 	merged.Flush(&stats)
 	if max := int64(len(pts)-cut) * int64(len(sky)+len(pts)-cut); stats.DominanceTests() > max {

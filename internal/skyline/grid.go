@@ -20,8 +20,14 @@ package skyline
 // Cell checks are not dominance tests and are not counted as such.
 //
 // Nothing about the grid is carried on a batch: cut points are taken at
-// kernel entry from the batch being processed (cut points of different
-// batches do not compare), codes are computed as points are indexed.
+// kernel entry from the batch being processed, codes are computed as points
+// are indexed. The one thing that outlives a pass is what a seeded pass
+// (BNLSeeded) returns for its survivors, CellCodes: the grid and one code
+// per survivor, which the next pass seeded with those survivors installs
+// instead of coding them again. Codes are only ever compared with codes
+// taken under the same grid; any monotone cut points are exact, so a grid
+// taken from an earlier batch is as correct as a fresh one, and only how
+// evenly it spreads the points over buckets can differ.
 
 import (
 	"cmp"
@@ -117,6 +123,54 @@ func (g *cellGrid) code(v []float64) uint64 {
 	return c
 }
 
+// CellCodes is what a seeded window pass (BNLSeeded) leaves for the next
+// pass seeded with its survivors: the grid it coded them under and one
+// cell code per survivor, in the order the pass returned them. Its holder
+// keeps it beside the survivors' batch and hands it back unchanged; the
+// zero value holds no codes.
+type CellCodes struct {
+	grid  *cellGrid
+	codes []uint64
+	taken int // the seed the cut points were taken for
+}
+
+// MemSize is what the codes and their grid's cut points weigh, in bytes.
+func (c CellCodes) MemSize() int64 {
+	if c.grid == nil {
+		return 0
+	}
+	n := int64(len(c.codes)) * 8
+	for _, cuts := range c.grid.cuts {
+		n += int64(len(cuts)) * 8
+	}
+	return n
+}
+
+// fits reports whether c codes the seed of a seeded pass over b: one code
+// per seed point, under a grid with b's lanes whose cut points were taken
+// for a seed less than twice and more than half this one. Past that the
+// grid is taken again, so its cells follow the window's size.
+func (c CellCodes) fits(b *Batch, seed int) bool {
+	return c.grid != nil && len(c.codes) == seed && len(c.grid.cuts) == min(b.numStride, gridMaxLanes) &&
+		seed < 2*c.taken && 2*seed > c.taken
+}
+
+// carry returns the codes of the survivors idx of a pass over b seeded
+// with c's points [0, seed): a seed point keeps its code, an admitted
+// arrival is coded under c's grid.
+func (c CellCodes) carry(b *Batch, seed int, idx []int) CellCodes {
+	s := b.numStride
+	out := make([]uint64, len(idx))
+	for i, j := range idx {
+		if j < seed {
+			out[i] = c.codes[j]
+		} else {
+			out[i] = c.grid.code(b.num[j*s : j*s+s])
+		}
+	}
+	return CellCodes{grid: c.grid, codes: out, taken: c.taken}
+}
+
 // gridSource carries a kernel call's policy and builds the batch's grid the
 // first time a pass switches. One per kernel call, shared by its tasks.
 type gridSource struct {
@@ -135,6 +189,21 @@ func (b *Batch) newGridSource() *gridSource {
 func (gs *gridSource) grid() *cellGrid {
 	gs.once.Do(func() { gs.g = gs.b.newCellGrid() })
 	return gs.g
+}
+
+// paysSeeded is the switch rule for a pass seeded with a trusted window
+// of seed points and arrivals to absorb. The seed is an antichain, so an
+// arrival that is not dominated scans all of it: the index pays from the
+// first arrival once the seed and the work, seed × arrivals, are as large
+// as the stretch rule's window and remaining input require.
+func (gs *gridSource) paysSeeded(seed, arrivals int) bool {
+	switch gs.policy {
+	case gridOn:
+		return arrivals > 0
+	case gridOff:
+		return false
+	}
+	return seed >= gridMinWindow && seed*arrivals >= gridMinWindow*gridMinRemaining
 }
 
 // pays is the switch rule for a pass holding window points with remaining
@@ -248,8 +317,8 @@ type gridWindow struct {
 	next    []int32  // entry → next entry of its bucket, -1 at the end
 	sets    cellSets
 	cand    []uint64 // the buckets a query selected
-	perm    []int32  // scratch of the install sort
-	keys    []uint64 // scratch of the install sort: entry → code
+	keys    []uint64 // entry → cell code
+	slots   []int32  // the install's open-addressing table: code → bucket id+1, 0 when free
 
 	num          []float64
 	s            int
@@ -263,8 +332,10 @@ var gridWindows = sync.Pool{New: func() any { return new(gridWindow) }}
 // windowGrid continues a dense BNL pass on the cell index: window is the
 // pass's window so far, order the arrivals still to come; an admitted
 // arrival evicts what it dominates. It returns exactly what the plain pass
-// returns.
-func (b *Batch) windowGrid(window, order []int, distinct bool, g *cellGrid) []int {
+// returns. codes, when not nil, are the window's cell codes under g, one
+// per window entry; without them the window is coded here. withCodes asks
+// for the survivors' codes beside them, in the same order.
+func (b *Batch) windowGrid(window, order []int, distinct bool, g *cellGrid, codes []uint64, withCodes bool) ([]int, []uint64) {
 	s, num := b.numStride, b.num
 	maxEntries := len(window) + len(order)
 	maxBuckets := g.maxBuckets(maxEntries)
@@ -273,23 +344,24 @@ func (b *Batch) windowGrid(window, order []int, distinct bool, g *cellGrid) []in
 	w.codes = reuse(w.codes, maxBuckets)
 	w.head = reuse(w.head, maxBuckets)
 	w.next = reuse(w.next, maxEntries)[:len(window)]
+	w.keys = reuse(w.keys, maxEntries)[:len(window)]
 	w.sets.reset(g, maxBuckets)
 	w.num, w.s, w.distinct, w.tests, w.comps = num, s, distinct, 0, 0
-	// Install the window bucket by bucket: sort its entries by code.
-	keys := reuse(w.keys, len(window))[:len(window)]
-	perm := reuse(w.perm, len(window))[:len(window)]
+	// Install the window in one pass: each entry joins the bucket of its
+	// code, found through an open-addressing table; buckets open in the
+	// order their codes first appear.
+	w.clearSlots(min(len(window), maxBuckets))
 	for e, p := range window {
-		keys[e], perm[e] = g.code(num[p*s:p*s+s]), int32(e)
-	}
-	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
-	id := -1
-	for i, e := range perm {
-		if i == 0 || keys[e] != keys[perm[i-1]] {
-			id = w.bucket(keys[e])
+		var c uint64
+		if codes != nil {
+			c = codes[e]
+		} else {
+			c = g.code(num[p*s : p*s+s])
 		}
-		w.next[e], w.head[id] = w.head[id], e
+		id := w.install(c)
+		w.keys[e] = c
+		w.next[e], w.head[id] = w.head[id], int32(e)
 	}
-	w.keys, w.perm = keys, perm
 	for _, t := range order {
 		w.tv = num[t*s : t*s+s]
 		ct := g.code(w.tv)
@@ -324,6 +396,7 @@ func (b *Batch) windowGrid(window, order []int, distinct bool, g *cellGrid) []in
 			own = w.bucket(ct)
 		}
 		w.entries = append(w.entries, t)
+		w.keys = append(w.keys, ct)
 		w.next = append(w.next, w.head[own])
 		w.head[own] = int32(len(w.entries) - 1)
 	}
@@ -336,14 +409,48 @@ func (b *Batch) windowGrid(window, order []int, distinct bool, g *cellGrid) []in
 		}
 	}
 	out := make([]int, 0, live)
-	for _, p := range w.entries {
+	var outCodes []uint64
+	if withCodes {
+		outCodes = make([]uint64, 0, live)
+	}
+	for e, p := range w.entries {
 		if p >= 0 {
 			out = append(out, p)
+			if withCodes {
+				outCodes = append(outCodes, w.keys[e])
+			}
 		}
 	}
 	w.num, w.tv = nil, nil // the pool must not keep the batch alive
 	gridWindows.Put(w)
-	return out
+	return out, outCodes
+}
+
+// clearSlots empties the install table for up to n distinct codes: a power
+// of two at least twice n, so a probe meets a free slot within a few steps.
+func (w *gridWindow) clearSlots(n int) {
+	size := 1
+	for size < 2*n {
+		size *= 2
+	}
+	w.slots = reuse(w.slots, size)[:size]
+	clear(w.slots)
+}
+
+// install returns the id of code's bucket, opening it when the install
+// meets the code for the first time. A code hashes to the upper half of
+// its product with the golden-ratio constant and probes linearly.
+func (w *gridWindow) install(code uint64) int {
+	mask := len(w.slots) - 1
+	h := int((code*0x9E3779B97F4A7C15)>>32) & mask
+	for ; w.slots[h] != 0; h = (h + 1) & mask {
+		if id := int(w.slots[h] - 1); w.codes[id] == code {
+			return id
+		}
+	}
+	id := w.bucket(code)
+	w.slots[h] = int32(id + 1)
+	return id
 }
 
 // bucket opens an empty bucket for code and returns its id.

@@ -40,7 +40,10 @@ var gridAlgos = []struct {
 	run  func(b *Batch, distinct bool, seed, chunk int) []int
 }{
 	{"BNL", func(b *Batch, d bool, _, _ int) []int { return b.BNL(d) }},
-	{"BNLSeeded", func(b *Batch, d bool, seed, _ int) []int { return b.BNLSeeded(seed, d) }},
+	{"BNLSeeded", func(b *Batch, d bool, seed, _ int) []int {
+		idx, _ := b.BNLSeeded(seed, d, CellCodes{})
+		return idx
+	}},
 	{"BNLParallel", func(b *Batch, d bool, _, chunk int) []int {
 		idx, _ := b.BNLParallel(d, chunk, goRunner)
 		return idx

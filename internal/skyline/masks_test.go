@@ -77,19 +77,19 @@ func seededHalves(t *testing.T, b *Batch) (*Batch, int) {
 func TestKernelCountsPinned(t *testing.T) {
 	want := map[string]kernelCount{}
 	for _, c := range []kernelCount{
-		{"GlobalAnti/runs/BNL", 113763, 290294},
-		{"GlobalAnti/runs/BNLSeeded", 110252, 281331},
+		{"GlobalAnti/runs/BNL", 113746, 290251},
+		{"GlobalAnti/runs/BNLSeeded", 108535, 276896},
 		{"GlobalAnti/runs/BNLParallel", 143012, 364409},
-		{"GlobalAnti/unmarked/BNL", 113763, 290294},
-		{"GlobalAnti/unmarked/BNLSeeded", 110252, 281331},
+		{"GlobalAnti/unmarked/BNL", 113746, 290251},
+		{"GlobalAnti/unmarked/BNLSeeded", 108535, 276896},
 		{"GlobalAnti/unmarked/BNLParallel", 187722, 479524},
-		{"LocalIndependent/BNL", 60594, 194236},
-		{"LocalIndependent/BNLSeeded", 30211, 96812},
-		{"LocalIndependent/BNLParallel", 221748, 601446},
+		{"LocalIndependent/BNL", 57555, 185425},
+		{"LocalIndependent/BNLSeeded", 27662, 90150},
+		{"LocalIndependent/BNLParallel", 221638, 601127},
 		{"Columnar/d=2/BNL", 10570, 21140},
 		{"Columnar/d=2/BNLSeeded", 5803, 11606},
 		{"Columnar/d=2/BNLParallel", 15561, 31122},
-		{"Columnar/d=6/BNL", 90917, 290435},
+		{"Columnar/d=6/BNL", 93757, 301418},
 	} {
 		want[c.name] = c
 	}
@@ -106,7 +106,10 @@ func TestKernelCountsPinned(t *testing.T) {
 	}
 	bnl := func(b *Batch) ([]int, error) { return b.BNL(false), nil }
 	seeded := func(seed int) func(*Batch) ([]int, error) {
-		return func(b *Batch) ([]int, error) { return b.BNLSeeded(seed, false), nil }
+		return func(b *Batch) ([]int, error) {
+			idx, _ := b.BNLSeeded(seed, false, CellCodes{})
+			return idx, nil
+		}
 	}
 	parallel := func(b *Batch) ([]int, error) {
 		return b.BNLParallel(false, cost.MorselTarget(b.Len(), 4), goRunner)
